@@ -1159,6 +1159,26 @@ mod tests {
     }
 
     #[test]
+    fn field_order_whitespace_unknown_and_repeated_keys_are_tolerated() {
+        let canonical = "{\"at\":7,\"node\":2,\"ev\":\"queue_served\",\"oid\":9,\
+                         \"tx\":[2,4],\"attempt\":1,\"wait\":300}";
+        // Shuffled, padded with whitespace, carrying keys this version does
+        // not know (of every value shape) and a repeated key: the first
+        // occurrence wins.
+        let shuffled = " { \"wait\" : 300 , \"future\":[[1,\"x\"],[],7] ,\"tx\":[ 2 , 4 ],\
+                        \"ev\":\"queue_served\",\"note\":\"hi\",\"attempt\":1,\"oid\":9,\
+                        \"node\":2,\"at\":7,\"at\":8,\"wait\":\"later\" } ";
+        let rec = TraceRecord::parse(canonical).unwrap();
+        assert_eq!(TraceRecord::parse(shuffled), Ok(rec.clone()));
+        assert_eq!(rec.at, SimTime(7));
+        // A key another event kind owns is just an unknown key here, even
+        // when its value has the wrong shape for that kind.
+        let foreign = "{\"at\":7,\"node\":2,\"ev\":\"queue_served\",\"oid\":9,\"tx\":[2,4],\
+                       \"attempt\":1,\"wait\":300,\"reads\":\"none\",\"aggr\":5,\"cause\":3}";
+        assert_eq!(TraceRecord::parse(foreign), Ok(rec));
+    }
+
+    #[test]
     fn cache_off_summary_line_has_no_cache_fields() {
         // Bit-identity guard: with all cache counters zero the summary line
         // must be byte-identical to the pre-cache format.

@@ -1,0 +1,267 @@
+//! Property tests for the trace text codec and the stream merge.
+//!
+//! * every `ProtoEvent` variant, with field values biased towards the edges
+//!   of their types, survives `write_jsonl` → `parse` unchanged;
+//! * mangled lines (truncated, byte-flipped, spliced) make `parse` and
+//!   `parse_jsonl` return `Ok` or `Err` — never panic — and whatever they do
+//!   accept re-exports to text that parses to the same record;
+//! * `TraceLog::from_node_streams` equals the obvious reference, flatten +
+//!   stable sort by `(at, node)`, on streams full of duplicate timestamps.
+
+use dstm_sim::{SimDuration, SimTime};
+use hyflow_dstm::{AbortCause, ProtoEvent, SchedLabel, TraceLog, TraceRecord, Verdict};
+use proptest::collection::vec;
+use proptest::prelude::*;
+use rts_core::{ObjectId, TxId, TxKind};
+
+const VARIANTS: usize = 12;
+
+/// Spread raw entropy over the interesting parts of `u64`: zero, small
+/// values (what real traces hold), the `u32` boundary, and the full range.
+fn edge(w: u64) -> u64 {
+    match w % 4 {
+        0 => (w >> 2) % 1_000,
+        1 => u64::from(u32::MAX) - (w >> 2) % 2,
+        2 => u64::MAX - (w >> 2) % 2,
+        _ => w,
+    }
+}
+
+/// Build a record of variant `variant % 12` from 16 words of entropy.
+fn record_from(variant: usize, w: &[u64]) -> TraceRecord {
+    let n = |i: usize| edge(w[i]);
+    let n32 = |i: usize| edge(w[i]).min(u64::from(u32::MAX)) as u32;
+    let tx = TxId::new(n32(0), n(1));
+    let oid = ObjectId(n(2));
+    let attempt = n32(3);
+    let ev = match variant % VARIANTS {
+        0 => ProtoEvent::TxStart {
+            tx,
+            kind: TxKind(n(4).min(u64::from(u16::MAX)) as u16),
+            attempt,
+        },
+        1 => ProtoEvent::TxForward {
+            tx,
+            attempt,
+            oid,
+            wv_old: n(4),
+            wv_new: n(5),
+        },
+        2 => ProtoEvent::TxCommit {
+            tx,
+            attempt,
+            nested_committed: n(4),
+            reads: (0..w[5] % 5)
+                .map(|i| (ObjectId(n(6) ^ i), n(7).wrapping_add(i)))
+                .collect(),
+            writes: (0..w[8] % 4)
+                .map(|i| (ObjectId(n(9) ^ i), n(10), n(11).wrapping_sub(i)))
+                .collect(),
+        },
+        3 => ProtoEvent::TxAbort {
+            tx,
+            attempt,
+            cause: AbortCause::ALL[(w[4] % 4) as usize],
+            nested_parent: n(5),
+            backoff: SimDuration(n(6)),
+            wasted_ns: n(7),
+            msgs: n(8),
+            oid: (w[9] & 1 == 0).then_some(oid),
+            aggressor: (w[10] & 1 == 0).then(|| TxId::new(n32(11), n(12))),
+        },
+        4 => ProtoEvent::NestedOpen {
+            tx,
+            attempt,
+            level: n32(4),
+            kind: TxKind(n(5).min(u64::from(u16::MAX)) as u16),
+        },
+        5 => ProtoEvent::NestedCommit {
+            tx,
+            attempt,
+            level: n32(4),
+        },
+        6 => ProtoEvent::NestedAbort {
+            tx,
+            attempt,
+            level: n32(4),
+            own: n(5),
+            parent: n(6),
+        },
+        7 => ProtoEvent::SchedDecision {
+            oid,
+            tx,
+            attempt,
+            local_cl: n32(4),
+            requester_cl: n32(5),
+            window_requests: n32(6),
+            executed: SimDuration(n(7)),
+            remaining: SimDuration(n(8)),
+            queue_depth: n(9),
+            bk: SimDuration(n(10)),
+            threshold: (w[11] & 1 == 0).then(|| n32(12)),
+            verdict: [Verdict::Abort, Verdict::AbortBackoff, Verdict::Enqueue]
+                [(w[13] % 3) as usize],
+            backoff: SimDuration(n(14)),
+        },
+        8 => ProtoEvent::QueueServed {
+            oid,
+            tx,
+            attempt,
+            wait: SimDuration(n(4)),
+        },
+        9 => ProtoEvent::Migrate {
+            oid,
+            tx,
+            from: n32(4),
+            to: n32(5),
+            version: n(6),
+        },
+        10 => ProtoEvent::RunInfo {
+            scheduler: [
+                SchedLabel::Rts,
+                SchedLabel::Tfa,
+                SchedLabel::TfaBackoff,
+                SchedLabel::Ats,
+                SchedLabel::BiInterval,
+            ][(w[4] % 5) as usize],
+            nodes: n(5),
+        },
+        _ => {
+            // Cache counters are written only when one is nonzero.
+            let cached = w[12] & 1 == 0;
+            ProtoEvent::RunSummary {
+                commits: n(0),
+                aborts: n(1),
+                nested_own: n(2),
+                nested_parent: n(3),
+                nested_commits: n(4),
+                wasted_ns: n(5),
+                wasted_msgs: n(6),
+                attributed: n(7),
+                cache_hits: if cached { n(8) } else { 0 },
+                cache_misses: if cached { n(9) } else { 0 },
+                cache_invalidations: if cached { n(10) } else { 0 },
+            }
+        }
+    };
+    TraceRecord {
+        at: SimTime(n(15)),
+        node: n32(14),
+        ev,
+    }
+}
+
+fn line_of(rec: &TraceRecord) -> String {
+    let mut line = String::new();
+    rec.write_jsonl(&mut line);
+    line
+}
+
+/// Whatever the parser accepts must be a fixed point of export → parse.
+fn check_accepted(rec: &TraceRecord) -> Result<(), TestCaseError> {
+    let again = TraceRecord::parse(line_of(rec).trim_end());
+    prop_assert_eq!(again.as_ref(), Ok(rec));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 256,
+        .. ProptestConfig::default()
+    })]
+
+    #[test]
+    fn every_variant_round_trips_at_the_edges(
+        variant in 0usize..VARIANTS,
+        words in vec(0u64..=u64::MAX, 16..17),
+    ) {
+        let rec = record_from(variant, &words);
+        let line = line_of(&rec);
+        prop_assert!(line.ends_with("}\n") && line.is_ascii());
+        let back = TraceRecord::parse(line.trim_end());
+        prop_assert_eq!(back, Ok(rec), "line was {}", line);
+    }
+
+    #[test]
+    fn mangled_lines_never_panic(
+        variant in 0usize..VARIANTS,
+        other in 0usize..VARIANTS,
+        words in vec(0u64..=u64::MAX, 16..17),
+        cut in 0usize..400,
+        flips in vec((0usize..400, 0u8..128), 1..4),
+    ) {
+        let a = line_of(&record_from(variant, &words));
+        let b = line_of(&record_from(other, &words));
+        let (a, b) = (a.trim_end(), b.trim_end());
+
+        // Truncation.
+        let truncated = &a[..cut % (a.len() + 1)];
+        if let Ok(rec) = TraceRecord::parse(truncated) {
+            check_accepted(&rec)?;
+        }
+
+        // Byte flips (kept ASCII so the line stays a `&str`).
+        let mut flipped = a.as_bytes().to_vec();
+        for &(at, byte) in &flips {
+            let at = at % flipped.len();
+            flipped[at] = byte;
+        }
+        let flipped = String::from_utf8(flipped).expect("ASCII stays UTF-8");
+        if let Ok(rec) = TraceRecord::parse(&flipped) {
+            check_accepted(&rec)?;
+        }
+
+        // Splice: a prefix of one line glued onto a suffix of another.
+        let spliced = format!("{}{}", &a[..cut % (a.len() + 1)], &b[cut % (b.len() + 1)..]);
+        if let Ok(rec) = TraceRecord::parse(&spliced) {
+            check_accepted(&rec)?;
+        }
+
+        // The same garbage inside a multi-line text.
+        let text = format!("{a}\n{truncated}\n\n{flipped}\n{spliced}\n{b}\n");
+        if let Ok(log) = TraceLog::parse_jsonl(&text) {
+            for rec in &log.records {
+                check_accepted(rec)?;
+            }
+        }
+    }
+
+    #[test]
+    fn stream_merge_equals_flatten_then_stable_sort(
+        deltas in vec(vec(0u64..3, 0..40), 0..9),
+    ) {
+        // Stream `s` belongs to node `s % 3`, so streams share nodes and
+        // equal `(at, node)` keys occur both within and across streams; the
+        // `seq` of each record's `tx` makes every record distinguishable.
+        let mut serial = 0u64;
+        let streams: Vec<Vec<TraceRecord>> = deltas
+            .iter()
+            .enumerate()
+            .map(|(s, ds)| {
+                let node = (s % 3) as u32;
+                let mut at = 0u64;
+                ds.iter()
+                    .map(|d| {
+                        at += d;
+                        serial += 1;
+                        TraceRecord {
+                            at: SimTime(at),
+                            node,
+                            ev: ProtoEvent::NestedCommit {
+                                tx: TxId::new(s as u32, serial),
+                                attempt: 0,
+                                level: 1,
+                            },
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let mut reference: Vec<TraceRecord> = streams.iter().flatten().cloned().collect();
+        reference.sort_by_key(|r| (r.at, r.node));
+
+        let merged = TraceLog::from_node_streams(streams);
+        prop_assert_eq!(merged.records, reference);
+    }
+}
