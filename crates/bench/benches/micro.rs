@@ -1,15 +1,17 @@
 //! Criterion micro-benchmarks of the engine's hot paths: the pending-event
 //! set (binary heap vs calendar queue), the RNG, the Bloom filter, the CL
-//! window, scheduling-table operations, policy decisions, and a complete
-//! small simulation cell.
+//! window, scheduling-table operations, policy decisions, a complete small
+//! simulation cell, and the trace text codec.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use dstm_benchmarks::Benchmark;
 use dstm_harness::runner::{run_cell, run_cell_traced, Cell};
+use dstm_harness::traceio::{audit, to_chrome_trace};
 use dstm_sim::{
     Actor, ActorId, BinaryHeapQueue, CalendarQueue, Ctx, EventQueue, GenericWorld, KernelEvent,
     Sequenced, SimDuration, SimRng, SimTime, World,
 };
+use hyflow_dstm::{TraceLog, TraceRecord};
 use rts_core::{
     BloomFilter, ConflictCtx, ConflictPolicy, Ets, ObjectClWindow, ObjectId, Requester, RtsPolicy,
     SchedulingTable, TxId,
@@ -230,6 +232,57 @@ fn bench_trace_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// The post-run trace pipeline on one captured 40-node Bank trace: JSONL
+/// export and parse (MB/s of JSONL), the per-node stream merge, the Chrome
+/// export and the audit (ns per record). The header line gives the record
+/// and byte counts that convert one unit into the other.
+fn bench_trace_codec(c: &mut Criterion) {
+    let cell = Cell::new(Benchmark::Bank, rts_core::SchedulerKind::Rts, 40, 0.5)
+        .with_shards(1)
+        .with_cache(false);
+    let (_, log) = run_cell_traced(cell);
+    let text = log.to_jsonl();
+    let (records, bytes) = (log.records.len() as u64, text.len() as u64);
+    println!(
+        "trace-codec: 40-node Bank trace, {records} records, {bytes} JSONL bytes, {} Chrome bytes",
+        to_chrome_trace(&log).len()
+    );
+    // The merge's input: the log split back into its per-node streams.
+    let nodes = log
+        .records
+        .iter()
+        .map(|r| r.node)
+        .max()
+        .map_or(0, |n| n + 1);
+    let mut streams: Vec<Vec<TraceRecord>> = vec![Vec::new(); nodes as usize];
+    for r in &log.records {
+        streams[r.node as usize].push(r.clone());
+    }
+
+    let mut group = c.benchmark_group("trace-codec");
+    group.sample_size(10);
+    group.throughput(Throughput::Bytes(bytes));
+    group.bench_function("to_jsonl", |b| b.iter(|| black_box(log.to_jsonl().len())));
+    group.bench_function("parse_jsonl", |b| {
+        b.iter(|| black_box(TraceLog::parse_jsonl(&text).expect("parses").records.len()))
+    });
+    group.throughput(Throughput::Elements(records));
+    group.bench_function("from_node_streams", |b| {
+        b.iter_batched(
+            || streams.clone(),
+            |s| black_box(TraceLog::from_node_streams(s).records.len()),
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("to_chrome_trace", |b| {
+        b.iter(|| black_box(to_chrome_trace(&log).len()))
+    });
+    group.bench_function("audit", |b| {
+        b.iter(|| black_box(audit(&log).commits_checked))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_kernel,
@@ -239,6 +292,7 @@ criterion_group!(
     bench_cl_window,
     bench_policy,
     bench_full_cell,
-    bench_trace_overhead
+    bench_trace_overhead,
+    bench_trace_codec
 );
 criterion_main!(benches);

@@ -8,6 +8,10 @@
 //!                                             # abort chains, throughput knee;
 //!                                             # exit 1 on ledger mismatch
 //! dstm-trace chrome  <trace.jsonl> [out.json] # convert to Chrome trace_event JSON
+//! dstm-trace jsonl   <trace.jsonl> [out.jsonl]
+//!                                             # parse and re-export: the canonical form
+//!                                             # (fixed field order, no whitespace,
+//!                                             # unknown keys dropped)
 //! dstm-trace demo    [out.jsonl]              # record the Fig. 3 collision, write JSONL
 //! ```
 //!
@@ -33,11 +37,39 @@ fn load(path: &str) -> Result<TraceLog, String> {
     TraceLog::parse_jsonl(&text)
 }
 
+/// Load `path`, render it, and write the result to `out` (default: `path`
+/// with its `.jsonl` replaced by `default_ext`).
+fn convert(
+    path: &str,
+    out: Option<&String>,
+    default_ext: &str,
+    render: fn(&TraceLog) -> String,
+    note: &str,
+) -> ExitCode {
+    let out_path = out
+        .cloned()
+        .unwrap_or_else(|| format!("{}{default_ext}", path.trim_end_matches(".jsonl")));
+    let written = load(path).and_then(|log| {
+        std::fs::write(&out_path, render(&log)).map_err(|e| format!("cannot write {out_path}: {e}"))
+    });
+    match written {
+        Ok(()) => {
+            println!("[written to {out_path}{note}]");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  dstm-trace audit   <trace.jsonl>\n  dstm-trace stats   <trace.jsonl>\n  \
          dstm-trace analyze <trace.jsonl> [--json] [--epoch-ns N]\n  \
-         dstm-trace chrome  <trace.jsonl> [out.json]\n  dstm-trace demo    [out.jsonl]"
+         dstm-trace chrome  <trace.jsonl> [out.json]\n  \
+         dstm-trace jsonl   <trace.jsonl> [out.jsonl]\n  dstm-trace demo    [out.jsonl]"
     );
     ExitCode::from(2)
 }
@@ -107,28 +139,20 @@ fn main() -> ExitCode {
                 }
             }
         }
-        ("chrome", Some(path)) => {
-            let out_path = args
-                .get(3)
-                .cloned()
-                .unwrap_or_else(|| format!("{}.chrome.json", path.trim_end_matches(".jsonl")));
-            match load(path) {
-                Ok(log) => match std::fs::write(&out_path, to_chrome_trace(&log)) {
-                    Ok(()) => {
-                        println!("[written to {out_path} — open in chrome://tracing or Perfetto]");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("cannot write {out_path}: {e}");
-                        ExitCode::from(2)
-                    }
-                },
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
+        ("chrome", Some(path)) => convert(
+            path,
+            args.get(3),
+            ".chrome.json",
+            to_chrome_trace,
+            " — open in chrome://tracing or Perfetto",
+        ),
+        ("jsonl", Some(path)) => convert(
+            path,
+            args.get(3),
+            ".canonical.jsonl",
+            TraceLog::to_jsonl,
+            "",
+        ),
         ("demo", _) => {
             let out_path = args
                 .get(2)

@@ -14,9 +14,10 @@
 //!   migrations;
 //! * [`trace_stats`] — a quick textual census of the log.
 
+use hyflow_dstm::trace::{push_u64, size_class};
 use hyflow_dstm::{ProtoEvent, TraceLog, Verdict};
-use rts_core::{ObjectId, TxId};
-use std::collections::{HashMap, HashSet};
+use rts_core::{FxHashMap, FxHashSet, ObjectId, TxId};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
@@ -115,7 +116,7 @@ pub fn audit(log: &TraceLog) -> AuditReport {
 
     // Pass 1: per-object install history (version -> install time), in
     // record order (the log is time-ordered).
-    let mut installs: HashMap<ObjectId, Vec<(u64, u64)>> = HashMap::new();
+    let mut installs: FxHashMap<ObjectId, Vec<(u64, u64)>> = FxHashMap::default();
     for r in &log.records {
         if let ProtoEvent::TxCommit { writes, .. } = &r.ev {
             for &(oid, _expect, new) in writes {
@@ -143,8 +144,8 @@ pub fn audit(log: &TraceLog) -> AuditReport {
     };
 
     // Pass 2: sequential replay.
-    let mut cur_version: HashMap<ObjectId, u64> = HashMap::new();
-    let mut enqueued: HashSet<(TxId, u32)> = HashSet::new();
+    let mut cur_version: FxHashMap<ObjectId, u64> = FxHashMap::default();
+    let mut enqueued: FxHashSet<(TxId, u32)> = FxHashSet::default();
     let mut spans = SpanTotals::default();
 
     for r in &log.records {
@@ -289,73 +290,129 @@ struct SpanTotals {
 // Chrome trace_event export
 // ---------------------------------------------------------------------------
 
-fn ts_us(ns: u64) -> f64 {
-    ns as f64 / 1000.0
+/// Append `ns` as microseconds with exactly three decimals. Integer
+/// arithmetic, so the digits are exact at any magnitude; for `ns < 2^50`
+/// (13 days of virtual time) they are also what `{:.3}` prints for
+/// `ns as f64 / 1000.0`, the form this exporter used to go through.
+fn push_us(out: &mut String, ns: u64) {
+    push_u64(out, ns / 1000);
+    let frac = (ns % 1000) as u32;
+    out.push('.');
+    for digit in [frac / 100, frac / 10 % 10, frac % 10] {
+        out.push(char::from_digit(digit, 10).expect("decimal digit"));
+    }
 }
 
-fn push_event(out: &mut String, first: &mut bool, body: &str) {
-    if *first {
-        *first = false;
-    } else {
-        out.push(',');
+/// The Chrome `traceEvents` array under construction. Events are written
+/// straight into `out` from literal fragments — no per-event `String`, no
+/// `core::fmt`.
+struct ChromeEvents {
+    out: String,
+    first: bool,
+}
+
+impl ChromeEvents {
+    /// Start an event: the separator, then `{"name":"` + `name`.
+    fn open(&mut self, name: &str) -> &mut Self {
+        self.out.push_str(if self.first {
+            "\n  {\"name\":\""
+        } else {
+            ",\n  {\"name\":\""
+        });
+        self.first = false;
+        self.out.push_str(name);
+        self
     }
-    out.push_str("\n  ");
-    out.push_str(body);
+
+    fn text(&mut self, fragment: &str) -> &mut Self {
+        self.out.push_str(fragment);
+        self
+    }
+
+    fn num(&mut self, fragment: &str, v: impl Into<u64>) -> &mut Self {
+        self.out.push_str(fragment);
+        push_u64(&mut self.out, v.into());
+        self
+    }
+
+    /// `fragment` + `tx` as `TxId`'s `Display` prints it.
+    fn tx(&mut self, fragment: &str, tx: TxId) -> &mut Self {
+        self.text(fragment).num("T", tx.node).num(".", tx.seq)
+    }
+
+    /// `,"pid":<tx.node>,"tid":<tx.seq>,"ts":<started>,"dur":<at - started>`
+    /// after `fragment` — the lane and extent of a complete (`X`) event.
+    fn span(&mut self, fragment: &str, tx: TxId, started: u64, at: u64) -> &mut Self {
+        self.num(fragment, tx.node)
+            .num(",\"tid\":", tx.seq)
+            .us(",\"ts\":", started)
+            .us(",\"dur\":", at.saturating_sub(started))
+    }
+
+    /// Open attempt `a` of `tx` as a complete event named `<tx>#a<a><how>`,
+    /// up to and including its `dur`.
+    fn attempt(&mut self, tx: TxId, a: u32, how: &str, started: u64, at: u64) -> &mut Self {
+        self.open("").tx("", tx).num("#a", a).text(how).span(
+            "\",\"cat\":\"tx\",\"ph\":\"X\",\"pid\":",
+            tx,
+            started,
+            at,
+        )
+    }
+
+    fn us(&mut self, fragment: &str, ns: u64) -> &mut Self {
+        self.out.push_str(fragment);
+        push_us(&mut self.out, ns);
+        self
+    }
+
+    /// Close every open child of `tx` at level `down_to` or deeper.
+    fn close_children(&mut self, tx: TxId, down_to: u32, at: u64, stack: &mut Vec<(u32, u64)>) {
+        while let Some(&(level, started)) = stack.last().filter(|&&(level, _)| level >= down_to) {
+            stack.pop();
+            self.open("child L")
+                .num("", level)
+                .span(
+                    "\",\"cat\":\"nested\",\"ph\":\"X\",\"pid\":",
+                    tx,
+                    started,
+                    at,
+                )
+                .text("}");
+        }
+    }
 }
 
 /// Render the log as Chrome `trace_event` JSON (the "JSON array format"
 /// wrapped in an object). pid = node, tid = transaction sequence number on
 /// its origin node; each attempt is an `X` complete event and nested child
 /// levels stack beneath it; scheduler decisions, queue service, forwarding
-/// and migration are instants on the node that observed them.
+/// and migration are instants on the node that observed them. Timestamps
+/// are exact: integer microseconds and three decimals of nanoseconds.
 pub fn to_chrome_trace(log: &TraceLog) -> String {
-    let mut out = String::from("{\"traceEvents\": [");
-    let mut first = true;
+    let mut ev = ChromeEvents {
+        // ~56 bytes per record on a Bank trace; where that falls short,
+        // doubling takes over.
+        out: String::with_capacity(size_class(64 * log.records.len() + 64)),
+        first: true,
+    };
+    ev.out.push_str("{\"traceEvents\": [");
 
     // Process metadata: one "process" per node.
-    let mut nodes: Vec<u32> = log.records.iter().map(|r| r.node).collect();
+    let nodes: FxHashSet<u32> = log.records.iter().map(|r| r.node).collect();
+    let mut nodes: Vec<u32> = nodes.into_iter().collect();
     nodes.sort_unstable();
-    nodes.dedup();
-    for n in &nodes {
-        push_event(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{n},\"tid\":0,\
-                 \"args\":{{\"name\":\"node {n}\"}}}}"
-            ),
-        );
+    for &n in &nodes {
+        ev.open("process_name\",\"ph\":\"M\",\"pid\":")
+            .num("", n)
+            .num(",\"tid\":0,\"args\":{\"name\":\"node ", n)
+            .text("\"}}");
     }
 
     // Open attempt spans and nested-child stacks per transaction.
-    let mut open_attempt: HashMap<TxId, (u64, u32)> = HashMap::new();
-    let mut open_children: HashMap<TxId, Vec<(u32, u64)>> = HashMap::new();
+    let mut open_attempt: FxHashMap<TxId, (u64, u32)> = FxHashMap::default();
+    let mut open_children: FxHashMap<TxId, Vec<(u32, u64)>> = FxHashMap::default();
     let end_of_log = log.records.last().map_or(0, |r| r.at.0);
-
-    let close_children = |out: &mut String,
-                          first: &mut bool,
-                          tx: TxId,
-                          down_to: u32,
-                          at: u64,
-                          stacks: &mut HashMap<TxId, Vec<(u32, u64)>>| {
-        if let Some(stack) = stacks.get_mut(&tx) {
-            while stack.last().is_some_and(|&(lvl, _)| lvl >= down_to) {
-                let (lvl, started) = stack.pop().expect("checked");
-                push_event(
-                    out,
-                    first,
-                    &format!(
-                        "{{\"name\":\"child L{lvl}\",\"cat\":\"nested\",\"ph\":\"X\",\
-                         \"pid\":{},\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
-                        tx.node,
-                        tx.seq,
-                        ts_us(started),
-                        ts_us(at.saturating_sub(started)),
-                    ),
-                );
-            }
-        }
-    };
 
     for r in &log.records {
         let at = r.at.0;
@@ -364,127 +421,99 @@ pub fn to_chrome_trace(log: &TraceLog) -> String {
                 open_attempt.insert(*tx, (at, *attempt));
             }
             ProtoEvent::TxCommit { tx, attempt, .. } => {
-                close_children(&mut out, &mut first, *tx, 1, at, &mut open_children);
+                if let Some(stack) = open_children.get_mut(tx) {
+                    ev.close_children(*tx, 1, at, stack);
+                }
                 let (started, a) = open_attempt.remove(tx).unwrap_or((at, *attempt));
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        "{{\"name\":\"{tx}#a{a} commit\",\"cat\":\"tx\",\"ph\":\"X\",\
-                         \"pid\":{},\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
-                         \"args\":{{\"outcome\":\"commit\"}}}}",
-                        tx.node,
-                        tx.seq,
-                        ts_us(started),
-                        ts_us(at.saturating_sub(started)),
-                    ),
-                );
+                ev.attempt(*tx, a, " commit", started, at)
+                    .text(",\"args\":{\"outcome\":\"commit\"}}");
             }
             ProtoEvent::TxAbort {
                 tx, attempt, cause, ..
             } => {
-                close_children(&mut out, &mut first, *tx, 1, at, &mut open_children);
+                if let Some(stack) = open_children.get_mut(tx) {
+                    ev.close_children(*tx, 1, at, stack);
+                }
                 let (started, a) = open_attempt.remove(tx).unwrap_or((at, *attempt));
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        "{{\"name\":\"{tx}#a{a} abort\",\"cat\":\"tx\",\"ph\":\"X\",\
-                         \"pid\":{},\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
-                         \"args\":{{\"outcome\":\"abort\",\"cause\":\"{}\"}}}}",
-                        tx.node,
-                        tx.seq,
-                        ts_us(started),
-                        ts_us(at.saturating_sub(started)),
-                        cause.label(),
-                    ),
-                );
+                ev.attempt(*tx, a, " abort", started, at)
+                    .text(",\"args\":{\"outcome\":\"abort\",\"cause\":\"")
+                    .text(cause.label())
+                    .text("\"}}");
             }
             ProtoEvent::NestedOpen { tx, level, .. } => {
                 open_children.entry(*tx).or_default().push((*level, at));
             }
             ProtoEvent::NestedCommit { tx, level, .. }
             | ProtoEvent::NestedAbort { tx, level, .. } => {
-                close_children(&mut out, &mut first, *tx, *level, at, &mut open_children);
+                if let Some(stack) = open_children.get_mut(tx) {
+                    ev.close_children(*tx, *level, at, stack);
+                }
             }
             ProtoEvent::TxForward { tx, oid, .. } => {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        "{{\"name\":\"forward {oid}\",\"cat\":\"tfa\",\"ph\":\"i\",\"s\":\"t\",\
-                         \"pid\":{},\"tid\":{},\"ts\":{:.3}}}",
+                ev.open("forward o")
+                    .num("", oid.0)
+                    .num(
+                        "\",\"cat\":\"tfa\",\"ph\":\"i\",\"s\":\"t\",\"pid\":",
                         tx.node,
-                        tx.seq,
-                        ts_us(at),
-                    ),
-                );
+                    )
+                    .num(",\"tid\":", tx.seq)
+                    .us(",\"ts\":", at)
+                    .text("}");
             }
             ProtoEvent::SchedDecision {
                 oid, tx, verdict, ..
             } => {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        "{{\"name\":\"{} {oid} for {tx}\",\"cat\":\"sched\",\"ph\":\"i\",\
-                         \"s\":\"p\",\"pid\":{},\"tid\":0,\"ts\":{:.3}}}",
-                        verdict.label(),
+                ev.open(verdict.label())
+                    .num(" o", oid.0)
+                    .tx(" for ", *tx)
+                    .num(
+                        "\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"p\",\"pid\":",
                         r.node,
-                        ts_us(at),
-                    ),
-                );
+                    )
+                    .us(",\"tid\":0,\"ts\":", at)
+                    .text("}");
             }
             ProtoEvent::QueueServed { oid, tx, .. } => {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        "{{\"name\":\"serve {oid} to {tx}\",\"cat\":\"sched\",\"ph\":\"i\",\
-                         \"s\":\"p\",\"pid\":{},\"tid\":0,\"ts\":{:.3}}}",
+                ev.open("serve o")
+                    .num("", oid.0)
+                    .tx(" to ", *tx)
+                    .num(
+                        "\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"p\",\"pid\":",
                         r.node,
-                        ts_us(at),
-                    ),
-                );
+                    )
+                    .us(",\"tid\":0,\"ts\":", at)
+                    .text("}");
             }
             ProtoEvent::Migrate { oid, from, to, .. } => {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        "{{\"name\":\"migrate {oid}: {from}->{to}\",\"cat\":\"cc\",\
-                         \"ph\":\"i\",\"s\":\"g\",\"pid\":{to},\"tid\":0,\"ts\":{:.3}}}",
-                        ts_us(at),
-                    ),
-                );
+                ev.open("migrate o")
+                    .num("", oid.0)
+                    .num(": ", *from)
+                    .num("->", *to)
+                    .num("\",\"cat\":\"cc\",\"ph\":\"i\",\"s\":\"g\",\"pid\":", *to)
+                    .us(",\"tid\":0,\"ts\":", at)
+                    .text("}");
             }
             ProtoEvent::RunInfo { .. } | ProtoEvent::RunSummary { .. } => {}
         }
     }
 
     // Close anything still open at the end of the log (stalled or
-    // budget-cut transactions).
-    let open: Vec<TxId> = open_children.keys().copied().collect();
-    for tx in open {
-        close_children(&mut out, &mut first, tx, 1, end_of_log, &mut open_children);
+    // budget-cut transactions) — in `TxId` order, not the maps' order, so
+    // the same log always exports to the same bytes.
+    let mut children: Vec<(TxId, Vec<(u32, u64)>)> = open_children.into_iter().collect();
+    children.sort_unstable_by_key(|&(tx, _)| tx);
+    for (tx, mut stack) in children {
+        ev.close_children(tx, 1, end_of_log, &mut stack);
     }
-    for (tx, (started, a)) in open_attempt {
-        push_event(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"name\":\"{tx}#a{a} unfinished\",\"cat\":\"tx\",\"ph\":\"X\",\
-                 \"pid\":{},\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
-                tx.node,
-                tx.seq,
-                ts_us(started),
-                ts_us(end_of_log.saturating_sub(started)),
-            ),
-        );
+    let mut attempts: Vec<(TxId, (u64, u32))> = open_attempt.into_iter().collect();
+    attempts.sort_unstable_by_key(|&(tx, _)| tx);
+    for (tx, (started, a)) in attempts {
+        ev.attempt(tx, a, " unfinished", started, end_of_log)
+            .text("}");
     }
 
-    out.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
-    out
+    ev.out.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
+    ev.out
 }
 
 // ---------------------------------------------------------------------------
@@ -883,7 +912,7 @@ impl AnalyzeReport {
     }
 }
 
-fn hot_entry(map: &mut HashMap<ObjectId, HotObject>, oid: ObjectId) -> &mut HotObject {
+fn hot_entry(map: &mut FxHashMap<ObjectId, HotObject>, oid: ObjectId) -> &mut HotObject {
     map.entry(oid).or_insert_with(|| HotObject {
         oid,
         aborts_caused: 0,
@@ -914,9 +943,9 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
         records: log.records.len(),
         ..AnalyzeReport::default()
     };
-    let mut objects: HashMap<ObjectId, HotObject> = HashMap::new();
-    let mut aggressors: HashMap<TxId, (u64, u64)> = HashMap::new();
-    let mut blamed_by: HashMap<TxId, TxId> = HashMap::new();
+    let mut objects: FxHashMap<ObjectId, HotObject> = FxHashMap::default();
+    let mut aggressors: FxHashMap<TxId, (u64, u64)> = FxHashMap::default();
+    let mut blamed_by: FxHashMap<TxId, TxId> = FxHashMap::default();
     let mut commits_per_epoch: Vec<u64> = Vec::new();
     let mut summary = (0u64, 0u64, 0u64, 0u64, 0u64); // commits, aborts, wasted_ns, msgs, attributed
 
@@ -1037,7 +1066,7 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
     let mut best: Vec<TxId> = Vec::new();
     for &start in blamed_by.keys() {
         let mut chain = vec![start];
-        let mut seen: HashSet<TxId> = HashSet::new();
+        let mut seen: FxHashSet<TxId> = FxHashSet::default();
         seen.insert(start);
         let mut cur = start;
         while let Some(&next) = blamed_by.get(&cur) {
@@ -1333,6 +1362,27 @@ mod tests {
         let balance =
             |open: char, close: char| chrome.matches(open).count() == chrome.matches(close).count();
         assert!(balance('{', '}') && balance('[', ']'));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 4096,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn integer_microseconds_match_the_float_rendering(
+            ns in 0u64..1 << 50,
+            edge in 0u64..4_000,
+        ) {
+            // Random magnitudes, plus the neighbourhood of a microsecond
+            // boundary at every magnitude (where rounding would bite).
+            for ns in [ns, ns / 1000 * 1000 + edge % 1000, edge, (1 << 50) - 1 - edge] {
+                let mut exact = String::new();
+                push_us(&mut exact, ns);
+                proptest::prop_assert_eq!(exact, format!("{:.3}", ns as f64 / 1000.0));
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The trace text formats are artefacts other tools consume, so they are
 //! pinned byte for byte: FNV-64 digests of the JSONL and the Chrome
-//! `trace_event` JSON of four fixed traced cells, and a lossless
-//! parse → re-export round trip on the same cells.
+//! `trace_event` JSON of four fixed traced cells, a lossless
+//! parse → re-export round trip on the same cells, and a determinism guard
+//! for the Chrome exporter's end-of-log flush.
 //!
 //! The digests were taken from the pre-rewrite codec (the `write!`-based
 //! writer, DOM parser and `{:.3}` float timestamps of PR 2); the
@@ -10,8 +11,9 @@
 use dstm_benchmarks::Benchmark;
 use dstm_harness::traceio::to_chrome_trace;
 use dstm_harness::{run_cell_traced, Cell};
-use hyflow_dstm::{Fnv64, TraceLog};
-use rts_core::SchedulerKind;
+use dstm_sim::SimTime;
+use hyflow_dstm::{Fnv64, ProtoEvent, TraceLog, TraceRecord};
+use rts_core::{SchedulerKind, TxId, TxKind};
 
 /// One fixed 8-node Bank cell, contended enough (4 objects per node, half
 /// writes) that every scheduler aborts, nests, forwards and migrates. Every
@@ -109,4 +111,50 @@ fn parse_then_reexport_is_lossless_and_byte_equal() {
             "{label}: Chrome export of the parsed log differs"
         );
     }
+}
+
+#[test]
+fn chrome_export_of_unfinished_attempts_is_deterministic() {
+    // A budget-cut run: 32 attempts (each with an open child) that never
+    // commit or abort, so every span is closed by the end-of-log flush.
+    let mut records = Vec::new();
+    for i in 0..32u32 {
+        let tx = TxId::new(i % 8, u64::from(i / 8) + 1);
+        records.push(TraceRecord {
+            at: SimTime(1_000 * u64::from(i)),
+            node: tx.node,
+            ev: ProtoEvent::TxStart {
+                tx,
+                kind: TxKind(1),
+                attempt: 0,
+            },
+        });
+        records.push(TraceRecord {
+            at: SimTime(1_000 * u64::from(i) + 500),
+            node: tx.node,
+            ev: ProtoEvent::NestedOpen {
+                tx,
+                attempt: 0,
+                level: 1,
+                kind: TxKind(2),
+            },
+        });
+    }
+    let log = TraceLog { records };
+    let first = to_chrome_trace(&log);
+    assert_eq!(first.matches("unfinished").count(), 32);
+    assert_eq!(first.matches("child L1").count(), 32);
+    for _ in 0..4 {
+        assert_eq!(to_chrome_trace(&log), first, "export order changed");
+    }
+    // Leftover spans are flushed in TxId order.
+    let order: Vec<usize> = (0..8u32)
+        .flat_map(|node| (1..=4u64).map(move |seq| TxId::new(node, seq)))
+        .map(|tx| {
+            first
+                .find(&format!("\"{tx}#a0 unfinished\""))
+                .expect("span present")
+        })
+        .collect();
+    assert!(order.windows(2).all(|w| w[0] < w[1]), "not in TxId order");
 }

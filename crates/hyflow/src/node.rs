@@ -1088,20 +1088,22 @@ impl Node {
         let mut summary = std::mem::take(&mut self.summary_buf);
         let mut write_back = std::mem::take(&mut self.wbs_buf);
         tx.write_back_set_into(&mut summary, &mut write_back);
+        // A read-only commit publishes nothing and leaves the clock alone.
+        let new_version = if write_back.is_empty() {
+            0
+        } else {
+            self.clock.max(tx.wv) + 1
+        };
+        if self.ptrace.on() {
+            self.record_commit_event(ctx.now(), tx, &summary, &write_back, new_version);
+        }
         self.summary_buf = summary;
         if write_back.is_empty() {
-            if self.ptrace.on() {
-                self.record_commit_event(ctx.now(), tx, &write_back, 0);
-            }
             self.wbs_buf = write_back;
             self.finalize_commit(ctx, tx);
             return true;
         }
-        let new_version = self.clock.max(tx.wv) + 1;
         self.clock = new_version;
-        if self.ptrace.on() {
-            self.record_commit_event(ctx.now(), tx, &write_back, new_version);
-        }
         let mut pending = crate::small::ObjSet::new();
         for (oid, payload, _version, owner) in write_back.drain(..) {
             if owner == self.me {
@@ -1167,20 +1169,21 @@ impl Node {
     }
 
     /// Record the [`ProtoEvent::TxCommit`] span end at the serialization
-    /// point: the full read footprint (object, version) and the write set
-    /// (object, expected version, published version). Caller has checked
-    /// `ptrace.on()`, so the `Vec` payloads only exist when tracing.
+    /// point: the full read footprint (object, version) out of the
+    /// transaction's object `summary`, and the write set (object, expected
+    /// version, published version). Caller has checked `ptrace.on()`, so the
+    /// `Vec` payloads only exist when tracing.
     fn record_commit_event(
         &mut self,
         now: SimTime,
         tx: &TxRuntime,
+        summary: &[(ObjectId, u64, u32, bool, AccessMode)],
         write_back: &[(ObjectId, Arc<Payload>, u64, u32)],
         new_version: u64,
     ) {
-        let reads = tx
-            .object_summary()
-            .into_iter()
-            .map(|(oid, version, _owner, _dirty, _mode)| (oid, version))
+        let reads = summary
+            .iter()
+            .map(|&(oid, version, _owner, _dirty, _mode)| (oid, version))
             .collect();
         let writes = write_back
             .iter()
@@ -2080,13 +2083,18 @@ impl Node {
                         // Commit-time read validation failed *after* the
                         // write-set locks were granted: release them or the
                         // owners stay locked forever.
-                        for (goid, _payload, _version, owner) in tx.write_back_set() {
+                        let mut summary = std::mem::take(&mut self.summary_buf);
+                        let mut write_back = std::mem::take(&mut self.wbs_buf);
+                        tx.write_back_set_into(&mut summary, &mut write_back);
+                        for (goid, _payload, _version, owner) in write_back.drain(..) {
                             let msg = Msg::Unlock {
                                 oid: goid,
                                 tx: txid,
                             };
                             self.send(ctx, owner, msg);
                         }
+                        self.summary_buf = summary;
+                        self.wbs_buf = write_back;
                         AbortCause::CommitValidation
                     }
                 };

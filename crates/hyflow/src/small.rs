@@ -8,7 +8,7 @@
 //! by a wide margin, and iteration order becomes deterministic insertion
 //! order (one less source of accidental nondeterminism; note that no
 //! protocol message order may depend on map iteration order — summaries are
-//! sorted by object id before use, see `TxRuntime::object_summary`).
+//! sorted by object id before use, see `TxRuntime::object_summary_into`).
 
 use rts_core::ObjectId;
 

@@ -12,15 +12,24 @@
 //! payloads) is constructed when tracing is off.
 //!
 //! Serialization is hand-rolled JSONL (one record per line) because the
-//! workspace is offline and carries no serde; the format is a flat object
-//! whose values are unsigned integers, short label strings, or arrays of
-//! integer arrays, and [`TraceRecord::parse`] reads exactly that subset
-//! back.
+//! workspace is offline and carries no serde, and allocation- and
+//! `core::fmt`-free because a 160-node run leaves ~10^5 records per cell and
+//! the trace only earns its keep if it is cheap enough to leave on.
+//!
+//! **Accepted grammar** ([`TraceRecord::parse`]): one flat object per line;
+//! a value is an unsigned integer that fits `u64`, a label string without
+//! escapes, or an array of values (in practice `[a,b]` and arrays of 2- or
+//! 3-tuples); ASCII whitespace is allowed between tokens. Fields may come
+//! in any order, unknown keys are skipped (their values must still be
+//! well-formed), and the first occurrence of a repeated key wins. A field
+//! narrower than `u64` (`node`, `attempt`, `level`, `kind`, …) is
+//! range-checked, never truncated.
 
 use crate::metrics::{AbortCause, NodeMetrics};
 use dstm_sim::{SimDuration, SimTime};
 use rts_core::{ObjectId, TxId, TxKind};
-use std::fmt::Write as _;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// The scheduler's verdict shape, as recorded in a trace (the backoff
 /// magnitude travels separately so the variant stays label-encodable).
@@ -223,19 +232,69 @@ pub struct TraceRecord {
     pub ev: ProtoEvent,
 }
 
-fn write_tx(out: &mut String, tx: TxId) {
-    let _ = write!(out, "\"tx\":[{},{}]", tx.node, tx.seq);
+/// Append `v` in decimal. The writers' replacement for `write!("{}")`: two
+/// digits per division out of a lookup table, no `core::fmt` machinery.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+                                2021222324252627282930313233343536373839\
+                                4041424344454647484950515253545556575859\
+                                6061626364656667686970717273747576777879\
+                                8081828384858687888990919293949596979899";
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    while v >= 100 {
+        let d = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&PAIRS[d..d + 2]);
+    }
+    if v >= 10 {
+        let d = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&PAIRS[d..d + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    out.extend(buf[i..].iter().map(|&b| char::from(b)));
+}
+
+/// Capacity for a buffer sized by a whole run: `n` rounded up to a power of
+/// two. Successive runs' buffers then fall into the same few size classes,
+/// so the allocator reuses the hole the last run's buffer left instead of
+/// growing the heap next to a hole a few percent too small (`observe_160`
+/// peak RSS: 103 MiB with exact capacities, 88 MiB with these). The
+/// rounded-up tail is never touched; it costs address space, not memory.
+pub fn size_class(n: usize) -> usize {
+    n.next_power_of_two()
+}
+
+/// Append a literal fragment (`,"key":` with whatever precedes it) and a
+/// number.
+#[inline]
+fn field(out: &mut String, fragment: &str, v: impl Into<u64>) {
+    out.push_str(fragment);
+    push_u64(out, v.into());
+}
+
+/// Append `<fragment>a,b]` — `fragment` ends in the opening bracket.
+#[inline]
+fn pair(out: &mut String, fragment: &str, tx: TxId) {
+    field(out, fragment, tx.node);
+    field(out, ",", tx.seq);
+    out.push(']');
 }
 
 impl TraceRecord {
     /// Append this record as one JSONL line (including the newline).
     pub fn write_jsonl(&self, out: &mut String) {
-        let _ = write!(out, "{{\"at\":{},\"node\":{},", self.at.0, self.node);
+        field(out, "{\"at\":", self.at.0);
+        field(out, ",\"node\":", self.node);
         match &self.ev {
             ProtoEvent::TxStart { tx, kind, attempt } => {
-                out.push_str("\"ev\":\"tx_start\",");
-                write_tx(out, *tx);
-                let _ = write!(out, ",\"kind\":{},\"attempt\":{attempt}", kind.0);
+                pair(out, ",\"ev\":\"tx_start\",\"tx\":[", *tx);
+                field(out, ",\"kind\":", kind.0);
+                field(out, ",\"attempt\":", *attempt);
             }
             ProtoEvent::TxForward {
                 tx,
@@ -244,13 +303,11 @@ impl TraceRecord {
                 wv_old,
                 wv_new,
             } => {
-                out.push_str("\"ev\":\"tx_forward\",");
-                write_tx(out, *tx);
-                let _ = write!(
-                    out,
-                    ",\"attempt\":{attempt},\"oid\":{},\"wv_old\":{wv_old},\"wv_new\":{wv_new}",
-                    oid.0
-                );
+                pair(out, ",\"ev\":\"tx_forward\",\"tx\":[", *tx);
+                field(out, ",\"attempt\":", *attempt);
+                field(out, ",\"oid\":", oid.0);
+                field(out, ",\"wv_old\":", *wv_old);
+                field(out, ",\"wv_new\":", *wv_new);
             }
             ProtoEvent::TxCommit {
                 tx,
@@ -259,20 +316,21 @@ impl TraceRecord {
                 reads,
                 writes,
             } => {
-                out.push_str("\"ev\":\"tx_commit\",");
-                write_tx(out, *tx);
-                let _ = write!(
-                    out,
-                    ",\"attempt\":{attempt},\"nested_committed\":{nested_committed},\"reads\":["
-                );
+                pair(out, ",\"ev\":\"tx_commit\",\"tx\":[", *tx);
+                field(out, ",\"attempt\":", *attempt);
+                field(out, ",\"nested_committed\":", *nested_committed);
+                out.push_str(",\"reads\":[");
                 for (i, (oid, v)) in reads.iter().enumerate() {
-                    let sep = if i == 0 { "" } else { "," };
-                    let _ = write!(out, "{sep}[{},{v}]", oid.0);
+                    field(out, if i == 0 { "[" } else { ",[" }, oid.0);
+                    field(out, ",", *v);
+                    out.push(']');
                 }
                 out.push_str("],\"writes\":[");
                 for (i, (oid, expect, new)) in writes.iter().enumerate() {
-                    let sep = if i == 0 { "" } else { "," };
-                    let _ = write!(out, "{sep}[{},{expect},{new}]", oid.0);
+                    field(out, if i == 0 { "[" } else { ",[" }, oid.0);
+                    field(out, ",", *expect);
+                    field(out, ",", *new);
+                    out.push(']');
                 }
                 out.push(']');
             }
@@ -287,20 +345,19 @@ impl TraceRecord {
                 oid,
                 aggressor,
             } => {
-                out.push_str("\"ev\":\"tx_abort\",");
-                write_tx(out, *tx);
-                let _ = write!(
-                    out,
-                    ",\"attempt\":{attempt},\"cause\":\"{}\",\"nested_parent\":{nested_parent},\"backoff\":{}\
-                     ,\"wasted_ns\":{wasted_ns},\"msgs\":{msgs}",
-                    cause.label(),
-                    backoff.0
-                );
+                pair(out, ",\"ev\":\"tx_abort\",\"tx\":[", *tx);
+                field(out, ",\"attempt\":", *attempt);
+                out.push_str(",\"cause\":\"");
+                out.push_str(cause.label());
+                field(out, "\",\"nested_parent\":", *nested_parent);
+                field(out, ",\"backoff\":", backoff.0);
+                field(out, ",\"wasted_ns\":", *wasted_ns);
+                field(out, ",\"msgs\":", *msgs);
                 if let Some(oid) = oid {
-                    let _ = write!(out, ",\"oid\":{}", oid.0);
+                    field(out, ",\"oid\":", oid.0);
                 }
                 if let Some(a) = aggressor {
-                    let _ = write!(out, ",\"aggr\":[{},{}]", a.node, a.seq);
+                    pair(out, ",\"aggr\":[", *a);
                 }
             }
             ProtoEvent::NestedOpen {
@@ -309,18 +366,15 @@ impl TraceRecord {
                 level,
                 kind,
             } => {
-                out.push_str("\"ev\":\"nested_open\",");
-                write_tx(out, *tx);
-                let _ = write!(
-                    out,
-                    ",\"attempt\":{attempt},\"level\":{level},\"kind\":{}",
-                    kind.0
-                );
+                pair(out, ",\"ev\":\"nested_open\",\"tx\":[", *tx);
+                field(out, ",\"attempt\":", *attempt);
+                field(out, ",\"level\":", *level);
+                field(out, ",\"kind\":", kind.0);
             }
             ProtoEvent::NestedCommit { tx, attempt, level } => {
-                out.push_str("\"ev\":\"nested_commit\",");
-                write_tx(out, *tx);
-                let _ = write!(out, ",\"attempt\":{attempt},\"level\":{level}");
+                pair(out, ",\"ev\":\"nested_commit\",\"tx\":[", *tx);
+                field(out, ",\"attempt\":", *attempt);
+                field(out, ",\"level\":", *level);
             }
             ProtoEvent::NestedAbort {
                 tx,
@@ -329,12 +383,11 @@ impl TraceRecord {
                 own,
                 parent,
             } => {
-                out.push_str("\"ev\":\"nested_abort\",");
-                write_tx(out, *tx);
-                let _ = write!(
-                    out,
-                    ",\"attempt\":{attempt},\"level\":{level},\"own\":{own},\"parent\":{parent}"
-                );
+                pair(out, ",\"ev\":\"nested_abort\",\"tx\":[", *tx);
+                field(out, ",\"attempt\":", *attempt);
+                field(out, ",\"level\":", *level);
+                field(out, ",\"own\":", *own);
+                field(out, ",\"parent\":", *parent);
             }
             ProtoEvent::SchedDecision {
                 oid,
@@ -351,24 +404,22 @@ impl TraceRecord {
                 verdict,
                 backoff,
             } => {
-                let _ = write!(out, "\"ev\":\"sched_decision\",\"oid\":{},", oid.0);
-                write_tx(out, *tx);
-                let _ = write!(
-                    out,
-                    ",\"attempt\":{attempt},\"local_cl\":{local_cl},\"requester_cl\":{requester_cl},\
-                     \"window_requests\":{window_requests},\"executed\":{},\"remaining\":{},\
-                     \"queue_depth\":{queue_depth},\"bk\":{}",
-                    executed.0, remaining.0, bk.0
-                );
+                field(out, ",\"ev\":\"sched_decision\",\"oid\":", oid.0);
+                pair(out, ",\"tx\":[", *tx);
+                field(out, ",\"attempt\":", *attempt);
+                field(out, ",\"local_cl\":", *local_cl);
+                field(out, ",\"requester_cl\":", *requester_cl);
+                field(out, ",\"window_requests\":", *window_requests);
+                field(out, ",\"executed\":", executed.0);
+                field(out, ",\"remaining\":", remaining.0);
+                field(out, ",\"queue_depth\":", *queue_depth);
+                field(out, ",\"bk\":", bk.0);
                 if let Some(t) = threshold {
-                    let _ = write!(out, ",\"threshold\":{t}");
+                    field(out, ",\"threshold\":", *t);
                 }
-                let _ = write!(
-                    out,
-                    ",\"verdict\":\"{}\",\"backoff\":{}",
-                    verdict.label(),
-                    backoff.0
-                );
+                out.push_str(",\"verdict\":\"");
+                out.push_str(verdict.label());
+                field(out, "\",\"backoff\":", backoff.0);
             }
             ProtoEvent::QueueServed {
                 oid,
@@ -376,9 +427,10 @@ impl TraceRecord {
                 attempt,
                 wait,
             } => {
-                let _ = write!(out, "\"ev\":\"queue_served\",\"oid\":{},", oid.0);
-                write_tx(out, *tx);
-                let _ = write!(out, ",\"attempt\":{attempt},\"wait\":{}", wait.0);
+                field(out, ",\"ev\":\"queue_served\",\"oid\":", oid.0);
+                pair(out, ",\"tx\":[", *tx);
+                field(out, ",\"attempt\":", *attempt);
+                field(out, ",\"wait\":", wait.0);
             }
             ProtoEvent::Migrate {
                 oid,
@@ -387,16 +439,16 @@ impl TraceRecord {
                 to,
                 version,
             } => {
-                let _ = write!(out, "\"ev\":\"migrate\",\"oid\":{},", oid.0);
-                write_tx(out, *tx);
-                let _ = write!(out, ",\"from\":{from},\"to\":{to},\"version\":{version}");
+                field(out, ",\"ev\":\"migrate\",\"oid\":", oid.0);
+                pair(out, ",\"tx\":[", *tx);
+                field(out, ",\"from\":", *from);
+                field(out, ",\"to\":", *to);
+                field(out, ",\"version\":", *version);
             }
             ProtoEvent::RunInfo { scheduler, nodes } => {
-                let _ = write!(
-                    out,
-                    "\"ev\":\"run_info\",\"scheduler\":\"{}\",\"nodes\":{nodes}",
-                    scheduler.label()
-                );
+                out.push_str(",\"ev\":\"run_info\",\"scheduler\":\"");
+                out.push_str(scheduler.label());
+                field(out, "\",\"nodes\":", *nodes);
             }
             ProtoEvent::RunSummary {
                 commits,
@@ -411,149 +463,147 @@ impl TraceRecord {
                 cache_misses,
                 cache_invalidations,
             } => {
-                let _ = write!(
-                    out,
-                    "\"ev\":\"run_summary\",\"commits\":{commits},\"aborts\":{aborts},\
-                     \"nested_own\":{nested_own},\"nested_parent\":{nested_parent},\
-                     \"nested_commits\":{nested_commits},\"wasted_ns\":{wasted_ns},\
-                     \"wasted_msgs\":{wasted_msgs},\"attributed\":{attributed}"
-                );
+                field(out, ",\"ev\":\"run_summary\",\"commits\":", *commits);
+                field(out, ",\"aborts\":", *aborts);
+                field(out, ",\"nested_own\":", *nested_own);
+                field(out, ",\"nested_parent\":", *nested_parent);
+                field(out, ",\"nested_commits\":", *nested_commits);
+                field(out, ",\"wasted_ns\":", *wasted_ns);
+                field(out, ",\"wasted_msgs\":", *wasted_msgs);
+                field(out, ",\"attributed\":", *attributed);
                 if *cache_hits != 0 || *cache_misses != 0 || *cache_invalidations != 0 {
-                    let _ = write!(
-                        out,
-                        ",\"cache_hits\":{cache_hits},\"cache_misses\":{cache_misses},\
-                         \"cache_inval\":{cache_invalidations}"
-                    );
+                    field(out, ",\"cache_hits\":", *cache_hits);
+                    field(out, ",\"cache_misses\":", *cache_misses);
+                    field(out, ",\"cache_inval\":", *cache_invalidations);
                 }
             }
         }
         out.push_str("}\n");
     }
 
-    /// Parse one JSONL line written by [`TraceRecord::write_jsonl`].
+    /// Parse one JSONL line written by [`TraceRecord::write_jsonl`] — or
+    /// any line of the module-level grammar. One pass over the bytes fills
+    /// a stack scratch of typed slots; the only heap allocations are a
+    /// `TxCommit`'s two result vectors (and the message of an `Err`).
     pub fn parse(line: &str) -> Result<TraceRecord, String> {
-        let obj = json::parse_object(line)?;
-        let at = SimTime(obj.num("at")?);
-        let node = obj.num("node")? as u32;
-        let ev_name = obj.str("ev")?;
-        let tx = || -> Result<TxId, String> {
-            let pair = obj.num_array("tx")?;
-            if pair.len() != 2 {
-                return Err("tx must be [node,seq]".into());
-            }
-            Ok(TxId::new(pair[0] as u32, pair[1]))
-        };
-        let attempt = || obj.num("attempt").map(|a| a as u32);
-        let ev = match ev_name {
+        let f = Fields::scan(line)?;
+        let at = SimTime(f.num(Slot::At)?);
+        let node = f.narrow(Slot::Node)?;
+        let ev = match f.label(Slot::Ev)? {
             "tx_start" => ProtoEvent::TxStart {
-                tx: tx()?,
-                kind: TxKind(obj.num("kind")? as u16),
-                attempt: attempt()?,
+                tx: f.tx()?,
+                kind: TxKind(f.narrow(Slot::Kind)?),
+                attempt: f.narrow(Slot::Attempt)?,
             },
             "tx_forward" => ProtoEvent::TxForward {
-                tx: tx()?,
-                attempt: attempt()?,
-                oid: ObjectId(obj.num("oid")?),
-                wv_old: obj.num("wv_old")?,
-                wv_new: obj.num("wv_new")?,
+                tx: f.tx()?,
+                attempt: f.narrow(Slot::Attempt)?,
+                oid: ObjectId(f.num(Slot::Oid)?),
+                wv_old: f.num(Slot::WvOld)?,
+                wv_new: f.num(Slot::WvNew)?,
             },
             "tx_commit" => {
-                let reads = obj
-                    .pair_array("reads")?
-                    .into_iter()
-                    .map(|p| (ObjectId(p[0]), p[1]))
-                    .collect();
-                let writes = obj
-                    .triple_array("writes")?
-                    .into_iter()
-                    .map(|p| (ObjectId(p[0]), p[1], p[2]))
-                    .collect();
+                if !f.has(Slot::Reads) || !f.has(Slot::Writes) {
+                    return Err("\"reads\" must hold 2-tuples and \"writes\" 3-tuples".into());
+                }
                 ProtoEvent::TxCommit {
-                    tx: tx()?,
-                    attempt: attempt()?,
-                    nested_committed: obj.num("nested_committed")?,
-                    reads,
-                    writes,
+                    tx: f.tx()?,
+                    attempt: f.narrow(Slot::Attempt)?,
+                    nested_committed: f.num(Slot::NestedCommitted)?,
+                    reads: f.reads,
+                    writes: f.writes,
                 }
             }
             "tx_abort" => ProtoEvent::TxAbort {
-                tx: tx()?,
-                attempt: attempt()?,
-                cause: AbortCause::from_label(obj.str("cause")?)
-                    .ok_or_else(|| format!("unknown abort cause {:?}", obj.str("cause")))?,
-                nested_parent: obj.num("nested_parent")?,
-                backoff: SimDuration(obj.num("backoff")?),
+                tx: f.tx()?,
+                attempt: f.narrow(Slot::Attempt)?,
+                cause: {
+                    let label = f.label(Slot::Cause)?;
+                    AbortCause::from_label(label)
+                        .ok_or_else(|| format!("unknown abort cause {label:?}"))?
+                },
+                nested_parent: f.num(Slot::NestedParent)?,
+                backoff: SimDuration(f.num(Slot::Backoff)?),
                 // Attribution fields default to zero/absent so traces
                 // written before they existed still parse.
-                wasted_ns: obj.opt_num("wasted_ns").unwrap_or(0),
-                msgs: obj.opt_num("msgs").unwrap_or(0),
-                oid: obj.opt_num("oid").map(ObjectId),
-                aggressor: obj.opt_pair("aggr").map(|[n, s]| TxId::new(n as u32, s)),
+                wasted_ns: f.opt(Slot::WastedNs).unwrap_or(0),
+                msgs: f.opt(Slot::Msgs).unwrap_or(0),
+                oid: f.opt(Slot::Oid).map(ObjectId),
+                aggressor: f.opt_tx(Slot::Aggr)?,
             },
             "nested_open" => ProtoEvent::NestedOpen {
-                tx: tx()?,
-                attempt: attempt()?,
-                level: obj.num("level")? as u32,
-                kind: TxKind(obj.num("kind")? as u16),
+                tx: f.tx()?,
+                attempt: f.narrow(Slot::Attempt)?,
+                level: f.narrow(Slot::Level)?,
+                kind: TxKind(f.narrow(Slot::Kind)?),
             },
             "nested_commit" => ProtoEvent::NestedCommit {
-                tx: tx()?,
-                attempt: attempt()?,
-                level: obj.num("level")? as u32,
+                tx: f.tx()?,
+                attempt: f.narrow(Slot::Attempt)?,
+                level: f.narrow(Slot::Level)?,
             },
             "nested_abort" => ProtoEvent::NestedAbort {
-                tx: tx()?,
-                attempt: attempt()?,
-                level: obj.num("level")? as u32,
-                own: obj.num("own")?,
-                parent: obj.num("parent")?,
+                tx: f.tx()?,
+                attempt: f.narrow(Slot::Attempt)?,
+                level: f.narrow(Slot::Level)?,
+                own: f.num(Slot::Own)?,
+                parent: f.num(Slot::Parent)?,
             },
             "sched_decision" => ProtoEvent::SchedDecision {
-                oid: ObjectId(obj.num("oid")?),
-                tx: tx()?,
-                attempt: attempt()?,
-                local_cl: obj.num("local_cl")? as u32,
-                requester_cl: obj.num("requester_cl")? as u32,
-                window_requests: obj.num("window_requests")? as u32,
-                executed: SimDuration(obj.num("executed")?),
-                remaining: SimDuration(obj.num("remaining")?),
-                queue_depth: obj.num("queue_depth")?,
-                bk: SimDuration(obj.num("bk")?),
-                threshold: obj.opt_num("threshold").map(|t| t as u32),
-                verdict: Verdict::from_label(obj.str("verdict")?)
-                    .ok_or_else(|| format!("unknown verdict {:?}", obj.str("verdict")))?,
-                backoff: SimDuration(obj.num("backoff")?),
+                oid: ObjectId(f.num(Slot::Oid)?),
+                tx: f.tx()?,
+                attempt: f.narrow(Slot::Attempt)?,
+                local_cl: f.narrow(Slot::LocalCl)?,
+                requester_cl: f.narrow(Slot::RequesterCl)?,
+                window_requests: f.narrow(Slot::WindowRequests)?,
+                executed: SimDuration(f.num(Slot::Executed)?),
+                remaining: SimDuration(f.num(Slot::Remaining)?),
+                queue_depth: f.num(Slot::QueueDepth)?,
+                bk: SimDuration(f.num(Slot::Bk)?),
+                threshold: f
+                    .has(Slot::Threshold)
+                    .then(|| f.narrow(Slot::Threshold))
+                    .transpose()?,
+                verdict: {
+                    let label = f.label(Slot::Verdict)?;
+                    Verdict::from_label(label)
+                        .ok_or_else(|| format!("unknown verdict {label:?}"))?
+                },
+                backoff: SimDuration(f.num(Slot::Backoff)?),
             },
             "queue_served" => ProtoEvent::QueueServed {
-                oid: ObjectId(obj.num("oid")?),
-                tx: tx()?,
-                attempt: attempt()?,
-                wait: SimDuration(obj.num("wait")?),
+                oid: ObjectId(f.num(Slot::Oid)?),
+                tx: f.tx()?,
+                attempt: f.narrow(Slot::Attempt)?,
+                wait: SimDuration(f.num(Slot::Wait)?),
             },
             "migrate" => ProtoEvent::Migrate {
-                oid: ObjectId(obj.num("oid")?),
-                tx: tx()?,
-                from: obj.num("from")? as u32,
-                to: obj.num("to")? as u32,
-                version: obj.num("version")?,
+                oid: ObjectId(f.num(Slot::Oid)?),
+                tx: f.tx()?,
+                from: f.narrow(Slot::From)?,
+                to: f.narrow(Slot::To)?,
+                version: f.num(Slot::Version)?,
             },
             "run_info" => ProtoEvent::RunInfo {
-                scheduler: SchedLabel::from_label(obj.str("scheduler")?)
-                    .ok_or_else(|| format!("unknown scheduler {:?}", obj.str("scheduler")))?,
-                nodes: obj.num("nodes")?,
+                scheduler: {
+                    let label = f.label(Slot::Scheduler)?;
+                    SchedLabel::from_label(label)
+                        .ok_or_else(|| format!("unknown scheduler {label:?}"))?
+                },
+                nodes: f.num(Slot::Nodes)?,
             },
             "run_summary" => ProtoEvent::RunSummary {
-                commits: obj.num("commits")?,
-                aborts: obj.num("aborts")?,
-                nested_own: obj.num("nested_own")?,
-                nested_parent: obj.num("nested_parent")?,
-                nested_commits: obj.num("nested_commits")?,
-                wasted_ns: obj.opt_num("wasted_ns").unwrap_or(0),
-                wasted_msgs: obj.opt_num("wasted_msgs").unwrap_or(0),
-                attributed: obj.opt_num("attributed").unwrap_or(0),
-                cache_hits: obj.opt_num("cache_hits").unwrap_or(0),
-                cache_misses: obj.opt_num("cache_misses").unwrap_or(0),
-                cache_invalidations: obj.opt_num("cache_inval").unwrap_or(0),
+                commits: f.num(Slot::Commits)?,
+                aborts: f.num(Slot::Aborts)?,
+                nested_own: f.num(Slot::NestedOwn)?,
+                nested_parent: f.num(Slot::NestedParent)?,
+                nested_commits: f.num(Slot::NestedCommits)?,
+                wasted_ns: f.opt(Slot::WastedNs).unwrap_or(0),
+                wasted_msgs: f.opt(Slot::WastedMsgs).unwrap_or(0),
+                attributed: f.opt(Slot::Attributed).unwrap_or(0),
+                cache_hits: f.opt(Slot::CacheHits).unwrap_or(0),
+                cache_misses: f.opt(Slot::CacheMisses).unwrap_or(0),
+                cache_invalidations: f.opt(Slot::CacheInval).unwrap_or(0),
             },
             other => return Err(format!("unknown event kind {other:?}")),
         };
@@ -613,11 +663,44 @@ pub struct TraceLog {
 }
 
 impl TraceLog {
-    /// Merge per-node record streams (each already time-ordered) into one
-    /// deterministic global order: by time, ties by node.
+    /// Merge per-node record streams into one deterministic global order:
+    /// by time, ties by node. Each stream must already be in that order
+    /// (a node stamps its records with its own monotone clock), which makes
+    /// this a k-way merge that moves every record exactly once; records
+    /// with equal `(at, node)` keep their stream order, earlier stream
+    /// first — the order a stable sort of the concatenation would give.
     pub fn from_node_streams(streams: Vec<Vec<TraceRecord>>) -> Self {
-        let mut records: Vec<TraceRecord> = streams.into_iter().flatten().collect();
-        records.sort_by_key(|r| (r.at, r.node));
+        debug_assert!(
+            streams.iter().all(|s| s
+                .windows(2)
+                .all(|w| (w[0].at, w[0].node) <= (w[1].at, w[1].node))),
+            "a node stream is not ordered by (at, node)"
+        );
+        let mut records = Vec::with_capacity(size_class(streams.iter().map(Vec::len).sum()));
+        let mut streams: Vec<_> = streams.into_iter().map(Vec::into_iter).collect();
+        // Min-heap over each stream's head. The key packs (at, node, stream
+        // index) into one integer, most significant first, so an ordering
+        // test is a single 128-bit compare.
+        let key = |r: &TraceRecord, stream: u32| {
+            Reverse(u128::from(r.at.0) << 64 | u128::from(r.node) << 32 | u128::from(stream))
+        };
+        let mut heads: BinaryHeap<_> = (0u32..)
+            .zip(&streams)
+            .filter_map(|(i, s)| s.as_slice().first().map(|r| key(r, i)))
+            .collect();
+        while let Some(mut head) = heads.peek_mut() {
+            let i = head.0 as u32;
+            let stream = &mut streams[i as usize];
+            records.extend(stream.next());
+            match stream.as_slice().first() {
+                // Replacing the top in place costs one sift-down, not a
+                // pop and a push.
+                Some(next) => *head = key(next, i),
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
+        }
         TraceLog { records }
     }
 
@@ -658,7 +741,21 @@ impl TraceLog {
     }
 
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.records.len() * 96);
+        // Bytes per record vary several-fold with the workload and drift
+        // within a run (timestamps gain digits, aborts set in), so the
+        // buffer is sized from a sample strided over the whole log. An
+        // eighth of slack is five standard errors of that estimate.
+        const SAMPLES: usize = 256;
+        let stride = self.records.len() / SAMPLES + 1;
+        let mut out = String::new();
+        let mut sampled = 0;
+        for r in self.records.iter().step_by(stride) {
+            r.write_jsonl(&mut out);
+            sampled += 1;
+        }
+        let estimate = out.len() * self.records.len() / sampled.max(1);
+        out.clear();
+        out.reserve(size_class(estimate + estimate / 8));
         for r in &self.records {
             r.write_jsonl(&mut out);
         }
@@ -666,9 +763,22 @@ impl TraceLog {
     }
 
     pub fn parse_jsonl(text: &str) -> Result<TraceLog, String> {
-        let mut records = Vec::new();
+        // No valid line is shorter than this, which bounds what a file of
+        // bare newlines can make us reserve.
+        const MIN_LINE_BYTES: usize = 32;
+        // (Counted in u8 lanes, 255 bytes at a time, so it vectorises.)
+        let lines = 1 + text
+            .as_bytes()
+            .chunks(255)
+            .map(|c| usize::from(c.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>()))
+            .sum::<usize>();
+        let mut records = Vec::with_capacity(size_class(lines.min(text.len() / MIN_LINE_BYTES)));
         for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
+            // Only a line that is not `{…}` already can need trimming.
+            let line = match line.as_bytes() {
+                [b'{', .., b'}'] => line,
+                _ => line.trim(),
+            };
             if line.is_empty() {
                 continue;
             }
@@ -678,220 +788,393 @@ impl TraceLog {
     }
 }
 
-/// Minimal JSON-subset reader for the flat objects this module writes:
-/// string keys; values are unsigned integers, short strings, or arrays of
-/// integer arrays. Not a general JSON parser.
-mod json {
-    pub struct Obj {
-        fields: Vec<(String, Val)>,
-    }
+/// Declares [`Slot`]: one scratch slot per key of the line format, and the
+/// key → slot dispatch generated from the same list.
+macro_rules! slots {
+    ($($slot:ident = $key:literal),* $(,)?) => {
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        enum Slot { $($slot),* }
 
-    pub enum Val {
-        Num(u64),
-        Str(String),
-        Arr(Vec<Val>),
-    }
+        impl Slot {
+            const KEYS: &'static [&'static str] = &[$($key),*];
 
-    impl Obj {
-        fn get(&self, key: &str) -> Option<&Val> {
-            self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-        }
-
-        pub fn num(&self, key: &str) -> Result<u64, String> {
-            match self.get(key) {
-                Some(Val::Num(n)) => Ok(*n),
-                _ => Err(format!("missing numeric field {key:?}")),
-            }
-        }
-
-        pub fn opt_num(&self, key: &str) -> Option<u64> {
-            match self.get(key) {
-                Some(Val::Num(n)) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// An optional `[a,b]` field (absent → `None`; malformed → `None`
-        /// too, matching `opt_num`'s lenient shape).
-        pub fn opt_pair(&self, key: &str) -> Option<[u64; 2]> {
-            match self.get(key) {
-                Some(Val::Arr(items)) if items.len() == 2 => match (&items[0], &items[1]) {
-                    (Val::Num(a), Val::Num(b)) => Some([*a, *b]),
+            fn of(key: &str) -> Option<Slot> {
+                match key {
+                    $($key => Some(Slot::$slot),)*
                     _ => None,
-                },
-                _ => None,
-            }
-        }
-
-        pub fn str(&self, key: &str) -> Result<&str, String> {
-            match self.get(key) {
-                Some(Val::Str(s)) => Ok(s),
-                _ => Err(format!("missing string field {key:?}")),
-            }
-        }
-
-        pub fn num_array(&self, key: &str) -> Result<Vec<u64>, String> {
-            match self.get(key) {
-                Some(Val::Arr(items)) => items
-                    .iter()
-                    .map(|v| match v {
-                        Val::Num(n) => Ok(*n),
-                        _ => Err(format!("non-numeric element in {key:?}")),
-                    })
-                    .collect(),
-                _ => Err(format!("missing array field {key:?}")),
-            }
-        }
-
-        fn tuple_array(&self, key: &str, arity: usize) -> Result<Vec<Vec<u64>>, String> {
-            match self.get(key) {
-                Some(Val::Arr(items)) => items
-                    .iter()
-                    .map(|v| match v {
-                        Val::Arr(inner) if inner.len() == arity => inner
-                            .iter()
-                            .map(|n| match n {
-                                Val::Num(n) => Ok(*n),
-                                _ => Err(format!("non-numeric tuple element in {key:?}")),
-                            })
-                            .collect(),
-                        _ => Err(format!("{key:?} must hold {arity}-tuples")),
-                    })
-                    .collect(),
-                _ => Err(format!("missing array field {key:?}")),
-            }
-        }
-
-        pub fn pair_array(&self, key: &str) -> Result<Vec<Vec<u64>>, String> {
-            self.tuple_array(key, 2)
-        }
-
-        pub fn triple_array(&self, key: &str) -> Result<Vec<Vec<u64>>, String> {
-            self.tuple_array(key, 3)
-        }
-    }
-
-    pub fn parse_object(line: &str) -> Result<Obj, String> {
-        let mut p = Parser {
-            bytes: line.as_bytes(),
-            pos: 0,
-        };
-        let obj = p.object()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err("trailing garbage after object".into());
-        }
-        Ok(obj)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| b.is_ascii_whitespace())
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn peek(&mut self) -> Option<u8> {
-            self.skip_ws();
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn object(&mut self) -> Result<Obj, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Obj { fields });
-            }
-            loop {
-                let key = self.string()?;
-                self.expect(b':')?;
-                let val = self.value()?;
-                fields.push((key, val));
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Obj { fields });
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
                 }
             }
         }
+    };
+}
 
-        fn value(&mut self) -> Result<Val, String> {
-            match self.peek() {
-                Some(b'"') => Ok(Val::Str(self.string()?)),
-                Some(b'[') => {
-                    self.pos += 1;
-                    let mut items = Vec::new();
-                    if self.peek() == Some(b']') {
-                        self.pos += 1;
-                        return Ok(Val::Arr(items));
-                    }
-                    loop {
-                        items.push(self.value()?);
-                        match self.peek() {
-                            Some(b',') => self.pos += 1,
-                            Some(b']') => {
-                                self.pos += 1;
-                                return Ok(Val::Arr(items));
-                            }
-                            _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+slots! {
+    // Listed the way the dispatch tries them: the keys every line carries
+    // first, the end-of-run summary's last.
+    // Label strings.
+    Ev = "ev", Cause = "cause", Verdict = "verdict", Scheduler = "scheduler",
+    // `[node,seq]` pairs.
+    Tx = "tx", Aggr = "aggr",
+    // Arrays of 2- and 3-tuples.
+    Reads = "reads", Writes = "writes",
+    // Unsigned integers.
+    At = "at", Node = "node", Attempt = "attempt", Level = "level", Kind = "kind",
+    Oid = "oid", Own = "own", Parent = "parent", WvOld = "wv_old", WvNew = "wv_new",
+    From = "from", To = "to", Version = "version", NestedParent = "nested_parent",
+    Backoff = "backoff", WastedNs = "wasted_ns", Msgs = "msgs",
+    NestedCommitted = "nested_committed", Wait = "wait", LocalCl = "local_cl",
+    RequesterCl = "requester_cl", WindowRequests = "window_requests",
+    Executed = "executed", Remaining = "remaining", QueueDepth = "queue_depth",
+    Bk = "bk", Threshold = "threshold", Nodes = "nodes", Commits = "commits",
+    Aborts = "aborts", NestedOwn = "nested_own", NestedCommits = "nested_commits",
+    WastedMsgs = "wasted_msgs", Attributed = "attributed",
+    CacheHits = "cache_hits", CacheMisses = "cache_misses",
+    CacheInval = "cache_inval",
+}
+
+impl Slot {
+    const LABELS: usize = Slot::Tx as usize;
+    const PAIRS: usize = Slot::Reads as usize - Slot::Tx as usize;
+    const NUMS: usize = Slot::KEYS.len() - Slot::At as usize;
+
+    fn key(self) -> &'static str {
+        Slot::KEYS[self as usize]
+    }
+
+    fn bit(self) -> u64 {
+        1 << self as u32
+    }
+}
+
+// `Fields` keeps one bit per slot in a `u64`.
+const _: () = assert!(Slot::KEYS.len() <= 64);
+
+/// The typed scratch one line is scanned into: a slot per known key,
+/// whatever the order the keys came in.
+struct Fields<'a> {
+    /// Keys met so far — a repeated key is skipped (first occurrence wins).
+    seen: u64,
+    /// Slots holding a value of the slot's own shape. A known key with a
+    /// value of another shape counts as absent, which is an error exactly
+    /// when the event kind on the line requires that field.
+    have: u64,
+    nums: [u64; Slot::NUMS],
+    labels: [&'a str; Slot::LABELS],
+    pairs: [[u64; 2]; Slot::PAIRS],
+    reads: Vec<(ObjectId, u64)>,
+    writes: Vec<(ObjectId, u64, u64)>,
+}
+
+impl<'a> Fields<'a> {
+    fn scan(line: &'a str) -> Result<Self, String> {
+        let mut f = Fields {
+            seen: 0,
+            have: 0,
+            nums: [0; Slot::NUMS],
+            labels: [""; Slot::LABELS],
+            pairs: [[0; 2]; Slot::PAIRS],
+            reads: Vec::new(),
+            writes: Vec::new(),
+        };
+        let mut c = Cursor { text: line, pos: 0 };
+        c.expect(b'{')?;
+        if c.peek() == Some(b'}') {
+            c.pos += 1;
+        } else {
+            loop {
+                let key = c.string()?;
+                c.expect(b':')?;
+                match Slot::of(key) {
+                    Some(slot) if f.seen & slot.bit() == 0 => {
+                        f.seen |= slot.bit();
+                        if c.value_into(slot, &mut f)? {
+                            f.have |= slot.bit();
                         }
                     }
+                    _ => c.skip_value()?,
                 }
-                Some(b) if b.is_ascii_digit() => {
-                    let start = self.pos;
-                    while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-                        self.pos += 1;
+                match c.peek() {
+                    Some(b',') => c.pos += 1,
+                    Some(b'}') => {
+                        c.pos += 1;
+                        break;
                     }
-                    let s =
-                        std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are utf8");
-                    s.parse::<u64>()
-                        .map(Val::Num)
-                        .map_err(|e| format!("bad number {s:?}: {e}"))
+                    _ => return Err(format!("expected ',' or '}}' at byte {}", c.pos)),
                 }
-                _ => Err(format!("unexpected value at byte {}", self.pos)),
             }
         }
+        c.skip_ws();
+        if c.pos != line.len() {
+            return Err("trailing garbage after object".into());
+        }
+        Ok(f)
+    }
 
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|e| e.to_string())?
-                        .to_string();
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                if b == b'\\' {
-                    return Err("escape sequences are not part of the trace format".into());
-                }
-                self.pos += 1;
+    fn has(&self, slot: Slot) -> bool {
+        self.have & slot.bit() != 0
+    }
+
+    fn opt(&self, slot: Slot) -> Option<u64> {
+        self.has(slot)
+            .then(|| self.nums[slot as usize - Slot::At as usize])
+    }
+
+    fn num(&self, slot: Slot) -> Result<u64, String> {
+        self.opt(slot)
+            .ok_or_else(|| format!("missing numeric field {:?}", slot.key()))
+    }
+
+    /// A numeric field whose type is narrower than `u64`.
+    fn narrow<T: TryFrom<u64>>(&self, slot: Slot) -> Result<T, String> {
+        T::try_from(self.num(slot)?).map_err(|_| format!("field {:?} out of range", slot.key()))
+    }
+
+    fn label(&self, slot: Slot) -> Result<&'a str, String> {
+        if self.has(slot) {
+            Ok(self.labels[slot as usize])
+        } else {
+            Err(format!("missing string field {:?}", slot.key()))
+        }
+    }
+
+    /// The `[node,seq]` pair in `slot`, if the line has one.
+    fn opt_tx(&self, slot: Slot) -> Result<Option<TxId>, String> {
+        if !self.has(slot) {
+            return Ok(None);
+        }
+        let [node, seq] = self.pairs[slot as usize - Slot::Tx as usize];
+        match u32::try_from(node) {
+            Ok(node) => Ok(Some(TxId::new(node, seq))),
+            Err(_) => Err(format!("field {:?} out of range", slot.key())),
+        }
+    }
+
+    fn tx(&self) -> Result<TxId, String> {
+        self.opt_tx(Slot::Tx)?
+            .ok_or_else(|| "tx must be [node,seq]".into())
+    }
+}
+
+/// Byte cursor over one line. Not a general JSON reader: it knows exactly
+/// the module-level grammar.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// What is left of the line, as bytes.
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.pos..]
+    }
+
+    fn skip_ws(&mut self) {
+        while self.byte().is_some_and(|b| b.is_ascii_whitespace()) {
+            self.pos += 1;
+        }
+    }
+
+    /// The next byte that is not whitespace.
+    fn peek(&mut self) -> Option<u8> {
+        // Every ASCII whitespace byte is <= b' ', and the writer emits none.
+        match self.byte() {
+            Some(b) if b > b' ' => Some(b),
+            _ => {
+                self.skip_ws();
+                self.byte()
             }
-            Err("unterminated string".into())
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected {:?} at byte {}", b as char, self.pos))
+        }
+    }
+
+    fn string(&mut self) -> Result<&'a str, String> {
+        self.expect(b'"')?;
+        let rest = self.rest();
+        match rest.iter().position(|&b| b == b'"' || b == b'\\') {
+            Some(n) if rest[n] == b'"' => {
+                // Both ends sit next to an ASCII quote: char boundaries.
+                let s = &self.text[self.pos..self.pos + n];
+                self.pos += n + 1;
+                Ok(s)
+            }
+            Some(_) => Err("escape sequences are not part of the trace format".into()),
+            None => Err("unterminated string".into()),
+        }
+    }
+
+    /// The run of digits at the cursor (the caller has seen the first).
+    fn number(&mut self) -> Result<u64, String> {
+        // 19 digits cannot overflow a u64; only a 20th needs the check.
+        const UNCHECKED_DIGITS: usize = 19;
+        let mut v = 0u64;
+        let mut len = 0;
+        for &b in self.rest() {
+            let d = u64::from(b.wrapping_sub(b'0'));
+            if d > 9 {
+                break;
+            }
+            v = if len < UNCHECKED_DIGITS {
+                v * 10 + d
+            } else {
+                v.checked_mul(10)
+                    .and_then(|v| v.checked_add(d))
+                    .ok_or_else(|| format!("number at byte {} does not fit in 64 bits", self.pos))?
+            };
+            len += 1;
+        }
+        self.pos += len;
+        Ok(v)
+    }
+
+    fn at_digit(&mut self) -> bool {
+        self.peek().is_some_and(|b| b.is_ascii_digit())
+    }
+
+    /// `[n,n,…]` with exactly `N` numbers, or `None` (cursor anywhere).
+    fn tuple<const N: usize>(&mut self) -> Option<[u64; N]> {
+        let mut t = [0; N];
+        let mut opener = b'[';
+        for n in &mut t {
+            if self.peek() != Some(opener) {
+                return None;
+            }
+            self.pos += 1;
+            if !self.at_digit() {
+                return None;
+            }
+            *n = self.number().ok()?;
+            opener = b',';
+        }
+        if self.peek() != Some(b']') {
+            return None;
+        }
+        self.pos += 1;
+        Some(t)
+    }
+
+    /// `[]` or `[[…],[…],…]` of `N`-tuples, each handed to `push`; `false`
+    /// on any other shape (cursor anywhere, some tuples already pushed).
+    fn tuples<const N: usize>(&mut self, mut push: impl FnMut([u64; N])) -> bool {
+        if self.peek() != Some(b'[') {
+            return false;
+        }
+        self.pos += 1;
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return true;
+        }
+        while let Some(t) = self.tuple() {
+            push(t);
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return true;
+                }
+                _ => break,
+            }
+        }
+        false
+    }
+
+    /// Read the value at the cursor into `slot` if it has the slot's shape
+    /// (`true`); otherwise skip it like an unknown key's (`false`).
+    fn value_into(&mut self, slot: Slot, f: &mut Fields<'a>) -> Result<bool, String> {
+        let start = self.pos;
+        let i = slot as usize;
+        let fits = match slot {
+            Slot::Reads => {
+                self.tuples(|[oid, v]| f.reads.push((ObjectId(oid), v))) || {
+                    f.reads.clear();
+                    false
+                }
+            }
+            Slot::Writes => {
+                self.tuples(|[oid, e, n]| f.writes.push((ObjectId(oid), e, n))) || {
+                    f.writes.clear();
+                    false
+                }
+            }
+            Slot::Tx | Slot::Aggr => match self.tuple() {
+                Some(pair) => {
+                    f.pairs[i - Slot::Tx as usize] = pair;
+                    true
+                }
+                None => false,
+            },
+            _ if i < Slot::LABELS => {
+                let quoted = self.peek() == Some(b'"');
+                if quoted {
+                    f.labels[i] = self.string()?;
+                }
+                quoted
+            }
+            _ => {
+                let digit = self.at_digit();
+                if digit {
+                    f.nums[i - Slot::At as usize] = self.number()?;
+                }
+                digit
+            }
+        };
+        if !fits {
+            self.pos = start;
+            self.skip_value()?;
+        }
+        Ok(fits)
+    }
+
+    /// Check and step over one value of any shape. Iterative, so nesting
+    /// depth costs no stack.
+    fn skip_value(&mut self) -> Result<(), String> {
+        let mut depth = 0usize;
+        loop {
+            match self.peek() {
+                Some(b'"') => {
+                    self.string()?;
+                }
+                Some(b'[') => {
+                    self.pos += 1;
+                    if self.peek() != Some(b']') {
+                        depth += 1;
+                        continue;
+                    }
+                    self.pos += 1;
+                }
+                Some(b) if b.is_ascii_digit() => {
+                    self.number()?;
+                }
+                _ => return Err(format!("unexpected value at byte {}", self.pos)),
+            }
+            // A value just ended: close arrays until a comma asks for more.
+            loop {
+                if depth == 0 {
+                    return Ok(());
+                }
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    Some(b']') => {
+                        self.pos += 1;
+                        depth -= 1;
+                    }
+                    _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                }
+            }
         }
     }
 }
@@ -1195,6 +1478,91 @@ mod tests {
             },
         );
         assert!(cached.to_jsonl().contains("\"cache_hits\":3"));
+    }
+
+    #[test]
+    fn narrow_fields_are_range_checked_and_overflow_is_an_error() {
+        // One valid line per event kind that has a field narrower than u64;
+        // pushing any such field one past its type's maximum must be an
+        // error naming the field, never a silent wrap to a small value.
+        let cases: [(&str, &[(&str, u64)]); 5] = [
+            (
+                "{\"at\":1,\"node\":NODE,\"ev\":\"nested_open\",\"tx\":[TX,2],\
+                 \"attempt\":ATTEMPT,\"level\":LEVEL,\"kind\":KIND}",
+                &[
+                    ("node", u32::MAX as u64),
+                    ("tx", u32::MAX as u64),
+                    ("attempt", u32::MAX as u64),
+                    ("level", u32::MAX as u64),
+                    ("kind", u16::MAX as u64),
+                ],
+            ),
+            (
+                "{\"at\":1,\"node\":0,\"ev\":\"tx_start\",\"tx\":[1,2],\"kind\":KIND,\
+                 \"attempt\":0}",
+                &[("kind", u16::MAX as u64)],
+            ),
+            (
+                "{\"at\":1,\"node\":0,\"ev\":\"migrate\",\"oid\":7,\"tx\":[1,2],\
+                 \"from\":FROM,\"to\":TO,\"version\":3}",
+                &[("from", u32::MAX as u64), ("to", u32::MAX as u64)],
+            ),
+            (
+                "{\"at\":1,\"node\":0,\"ev\":\"sched_decision\",\"oid\":7,\"tx\":[1,2],\
+                 \"attempt\":0,\"local_cl\":LOCAL_CL,\"requester_cl\":REQUESTER_CL,\
+                 \"window_requests\":WINDOW_REQUESTS,\"executed\":5,\"remaining\":6,\
+                 \"queue_depth\":1,\"bk\":2,\"threshold\":THRESHOLD,\"verdict\":\"enqueue\",\
+                 \"backoff\":2}",
+                &[
+                    ("local_cl", u32::MAX as u64),
+                    ("requester_cl", u32::MAX as u64),
+                    ("window_requests", u32::MAX as u64),
+                    ("threshold", u32::MAX as u64),
+                ],
+            ),
+            (
+                "{\"at\":1,\"node\":0,\"ev\":\"tx_abort\",\"tx\":[1,2],\"attempt\":0,\
+                 \"cause\":\"queue-timeout\",\"nested_parent\":0,\"backoff\":0,\
+                 \"aggr\":[AGGR,9]}",
+                &[("aggr", u32::MAX as u64)],
+            ),
+        ];
+        for (template, fields) in cases {
+            let fill = |bumped: Option<&str>| {
+                fields
+                    .iter()
+                    .fold(template.to_string(), |line, (field, max)| {
+                        let v = max + u64::from(bumped == Some(field));
+                        line.replace(&field.to_uppercase(), &v.to_string())
+                    })
+            };
+            TraceRecord::parse(&fill(None)).expect("every field at its maximum is valid");
+            for (field, _) in fields {
+                let err = TraceRecord::parse(&fill(Some(field))).unwrap_err();
+                assert_eq!(err, format!("field {field:?} out of range"));
+            }
+        }
+
+        // u64::MAX is a value; one more is an error, not a wrap.
+        let line = |at: &str| {
+            format!(
+                "{{\"at\":{at},\"node\":0,\"ev\":\"nested_commit\",\"tx\":[1,2],\
+                 \"attempt\":0,\"level\":1}}"
+            )
+        };
+        let max = TraceRecord::parse(&line("18446744073709551615")).unwrap();
+        assert_eq!(max.at, SimTime(u64::MAX));
+        for too_big in [
+            "18446744073709551616",
+            "99999999999999999999",
+            "1".repeat(40).as_str(),
+        ] {
+            let err = TraceRecord::parse(&line(too_big)).unwrap_err();
+            assert!(err.contains("does not fit in 64 bits"), "{err}");
+        }
+        // ... even in a field this version does not know.
+        let unknown = line("1").replace("\"level\"", "\"later\":[18446744073709551616],\"level\"");
+        assert!(TraceRecord::parse(&unknown).is_err());
     }
 
     #[test]

@@ -493,22 +493,16 @@ impl TxRuntime {
     }
 
     /// Does the transaction hold any object at any level? Allocation-free
-    /// equivalent of `!object_summary().is_empty()`.
+    /// equivalent of a non-empty [`TxRuntime::object_summary_into`].
     #[inline]
     pub fn has_objects(&self) -> bool {
         self.levels.iter().any(|l| !l.copies.is_empty())
     }
 
     /// Distinct objects across all levels with their outermost fetch info:
-    /// `(oid, version, owner, dirty_anywhere, mode_anywhere)`.
-    pub fn object_summary(&self) -> Vec<(ObjectId, u64, u32, bool, AccessMode)> {
-        let mut out = Vec::new();
-        self.object_summary_into(&mut out);
-        out
-    }
-
-    /// [`TxRuntime::object_summary`] into a caller-provided buffer, so hot
-    /// paths reuse one allocation per node. Clears `out` first. The
+    /// `(oid, version, owner, dirty_anywhere, mode_anywhere)`, sorted by
+    /// object id — into a caller-provided buffer, so the protocol paths
+    /// reuse one allocation per node. Clears `out` first. The
     /// membership test scans `out` itself (it holds exactly the oids seen so
     /// far), replacing the old side `ObjSet`; working sets are a handful of
     /// objects, so the scan beats any auxiliary structure.
@@ -532,16 +526,9 @@ impl TxRuntime {
     }
 
     /// The publish set: objects dirtied anywhere in the (merged) transaction
-    /// with the payload of the innermost copy (shared, not deep-cloned).
-    pub fn write_back_set(&self) -> Vec<(ObjectId, Arc<Payload>, u64, u32)> {
-        let mut summary = Vec::new();
-        let mut out = Vec::new();
-        self.write_back_set_into(&mut summary, &mut out);
-        out
-    }
-
-    /// [`TxRuntime::write_back_set`] into caller-provided buffers (`summary`
-    /// is scratch for the object summary). Clears both first.
+    /// with the payload of the innermost copy (shared, not deep-cloned) —
+    /// into caller-provided buffers (`summary` receives the object summary
+    /// it is derived from). Clears both first.
     pub fn write_back_set_into(
         &self,
         summary: &mut Vec<(ObjectId, u64, u32, bool, AccessMode)>,
@@ -569,6 +556,19 @@ impl TxRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Allocating forms of the `_into` methods, for assertions only.
+    fn object_summary(tx: &TxRuntime) -> Vec<(ObjectId, u64, u32, bool, AccessMode)> {
+        let mut out = Vec::new();
+        tx.object_summary_into(&mut out);
+        out
+    }
+
+    fn write_back_set(tx: &TxRuntime) -> Vec<(ObjectId, Arc<Payload>, u64, u32)> {
+        let (mut summary, mut out) = (Vec::new(), Vec::new());
+        tx.write_back_set_into(&mut summary, &mut out);
+        out
+    }
     use crate::program::{ScriptOp, ScriptProgram};
 
     fn mk_tx() -> TxRuntime {
@@ -700,7 +700,7 @@ mod tests {
         tx.write_local(ObjectId(1), Payload::Scalar(11));
         tx.open_nested(TxKind(2), tx.program.clone_box(), SimTime(2_000));
         tx.write_local(ObjectId(1), Payload::Scalar(12));
-        let wbs = tx.write_back_set();
+        let wbs = write_back_set(&tx);
         assert_eq!(wbs.len(), 1);
         assert_eq!(*wbs[0].1, Payload::Scalar(12));
     }
@@ -737,7 +737,7 @@ mod tests {
         install(&mut tx, 1, 10, AccessMode::Read);
         tx.open_nested(TxKind(2), tx.program.clone_box(), SimTime(2_000));
         tx.write_local(ObjectId(1), Payload::Scalar(11));
-        let summary = tx.object_summary();
+        let summary = object_summary(&tx);
         assert_eq!(summary.len(), 1);
         let (oid, _v, _o, dirty, mode) = summary[0];
         assert_eq!(oid, ObjectId(1));

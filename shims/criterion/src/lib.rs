@@ -4,8 +4,9 @@
 //! The build environment for this repository has no access to crates.io, so
 //! this shim implements the *subset* of criterion's API that the `dstm-bench`
 //! targets use — `criterion_group!`/`criterion_main!`, `Criterion`,
-//! `BenchmarkGroup`, `BenchmarkId`, `Bencher::iter`, and `black_box` — with a
-//! simple but honest measurement loop:
+//! `BenchmarkGroup` (with `throughput`), `BenchmarkId`, `Bencher::iter` /
+//! `iter_batched`, and `black_box` — with a simple but honest measurement
+//! loop:
 //!
 //! * each benchmark is warmed up for a fixed wall-clock budget,
 //! * then sampled `sample_size` times, each sample running enough iterations
@@ -46,6 +47,22 @@ impl Default for Settings {
             min_sample: Duration::from_millis(2),
         }
     }
+}
+
+/// Work done by one iteration, so a report can carry a rate next to the
+/// time (subset of criterion's `Throughput`).
+#[derive(Clone, Copy, Debug)]
+pub enum Throughput {
+    Bytes(u64),
+    Elements(u64),
+}
+
+/// Accepted for API compatibility with `Bencher::iter_batched`; the shim
+/// always builds one sample's inputs up front.
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    SmallInput,
+    LargeInput,
 }
 
 /// Identifier of a parameterized benchmark, e.g. `binary-heap/10000`.
@@ -113,6 +130,38 @@ impl Bencher<'_> {
             self.samples.push(elapsed * 1e9 / batch as f64);
         }
     }
+
+    /// Like [`Bencher::iter`] for a `routine` that consumes its input:
+    /// `setup` builds each input outside the timed region.
+    pub fn iter_batched<I, O, S: FnMut() -> I, R: FnMut(I) -> O>(
+        &mut self,
+        mut setup: S,
+        mut routine: R,
+        _size: BatchSize,
+    ) {
+        let mut timed = |n: u64| {
+            let inputs: Vec<I> = (0..n).map(|_| setup()).collect();
+            let t0 = Instant::now();
+            for input in inputs {
+                black_box(routine(input));
+            }
+            t0.elapsed()
+        };
+        let mut warm_iters: u64 = 0;
+        let mut warm = Duration::ZERO;
+        while warm < self.settings.warm_up {
+            warm += timed(1);
+            warm_iters += 1;
+        }
+        let per_iter = warm.as_secs_f64() / warm_iters as f64;
+        let batch = ((self.settings.min_sample.as_secs_f64() / per_iter).ceil() as u64).max(1);
+
+        self.samples.clear();
+        for _ in 0..self.settings.sample_size {
+            self.samples
+                .push(timed(batch).as_secs_f64() * 1e9 / batch as f64);
+        }
+    }
 }
 
 /// One finished measurement.
@@ -152,9 +201,18 @@ impl Report {
         }
     }
 
-    fn print(&self) {
+    fn print(&self, throughput: Option<Throughput>) {
+        let rate = match throughput {
+            Some(Throughput::Bytes(n)) => {
+                format!("  {:>9.1} MB/s", n as f64 * 1e3 / self.median_ns)
+            }
+            Some(Throughput::Elements(n)) => {
+                format!("  {:>9.1} ns/elem", self.median_ns / n as f64)
+            }
+            None => String::new(),
+        };
         println!(
-            "{:<48} median {:>12}  mean {:>12}  min {:>12}",
+            "{:<48} median {:>12}  mean {:>12}  min {:>12}{rate}",
             self.name,
             fmt_ns(self.median_ns),
             fmt_ns(self.mean_ns),
@@ -210,7 +268,7 @@ impl Criterion {
             samples: Vec::new(),
         };
         f(&mut b);
-        Report::from_samples(name.to_string(), &b.samples).print();
+        Report::from_samples(name.to_string(), &b.samples).print(None);
     }
 
     pub fn bench_function<F: FnMut(&mut Bencher<'_>)>(
@@ -227,6 +285,7 @@ impl Criterion {
             parent: self,
             name: name.into(),
             settings_override: None,
+            throughput: None,
         }
     }
 }
@@ -236,9 +295,17 @@ pub struct BenchmarkGroup<'a> {
     parent: &'a mut Criterion,
     name: String,
     settings_override: Option<Settings>,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
+    /// Work per iteration of the benchmarks registered after this call;
+    /// their reports gain an MB/s (bytes) or ns/element column.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
+        self
+    }
+
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         let mut s = self
             .settings_override
@@ -273,7 +340,7 @@ impl BenchmarkGroup<'_> {
             samples: Vec::new(),
         };
         f(&mut b);
-        Report::from_samples(full, &b.samples).print();
+        Report::from_samples(full, &b.samples).print(self.throughput);
     }
 
     pub fn bench_function<F: FnMut(&mut Bencher<'_>)>(
