@@ -52,6 +52,35 @@ fn bench_event_queues(c: &mut Criterion) {
             });
         });
     }
+    // The hold model: pop the minimum, push one event a random delay ahead
+    // of it, at a steady length — what a running simulation does to its
+    // queue, and unlike fill-then-drain it keeps the branch predictor from
+    // learning one sorted pass. 165 is the mean pending-set size of the
+    // Fig. 4/5 grids, 4000 that of the 1000-node cells; delays are the
+    // topology's 1–50 ms link latencies, one in eight a 30 µs local hop;
+    // the payload is as large as the kernel's `NodeEvent` (80 bytes).
+    for &n in &[165usize, 4000] {
+        group.bench_with_input(BenchmarkId::new("hold", n), &n, |b, &n| {
+            let mut rng = SimRng::new(0xD57A);
+            let mut delay = move || match rng.below(8) {
+                0 => 30_000,
+                _ => 1_000_000 + rng.below(49_000_000),
+            };
+            let mut q = BinaryHeapQueue::new();
+            let mut seq = 0u64;
+            for _ in 0..n {
+                seq += 1;
+                q.push(Sequenced::new(SimTime(delay()), seq, [seq; 10]));
+            }
+            b.iter(|| {
+                let ev = q.pop().expect("steady length");
+                seq += 1;
+                let at = SimTime(ev.key.time.0 + delay());
+                q.push(Sequenced::new(at, seq, [seq; 10]));
+                black_box(ev.payload[0])
+            });
+        });
+    }
     group.finish();
 }
 
@@ -147,15 +176,27 @@ fn bench_bloom(c: &mut Criterion) {
 }
 
 fn bench_cl_window(c: &mut Criterion) {
-    c.bench_function("cl-window/record+query", |b| {
-        let mut w = ObjectClWindow::new(SimDuration::from_millis(500));
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 1_000_000;
-            w.record(SimTime(t), TxId::new((t % 7) as u32, t));
-            black_box(w.local_cl(SimTime(t)))
+    // One request per simulated millisecond into a 500 ms window, from a
+    // population of `distinct` transactions taking turns: the window holds
+    // 500 requests of `distinct` requesters at steady state. 4 is a bank
+    // account, 64 and 256 a list head or tree root under the write-heavy
+    // mix — the cost must not depend on which.
+    let mut group = c.benchmark_group("cl-window");
+    for &distinct in &[4u64, 64, 256] {
+        let id = BenchmarkId::from_parameter(format!("{distinct}-distinct"));
+        group.bench_with_input(id, &distinct, |b, &distinct| {
+            let mut w = ObjectClWindow::new(SimDuration::from_millis(500));
+            let mut t = 0u64;
+            b.iter(|| {
+                t += 1_000_000;
+                let who = (t / 1_000_000).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+                let who = who % distinct;
+                w.record(SimTime(t), TxId::new((who % 16) as u32, who));
+                black_box(w.local_cl(SimTime(t)))
+            });
         });
-    });
+    }
+    group.finish();
 }
 
 fn bench_policy(c: &mut Criterion) {

@@ -10,6 +10,7 @@
 use crate::fx::FxHashMap;
 use crate::ids::{ObjectId, TxId};
 use dstm_sim::{SimDuration, SimTime};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// One enqueued requester (Algorithm 1's `Requester`: address + txid; we
@@ -161,10 +162,29 @@ impl SchedulingTable {
         self.map.get(&oid)
     }
 
-    /// Remove an emptied list to keep the table small.
-    pub fn gc(&mut self, oid: ObjectId) {
-        if self.map.get(&oid).is_some_and(|l| l.is_empty()) {
-            self.map.remove(&oid);
+    /// Run `f` on `oid`'s list if one exists — never creating it — and
+    /// drop the list from the table if `f` left it empty. The owner-side
+    /// bookkeeping of a served fetch, a release and a publish all go
+    /// through here: almost always there is no list (and, outside RTS runs,
+    /// no table entry at all, which skips even the hash probe), so the
+    /// common case costs one length check.
+    pub fn with_list<R>(
+        &mut self,
+        oid: ObjectId,
+        f: impl FnOnce(&mut RequesterList) -> R,
+    ) -> Option<R> {
+        if self.map.is_empty() {
+            return None;
+        }
+        match self.map.entry(oid) {
+            Entry::Occupied(mut e) => {
+                let out = f(e.get_mut());
+                if e.get().is_empty() {
+                    e.remove();
+                }
+                Some(out)
+            }
+            Entry::Vacant(_) => None,
         }
     }
 
@@ -268,8 +288,9 @@ mod tests {
     }
 
     #[test]
-    fn table_gc_and_purge() {
+    fn table_purge_and_with_list() {
         let mut t = SchedulingTable::new();
+        assert_eq!(t.with_list(ObjectId(1), |l| l.len()), None);
         t.list_mut(ObjectId(1)).add_requester(1, req(1, false));
         t.list_mut(ObjectId(2)).add_requester(1, req(1, false));
         t.list_mut(ObjectId(2)).add_requester(2, req(2, false));
@@ -278,9 +299,16 @@ mod tests {
         assert_eq!(t.queue_depth(ObjectId(9)), 0);
         assert_eq!(t.purge_tx(TxId::new(1, 1)), 2);
         assert_eq!(t.total_queued(), 1);
-        t.list_mut(ObjectId(1));
-        t.gc(ObjectId(1));
-        assert!(t.list(ObjectId(1)).is_none());
+        // Looking a list up never creates one ...
+        assert_eq!(t.with_list(ObjectId(9), |l| l.len()), None);
+        assert!(t.list(ObjectId(9)).is_none());
+        // ... a list left non-empty stays, one left empty goes.
+        assert_eq!(t.with_list(ObjectId(2), |l| l.len()), Some(1));
         assert!(t.list(ObjectId(2)).is_some());
+        assert_eq!(t.with_list(ObjectId(1), |l| l.len()), Some(0));
+        assert!(t.list(ObjectId(1)).is_none());
+        let served = t.with_list(ObjectId(2), |l| l.pop_servable());
+        assert_eq!(served.map(|s| s.len()), Some(1));
+        assert!(t.list(ObjectId(2)).is_none());
     }
 }

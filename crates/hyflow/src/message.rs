@@ -436,6 +436,16 @@ impl Timer {
 mod tests {
     use super::*;
 
+    /// Every simulated message is moved into the kernel's payload slab, out
+    /// of it again and into its handler: a fatter `Msg` is memmove traffic
+    /// on every event. Growing one of these is a decision, not a side
+    /// effect — box the new field instead.
+    #[test]
+    fn event_payloads_stay_small() {
+        assert!(std::mem::size_of::<Msg>() <= 72);
+        assert!(std::mem::size_of::<crate::NodeEvent>() <= 80);
+    }
+
     #[test]
     fn tags_cover_all_variants() {
         let m = Msg::ObjectDecline {

@@ -20,6 +20,7 @@ use crate::message::{FetchResult, Msg, Timer};
 use crate::metrics::{AbortCause, NestedAbortCause, NodeMetrics};
 use crate::object::{CachedCopy, OwnedObject, Payload};
 use crate::program::{AccessMode, BoxedProgram, StepInput, StepOutput};
+use crate::small::ObjSet;
 use crate::telemetry::{Gauges, Telemetry, TelemetryReport};
 use crate::trace::{ProtoEvent, ProtoTrace, TraceRecord, Verdict};
 use crate::tx::{TxPhase, TxRuntime, ValidationResume};
@@ -36,6 +37,13 @@ use std::sync::Arc;
 /// advance virtual time (models intra-node IPC; also guarantees the event
 /// loop cannot spin at one instant on local retries).
 const LOCAL_HOP: SimDuration = SimDuration::from_micros(30);
+
+/// Program steps one [`Node::drive`] activation may take without blocking
+/// on the network or a timer — orders of magnitude above the longest
+/// legitimate traversal (a list or tree walk over already-held objects is a
+/// few hundred steps). A program that gets here is walking a cycle, which
+/// only an inconsistent view can contain; see [`Node::abort_zombie`].
+const DRIVE_STEP_LIMIT: u32 = 1 << 16;
 
 type NodeCtx<'a> = Ctx<'a, Msg, Timer>;
 
@@ -108,6 +116,25 @@ impl ObjTable {
         }
     }
 
+    /// Index into `slots` of `oid`'s slot, if the node ever touched it.
+    #[inline]
+    fn index_of(&self, oid: ObjectId) -> Option<usize> {
+        self.index.get(&oid).map(|&i| i as usize)
+    }
+
+    /// Where an owner-side request for `oid` is served: `Ok(i)` if the
+    /// object is owned here — the handler then works on `slots[i]`, one
+    /// index probe for the whole request — else `Err` with the tombstone
+    /// to forward along, if the object ever lived here.
+    #[inline]
+    fn owned_index(&self, oid: ObjectId) -> Result<usize, Option<u32>> {
+        match self.index_of(oid) {
+            Some(i) if self.slots[i].owned.is_some() => Ok(i),
+            Some(i) => Err(self.slots[i].tombstone),
+            None => Err(None),
+        }
+    }
+
     /// Slot for `oid`, interning it on first touch.
     fn ensure(&mut self, oid: ObjectId) -> &mut ObjSlot {
         let slots = &mut self.slots;
@@ -162,7 +189,10 @@ pub struct Node {
     /// Live transactions invoked here, indexed by `seq - 1` (sequence
     /// numbers are minted densely at start, so the Vec never has holes
     /// except where a transaction finished; `None` = finished/absent).
-    txs: Vec<Option<TxRuntime>>,
+    /// Boxed: a handler takes the runtime out of its slot for the duration
+    /// of the event and puts it back, and that should move a pointer, not
+    /// the runtime.
+    txs: Vec<Option<Box<TxRuntime>>>,
     /// Workload not yet started.
     pending: VecDeque<BoxedProgram>,
     next_seq: u64,
@@ -450,7 +480,7 @@ impl Node {
         }
 
         // Live transactions, sorted by id.
-        let mut txs: Vec<&TxRuntime> = self.txs.iter().flatten().collect();
+        let mut txs: Vec<&TxRuntime> = self.txs.iter().flatten().map(|tx| &**tx).collect();
         txs.sort_by_key(|t| t.id);
         h.write_u64(txs.len() as u64);
         for tx in txs {
@@ -715,14 +745,11 @@ impl Node {
         }
     }
 
-    /// Record a request and return the object's local CL, in one table
-    /// lookup — the pair runs back-to-back on every served object request,
-    /// and separate calls paid the `ObjectId` hash twice.
-    fn record_and_local_cl(&mut self, oid: ObjectId, now: SimTime, tx: TxId) -> u32 {
+    /// Record a request on the object in slot `i` and return its local CL —
+    /// the pair runs back-to-back on every served object request.
+    fn record_and_local_cl(&mut self, i: usize, now: SimTime, tx: TxId) -> u32 {
         let window = self.cfg.cl_window;
-        let w = self
-            .objs
-            .ensure(oid)
+        let w = self.objs.slots[i]
             .cl_window
             .get_or_insert_with(|| ObjectClWindow::new(window));
         w.record(now, tx);
@@ -734,7 +761,7 @@ impl Node {
     /// Remove and return the live runtime of `id`, if any. Foreign or
     /// unknown ids (stale messages after completion) yield `None`.
     #[inline]
-    fn tx_take(&mut self, id: TxId) -> Option<TxRuntime> {
+    fn tx_take(&mut self, id: TxId) -> Option<Box<TxRuntime>> {
         if id.node != self.me {
             return None;
         }
@@ -744,7 +771,7 @@ impl Node {
 
     /// Put a runtime taken via [`Node::tx_take`] back into its slot.
     #[inline]
-    fn tx_put(&mut self, tx: TxRuntime) {
+    fn tx_put(&mut self, tx: Box<TxRuntime>) {
         let i = (tx.id.seq - 1) as usize;
         self.txs[i] = Some(tx);
     }
@@ -761,7 +788,7 @@ impl Node {
             let id = TxId::new(self.me, self.next_seq);
             let kind = program.kind();
             let expected = self.stats.expected_commit_time(kind, ctx.now());
-            let tx = TxRuntime::new(id, program, ctx.now(), expected, self.clock);
+            let mut tx = Box::new(TxRuntime::new(id, program, ctx.now(), expected, self.clock));
             self.active += 1;
             if self.ptrace.on() {
                 self.ptrace.push(
@@ -774,7 +801,6 @@ impl Node {
                     },
                 );
             }
-            let mut tx = tx;
             let finished = self.drive(ctx, &mut tx, DriveInput::Begin);
             // Every minted seq gets a slot (None when already finished) so
             // slot index stays `seq - 1`.
@@ -791,7 +817,7 @@ impl Node {
     fn drive(&mut self, ctx: &mut NodeCtx<'_>, tx: &mut TxRuntime, first: DriveInput) -> bool {
         tx.phase = TxPhase::Running;
         let mut input = first;
-        loop {
+        for _ in 0..DRIVE_STEP_LIMIT {
             let out = {
                 let step_in = match &input {
                     DriveInput::Begin => StepInput::Begin,
@@ -894,6 +920,35 @@ impl Node {
                 }
             }
         }
+        self.abort_zombie(ctx, tx);
+        false
+    }
+
+    /// The attempt ran [`DRIVE_STEP_LIMIT`] steps over objects it already
+    /// holds: it is a zombie, reading a view that mixes stale cached copies
+    /// with fresh ones (opacity is not guaranteed between validations, and
+    /// a stale link can close a cycle a tree walk never leaves). No event
+    /// would ever be scheduled again, so no event budget could stop it.
+    /// Treat it as what the next validation would have found: the view is
+    /// inconsistent. Drop the cached copies of everything the attempt
+    /// holds — one of them is the stale one — and abort it as a failed
+    /// forward validation, so the retry fetches afresh.
+    #[cold]
+    fn abort_zombie(&mut self, ctx: &mut NodeCtx<'_>, tx: &mut TxRuntime) {
+        let mut summary = std::mem::take(&mut self.summary_buf);
+        tx.object_summary_into(&mut summary);
+        for &(oid, ..) in &summary {
+            self.invalidate_cache(oid);
+        }
+        self.summary_buf = summary;
+        self.abort_parent(
+            ctx,
+            tx,
+            AbortCause::ForwardValidation,
+            SimDuration::ZERO,
+            None,
+            None,
+        );
     }
 
     /// How a cached open attempt resolved (see [`Node::try_cached_open`]).
@@ -911,10 +966,11 @@ impl Node {
         fn fwd_blocks(version: u64, tx: &TxRuntime) -> bool {
             version > tx.wv && tx.has_objects()
         }
-        let Some(slot) = self.objs.get(oid) else {
+        let Some(i) = self.objs.index_of(oid) else {
             self.metrics.cache_misses += 1;
             return CacheOpen::Fetch;
         };
+        let slot = &self.objs.slots[i];
         if let Some(o) = &slot.owned {
             // Local fast path: the authoritative copy is here and unlocked —
             // serve it synchronously instead of bouncing an `ObjReq` and
@@ -927,9 +983,8 @@ impl Node {
             let payload = Arc::clone(&o.payload);
             let version = o.version;
             // Mirror the owner-side bookkeeping of a served fetch.
-            self.sched.list_mut(oid).remove_duplicate(tx.id);
-            self.sched.gc(oid);
-            let local_cl = self.record_and_local_cl(oid, now, tx.id);
+            self.sched.with_list(oid, |l| l.remove_duplicate(tx.id));
+            let local_cl = self.record_and_local_cl(i, now, tx.id);
             self.metrics.fetches_served += 1;
             self.metrics.cache_hits += 1;
             tx.wv = tx.wv.max(version);
@@ -994,7 +1049,7 @@ impl Node {
             // Read-only: validate the read set, then finalize.
             return self.begin_validation(ctx, tx, ValidationResume::Commit);
         }
-        let mut pending = crate::small::ObjSet::new();
+        let mut pending = ObjSet::with_capacity(write_back.len());
         for (oid, _payload, version, owner) in &write_back {
             pending.insert(*oid);
             let msg = Msg::LockReq {
@@ -1027,9 +1082,9 @@ impl Node {
         resume: ValidationResume,
     ) -> bool {
         let commit_mode = matches!(resume, ValidationResume::Commit);
-        let mut pending = crate::small::ObjSet::new();
         let mut summary = std::mem::take(&mut self.summary_buf);
         tx.object_summary_into(&mut summary);
+        let mut pending = ObjSet::with_capacity(summary.len());
         for &(oid, version, owner, dirty, _mode) in &summary {
             if commit_mode && dirty {
                 continue;
@@ -1104,7 +1159,7 @@ impl Node {
             return true;
         }
         self.clock = new_version;
-        let mut pending = crate::small::ObjSet::new();
+        let mut pending = ObjSet::with_capacity(write_back.len());
         for (oid, payload, _version, owner) in write_back.drain(..) {
             if owner == self.me {
                 // Local object: update in place and release.
@@ -1377,47 +1432,41 @@ impl Node {
         nested: bool,
         reply_to: u32,
     ) {
-        let (owned_here, tombstone) = match self.objs.get(oid) {
-            Some(s) => (s.owned.is_some(), s.tombstone),
-            None => (false, None),
+        let i = match self.objs.owned_index(oid) {
+            Ok(i) => i,
+            Err(tombstone) => {
+                // Not (any longer) the owner: forward along the ownership chain,
+                // or — misrouted, which should be unreachable since caches start
+                // at the home node and publishes always leave tombstones —
+                // recover via home.
+                let next = tombstone.unwrap_or_else(|| {
+                    debug_assert!(
+                        oid.home(self.topo.n()) != self.me,
+                        "home node lost object {oid:?} without a tombstone"
+                    );
+                    oid.home(self.topo.n())
+                });
+                self.metrics.forwarded_reqs += 1;
+                let msg = Msg::ObjReq {
+                    oid,
+                    tx: txid,
+                    attempt,
+                    mode,
+                    ets,
+                    my_cl,
+                    nested,
+                    reply_to,
+                };
+                self.send(ctx, next, msg);
+                return;
+            }
         };
-        if !owned_here {
-            // Not (any longer) the owner: forward along the ownership chain,
-            // or — misrouted, which should be unreachable since caches start
-            // at the home node and publishes always leave tombstones —
-            // recover via home.
-            let next = tombstone.unwrap_or_else(|| {
-                debug_assert!(
-                    oid.home(self.topo.n()) != self.me,
-                    "home node lost object {oid:?} without a tombstone"
-                );
-                oid.home(self.topo.n())
-            });
-            self.metrics.forwarded_reqs += 1;
-            let msg = Msg::ObjReq {
-                oid,
-                tx: txid,
-                attempt,
-                mode,
-                ets,
-                my_cl,
-                nested,
-                reply_to,
-            };
-            self.send(ctx, next, msg);
-            return;
-        }
 
         let now = ctx.now();
-        let local_cl = self.record_and_local_cl(oid, now, txid);
+        let local_cl = self.record_and_local_cl(i, now, txid);
         // The lock holder at adjudication time is the aggressor an eventual
         // abort is attributed to.
-        let holder = self
-            .objs
-            .get(oid)
-            .and_then(|s| s.owned.as_ref())
-            .expect("checked")
-            .lock;
+        let holder = self.objs.slots[i].owned.as_ref().expect("checked").lock;
 
         if holder.is_some() {
             self.metrics.fetch_conflicts += 1;
@@ -1463,10 +1512,9 @@ impl Node {
                     Decision::AbortBackoff(b) => (Verdict::AbortBackoff, b),
                     Decision::Enqueue { backoff } => (Verdict::Enqueue, backoff),
                 };
-                let window_requests = self
-                    .objs
-                    .get_mut(oid)
-                    .and_then(|s| s.cl_window.as_mut())
+                let window_requests = self.objs.slots[i]
+                    .cl_window
+                    .as_mut()
                     .map_or(0, |w| w.requests_in_window(now));
                 self.ptrace.push(
                     now,
@@ -1523,14 +1571,9 @@ impl Node {
 
         // Free object: serve a copy. Drop any stale queue entry of this
         // transaction (it is getting the object through the normal path).
-        self.sched.list_mut(oid).remove_duplicate(txid);
-        self.sched.gc(oid);
+        self.sched.with_list(oid, |l| l.remove_duplicate(txid));
         self.metrics.fetches_served += 1;
-        let o = self
-            .objs
-            .get(oid)
-            .and_then(|s| s.owned.as_ref())
-            .expect("checked");
+        let o = self.objs.slots[i].owned.as_ref().expect("checked");
         let msg = Msg::ObjResp {
             oid,
             tx: txid,
@@ -1566,36 +1609,28 @@ impl Node {
         reply_to: u32,
         version: u64,
     ) {
-        let (owned_here, tombstone) = match self.objs.get(oid) {
-            Some(s) => (s.owned.is_some(), s.tombstone),
-            None => (false, None),
+        let i = match self.objs.owned_index(oid) {
+            Ok(i) => i,
+            Err(tombstone) => {
+                let next = tombstone.unwrap_or_else(|| oid.home(self.topo.n()));
+                self.metrics.forwarded_reqs += 1;
+                let msg = Msg::VersionReq {
+                    oid,
+                    tx: txid,
+                    attempt,
+                    mode,
+                    ets,
+                    my_cl,
+                    nested,
+                    reply_to,
+                    version,
+                };
+                self.send(ctx, next, msg);
+                return;
+            }
         };
-        if !owned_here {
-            let next = tombstone.unwrap_or_else(|| oid.home(self.topo.n()));
-            self.metrics.forwarded_reqs += 1;
-            let msg = Msg::VersionReq {
-                oid,
-                tx: txid,
-                attempt,
-                mode,
-                ets,
-                my_cl,
-                nested,
-                reply_to,
-                version,
-            };
-            self.send(ctx, next, msg);
-            return;
-        }
-        let current = {
-            let o = self
-                .objs
-                .get(oid)
-                .and_then(|s| s.owned.as_ref())
-                .expect("checked");
-            o.version == version && !o.is_locked()
-        };
-        if !current {
+        let o = self.objs.slots[i].owned.as_ref().expect("checked");
+        if o.version != version || o.is_locked() {
             // Counted on the owner so a failed revalidation registers as a
             // miss exactly once (node metrics merge across the run).
             self.metrics.cache_misses += 1;
@@ -1603,9 +1638,8 @@ impl Node {
             return;
         }
         let now = ctx.now();
-        let local_cl = self.record_and_local_cl(oid, now, txid);
-        self.sched.list_mut(oid).remove_duplicate(txid);
-        self.sched.gc(oid);
+        let local_cl = self.record_and_local_cl(i, now, txid);
+        self.sched.with_list(oid, |l| l.remove_duplicate(txid));
         self.metrics.fetches_served += 1;
         let msg = Msg::VersionAck {
             oid,
@@ -1704,19 +1738,19 @@ impl Node {
         if o.is_locked() {
             return;
         }
-        let (payload, version) = (Arc::clone(&o.payload), o.version);
         let mut grants = std::mem::take(&mut self.grants_buf);
         grants.clear();
-        let list = self.sched.list_mut(oid);
-        list.pop_servable_into(&mut grants);
-        if grants.first().is_some_and(|r| r.read_only) {
+        self.sched.with_list(oid, |list| {
             list.pop_servable_into(&mut grants);
-        }
-        self.sched.gc(oid);
+            if grants.first().is_some_and(|r| r.read_only) {
+                list.pop_servable_into(&mut grants);
+            }
+        });
         if grants.is_empty() {
             self.grants_buf = grants;
             return;
         }
+        let (payload, version) = (Arc::clone(&o.payload), o.version);
         let now = ctx.now();
         let local_cl = self.local_cl(oid, now);
         for r in grants.drain(..) {
@@ -1817,8 +1851,10 @@ impl Node {
         if invalidated {
             self.metrics.cache_invalidations += 1;
         }
-        let queue = self.sched.list_mut(oid).drain_all();
-        self.sched.gc(oid);
+        let queue = self
+            .sched
+            .with_list(oid, |l| l.drain_all())
+            .unwrap_or_default();
         let msg = Msg::PublishAck {
             oid,
             tx: txid,

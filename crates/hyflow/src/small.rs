@@ -76,8 +76,25 @@ impl<V> ObjMap<V> {
     }
 
     /// Iterate in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&ObjectId, &V)> {
-        self.entries.iter().map(|(k, v)| (k, v))
+    pub fn iter(&self) -> ObjMapIter<'_, V> {
+        ObjMapIter(self.entries.iter())
+    }
+}
+
+/// Borrowing iterator over an [`ObjMap`], in insertion order.
+pub struct ObjMapIter<'m, V>(std::slice::Iter<'m, (ObjectId, V)>);
+
+impl<'m, V> Iterator for ObjMapIter<'m, V> {
+    type Item = (&'m ObjectId, &'m V);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, v)| (k, v))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
     }
 }
 
@@ -92,10 +109,10 @@ impl<V> IntoIterator for ObjMap<V> {
 
 impl<'m, V> IntoIterator for &'m ObjMap<V> {
     type Item = (&'m ObjectId, &'m V);
-    type IntoIter = Box<dyn Iterator<Item = (&'m ObjectId, &'m V)> + 'm>;
+    type IntoIter = ObjMapIter<'m, V>;
 
     fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.entries.iter().map(|(k, v)| (k, v)))
+        self.iter()
     }
 }
 
@@ -117,6 +134,14 @@ impl ObjSet {
     pub fn new() -> Self {
         ObjSet {
             entries: Vec::new(),
+        }
+    }
+
+    /// A set that holds `n` ids without growing (protocol rounds know their
+    /// size up front: one entry per object checked, locked or published).
+    pub fn with_capacity(n: usize) -> Self {
+        ObjSet {
+            entries: Vec::with_capacity(n),
         }
     }
 

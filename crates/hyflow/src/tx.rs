@@ -165,6 +165,10 @@ pub struct TxRuntime {
     /// benchmarks); recycling levels keeps their `copies` capacity, so the
     /// steady-state open/close path stops growing fresh vecs.
     spare_levels: Vec<NestingLevel>,
+    /// Scratch of [`TxRuntime::abort_to_level`] (the fetches a rollback
+    /// drops), kept for its capacity: aborts outnumber commits several
+    /// times over under contention.
+    dropped: Vec<ObjectId>,
 }
 
 impl TxRuntime {
@@ -202,6 +206,7 @@ impl TxRuntime {
             nested_committed: 0,
             attempt_msgs: 0,
             spare_levels: Vec::new(),
+            dropped: Vec::new(),
         }
     }
 
@@ -437,7 +442,7 @@ impl TxRuntime {
 
         // Release CL accounting for real fetches held by dying levels; keep
         // fetches owned by surviving ancestors (shadows release nothing).
-        let mut dropped: Vec<ObjectId> = Vec::new();
+        let mut dropped = std::mem::take(&mut self.dropped);
         for l in &self.levels[level..] {
             for (oid, copy) in &l.copies {
                 if !copy.shadow {
@@ -452,7 +457,7 @@ impl TxRuntime {
         let retained = &mut self.levels[level];
         retained.copies.clear();
         retained.committed_children = 0;
-        for oid in dropped {
+        for oid in dropped.drain(..) {
             // An ancestor below `level` may still hold its own fetch of the
             // same oid; only release if nobody below holds it.
             if !self.levels[..level]
@@ -462,6 +467,7 @@ impl TxRuntime {
                 self.cl.object_released(oid);
             }
         }
+        self.dropped = dropped;
         self.program = self.levels[level].snapshot.clone_box();
         acc
     }

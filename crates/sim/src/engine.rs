@@ -50,7 +50,7 @@
 
 use std::sync::Arc;
 
-use crate::event::{EventKey, Sequenced};
+use crate::event::{EventKey, Sequenced, MAX_ACTORS, MAX_LOCAL_SEQ};
 use crate::queue::{BinaryHeapQueue, EventQueue};
 use crate::rng::SimRng;
 use crate::shard::Partition;
@@ -210,8 +210,19 @@ pub(crate) struct KernelCore {
     pub(crate) batched_messages: u64,
 }
 
+/// The [`EventKey`] tiebreak has 24 bits for the issuing actor; a larger
+/// world would order its events wrongly, so it is refused outright — before
+/// any per-actor state is allocated.
+fn check_actor_count(actors: usize) {
+    assert!(
+        actors <= MAX_ACTORS,
+        "{actors} actors exceed the {MAX_ACTORS} the event key's 24-bit issuer field can name"
+    );
+}
+
 impl KernelCore {
     fn new(seed: u64, actors: usize) -> Self {
+        check_actor_count(actors);
         let root = SimRng::new(seed);
         KernelCore {
             now: SimTime::ZERO,
@@ -230,6 +241,7 @@ impl KernelCore {
     /// the sharded executor (moved, not recreated, so RNG streams, issue
     /// counters, and timer slabs carry over exactly).
     pub(crate) fn shard_shell(now: SimTime, shard: u32, part: Arc<Partition>) -> Self {
+        check_actor_count(part.len());
         KernelCore {
             now,
             view: SlotView::Sharded { shard, part },
@@ -307,11 +319,24 @@ fn schedule<M, T>(
     let at = core.now + delay;
     let slot = core.slot(issuer);
     let st = &mut core.states[slot];
+    if st.seq >= MAX_LOCAL_SEQ {
+        seq_exhausted(issuer);
+    }
     st.seq += 1;
     queue.push(Sequenced {
         key: EventKey::compose(at, issuer.0, st.seq),
         payload,
     });
+}
+
+#[cold]
+#[inline(never)]
+fn seq_exhausted(issuer: ActorId) -> ! {
+    panic!(
+        "actor {} has issued {MAX_LOCAL_SEQ} events: the event key's 40-bit \
+         per-actor sequence is exhausted",
+        issuer.0
+    );
 }
 
 /// What one pass over the event queue did.
@@ -913,6 +938,37 @@ mod tests {
         let heap = run_jittered(BinaryHeapQueue::new());
         let calendar = run_jittered(CalendarQueue::new());
         assert_eq!(heap, calendar);
+    }
+
+    #[test]
+    #[should_panic(expected = "16777217 actors exceed")]
+    fn a_world_larger_than_the_issuer_field_is_refused() {
+        // Zero-sized actors: the vector costs nothing, and the check must
+        // fire before 2^24 + 1 kernel states are allocated.
+        struct Idle;
+        impl Actor for Idle {
+            type Msg = ();
+            type Timer = ();
+            fn on_message(&mut self, _: &mut Ctx<'_, (), ()>, _: ActorId, _: ()) {}
+            fn on_timer(&mut self, _: &mut Ctx<'_, (), ()>, _: ()) {}
+        }
+        let actors: Vec<Idle> = (0..MAX_ACTORS + 1).map(|_| Idle).collect();
+        World::new(actors, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "actor 1 has issued 1099511627775 events")]
+    fn per_actor_sequence_overflow_is_a_panic_not_a_reordering() {
+        let mut w = World::new(vec![Echo::new(), Echo::new()], 1);
+        w.core.states[1].seq = MAX_LOCAL_SEQ - 1;
+        // The last representable sequence number is still fine ...
+        w.send_external(ActorId(1), 0, SimDuration::ZERO);
+        assert_eq!(
+            w.queue.peek_key().map(|k| k.local_seq()),
+            Some(MAX_LOCAL_SEQ)
+        );
+        // ... the next one would carry into the issuer field.
+        w.send_external(ActorId(1), 0, SimDuration::ZERO);
     }
 
     #[test]

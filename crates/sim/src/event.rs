@@ -19,7 +19,16 @@ use crate::time::SimTime;
 
 /// Bits of the packed tiebreak reserved for the per-actor sequence.
 const LOCAL_SEQ_BITS: u32 = 40;
-const LOCAL_SEQ_MASK: u64 = (1 << LOCAL_SEQ_BITS) - 1;
+
+/// Actors one world can hold: the issuer field of the tiebreak is 24 bits.
+/// Checked once where a kernel is built, so [`EventKey::compose`] never
+/// sees an id that would spill into the timestamp's ordering.
+pub const MAX_ACTORS: usize = 1 << (64 - LOCAL_SEQ_BITS);
+
+/// Largest per-actor issue sequence the tiebreak can carry (40 bits; also
+/// the mask of that field). Checked on every increment by the kernel's
+/// `schedule`.
+pub const MAX_LOCAL_SEQ: u64 = (1 << LOCAL_SEQ_BITS) - 1;
 
 /// The key by which scheduled events are ordered: `(time, issuer, seq)`,
 /// with `(issuer, seq)` packed into the `seq` word (issuer in the high 24
@@ -38,18 +47,25 @@ impl EventKey {
     }
 
     /// Pack `(issuer, per-actor seq)` into the tiebreak word. Supports up to
-    /// 2^24 actors and 2^40 events issued per actor per run — far beyond any
-    /// simulation this kernel drives, but asserted in debug builds anyway.
+    /// 2^24 actors ([`MAX_ACTORS`]) and 2^40 events issued per actor per run
+    /// ([`MAX_LOCAL_SEQ`]) — far beyond any simulation this kernel drives.
+    /// The kernel enforces both in release builds before it calls this (the
+    /// actor count where a core is built, the sequence where it is
+    /// incremented): the pending-event heap compares the packed word, so a
+    /// field spilling into its neighbour would silently reorder events.
     #[inline]
     pub fn compose(time: SimTime, issuer: u32, local_seq: u64) -> Self {
-        debug_assert!(issuer < (1 << 24), "actor id {issuer} exceeds 24 bits");
         debug_assert!(
-            local_seq <= LOCAL_SEQ_MASK,
+            (issuer as usize) < MAX_ACTORS,
+            "actor id {issuer} exceeds 24 bits"
+        );
+        debug_assert!(
+            local_seq <= MAX_LOCAL_SEQ,
             "per-actor sequence overflowed 40 bits"
         );
         EventKey {
             time,
-            seq: ((issuer as u64) << LOCAL_SEQ_BITS) | (local_seq & LOCAL_SEQ_MASK),
+            seq: ((issuer as u64) << LOCAL_SEQ_BITS) | (local_seq & MAX_LOCAL_SEQ),
         }
     }
 
@@ -62,7 +78,7 @@ impl EventKey {
     /// The issuer's private sequence number for this event.
     #[inline]
     pub fn local_seq(self) -> u64 {
-        self.seq & LOCAL_SEQ_MASK
+        self.seq & MAX_LOCAL_SEQ
     }
 }
 

@@ -5,8 +5,9 @@
 //! in-flight transactions). Two implementations are provided behind the
 //! [`EventQueue`] trait:
 //!
-//! * [`BinaryHeapQueue`] — `std::collections::BinaryHeap` of
-//!   [`Sequenced`] entries. O(log n), excellent constants, the default.
+//! * [`BinaryHeapQueue`] — a 4-ary implicit heap of 32-byte
+//!   `(packed key, payload slot)` entries over a payload slab, with a
+//!   branch-free choice among the four children. O(log n), the default.
 //! * [`CalendarQueue`] — the classic Brown (1988) calendar queue: an array of
 //!   day-buckets over a year of virtual time, giving amortized O(1)
 //!   enqueue/dequeue when event inter-arrival times are roughly stationary —
@@ -41,35 +42,70 @@ pub trait EventQueue<E> {
 // Binary heap
 // ---------------------------------------------------------------------------
 
+/// One heap entry: the event's key packed into a single word —
+/// `time << 64 | seq`, so one unsigned compare *is* the lexicographic
+/// `(time, issuer, per-actor seq)` order — and the index of its payload in
+/// the slab. 32 bytes (`u128` is 16-aligned): the four children of a node
+/// are 128 contiguous bytes.
+#[derive(Clone, Copy)]
+struct Entry {
+    key: u128,
+    slot: u32,
+}
+
+#[inline]
+fn pack(key: EventKey) -> u128 {
+    (u128::from(key.time.0) << 64) | u128::from(key.seq)
+}
+
+#[inline]
+fn unpack(key: u128) -> EventKey {
+    EventKey::new(SimTime((key >> 64) as u64), key as u64)
+}
+
 /// Heap-based pending-event set (the default; historically a binary heap,
 /// now a 4-ary indexed heap — the name survives as the public API).
 ///
-/// Two data-layout decisions, both from profiles where heap push/pop was the
-/// single largest kernel cost:
+/// Three data-layout decisions, all from profiles where heap push/pop was
+/// the single largest kernel cost:
 ///
-/// * The heap stores only `(EventKey, slot index)` pairs — 24 bytes — while
-///   payloads sit in a slab with a free list. Sifting moves small POD
-///   entries instead of full `Sequenced<E>` values (≈88 bytes for the
-///   kernel's `NodeEvent`), cutting memmove traffic. Slots are recycled, so
-///   steady state allocates nothing.
+/// * The heap stores only [`Entry`]s while payloads sit in a slab with a
+///   free list. Sifting moves small POD entries instead of full
+///   `Sequenced<E>` values (80 bytes of payload for the kernel's
+///   `NodeEvent`), cutting memmove traffic. Slots are recycled, so steady
+///   state allocates nothing.
 /// * The heap is 4-ary: half the levels of a binary heap, and the four
-///   children of a node are contiguous (96 bytes, ~2 cache lines), so a
-///   sift-down touches fewer distinct lines for the same comparison count.
+///   children of a node are contiguous, so a sift-down touches fewer
+///   distinct lines for the same comparison count.
+/// * Which child is smallest is data-dependent and close to uniformly
+///   random, so a compare-and-branch scan mispredicts about once per level.
+///   The packed key makes each comparison a `cmp`/`sbb` pair whose carry
+///   flag can be consumed as data: [`min_of_four`] plays a two-round
+///   tournament with no branch at all.
 ///
 /// Keys are unique (engine-assigned sequence numbers), so pop order — hence
-/// simulation output — is bit-identical to the previous
-/// `std::collections::BinaryHeap` representation regardless of heap shape.
+/// simulation output — does not depend on heap shape or arity.
 pub struct BinaryHeapQueue<E> {
-    /// Min-heap of `(key, index into slots)`, 4-ary.
-    heap: Vec<(EventKey, u32)>,
+    /// Min-heap, 4-ary.
+    heap: Vec<Entry>,
     /// Payload slab; `None` entries are free and listed in `free`.
     slots: Vec<Option<E>>,
     free: Vec<u32>,
 }
 
-/// Heap arity. 4 keeps sibling scans inside two cache lines while halving
-/// tree depth vs. binary.
+/// Heap arity. 4 keeps sibling scans inside two or three cache lines while
+/// halving tree depth vs. binary.
 const D: usize = 4;
+
+/// Index (0–3) of the smallest key among four siblings: semifinals between
+/// neighbours, then a final between the two winners. Every comparison
+/// result is used as an index, never as a branch condition.
+#[inline]
+fn min_of_four(c: &[Entry; D]) -> usize {
+    let a = usize::from(c[1].key < c[0].key);
+    let b = 2 + usize::from(c[3].key < c[2].key);
+    [a, b][usize::from(c[b].key < c[a].key)]
+}
 
 impl<E> BinaryHeapQueue<E> {
     pub fn new() -> Self {
@@ -92,7 +128,7 @@ impl<E> BinaryHeapQueue<E> {
         let entry = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / D;
-            if self.heap[parent].0 <= entry.0 {
+            if self.heap[parent].key <= entry.key {
                 break;
             }
             self.heap[i] = self.heap[parent];
@@ -102,31 +138,32 @@ impl<E> BinaryHeapQueue<E> {
     }
 
     fn sift_down(&mut self, mut i: usize) {
-        let len = self.heap.len();
-        let entry = self.heap[i];
+        let heap = self.heap.as_mut_slice();
+        let entry = heap[i];
         loop {
             let first = D * i + 1;
-            if first >= len {
-                break;
-            }
-            // Smallest of the (up to D) children.
-            let last = (first + D).min(len);
-            let mut child = first;
-            let mut child_key = self.heap[first].0;
-            for c in first + 1..last {
-                let k = self.heap[c].0;
-                if k < child_key {
-                    child = c;
-                    child_key = k;
+            let child = if let Some(full) = heap.get(first..first + D) {
+                first + min_of_four(full.try_into().expect("a slice of D entries"))
+            } else if first < heap.len() {
+                // The last, partially filled group of children: at most one
+                // per sift, so a plain scan.
+                let mut best = first;
+                for c in first + 1..heap.len() {
+                    if heap[c].key < heap[best].key {
+                        best = c;
+                    }
                 }
-            }
-            if entry.0 <= child_key {
+                best
+            } else {
+                break;
+            };
+            if entry.key <= heap[child].key {
                 break;
             }
-            self.heap[i] = self.heap[child];
+            heap[i] = heap[child];
             i = child;
         }
-        self.heap[i] = entry;
+        heap[i] = entry;
     }
 }
 
@@ -138,7 +175,7 @@ impl<E> Default for BinaryHeapQueue<E> {
 
 impl<E> EventQueue<E> for BinaryHeapQueue<E> {
     fn push(&mut self, ev: Sequenced<E>) {
-        let idx = match self.free.pop() {
+        let slot = match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = Some(ev.payload);
                 i
@@ -148,25 +185,31 @@ impl<E> EventQueue<E> for BinaryHeapQueue<E> {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.heap.push((ev.key, idx));
+        self.heap.push(Entry {
+            key: pack(ev.key),
+            slot,
+        });
         self.sift_up(self.heap.len() - 1);
     }
 
     fn pop(&mut self) -> Option<Sequenced<E>> {
-        let (key, idx) = *self.heap.first()?;
+        let top = *self.heap.first()?;
         let last = self.heap.pop().expect("non-empty heap");
         if !self.heap.is_empty() {
             self.heap[0] = last;
             self.sift_down(0);
         }
-        let payload = self.slots[idx as usize].take().expect("occupied slot");
-        self.free.push(idx);
-        Some(Sequenced { key, payload })
+        let payload = self.slots[top.slot as usize].take().expect("occupied slot");
+        self.free.push(top.slot);
+        Some(Sequenced {
+            key: unpack(top.key),
+            payload,
+        })
     }
 
     #[inline]
     fn peek_key(&self) -> Option<EventKey> {
-        self.heap.first().map(|&(k, _)| k)
+        self.heap.first().map(|e| unpack(e.key))
     }
 
     #[inline]
@@ -432,6 +475,31 @@ mod tests {
     fn check_total_order(keys: &[EventKey]) {
         for w in keys.windows(2) {
             assert!(w[0] < w[1], "out of order: {:?} then {:?}", w[0], w[1]);
+        }
+    }
+
+    #[test]
+    fn heap_entry_is_32_bytes() {
+        // Four siblings = 128 contiguous bytes. A wider entry brings back
+        // the memmove traffic the split key/payload layout exists to avoid.
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
+    }
+
+    #[test]
+    fn packed_key_order_is_event_key_order() {
+        let keys = [
+            EventKey::new(SimTime(0), 0),
+            EventKey::new(SimTime(0), u64::MAX),
+            EventKey::new(SimTime(1), 0),
+            EventKey::compose(SimTime(1), 7, 3),
+            EventKey::compose(SimTime(1), 8, 0),
+            EventKey::new(SimTime(u64::MAX), u64::MAX),
+        ];
+        for a in keys {
+            assert_eq!(unpack(pack(a)), a);
+            for b in keys {
+                assert_eq!(pack(a).cmp(&pack(b)), a.cmp(&b), "{a:?} vs {b:?}");
+            }
         }
     }
 

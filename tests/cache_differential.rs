@@ -242,3 +242,55 @@ fn conflict_verdict_healing_does_not_lengthen_forwarding_chains() {
         "owner-guess healing never shortened a forwarding chain on any seed"
     );
 }
+
+#[test]
+fn a_zombie_tree_walk_is_aborted_instead_of_spinning_forever() {
+    // With the cache on, an attempt may read a stale cached copy next to
+    // fresh ones until its next validation. On this seed an RB Tree walk
+    // over such a view closes a cycle through nodes the attempt already
+    // holds: every step is served locally, no event is ever scheduled, and
+    // before the step limit in `Node::drive` the handler never returned.
+    use closed_nesting_dstm::harness::runner::build_system;
+    use closed_nesting_dstm::hyflow::{AbortCause, ProtoEvent, SchedLabel};
+
+    let mut cell = Cell::new(Benchmark::RbTree, SchedulerKind::Tfa, 10, 0.9)
+        .with_txns(10)
+        .with_cache(true)
+        .with_shards(1)
+        .with_seed(0xba08_d4da_75ec_ca7b);
+    cell.dstm.trace_protocol = true;
+    let mut system = build_system(&cell);
+    let metrics = system.run_default();
+    assert!(system.all_done(), "the reproducer stalled");
+    assert_eq!(metrics.merged.commits, 100, "every transaction commits");
+    system
+        .try_object_state()
+        .expect("single writable copy per object");
+
+    let mut trace = system.take_trace();
+    // The guard's abort is a forward-validation failure that blames no
+    // object (a real one always names the stale object it found).
+    let zombies = trace
+        .records
+        .iter()
+        .filter(|r| {
+            matches!(
+                &r.ev,
+                ProtoEvent::TxAbort {
+                    cause: AbortCause::ForwardValidation,
+                    oid: None,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert!(zombies > 0, "the seed no longer reaches the zombie walk");
+
+    trace.push_run_info(SchedLabel::from_label("TFA").expect("known label"), 10);
+    trace.push_summary(system.now(), &metrics.merged);
+    let report = audit(&trace);
+    assert!(report.ok(), "audit failed: {:?}", report.violations);
+    assert!(report.summary_checked);
+    let ledger = analyze(&trace, 0);
+    assert!(ledger.ok(), "ledger mismatches: {:?}", ledger.mismatches);
+}
