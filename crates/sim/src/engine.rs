@@ -111,6 +111,28 @@ pub trait Actor {
 
     /// A previously armed (and not cancelled) timer has fired.
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Timer>, timer: Self::Timer);
+
+    /// Cache hint, stage 1: an event for this actor is two pops away and
+    /// the actor's own memory is probably cold. The implementation may only
+    /// [`prefetch`] addresses computed from `self`'s own address — it must
+    /// not load a field, or the miss the hint is there to hide happens here.
+    ///
+    /// Both hint hooks are advisory. The serial run loop calls them when the
+    /// queue backend offers a [`EventQueue::lookahead`]; other loops never
+    /// do, and a hint may name an event that is overtaken by an earlier one.
+    /// They take `&self` and no [`Ctx`]: no randomness, no timers, no sends,
+    /// no counters — nothing a run's outcome could depend on.
+    #[inline]
+    fn hint_soon(&self) {}
+
+    /// Cache hint, stage 2: `next` is the event the next pop is expected to
+    /// deliver to this actor, and [`Actor::hint_soon`] ran one event ago, so
+    /// the actor's leading lines can be read cheaply now to find — and
+    /// [`prefetch`] — what the handler of `next` will reach through them.
+    #[inline]
+    fn hint_next(&self, next: &KernelEvent<Self::Msg, Self::Timer>) {
+        let _ = next;
+    }
 }
 
 /// One pending event in the kernel queue: a message delivery or a timer

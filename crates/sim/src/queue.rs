@@ -36,6 +36,18 @@ pub trait EventQueue<E> {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The payloads the next two `pop`s would return, in pop order, if
+    /// nothing is pushed in between — for the run loop to warm the caches
+    /// of the actors they go to. Purely advisory: a backend that cannot
+    /// answer from state it has already touched returns `None` (the
+    /// default), `[1]` may be `None` while `[0]` is not, and a push between
+    /// the call and the pops makes either entry stale. Never changes what
+    /// `pop`, `peek_key` or `len` report.
+    #[inline]
+    fn lookahead(&self) -> [Option<&E>; 2] {
+        [None, None]
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -215,6 +227,25 @@ impl<E> EventQueue<E> for BinaryHeapQueue<E> {
     #[inline]
     fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    /// The root, and the smallest of the root's children — which *is* the
+    /// second minimum of a heap. Both sit in lines the pop that just ran
+    /// sifted through.
+    #[inline]
+    fn lookahead(&self) -> [Option<&E>; 2] {
+        let payload = |e: &Entry| self.slots[e.slot as usize].as_ref();
+        let Some(root) = self.heap.first() else {
+            return [None, None];
+        };
+        let second = match self.heap.get(1..1 + D) {
+            Some(full) => {
+                let full: &[Entry; D] = full.try_into().expect("a slice of D entries");
+                Some(&full[min_of_four(full)])
+            }
+            None => self.heap[1..].iter().min_by_key(|e| e.key),
+        };
+        [payload(root), second.and_then(payload)]
     }
 }
 

@@ -12,6 +12,12 @@
 //! * the length wanders across every `4k+1 … 4k+4` boundary, so the heap's
 //!   last, partially filled group of children is hit at every depth.
 //!
+//! `lookahead` rides along on every one of those streams: whenever the model
+//! is consulted, its first two entries must be exactly the two payloads the
+//! heap offers — so `[0]` is what the next `pop` returns and `[1]` what the
+//! pop after it returns when nothing is pushed in between. A backend that
+//! does not override `lookahead` must offer nothing.
+//!
 //! The contract is what is pinned, not the layout: nothing here knows how the
 //! heap stores its keys.
 
@@ -80,7 +86,22 @@ impl Pair {
         self.push(self.last.time.0, issuer);
     }
 
+    /// The heap always knows its two smallest entries (the root and the best
+    /// of the root's children), so it must offer both whenever they exist.
+    fn check_lookahead(&self) -> Result<(), TestCaseError> {
+        let mut soonest = self.model.values();
+        let want = [soonest.next(), soonest.next()];
+        prop_assert_eq!(
+            self.heap.lookahead(),
+            want,
+            "at length {}",
+            self.model.len()
+        );
+        Ok(())
+    }
+
     fn pop(&mut self) -> Result<(), TestCaseError> {
+        self.check_lookahead()?;
         let expect = self.model.pop_first();
         let got = self.heap.pop();
         match (expect, got) {
@@ -107,7 +128,7 @@ impl Pair {
             .first_key_value()
             .map(|(&(t, s), _)| EventKey::new(SimTime(t), s));
         prop_assert_eq!(self.heap.peek_key(), first);
-        Ok(())
+        self.check_lookahead()
     }
 
     fn drain(&mut self) -> Result<(), TestCaseError> {
@@ -117,7 +138,42 @@ impl Pair {
         prop_assert_eq!(self.heap.len(), 0);
         prop_assert!(self.heap.pop().is_none());
         prop_assert_eq!(self.heap.peek_key(), None);
+        prop_assert_eq!(self.heap.lookahead(), [None, None]);
         Ok(())
+    }
+}
+
+/// Forwards the four required methods and nothing else: what the kernel
+/// sees of a backend that was written before `lookahead` existed.
+struct Required<Q>(Q);
+
+impl<E, Q: EventQueue<E>> EventQueue<E> for Required<Q> {
+    fn push(&mut self, ev: Sequenced<E>) {
+        self.0.push(ev)
+    }
+    fn pop(&mut self) -> Option<Sequenced<E>> {
+        self.0.pop()
+    }
+    fn peek_key(&self) -> Option<EventKey> {
+        self.0.peek_key()
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+#[test]
+fn a_backend_without_an_override_offers_no_lookahead() {
+    let mut q = Required(BinaryHeapQueue::new());
+    assert_eq!(q.lookahead(), [None, None]);
+    for i in 0..9u32 {
+        q.push(Sequenced::new(SimTime(u64::from(i % 3)), u64::from(i), i));
+        assert_eq!(q.lookahead(), [None, None]);
+        assert_eq!(
+            q.0.lookahead()[0],
+            Some(&0),
+            "the wrapped heap still answers"
+        );
     }
 }
 
@@ -139,6 +195,27 @@ proptest! {
         }
         q.check_view()?;
         q.drain()?;
+    }
+
+    /// Heaps of 0 to 6 entries: the root alone, then a root whose only group
+    /// of children has 1, 2, 3 and 4 members (the plain scan, then the
+    /// tournament), then the first grandchild — filled in every key order a
+    /// few random words produce, drained one pop at a time and refilled.
+    #[test]
+    fn lookahead_on_every_short_fanout_of_the_root(seed in 0u64..1_000_000) {
+        let mut rng = TestRng::new(seed);
+        for target in 0..=6usize {
+            let mut q = Pair::new();
+            q.check_view()?;
+            for _ in 0..target {
+                q.push_random(rng.next_u64());
+                q.check_view()?;
+            }
+            q.pop()?;
+            q.push_below_last();
+            q.check_view()?;
+            q.drain()?;
+        }
     }
 
     /// Hold the queue at every length from 1 to past the fifth level of a
