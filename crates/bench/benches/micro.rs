@@ -8,8 +8,8 @@ use dstm_benchmarks::Benchmark;
 use dstm_harness::runner::{run_cell, run_cell_traced, Cell};
 use dstm_harness::traceio::{audit, to_chrome_trace};
 use dstm_sim::{
-    Actor, ActorId, BinaryHeapQueue, CalendarQueue, Ctx, EventQueue, GenericWorld, KernelEvent,
-    Sequenced, SimDuration, SimRng, SimTime, World,
+    prefetch, Actor, ActorId, BinaryHeapQueue, CalendarQueue, Ctx, EventQueue, GenericWorld,
+    KernelEvent, Sequenced, SimDuration, SimRng, SimTime, World,
 };
 use hyflow_dstm::{TraceLog, TraceRecord};
 use rts_core::{
@@ -112,6 +112,106 @@ fn run_pingpong<Q: EventQueue<KernelEvent<u32, u32>>>(queue: Q, events: u32) -> 
     w.messages_delivered()
 }
 
+/// 2 KiB of private state, four lines of which every event reads and
+/// writes — a stand-in for a protocol node whose state has left the cache by
+/// the time its next event arrives, and reached the way a node's is: two of
+/// the lines are in the actor itself, the other two in a boxed table that
+/// the actor points to and the message indexes (header → second hop, like
+/// `Node` → `ObjSlot`). `hint_soon` requests the first pair, `hint_next`
+/// reads the pointer they hold and requests the second.
+#[repr(C, align(64))]
+struct ColdActor {
+    peers: u32,
+    far: Box<[[u64; 8]; ColdActor::FAR_LINES]>,
+    near: [u64; ColdActor::NEAR_WORDS],
+}
+
+impl ColdActor {
+    const NEAR_WORDS: usize = 126;
+    const FAR_LINES: usize = 16;
+    /// A word of `near` in the header's own line and one eight lines on.
+    const NEAR_TOUCHED: [usize; 2] = [0, 64];
+
+    /// The two lines of `far` a message reads and writes.
+    fn far_lines(msg: u64) -> [usize; 2] {
+        let a = msg as usize % Self::FAR_LINES;
+        [a, (a + Self::FAR_LINES / 2) % Self::FAR_LINES]
+    }
+}
+
+impl Actor for ColdActor {
+    type Msg = u64;
+    type Timer = ();
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, u64, ()>, _from: ActorId, msg: u64) {
+        let mut acc = msg;
+        for i in Self::NEAR_TOUCHED {
+            acc = acc.wrapping_add(self.near[i]);
+            self.near[i] = acc;
+        }
+        for line in Self::far_lines(msg) {
+            acc = acc.wrapping_add(self.far[line][0]);
+            self.far[line][0] = acc;
+        }
+        let to = ActorId(ctx.rng().below(u64::from(self.peers)) as u32);
+        let d = SimDuration::from_micros(1_000 + ctx.rng().below(49_000));
+        ctx.send(to, acc, d);
+    }
+
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_, u64, ()>, _timer: ()) {}
+
+    fn hint_soon(&self) {
+        for i in Self::NEAR_TOUCHED {
+            prefetch(std::ptr::from_ref(&self.near[i]), 1);
+        }
+    }
+
+    fn hint_next(&self, next: &KernelEvent<u64, ()>) {
+        if let KernelEvent::Msg { msg, .. } = next {
+            for line in Self::far_lines(*msg) {
+                prefetch(std::ptr::from_ref(&self.far[line]), 1);
+            }
+        }
+    }
+}
+
+/// Forwards the four required queue methods and nothing else, so the run
+/// loop is offered no lookahead and issues no hints.
+struct NoLookahead<Q>(Q);
+
+impl<E, Q: EventQueue<E>> EventQueue<E> for NoLookahead<Q> {
+    fn push(&mut self, ev: Sequenced<E>) {
+        self.0.push(ev)
+    }
+    fn pop(&mut self) -> Option<Sequenced<E>> {
+        self.0.pop()
+    }
+    fn peek_key(&self) -> Option<dstm_sim::EventKey> {
+        self.0.peek_key()
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// A world of `n` [`ColdActor`]s with four events in flight per actor, which
+/// never drains: every delivery forwards one message to a random peer.
+fn cold_world<Q: EventQueue<KernelEvent<u64, ()>>>(n: u32, queue: Q) -> GenericWorld<ColdActor, Q> {
+    let actors = (0..n)
+        .map(|_| ColdActor {
+            peers: n,
+            far: Box::new([[1; 8]; ColdActor::FAR_LINES]),
+            near: [1; ColdActor::NEAR_WORDS],
+        })
+        .collect();
+    let mut w = GenericWorld::with_queue(actors, 0xD57A, queue);
+    for i in 0..4 * n {
+        let d = SimDuration::from_micros(1_000 + u64::from(i) * 49_000 / u64::from(4 * n));
+        w.send_external(ActorId(i % n), u64::from(i), d);
+    }
+    w
+}
+
 fn bench_kernel(c: &mut Criterion) {
     // Marginal per-event kernel cost by queue backend. Each iteration
     // delivers `N + 1` messages, so ns/event = reported time / (N + 1).
@@ -123,6 +223,20 @@ fn bench_kernel(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("calendar", N), &N, |b, &n| {
         b.iter(|| black_box(run_pingpong(CalendarQueue::new(), n)));
     });
+    // One event per iteration, delivered to an actor whose state is
+    // cache-resident (64 actors, 128 KiB) or long evicted (4096 actors,
+    // 8 MiB), with the run loop's lookahead hints and — same heap behind a
+    // wrapper that offers no lookahead — without them.
+    for &n in &[64u32, 4096] {
+        group.bench_with_input(BenchmarkId::new("cold-actors", n), &n, |b, &n| {
+            let mut w = cold_world(n, BinaryHeapQueue::new());
+            b.iter(|| black_box(w.step()));
+        });
+        group.bench_with_input(BenchmarkId::new("cold-actors-no-hints", n), &n, |b, &n| {
+            let mut w = cold_world(n, NoLookahead(BinaryHeapQueue::new()));
+            b.iter(|| black_box(w.step()));
+        });
+    }
     group.finish();
 
     // Timer arm + cancel through the generation-stamped slab, including the

@@ -90,7 +90,8 @@ use dstm_harness::alloc_counter;
 use dstm_harness::experiments::scenarios::{render, run_collision_traced};
 use dstm_harness::experiments::Scale;
 use dstm_harness::runner::{
-    run_cell, run_cell_telemetry, run_cell_traced, run_cells, Cell, CellResult, TopologySpec,
+    run_cell, run_cell_telemetry, run_cell_traced, run_cells, warn_dropped_epochs, Cell,
+    CellResult, TopologySpec,
 };
 use dstm_harness::traceio::to_chrome_trace;
 use hyflow_dstm::{HistSummary, PartitionStrategy, QueueBackend, TelemetryReport, TraceLog};
@@ -513,13 +514,20 @@ fn kernel_grid(scale: &Scale, trials: usize, filter: Option<&str>) -> Vec<Kernel
     }
     specs.retain(|(cell, kind)| spec_matches(filter, cell, kind.label()));
 
-    let run = |c: &Cell, kind: RowKind| match kind {
+    // `warn`: the warm-up speaks for every repeat of a cell.
+    let run = |c: &Cell, kind: RowKind, warn: bool| match kind {
         RowKind::Plain | RowKind::Cache => run_cell(c.clone()),
         RowKind::Traced => run_cell_traced(c.clone()).0,
-        RowKind::Telemetry => run_cell_telemetry(c.clone()).0,
+        RowKind::Telemetry => {
+            let (r, reports) = run_cell_telemetry(c.clone());
+            if warn {
+                warn_dropped_epochs(c, &reports);
+            }
+            r
+        }
     };
     for (cell, kind) in &specs {
-        let _warmup = run(cell, *kind);
+        let _warmup = run(cell, *kind, true);
     }
     let mut timings: Vec<Vec<(u64, u64)>> = vec![Vec::with_capacity(trials); specs.len()];
     let mut counts = vec![(0u64, 0u64); specs.len()]; // (events, commits)
@@ -531,7 +539,7 @@ fn kernel_grid(scale: &Scale, trials: usize, filter: Option<&str>) -> Vec<Kernel
             if counted {
                 alloc_counter::reset();
             }
-            let r = run(cell, *kind);
+            let r = run(cell, *kind, false);
             if counted {
                 allocs[i] = alloc_counter::snapshot();
             }
@@ -1430,6 +1438,7 @@ type HistRow = (
 /// `commits`/`aborts`/`wasted_ns` headers here restate the totals so the
 /// sidecar is checkable standalone.
 fn timeseries_sidecar(out_path: &str, cell: &Cell, r: &CellResult, reports: &[TelemetryReport]) {
+    warn_dropped_epochs(cell, reports);
     let epochs = hyflow_dstm::merge_epoch_series(reports);
     let objects = hyflow_dstm::merge_object_waste(reports);
     let dropped: u64 = reports.iter().map(|t| t.dropped_epochs).sum();

@@ -424,6 +424,25 @@ pub fn run_cell_telemetry(mut cell: Cell) -> (CellResult, Vec<hyflow_dstm::Telem
     (r, reports)
 }
 
+/// Say on stderr when a telemetry-enabled cell outlived the sampler's ring:
+/// the series about to be written starts late, and the sidecar's
+/// `dropped_epochs` field alone is easy to overlook. Every sweep path that
+/// collects telemetry reports calls this once per cell.
+pub fn warn_dropped_epochs(cell: &Cell, reports: &[hyflow_dstm::TelemetryReport]) {
+    let dropped: u64 = reports.iter().map(|t| t.dropped_epochs).sum();
+    if dropped > 0 {
+        eprintln!(
+            "warning: {}/{}/n{}: the telemetry ring overwrote {dropped} epochs \
+             (summed over nodes); the series lacks the start of the run — \
+             rerun with a longer --epoch-ns than {}",
+            cell.benchmark.label(),
+            cell.scheduler.label(),
+            cell.params.nodes,
+            cell.dstm.epoch.0
+        );
+    }
+}
+
 /// Run many cells on `workers` threads (defaults to the parallelism the OS
 /// reports). Results come back in input order. A panicking cell aborts the
 /// sweep with a clean panic naming that cell (see [`try_run_cells`]).

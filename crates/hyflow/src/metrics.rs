@@ -59,8 +59,10 @@ pub enum NestedAbortCause {
 
 /// Per-node counters, merged across nodes at the end of a run.
 /// `PartialEq` so differential tests (serial vs sharded execution, queue
-/// backends) can compare whole runs structurally.
+/// backends) can compare whole runs structurally. `repr(C)`: the counters
+/// are one contiguous run of words ahead of the 2 KiB of histograms.
 #[derive(Clone, Debug, Default, PartialEq)]
+#[repr(C)]
 pub struct NodeMetrics {
     /// Top-level commits.
     pub commits: u64,
@@ -315,6 +317,18 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every counter precedes the statistics and histograms, so the words
+    /// handlers bump are one contiguous run at the front of the struct.
+    #[test]
+    fn counters_lead_and_histograms_trail() {
+        use std::mem::{offset_of, size_of};
+        let tail = 2 * size_of::<OnlineStats>() + 4 * size_of::<Histogram>();
+        assert_eq!(
+            size_of::<NodeMetrics>() - offset_of!(NodeMetrics, commit_latency),
+            tail
+        );
+    }
 
     #[test]
     fn abort_cause_accounting() {

@@ -25,7 +25,7 @@ use crate::telemetry::{Gauges, Telemetry, TelemetryReport};
 use crate::trace::{ProtoEvent, ProtoTrace, TraceRecord, Verdict};
 use crate::tx::{TxPhase, TxRuntime, ValidationResume};
 use dstm_net::Topology;
-use dstm_sim::{Actor, ActorId, Ctx, SimDuration, SimTime};
+use dstm_sim::{prefetch, Actor, ActorId, Ctx, KernelEvent, SimDuration, SimTime, CACHE_LINE};
 use rts_core::{
     explain_decision, ConflictCtx, ConflictPolicy, Decision, FxHashMap, ObjectClWindow, ObjectId,
     Requester, SchedulingTable, StatsTable, TxId,
@@ -53,6 +53,12 @@ type NodeCtx<'a> = Ctx<'a, Msg, Timer>;
 /// `tombstones`, `owner_cache`, `cl_windows`); a single fetch-conflict
 /// handler would hash the same oid up to five times. One slot per object
 /// behind one interned index turns that into a single lookup.
+///
+/// `repr(C)`: what an owner-side request reads to decide whether and how it
+/// is served — identity, the authoritative copy, the forwarding pointers —
+/// fills the first 64 bytes, the CL window a served request then records
+/// into the next 64, and the read cache (off by default) comes last.
+#[repr(C)]
 struct ObjSlot {
     oid: ObjectId,
     /// The authoritative copy, if owned here.
@@ -61,12 +67,12 @@ struct ObjSlot {
     tombstone: Option<u32>,
     /// Last known owner of a remote object (healed by responses).
     cached_owner: Option<u32>,
+    /// Owner-side local-CL window (created on first request).
+    cl_window: Option<ObjectClWindow>,
     /// Retained read copy of a remote object (`cfg.cache` only; always
     /// `None` otherwise). Invalidated when validation proves it stale or
     /// ownership moves through this node.
     cache: Option<CachedCopy>,
-    /// Owner-side local-CL window (created on first request).
-    cl_window: Option<ObjectClWindow>,
 }
 
 impl ObjSlot {
@@ -76,8 +82,8 @@ impl ObjSlot {
             owned: None,
             tombstone: None,
             cached_owner: None,
-            cache: None,
             cl_window: None,
+            cache: None,
         }
     }
 }
@@ -171,21 +177,21 @@ enum CacheOpen {
 }
 
 /// One simulated node.
+///
+/// Laid out hot-first (`repr(C)`, so the order below *is* the memory order):
+/// at a thousand nodes every event lands on a node whose state has left the
+/// cache, and what the handlers read on their way to the first object or
+/// transaction lookup should be a few adjacent lines — the ones
+/// [`Actor::hint_soon`] requests — not one line per field scattered between
+/// the histograms. Line-aligned for the same reason. The unit tests at the
+/// bottom of this file pin which fields lie in [`Node::HOT_BYTES`].
+#[repr(C, align(64))]
 pub struct Node {
     me: u32,
-    topo: Arc<Topology>,
-    cfg: Arc<DstmConfig>,
     /// TFA node-local clock.
     clock: u64,
-    /// Per-object owner-side state (store, tombstones, owner cache, CL
-    /// windows), slab-backed behind one interned index.
-    objs: ObjTable,
-    /// Owner-side conflict policy (the scheduler under evaluation).
-    policy: Box<dyn ConflictPolicy>,
-    /// Owner-side requester queues (Algorithm 1).
-    sched: SchedulingTable,
-    /// Requester-side commit-time statistics (backoff estimation).
-    stats: StatsTable,
+    cfg: Arc<DstmConfig>,
+    topo: Arc<Topology>,
     /// Live transactions invoked here, indexed by `seq - 1` (sequence
     /// numbers are minted densely at start, so the Vec never has holes
     /// except where a transaction finished; `None` = finished/absent).
@@ -193,10 +199,38 @@ pub struct Node {
     /// of the event and puts it back, and that should move a pointer, not
     /// the runtime.
     txs: Vec<Option<Box<TxRuntime>>>,
+    active: usize,
+    /// Per-object owner-side state (store, tombstones, owner cache, CL
+    /// windows), slab-backed behind one interned index.
+    objs: ObjTable,
+    /// Owner-side requester queues (Algorithm 1).
+    sched: SchedulingTable,
+    /// Owner-side conflict policy (the scheduler under evaluation).
+    policy: Box<dyn ConflictPolicy>,
+    /// Protocol-event sink (off unless `cfg.trace_protocol`; every caller
+    /// site checks `ptrace.on()` before building an event).
+    ptrace: ProtoTrace,
+    /// Per-destination same-tick send buffers (`cfg.cache` only): one
+    /// `(destination, latency, messages)` group per distinct pair touched
+    /// by the current event handler, drained by [`Node::flush_outbox`] at
+    /// handler exit. A linear scan — one event fans out to a handful of
+    /// neighbors at most. Among the hot fields because every handler exit
+    /// checks it for emptiness.
+    outbox: Vec<(u32, SimDuration, Vec<Msg>)>,
+    /// Passive epoch sampler (off unless `cfg.telemetry`). Checked with one
+    /// integer compare at the top of every event handler; it never sets
+    /// timers, sends messages, or draws randomness, so enabling it cannot
+    /// perturb the simulated schedule. Last of the hot fields: the guard is
+    /// its first word, the sampler state behind it is cold.
+    telemetry: Telemetry,
+    /// Counters first (most handlers bump one or two), histograms after.
+    pub metrics: NodeMetrics,
+    // -- cold from here: touched per transaction start/commit, or rarer ------
     /// Workload not yet started.
     pending: VecDeque<BoxedProgram>,
     next_seq: u64,
-    active: usize,
+    /// Requester-side commit-time statistics (backoff estimation).
+    stats: StatsTable,
     /// Virtual time of this node's last commit — the moment [`Node::done`]
     /// flipped true. `None` until then (or `Some(ZERO)` for a node that
     /// started with no workload). A property of the node's own event
@@ -204,27 +238,12 @@ pub struct Node {
     /// though the two drain trailing in-flight events in different orders.
     done_at: Option<SimTime>,
     pub completed: usize,
-    pub metrics: NodeMetrics,
-    /// Protocol-event sink (off unless `cfg.trace_protocol`; every caller
-    /// site checks `ptrace.on()` before building an event).
-    ptrace: ProtoTrace,
-    /// Passive epoch sampler (off unless `cfg.telemetry`). Checked with one
-    /// integer compare at the top of every event handler; it never sets
-    /// timers, sends messages, or draws randomness, so enabling it cannot
-    /// perturb the simulated schedule.
-    telemetry: Telemetry,
     /// Scratch buffers reused across event handlers so steady-state
     /// summary/write-back/grant processing allocates nothing. Taken with
     /// `mem::take` for the duration of a handler and put back after.
     summary_buf: Vec<(ObjectId, u64, u32, bool, AccessMode)>,
     wbs_buf: Vec<(ObjectId, Arc<Payload>, u64, u32)>,
     grants_buf: Vec<Requester>,
-    /// Per-destination same-tick send buffers (`cfg.cache` only): one
-    /// `(destination, latency, messages)` group per distinct pair touched
-    /// by the current event handler, drained by [`Node::flush_outbox`] at
-    /// handler exit. A linear scan — one event fans out to a handful of
-    /// neighbors at most.
-    outbox: Vec<(u32, SimDuration, Vec<Msg>)>,
     /// Recycled single-message buffers from flushed outbox groups.
     outbox_pool: Vec<Vec<Msg>>,
 }
@@ -256,26 +275,26 @@ impl Node {
         let pending: VecDeque<BoxedProgram> = workload.into();
         Node {
             me,
-            topo,
-            cfg,
             clock: 0,
-            objs,
-            policy,
-            sched: SchedulingTable::new(),
-            stats,
+            cfg,
+            topo,
             txs: Vec::new(),
+            active: 0,
+            objs,
+            sched: SchedulingTable::new(),
+            policy,
+            ptrace,
+            outbox: Vec::new(),
+            telemetry,
+            metrics: NodeMetrics::default(),
             done_at: pending.is_empty().then_some(SimTime::ZERO),
             pending,
             next_seq: 0,
-            active: 0,
+            stats,
             completed: 0,
-            metrics: NodeMetrics::default(),
-            ptrace,
-            telemetry,
             summary_buf: Vec::new(),
             wbs_buf: Vec::new(),
             grants_buf: Vec::new(),
-            outbox: Vec::new(),
             outbox_pool: Vec::new(),
         }
     }
@@ -2489,5 +2508,134 @@ impl Actor for Node {
         }
         self.dispatch_timer(ctx, timer);
         self.flush_outbox(ctx);
+    }
+
+    #[inline]
+    fn hint_soon(&self) {
+        prefetch(std::ptr::from_ref(self), Node::HOT_BYTES / CACHE_LINE);
+    }
+
+    /// An owner-side request starts by finding its object's slot, a
+    /// response or a timer by taking its transaction's runtime out of the
+    /// table: request that second hop now. The probe and the table read are
+    /// real loads, but of lines [`Node::hint_soon`] asked for an event ago.
+    #[inline]
+    fn hint_next(&self, next: &KernelEvent<Msg, Timer>) {
+        match next {
+            KernelEvent::Msg { msg, .. } => match msg {
+                Msg::ObjReq { oid, .. }
+                | Msg::LockReq { oid, .. }
+                | Msg::Unlock { oid, .. }
+                | Msg::Publish { oid, .. }
+                | Msg::VersionCheck { oid, .. }
+                | Msg::VersionReq { oid, .. }
+                | Msg::ObjectDecline { oid, .. } => self.hint_object(*oid),
+                Msg::ObjResp { oid, tx, .. } => {
+                    self.hint_tx(*tx);
+                    self.hint_object(*oid);
+                }
+                Msg::LockResp { tx, .. }
+                | Msg::VersionResp { tx, .. }
+                | Msg::VersionAck { tx, .. }
+                | Msg::PublishAck { tx, .. } => self.hint_tx(*tx),
+                Msg::StartWorkload | Msg::Batch(_) => {}
+            },
+            KernelEvent::Timer { timer, .. } => match timer {
+                Timer::ComputeDone { tx, .. }
+                | Timer::QueueDeadline { tx, .. }
+                | Timer::RetryBackoff { tx, .. } => self.hint_tx(*tx),
+            },
+        }
+    }
+}
+
+impl Node {
+    /// Leading bytes of a node that hold everything a handler reads before
+    /// its first object or transaction lookup.
+    const HOT_BYTES: usize = 256;
+
+    #[inline]
+    fn hint_object(&self, oid: ObjectId) {
+        if let Some(slot) = self.objs.get(oid) {
+            // Everything ahead of the read cache, which is off by default.
+            let lines = std::mem::offset_of!(ObjSlot, cache).div_ceil(CACHE_LINE);
+            prefetch(std::ptr::from_ref(slot), lines);
+        }
+    }
+
+    #[inline]
+    fn hint_tx(&self, id: TxId) {
+        let slot = (id.seq as usize)
+            .checked_sub(1)
+            .and_then(|i| self.txs.get(i));
+        if let Some(Some(tx)) = slot {
+            prefetch(std::ptr::from_ref::<TxRuntime>(tx), TxRuntime::HOT_LINES);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::{align_of, offset_of, size_of};
+
+    /// Offset one past the last byte of a field.
+    macro_rules! end_of {
+        ($t:ty, $f:ident) => {{
+            fn size_of_field<T, F>(_: fn(&T) -> &F) -> usize {
+                size_of::<F>()
+            }
+            offset_of!($t, $f) + size_of_field(|t: &$t| &t.$f)
+        }};
+    }
+
+    /// A field added in the wrong place should fail here, not in a
+    /// benchmark three PRs later. What must stay inside the lines
+    /// [`Node::hint_soon`] requests is everything `on_message`, `on_timer`
+    /// and the two dispatchers read before their first object or
+    /// transaction lookup — the telemetry guard, the tables themselves and
+    /// what `send` needs — plus what every handler exit checks.
+    #[test]
+    fn what_every_handler_reads_first_lies_in_the_hot_bytes() {
+        let hot = [
+            ("me", end_of!(Node, me)),
+            ("clock", end_of!(Node, clock)),
+            ("cfg", end_of!(Node, cfg)),
+            ("topo", end_of!(Node, topo)),
+            ("txs", end_of!(Node, txs)),
+            ("active", end_of!(Node, active)),
+            ("objs", end_of!(Node, objs)),
+            ("sched", end_of!(Node, sched)),
+            ("policy", end_of!(Node, policy)),
+            ("ptrace", end_of!(Node, ptrace)),
+            ("outbox", end_of!(Node, outbox)),
+            // The guard is the sampler's first word (pinned in telemetry.rs).
+            (
+                "telemetry guard",
+                offset_of!(Node, telemetry) + size_of::<u64>(),
+            ),
+        ];
+        for (field, end) in hot {
+            assert!(end <= Node::HOT_BYTES, "{field} ends at byte {end}");
+        }
+        // The counters come straight after the sampler; nothing cold sits
+        // between the hot bytes and them.
+        assert_eq!(offset_of!(Node, metrics), end_of!(Node, telemetry));
+        // 3 040 bytes before the reorder; the rest is padding to the line.
+        assert_eq!(align_of::<Node>(), CACHE_LINE);
+        assert!(size_of::<Node>() <= 3_040_usize.next_multiple_of(CACHE_LINE));
+    }
+
+    #[test]
+    fn an_owner_side_request_decides_on_a_slots_first_line() {
+        for (field, end) in [
+            ("oid", end_of!(ObjSlot, oid)),
+            ("owned", end_of!(ObjSlot, owned)),
+            ("tombstone", end_of!(ObjSlot, tombstone)),
+            ("cached_owner", end_of!(ObjSlot, cached_owner)),
+        ] {
+            assert!(end <= CACHE_LINE, "{field} ends at byte {end}");
+        }
+        assert!(size_of::<ObjSlot>() <= 160);
     }
 }

@@ -113,8 +113,10 @@ pub struct TelemetryReport {
 }
 
 /// Per-node telemetry state. Disabled by default; [`Telemetry::disabled`]
-/// holds no heap memory at all.
+/// holds no heap memory at all. `repr(C)`: the guard is the first word, so
+/// `Node` can end its hot lines with it and leave the rest behind them.
 #[derive(Debug, Default)]
+#[repr(C)]
 pub struct Telemetry {
     /// `u64::MAX` when disabled, so the per-event guard is one compare.
     next_epoch_end: u64,
@@ -341,6 +343,12 @@ mod tests {
             in_flight: f,
             cl_open: c,
         }
+    }
+
+    /// `Node` ends its hot bytes with the sampler's first word.
+    #[test]
+    fn the_guard_is_the_first_word() {
+        assert_eq!(std::mem::offset_of!(Telemetry, next_epoch_end), 0);
     }
 
     #[test]

@@ -128,38 +128,46 @@ pub enum TxOutcome {
 }
 
 /// The full runtime state of one live transaction.
+///
+/// `repr(C)`, hot-first: a node boxes its runtimes, so one is reached
+/// through a pointer and is cold whenever its node is. What every
+/// requester-side handler reads to accept or drop an event (`id`,
+/// `attempt`, `phase`) and to step the program (`program`, `levels`) starts
+/// within the first two lines; what a fetch or a restart reads follows;
+/// what only a commit, an abort or a retry touches trails.
+#[repr(C)]
 pub struct TxRuntime {
     pub id: TxId,
-    pub kind: TxKind,
     pub attempt: u32,
+    pub kind: TxKind,
     /// The executing program.
     pub program: BoxedProgram,
-    /// Pristine program for whole-transaction retries.
-    pub pristine: BoxedProgram,
     pub levels: Vec<NestingLevel>,
     pub phase: TxPhase,
-    /// First attempt's start (for end-to-end latency).
-    pub first_started_at: SimTime,
-    /// Current attempt's start (`ETS.s`).
-    pub attempt_started_at: SimTime,
-    /// `ETS.c` for the current attempt, from the stats table.
-    pub expected_commit: SimTime,
     /// TFA write-version clock (forwarded on fetches).
     pub wv: u64,
     /// Requester-side CL accounting (`myCL`).
     pub cl: ClAccounting,
-    /// Set when the commit protocol starts (stats-table validation sample).
-    pub validation_started_at: Option<SimTime>,
+    /// Current attempt's start (`ETS.s`).
+    pub attempt_started_at: SimTime,
+    /// `ETS.c` for the current attempt, from the stats table.
+    pub expected_commit: SimTime,
     /// When the outstanding object fetch was sent (requester-side RTT
     /// sample; transactions have at most one fetch in flight).
     pub fetch_sent_at: SimTime,
-    /// Closed-nested children merged over this transaction's lifetime
-    /// (across attempts; mirrors the node-level `nested_commits` counter).
-    pub nested_committed: u64,
     /// Protocol messages sent by the current attempt. Reset on restart;
     /// read at abort time to count the messages an abort discards
     /// (wasted-work accounting).
     pub attempt_msgs: u64,
+    /// Set when the commit protocol starts (stats-table validation sample).
+    pub validation_started_at: Option<SimTime>,
+    /// Closed-nested children merged over this transaction's lifetime
+    /// (across attempts; mirrors the node-level `nested_commits` counter).
+    pub nested_committed: u64,
+    /// First attempt's start (for end-to-end latency).
+    pub first_started_at: SimTime,
+    /// Pristine program for whole-transaction retries.
+    pub pristine: BoxedProgram,
     /// Spent [`NestingLevel`]s kept for reuse. `OpenNested`/`CloseNested`
     /// cycles are protocol-hot (several per commit in the nested
     /// benchmarks); recycling levels keeps their `copies` capacity, so the
@@ -172,6 +180,11 @@ pub struct TxRuntime {
 }
 
 impl TxRuntime {
+    /// Leading cache lines that hold everything short of the commit /
+    /// abort / retry tail (which starts at `validation_started_at`).
+    pub(crate) const HOT_LINES: usize =
+        std::mem::offset_of!(TxRuntime, validation_started_at).div_ceil(dstm_sim::CACHE_LINE);
+
     pub fn new(
         id: TxId,
         program: BoxedProgram,
@@ -562,6 +575,20 @@ impl TxRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What a handler reads to accept an event and step the program ends
+    /// (or, for the 88-byte phase, starts) inside the runtime's first two
+    /// cache lines, and the runtime has not grown.
+    #[test]
+    fn what_a_handler_reads_first_leads_the_runtime() {
+        use std::mem::{offset_of, size_of};
+        assert!(offset_of!(TxRuntime, id) + size_of::<TxId>() <= 128);
+        assert!(offset_of!(TxRuntime, attempt) + size_of::<u32>() <= 128);
+        assert!(offset_of!(TxRuntime, program) + size_of::<BoxedProgram>() <= 128);
+        assert!(offset_of!(TxRuntime, levels) + size_of::<Vec<NestingLevel>>() <= 128);
+        assert!(offset_of!(TxRuntime, phase) < 128);
+        assert!(size_of::<TxRuntime>() <= 312);
+    }
 
     /// Allocating forms of the `_into` methods, for assertions only.
     fn object_summary(tx: &TxRuntime) -> Vec<(ObjectId, u64, u32, bool, AccessMode)> {

@@ -57,7 +57,9 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Actor, ActorId, Ctx, GenericWorld, KernelEvent, TimerToken, World};
+pub use engine::{
+    prefetch, Actor, ActorId, Ctx, GenericWorld, KernelEvent, TimerToken, World, CACHE_LINE,
+};
 pub use event::{EventKey, Sequenced};
 pub use perturb::{ChoiceQueue, Perturb, PerturbQueue, Schedule};
 pub use queue::{BinaryHeapQueue, CalendarQueue, EventQueue};

@@ -232,7 +232,7 @@ impl<E> EventQueue<E> for BinaryHeapQueue<E> {
     /// The root, and the smallest of the root's children — which *is* the
     /// second minimum of a heap. Both sit in lines the pop that just ran
     /// sifted through.
-    #[inline]
+    #[inline(always)]
     fn lookahead(&self) -> [Option<&E>; 2] {
         let payload = |e: &Entry| self.slots[e.slot as usize].as_ref();
         let Some(root) = self.heap.first() else {

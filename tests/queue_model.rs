@@ -21,7 +21,10 @@
 //! The contract is what is pinned, not the layout: nothing here knows how the
 //! heap stores its keys.
 
+mod common;
+
 use closed_nesting_dstm::sim::{BinaryHeapQueue, EventKey, EventQueue, Sequenced, SimTime};
+use common::NoLookahead;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::BTreeMap;
@@ -143,28 +146,9 @@ impl Pair {
     }
 }
 
-/// Forwards the four required methods and nothing else: what the kernel
-/// sees of a backend that was written before `lookahead` existed.
-struct Required<Q>(Q);
-
-impl<E, Q: EventQueue<E>> EventQueue<E> for Required<Q> {
-    fn push(&mut self, ev: Sequenced<E>) {
-        self.0.push(ev)
-    }
-    fn pop(&mut self) -> Option<Sequenced<E>> {
-        self.0.pop()
-    }
-    fn peek_key(&self) -> Option<EventKey> {
-        self.0.peek_key()
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-}
-
 #[test]
 fn a_backend_without_an_override_offers_no_lookahead() {
-    let mut q = Required(BinaryHeapQueue::new());
+    let mut q = NoLookahead(BinaryHeapQueue::new());
     assert_eq!(q.lookahead(), [None, None]);
     for i in 0..9u32 {
         q.push(Sequenced::new(SimTime(u64::from(i % 3)), u64::from(i), i));
