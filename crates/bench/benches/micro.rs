@@ -1,15 +1,15 @@
 //! Criterion micro-benchmarks of the engine's hot paths: the pending-event
-//! set (binary heap vs calendar queue), the RNG, the Bloom filter, the CL
-//! window, scheduling-table operations, policy decisions, a complete small
-//! simulation cell, and the trace text codec.
+//! set, the RNG, the Bloom filter, the CL window, scheduling-table
+//! operations, policy decisions, a complete small simulation cell, and the
+//! trace text codec.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use dstm_benchmarks::Benchmark;
 use dstm_harness::runner::{run_cell, run_cell_traced, Cell};
 use dstm_harness::traceio::{audit, to_chrome_trace};
 use dstm_sim::{
-    prefetch, Actor, ActorId, BinaryHeapQueue, CalendarQueue, Ctx, EventQueue, GenericWorld,
-    KernelEvent, Sequenced, SimDuration, SimRng, SimTime, World,
+    prefetch, Actor, ActorId, BinaryHeapQueue, Ctx, EventQueue, GenericWorld, KernelEvent,
+    Sequenced, SimDuration, SimRng, SimTime, World,
 };
 use hyflow_dstm::{TraceLog, TraceRecord};
 use rts_core::{
@@ -26,21 +26,6 @@ fn bench_event_queues(c: &mut Criterion) {
             let times: Vec<u64> = (0..n).map(|_| rng.below(10_000_000)).collect();
             b.iter(|| {
                 let mut q = BinaryHeapQueue::new();
-                for (i, &t) in times.iter().enumerate() {
-                    q.push(Sequenced::new(SimTime(t), i as u64, i));
-                }
-                let mut sum = 0usize;
-                while let Some(ev) = q.pop() {
-                    sum += ev.payload;
-                }
-                black_box(sum)
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("calendar", n), &n, |b, &n| {
-            let mut rng = SimRng::new(1);
-            let times: Vec<u64> = (0..n).map(|_| rng.below(10_000_000)).collect();
-            b.iter(|| {
-                let mut q = CalendarQueue::with_params(64, 100_000);
                 for (i, &t) in times.iter().enumerate() {
                     q.push(Sequenced::new(SimTime(t), i as u64, i));
                 }
@@ -105,8 +90,8 @@ impl Actor for PingPong {
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, u32, u32>, _timer: u32) {}
 }
 
-fn run_pingpong<Q: EventQueue<KernelEvent<u32, u32>>>(queue: Q, events: u32) -> u64 {
-    let mut w = GenericWorld::with_queue(vec![PingPong, PingPong], 1, queue);
+fn run_pingpong(events: u32) -> u64 {
+    let mut w = World::new(vec![PingPong, PingPong], 1);
     w.send_external(ActorId(0), events, SimDuration::ZERO);
     w.run();
     w.messages_delivered()
@@ -213,15 +198,12 @@ fn cold_world<Q: EventQueue<KernelEvent<u64, ()>>>(n: u32, queue: Q) -> GenericW
 }
 
 fn bench_kernel(c: &mut Criterion) {
-    // Marginal per-event kernel cost by queue backend. Each iteration
+    // Marginal per-event kernel cost. Each iteration
     // delivers `N + 1` messages, so ns/event = reported time / (N + 1).
     const N: u32 = 10_000;
     let mut group = c.benchmark_group("kernel-events");
     group.bench_with_input(BenchmarkId::new("heap", N), &N, |b, &n| {
-        b.iter(|| black_box(run_pingpong(BinaryHeapQueue::new(), n)));
-    });
-    group.bench_with_input(BenchmarkId::new("calendar", N), &N, |b, &n| {
-        b.iter(|| black_box(run_pingpong(CalendarQueue::new(), n)));
+        b.iter(|| black_box(run_pingpong(n)));
     });
     // One event per iteration, delivered to an actor whose state is
     // cache-resident (64 actors, 128 KiB) or long evicted (4096 actors,

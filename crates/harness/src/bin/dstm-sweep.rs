@@ -18,7 +18,7 @@
 //! `DSTM_CACHE_TOLERANCE` overhead guard (default +40% cpu-ns/commit).
 //!
 //! `--filter <substr>` (env `DSTM_FILTER`) restricts `kernel` mode to grid
-//! cells whose `benchmark/scheduler/nN/backend/kind` label contains the
+//! cells whose `benchmark/scheduler/nN/kind` label contains the
 //! substring (case-insensitive) — for local iteration on one cell family;
 //! a filtered report is partial, so don't commit it or gate baselines on it.
 //!
@@ -60,10 +60,9 @@
 //! given scheduler (default RTS, 6 writers, 2 readers); with `--trace` the
 //! JSONL it writes is exactly what `dstm-trace audit` consumes.
 //!
-//! `kernel` mode times the host wall-clock of every Fig. 4 sweep cell under
-//! both event-queue backends (the simulated results are bit-identical, so
-//! this isolates kernel cost) and writes a machine-readable JSON report, by
-//! default `BENCH_kernel.json`. Each cell runs one untimed warm-up plus
+//! `kernel` mode times the host wall-clock of every Fig. 4 sweep cell and
+//! writes a machine-readable JSON report, by default `BENCH_kernel.json`.
+//! Each cell runs one untimed warm-up plus
 //! `--trials` timed repeats (default 5, env `DSTM_TRIALS`) and reports the
 //! **median** wall clock; built with `--features bench-alloc` the final
 //! trial also reports heap allocations per event and peak live bytes. Each
@@ -84,6 +83,11 @@
 //! With `--trace` the run records protocol events for `dstm-trace audit`;
 //! without it the cell runs untraced (how the 10k-node smoke stays within
 //! CI time and memory).
+//!
+//! An argument starting with `--` that is not one of the flags above, a flag
+//! without its value, a value that does not parse and an unknown `scenario`
+//! scheduler each end the program with one `error:` line on stderr and exit
+//! status 2, before anything runs.
 
 use dstm_benchmarks::Benchmark;
 use dstm_harness::alloc_counter;
@@ -94,7 +98,7 @@ use dstm_harness::runner::{
     CellResult, TopologySpec,
 };
 use dstm_harness::traceio::to_chrome_trace;
-use hyflow_dstm::{HistSummary, PartitionStrategy, QueueBackend, TelemetryReport, TraceLog};
+use hyflow_dstm::{HistSummary, PartitionStrategy, TelemetryReport, TraceLog};
 use rts_core::SchedulerKind;
 use std::fmt::Write as _;
 
@@ -160,12 +164,33 @@ struct Flags {
     filter: Option<String>,
 }
 
+/// The value that must follow flag `name`.
+fn value<'a>(name: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a str, String> {
+    match it.as_slice().first() {
+        Some(v) if !v.starts_with("--") => {
+            it.next();
+            Ok(v)
+        }
+        _ => Err(format!("{name} needs a value")),
+    }
+}
+
+/// The value after flag `name`, through `parse`.
+fn parsed<T>(
+    name: &str,
+    it: &mut std::slice::Iter<'_, String>,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let v = value(name, it)?;
+    parse(v).ok_or_else(|| format!("{name}: cannot use {v:?}"))
+}
+
 /// Pull the `--flag value` pairs (with `DSTM_*` env fallbacks) out of the
 /// argument list; the rest stay positional.
-fn split_flags(args: &[String]) -> Flags {
+fn split_flags(args: &[String]) -> Result<Flags, String> {
     let mut positional = Vec::new();
     let mut trace_path = std::env::var("DSTM_TRACE").ok().filter(|s| !s.is_empty());
-    let mut format_arg = std::env::var("DSTM_TRACE_FORMAT").ok();
+    let mut format = None;
     let mut hist_out = None;
     let mut scale = None;
     let mut trials = None;
@@ -186,30 +211,22 @@ fn split_flags(args: &[String]) -> Flags {
     let mut filter = std::env::var("DSTM_FILTER").ok().filter(|s| !s.is_empty());
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--trace" => trace_path = it.next().cloned(),
-            "--trace-format" => format_arg = it.next().cloned(),
-            "--hist-out" => hist_out = it.next().cloned(),
-            "--scale" => scale = it.next().cloned(),
-            "--trials" => trials = it.next().and_then(|s| s.parse().ok()),
-            "--baseline" => baseline = it.next().cloned(),
-            "--shards" => shards = it.next().and_then(|s| s.parse().ok()),
+        let a = a.as_str();
+        match a {
+            "--trace" => trace_path = Some(value(a, &mut it)?.to_string()),
+            "--trace-format" => format = Some(parsed(a, &mut it, TraceFormat::parse)?),
+            "--hist-out" => hist_out = Some(value(a, &mut it)?.to_string()),
+            "--scale" => scale = Some(value(a, &mut it)?.to_string()),
+            "--trials" => trials = Some(parsed(a, &mut it, |s| s.parse().ok())?),
+            "--baseline" => baseline = Some(value(a, &mut it)?.to_string()),
+            "--shards" => shards = Some(parsed(a, &mut it, |s| s.parse().ok())?),
             "--telemetry" => telemetry = true,
-            "--epoch-ns" => epoch_ns = it.next().and_then(|s| s.parse().ok()),
+            "--epoch-ns" => epoch_ns = Some(parsed(a, &mut it, |s| s.parse().ok())?),
             "--cache" => cache = true,
-            "--filter" => filter = it.next().cloned(),
-            "--partition" => {
-                partition = it.next().map(|s| {
-                    PartitionStrategy::from_name(s).unwrap_or_else(|| {
-                        eprintln!(
-                            "unknown partition {s:?} (expected round-robin|locality), \
-                             using round-robin"
-                        );
-                        PartitionStrategy::RoundRobin
-                    })
-                })
-            }
-            _ => positional.push(a.clone()),
+            "--filter" => filter = Some(value(a, &mut it)?.to_string()),
+            "--partition" => partition = Some(parsed(a, &mut it, PartitionStrategy::from_name)?),
+            _ if a.starts_with("--") => return Err(format!("unknown flag {a}")),
+            _ => positional.push(a.to_string()),
         }
     }
     let shards = shards
@@ -227,14 +244,14 @@ fn split_flags(args: &[String]) -> Flags {
                 .and_then(|s| PartitionStrategy::from_name(&s))
         })
         .unwrap_or_default();
-    let format = match format_arg.as_deref() {
-        None => TraceFormat::Jsonl,
-        Some(s) => TraceFormat::parse(s).unwrap_or_else(|| {
+    let format = format.unwrap_or_else(|| match std::env::var("DSTM_TRACE_FORMAT") {
+        Ok(s) => TraceFormat::parse(&s).unwrap_or_else(|| {
             eprintln!("unknown trace format {s:?} (expected jsonl|chrome), using jsonl");
             TraceFormat::Jsonl
         }),
-    };
-    Flags {
+        Err(_) => TraceFormat::Jsonl,
+    });
+    Ok(Flags {
         positional,
         topts: TraceOpts {
             path: trace_path,
@@ -250,7 +267,7 @@ fn split_flags(args: &[String]) -> Flags {
         epoch_ns,
         cache,
         filter,
-    }
+    })
 }
 
 /// Worker threads the cell pool will use: `DSTM_WORKERS` if set, else the
@@ -309,15 +326,14 @@ impl RowKind {
 }
 
 /// `--filter` predicate: does this grid cell's label contain the substring
-/// (case-insensitive)? Labels look like `bank/rts/n20/binary-heap/plain`.
+/// (case-insensitive)? Labels look like `bank/rts/n20/plain`.
 fn spec_matches(filter: Option<&str>, cell: &Cell, kind: &str) -> bool {
     let Some(f) = filter else { return true };
     let label = format!(
-        "{}/{}/n{}/{}/{}",
+        "{}/{}/n{}/{}",
         cell.benchmark.label(),
         cell.scheduler.label(),
         cell.params.nodes,
-        cell.dstm.queue_backend.label(),
         kind
     )
     .to_ascii_lowercase();
@@ -329,7 +345,6 @@ struct KernelRow {
     benchmark: Benchmark,
     nodes: usize,
     scheduler: SchedulerKind,
-    backend: QueueBackend,
     topology: &'static str,
     trace: bool,
     /// Whether the epoch sampler ran for this row. `"on"` rows price the
@@ -394,11 +409,10 @@ impl KernelRow {
 
     fn print(&self) {
         let mut line = format!(
-            "{:<12} n={:<3} {:<12} {:<9} {:<8} trace={:<3} {:>9.1} ms  {:>7.0} ns/event",
+            "{:<12} n={:<3} {:<12} {:<8} trace={:<3} {:>9.1} ms  {:>7.0} ns/event",
             self.benchmark.label(),
             self.nodes,
             self.scheduler.label(),
-            self.backend.label(),
             self.topology,
             if self.trace { "on" } else { "off" },
             self.cpu_ns as f64 / 1e6,
@@ -455,7 +469,7 @@ impl KernelRow {
 /// with the **median** wall clock. The final trial is bracketed by the
 /// allocation counters (a no-op without `bench-alloc`).
 /// The sequential kernel grid: every benchmark × node count × scheduler
-/// under both queue backends (trace off), plus Bank rerun with tracing on.
+/// (trace off), plus Bank rerun with tracing on.
 /// Sequential so timings are not polluted by sibling cells.
 ///
 /// Trials are interleaved **grid-major**: after one untimed warm-up pass,
@@ -469,22 +483,19 @@ fn kernel_grid(scale: &Scale, trials: usize, filter: Option<&str>) -> Vec<Kernel
     for b in Benchmark::ALL {
         for &nodes in &scale.node_counts {
             for s in KERNEL_SCHEDULERS {
-                for backend in [QueueBackend::BinaryHeap, QueueBackend::Calendar] {
-                    // Pinned serial even under DSTM_SHARDS (and cache-off
-                    // even under DSTM_CACHE): these rows are the
-                    // baseline-gated kernel-cost measurements; the sharded
-                    // and cache blocks cover the variants.
-                    let cell = Cell::new(b, s, nodes, 0.9)
-                        .with_txns(scale.txns_per_node)
-                        .with_queue_backend(backend)
-                        .with_shards(1)
-                        .with_cache(false);
-                    specs.push((cell, RowKind::Plain));
-                }
+                // Pinned serial even under DSTM_SHARDS (and cache-off even
+                // under DSTM_CACHE): these rows are the baseline-gated
+                // kernel-cost measurements; the sharded and cache blocks
+                // cover the variants.
+                let cell = Cell::new(b, s, nodes, 0.9)
+                    .with_txns(scale.txns_per_node)
+                    .with_shards(1)
+                    .with_cache(false);
+                specs.push((cell, RowKind::Plain));
             }
         }
     }
-    // Enabled-path rows: bank only, binary heap, every node count. Traced
+    // Enabled-path rows: bank only, every node count. Traced
     // rows price event recording, telemetry rows price the epoch sampler;
     // both compare against the matching plain row.
     for kind in [RowKind::Traced, RowKind::Telemetry] {
@@ -499,8 +510,8 @@ fn kernel_grid(scale: &Scale, trials: usize, filter: Option<&str>) -> Vec<Kernel
         }
     }
     // Cache-variant rows: every benchmark (the acceptance bar wants the
-    // messages-per-commit drop visible on more than one), binary heap,
-    // every node count × scheduler, against the matching plain rows.
+    // messages-per-commit drop visible on more than one), every node
+    // count × scheduler, against the matching plain rows.
     for b in Benchmark::ALL {
         for &nodes in &scale.node_counts {
             for s in KERNEL_SCHEDULERS {
@@ -565,7 +576,6 @@ fn kernel_grid(scale: &Scale, trials: usize, filter: Option<&str>) -> Vec<Kernel
             benchmark: cell.benchmark,
             nodes: cell.params.nodes,
             scheduler: cell.scheduler,
-            backend: cell.dstm.queue_backend,
             topology: cell.topology.label(),
             trace: *kind == RowKind::Traced,
             telemetry: *kind == RowKind::Telemetry,
@@ -639,7 +649,6 @@ fn kernel_grid_large(
             benchmark: r.cell.benchmark,
             nodes: r.cell.params.nodes,
             scheduler: r.cell.scheduler,
-            backend: r.cell.dstm.queue_backend,
             topology: r.cell.topology.label(),
             trace: false,
             telemetry: false,
@@ -773,7 +782,6 @@ fn kernel_grid_sharded(trials: usize, filter: Option<&str>) -> Vec<KernelRow> {
             benchmark: cell.benchmark,
             nodes: cell.params.nodes,
             scheduler: cell.scheduler,
-            backend: cell.dstm.queue_backend,
             topology: cell.topology.label(),
             trace: false,
             telemetry: false,
@@ -858,7 +866,7 @@ fn kernel_json(
         let _ = write!(
             json,
             "    {{\"benchmark\": \"{}\", \"nodes\": {}, \"scheduler\": \"{}\", \
-             \"backend\": \"{}\", \"topology\": \"{}\", \"trace\": \"{}\", \
+             \"topology\": \"{}\", \"trace\": \"{}\", \
              \"telemetry\": \"{}\", \"cache\": \"{}\", \
              \"trials\": {}, \"shards\": {}, \"partition\": \"{}\", \
              \"concurrency\": {}, \"wall_ns\": {}, \"cpu_ns\": {}, \"events\": {}, \
@@ -868,7 +876,6 @@ fn kernel_json(
             r.benchmark.label(),
             r.nodes,
             r.scheduler.label(),
-            r.backend.label(),
             r.topology,
             if r.trace { "on" } else { "off" },
             if r.telemetry { "on" } else { "off" },
@@ -936,8 +943,8 @@ fn json_num(line: &str, key: &str) -> Option<f64> {
 }
 
 /// Parse the `cells` rows of a kernel report into
-/// `(benchmark/nodes/scheduler/backend/trace, ns_per_event)` pairs. The
-/// writer emits one row per line, so a line-oriented scan is exact.
+/// `(benchmark/nodes/scheduler/trace, ns_per_event)` pairs. The writer
+/// emits one row per line, so a line-oriented scan is exact.
 ///
 /// Rows from the sharded block (`shards > 1` or a non-default
 /// `concurrency`) are skipped: their ns/event reflects host parallelism
@@ -950,7 +957,6 @@ fn parse_kernel_rows(text: &str) -> Vec<(String, f64)> {
             let b = json_str(line, "benchmark")?;
             let nodes = json_num(line, "nodes")?;
             let s = json_str(line, "scheduler")?;
-            let backend = json_str(line, "backend")?;
             let trace = json_str(line, "trace")?;
             let nspe = json_num(line, "ns_per_event")?;
             let shards = json_num(line, "shards").unwrap_or(1.0);
@@ -964,7 +970,7 @@ fn parse_kernel_rows(text: &str) -> Vec<(String, f64)> {
             if shards != 1.0 || concurrency != 4.0 || telemetry == "on" || cache == "on" {
                 return None;
             }
-            Some((format!("{b}/{nodes}/{s}/{backend}/{trace}"), nspe))
+            Some((format!("{b}/{nodes}/{s}/{trace}"), nspe))
         })
         .collect()
 }
@@ -995,6 +1001,59 @@ fn parse_sharded_rows(text: &str) -> Vec<(String, f64)> {
         .collect()
 }
 
+/// `benchmark/nodes/scheduler`: what pairs a row with its counterpart, in
+/// this report or in a baseline.
+fn cell_key(r: &KernelRow) -> String {
+    format!(
+        "{}/{}/{}",
+        r.benchmark.label(),
+        r.nodes,
+        r.scheduler.label()
+    )
+}
+
+/// A serial, default-concurrency row with tracing, telemetry and the cache
+/// off: what the baseline gates and what the intra-report guards compare
+/// the instrumented and cache rows against.
+fn is_plain(r: &KernelRow) -> bool {
+    !r.trace && !r.telemetry && !r.cache && r.shards == 1 && r.concurrency == 4
+}
+
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_unstable_by(|a, b| a.total_cmp(b));
+    v[v.len() / 2]
+}
+
+/// What the four kernel guards share: the median of `ratios` (not empty)
+/// may exceed 1 by at most the tolerance in `env`, or `default_tolerance`
+/// when that is unset. Prints `report(pairs, median, 1 + tolerance)`; past
+/// the tolerance it also says `{alarm} is N% over {over} (allowed M%)` on
+/// stderr and returns `false`.
+fn median_guard(
+    mut ratios: Vec<f64>,
+    env: &str,
+    default_tolerance: f64,
+    report: impl Fn(usize, f64, f64) -> String,
+    alarm: &str,
+    over: &str,
+) -> bool {
+    let median = median(&mut ratios);
+    let tolerance: f64 = std::env::var(env)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default_tolerance);
+    println!("{}", report(ratios.len(), median, 1.0 + tolerance));
+    if median > 1.0 + tolerance {
+        eprintln!(
+            "{alarm} is {:.1}% over {over} (allowed {:.0}%)",
+            (median - 1.0) * 100.0,
+            tolerance * 100.0
+        );
+        return false;
+    }
+    true
+}
+
 /// The sharded arm of the baseline guard: compare the saturated-load
 /// (`concurrency = 32`) rows' wall-ns/event against the baseline's. Sharded
 /// wall clock depends on host parallelism, so the tolerance is looser than
@@ -1006,18 +1065,11 @@ fn parse_sharded_rows(text: &str) -> Vec<(String, f64)> {
 fn sharded_baseline_guard(rows: &[KernelRow], baseline_text: &str, baseline_path: &str) -> bool {
     let old: std::collections::HashMap<String, f64> =
         parse_sharded_rows(baseline_text).into_iter().collect();
-    let mut ratios: Vec<f64> = rows
+    let ratios: Vec<f64> = rows
         .iter()
         .filter(|r| !r.trace && !r.cache && r.concurrency == 32 && r.events > 0)
         .filter_map(|r| {
-            let key = format!(
-                "{}/{}/{}/shards{}/{}",
-                r.benchmark.label(),
-                r.nodes,
-                r.scheduler.label(),
-                r.shards,
-                r.partition
-            );
+            let key = format!("{}/shards{}/{}", cell_key(r), r.shards, r.partition);
             let old_nspe = *old.get(&key)?;
             let new_nspe = r.wall_ns as f64 / r.events as f64;
             (old_nspe > 0.0).then_some(new_nspe / old_nspe)
@@ -1033,130 +1085,86 @@ fn sharded_baseline_guard(rows: &[KernelRow], baseline_text: &str, baseline_path
     let host_cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    let tolerance: f64 = std::env::var("DSTM_BENCH_TOLERANCE_SHARDED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if host_cores == 1 { 0.60 } else { 0.35 });
-    ratios.sort_unstable_by(|a, b| a.total_cmp(b));
-    let median = ratios[ratios.len() / 2];
-    println!(
-        "[sharded baseline: {} matching conc=32 rows, median wall-ns/event ratio {median:.3} \
-         (tolerance {:.2}, host_cores {host_cores})]",
-        ratios.len(),
-        1.0 + tolerance
-    );
-    if median > 1.0 + tolerance {
-        eprintln!(
-            "BENCH REGRESSION (sharded): median wall-ns/event is {:.1}% over the baseline \
-             (allowed {:.0}%)",
-            (median - 1.0) * 100.0,
-            tolerance * 100.0
-        );
-        return false;
-    }
-    true
+    median_guard(
+        ratios,
+        "DSTM_BENCH_TOLERANCE_SHARDED",
+        if host_cores == 1 { 0.60 } else { 0.35 },
+        |pairs, median, limit| {
+            format!(
+                "[sharded baseline: {pairs} matching conc=32 rows, median wall-ns/event ratio \
+                 {median:.3} (tolerance {limit:.2}, host_cores {host_cores})]"
+            )
+        },
+        "BENCH REGRESSION (sharded): median wall-ns/event",
+        "the baseline",
+    )
 }
 
 /// Intra-report telemetry-overhead guard: every telemetry-on row compares
-/// against the plain row of the same (benchmark, nodes, scheduler,
-/// backend) **from the same report**, so host speed cancels out and no
-/// baseline file is needed. The epoch sampler is a single branch per event
-/// when disabled and a counter snapshot per 50 ms epoch when enabled, so
-/// the median cpu-ns/event ratio must stay within
-/// `DSTM_TELEMETRY_TOLERANCE` (default +40% — small cells flush few
-/// epochs, so the bound mostly rejects accidental hot-path work).
+/// against the plain row of the same (benchmark, nodes, scheduler) **from
+/// the same report**, so host speed cancels out and no baseline file is
+/// needed. The epoch sampler is a single branch per event when disabled and
+/// a counter snapshot per 50 ms epoch when enabled, so the median
+/// cpu-ns/event ratio must stay within `DSTM_TELEMETRY_TOLERANCE` (default
+/// +40% — small cells flush few epochs, so the bound mostly rejects
+/// accidental hot-path work).
 fn telemetry_overhead_guard(rows: &[KernelRow]) -> bool {
-    let key = |r: &KernelRow| {
-        format!(
-            "{}/{}/{}/{}",
-            r.benchmark.label(),
-            r.nodes,
-            r.scheduler.label(),
-            r.backend.label()
-        )
-    };
     let plain: std::collections::HashMap<String, f64> = rows
         .iter()
-        .filter(|r| !r.trace && !r.telemetry && !r.cache && r.shards == 1 && r.concurrency == 4)
-        .map(|r| (key(r), r.ns_per_event()))
+        .filter(|r| is_plain(r))
+        .map(|r| (cell_key(r), r.ns_per_event()))
         .collect();
-    let mut ratios: Vec<f64> = rows
+    let ratios: Vec<f64> = rows
         .iter()
         .filter(|r| r.telemetry)
         .filter_map(|r| {
-            let base = *plain.get(&key(r))?;
+            let base = *plain.get(&cell_key(r))?;
             (base > 0.0).then(|| r.ns_per_event() / base)
         })
         .collect();
     if ratios.is_empty() {
         return true;
     }
-    ratios.sort_unstable_by(|a, b| a.total_cmp(b));
-    let median = ratios[ratios.len() / 2];
-    let tolerance: f64 = std::env::var("DSTM_TELEMETRY_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.40);
-    println!(
-        "[telemetry overhead: {} row pairs, median ns/event ratio {median:.3} \
-         (tolerance {:.2})]",
-        ratios.len(),
-        1.0 + tolerance
-    );
-    if median > 1.0 + tolerance {
-        eprintln!(
-            "TELEMETRY OVERHEAD: median ns/event with the epoch sampler on is \
-             {:.1}% over the plain path (allowed {:.0}%)",
-            (median - 1.0) * 100.0,
-            tolerance * 100.0
-        );
-        return false;
-    }
-    true
+    median_guard(
+        ratios,
+        "DSTM_TELEMETRY_TOLERANCE",
+        0.40,
+        |pairs, median, limit| {
+            format!(
+                "[telemetry overhead: {pairs} row pairs, median ns/event ratio {median:.3} \
+                 (tolerance {limit:.2})]"
+            )
+        },
+        "TELEMETRY OVERHEAD: median ns/event with the epoch sampler on",
+        "the plain path",
+    )
 }
 
 /// Intra-report cache-overhead guard: every cache-on row compares against
-/// the plain (cache-off, BinaryHeap) row of the same (benchmark, nodes,
-/// scheduler) **from the same report**, so host speed cancels out. The
-/// cache removes events (fewer fetch round trips), so ns/event would rise
-/// mechanically even at zero overhead — the cost axis gated here is
-/// **cpu-ns per commit** (host cost per unit of committed work), whose
-/// median ratio must stay within `DSTM_CACHE_TOLERANCE` (default +40%).
-/// The variant must also actually pay: the median messages-per-commit
-/// ratio must not exceed 1.0, with a nonzero median hit rate.
+/// the plain row of the same (benchmark, nodes, scheduler) **from the same
+/// report**, so host speed cancels out. The cache removes events (fewer
+/// fetch round trips), so ns/event would rise mechanically even at zero
+/// overhead — the cost axis gated here is **cpu-ns per commit** (host cost
+/// per unit of committed work), whose median ratio must stay within
+/// `DSTM_CACHE_TOLERANCE` (default +40%). The variant must also actually
+/// pay: the median messages-per-commit ratio must not exceed 1.0, with a
+/// nonzero median hit rate.
 fn cache_overhead_guard(rows: &[KernelRow]) -> bool {
-    let key = |r: &KernelRow| {
-        format!(
-            "{}/{}/{}",
-            r.benchmark.label(),
-            r.nodes,
-            r.scheduler.label()
-        )
-    };
+    let cpu_per_commit = |r: &KernelRow| r.cpu_ns as f64 / r.commits.max(1) as f64;
     let plain: std::collections::HashMap<String, (f64, f64)> = rows
         .iter()
-        .filter(|r| {
-            !r.trace
-                && !r.telemetry
-                && !r.cache
-                && r.shards == 1
-                && r.concurrency == 4
-                && r.backend == QueueBackend::BinaryHeap
-        })
-        .map(|r| {
-            let cpu_per_commit = r.cpu_ns as f64 / r.commits.max(1) as f64;
-            (key(r), (cpu_per_commit, r.messages_per_commit()))
-        })
+        .filter(|r| is_plain(r))
+        .map(|r| (cell_key(r), (cpu_per_commit(r), r.messages_per_commit())))
         .collect();
     let mut cost_ratios: Vec<f64> = Vec::new();
     let mut mpc_ratios: Vec<f64> = Vec::new();
     let mut hit_rates: Vec<f64> = Vec::new();
     for r in rows.iter().filter(|r| r.cache) {
-        let Some(&(base_cost, base_mpc)) = plain.get(&key(r)) else {
+        let Some(&(base_cost, base_mpc)) = plain.get(&cell_key(r)) else {
             continue;
         };
         if base_cost > 0.0 {
-            cost_ratios.push(r.cpu_ns as f64 / r.commits.max(1) as f64 / base_cost);
+            cost_ratios.push(cpu_per_commit(r) / base_cost);
         }
         if base_mpc > 0.0 {
             mpc_ratios.push(r.messages_per_commit() / base_mpc);
@@ -1166,31 +1174,24 @@ fn cache_overhead_guard(rows: &[KernelRow]) -> bool {
     if cost_ratios.is_empty() {
         return true;
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_unstable_by(|a, b| a.total_cmp(b));
-        v[v.len() / 2]
-    };
-    let cost = median(&mut cost_ratios);
     let mpc = median(&mut mpc_ratios);
     let hits = median(&mut hit_rates);
-    let tolerance: f64 = std::env::var("DSTM_CACHE_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.40);
-    println!(
-        "[cache guard: {} row pairs, median cpu-ns/commit ratio {cost:.3} (tolerance {:.2}), \
-         median msgs/commit ratio {mpc:.3}, median hit rate {:.1}%]",
-        cost_ratios.len(),
-        1.0 + tolerance,
-        hits * 100.0
+    let cost_ok = median_guard(
+        cost_ratios,
+        "DSTM_CACHE_TOLERANCE",
+        0.40,
+        |pairs, cost, limit| {
+            format!(
+                "[cache guard: {pairs} row pairs, median cpu-ns/commit ratio {cost:.3} \
+                 (tolerance {limit:.2}), median msgs/commit ratio {mpc:.3}, \
+                 median hit rate {:.1}%]",
+                hits * 100.0
+            )
+        },
+        "CACHE OVERHEAD: median cpu-ns/commit with the cache on",
+        "the plain path",
     );
-    if cost > 1.0 + tolerance {
-        eprintln!(
-            "CACHE OVERHEAD: median cpu-ns/commit with the cache on is {:.1}% over \
-             the plain path (allowed {:.0}%)",
-            (cost - 1.0) * 100.0,
-            tolerance * 100.0
-        );
+    if !cost_ok {
         return false;
     }
     if mpc > 1.0 || hits <= 0.0 {
@@ -1220,22 +1221,14 @@ fn baseline_guard(rows: &[KernelRow], baseline_path: &str) -> bool {
     };
     let old: std::collections::HashMap<String, f64> =
         parse_kernel_rows(&text).into_iter().collect();
-    let mut ratios: Vec<f64> = rows
+    // Plain rows only: the sharded block's numbers depend on host core
+    // count, so they never gate, and the telemetry and cache rows have
+    // their own intra-report guards.
+    let ratios: Vec<f64> = rows
         .iter()
-        // Serial, default-concurrency, trace-off, telemetry-off, cache-off
-        // rows only: the sharded block's numbers depend on host core
-        // count, so they never gate, and the telemetry and cache rows have
-        // their own intra-report guards.
-        .filter(|r| !r.trace && !r.telemetry && !r.cache && r.shards == 1 && r.concurrency == 4)
+        .filter(|r| is_plain(r))
         .filter_map(|r| {
-            let key = format!(
-                "{}/{}/{}/{}/off",
-                r.benchmark.label(),
-                r.nodes,
-                r.scheduler.label(),
-                r.backend.label()
-            );
-            let old_nspe = *old.get(&key)?;
+            let old_nspe = *old.get(&format!("{}/off", cell_key(r)))?;
             (old_nspe > 0.0).then(|| r.ns_per_event() / old_nspe)
         })
         .collect();
@@ -1243,28 +1236,19 @@ fn baseline_guard(rows: &[KernelRow], baseline_path: &str) -> bool {
         eprintln!("baseline {baseline_path}: no matching trace-off rows");
         return false;
     }
-    ratios.sort_unstable_by(|a, b| a.total_cmp(b));
-    let median = ratios[ratios.len() / 2];
-    let tolerance: f64 = std::env::var("DSTM_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.20);
-    println!(
-        "\n[baseline {baseline_path}: {} matching rows, median ns/event ratio {median:.3} \
-         (tolerance {:.2})]",
-        ratios.len(),
-        1.0 + tolerance
-    );
-    if median > 1.0 + tolerance {
-        eprintln!(
-            "BENCH REGRESSION: median ns/event is {:.1}% over the baseline \
-             (allowed {:.0}%)",
-            (median - 1.0) * 100.0,
-            tolerance * 100.0
-        );
-        return false;
-    }
-    sharded_baseline_guard(rows, &text, baseline_path)
+    median_guard(
+        ratios,
+        "DSTM_BENCH_TOLERANCE",
+        0.20,
+        |pairs, median, limit| {
+            format!(
+                "\n[baseline {baseline_path}: {pairs} matching rows, median ns/event ratio \
+                 {median:.3} (tolerance {limit:.2})]"
+            )
+        },
+        "BENCH REGRESSION: median ns/event",
+        "the baseline",
+    ) && sharded_baseline_guard(rows, &text, baseline_path)
 }
 
 /// Wall-clock the kernel grid and write the JSON report; `true` on success
@@ -1395,14 +1379,12 @@ fn large_smoke(positional: &[String], flags: &Flags) {
 }
 
 /// Replay the Fig. 2/3 collision under one scheduler with tracing on.
-fn scenario_mode(positional: &[String], topts: &TraceOpts) {
-    let scheduler = positional
-        .first()
-        .map(|s| {
-            scheduler_from_name(s)
-                .unwrap_or_else(|| panic!("unknown scheduler {s:?} (rts|tfa|tfa-backoff)"))
-        })
-        .unwrap_or(SchedulerKind::Rts);
+fn scenario_mode(positional: &[String], topts: &TraceOpts) -> Result<(), String> {
+    let scheduler = match positional.first() {
+        Some(s) => scheduler_from_name(s)
+            .ok_or_else(|| format!("unknown scheduler {s:?} (rts|tfa|tfa-backoff)"))?,
+        None => SchedulerKind::Rts,
+    };
     let writers: usize = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(6);
     let readers: usize = positional.get(2).and_then(|s| s.parse().ok()).unwrap_or(2);
     let (result, trace) = run_collision_traced(scheduler, writers, readers);
@@ -1421,6 +1403,7 @@ fn scenario_mode(positional: &[String], topts: &TraceOpts) {
         );
     }
     topts.write(&trace);
+    Ok(())
 }
 
 type HistRow = (
@@ -1550,8 +1533,15 @@ fn hist_sidecar(out_path: &str, rows: &[HistRow], nodes: usize, txns: usize, fla
 }
 
 fn main() {
+    if let Err(e) = run() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+}
+
+fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = split_flags(&args);
+    let flags = split_flags(&args)?;
     let positional = &flags.positional;
     match positional.first().map(String::as_str) {
         Some("kernel") => {
@@ -1562,16 +1552,13 @@ fn main() {
             if !kernel_report(out, &flags) {
                 std::process::exit(1);
             }
-            return;
+            return Ok(());
         }
         Some("large-smoke") => {
             large_smoke(&positional[1..], &flags);
-            return;
+            return Ok(());
         }
-        Some("scenario") => {
-            scenario_mode(&positional[1..], &flags.topts);
-            return;
-        }
+        Some("scenario") => return scenario_mode(&positional[1..], &flags.topts),
         _ => {}
     }
     let nodes: usize = positional
@@ -1656,4 +1643,5 @@ fn main() {
         txns,
         &flags,
     );
+    Ok(())
 }

@@ -7,7 +7,7 @@
 
 use dstm_benchmarks::{Benchmark, WorkloadParams};
 use dstm_net::Topology;
-use dstm_sim::{CalendarQueue, EventQueue, ShardRunStats, SimRng};
+use dstm_sim::{EventQueue, ShardRunStats, SimRng};
 use hyflow_dstm::{
     DstmConfig, NodeEvent, PartitionStrategy, QueueBackend, RunMetrics, System, SystemBuilder,
     TraceLog,
@@ -157,8 +157,8 @@ impl Cell {
         self
     }
 
-    pub fn with_queue_backend(mut self, q: QueueBackend) -> Self {
-        self.dstm.queue_backend = q;
+    /// Identity, kept only because `benchmark/src/workloads.rs` calls it; deleted with that call.
+    pub fn with_queue_backend(self, _: QueueBackend) -> Self {
         self
     }
 
@@ -286,43 +286,32 @@ pub fn build_system(cell: &Cell) -> System {
     build_system_with_queue(cell, dstm_sim::BinaryHeapQueue::new())
 }
 
-fn finish_cell<Q: EventQueue<NodeEvent> + Default + Send>(
-    cell: Cell,
-    mut system: System<Q>,
-) -> CellResult {
+/// Build the cell's system, run it serially or sharded, let `collect` take
+/// what its caller wants out of the finished system, and stamp host time
+/// over all of it.
+fn run_and_collect(cell: Cell, collect: &mut dyn FnMut(&mut System, &RunMetrics)) -> CellResult {
+    let t0 = std::time::Instant::now();
+    let c0 = thread_cpu_ns();
+    let mut system = build_system(&cell);
     let metrics = if cell.shards > 1 {
         system.run_sharded_default_with(cell.shards, cell.partition)
     } else {
         system.run_default()
     };
+    collect(&mut system, &metrics);
     CellResult {
         completed: system.all_done(),
         shard_stats: system.shard_stats().cloned(),
         cell,
         metrics,
-        wall_ns: 0,
-        cpu_ns: 0,
+        cpu_ns: thread_cpu_ns() - c0,
+        wall_ns: t0.elapsed().as_nanos() as u64,
     }
 }
 
-/// Run a single cell to completion on the backend its config selects. The
-/// backend changes host wall-clock only — metrics are bit-identical.
+/// Run a single cell to completion.
 pub fn run_cell(cell: Cell) -> CellResult {
-    let t0 = std::time::Instant::now();
-    let c0 = thread_cpu_ns();
-    let mut r = match cell.dstm.queue_backend {
-        QueueBackend::BinaryHeap => {
-            let system = build_system(&cell);
-            finish_cell(cell, system)
-        }
-        QueueBackend::Calendar => {
-            let system = build_system_with_queue(&cell, CalendarQueue::new());
-            finish_cell(cell, system)
-        }
-    };
-    r.cpu_ns = thread_cpu_ns() - c0;
-    r.wall_ns = t0.elapsed().as_nanos() as u64;
-    r
+    run_and_collect(cell, &mut |_, _| {})
 }
 
 /// Run a cell with protocol tracing forced on and return the merged,
@@ -331,49 +320,16 @@ pub fn run_cell(cell: Cell) -> CellResult {
 /// span-derived numbers (Table I) against the live counters.
 pub fn run_cell_traced(mut cell: Cell) -> (CellResult, TraceLog) {
     cell.dstm.trace_protocol = true;
-
-    fn go<Q: EventQueue<NodeEvent> + Default + Send>(
-        cell: Cell,
-        mut system: System<Q>,
-    ) -> (CellResult, TraceLog) {
-        let metrics = if cell.shards > 1 {
-            system.run_sharded_default_with(cell.shards, cell.partition)
-        } else {
-            system.run_default()
-        };
-        let mut trace = system.take_trace();
-        if let Some(label) = hyflow_dstm::SchedLabel::from_label(cell.scheduler.label()) {
-            trace.push_run_info(label, cell.params.nodes as u64);
+    let label = hyflow_dstm::SchedLabel::from_label(cell.scheduler.label());
+    let nodes = cell.params.nodes as u64;
+    let mut trace = TraceLog::default();
+    let r = run_and_collect(cell, &mut |system, metrics| {
+        trace = system.take_trace();
+        if let Some(label) = label {
+            trace.push_run_info(label, nodes);
         }
         trace.push_summary(system.now(), &metrics.merged);
-        let completed = system.all_done();
-        (
-            CellResult {
-                completed,
-                shard_stats: system.shard_stats().cloned(),
-                cell,
-                metrics,
-                wall_ns: 0,
-                cpu_ns: 0,
-            },
-            trace,
-        )
-    }
-
-    let t0 = std::time::Instant::now();
-    let c0 = thread_cpu_ns();
-    let (mut r, trace) = match cell.dstm.queue_backend {
-        QueueBackend::BinaryHeap => {
-            let system = build_system(&cell);
-            go(cell, system)
-        }
-        QueueBackend::Calendar => {
-            let system = build_system_with_queue(&cell, CalendarQueue::new());
-            go(cell, system)
-        }
-    };
-    r.cpu_ns = thread_cpu_ns() - c0;
-    r.wall_ns = t0.elapsed().as_nanos() as u64;
+    });
     (r, trace)
 }
 
@@ -382,45 +338,8 @@ pub fn run_cell_traced(mut cell: Cell) -> (CellResult, TraceLog) {
 /// metrics, traces, and final state are bit-identical to a run without it.
 pub fn run_cell_telemetry(mut cell: Cell) -> (CellResult, Vec<hyflow_dstm::TelemetryReport>) {
     cell.dstm.telemetry = true;
-
-    fn go<Q: EventQueue<NodeEvent> + Default + Send>(
-        cell: Cell,
-        mut system: System<Q>,
-    ) -> (CellResult, Vec<hyflow_dstm::TelemetryReport>) {
-        let metrics = if cell.shards > 1 {
-            system.run_sharded_default_with(cell.shards, cell.partition)
-        } else {
-            system.run_default()
-        };
-        let reports = system.take_telemetry();
-        let completed = system.all_done();
-        (
-            CellResult {
-                completed,
-                shard_stats: system.shard_stats().cloned(),
-                cell,
-                metrics,
-                wall_ns: 0,
-                cpu_ns: 0,
-            },
-            reports,
-        )
-    }
-
-    let t0 = std::time::Instant::now();
-    let c0 = thread_cpu_ns();
-    let (mut r, reports) = match cell.dstm.queue_backend {
-        QueueBackend::BinaryHeap => {
-            let system = build_system(&cell);
-            go(cell, system)
-        }
-        QueueBackend::Calendar => {
-            let system = build_system_with_queue(&cell, CalendarQueue::new());
-            go(cell, system)
-        }
-    };
-    r.cpu_ns = thread_cpu_ns() - c0;
-    r.wall_ns = t0.elapsed().as_nanos() as u64;
+    let mut reports = Vec::new();
+    let r = run_and_collect(cell, &mut |system, _| reports = system.take_telemetry());
     (r, reports)
 }
 
@@ -602,21 +521,6 @@ mod tests {
         assert_eq!(a.metrics.merged.commits, b.metrics.merged.commits);
         assert_eq!(a.metrics.messages, b.metrics.messages);
         assert_eq!(a.metrics.elapsed, b.metrics.elapsed);
-    }
-
-    #[test]
-    fn queue_backend_does_not_change_results() {
-        let base = tiny(Benchmark::Bank, SchedulerKind::Rts);
-        let heap = run_cell(base.clone().with_queue_backend(QueueBackend::BinaryHeap));
-        let cal = run_cell(base.with_queue_backend(QueueBackend::Calendar));
-        assert!(heap.completed && cal.completed);
-        assert_eq!(heap.metrics.merged.commits, cal.metrics.merged.commits);
-        assert_eq!(
-            heap.metrics.merged.total_aborts(),
-            cal.metrics.merged.total_aborts()
-        );
-        assert_eq!(heap.metrics.messages, cal.metrics.messages);
-        assert_eq!(heap.metrics.elapsed, cal.metrics.elapsed);
     }
 
     #[test]

@@ -30,38 +30,10 @@ pub enum ConflictScope {
     Child,
 }
 
-/// Which pending-event-set implementation backs the simulation kernel for a
-/// run. Both produce bit-identical schedules (same `EventKey` total order);
-/// they differ only in wall-clock cost per event, so this is purely a
-/// performance knob for the host machine running the sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// One variant, kept only because `benchmark/src/workloads.rs` names it; deleted with that call.
+#[derive(Clone, Copy, Debug)]
 pub enum QueueBackend {
-    /// `std::collections::BinaryHeap`-backed — O(log n) push/pop, the
-    /// safe default at any queue size.
-    #[default]
     BinaryHeap,
-    /// Calendar queue (Brown 1988) — amortized O(1) push/pop when event
-    /// times are roughly uniform, which D-STM workloads are.
-    Calendar,
-}
-
-impl QueueBackend {
-    /// Short label for reports and CLI parsing.
-    pub fn label(&self) -> &'static str {
-        match self {
-            QueueBackend::BinaryHeap => "heap",
-            QueueBackend::Calendar => "calendar",
-        }
-    }
-
-    /// Parse a CLI spelling (`heap` / `calendar`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "heap" | "binary-heap" => Some(QueueBackend::BinaryHeap),
-            "calendar" | "cal" => Some(QueueBackend::Calendar),
-            _ => None,
-        }
-    }
 }
 
 /// All the knobs of a run. `Default` gives the harness's baseline setup.
@@ -94,8 +66,6 @@ pub struct DstmConfig {
     pub conflict_scope: ConflictScope,
     /// Closed (the paper's model) or flat nesting (see [`NestingMode`]).
     pub nesting: NestingMode,
-    /// Kernel pending-event-set implementation (see [`QueueBackend`]).
-    pub queue_backend: QueueBackend,
     /// Record typed protocol events ([`crate::trace`]) during the run.
     /// Off by default: every instrumentation site is behind a one-branch
     /// guard, so a disabled run allocates nothing for tracing.
@@ -134,7 +104,6 @@ impl Default for DstmConfig {
             queue_deadline_percent: 150,
             conflict_scope: ConflictScope::Child,
             nesting: NestingMode::Closed,
-            queue_backend: QueueBackend::default(),
             trace_protocol: false,
             telemetry: false,
             epoch: SimDuration::from_millis(50),
@@ -163,11 +132,6 @@ impl DstmConfig {
 
     pub fn with_concurrency(mut self, c: usize) -> Self {
         self.concurrency_per_node = c;
-        self
-    }
-
-    pub fn with_queue_backend(mut self, q: QueueBackend) -> Self {
-        self.queue_backend = q;
         self
     }
 
@@ -212,20 +176,6 @@ mod tests {
         assert_eq!(c.cl_threshold, 7);
         assert_eq!(c.txns_per_node, 10);
         assert_eq!(c.concurrency_per_node, 2);
-    }
-
-    #[test]
-    fn queue_backend_parses_and_labels() {
-        assert_eq!(QueueBackend::parse("heap"), Some(QueueBackend::BinaryHeap));
-        assert_eq!(
-            QueueBackend::parse("calendar"),
-            Some(QueueBackend::Calendar)
-        );
-        assert_eq!(QueueBackend::parse("cal"), Some(QueueBackend::Calendar));
-        assert_eq!(QueueBackend::parse("bogus"), None);
-        assert_eq!(QueueBackend::BinaryHeap.label(), "heap");
-        assert_eq!(QueueBackend::Calendar.label(), "calendar");
-        assert_eq!(QueueBackend::default(), QueueBackend::BinaryHeap);
     }
 
     #[test]

@@ -602,57 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_backends_produce_identical_runs() {
-        // The same contended multi-node workload on the heap-backed and
-        // calendar-backed kernels must produce bit-identical metrics: same
-        // commits, same message count, same virtual end time.
-        use dstm_sim::CalendarQueue;
-
-        fn build_cfg() -> (Topology, DstmConfig, WorkloadSource) {
-            let oid = ObjectId(1);
-            let mut rng = SimRng::new(41);
-            let topo = Topology::uniform_random(3, 1, 20, &mut rng);
-            let cfg = DstmConfig::default()
-                .with_scheduler(SchedulerKind::Rts)
-                .with_concurrency(2);
-            let mk = || -> BoxedProgram {
-                Box::new(ScriptProgram::new(
-                    TxKind(1),
-                    vec![
-                        ScriptOp::Write(oid),
-                        ScriptOp::AddScalar(oid, 1),
-                        ScriptOp::Compute(SimDuration::from_micros(250)),
-                    ],
-                ))
-            };
-            let programs = (0..3).map(|_| (0..4).map(|_| mk()).collect()).collect();
-            let workload = WorkloadSource {
-                objects: vec![(oid, Payload::Scalar(0))],
-                programs,
-            };
-            (topo, cfg, workload)
-        }
-
-        let (topo, cfg, workload) = build_cfg();
-        let mut heap_sys = SystemBuilder::new(topo, cfg).seed(17).build(workload);
-        let heap = heap_sys.run(5_000_000);
-        assert!(heap_sys.all_done());
-
-        let (topo, cfg, workload) = build_cfg();
-        let mut cal_sys = SystemBuilder::new(topo, cfg)
-            .seed(17)
-            .build_with_queue(workload, CalendarQueue::new());
-        let cal = cal_sys.run(5_000_000);
-        assert!(cal_sys.all_done());
-
-        assert_eq!(heap.merged.commits, cal.merged.commits);
-        assert_eq!(heap.merged.total_aborts(), cal.merged.total_aborts());
-        assert_eq!(heap.messages, cal.messages);
-        assert_eq!(heap.ended_at, cal.ended_at);
-        assert_eq!(heap_sys.object_state(), cal_sys.object_state());
-    }
-
-    #[test]
     fn sharded_run_is_bit_identical_to_serial() {
         // Contended multi-node workload: the conservative windowed executor
         // must reproduce the serial run exactly, for every shard count.

@@ -8,19 +8,20 @@
 //! whole-protocol runs reproducible: identical seeds yield identical event
 //! sequences.
 //!
-//! # Queue backends
+//! # The queue seam
 //!
-//! The pending-event set is pluggable: [`GenericWorld<A, Q>`] is generic over
-//! any [`EventQueue`] implementation, and [`World<A>`] is the
-//! [`BinaryHeapQueue`]-backed default alias. Because every backend must honor
-//! the same total order ([`crate::event::EventKey`]: time, then issuing
-//! actor, then per-actor sequence), a run is bit-identical regardless of
-//! backend — the choice is purely a performance knob (see `queue.rs` for the
-//! calendar-queue trade-offs). The event-dispatch loop in
-//! [`GenericWorld::step`] is statically dispatched over `Q`; only pushes from
-//! inside actor callbacks go through a `dyn EventQueue` so that the [`Actor`]
-//! trait (and every actor implementation) stays independent of the backend
-//! type.
+//! [`GenericWorld<A, Q>`] is generic over any [`EventQueue`] implementation,
+//! and [`World<A>`] is the [`BinaryHeapQueue`]-backed alias every production
+//! run uses. `Q` exists for substitution, not selection: the verifier's
+//! perturbing and choice-point queues (`perturb.rs`), the benchmark's timing
+//! wrapper and the tests' model queue take the heap's place there. Because
+//! every implementation must honor the same total order
+//! ([`crate::event::EventKey`]: time, then issuing actor, then per-actor
+//! sequence), a run is bit-identical regardless of which one it is. The
+//! event-dispatch loop in [`GenericWorld::step`] is statically dispatched
+//! over `Q`; only pushes from inside actor callbacks go through a
+//! `dyn EventQueue` so that the [`Actor`] trait (and every actor
+//! implementation) stays independent of the queue type.
 //!
 //! # Per-actor kernel state
 //!
@@ -159,7 +160,7 @@ pub fn prefetch<T>(p: *const T, lines: usize) {
 
 /// One pending event in the kernel queue: a message delivery or a timer
 /// expiry. Public so queue backends can be named in type signatures
-/// (e.g. `CalendarQueue<KernelEvent<M, T>>`), but its fields stay private to
+/// (e.g. `BinaryHeapQueue<KernelEvent<M, T>>`), but its fields stay private to
 /// the engine (and the sharded executor).
 pub enum KernelEvent<M, T> {
     Msg {
@@ -534,10 +535,8 @@ impl<'a, M, T> Ctx<'a, M, T> {
 
 /// A complete simulation — actors plus kernel — generic over the
 /// pending-event-set backend `Q`. Use the [`World`] alias unless you are
-/// selecting a backend explicitly (e.g. [`CalendarQueue`] via
-/// [`GenericWorld::with_queue`]).
-///
-/// [`CalendarQueue`]: crate::queue::CalendarQueue
+/// substituting a wrapper or a model for the heap (a perturbing queue, a
+/// timing wrapper, a test oracle) via [`GenericWorld::with_queue`].
 pub struct GenericWorld<A: Actor, Q> {
     pub(crate) actors: Vec<A>,
     pub(crate) core: KernelCore,
@@ -798,7 +797,6 @@ impl<A: Actor, Q: EventQueue<KernelEvent<A::Msg, A::Timer>>> GenericWorld<A, Q> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::CalendarQueue;
 
     /// An actor that records delivery times and bounces messages.
     struct Echo {
@@ -990,35 +988,6 @@ mod tests {
         }
         assert_eq!(run_one(42), run_one(42));
         assert_ne!(run_one(42), run_one(43));
-    }
-
-    #[test]
-    fn heap_and_calendar_worlds_are_bit_identical() {
-        // The same seed must produce the same trajectory under either queue
-        // backend — the backend is a pure performance knob.
-        fn run_jittered<Q: EventQueue<KernelEvent<u32, u32>>>(
-            queue: Q,
-        ) -> (Vec<(SimTime, u32)>, u64, u64) {
-            let mut w = GenericWorld::with_queue(vec![Echo::new(), Echo::new()], 42, queue);
-            w.with_ctx(ActorId(0), |_, ctx| {
-                for i in 0..200 {
-                    let d = SimDuration::from_micros(ctx.rng().below(2000));
-                    ctx.send(ActorId(1), i, d);
-                }
-            });
-            // exercise the timer/cancel path under both backends too
-            w.send_external(ActorId(1), 1, SimDuration::ZERO);
-            w.send_external(ActorId(1), 2, SimDuration::from_millis(2));
-            w.run();
-            (
-                w.actor(ActorId(1)).deliveries.clone(),
-                w.messages_delivered(),
-                w.timers_fired(),
-            )
-        }
-        let heap = run_jittered(BinaryHeapQueue::new());
-        let calendar = run_jittered(CalendarQueue::new());
-        assert_eq!(heap, calendar);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! results on any shard count — with
 //!
 //! * nanosecond-resolution virtual time ([`SimTime`], [`SimDuration`]),
-//! * a pluggable event queue (binary-heap and calendar-queue implementations,
-//!   see [`queue`]),
+//! * one pending-event set, a 4-ary packed-key heap, behind a trait where
+//!   verification and measurement wrappers substitute (see [`queue`]),
 //! * a message-passing **actor world** ([`World`], [`Actor`]) in which each
 //!   simulated node handles messages and timers, and
 //! * deterministic, splittable random-number streams ([`SimRng`]) so that any
@@ -62,7 +62,7 @@ pub use engine::{
 };
 pub use event::{EventKey, Sequenced};
 pub use perturb::{ChoiceQueue, Perturb, PerturbQueue, Schedule};
-pub use queue::{BinaryHeapQueue, CalendarQueue, EventQueue};
+pub use queue::{BinaryHeapQueue, EventQueue};
 pub use rng::{mix64, SimRng};
 pub use shard::{uniform_lookahead, Partition, ShardRunStats, WindowProfile};
 pub use stats::{Histogram, OnlineStats};

@@ -1,20 +1,17 @@
-//! Pending-event set implementations.
+//! The pending-event set.
 //!
 //! The simulator's hot loop is `pop-min / handle / push-futures`; the pending
 //! event set dominates kernel cost in large runs (80 nodes × thousands of
-//! in-flight transactions). Two implementations are provided behind the
-//! [`EventQueue`] trait:
+//! in-flight transactions). [`BinaryHeapQueue`] — a 4-ary implicit heap of
+//! 32-byte `(packed key, payload slot)` entries over a payload slab, with a
+//! branch-free choice among the four children, O(log n) — is the one
+//! implementation. The [`EventQueue`] trait stays as the seam where the
+//! verifier's perturbing and choice-point queues, the benchmark's timing
+//! wrapper and the tests' model queue substitute for it.
 //!
-//! * [`BinaryHeapQueue`] — a 4-ary implicit heap of 32-byte
-//!   `(packed key, payload slot)` entries over a payload slab, with a
-//!   branch-free choice among the four children. O(log n), the default.
-//! * [`CalendarQueue`] — the classic Brown (1988) calendar queue: an array of
-//!   day-buckets over a year of virtual time, giving amortized O(1)
-//!   enqueue/dequeue when event inter-arrival times are roughly stationary —
-//!   which they are for the steady-state throughput experiments (Figs. 4–5).
-//!
-//! Both are exercised by the same property tests (total order out, FIFO among
-//! ties) and compared in the `micro` criterion bench.
+//! The heap is checked against a `BTreeMap` model in `tests/queue_model.rs`
+//! (total order out, FIFO among ties, `lookahead`) and timed in the `micro`
+//! criterion bench.
 
 use crate::event::{EventKey, Sequenced};
 use crate::time::SimTime;
@@ -49,10 +46,6 @@ pub trait EventQueue<E> {
         [None, None]
     }
 }
-
-// ---------------------------------------------------------------------------
-// Binary heap
-// ---------------------------------------------------------------------------
 
 /// One heap entry: the event's key packed into a single word —
 /// `time << 64 | seq`, so one unsigned compare *is* the lexicographic
@@ -249,248 +242,6 @@ impl<E> EventQueue<E> for BinaryHeapQueue<E> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Calendar queue
-// ---------------------------------------------------------------------------
-
-/// Calendar-queue pending-event set (Brown 1988).
-///
-/// Events are hashed into `nbuckets` day-buckets by
-/// `(time / day_width) % nbuckets`; a dequeue scans forward from the current
-/// day, only considering events belonging to the current "year". The
-/// structure resizes (doubling/halving buckets, re-estimating day width from
-/// a sample of inter-event gaps) when the population crosses thresholds, the
-/// standard recipe for keeping O(1) behaviour under load swings.
-pub struct CalendarQueue<E> {
-    buckets: Vec<Vec<Sequenced<E>>>,
-    /// Width of one day in nanoseconds.
-    day_width: u64,
-    /// Index of the bucket the next dequeue starts scanning from.
-    current_bucket: usize,
-    /// Start time of `current_bucket`'s current day.
-    bucket_top: u64,
-    len: usize,
-    /// Resize thresholds.
-    grow_at: usize,
-    shrink_at: usize,
-    /// Lower bound on the last dequeued key, for ordering assertions.
-    last_popped: Option<EventKey>,
-    /// Memoized minimum key: `Some` = known-correct min, `None` = recompute
-    /// on next peek. Interior-mutable because [`EventQueue::peek_key`] takes
-    /// `&self`. Keeps repeated peeks (the `run_until` loop) O(1) instead of
-    /// O(nbuckets) per call.
-    min_cache: std::cell::Cell<Option<EventKey>>,
-}
-
-impl<E> CalendarQueue<E> {
-    /// A queue with a day width tuned for millisecond-scale inter-arrivals.
-    pub fn new() -> Self {
-        Self::with_params(16, 1_000_000) // 16 buckets, 1 ms days
-    }
-
-    pub fn with_params(nbuckets: usize, day_width: u64) -> Self {
-        assert!(
-            nbuckets.is_power_of_two(),
-            "bucket count must be a power of two"
-        );
-        assert!(day_width > 0);
-        CalendarQueue {
-            buckets: (0..nbuckets).map(|_| Vec::new()).collect(),
-            day_width,
-            current_bucket: 0,
-            bucket_top: day_width,
-            len: 0,
-            grow_at: nbuckets * 2,
-            shrink_at: 0,
-            last_popped: None,
-            min_cache: std::cell::Cell::new(None),
-        }
-    }
-
-    #[inline]
-    fn bucket_of(&self, t: SimTime) -> usize {
-        ((t.0 / self.day_width) as usize) & (self.buckets.len() - 1)
-    }
-
-    fn resize(&mut self, nbuckets: usize) {
-        let mut all: Vec<Sequenced<E>> = Vec::with_capacity(self.len);
-        for b in self.buckets.iter_mut() {
-            all.append(b);
-        }
-        // Re-estimate day width as ~3x the average gap between the next few
-        // events, the classic heuristic; fall back to the old width when the
-        // sample is degenerate.
-        all.sort();
-        let sample = all.len().min(32);
-        let new_width = if sample >= 2 {
-            let span = all[sample - 1].key.time.0.saturating_sub(all[0].key.time.0);
-            let avg_gap = span / (sample as u64 - 1);
-            (avg_gap.saturating_mul(3)).max(1)
-        } else {
-            self.day_width
-        };
-
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        self.day_width = new_width;
-        self.grow_at = nbuckets * 2;
-        self.shrink_at = if nbuckets > 16 { nbuckets / 2 } else { 0 };
-        self.len = 0;
-
-        // Position the calendar at the earliest pending event so the scan
-        // starts in the right day.
-        if let Some(first) = all.first() {
-            let t = first.key.time.0;
-            self.current_bucket = ((t / self.day_width) as usize) & (nbuckets - 1);
-            self.bucket_top = (t / self.day_width + 1) * self.day_width;
-        } else {
-            self.current_bucket = 0;
-            self.bucket_top = self.day_width;
-        }
-        for ev in all {
-            self.push_inner(ev);
-        }
-    }
-
-    fn push_inner(&mut self, ev: Sequenced<E>) {
-        let b = self.bucket_of(ev.key.time);
-        // Keep buckets sorted descending so pop-min can use Vec::pop; buckets
-        // are short (O(1) expected), so insertion cost stays bounded.
-        let bucket = &mut self.buckets[b];
-        let pos = bucket
-            .binary_search_by(|probe| ev.key.cmp(&probe.key))
-            .unwrap_or_else(|p| p);
-        // A still-valid cached minimum only tightens on insert.
-        if let Some(m) = self.min_cache.get() {
-            if ev.key < m {
-                self.min_cache.set(Some(ev.key));
-            }
-        }
-        bucket.insert(pos, ev);
-        self.len += 1;
-
-        // If the new event is earlier than where the scan currently points,
-        // rewind the calendar so it is not skipped.
-        let t = self.buckets[b].last().map(|e| e.key.time.0).unwrap_or(0);
-        if t < self.bucket_top.saturating_sub(self.day_width) {
-            self.current_bucket = b;
-            self.bucket_top = (t / self.day_width + 1) * self.day_width;
-        }
-    }
-
-    /// Earliest key across all buckets — O(nbuckets), used when the forward
-    /// scan wraps a whole year without finding anything (sparse regime).
-    fn global_min(&self) -> Option<EventKey> {
-        self.buckets
-            .iter()
-            .filter_map(|b| b.last().map(|e| e.key))
-            .min()
-    }
-
-    /// Non-destructive mirror of `pop`'s search: scan forward from the
-    /// current day for at most one year (amortized O(1) in the dense regime),
-    /// falling back to the O(nbuckets) global scan only when the calendar is
-    /// sparse. Must find the same event `pop` would, which holds because
-    /// `push_inner` rewinds the calendar whenever an event lands before the
-    /// scan point.
-    fn scan_min(&self) -> Option<EventKey> {
-        if self.len == 0 {
-            return None;
-        }
-        let nbuckets = self.buckets.len();
-        let mut b = self.current_bucket;
-        let mut top = self.bucket_top;
-        for _ in 0..nbuckets {
-            if let Some(ev) = self.buckets[b].last() {
-                if ev.key.time.0 < top {
-                    return Some(ev.key);
-                }
-            }
-            b = (b + 1) & (nbuckets - 1);
-            top += self.day_width;
-        }
-        self.global_min()
-    }
-}
-
-impl<E> Default for CalendarQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> for CalendarQueue<E> {
-    fn push(&mut self, ev: Sequenced<E>) {
-        if let Some(last) = self.last_popped {
-            // Time-only monotonicity: under the interleaving-independent key
-            // a zero-delay send from a low-id actor may legitimately carry a
-            // key *below* the last-popped key at the same timestamp (its
-            // issuer/seq tiebreak is smaller). Scheduling strictly before the
-            // current time is still a bug.
-            debug_assert!(
-                ev.key.time >= last.time,
-                "event scheduled in the past: {:?} < {:?}",
-                ev.key,
-                last
-            );
-        }
-        self.push_inner(ev);
-        if self.len > self.grow_at {
-            let n = self.buckets.len() * 2;
-            self.resize(n);
-        }
-    }
-
-    fn pop(&mut self) -> Option<Sequenced<E>> {
-        if self.len == 0 {
-            return None;
-        }
-        self.min_cache.set(None);
-        let nbuckets = self.buckets.len();
-        loop {
-            // Scan at most one full year; in the sparse regime fall back to a
-            // global min search and jump the calendar there.
-            for _ in 0..nbuckets {
-                let b = self.current_bucket;
-                if let Some(ev) = self.buckets[b].last() {
-                    if ev.key.time.0 < self.bucket_top {
-                        let ev = self.buckets[b].pop().expect("non-empty bucket");
-                        self.len -= 1;
-                        self.last_popped = Some(ev.key);
-                        if self.len < self.shrink_at {
-                            let n = (self.buckets.len() / 2).max(16);
-                            self.resize(n);
-                        }
-                        return Some(ev);
-                    }
-                }
-                self.current_bucket = (b + 1) & (nbuckets - 1);
-                self.bucket_top += self.day_width;
-            }
-            let min = self.global_min().expect("len > 0 implies a pending event");
-            let t = min.time.0;
-            self.current_bucket = ((t / self.day_width) as usize) & (nbuckets - 1);
-            self.bucket_top = (t / self.day_width + 1) * self.day_width;
-        }
-    }
-
-    fn peek_key(&self) -> Option<EventKey> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(k) = self.min_cache.get() {
-            return Some(k);
-        }
-        let k = self.scan_min().expect("len > 0 implies a pending event");
-        self.min_cache.set(Some(k));
-        Some(k)
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,71 +296,6 @@ mod tests {
         let keys = drain(&mut q);
         check_total_order(&keys);
         assert_eq!(keys.len(), 6);
-    }
-
-    #[test]
-    fn calendar_orders_events() {
-        let mut q = CalendarQueue::with_params(16, 1000);
-        for (i, t) in [50u64, 10, 30, 10, 70, 0, 100_000, 3].iter().enumerate() {
-            q.push(Sequenced::new(SimTime(*t), i as u64, i as u32));
-        }
-        let keys = drain(&mut q);
-        check_total_order(&keys);
-        assert_eq!(keys.len(), 8);
-    }
-
-    #[test]
-    fn calendar_handles_sparse_far_future() {
-        let mut q = CalendarQueue::with_params(16, 1000);
-        q.push(Sequenced::new(SimTime(10_000_000_000), 0, 1u32));
-        q.push(Sequenced::new(SimTime(20_000_000_000), 1, 2u32));
-        assert_eq!(q.pop().unwrap().payload, 1);
-        assert_eq!(q.pop().unwrap().payload, 2);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn calendar_resizes_under_load() {
-        let mut q = CalendarQueue::with_params(16, 1000);
-        for i in 0..10_000u64 {
-            q.push(Sequenced::new(SimTime(i * 37 % 5000), i, i as u32));
-        }
-        assert_eq!(q.len(), 10_000);
-        let keys = drain(&mut q);
-        check_total_order(&keys);
-        assert_eq!(keys.len(), 10_000);
-    }
-
-    #[test]
-    fn calendar_peek_matches_pop_through_churn() {
-        // peek_key must always name the key the next pop returns, across
-        // interleaved pushes (cache tightening), pops (cache invalidation),
-        // resizes, and the sparse far-future fallback.
-        let mut q = CalendarQueue::with_params(16, 1000);
-        let mut seq = 0u64;
-        let mut push = |q: &mut CalendarQueue<u32>, t: u64| {
-            q.push(Sequenced::new(SimTime(t), seq, 0u32));
-            seq += 1;
-        };
-        for i in 0..500u64 {
-            push(&mut q, 10_000 + i * 13 % 4000);
-        }
-        push(&mut q, 5); // earlier than everything: cache must tighten
-        assert_eq!(q.peek_key().unwrap().time, SimTime(5));
-        while q.len() > 0 {
-            let peeked = q.peek_key().expect("non-empty");
-            assert_eq!(q.peek_key(), Some(peeked), "repeated peek disagrees");
-            let popped = q.pop().expect("non-empty");
-            assert_eq!(peeked, popped.key, "peek disagreed with pop");
-        }
-        assert_eq!(q.peek_key(), None);
-
-        // Sparse regime: events far beyond one calendar year.
-        push(&mut q, 10_000_000_000);
-        push(&mut q, 20_000_000_000);
-        assert_eq!(q.peek_key().unwrap().time, SimTime(10_000_000_000));
-        assert_eq!(q.pop().unwrap().key.time, SimTime(10_000_000_000));
-        assert_eq!(q.peek_key().unwrap().time, SimTime(20_000_000_000));
     }
 
     #[test]

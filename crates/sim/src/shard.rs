@@ -650,9 +650,8 @@ where
         }
 
         // Route the pending-event set to the owning shards. The old queue is
-        // replaced (not reused) so backend-internal bookkeeping — e.g. the
-        // calendar queue's last-popped monotonicity check — starts fresh for
-        // whatever survives the run.
+        // replaced (not reused) so whatever bookkeeping a backend keeps about
+        // what it has popped starts fresh for whatever survives the run.
         while let Some(ev) = self.queue.pop() {
             let dst = part.shard_of()[ev.payload.destination().index()] as usize;
             shard_states[dst].queue.push(ev);
@@ -766,7 +765,7 @@ where
 mod tests {
     use super::*;
     use crate::engine::{ActorId, Ctx, World};
-    use crate::queue::{BinaryHeapQueue, CalendarQueue};
+    use crate::queue::BinaryHeapQueue;
     use crate::time::SimTime;
 
     /// A chatty actor: every delivery re-sends to a pseudo-random peer with
@@ -1011,38 +1010,6 @@ mod tests {
         assert!(
             wide_windows < narrow_windows,
             "3 ms pairwise windows ({wide_windows}) should beat 1 ms ones ({narrow_windows})"
-        );
-    }
-
-    #[test]
-    fn sharded_run_matches_serial_on_calendar_backend() {
-        let mut serial = gossip_world(6, 7);
-        serial.run();
-        let want = fingerprint(&serial);
-        let mut w = GenericWorld::with_queue(
-            (0..6)
-                .map(|_| Gossip {
-                    n: 6,
-                    log: Vec::new(),
-                    fired: 0,
-                    pending: None,
-                })
-                .collect(),
-            7,
-            CalendarQueue::new(),
-        );
-        for i in 0..6 {
-            w.send_external(ActorId(i), 40, SimDuration::from_millis(1 + u64::from(i)));
-        }
-        w.run_sharded(3, SimDuration::from_millis(1), u64::MAX);
-        assert_eq!(
-            (
-                w.actors().iter().map(|a| a.log.clone()).collect::<Vec<_>>(),
-                w.messages_delivered(),
-                w.timers_fired(),
-                w.now(),
-            ),
-            want
         );
     }
 

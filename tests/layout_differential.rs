@@ -5,18 +5,21 @@
 //! the on-demand topology representations are all pure performance knobs:
 //! none of them may perturb a single simulated outcome. Two layers of proof:
 //!
-//! 1. **Golden digests** — a grid of small cells (benchmark × scheduler ×
-//!    queue backend) was run *before* the refactor and its full outcome
-//!    (metrics + the complete protocol trace) hashed into the constants
-//!    below. The refactored layouts must reproduce every digest bit-for-bit.
+//! 1. **Golden digests** — a grid of small cells (benchmark × scheduler)
+//!    was run *before* the refactor and its full outcome (metrics + the
+//!    complete protocol trace) hashed into the constants below. The
+//!    refactored layouts must reproduce every digest bit-for-bit.
 //! 2. **Property tests** — on-demand topology representations must agree
 //!    with a materialized dense matrix at every pair, and whole runs driven
 //!    through either representation must be trajectory-identical.
 
+mod common;
+
 use closed_nesting_dstm::harness::runner::{run_cell_traced, Cell, TopologySpec};
 use closed_nesting_dstm::prelude::*;
+use common::{outcome_line, run_traced_on, ModelQueue};
 use dstm_net::Topology;
-use dstm_sim::{ActorId, SimRng};
+use dstm_sim::{ActorId, BinaryHeapQueue, SimRng};
 use proptest::prelude::*;
 use rts_core::SchedulerKind;
 
@@ -26,33 +29,15 @@ const SCHEDULERS: [SchedulerKind; 3] = [
     SchedulerKind::TfaBackoff,
 ];
 
-/// FNV-1a over a byte string (stable, dependency-free).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn golden_cells() -> Vec<(&'static str, Cell)> {
     let mut out = Vec::new();
     for (b, blabel) in [(Benchmark::Bank, "bank"), (Benchmark::Vacation, "vacation")] {
         for s in SCHEDULERS {
-            for (q, qlabel) in [
-                (hyflow_dstm::QueueBackend::BinaryHeap, "heap"),
-                (hyflow_dstm::QueueBackend::Calendar, "calendar"),
-            ] {
-                let mut cell = Cell::new(b, s, 6, 0.5)
-                    .with_txns(6)
-                    .with_seed(7)
-                    .with_queue_backend(q);
-                cell.params.objects_per_node = 4;
-                let name: &'static str =
-                    Box::leak(format!("{blabel}/{}/{qlabel}", s.label()).into_boxed_str());
-                out.push((name, cell));
-            }
+            let mut cell = Cell::new(b, s, 6, 0.5).with_txns(6).with_seed(7);
+            cell.params.objects_per_node = 4;
+            let name: &'static str =
+                Box::leak(format!("{blabel}/{}/heap", s.label()).into_boxed_str());
+            out.push((name, cell));
         }
     }
     out
@@ -63,21 +48,7 @@ fn golden_cells() -> Vec<(&'static str, Cell)> {
 fn digest(cell: Cell) -> String {
     let (r, trace) = run_cell_traced(cell);
     assert!(r.completed, "golden cell stalled");
-    let m = &r.metrics;
-    format!(
-        "commits={} aborts={} nested_commits={} nested_own={} nested_parent={} \
-         messages={} elapsed={} ended_at={} trace_records={} trace_fnv={:016x}",
-        m.merged.commits,
-        m.merged.total_aborts(),
-        m.merged.nested_commits,
-        m.merged.nested_aborts_own,
-        m.merged.nested_aborts_parent,
-        m.messages,
-        m.elapsed.as_nanos(),
-        m.ended_at.as_nanos(),
-        trace.records.len(),
-        fnv1a(trace.to_jsonl().as_bytes()),
-    )
+    outcome_line(&r.metrics, &trace)
 }
 
 /// Captured from the pre-refactor layouts (HashMap-backed node state, dense
@@ -100,17 +71,11 @@ fn digest(cell: Cell) -> String {
 /// cell's record count moved by exactly +1 (the header).
 const GOLDEN: &[(&str, &str)] = &[
     ("bank/RTS/heap", "commits=36 aborts=84 nested_commits=375 nested_own=218 nested_parent=281 messages=2551 elapsed=3415709000 ended_at=3415709000 trace_records=1398 trace_fnv=fef08a6a58984aa6"),
-    ("bank/RTS/calendar", "commits=36 aborts=84 nested_commits=375 nested_own=218 nested_parent=281 messages=2551 elapsed=3415709000 ended_at=3415709000 trace_records=1398 trace_fnv=fef08a6a58984aa6"),
     ("bank/TFA/heap", "commits=36 aborts=76 nested_commits=357 nested_own=305 nested_parent=259 messages=2650 elapsed=3686089000 ended_at=3686089000 trace_records=1413 trace_fnv=b9152a6b3751108f"),
-    ("bank/TFA/calendar", "commits=36 aborts=76 nested_commits=357 nested_own=305 nested_parent=259 messages=2650 elapsed=3686089000 ended_at=3686089000 trace_records=1413 trace_fnv=b9152a6b3751108f"),
     ("bank/TFA+Backoff/heap", "commits=36 aborts=81 nested_commits=354 nested_own=371 nested_parent=258 messages=2645 elapsed=3418078000 ended_at=3418078000 trace_records=1481 trace_fnv=e9597a89af570da8"),
-    ("bank/TFA+Backoff/calendar", "commits=36 aborts=81 nested_commits=354 nested_own=371 nested_parent=258 messages=2645 elapsed=3418078000 ended_at=3418078000 trace_records=1481 trace_fnv=e9597a89af570da8"),
     ("vacation/RTS/heap", "commits=36 aborts=39 nested_commits=147 nested_own=138 nested_parent=80 messages=1272 elapsed=2002658000 ended_at=2002658000 trace_records=672 trace_fnv=ca282a6f1a872b07"),
-    ("vacation/RTS/calendar", "commits=36 aborts=39 nested_commits=147 nested_own=138 nested_parent=80 messages=1272 elapsed=2002658000 ended_at=2002658000 trace_records=672 trace_fnv=ca282a6f1a872b07"),
     ("vacation/TFA/heap", "commits=36 aborts=47 nested_commits=169 nested_own=77 nested_parent=104 messages=1260 elapsed=2577996000 ended_at=2577996000 trace_records=669 trace_fnv=7b8f6f97263216a6"),
-    ("vacation/TFA/calendar", "commits=36 aborts=47 nested_commits=169 nested_own=77 nested_parent=104 messages=1260 elapsed=2577996000 ended_at=2577996000 trace_records=669 trace_fnv=7b8f6f97263216a6"),
     ("vacation/TFA+Backoff/heap", "commits=36 aborts=47 nested_commits=169 nested_own=70 nested_parent=104 messages=1243 elapsed=2488553000 ended_at=2488553000 trace_records=661 trace_fnv=ecb33351940005a4"),
-    ("vacation/TFA+Backoff/calendar", "commits=36 aborts=47 nested_commits=169 nested_own=70 nested_parent=104 messages=1243 elapsed=2488553000 ended_at=2488553000 trace_records=661 trace_fnv=ecb33351940005a4"),
 ];
 
 #[test]
@@ -176,25 +141,29 @@ proptest! {
     }
 
     /// Whole runs on the hashed O(1)-memory topology: deterministic, and
-    /// bit-identical across both event-queue backends (the same proof the
-    /// goldens give the dense-matrix path, extended to `--scale large`'s
-    /// network model).
+    /// bit-identical on the heap and on a queue that shares no code with it
+    /// (the same proof the goldens give the dense-matrix path, extended to
+    /// `--scale large`'s network model).
     #[test]
     fn hashed_topology_runs_bit_identical_across_backends(
         seed in 1u64..10_000, sched in 0usize..3,
     ) {
-        let mk = |q| {
+        let mk = || {
             let mut c = Cell::new(Benchmark::Bank, SCHEDULERS[sched], 5, 0.5)
                 .with_txns(4)
                 .with_seed(seed)
-                .with_queue_backend(q)
                 .with_topology(TopologySpec::HashedRandom { min_ms: 1, max_ms: 50 });
             c.params.objects_per_node = 3;
             c
         };
-        let heap = digest(mk(hyflow_dstm::QueueBackend::BinaryHeap));
-        let calendar = digest(mk(hyflow_dstm::QueueBackend::Calendar));
-        prop_assert_eq!(&heap, &calendar);
-        prop_assert_eq!(heap, digest(mk(hyflow_dstm::QueueBackend::BinaryHeap)));
+        let on_heap = || {
+            let (m, trace) = run_traced_on(mk(), BinaryHeapQueue::new());
+            outcome_line(&m, &trace)
+        };
+        let (m, trace) = run_traced_on(mk(), ModelQueue::default());
+        prop_assert!(m.merged.commits > 0, "nothing committed");
+        let heap = on_heap();
+        prop_assert_eq!(&heap, &outcome_line(&m, &trace));
+        prop_assert_eq!(heap, on_heap());
     }
 }

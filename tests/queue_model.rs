@@ -1,16 +1,22 @@
-//! Model-based property tests for the default pending-event set.
+//! Model-based property tests for the pending-event set.
 //!
 //! [`BinaryHeapQueue`] is checked against the simplest structure with the
-//! same contract — a `BTreeMap<(time, seq), payload>` — over random
-//! interleavings of `push`, `pop`, `peek_key` and `len`. The streams are
-//! shaped after what the kernel really does to its queue:
+//! same contract — [`ModelQueue`], a `BTreeMap<(time, seq), payload>` — over
+//! random interleavings of `push`, `pop`, `peek_key` and `len`. The streams
+//! are shaped after what the kernel really does to its queue:
 //!
 //! * many events share a timestamp (zero-delay local sends), so the
 //!   `(issuer, per-actor seq)` tiebreak word decides most comparisons;
 //! * a low-id actor may push, at the current instant, a key *below* the key
 //!   just popped (same time, smaller tiebreak);
+//! * some events lie 10^12 ns and more ahead, at many distinct instants, so
+//!   the time half of the packed key decides at large values too;
 //! * the length wanders across every `4k+1 … 4k+4` boundary, so the heap's
 //!   last, partially filled group of children is hit at every depth.
+//!
+//! Then a whole actor world — messages, timers, timer cancellations — runs
+//! once on the heap and once on the model, and must follow the same
+//! trajectory.
 //!
 //! `lookahead` rides along on every one of those streams: whenever the model
 //! is consulted, its first two entries must be exactly the two payloads the
@@ -23,11 +29,13 @@
 
 mod common;
 
-use closed_nesting_dstm::sim::{BinaryHeapQueue, EventKey, EventQueue, Sequenced, SimTime};
-use common::NoLookahead;
+use closed_nesting_dstm::sim::{
+    Actor, ActorId, BinaryHeapQueue, Ctx, EventKey, EventQueue, GenericWorld, KernelEvent,
+    Sequenced, SimDuration, SimTime, TimerToken,
+};
+use common::{ModelQueue, NoLookahead};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use std::collections::BTreeMap;
 
 const ISSUERS: u64 = 6;
 
@@ -35,7 +43,7 @@ const ISSUERS: u64 = 6;
 /// the last popped key and one issue counter per actor (keys are unique).
 struct Pair {
     heap: BinaryHeapQueue<u32>,
-    model: BTreeMap<(u64, u64), u32>,
+    model: ModelQueue<u32>,
     last: EventKey,
     issued: [u64; ISSUERS as usize],
     payload: u32,
@@ -45,7 +53,7 @@ impl Pair {
     fn new() -> Self {
         Pair {
             heap: BinaryHeapQueue::new(),
-            model: BTreeMap::new(),
+            model: ModelQueue::default(),
             last: EventKey::new(SimTime(0), 0),
             issued: [0; ISSUERS as usize],
             payload: 0,
@@ -56,28 +64,23 @@ impl Pair {
         self.issued[issuer as usize] += 1;
         let key = EventKey::compose(SimTime(time), issuer as u32, self.issued[issuer as usize]);
         self.payload += 1;
-        assert!(
-            self.model
-                .insert((key.time.0, key.seq), self.payload)
-                .is_none(),
-            "generator produced a duplicate key"
-        );
-        self.heap.push(Sequenced {
-            key,
-            payload: self.payload,
-        });
+        let payload = self.payload;
+        self.model.push(Sequenced { key, payload });
+        self.heap.push(Sequenced { key, payload });
     }
 
     /// A push shaped by one random word: a handful of distinct timestamps
-    /// just ahead of the clock (ties dominate), now and then one far ahead.
+    /// just ahead of the clock (ties dominate), now and then one far ahead —
+    /// at one fixed distance, or at one of a thousand.
     fn push_random(&mut self, word: u64) {
         let issuer = word % ISSUERS;
         let body = word / ISSUERS;
-        let ahead = match body % 8 {
+        let ahead = match body % 9 {
             0 => 0,
-            1..=5 => (body / 8 % 4) * 30_000,
-            6 => 1_000_000 + body / 8 % 50_000_000,
-            _ => 1 << 40,
+            1..=5 => (body / 9 % 4) * 30_000,
+            6 => 1_000_000 + body / 9 % 50_000_000,
+            7 => 1 << 40,
+            _ => 1_000_000_000_000 + (body / 9 % 1_000) * 7_919,
         };
         self.push(self.last.time.0 + ahead, issuer);
     }
@@ -92,7 +95,7 @@ impl Pair {
     /// The heap always knows its two smallest entries (the root and the best
     /// of the root's children), so it must offer both whenever they exist.
     fn check_lookahead(&self) -> Result<(), TestCaseError> {
-        let mut soonest = self.model.values();
+        let mut soonest = self.model.0.values();
         let want = [soonest.next(), soonest.next()];
         prop_assert_eq!(
             self.heap.lookahead(),
@@ -105,20 +108,11 @@ impl Pair {
 
     fn pop(&mut self) -> Result<(), TestCaseError> {
         self.check_lookahead()?;
-        let expect = self.model.pop_first();
-        let got = self.heap.pop();
-        match (expect, got) {
-            (None, None) => {}
-            (Some(((t, s), p)), Some(ev)) => {
-                prop_assert_eq!((ev.key.time.0, ev.key.seq, ev.payload), (t, s, p));
-                self.last = ev.key;
-            }
-            (e, g) => {
-                return Err(TestCaseError::fail(format!(
-                    "model popped {e:?}, heap popped {:?}",
-                    g.map(|ev| (ev.key, ev.payload))
-                )))
-            }
+        let expect = self.model.pop().map(|ev| (ev.key, ev.payload));
+        let got = self.heap.pop().map(|ev| (ev.key, ev.payload));
+        prop_assert_eq!(got, expect, "heap against model");
+        if let Some((key, _)) = got {
+            self.last = key;
         }
         Ok(())
     }
@@ -126,11 +120,7 @@ impl Pair {
     fn check_view(&self) -> Result<(), TestCaseError> {
         prop_assert_eq!(self.heap.len(), self.model.len());
         prop_assert_eq!(self.heap.is_empty(), self.model.is_empty());
-        let first = self
-            .model
-            .first_key_value()
-            .map(|(&(t, s), _)| EventKey::new(SimTime(t), s));
-        prop_assert_eq!(self.heap.peek_key(), first);
+        prop_assert_eq!(self.heap.peek_key(), self.model.peek_key());
         self.check_lookahead()
     }
 
@@ -158,6 +148,90 @@ fn a_backend_without_an_override_offers_no_lookahead() {
             Some(&0),
             "the wrapped heap still answers"
         );
+    }
+}
+
+const CHAOS_ACTORS: u64 = 3;
+
+/// An actor that randomly sends, arms timers, and cancels previously armed
+/// timers, logging everything it observes. Budgets (`msg` counts down)
+/// guarantee termination.
+#[derive(Default)]
+struct Chaos {
+    tokens: Vec<TimerToken>,
+    log: Vec<(u64, u32)>,
+}
+
+impl Actor for Chaos {
+    type Msg = u32;
+    type Timer = u32;
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, u32, u32>, _from: ActorId, msg: u32) {
+        self.log.push((ctx.now().0, msg));
+        if msg == 0 {
+            return;
+        }
+        let kind = ctx.rng().below(4);
+        if kind == 0 {
+            let d = SimDuration::from_micros(ctx.rng().below(5_000));
+            let token = ctx.set_timer(d, msg - 1);
+            self.tokens.push(token);
+            return;
+        }
+        if kind == 1 {
+            if let Some(token) = self.tokens.pop() {
+                ctx.cancel_timer(token);
+            }
+        }
+        let to = ActorId(ctx.rng().below(CHAOS_ACTORS) as u32);
+        let d = SimDuration::from_micros(1 + ctx.rng().below(2_000));
+        ctx.send(to, msg - 1, d);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u32, u32>, timer: u32) {
+        self.log.push((ctx.now().0, 1_000_000 + timer));
+        if timer > 0 {
+            let to = ActorId(ctx.rng().below(CHAOS_ACTORS) as u32);
+            let d = SimDuration::from_micros(1 + ctx.rng().below(3_000));
+            ctx.send(to, timer - 1, d);
+        }
+    }
+}
+
+/// (per-actor logs, messages delivered, timers fired, final virtual time).
+type ChaosOutcome = (Vec<Vec<(u64, u32)>>, u64, u64, u64);
+
+fn run_chaos<Q: EventQueue<KernelEvent<u32, u32>>>(
+    queue: Q,
+    seed: u64,
+    budget: u32,
+) -> ChaosOutcome {
+    let actors = (0..CHAOS_ACTORS).map(|_| Chaos::default()).collect();
+    let mut w = GenericWorld::with_queue(actors, seed, queue);
+    for i in 0..CHAOS_ACTORS {
+        w.send_external(ActorId(i as u32), budget, SimDuration::from_micros(i * 100));
+    }
+    w.run();
+    (
+        w.actors().iter().map(|a| a.log.clone()).collect(),
+        w.messages_delivered(),
+        w.timers_fired(),
+        w.now().0,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+    #[test]
+    fn chaos_world_on_the_heap_matches_the_model_queue(
+        seed in 0u64..100_000,
+        budget in 1u32..24,
+    ) {
+        let heap = run_chaos(BinaryHeapQueue::new(), seed, budget);
+        let model = run_chaos(ModelQueue::default(), seed, budget);
+        prop_assert!(heap.1 + heap.2 > 0, "nothing ran");
+        prop_assert_eq!(heap, model);
     }
 }
 

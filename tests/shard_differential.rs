@@ -12,8 +12,12 @@
 //! bar the queue-backend and data-layout refactors had to clear
 //! (`layout_differential.rs`), extended to parallel execution.
 
+mod common;
+
 use closed_nesting_dstm::harness::runner::{run_cell, run_cell_traced, Cell, TopologySpec};
 use closed_nesting_dstm::prelude::*;
+use common::{outcome_line, run_traced_on, ModelQueue};
+use dstm_sim::BinaryHeapQueue;
 use proptest::prelude::*;
 use rts_core::SchedulerKind;
 
@@ -28,16 +32,6 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const PARTITIONS: [PartitionStrategy; 2] =
     [PartitionStrategy::RoundRobin, PartitionStrategy::Locality];
 
-/// FNV-1a over a byte string (stable, dependency-free).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn small_cell(benchmark: Benchmark, scheduler: SchedulerKind, seed: u64) -> Cell {
     let mut cell = Cell::new(benchmark, scheduler, 6, 0.5)
         .with_txns(5)
@@ -51,21 +45,7 @@ fn small_cell(benchmark: Benchmark, scheduler: SchedulerKind, seed: u64) -> Cell
 fn traced_digest(cell: Cell) -> String {
     let (r, trace) = run_cell_traced(cell);
     assert!(r.completed, "cell stalled");
-    let m = &r.metrics;
-    format!(
-        "commits={} aborts={} nested_commits={} nested_own={} nested_parent={} \
-         messages={} elapsed={} ended_at={} trace_records={} trace_fnv={:016x}",
-        m.merged.commits,
-        m.merged.total_aborts(),
-        m.merged.nested_commits,
-        m.merged.nested_aborts_own,
-        m.merged.nested_aborts_parent,
-        m.messages,
-        m.elapsed.as_nanos(),
-        m.ended_at.as_nanos(),
-        trace.records.len(),
-        fnv1a(trace.to_jsonl().as_bytes()),
-    )
+    outcome_line(&r.metrics, &trace)
 }
 
 #[test]
@@ -122,13 +102,13 @@ fn sharded_untraced_runs_match_serial_including_histograms() {
 
 #[test]
 fn sharding_composes_with_queue_backend_and_topology() {
-    // The orthogonal execution knobs — shard count, partitioner, queue
-    // backend, network representation — must all leave the outcome
-    // untouched. The hashed topology matters here: its lookahead matrix is
-    // the generator-floor lower bound, not the exact pairwise minimum.
-    let mk = |shards, partition, backend| {
+    // The orthogonal execution knobs — shard count, partitioner, network
+    // representation, and which queue every shard runs on — must all leave
+    // the outcome untouched. The hashed topology matters here: its lookahead
+    // matrix is the generator-floor lower bound, not the exact pairwise
+    // minimum.
+    let mk = |shards, partition| {
         let mut c = small_cell(Benchmark::Bank, SchedulerKind::Rts, 3)
-            .with_queue_backend(backend)
             .with_topology(TopologySpec::HashedRandom {
                 min_ms: 1,
                 max_ms: 50,
@@ -138,24 +118,26 @@ fn sharding_composes_with_queue_backend_and_topology() {
         c.params.objects_per_node = 3;
         c
     };
-    let want = traced_digest(mk(
-        1,
-        PartitionStrategy::RoundRobin,
-        hyflow_dstm::QueueBackend::BinaryHeap,
-    ));
-    for backend in [
-        hyflow_dstm::QueueBackend::BinaryHeap,
-        hyflow_dstm::QueueBackend::Calendar,
-    ] {
-        for shards in [2, 4] {
-            for partition in PARTITIONS {
-                assert_eq!(
-                    want,
-                    traced_digest(mk(shards, partition, backend)),
-                    "diverged at {shards} shards / {} on {backend:?}",
-                    partition.label()
-                );
-            }
+    let want = traced_digest(mk(1, PartitionStrategy::RoundRobin));
+    // The same cell without the runner's header and summary records, which
+    // `run_traced_on` does not add: what the model-queue runs must equal.
+    let (m, trace) = run_traced_on(mk(1, PartitionStrategy::RoundRobin), BinaryHeapQueue::new());
+    let want_on_model = outcome_line(&m, &trace);
+    for shards in [1, 2, 4] {
+        for partition in PARTITIONS {
+            assert_eq!(
+                want,
+                traced_digest(mk(shards, partition)),
+                "diverged at {shards} shards / {}",
+                partition.label()
+            );
+            let (m, trace) = run_traced_on(mk(shards, partition), ModelQueue::default());
+            assert_eq!(
+                want_on_model,
+                outcome_line(&m, &trace),
+                "diverged at {shards} shards / {} on the model queue",
+                partition.label()
+            );
         }
     }
 }
