@@ -346,8 +346,8 @@ fn bench_full_cell(c: &mut Criterion) {
 /// default — every recording site is behind one branch) versus enabled
 /// (events are pushed into per-node buffers and merged at the end). The
 /// `off` variant must track `simulation-cell/bank-4nodes-rts` exactly;
-/// `dstm-sweep kernel` records the same comparison per benchmark into
-/// `BENCH_kernel.json` (`"trace": "off"` vs `"on"` rows).
+/// the benchmark's `observe_160` workload prices the enabled path at scale
+/// (`bench.trace_overhead_share`).
 fn bench_trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace-overhead");
     group.sample_size(10);

@@ -1,12 +1,12 @@
-//! Heap-allocation counting for kernel benchmarks.
+//! Heap-allocation counting for the allocation guard tests.
 //!
 //! Behind the `bench-alloc` feature this module installs a counting
 //! [`GlobalAlloc`] that wraps the system allocator with three relaxed
 //! atomics: total allocation count, current live bytes, and peak live
-//! bytes. `dstm-sweep kernel` resets the counters around each timed trial
-//! and records allocations-per-event plus peak bytes into
-//! `BENCH_kernel.json`, turning "steady-state event handling allocates
-//! (almost) nothing" from a claim into a tracked number.
+//! bytes. The guard tests (`tests/hotpath_alloc.rs`, `mailbox_alloc.rs`,
+//! `trace_codec_alloc.rs`) reset the counters around a fixed run and pin
+//! the allocator calls it makes, turning "steady-state event handling
+//! allocates (almost) nothing" from a claim into a checked number.
 //!
 //! With the feature off every probe compiles to zeros and no allocator is
 //! installed, so the default build's timings are untouched.
@@ -84,8 +84,8 @@ pub fn enabled() -> bool {
 /// zeroed, so a cross-reset free subtracts exactly what its allocation
 /// added). The one sharp edge is *attribution*: resetting while other
 /// threads are mid-run credits their in-flight allocations to the new
-/// window. Bracket whole pooled sweeps (as `dstm-sweep --scale large`
-/// does), or individual cells only on a quiesced pool.
+/// window. Bracket whole pooled sweeps, or individual cells only on a
+/// quiesced pool.
 pub fn reset() {
     #[cfg(feature = "bench-alloc")]
     imp::reset();

@@ -211,7 +211,7 @@ pub struct CellResult {
     pub cpu_ns: u64,
     /// Executor statistics for sharded cells (`None` for serial ones):
     /// per-shard event counts and per-shard barrier-wait nanoseconds, the
-    /// attribution data behind the BENCH_kernel.json sharded rows.
+    /// attribution data `dstm-sweep large-smoke --shards S` prints.
     pub shard_stats: Option<ShardRunStats>,
 }
 
