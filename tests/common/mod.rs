@@ -1,9 +1,12 @@
 //! Queues the integration tests put in the heap's place — a wrapper without
 //! a `lookahead` override, and the model the heap is checked against — the
-//! way to run a harness cell on one, and the line that sums a run up.
+//! way to run a harness cell on one, the line that sums a run up, and (in
+//! [`model_tx`]) the model the transaction runtime is checked against.
 
 // Each test target compiles this module and uses its own subset.
 #![allow(dead_code)]
+
+pub mod model_tx;
 
 use closed_nesting_dstm::harness::runner::{build_system_with_queue, Cell};
 use closed_nesting_dstm::hyflow::{NodeEvent, RunMetrics, TraceLog};
