@@ -8,10 +8,14 @@
 //! local plan drained through instant acquires.
 
 use crate::params::WorkloadParams;
+use crate::{op_checkpoint, op_position};
 use dstm_sim::SimDuration;
-use hyflow_dstm::program::{AccessMode, StepInput, StepOutput, TxProgram, WithTrailer};
+use hyflow_dstm::program::{
+    AccessMode, ProgramCheckpoint, StepInput, StepOutput, TxProgram, WithTrailer,
+};
 use hyflow_dstm::{BoxedProgram, Payload, WorkloadSource};
 use rts_core::{ObjectId, TxKind};
+use std::sync::Arc;
 
 pub const KIND_BST_READER: TxKind = TxKind(40);
 pub const KIND_BST_WRITER: TxKind = TxKind(41);
@@ -81,7 +85,7 @@ enum Phase {
     FindSucc,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 enum St {
     NextOp,
     OpenAck,
@@ -100,10 +104,16 @@ enum St {
 }
 
 /// The BST transaction program.
+///
+/// The descent path, removal target and write plan live inside one
+/// operation: `OpenAck` resets them before anything reads them, and every
+/// level boundary lies at `NextOp` (attempt start) or `OpenAck` (behind an
+/// `OpenNested`). The checkpoint is the operation index and which of the two.
 #[derive(Clone, Debug)]
 pub struct BstProgram {
     kind: TxKind,
-    ops: Vec<BstOp>,
+    /// Immutable and shared, so a `clone_box` copies a pointer.
+    ops: Arc<[BstOp]>,
     counter: ObjectId,
     pool_base: u64,
     pool_size: u64,
@@ -132,7 +142,7 @@ impl BstProgram {
     ) -> Self {
         BstProgram {
             kind,
-            ops,
+            ops: ops.into(),
             counter: ObjectId(COUNTER_BASE + invoking_node as u64),
             pool_base: POOL_BASE + invoking_node as u64 * pool_size,
             pool_size,
@@ -293,6 +303,17 @@ impl TxProgram for BstProgram {
 
     fn clone_box(&self) -> BoxedProgram {
         Box::new(self.clone())
+    }
+
+    fn checkpoint(&self) -> Option<ProgramCheckpoint> {
+        debug_assert!(matches!(self.st, St::NextOp | St::OpenAck));
+        Some(op_checkpoint(self.op_idx, self.st == St::OpenAck))
+    }
+
+    fn rewind(&mut self, to: &ProgramCheckpoint) {
+        let (op_idx, opened) = op_position(to);
+        self.op_idx = op_idx;
+        self.st = if opened { St::OpenAck } else { St::NextOp };
     }
 
     fn step(&mut self, input: StepInput<'_>) -> StepOutput {

@@ -6,10 +6,14 @@
 //! the highest-throughput benchmark in the paper's Figs. 4–5.
 
 use crate::params::WorkloadParams;
+use crate::{op_checkpoint, op_position};
 use dstm_sim::SimDuration;
-use hyflow_dstm::program::{AccessMode, StepInput, StepOutput, TxProgram, WithTrailer};
+use hyflow_dstm::program::{
+    AccessMode, ProgramCheckpoint, StepInput, StepOutput, TxProgram, WithTrailer,
+};
 use hyflow_dstm::{BoxedProgram, Payload, WorkloadSource};
 use rts_core::{ObjectId, TxKind};
+use std::sync::Arc;
 
 pub const KIND_DHT_READER: TxKind = TxKind(60);
 pub const KIND_DHT_WRITER: TxKind = TxKind(61);
@@ -47,7 +51,7 @@ pub fn bucket_of(key: u64, buckets: u64) -> ObjectId {
     ObjectId(BUCKET_BASE + key % buckets)
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum St {
     NextOp,
     OpenAck,
@@ -57,11 +61,14 @@ enum St {
     Gap,
 }
 
-/// The DHT transaction program.
+/// The DHT transaction program. Its checkpoint is the operation index and
+/// whether the operation's `OpenNested` is out (`OpenAck`) or not
+/// (`NextOp`): it is at a level boundary in no other state.
 #[derive(Clone, Debug)]
 pub struct DhtProgram {
     kind: TxKind,
-    ops: Vec<DhtOp>,
+    /// Immutable and shared, so a `clone_box` copies a pointer.
+    ops: Arc<[DhtOp]>,
     buckets: u64,
     compute: SimDuration,
     op_idx: usize,
@@ -72,7 +79,7 @@ impl DhtProgram {
     pub fn new(kind: TxKind, ops: Vec<DhtOp>, buckets: u64, compute: SimDuration) -> Self {
         DhtProgram {
             kind,
-            ops,
+            ops: ops.into(),
             buckets,
             compute,
             op_idx: 0,
@@ -98,10 +105,21 @@ impl TxProgram for DhtProgram {
         Box::new(self.clone())
     }
 
+    fn checkpoint(&self) -> Option<ProgramCheckpoint> {
+        debug_assert!(matches!(self.st, St::NextOp | St::OpenAck));
+        Some(op_checkpoint(self.op_idx, self.st == St::OpenAck))
+    }
+
+    fn rewind(&mut self, to: &ProgramCheckpoint) {
+        let (op_idx, opened) = op_position(to);
+        self.op_idx = op_idx;
+        self.st = if opened { St::OpenAck } else { St::NextOp };
+    }
+
     fn access_hint(&self, out: &mut Vec<ObjectId>) {
         // Key→bucket mapping is static, so the full access set is known up
         // front — exactly what the locality partitioner wants.
-        for op in &self.ops {
+        for op in self.ops.iter() {
             out.push(bucket_of(op.key(), self.buckets));
         }
     }

@@ -33,3 +33,22 @@ pub mod vacation;
 
 pub use params::WorkloadParams;
 pub use suite::Benchmark;
+
+use hyflow_dstm::program::ProgramCheckpoint;
+
+/// The checkpoint of a program that runs a list of operations, one
+/// closed-nested child each (the four data structures): the index of the
+/// current operation and whether its `OpenNested` is out. Such a program is
+/// at a level boundary — the only place it is asked — in those two states
+/// alone, and what an operation accumulates it resets when the next opens.
+fn op_checkpoint(op_idx: usize, opened: bool) -> ProgramCheckpoint {
+    ProgramCheckpoint {
+        pc: op_idx as u64,
+        regs: [i64::from(opened), 0, 0],
+    }
+}
+
+/// `(op_idx, opened)` of an [`op_checkpoint`].
+fn op_position(at: &ProgramCheckpoint) -> (usize, bool) {
+    (at.pc as usize, at.regs[0] != 0)
+}

@@ -10,10 +10,14 @@
 //! targets.
 
 use crate::params::WorkloadParams;
+use crate::{op_checkpoint, op_position};
 use dstm_sim::SimDuration;
-use hyflow_dstm::program::{AccessMode, StepInput, StepOutput, TxProgram, WithTrailer};
+use hyflow_dstm::program::{
+    AccessMode, ProgramCheckpoint, StepInput, StepOutput, TxProgram, WithTrailer,
+};
 use hyflow_dstm::{BoxedProgram, Payload, WorkloadSource};
 use rts_core::{ObjectId, TxKind};
+use std::sync::Arc;
 
 pub const KIND_LL_READER: TxKind = TxKind(30);
 pub const KIND_LL_WRITER: TxKind = TxKind(31);
@@ -81,7 +85,7 @@ impl PrevLink {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum St {
     /// Between operations: emit `OpenNested` or `Finish`.
     NextOp,
@@ -110,10 +114,16 @@ enum St {
 }
 
 /// The LL transaction program.
+///
+/// Every level boundary lies between operations (`NextOp`, at attempt
+/// start) or right behind an `OpenNested` (`OpenAck`), and `OpenAck` resets
+/// the traversal state before anything reads it: the checkpoint is the
+/// operation index and which of the two states.
 #[derive(Clone, Debug)]
 pub struct ListProgram {
     kind: TxKind,
-    ops: Vec<ListOp>,
+    /// Immutable and shared, so a `clone_box` copies a pointer.
+    ops: Arc<[ListOp]>,
     counter: ObjectId,
     pool_base: u64,
     pool_size: u64,
@@ -138,7 +148,7 @@ impl ListProgram {
     ) -> Self {
         ListProgram {
             kind,
-            ops,
+            ops: ops.into(),
             counter: ObjectId(COUNTER_BASE + invoking_node as u64),
             pool_base: POOL_BASE + invoking_node as u64 * pool_size,
             pool_size,
@@ -168,6 +178,17 @@ impl TxProgram for ListProgram {
 
     fn clone_box(&self) -> BoxedProgram {
         Box::new(self.clone())
+    }
+
+    fn checkpoint(&self) -> Option<ProgramCheckpoint> {
+        debug_assert!(matches!(self.st, St::NextOp | St::OpenAck));
+        Some(op_checkpoint(self.op_idx, self.st == St::OpenAck))
+    }
+
+    fn rewind(&mut self, to: &ProgramCheckpoint) {
+        let (op_idx, opened) = op_position(to);
+        self.op_idx = op_idx;
+        self.st = if opened { St::OpenAck } else { St::NextOp };
     }
 
     fn step(&mut self, input: StepInput<'_>) -> StepOutput {

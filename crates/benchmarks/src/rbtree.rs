@@ -15,11 +15,15 @@
 //! mix.
 
 use crate::params::WorkloadParams;
+use crate::{op_checkpoint, op_position};
 use dstm_sim::SimDuration;
-use hyflow_dstm::program::{AccessMode, StepInput, StepOutput, TxProgram, WithTrailer};
+use hyflow_dstm::program::{
+    AccessMode, ProgramCheckpoint, StepInput, StepOutput, TxProgram, WithTrailer,
+};
 use hyflow_dstm::{BoxedProgram, Payload, WorkloadSource};
 use rts_core::{ObjectId, TxKind};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 pub const KIND_RB_READER: TxKind = TxKind(50);
 pub const KIND_RB_WRITER: TxKind = TxKind(51);
@@ -104,7 +108,7 @@ enum Fixup {
     Done,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 enum St {
     NextOp,
     OpenAck,
@@ -123,10 +127,18 @@ enum St {
 }
 
 /// The RB-Tree transaction program.
+///
+/// The local model (three maps), the fixup cursor and the write plan live
+/// inside one operation: `OpenAck` clears them before anything reads them,
+/// and every level boundary lies at `NextOp` (attempt start) or `OpenAck`
+/// (behind an `OpenNested`). So the checkpoint is the operation index and
+/// which of the two — a retry rewinds two fields where a `clone_box` copies
+/// the maps of the operation before.
 #[derive(Clone, Debug)]
 pub struct RbProgram {
     kind: TxKind,
-    ops: Vec<RbOp>,
+    /// Immutable and shared, so a `clone_box` copies a pointer.
+    ops: Arc<[RbOp]>,
     counter: ObjectId,
     pool_base: u64,
     pool_size: u64,
@@ -158,7 +170,7 @@ impl RbProgram {
     ) -> Self {
         RbProgram {
             kind,
-            ops,
+            ops: ops.into(),
             counter: ObjectId(COUNTER_BASE + invoking_node as u64),
             pool_base: POOL_BASE + invoking_node as u64 * pool_size,
             pool_size,
@@ -378,6 +390,17 @@ impl TxProgram for RbProgram {
 
     fn clone_box(&self) -> BoxedProgram {
         Box::new(self.clone())
+    }
+
+    fn checkpoint(&self) -> Option<ProgramCheckpoint> {
+        debug_assert!(matches!(self.st, St::NextOp | St::OpenAck));
+        Some(op_checkpoint(self.op_idx, self.st == St::OpenAck))
+    }
+
+    fn rewind(&mut self, to: &ProgramCheckpoint) {
+        let (op_idx, opened) = op_position(to);
+        self.op_idx = op_idx;
+        self.st = if opened { St::OpenAck } else { St::NextOp };
     }
 
     fn step(&mut self, input: StepInput<'_>) -> StepOutput {

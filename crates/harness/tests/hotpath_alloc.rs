@@ -2,15 +2,17 @@
 //!
 //! A simulated event should cost a pop, a dispatch, a handler and a few
 //! pushes — not a trip to the allocator. What legitimately allocates in
-//! steady state is protocol content: the `clone_box` snapshots of a
-//! (re)started or nested transaction, a fresh payload `Arc` on the first
-//! write to a fetched object, a `PublishAck`'s requester hand-off. What must
-//! not is bookkeeping: scratch sets rebuilt per handler, a boxed iterator
-//! per loop, a runtime moved through the heap, a scheduling-table entry
-//! created and deleted around a lookup. This test turns that split into a
-//! number: allocator calls per popped event over the **second half** of
-//! three fixed write-dominated cells (every pool and scratch buffer is warm
-//! by then), plus exact counts for the `TxRuntime` scratch paths.
+//! steady state is protocol content: a fresh payload `Arc` on the first
+//! write to a fetched object, the CL window of an object that changed
+//! owner, a `PublishAck`'s requester hand-off. What must not is
+//! bookkeeping: a program copied to be able to retry it, a working set per
+//! nesting level, a runtime per transaction, scratch sets rebuilt per
+//! handler or protocol round, a boxed iterator per loop, a runtime moved
+//! through the heap, a scheduling-table entry created and deleted around a
+//! lookup. This test turns that split into a number: allocator calls per
+//! popped event over the **second half** of three fixed write-dominated
+//! cells (every pool and scratch buffer is warm by then), plus exact counts
+//! — zero — for nesting, rollback and runtime reuse on a warm `TxRuntime`.
 //!
 //! Only meaningful with the counting allocator installed; without the
 //! feature the probes read zero and the test would pass vacuously, so it is
@@ -22,7 +24,7 @@ use dstm_harness::runner::build_system;
 use dstm_harness::{alloc_counter, Cell};
 use dstm_sim::SimTime;
 use hyflow_dstm::program::{ScriptOp, ScriptProgram};
-use hyflow_dstm::{AccessMode, Payload, TxRuntime};
+use hyflow_dstm::{AccessMode, BoxedProgram, Payload, ProgramSnapshot, TxRuntime};
 use rts_core::{ObjectId, SchedulerKind, TxId, TxKind};
 use std::sync::Arc;
 
@@ -57,48 +59,77 @@ fn second_half(benchmark: Benchmark) -> (u64, u64) {
     (allocs, rest)
 }
 
-/// A runtime two levels deep holding `objects` objects, half of them dirty:
-/// the shape `abort_to_level` and the commit-time summaries work on.
-fn loaded_runtime(objects: u64) -> TxRuntime {
-    let program = ScriptProgram::new(TxKind(1), vec![ScriptOp::Read(ObjectId(0))]);
-    let mut rt = TxRuntime::new(
-        TxId::new(0, 1),
-        Box::new(program),
-        SimTime::ZERO,
-        SimTime(1_000_000),
-        0,
-    );
-    load(&mut rt, objects);
-    rt
+fn program() -> BoxedProgram {
+    Box::new(ScriptProgram::new(
+        TxKind(1),
+        vec![ScriptOp::Read(ObjectId(0))],
+    ))
 }
 
-fn load(rt: &mut TxRuntime, objects: u64) {
-    let snapshot = rt.program.clone_box();
-    for oid in 0..objects {
-        if oid == objects / 2 {
-            rt.open_nested(TxKind(2), snapshot.clone_box(), SimTime::ZERO);
+/// The payloads `load` installs, built ahead so that a measured `load`
+/// counts the runtime's allocations, not the fixture's.
+fn payloads(objects: u64) -> Vec<Arc<Payload>> {
+    (0..objects)
+        .map(|oid| Arc::new(Payload::Scalar(oid as i64)))
+        .collect()
+}
+
+/// Make `rt` two levels deep holding one object per payload, the second half
+/// fetched by the child, every other one dirty: the shape `abort_to_level`
+/// and the commit-time summaries work on. Snapshots the program the way the
+/// executor does.
+fn load(rt: &mut TxRuntime, payloads: &[Arc<Payload>]) {
+    for (oid, payload) in (0u64..).zip(payloads) {
+        if oid as usize == payloads.len() / 2 {
+            let snapshot = ProgramSnapshot::of(rt.program.as_ref());
+            rt.open_nested(TxKind(2), snapshot, SimTime::ZERO);
         }
-        let payload = Arc::new(Payload::Scalar(oid as i64));
-        rt.install_fetched(ObjectId(oid), payload, 1, 1, 0, AccessMode::Write);
+        rt.install_fetched(
+            ObjectId(oid),
+            Arc::clone(payload),
+            1,
+            1,
+            0,
+            AccessMode::Write,
+        );
         if oid % 2 == 0 {
             rt.write_local(ObjectId(oid), Payload::Scalar(-1));
         }
     }
 }
 
+fn loaded_runtime(payloads: &[Arc<Payload>]) -> TxRuntime {
+    let mut rt = TxRuntime::new(
+        TxId::new(0, 1),
+        program(),
+        SimTime::ZERO,
+        SimTime(1_000_000),
+        0,
+    );
+    load(&mut rt, payloads);
+    rt
+}
+
 /// Allocator calls per 1000 popped events over the second half of the run
 /// that each cell may not exceed. The counts are exact (one thread, one
-/// seed): Bank 5119 / 10176 events = 503, Linked List 10813 / 31081 = 347,
-/// RB Tree 4535 / 9289 = 488; the bounds leave 2 % for a `Vec` doubling
-/// landing on the other side of the midpoint under another `std`. What is
-/// left is content — in Bank's second half 1028 `OpenNested` snapshots,
-/// 1033 + 2 × 180 rollback and restart `clone_box`es, 1071 fresh payload
-/// `Arc`s — plus one sized-once `pending` set per validation or lock round
-/// and the CL window of an object that changed owner.
+/// seed): Bank 1955 / 10176 events = 192, Linked List 1831 / 31081 = 58,
+/// RB Tree 894 / 9289 = 96 (503 / 347 / 488 while every nesting level and
+/// every retry copied the program); the bounds leave 2 % for a `Vec`
+/// doubling landing on the other side of the midpoint under another `std`.
+/// What is left, by call site, in Bank's second half: 1071 fresh payload
+/// `Arc`s (`write_local` on a shared payload), 477 for the CL windows of
+/// objects that changed owner (a new owner's window and its ring growing),
+/// 179 `granted` lists of lock rounds and 95 `stale` lists of failed
+/// validations, 59 in the stats table's sketch, 46 requester-queue entries
+/// and hand-offs, 28 others (table and buffer growth) — and no program
+/// copy: the in-tree programs all checkpoint, so the `clone_box` fallback
+/// (a program without `checkpoint`: one copy per transaction, per
+/// `OpenNested` and per rollback) does not run here. RB Tree's largest
+/// single site is its programs' own model maps (182).
 const BOUNDS_PER_1000_EVENTS: [(Benchmark, u64); 3] = [
-    (Benchmark::Bank, 513),
-    (Benchmark::LinkedList, 354),
-    (Benchmark::RbTree, 498),
+    (Benchmark::Bank, 196),
+    (Benchmark::LinkedList, 60),
+    (Benchmark::RbTree, 98),
 ];
 
 #[test]
@@ -117,7 +148,8 @@ fn the_event_path_allocates_for_protocol_content_only() {
     }
 
     // The commit-time summaries into warm buffers: nothing.
-    let rt = loaded_runtime(8);
+    let fetched = payloads(8);
+    let mut rt = loaded_runtime(&fetched);
     let (mut summary, mut write_back) = (Vec::new(), Vec::new());
     rt.write_back_set_into(&mut summary, &mut write_back);
     assert_eq!((summary.len(), write_back.len()), (8, 4));
@@ -125,13 +157,42 @@ fn the_event_path_allocates_for_protocol_content_only() {
     assert_eq!(allocs, 0, "object_summary_into with a warm buffer");
     let (allocs, _) = allocs_of(|| rt.write_back_set_into(&mut summary, &mut write_back));
     assert_eq!(allocs, 0, "write_back_set_into with warm buffers");
+    write_back.clear();
 
-    // A whole-transaction rollback over a runtime that has aborted before:
-    // the one `clone_box` of the snapshot it restores.
-    let mut rt = loaded_runtime(8);
-    let (snapshot_cost, _) = allocs_of(|| rt.levels[0].snapshot.clone_box());
-    rt.abort_to_level(0);
-    load(&mut rt, 8);
+    // Rolling back — a child, then the whole transaction — over a runtime
+    // that has been this deep and this full before: nothing. The program is
+    // rewound, not copied; the log is truncated, not freed.
+    let (allocs, _) = allocs_of(|| rt.abort_to_level(1));
+    assert_eq!(allocs, 0, "abort_to_level(1) over a warm runtime");
     let (allocs, _) = allocs_of(|| rt.abort_to_level(0));
-    assert_eq!(allocs, snapshot_cost, "abort_to_level over a warm runtime");
+    assert_eq!(allocs, 0, "abort_to_level(0) over a warm runtime");
+
+    // Opening a child, installing a fetch and committing the child into its
+    // parent, on the same warm runtime: nothing.
+    let (allocs, _) = allocs_of(|| {
+        let snapshot = ProgramSnapshot::of(rt.program.as_ref());
+        rt.open_nested(TxKind(2), snapshot, SimTime::ZERO);
+        rt.install_fetched(
+            ObjectId(0),
+            Arc::clone(&fetched[0]),
+            1,
+            1,
+            0,
+            AccessMode::Read,
+        );
+        rt.close_nested();
+    });
+    assert_eq!(allocs, 0, "open_nested + install_fetched + close_nested");
+    rt.abort_to_level(0);
+
+    // The next transaction in the same runtime, as `Node::pump` starts it:
+    // nothing beyond its payloads — here the fresh `Arc` of the first write
+    // to each of the four fetched (hence shared) payloads it dirties.
+    let next = program();
+    let (allocs, _) = allocs_of(|| {
+        rt.recycle(TxId::new(0, 2), next, SimTime(5), SimTime(2_000_000), 7);
+        load(&mut rt, &fetched);
+    });
+    assert_eq!(allocs, 4, "a second transaction in a recycled runtime");
+    assert_eq!((rt.id, rt.attempt, rt.wv), (TxId::new(0, 2), 0, 7));
 }

@@ -17,8 +17,9 @@
 //! * [`message`] — the wire protocol: object fetch with ETS + `myCL`
 //!   (Algorithms 2–3), lock/validate/publish commit, version checks,
 //!   ownership forwarding;
-//! * [`tx`] — per-transaction runtime state: the closed-nesting context
-//!   stack, working copies, program snapshots for partial rollback;
+//! * [`tx`] — per-transaction runtime state: one access log under a stack
+//!   of closed-nesting checkpoints (log length + program position) for
+//!   partial rollback;
 //! * [`node`] — the per-node TM proxy actor: object store, tombstone-chain
 //!   cache coherence, the **TFA** protocol (node clocks, transactional
 //!   forwarding, early validation), the commit protocol, and the
@@ -60,8 +61,11 @@ pub use message::{FetchResult, Msg, Timer};
 pub use metrics::{AbortCause, HistSummary, NestedAbortCause, NodeMetrics, RunMetrics};
 pub use node::Node;
 pub use object::{CachedCopy, OwnedObject, Payload};
-pub use program::{AccessMode, BoxedProgram, StepInput, StepOutput, TxProgram, WithTrailer};
-pub use small::{Fnv64, ObjMap, ObjSet};
+pub use program::{
+    AccessMode, BoxedProgram, ProgramCheckpoint, ProgramSnapshot, StepInput, StepOutput, TxProgram,
+    WithTrailer,
+};
+pub use small::{Fnv64, ObjSet};
 pub use system::{NodeEvent, PartitionStrategy, System, SystemBuilder, WorkloadSource};
 pub use telemetry::{
     merge_epoch_series, merge_object_waste, EpochSample, ObjWaste, TelemetryReport,

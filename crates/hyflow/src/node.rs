@@ -19,8 +19,7 @@ use crate::config::DstmConfig;
 use crate::message::{FetchResult, Msg, Timer};
 use crate::metrics::{AbortCause, NestedAbortCause, NodeMetrics};
 use crate::object::{CachedCopy, OwnedObject, Payload};
-use crate::program::{AccessMode, BoxedProgram, StepInput, StepOutput};
-use crate::small::ObjSet;
+use crate::program::{AccessMode, BoxedProgram, ProgramSnapshot, StepInput, StepOutput};
 use crate::telemetry::{Gauges, Telemetry, TelemetryReport};
 use crate::trace::{ProtoEvent, ProtoTrace, TraceRecord, Verdict};
 use crate::tx::{TxPhase, TxRuntime, ValidationResume};
@@ -246,6 +245,13 @@ pub struct Node {
     grants_buf: Vec<Requester>,
     /// Recycled single-message buffers from flushed outbox groups.
     outbox_pool: Vec<Vec<Msg>>,
+    /// The runtime of the transaction that just committed, on its way to
+    /// [`Node::pump`] — which ends every handler that can commit one — to
+    /// start the next transaction in: a node allocates
+    /// `concurrency_per_node` runtimes for its whole workload. Kept only
+    /// while there is a next transaction; the last ones are freed as they
+    /// finish, not when the node is dropped.
+    spare_tx: Option<Box<TxRuntime>>,
 }
 
 impl Node {
@@ -296,6 +302,7 @@ impl Node {
             wbs_buf: Vec::new(),
             grants_buf: Vec::new(),
             outbox_pool: Vec::new(),
+            spare_tx: None,
         }
     }
 
@@ -385,7 +392,7 @@ impl Node {
                     self.me,
                     tx.id,
                     tx.attempt,
-                    tx.levels.len(),
+                    tx.levels().len(),
                     tx.phase
                 )
             })
@@ -509,14 +516,13 @@ impl Node {
             h.write_u64(u64::from(tx.attempt));
             h.write_u64(tx.wv);
             h.write_u64(tx.nested_committed);
-            Self::phase_into(&tx.phase, &mut h);
-            h.write_u64(tx.levels.len() as u64);
-            for level in &tx.levels {
+            Self::phase_into(tx, &mut h);
+            h.write_u64(tx.levels().len() as u64);
+            for (depth, level) in tx.levels().iter().enumerate() {
                 h.write_u64(u64::from(level.kind.0));
                 h.write_u64(level.committed_children);
-                let mut copies: Vec<(&ObjectId, &crate::tx::WorkingCopy)> =
-                    level.copies.iter().collect();
-                copies.sort_by_key(|(oid, _)| **oid);
+                let mut copies = tx.level_copies(depth);
+                copies.sort_by_key(|(oid, _)| *oid);
                 h.write_u64(copies.len() as u64);
                 for (oid, c) in copies {
                     h.write_u64(oid.0);
@@ -532,10 +538,11 @@ impl Node {
         h.finish()
     }
 
-    /// Fold a transaction phase into a fingerprint: discriminant plus the
+    /// Fold a transaction's phase into a fingerprint: discriminant plus the
     /// object identities it is parked on (not timers or durations).
-    fn phase_into(phase: &TxPhase, h: &mut crate::small::Fnv64) {
-        match phase {
+    fn phase_into(tx: &TxRuntime, h: &mut crate::small::Fnv64) {
+        let pending = &tx.pending;
+        match &tx.phase {
             TxPhase::Running => h.write_u8(1),
             TxPhase::Computing => h.write_u8(2),
             TxPhase::AwaitObject { oid, mode } => {
@@ -548,7 +555,7 @@ impl Node {
                 h.write_u64(oid.0);
                 h.write_u8(matches!(mode, AccessMode::Write) as u8);
             }
-            TxPhase::AwaitValidation { pending, stale, .. } => {
+            TxPhase::AwaitValidation { stale, .. } => {
                 h.write_u8(5);
                 let mut oids: Vec<ObjectId> = pending.iter().copied().collect();
                 oids.sort();
@@ -562,11 +569,7 @@ impl Node {
                     h.write_u64(oid.0);
                 }
             }
-            TxPhase::AwaitLocks {
-                pending,
-                granted,
-                failed,
-            } => {
+            TxPhase::AwaitLocks { granted, failed } => {
                 h.write_u8(6);
                 let mut oids: Vec<ObjectId> = pending.iter().copied().collect();
                 oids.sort();
@@ -581,7 +584,7 @@ impl Node {
                 }
                 h.write_u64(failed.map_or(u64::MAX, |o| o.0));
             }
-            TxPhase::AwaitPublish { pending } => {
+            TxPhase::AwaitPublish => {
                 h.write_u8(7);
                 let mut oids: Vec<ObjectId> = pending.iter().copied().collect();
                 oids.sort();
@@ -607,7 +610,7 @@ impl Node {
             ));
         }
         for tx in self.txs.iter().flatten() {
-            if tx.levels.is_empty() {
+            if tx.levels().is_empty() {
                 out.push(format!(
                     "node {}: live tx {:?} has no nesting levels",
                     self.me, tx.id
@@ -617,14 +620,18 @@ impl Node {
             // A shadow copy mirrors an ancestor's fetch: some level below
             // the one holding the shadow must hold a non-shadow copy of the
             // same object (the real fetch the shadow is backed by).
-            for (depth, level) in tx.levels.iter().enumerate() {
-                for (oid, c) in level.copies.iter() {
+            let levels: Vec<_> = (0..tx.levels().len())
+                .map(|depth| tx.level_copies(depth))
+                .collect();
+            for (depth, copies) in levels.iter().enumerate() {
+                for (oid, c) in copies {
                     if !c.shadow {
                         continue;
                     }
-                    let backed = tx.levels[..depth]
+                    let backed = levels[..depth]
                         .iter()
-                        .any(|a| a.copies.get(oid).is_some_and(|ac| !ac.shadow));
+                        .flatten()
+                        .any(|(o, ac)| o == oid && !ac.shadow);
                     if !backed {
                         out.push(format!(
                             "node {}: tx {:?} level {} shadow copy of {:?} \
@@ -795,6 +802,18 @@ impl Node {
         self.txs[i] = Some(tx);
     }
 
+    /// End of a handler that may have committed `tx`: back into its slot
+    /// while it lives; once it is [`TxPhase::Done`], over to [`Node::pump`]
+    /// if the workload has another transaction to run in it.
+    #[inline]
+    fn tx_settle(&mut self, tx: Box<TxRuntime>) {
+        if !matches!(tx.phase, TxPhase::Done) {
+            self.tx_put(tx);
+        } else if !self.pending.is_empty() {
+            self.spare_tx = Some(tx);
+        }
+    }
+
     // -- workload ----------------------------------------------------------
 
     /// Fill free transaction slots from the pending workload.
@@ -807,7 +826,13 @@ impl Node {
             let id = TxId::new(self.me, self.next_seq);
             let kind = program.kind();
             let expected = self.stats.expected_commit_time(kind, ctx.now());
-            let mut tx = Box::new(TxRuntime::new(id, program, ctx.now(), expected, self.clock));
+            let mut tx = match self.spare_tx.take() {
+                Some(mut spent) => {
+                    spent.recycle(id, program, ctx.now(), expected, self.clock);
+                    spent
+                }
+                None => Box::new(TxRuntime::new(id, program, ctx.now(), expected, self.clock)),
+            };
             self.active += 1;
             if self.ptrace.on() {
                 self.ptrace.push(
@@ -820,20 +845,21 @@ impl Node {
                     },
                 );
             }
-            let finished = self.drive(ctx, &mut tx, DriveInput::Begin);
+            self.drive(ctx, &mut tx, DriveInput::Begin);
             // Every minted seq gets a slot (None when already finished) so
             // slot index stays `seq - 1`.
             debug_assert_eq!(self.txs.len() as u64 + 1, self.next_seq);
-            self.txs.push(if finished { None } else { Some(tx) });
+            self.txs.push(None);
+            self.tx_settle(tx);
         }
     }
 
     // -- executor ----------------------------------------------------------
 
     /// Step the program until it blocks on the network/a timer or finishes.
-    /// Returns `true` if the transaction reached a terminal commit (caller
-    /// must not reinsert it).
-    fn drive(&mut self, ctx: &mut NodeCtx<'_>, tx: &mut TxRuntime, first: DriveInput) -> bool {
+    /// May run to a terminal commit, which leaves the phase at
+    /// [`TxPhase::Done`]: callers hand the runtime to [`Node::tx_settle`].
+    fn drive(&mut self, ctx: &mut NodeCtx<'_>, tx: &mut TxRuntime, first: DriveInput) {
         tx.phase = TxPhase::Running;
         let mut input = first;
         for _ in 0..DRIVE_STEP_LIMIT {
@@ -857,7 +883,7 @@ impl Node {
                                 input = DriveInput::Value(payload);
                                 continue;
                             }
-                            CacheOpen::Revalidating => return false,
+                            CacheOpen::Revalidating => return,
                             CacheOpen::Fetch => {}
                         }
                     }
@@ -876,7 +902,7 @@ impl Node {
                     tx.attempt_msgs += 1;
                     tx.fetch_sent_at = ctx.now();
                     tx.phase = TxPhase::AwaitObject { oid, mode };
-                    return false;
+                    return;
                 }
                 StepOutput::WriteLocal(oid, payload) => {
                     tx.write_local(oid, payload);
@@ -891,11 +917,11 @@ impl Node {
                         },
                     );
                     tx.phase = TxPhase::Computing;
-                    return false;
+                    return;
                 }
                 StepOutput::OpenNested(kind) => {
                     if self.cfg.nesting == crate::config::NestingMode::Closed {
-                        let snapshot = tx.program.clone_box();
+                        let snapshot = ProgramSnapshot::of(tx.program.as_ref());
                         tx.open_nested(kind, snapshot, ctx.now());
                         if self.ptrace.on() {
                             self.ptrace.push(
@@ -940,7 +966,6 @@ impl Node {
             }
         }
         self.abort_zombie(ctx, tx);
-        false
     }
 
     /// The attempt ran [`DRIVE_STEP_LIMIT`] steps over objects it already
@@ -1051,8 +1076,8 @@ impl Node {
 
     // -- commit protocol (requester side) -----------------------------------
 
-    /// Begin the commit protocol. Returns `true` on synchronous commit.
-    fn start_commit(&mut self, ctx: &mut NodeCtx<'_>, tx: &mut TxRuntime) -> bool {
+    /// Begin the commit protocol.
+    fn start_commit(&mut self, ctx: &mut NodeCtx<'_>, tx: &mut TxRuntime) {
         assert!(
             !tx.in_nested(),
             "Finish inside a nested level in {:?}",
@@ -1068,9 +1093,9 @@ impl Node {
             // Read-only: validate the read set, then finalize.
             return self.begin_validation(ctx, tx, ValidationResume::Commit);
         }
-        let mut pending = ObjSet::with_capacity(write_back.len());
+        tx.pending.clear();
         for (oid, _payload, version, owner) in &write_back {
-            pending.insert(*oid);
+            tx.pending.insert(*oid);
             let msg = Msg::LockReq {
                 oid: *oid,
                 tx: tx.id,
@@ -1084,31 +1109,29 @@ impl Node {
         write_back.clear();
         self.wbs_buf = write_back;
         tx.phase = TxPhase::AwaitLocks {
-            pending,
             granted: Vec::new(),
             failed: None,
         };
-        false
     }
 
     /// Launch a version-check round over the held objects. For commit-time
     /// validation only clean objects are checked (dirty ones were validated
-    /// by their locks). Returns `true` on synchronous completion (commit).
+    /// by their locks).
     fn begin_validation(
         &mut self,
         ctx: &mut NodeCtx<'_>,
         tx: &mut TxRuntime,
         resume: ValidationResume,
-    ) -> bool {
+    ) {
         let commit_mode = matches!(resume, ValidationResume::Commit);
         let mut summary = std::mem::take(&mut self.summary_buf);
         tx.object_summary_into(&mut summary);
-        let mut pending = ObjSet::with_capacity(summary.len());
+        tx.pending.clear();
         for &(oid, version, owner, dirty, _mode) in &summary {
             if commit_mode && dirty {
                 continue;
             }
-            pending.insert(oid);
+            tx.pending.insert(oid);
             let msg = Msg::VersionCheck {
                 oid,
                 tx: tx.id,
@@ -1120,15 +1143,13 @@ impl Node {
             tx.attempt_msgs += 1;
         }
         self.summary_buf = summary;
-        if pending.is_empty() {
+        if tx.pending.is_empty() {
             return self.validation_succeeded(ctx, tx, resume);
         }
         tx.phase = TxPhase::AwaitValidation {
-            pending,
             stale: Vec::new(),
             resume,
         };
-        false
     }
 
     /// All version checks passed: resume whatever was suspended.
@@ -1137,7 +1158,7 @@ impl Node {
         ctx: &mut NodeCtx<'_>,
         tx: &mut TxRuntime,
         resume: ValidationResume,
-    ) -> bool {
+    ) {
         match resume {
             ValidationResume::Deliver {
                 oid,
@@ -1156,9 +1177,8 @@ impl Node {
     }
 
     /// Locks held (if any were needed) and reads validated: write back new
-    /// versions, transferring ownership to this node. Returns `true` on
-    /// synchronous commit.
-    fn publish_or_finalize(&mut self, ctx: &mut NodeCtx<'_>, tx: &mut TxRuntime) -> bool {
+    /// versions, transferring ownership to this node.
+    fn publish_or_finalize(&mut self, ctx: &mut NodeCtx<'_>, tx: &mut TxRuntime) {
         let mut summary = std::mem::take(&mut self.summary_buf);
         let mut write_back = std::mem::take(&mut self.wbs_buf);
         tx.write_back_set_into(&mut summary, &mut write_back);
@@ -1175,10 +1195,10 @@ impl Node {
         if write_back.is_empty() {
             self.wbs_buf = write_back;
             self.finalize_commit(ctx, tx);
-            return true;
+            return;
         }
         self.clock = new_version;
-        let mut pending = ObjSet::with_capacity(write_back.len());
+        tx.pending.clear();
         for (oid, payload, _version, owner) in write_back.drain(..) {
             if owner == self.me {
                 // Local object: update in place and release.
@@ -1221,7 +1241,7 @@ impl Node {
                         },
                     );
                 }
-                pending.insert(oid);
+                tx.pending.insert(oid);
                 let msg = Msg::Publish {
                     oid,
                     tx: tx.id,
@@ -1234,12 +1254,11 @@ impl Node {
             }
         }
         self.wbs_buf = write_back;
-        if pending.is_empty() {
+        if tx.pending.is_empty() {
             self.finalize_commit(ctx, tx);
-            return true;
+            return;
         }
-        tx.phase = TxPhase::AwaitPublish { pending };
-        false
+        tx.phase = TxPhase::AwaitPublish;
     }
 
     /// Record the [`ProtoEvent::TxCommit`] span end at the serialization
@@ -1387,9 +1406,8 @@ impl Node {
                 },
             );
         }
-        // May commit synchronously (degenerate programs); `finalize_commit`
-        // then leaves the phase at `Done` and callers drop the transaction.
-        let _ = self.drive(ctx, tx, DriveInput::Begin);
+        // May commit synchronously (degenerate programs).
+        self.drive(ctx, tx, DriveInput::Begin);
     }
 
     /// Abort at `level` (a failed early validation): whole-transaction abort
@@ -1433,7 +1451,7 @@ impl Node {
         // so re-feeding the acknowledgement re-enters the child body. The
         // replay may even run to a synchronous commit if every object it
         // needs is already held by an ancestor level.
-        let _ = self.drive(ctx, tx, DriveInput::Ack);
+        self.drive(ctx, tx, DriveInput::Ack);
     }
 
     // -- owner side: fetches --------------------------------------------------
@@ -1919,7 +1937,7 @@ impl Node {
             ctx.cancel_timer(t);
         }
 
-        let finished = match result {
+        match result {
             FetchResult::Granted {
                 payload,
                 version,
@@ -1973,11 +1991,11 @@ impl Node {
                             owner,
                             mode,
                         },
-                    )
+                    );
                 } else {
                     tx.wv = tx.wv.max(version);
                     tx.install_fetched(oid, Arc::clone(&payload), version, local_cl, owner, mode);
-                    self.drive(ctx, &mut tx, DriveInput::Value(payload))
+                    self.drive(ctx, &mut tx, DriveInput::Value(payload));
                 }
             }
             FetchResult::Conflict {
@@ -2003,7 +2021,6 @@ impl Node {
                     },
                 );
                 tx.phase = TxPhase::AwaitQueuedObject { oid, mode, timer };
-                false
             }
             FetchResult::Conflict {
                 backoff,
@@ -2064,12 +2081,9 @@ impl Node {
                         aggressor,
                     );
                 }
-                false
             }
-        };
-        if !finished && !matches!(tx.phase, TxPhase::Done) {
-            self.tx_put(tx);
         }
+        self.tx_settle(tx);
         self.pump(ctx);
     }
 
@@ -2102,28 +2116,28 @@ impl Node {
             return;
         }
         let round_done = match &mut tx.phase {
-            TxPhase::AwaitValidation { pending, stale, .. } => {
-                pending.remove(&oid);
+            TxPhase::AwaitValidation { stale, .. } => {
+                tx.pending.remove(&oid);
                 if !ok {
                     // The owner reported a newer version: any cached copy of
                     // this object is stale by the same evidence.
                     self.invalidate_cache(oid);
                     stale.push(oid);
                 }
-                pending.is_empty()
+                tx.pending.is_empty()
             }
             _ => {
                 self.tx_put(tx);
                 return;
             }
         };
-        let finished = if round_done {
+        if round_done {
             let phase = std::mem::replace(&mut tx.phase, TxPhase::Running);
-            let TxPhase::AwaitValidation { stale, resume, .. } = phase else {
+            let TxPhase::AwaitValidation { stale, resume } = phase else {
                 unreachable!("matched above");
             };
             if stale.is_empty() {
-                self.validation_succeeded(ctx, &mut tx, resume)
+                self.validation_succeeded(ctx, &mut tx, resume);
             } else {
                 // Abort at the outermost level holding any stale object.
                 let level = stale
@@ -2154,14 +2168,9 @@ impl Node {
                     }
                 };
                 self.abort_at_level(ctx, &mut tx, level, cause, blamed);
-                false
             }
-        } else {
-            false
-        };
-        if !finished && !matches!(tx.phase, TxPhase::Done) {
-            self.tx_put(tx);
         }
+        self.tx_settle(tx);
         self.pump(ctx);
     }
 
@@ -2191,14 +2200,13 @@ impl Node {
         }
         let round_done = {
             let TxPhase::AwaitLocks {
-                pending,
                 granted: acc,
                 failed,
             } = &mut tx.phase
             else {
                 unreachable!("checked above");
             };
-            pending.remove(&oid);
+            tx.pending.remove(&oid);
             if granted {
                 acc.push(oid);
             } else {
@@ -2210,14 +2218,13 @@ impl Node {
                     *failed = Some(oid);
                 }
             }
-            pending.is_empty()
+            tx.pending.is_empty()
         };
-        let finished = if round_done {
+        if round_done {
             let phase = std::mem::replace(&mut tx.phase, TxPhase::Running);
             let TxPhase::AwaitLocks {
                 granted: acc,
                 failed,
-                ..
             } = phase
             else {
                 unreachable!("matched above");
@@ -2244,17 +2251,12 @@ impl Node {
                     Some(failed_oid),
                     None,
                 );
-                false
             } else {
                 // Write set locked; validate the clean reads.
-                self.begin_validation(ctx, &mut tx, ValidationResume::Commit)
+                self.begin_validation(ctx, &mut tx, ValidationResume::Commit);
             }
-        } else {
-            false
-        };
-        if !finished && !matches!(tx.phase, TxPhase::Done) {
-            self.tx_put(tx);
         }
+        self.tx_settle(tx);
         self.pump(ctx);
     }
 
@@ -2279,10 +2281,10 @@ impl Node {
         let Some(mut tx) = self.tx_take(txid) else {
             return;
         };
-        let round_done = match &mut tx.phase {
-            TxPhase::AwaitPublish { pending } => {
-                pending.remove(&oid);
-                pending.is_empty()
+        let round_done = match tx.phase {
+            TxPhase::AwaitPublish => {
+                tx.pending.remove(&oid);
+                tx.pending.is_empty()
             }
             _ => {
                 self.tx_put(tx);
@@ -2291,9 +2293,8 @@ impl Node {
         };
         if round_done {
             self.finalize_commit(ctx, &mut tx);
-        } else {
-            self.tx_put(tx);
         }
+        self.tx_settle(tx);
         self.pump(ctx);
     }
 
@@ -2428,10 +2429,8 @@ impl Node {
                     self.tx_put(tx);
                     return;
                 }
-                let finished = self.drive(ctx, &mut tx, DriveInput::Ack);
-                if !finished && !matches!(tx.phase, TxPhase::Done) {
-                    self.tx_put(tx);
-                }
+                self.drive(ctx, &mut tx, DriveInput::Ack);
+                self.tx_settle(tx);
                 self.pump(ctx);
             }
             Timer::QueueDeadline {
@@ -2459,9 +2458,7 @@ impl Node {
                         None,
                     );
                 }
-                if !matches!(tx.phase, TxPhase::Done) {
-                    self.tx_put(tx);
-                }
+                self.tx_settle(tx);
                 self.pump(ctx);
             }
             Timer::RetryBackoff { tx: txid, attempt } => {
@@ -2476,13 +2473,11 @@ impl Node {
                     TxPhase::BackedOff => self.restart_now(ctx, &mut tx),
                     TxPhase::ChildBackedOff => {
                         // Replay the backed-off child level.
-                        let _ = self.drive(ctx, &mut tx, DriveInput::Ack);
+                        self.drive(ctx, &mut tx, DriveInput::Ack);
                     }
                     _ => {}
                 }
-                if !matches!(tx.phase, TxPhase::Done) {
-                    self.tx_put(tx);
-                }
+                self.tx_settle(tx);
                 self.pump(ctx);
             }
         }

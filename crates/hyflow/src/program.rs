@@ -8,10 +8,23 @@
 //! [`TxProgram::step`] with the result of the previous operation and the
 //! program replies with its next operation.
 //!
-//! Retry is handled by snapshots: programs are cloneable, the executor
-//! keeps a pristine clone per nesting level, and an abort restores the
-//! clone and replays the level — whole-transaction replay on parent aborts,
-//! inner-level replay only on closed-nested child aborts.
+//! Retry is handled by **checkpoints**. At every level boundary — the start
+//! of an attempt, and right after the step that returned `OpenNested` — the
+//! executor asks the program for a [`ProgramCheckpoint`], a `Copy` value of
+//! four words, and keeps it in the nesting level; an abort hands it back to
+//! [`TxProgram::rewind`] and replays the level — whole-transaction replay on
+//! parent aborts, inner-level replay only on closed-nested child aborts. No
+//! program is copied and nothing is allocated on either path. What a
+//! checkpoint must hold is small because of *where* it is taken: a program
+//! carries an operation cursor and perhaps a register across a level
+//! boundary, not its traversal state.
+//!
+//! A program that does not implement the pair is still replayed correctly:
+//! the executor keeps a `clone_box` of it per level instead
+//! ([`ProgramSnapshot`]). That fallback exists for wrappers written before
+//! checkpoints that forward the other methods only; once the last of them
+//! (`benchmark/src/timed.rs`) forwards the pair, `clone_box` and the
+//! fallback leave the trait.
 
 use crate::object::Payload;
 use dstm_sim::SimDuration;
@@ -58,6 +71,18 @@ pub enum StepOutput {
     Finish,
 }
 
+/// Where a program stands at a level boundary: everything
+/// [`TxProgram::rewind`] needs to put it back there. Opaque to the executor,
+/// which only stores and returns it; each program packs the two fields its
+/// own way.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProgramCheckpoint {
+    /// Where to resume: an operation index, a state, or both.
+    pub pc: u64,
+    /// Registers that live across the boundary.
+    pub regs: [i64; 3],
+}
+
 /// A resumable transaction body.
 pub trait TxProgram: Send {
     /// The transaction's kind, keying the stats table.
@@ -68,8 +93,34 @@ pub trait TxProgram: Send {
     /// attempt).
     fn step(&mut self, input: StepInput<'_>) -> StepOutput;
 
-    /// Clone the program state (for retry snapshots).
+    /// Clone the program state: what the executor replays from when the
+    /// program offers no [`TxProgram::checkpoint`].
     fn clone_box(&self) -> Box<dyn TxProgram>;
+
+    /// The program's position, for [`TxProgram::rewind`] to return to.
+    ///
+    /// Asked at **level boundaries** only: before the first step of an
+    /// attempt, and right after the step that returned
+    /// [`StepOutput::OpenNested`]. Anything the program recomputes before it
+    /// reads it again on the way from there (a traversal path, a write plan)
+    /// need not be saved.
+    ///
+    /// The default offers none, and the executor keeps a
+    /// [`TxProgram::clone_box`] for the level instead.
+    fn checkpoint(&self) -> Option<ProgramCheckpoint> {
+        None
+    }
+
+    /// Return to a position [`TxProgram::checkpoint`] reported earlier in
+    /// this transaction: from then on the program must answer the same
+    /// inputs with the same outputs as a `clone_box` taken at that moment
+    /// would. Never called on a program whose `checkpoint` is `None`.
+    fn rewind(&mut self, to: &ProgramCheckpoint) {
+        unreachable!(
+            "{} offered no checkpoint to rewind to: {to:?}",
+            self.label()
+        )
+    }
 
     /// Human-readable label for traces.
     fn label(&self) -> &'static str {
@@ -97,6 +148,43 @@ impl Clone for BoxedProgram {
     }
 }
 
+/// What the executor keeps per nesting level to replay the level from: the
+/// program's own checkpoint or, for a program that offers none, a copy of
+/// the program as it stood.
+pub enum ProgramSnapshot {
+    At(ProgramCheckpoint),
+    Whole(BoxedProgram),
+}
+
+impl ProgramSnapshot {
+    /// Snapshot `program` where it stands (a level boundary).
+    pub fn of(program: &dyn TxProgram) -> Self {
+        match program.checkpoint() {
+            Some(at) => ProgramSnapshot::At(at),
+            None => ProgramSnapshot::Whole(program.clone_box()),
+        }
+    }
+
+    /// Put `program` back where the snapshot was taken.
+    pub fn restore(&self, program: &mut BoxedProgram) {
+        match self {
+            ProgramSnapshot::At(at) => program.rewind(at),
+            ProgramSnapshot::Whole(copy) => *program = copy.clone_box(),
+        }
+    }
+}
+
+/// A copy of the program as it stood is a snapshot of it; only one that
+/// cannot say where it stands is kept whole.
+impl From<BoxedProgram> for ProgramSnapshot {
+    fn from(copy: BoxedProgram) -> Self {
+        match copy.checkpoint() {
+            Some(at) => ProgramSnapshot::At(at),
+            None => ProgramSnapshot::Whole(copy),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Script programs: a straight-line DSL used by unit tests and scenarios
 // ---------------------------------------------------------------------------
@@ -119,11 +207,9 @@ pub enum ScriptOp {
 /// which is exactly what the scripted scenario reproductions (Figs. 2–3) and
 /// many unit tests need.
 ///
-/// The op list is immutable after construction and shared behind an `Arc`:
-/// `clone_box` runs on every nested `OpenNested` (level snapshot) and every
-/// whole-transaction retry, so a deep `Vec<ScriptOp>` clone there was a
-/// measurable slice of protocol-layer time for the script-driven benchmarks
-/// (Bank, Vacation). Only the cursor (`pc`) and scalar register are per-copy.
+/// The op list is immutable after construction and shared behind an `Arc`,
+/// so a `clone_box` copies a pointer, not the script. Only the cursor (`pc`)
+/// and scalar register change — and they are the whole checkpoint.
 #[derive(Clone, Debug)]
 pub struct ScriptProgram {
     kind: TxKind,
@@ -173,6 +259,18 @@ impl TxProgram for ScriptProgram {
 
     fn clone_box(&self) -> Box<dyn TxProgram> {
         Box::new(self.clone())
+    }
+
+    fn checkpoint(&self) -> Option<ProgramCheckpoint> {
+        Some(ProgramCheckpoint {
+            pc: self.pc as u64,
+            regs: [self.last_scalar, 0, 0],
+        })
+    }
+
+    fn rewind(&mut self, to: &ProgramCheckpoint) {
+        self.pc = to.pc as usize;
+        self.last_scalar = to.regs[0];
     }
 
     fn label(&self) -> &'static str {
@@ -244,6 +342,20 @@ impl TxProgram for WithTrailer {
 
     fn clone_box(&self) -> BoxedProgram {
         Box::new(self.clone())
+    }
+
+    /// The inner program's: every level boundary lies inside the inner
+    /// program (the trailer opens no child), where the trailer's own state
+    /// is still its initial one.
+    fn checkpoint(&self) -> Option<ProgramCheckpoint> {
+        debug_assert!(self.st == TrailerSt::Inner && self.last_scalar == 0);
+        self.inner.checkpoint()
+    }
+
+    fn rewind(&mut self, to: &ProgramCheckpoint) {
+        self.st = TrailerSt::Inner;
+        self.last_scalar = 0;
+        self.inner.rewind(to);
     }
 
     fn access_hint(&self, out: &mut Vec<ObjectId>) {

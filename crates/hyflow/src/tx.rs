@@ -1,30 +1,49 @@
-//! Per-transaction runtime state: closed-nesting contexts, working copies,
-//! snapshots, and abort accounting.
+//! Per-transaction runtime state: closed-nesting contexts, the access log,
+//! checkpoints, and abort accounting.
 //!
-//! A live transaction is a stack of [`NestingLevel`]s. Level 0 is the
-//! top-level (parent) transaction; `OpenNested` pushes a level and
-//! `CloseNested` merges the top level into its parent (closed-nesting
-//! semantics: *"the operations of I only become part of A when I
-//! commits"*). Each level snapshots the program state at entry so an abort
-//! of that level replays only that level's work.
+//! A live transaction is **one access log** — every object copy it holds, in
+//! the order it came to hold them — under a stack of [`NestingLevel`]s, each
+//! of which is a checkpoint: the length of the log and the position of the
+//! program when the level opened. Level 0 is the top-level (parent)
+//! transaction. `OpenNested` pushes a checkpoint. `CloseNested` pops it and
+//! nothing else: the child's entries simply stay in the log, now part of the
+//! enclosing level (closed-nesting semantics: *"the operations of I only
+//! become part of A when I commits"*), so a nested commit is O(1) whatever
+//! the child touched. An abort of a level truncates the log to the level's
+//! checkpoint, rewinds the program to it, and replays only that level's work.
+//! This is CCSTM's unmerged linear log, where *"a checkpoint must only
+//! record the existing number of reads"* and a nested commit *"just discards
+//! the checkpoint"* (SNIPPETS.md §1–2); there is no undo log because writes
+//! never touch a shared copy — every payload is a copy-on-write `Arc`.
 //!
-//! Object copies are **shadowed per level**: a child that touches an object
-//! already held by an ancestor gets its own copy, so a child abort never
-//! corrupts the ancestor's view.
+//! The log is read **from the end**: the newest entry of an object is the
+//! view the program sees. A level that touches an object an ancestor holds
+//! appends a *shadow* entry — a copy of the ancestor's — and works on that,
+//! so a child abort never corrupts the ancestor's view: truncation drops the
+//! shadow and uncovers the entry beneath it. The **first** entry of an
+//! object is the real fetch (version and owner to validate and publish
+//! against); mode and dirtiness only ever grow from one entry of an object
+//! to the next, so the newest entry carries their union.
+//!
+//! Lookups are linear scans of the log, 32 bytes an entry, contiguous. How
+//! long it gets, measured at commit over `fig5_high` (seed 0xD57A, 2 100
+//! commits per benchmark and pass): Bank 4.8 entries on average and 7 at
+//! most, Vacation 3.0 / 4, DHT 3.1 / 4 — and Linked List 17.8 / 57, BST
+//! 18.2 / 37, RB Tree 18.6 / 34, whose walks hold a node per hop and shadow
+//! the top of the structure again in every child.
 
 use crate::object::Payload;
-use crate::program::{AccessMode, BoxedProgram};
-use crate::small::{ObjMap, ObjSet};
+use crate::program::{AccessMode, BoxedProgram, ProgramSnapshot};
+use crate::small::ObjSet;
 use dstm_sim::{SimTime, TimerToken};
 use rts_core::{ClAccounting, Ets, ObjectId, TxId, TxKind};
 use std::sync::Arc;
 
-/// A fetched object copy inside a transaction.
+/// A fetched object copy inside a transaction: one entry of the access log.
 ///
 /// The payload is shared copy-on-write: reads hand out `Arc` clones, and a
 /// `WriteLocal` replaces the pointer with a freshly built payload, so
-/// shadowing a copy into a nested level or merging it back up never deep-
-/// clones object contents.
+/// shadowing a copy into a nested level never deep-clones object contents.
 #[derive(Clone, Debug)]
 pub struct WorkingCopy {
     pub payload: Arc<Payload>,
@@ -36,21 +55,22 @@ pub struct WorkingCopy {
     pub owner: u32,
     /// Whether the transaction overwrote the copy (publish set membership).
     pub dirty: bool,
-    /// `true` for per-level shadows of an ancestor's copy (not fetched
-    /// remotely by this level; releasing one must not release the CL
+    /// `true` for a level's shadow of an ancestor's copy (not fetched
+    /// remotely by this level; dropping one must not release the CL
     /// accounting of the underlying fetch).
     pub shadow: bool,
 }
 
-/// One closed-nesting level.
+/// One closed-nesting level: where the log and the program stood when it
+/// opened. Log entries from `log_start` up to the next level's belong to it.
 pub struct NestingLevel {
     pub kind: TxKind,
-    pub copies: ObjMap<WorkingCopy>,
-    /// Program state at entry to this level; restored on retry of the level.
-    pub snapshot: BoxedProgram,
+    log_start: u32,
     /// Nested transactions (recursively) already committed into this level.
     pub committed_children: u64,
     pub opened_at: SimTime,
+    /// Program position at entry to this level; restored on retry of it.
+    snapshot: ProgramSnapshot,
 }
 
 /// Where the transaction currently is in its protocol state machine.
@@ -68,9 +88,10 @@ pub enum TxPhase {
         mode: AccessMode,
         timer: TimerToken,
     },
-    /// Waiting for `VersionResp`s of an early/commit validation round.
+    /// Waiting for `VersionResp`s of an early/commit validation round; the
+    /// objects not yet answered for are [`TxRuntime::pending`], here and in
+    /// the next two phases.
     AwaitValidation {
-        pending: ObjSet,
         stale: Vec<ObjectId>,
         resume: ValidationResume,
     },
@@ -78,12 +99,11 @@ pub enum TxPhase {
     /// first object whose lock was refused — the object the eventual abort
     /// is attributed to.
     AwaitLocks {
-        pending: ObjSet,
         granted: Vec<ObjectId>,
         failed: Option<ObjectId>,
     },
     /// Waiting for `PublishAck`s.
-    AwaitPublish { pending: ObjSet },
+    AwaitPublish,
     /// Aborted with a retry backoff; waiting for `RetryBackoff`.
     BackedOff,
     /// A child level aborted with a retry backoff; waiting for
@@ -132,9 +152,14 @@ pub enum TxOutcome {
 /// `repr(C)`, hot-first: a node boxes its runtimes, so one is reached
 /// through a pointer and is cold whenever its node is. What every
 /// requester-side handler reads to accept or drop an event (`id`,
-/// `attempt`, `phase`) and to step the program (`program`, `levels`) starts
-/// within the first two lines; what a fetch or a restart reads follows;
-/// what only a commit, an abort or a retry touches trails.
+/// `attempt`, `phase`) and to step the program and find its objects
+/// (`program`, `levels`, `log`) starts within the first two lines; what a
+/// fetch or a restart reads follows; what only a commit, an abort or a
+/// retry touches trails.
+///
+/// A node recycles its runtimes ([`TxRuntime::recycle`]): the level stack,
+/// the log, the CL accounting and the round set are allocated once per
+/// runtime, not per transaction.
 #[repr(C)]
 pub struct TxRuntime {
     pub id: TxId,
@@ -142,8 +167,15 @@ pub struct TxRuntime {
     pub kind: TxKind,
     /// The executing program.
     pub program: BoxedProgram,
-    pub levels: Vec<NestingLevel>,
+    /// The nesting stack; never empty (level 0 is the transaction itself).
+    levels: Vec<NestingLevel>,
+    /// The access log (module doc): every copy held, oldest first.
+    log: Vec<(ObjectId, WorkingCopy)>,
     pub phase: TxPhase,
+    /// Objects the current validation, lock or publish round still waits
+    /// for. A transaction is in one round at a time, so each round refills
+    /// this one set instead of allocating its own.
+    pub pending: ObjSet,
     /// TFA write-version clock (forwarded on fetches).
     pub wv: u64,
     /// Requester-side CL accounting (`myCL`).
@@ -166,17 +198,6 @@ pub struct TxRuntime {
     pub nested_committed: u64,
     /// First attempt's start (for end-to-end latency).
     pub first_started_at: SimTime,
-    /// Pristine program for whole-transaction retries.
-    pub pristine: BoxedProgram,
-    /// Spent [`NestingLevel`]s kept for reuse. `OpenNested`/`CloseNested`
-    /// cycles are protocol-hot (several per commit in the nested
-    /// benchmarks); recycling levels keeps their `copies` capacity, so the
-    /// steady-state open/close path stops growing fresh vecs.
-    spare_levels: Vec<NestingLevel>,
-    /// Scratch of [`TxRuntime::abort_to_level`] (the fetches a rollback
-    /// drops), kept for its capacity: aborts outnumber commits several
-    /// times over under contention.
-    dropped: Vec<ObjectId>,
 }
 
 impl TxRuntime {
@@ -192,68 +213,86 @@ impl TxRuntime {
         expected_commit: SimTime,
         wv: u64,
     ) -> Self {
+        Self::build(id, program, now, expected_commit, wv, None)
+    }
+
+    /// Turn the runtime of a finished transaction into the runtime of a new
+    /// one: exactly the state [`TxRuntime::new`] builds, in the allocations
+    /// this one already owns.
+    pub fn recycle(
+        &mut self,
+        id: TxId,
+        program: BoxedProgram,
+        now: SimTime,
+        expected_commit: SimTime,
+        wv: u64,
+    ) {
+        *self = Self::build(id, program, now, expected_commit, wv, Some(self));
+    }
+
+    /// The one constructor: a runtime at the start of its first attempt,
+    /// its buffers taken (emptied, capacity kept) from `spent` if there is
+    /// one.
+    fn build(
+        id: TxId,
+        program: BoxedProgram,
+        now: SimTime,
+        expected_commit: SimTime,
+        wv: u64,
+        spent: Option<&mut TxRuntime>,
+    ) -> Self {
+        use std::mem::take;
+        let (mut levels, mut log, mut cl, mut pending) = match spent {
+            Some(s) => (
+                take(&mut s.levels),
+                take(&mut s.log),
+                take(&mut s.cl),
+                take(&mut s.pending),
+            ),
+            None => Default::default(),
+        };
+        log.clear();
+        cl.clear();
+        pending.clear();
         let kind = program.kind();
-        let pristine = program.clone_box();
-        let snapshot = program.clone_box();
+        levels.clear();
+        levels.push(NestingLevel {
+            kind,
+            log_start: 0,
+            committed_children: 0,
+            opened_at: now,
+            snapshot: ProgramSnapshot::of(program.as_ref()),
+        });
         TxRuntime {
             id,
             kind,
             attempt: 0,
             program,
-            pristine,
-            levels: vec![NestingLevel {
-                kind,
-                copies: ObjMap::new(),
-                snapshot,
-                committed_children: 0,
-                opened_at: now,
-            }],
+            levels,
+            log,
             phase: TxPhase::Running,
+            pending,
             first_started_at: now,
             attempt_started_at: now,
             expected_commit,
             wv,
-            cl: ClAccounting::new(),
+            cl,
             validation_started_at: None,
             fetch_sent_at: SimTime::ZERO,
             nested_committed: 0,
             attempt_msgs: 0,
-            spare_levels: Vec::new(),
-            dropped: Vec::new(),
         }
-    }
-
-    /// A level for `push`ing onto the nesting stack: recycles a spare when
-    /// one exists (keeping its `copies` capacity), else builds one fresh.
-    fn make_level(&mut self, kind: TxKind, snapshot: BoxedProgram, now: SimTime) -> NestingLevel {
-        match self.spare_levels.pop() {
-            Some(mut l) => {
-                debug_assert!(l.copies.is_empty(), "spare level not cleared");
-                l.kind = kind;
-                l.snapshot = snapshot;
-                l.committed_children = 0;
-                l.opened_at = now;
-                l
-            }
-            None => NestingLevel {
-                kind,
-                copies: ObjMap::new(),
-                snapshot,
-                committed_children: 0,
-                opened_at: now,
-            },
-        }
-    }
-
-    /// Return a dead level to the spare pool, clearing its working set.
-    fn retire_level(&mut self, mut level: NestingLevel) {
-        level.copies.clear();
-        self.spare_levels.push(level);
     }
 
     /// ETS timestamps for a request issued at `now` (Algorithm 2).
     pub fn ets(&self, now: SimTime) -> Ets {
         Ets::new(self.attempt_started_at, now, self.expected_commit)
+    }
+
+    /// The nesting stack, outermost first.
+    #[inline]
+    pub fn levels(&self) -> &[NestingLevel] {
+        &self.levels
     }
 
     /// Innermost level index.
@@ -268,20 +307,46 @@ impl TxRuntime {
         self.levels.len() > 1
     }
 
+    /// Log index where `level`'s entries start.
+    #[inline]
+    fn start_of(&self, level: usize) -> usize {
+        self.levels[level].log_start as usize
+    }
+
     /// Find the innermost copy of `oid` (the view the program reads).
     pub fn lookup(&self, oid: ObjectId) -> Option<&WorkingCopy> {
-        self.levels.iter().rev().find_map(|l| l.copies.get(&oid))
+        self.log
+            .iter()
+            .rev()
+            .find_map(|(o, c)| (*o == oid).then_some(c))
     }
 
     /// The *outermost* level holding `oid` — the level that must abort if
     /// the object turns out stale.
     pub fn outermost_level_holding(&self, oid: ObjectId) -> Option<usize> {
-        self.levels.iter().position(|l| l.copies.contains_key(&oid))
+        let first = self.log.iter().position(|(o, _)| *o == oid)?;
+        self.levels
+            .iter()
+            .rposition(|l| l.log_start as usize <= first)
     }
 
     /// Is `oid` held at any level?
     pub fn holds(&self, oid: ObjectId) -> bool {
         self.lookup(oid).is_some()
+    }
+
+    /// The current level's own copy of `oid`: the newest entry if the level
+    /// (or a child committed into it) made it, else a shadow of that entry
+    /// appended now. `None` if the object is not held anywhere.
+    fn own_copy(&mut self, oid: ObjectId) -> Option<&mut WorkingCopy> {
+        let newest = self.log.iter().rposition(|(o, _)| *o == oid)?;
+        if newest >= self.start_of(self.top()) {
+            return Some(&mut self.log[newest].1);
+        }
+        let mut shadow = self.log[newest].1.clone();
+        shadow.shadow = true;
+        self.log.push((oid, shadow));
+        self.log.last_mut().map(|(_, c)| c)
     }
 
     /// Prepare a local access to an already-held object in the current
@@ -292,31 +357,17 @@ impl TxRuntime {
     /// Returns `None` if the object is not held anywhere (a remote fetch is
     /// required).
     pub fn access_held(&mut self, oid: ObjectId, mode: AccessMode) -> Option<Arc<Payload>> {
-        let top = self.top();
-        if !self.levels[top].copies.contains_key(&oid) {
-            // Shadow an ancestor's copy into the current level.
-            let from_ancestor = self
-                .levels
-                .iter()
-                .rev()
-                .skip(1)
-                .find_map(|l| l.copies.get(&oid))?
-                .clone();
-            let mut shadow = from_ancestor;
-            shadow.shadow = true;
-            self.levels[top].copies.insert(oid, shadow);
-        }
-        let copy = self.levels[top]
-            .copies
-            .get_mut(&oid)
-            .expect("just ensured present");
+        let copy = self.own_copy(oid)?;
         if mode == AccessMode::Write {
             copy.mode = AccessMode::Write;
         }
         Some(Arc::clone(&copy.payload))
     }
 
-    /// Install a freshly fetched copy into the current level.
+    /// Install a freshly fetched copy into the current level. The level
+    /// must not hold `oid` already (the executor fetches only what
+    /// [`TxRuntime::access_held`] missed); an ancestor may — that fetch
+    /// then dies with the level, and the level must die rather than commit.
     pub fn install_fetched(
         &mut self,
         oid: ObjectId,
@@ -326,8 +377,14 @@ impl TxRuntime {
         owner: u32,
         mode: AccessMode,
     ) {
-        let top = self.top();
-        self.levels[top].copies.insert(
+        debug_assert!(
+            !self.log[self.start_of(self.top())..]
+                .iter()
+                .any(|(o, _)| *o == oid),
+            "{oid:?} fetched twice by one level of {:?}",
+            self.id
+        );
+        self.log.push((
             oid,
             WorkingCopy {
                 payload,
@@ -337,7 +394,7 @@ impl TxRuntime {
                 dirty: false,
                 shadow: false,
             },
-        );
+        ));
         self.cl.object_received(oid, local_cl);
     }
 
@@ -365,14 +422,10 @@ impl TxRuntime {
     /// (benchmarks acquire before writing); it is shadowed into the current
     /// level if an ancestor holds it.
     pub fn write_local(&mut self, oid: ObjectId, payload: Payload) {
-        let had = self.access_held(oid, AccessMode::Write);
-        assert!(
-            had.is_some(),
-            "WriteLocal on {oid:?} which is not in the working set of {:?}",
-            self.id
-        );
-        let top = self.top();
-        let copy = self.levels[top].copies.get_mut(&oid).expect("shadowed");
+        let id = self.id;
+        let Some(copy) = self.own_copy(oid) else {
+            panic!("WriteLocal on {oid:?} which is not in the working set of {id:?}");
+        };
         // Overwrite in place when this copy is the sole owner (the common
         // case after the first write): saves an Arc allocation per
         // `WriteLocal`. Shared payloads (fresh fetches, shadows of an
@@ -386,15 +439,26 @@ impl TxRuntime {
     }
 
     /// Enter a closed-nested child. `snapshot` must be the program state
-    /// *after* emitting `OpenNested` (re-feeding `Ack` replays the child).
-    pub fn open_nested(&mut self, kind: TxKind, snapshot: BoxedProgram, now: SimTime) {
-        let level = self.make_level(kind, snapshot, now);
-        self.levels.push(level);
+    /// *after* emitting `OpenNested` (re-feeding `Ack` replays the child):
+    /// [`ProgramSnapshot::of`] the program, or a `clone_box` of it.
+    pub fn open_nested(
+        &mut self,
+        kind: TxKind,
+        snapshot: impl Into<ProgramSnapshot>,
+        now: SimTime,
+    ) {
+        self.levels.push(NestingLevel {
+            kind,
+            log_start: u32::try_from(self.log.len()).expect("access log fits u32"),
+            committed_children: 0,
+            opened_at: now,
+            snapshot: snapshot.into(),
+        });
     }
 
-    /// Commit the innermost child into its parent (closed nesting): its
-    /// copies merge into the enclosing level; its committed-children count
-    /// rolls up.
+    /// Commit the innermost child into its parent (closed nesting): drop
+    /// its checkpoint, so that its log entries are the enclosing level's;
+    /// its committed-children count rolls up.
     ///
     /// Panics if called at top level (programs must balance Open/Close).
     pub fn close_nested(&mut self) {
@@ -403,32 +467,15 @@ impl TxRuntime {
             "CloseNested at top level in {:?}",
             self.id
         );
-        let mut child = self.levels.pop().expect("len > 1");
+        let child = self.levels.pop().expect("len > 1");
         let parent = self.levels.last_mut().expect("parent exists");
-        for (oid, copy) in child.copies.drain() {
-            match parent.copies.get_mut(&oid) {
-                Some(existing) => {
-                    // The child's view is newer; mode/dirtiness accumulate.
-                    existing.payload = copy.payload;
-                    existing.dirty = existing.dirty || copy.dirty;
-                    if copy.mode == AccessMode::Write {
-                        existing.mode = AccessMode::Write;
-                    }
-                }
-                None => {
-                    // First fetched by the child; the parent inherits it
-                    // (including CL accounting, which is per-transaction).
-                    parent.copies.insert(oid, copy);
-                }
-            }
-        }
         parent.committed_children += 1 + child.committed_children;
-        self.retire_level(child);
     }
 
-    /// Roll back levels `level..`, restoring the program snapshot of
-    /// `level`. Releases CL accounting for fetches dropped with the rolled-
-    /// back levels. Returns the Table-I accounting.
+    /// Roll back levels `level..`: truncate the log to `level`'s checkpoint
+    /// and rewind the program to it. Releases CL accounting for fetches
+    /// dropped with the rolled-back entries. Returns the Table-I
+    /// accounting.
     ///
     /// `level == 0` is a whole-transaction abort.
     pub fn abort_to_level(&mut self, level: usize) -> AbortAccounting {
@@ -453,48 +500,35 @@ impl TxRuntime {
             acc.parent_aborted = true;
         }
 
-        // Release CL accounting for real fetches held by dying levels; keep
-        // fetches owned by surviving ancestors (shadows release nothing).
-        let mut dropped = std::mem::take(&mut self.dropped);
-        for l in &self.levels[level..] {
-            for (oid, copy) in &l.copies {
-                if !copy.shadow {
-                    dropped.push(*oid);
-                }
+        // Release CL accounting for the real fetches among the dying
+        // entries (shadows release nothing) — unless a surviving ancestor
+        // holds its own fetch of the same object.
+        let keep = self.start_of(level);
+        let (kept, dying) = self.log.split_at(keep);
+        for (oid, copy) in dying {
+            if !copy.shadow && !kept.iter().any(|(o, _)| o == oid) {
+                self.cl.object_released(*oid);
             }
         }
-        while self.levels.len() > level + 1 {
-            let dead = self.levels.pop().expect("level stack shrinking");
-            self.retire_level(dead);
-        }
+        self.log.truncate(keep);
+        self.levels.truncate(level + 1);
         let retained = &mut self.levels[level];
-        retained.copies.clear();
         retained.committed_children = 0;
-        for oid in dropped.drain(..) {
-            // An ancestor below `level` may still hold its own fetch of the
-            // same oid; only release if nobody below holds it.
-            if !self.levels[..level]
-                .iter()
-                .any(|l| l.copies.contains_key(&oid))
-            {
-                self.cl.object_released(oid);
-            }
-        }
-        self.dropped = dropped;
-        self.program = self.levels[level].snapshot.clone_box();
+        retained.snapshot.restore(&mut self.program);
         acc
     }
 
-    /// Reset for a fresh whole-transaction attempt.
+    /// Begin a fresh whole-transaction attempt. The attempt before it was
+    /// rolled back by [`TxRuntime::abort_to_level`]`(0)`, which is where the
+    /// log was emptied and the program rewound — once, not again here.
     pub fn restart(&mut self, now: SimTime, expected_commit: SimTime, wv: u64) {
+        debug_assert!(
+            !self.in_nested() && self.log.is_empty(),
+            "restart of {:?} before abort_to_level(0)",
+            self.id
+        );
         self.attempt += 1;
-        self.program = self.pristine.clone_box();
-        let snapshot = self.pristine.clone_box();
-        while let Some(dead) = self.levels.pop() {
-            self.retire_level(dead);
-        }
-        let level = self.make_level(self.kind, snapshot, now);
-        self.levels.push(level);
+        self.levels[0].opened_at = now;
         self.phase = TxPhase::Running;
         self.attempt_started_at = now;
         self.expected_commit = expected_commit;
@@ -515,7 +549,7 @@ impl TxRuntime {
     /// equivalent of a non-empty [`TxRuntime::object_summary_into`].
     #[inline]
     pub fn has_objects(&self) -> bool {
-        self.levels.iter().any(|l| !l.copies.is_empty())
+        !self.log.is_empty()
     }
 
     /// Distinct objects across all levels with their outermost fetch info:
@@ -523,19 +557,17 @@ impl TxRuntime {
     /// object id — into a caller-provided buffer, so the protocol paths
     /// reuse one allocation per node. Clears `out` first. The
     /// membership test scans `out` itself (it holds exactly the oids seen so
-    /// far), replacing the old side `ObjSet`; working sets are a handful of
-    /// objects, so the scan beats any auxiliary structure.
+    /// far); the log is short (module doc), so the scan beats any auxiliary
+    /// structure.
     pub fn object_summary_into(&self, out: &mut Vec<(ObjectId, u64, u32, bool, AccessMode)>) {
         out.clear();
-        for l in &self.levels {
-            for (oid, c) in &l.copies {
-                match out.iter_mut().find(|e| e.0 == *oid) {
-                    None => out.push((*oid, c.version, c.owner, c.dirty, c.mode)),
-                    Some(entry) => {
-                        entry.3 = entry.3 || c.dirty;
-                        if c.mode == AccessMode::Write {
-                            entry.4 = AccessMode::Write;
-                        }
+        for (oid, c) in &self.log {
+            match out.iter_mut().find(|e| e.0 == *oid) {
+                None => out.push((*oid, c.version, c.owner, c.dirty, c.mode)),
+                Some(entry) => {
+                    entry.3 = entry.3 || c.dirty;
+                    if c.mode == AccessMode::Write {
+                        entry.4 = AccessMode::Write;
                     }
                 }
             }
@@ -544,10 +576,10 @@ impl TxRuntime {
         out.sort_unstable_by_key(|e| e.0);
     }
 
-    /// The publish set: objects dirtied anywhere in the (merged) transaction
-    /// with the payload of the innermost copy (shared, not deep-cloned) —
-    /// into caller-provided buffers (`summary` receives the object summary
-    /// it is derived from). Clears both first.
+    /// The publish set: objects dirtied anywhere in the transaction with the
+    /// payload of the innermost copy (shared, not deep-cloned) — into
+    /// caller-provided buffers (`summary` receives the object summary it is
+    /// derived from). Clears both first.
     pub fn write_back_set_into(
         &self,
         summary: &mut Vec<(ObjectId, u64, u32, bool, AccessMode)>,
@@ -570,15 +602,46 @@ impl TxRuntime {
         let committed: u64 = self.levels.iter().map(|l| l.committed_children).sum();
         committed + (self.levels.len() as u64 - 1)
     }
+
+    /// What `level` holds, one copy per object: its own fetches, its shadows
+    /// of ancestors' copies, and what its committed children left it, each
+    /// object's entries folded the way a merge of the child into the parent
+    /// would — identity (version, owner, shadow) from the first, payload
+    /// from the last, mode and dirtiness accumulated. The verification
+    /// surface ([`crate::Node::protocol_fingerprint`],
+    /// [`crate::Node::local_invariants`]) hashes and checks the state per
+    /// level; the protocol never asks. Allocates.
+    pub fn level_copies(&self, level: usize) -> Vec<(ObjectId, WorkingCopy)> {
+        let end = match self.levels.get(level + 1) {
+            Some(next) => next.log_start as usize,
+            None => self.log.len(),
+        };
+        let mut out: Vec<(ObjectId, WorkingCopy)> = Vec::new();
+        for (oid, c) in &self.log[self.start_of(level)..end] {
+            match out.iter_mut().find(|(o, _)| o == oid) {
+                None => out.push((*oid, c.clone())),
+                Some((_, held)) => {
+                    held.payload = Arc::clone(&c.payload);
+                    held.dirty = held.dirty || c.dirty;
+                    if c.mode == AccessMode::Write {
+                        held.mode = AccessMode::Write;
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// What a handler reads to accept an event and step the program ends
-    /// (or, for the 88-byte phase, starts) inside the runtime's first two
-    /// cache lines, and the runtime has not grown.
+    /// What a handler reads to accept an event, step the program and find
+    /// its objects ends (or, for the phase, starts) inside the runtime's
+    /// first two cache lines; the runtime has shrunk (312 bytes with a
+    /// pristine program, a spare-level pool and a per-round set per phase),
+    /// and a nesting level is one line with no collection in it.
     #[test]
     fn what_a_handler_reads_first_leads_the_runtime() {
         use std::mem::{offset_of, size_of};
@@ -586,8 +649,11 @@ mod tests {
         assert!(offset_of!(TxRuntime, attempt) + size_of::<u32>() <= 128);
         assert!(offset_of!(TxRuntime, program) + size_of::<BoxedProgram>() <= 128);
         assert!(offset_of!(TxRuntime, levels) + size_of::<Vec<NestingLevel>>() <= 128);
+        assert!(offset_of!(TxRuntime, log) + size_of::<Vec<(ObjectId, WorkingCopy)>>() <= 128);
         assert!(offset_of!(TxRuntime, phase) < 128);
-        assert!(size_of::<TxRuntime>() <= 312);
+        assert!(size_of::<TxRuntime>() <= 272);
+        assert!(size_of::<NestingLevel>() <= 64);
+        assert_eq!(size_of::<(ObjectId, WorkingCopy)>(), 32);
     }
 
     /// Allocating forms of the `_into` methods, for assertions only.
@@ -634,10 +700,10 @@ mod tests {
             Payload::Scalar(99)
         );
         // Parent's own copy (level 0) is untouched.
-        assert_eq!(
-            *tx.levels[0].copies[&ObjectId(1)].payload,
-            Payload::Scalar(10)
-        );
+        let parents = tx.level_copies(0);
+        assert_eq!(parents.len(), 1);
+        assert_eq!(*parents[0].1.payload, Payload::Scalar(10));
+        assert!(!parents[0].1.shadow && tx.level_copies(1)[0].1.shadow);
     }
 
     #[test]
@@ -655,7 +721,7 @@ mod tests {
             Payload::Scalar(10)
         );
         assert!(!tx.lookup(ObjectId(1)).unwrap().dirty);
-        assert_eq!(tx.levels.len(), 2, "child level retained for retry");
+        assert_eq!(tx.levels().len(), 2, "child level retained for retry");
     }
 
     #[test]
@@ -668,8 +734,14 @@ mod tests {
         tx.write_local(ObjectId(2), Payload::Scalar(21));
         tx.write_local(ObjectId(1), Payload::Scalar(11));
         tx.close_nested();
-        assert_eq!(tx.levels.len(), 1);
-        assert_eq!(tx.levels[0].committed_children, 1);
+        assert_eq!(tx.levels().len(), 1);
+        assert_eq!(tx.levels()[0].committed_children, 1);
+        // The parent's merged view: its own fetch of object 1 with the
+        // child's payload and dirtiness, and the child's fetch of object 2.
+        let merged = tx.level_copies(0);
+        assert_eq!(merged.len(), 2);
+        assert_eq!((merged[0].0, merged[1].0), (ObjectId(1), ObjectId(2)));
+        assert!(merged[0].1.dirty && !merged[0].1.shadow && !merged[1].1.shadow);
         assert_eq!(
             *tx.lookup(ObjectId(1)).unwrap().payload,
             Payload::Scalar(11)
@@ -695,8 +767,8 @@ mod tests {
         assert!(acc.parent_aborted);
         assert_eq!(acc.nested_own, 0);
         assert_eq!(acc.nested_parent, 3, "2 committed + 1 in-flight");
-        assert_eq!(tx.levels.len(), 1);
-        assert!(tx.levels[0].copies.is_empty());
+        assert_eq!(tx.levels().len(), 1);
+        assert!(!tx.has_objects());
     }
 
     #[test]
@@ -706,7 +778,7 @@ mod tests {
         // Grandchild commits into the child.
         tx.open_nested(TxKind(3), tx.program.clone_box(), SimTime(2_500));
         tx.close_nested();
-        assert_eq!(tx.levels[1].committed_children, 1);
+        assert_eq!(tx.levels()[1].committed_children, 1);
         // Child aborts for its own reasons.
         let acc = tx.abort_to_level(1);
         assert_eq!(acc.nested_own, 1);
@@ -745,11 +817,12 @@ mod tests {
         tx.open_nested(TxKind(2), tx.program.clone_box(), SimTime(2_000));
         tx.attempt_msgs = 9;
         assert_eq!(tx.wasted_ns_at(SimTime(4_500)), 3_500);
+        tx.abort_to_level(0);
         tx.restart(SimTime(5_000), SimTime(60_000_000), 7);
         assert_eq!(tx.attempt, 1);
         assert_eq!(tx.attempt_msgs, 0);
-        assert_eq!(tx.levels.len(), 1);
-        assert!(tx.levels[0].copies.is_empty());
+        assert_eq!(tx.levels().len(), 1);
+        assert!(!tx.has_objects());
         assert_eq!(tx.wv, 7);
         assert_eq!(tx.cl.my_cl(), 0);
         assert_eq!(tx.attempt_started_at, SimTime(5_000));

@@ -12,7 +12,11 @@
 //! ```
 //!
 //! Exit status: 0 clean, 1 violation found (fuzz also writes the shrunk
-//! reproducer to `--out`, default `verify-reproducer.txt`), 2 usage error.
+//! reproducer to `--out`, default `verify-reproducer.txt`), 2 usage error —
+//! an unknown flag, a stray argument, a missing or unparsable value: one
+//! `dstm-verify:` line and the usage on stderr, and nothing is run. A flag
+//! that is dropped instead selects a different model (`--parent-scop` the
+//! child-scope one) whose clean run exits 0.
 
 use std::process::ExitCode;
 
@@ -54,69 +58,79 @@ fn usage(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Pull the value of `--flag VALUE` out of `args`, parsed by `parse`.
-fn opt<T>(
-    args: &[String],
-    flag: &str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Result<Option<T>, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            let v = args
-                .get(i + 1)
-                .ok_or_else(|| format!("{flag} needs a value"))?;
-            return parse(v)
-                .map(Some)
-                .ok_or_else(|| format!("bad value for {flag}: `{v}`"));
+/// The value that must follow `flag`: the next argument, unless that is a
+/// flag itself.
+fn value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a str, String> {
+    match it.as_slice().first() {
+        Some(v) if !v.starts_with("--") => {
+            it.next();
+            Ok(v)
         }
+        _ => Err(format!("{flag} needs a value")),
     }
-    Ok(None)
 }
 
-fn has(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
+/// The value that must follow `flag`, through `parse`.
+fn parsed<T>(
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let v = value(flag, it)?;
+    parse(v).ok_or_else(|| format!("bad value for {flag}: `{v}`"))
+}
+
+fn number<T: std::str::FromStr>(v: &str) -> Option<T> {
+    v.parse().ok()
+}
+
+/// What an argument no `match` arm of its subcommand names is refused with.
+fn unknown(arg: &str) -> String {
+    if arg.starts_with("--") {
+        format!("unknown flag `{arg}`")
+    } else {
+        format!("unexpected argument `{arg}`")
+    }
 }
 
 fn cmd_check(args: &[String]) -> ExitCode {
     let parsed = (|| -> Result<(Vec<SchedulerKind>, ModelCfg), String> {
         let mut cfg = ModelCfg::default();
-        let schedulers = match opt(args, "--scheduler", |v| {
-            if v == "all" {
-                Some(None)
-            } else {
-                scheduler_from_name(v).map(Some)
+        // Default and `all`: the paper's three schedulers.
+        let all = vec![
+            SchedulerKind::Tfa,
+            SchedulerKind::TfaBackoff,
+            SchedulerKind::Rts,
+        ];
+        let mut schedulers = all.clone();
+        let (mut max_states, mut max_depth) = (None, None);
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            match flag.as_str() {
+                "--scheduler" => {
+                    schedulers = parsed(flag, &mut it, |v| match v {
+                        "all" => Some(all.clone()),
+                        one => scheduler_from_name(one).map(|s| vec![s]),
+                    })?;
+                }
+                "--nodes" => cfg.nodes = parsed(flag, &mut it, number)?,
+                "--objects" => cfg.objects = parsed(flag, &mut it, number)?,
+                "--max-states" => max_states = Some(parsed(flag, &mut it, number)?),
+                "--max-depth" => max_depth = Some(parsed(flag, &mut it, number)?),
+                "--no-cache" => cfg.cache = false,
+                "--parent-scope" => cfg.parent_scope = true,
+                other => return Err(unknown(other)),
             }
-        })? {
-            Some(Some(one)) => vec![one],
-            // Default and `all`: the paper's three schedulers.
-            _ => vec![
-                SchedulerKind::Tfa,
-                SchedulerKind::TfaBackoff,
-                SchedulerKind::Rts,
-            ],
+        }
+        // Parent scope is unbounded by construction; default to caps that
+        // finish in CI time rather than the exhaustive-sweep ones.
+        let (states_cap, depth_cap) = if cfg.parent_scope {
+            (20_000, 150)
+        } else {
+            (cfg.max_states, cfg.max_depth)
         };
-        if let Some(n) = opt(args, "--nodes", |v| v.parse().ok())? {
-            cfg.nodes = n;
-        }
-        if let Some(k) = opt(args, "--objects", |v| v.parse().ok())? {
-            cfg.objects = k;
-        }
-        if let Some(m) = opt(args, "--max-states", |v| v.parse().ok())? {
-            cfg.max_states = m;
-        }
-        if let Some(d) = opt(args, "--max-depth", |v| v.parse().ok())? {
-            cfg.max_depth = d;
-        }
-        cfg.cache = !has(args, "--no-cache");
-        cfg.parent_scope = has(args, "--parent-scope");
-        if cfg.parent_scope && !has(args, "--max-states") {
-            // Parent scope is unbounded by construction; default to a cap
-            // that finishes in CI time rather than the exhaustive-sweep cap.
-            cfg.max_states = 20_000;
-        }
-        if cfg.parent_scope && !has(args, "--max-depth") {
-            cfg.max_depth = 150;
-        }
+        cfg.max_states = max_states.unwrap_or(states_cap);
+        cfg.max_depth = max_depth.unwrap_or(depth_cap);
         Ok((schedulers, cfg))
     })();
     let (schedulers, base) = match parsed {
@@ -185,28 +199,24 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     let parsed = (|| -> Result<(EpisodeSpec, FuzzConfig, String), String> {
         let mut spec = EpisodeSpec::default();
         let mut cfg = FuzzConfig::default();
-        if let Some(b) = opt(args, "--benchmark", dstm_benchmarks::Benchmark::from_name)? {
-            spec.benchmark = b;
+        let mut out = "verify-reproducer.txt".to_string();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            match flag.as_str() {
+                "--benchmark" => {
+                    spec.benchmark = parsed(flag, &mut it, dstm_benchmarks::Benchmark::from_name)?;
+                }
+                "--scheduler" => spec.scheduler = parsed(flag, &mut it, scheduler_from_name)?,
+                "--nodes" => spec.nodes = parsed(flag, &mut it, number)?,
+                "--txns" => spec.txns = parsed(flag, &mut it, number)?,
+                "--episodes" => cfg.episodes = parsed(flag, &mut it, number)?,
+                "--seed" => cfg.base_seed = parsed(flag, &mut it, number)?,
+                "--out" => out = value(flag, &mut it)?.to_string(),
+                "--no-cache" => spec.cache = false,
+                "--no-telemetry" => spec.telemetry = false,
+                other => return Err(unknown(other)),
+            }
         }
-        if let Some(s) = opt(args, "--scheduler", scheduler_from_name)? {
-            spec.scheduler = s;
-        }
-        if let Some(n) = opt(args, "--nodes", |v| v.parse().ok())? {
-            spec.nodes = n;
-        }
-        if let Some(t) = opt(args, "--txns", |v| v.parse().ok())? {
-            spec.txns = t;
-        }
-        spec.cache = !has(args, "--no-cache");
-        spec.telemetry = !has(args, "--no-telemetry");
-        if let Some(e) = opt(args, "--episodes", |v| v.parse().ok())? {
-            cfg.episodes = e;
-        }
-        if let Some(s) = opt(args, "--seed", |v| v.parse().ok())? {
-            cfg.base_seed = s;
-        }
-        let out = opt(args, "--out", |v| Some(v.to_string()))?
-            .unwrap_or_else(|| "verify-reproducer.txt".to_string());
         Ok((spec, cfg, out))
     })();
     let (spec, cfg, out) = match parsed {
@@ -259,8 +269,11 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
 }
 
 fn cmd_replay(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        return usage("replay needs a reproducer file");
+    let path = match args {
+        [path] if !path.starts_with("--") => path,
+        [] => return usage("replay needs a reproducer file"),
+        [_, extra, ..] => return usage(&unknown(extra)),
+        [flag] => return usage(&unknown(flag)),
     };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,

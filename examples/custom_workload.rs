@@ -4,7 +4,8 @@
 //! at parent level if the player beat it.
 //!
 //! Demonstrates the public API a downstream user targets: resumable
-//! transaction programs, object payloads, and system assembly.
+//! transaction programs and their retry checkpoints, object payloads, and
+//! system assembly.
 //!
 //! ```text
 //! cargo run --release --example custom_workload
@@ -12,17 +13,17 @@
 
 use closed_nesting_dstm::prelude::*;
 
-const TOP_SCORE: ObjectId = ObjectId(1);
+pub const TOP_SCORE: ObjectId = ObjectId(1);
 const PLAYER_BASE: u64 = 100;
 const PLAYERS: u64 = 12;
 
-fn player_oid(i: u64) -> ObjectId {
+pub fn player_oid(i: u64) -> ObjectId {
     ObjectId(PLAYER_BASE + i)
 }
 
 /// One "report a new score" transaction.
 #[derive(Clone)]
-struct ReportScore {
+pub struct ReportScore {
     player: u64,
     new_score: i64,
     st: St,
@@ -43,7 +44,7 @@ enum St {
 }
 
 impl ReportScore {
-    fn new(player: u64, new_score: i64) -> Self {
+    pub fn new(player: u64, new_score: i64) -> Self {
         ReportScore {
             player,
             new_score,
@@ -65,6 +66,29 @@ impl TxProgram for ReportScore {
 
     fn clone_box(&self) -> BoxedProgram {
         Box::new(self.clone())
+    }
+
+    /// How the executor retries this program without copying it. It asks
+    /// only before the first step (`Begin`) and right behind the
+    /// `OpenNested` (`ChildOpened`), and both scores are read again before
+    /// they are used on the way from either — so which of the two states it
+    /// was is the whole checkpoint. (Leave the pair out and the program
+    /// still retries correctly, from a `clone_box` per nesting level.)
+    fn checkpoint(&self) -> Option<ProgramCheckpoint> {
+        Some(ProgramCheckpoint {
+            pc: u64::from(self.st == St::ChildOpened),
+            regs: [0; 3],
+        })
+    }
+
+    /// A conflict inside the child rewinds to `ChildOpened` and replays the
+    /// child alone; one at parent level rewinds to `Begin`.
+    fn rewind(&mut self, to: &ProgramCheckpoint) {
+        self.st = if to.pc == 1 {
+            St::ChildOpened
+        } else {
+            St::Begin
+        };
     }
 
     fn step(&mut self, input: StepInput<'_>) -> StepOutput {

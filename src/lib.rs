@@ -52,8 +52,8 @@ pub mod prelude {
     pub use dstm_sim::{SimDuration, SimRng, SimTime};
     pub use hyflow_dstm::{
         AccessMode, BoxedProgram, ConflictScope, DstmConfig, NestingMode, PartitionStrategy,
-        Payload, RunMetrics, StepInput, StepOutput, System, SystemBuilder, TxProgram,
-        WorkloadSource,
+        Payload, ProgramCheckpoint, RunMetrics, StepInput, StepOutput, System, SystemBuilder,
+        TxProgram, WorkloadSource,
     };
     pub use rts_core::{ObjectId, SchedulerKind, TxId, TxKind};
 }
