@@ -374,9 +374,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
 /// export and the audit (ns per record). The header line gives the record
 /// and byte counts that convert one unit into the other.
 fn bench_trace_codec(c: &mut Criterion) {
-    let cell = Cell::new(Benchmark::Bank, rts_core::SchedulerKind::Rts, 40, 0.5)
-        .with_shards(1)
-        .with_cache(false);
+    let cell = Cell::new(Benchmark::Bank, rts_core::SchedulerKind::Rts, 40, 0.5).with_cache(false);
     let (_, log) = run_cell_traced(cell);
     let text = log.to_jsonl();
     let (records, bytes) = (log.records.len() as u64, text.len() as u64);

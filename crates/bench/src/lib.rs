@@ -25,17 +25,15 @@ pub fn results_dir() -> PathBuf {
 /// Print a regenerated artifact and persist it for EXPERIMENTS.md.
 ///
 /// Every file gets a one-line provenance header recording the worker-pool
-/// width and shard count that produced it, so numbers in `paper_results/`
-/// are attributable to a host configuration. Simulated results are
-/// identical at any `workers`/`shards` setting — only wall clocks move.
+/// width that produced it, so numbers in `paper_results/` are attributable
+/// to a host configuration. Simulated results are identical at any
+/// `workers` setting — only wall clocks move.
 pub fn emit(name: &str, contents: &str) {
     println!("{contents}");
     let path = results_dir().join(format!("{name}.txt"));
     let header = format!(
-        "# workers={} shards={} (host-parallelism knobs; simulated results are \
-         independent of both)\n",
-        effective_workers(),
-        shards()
+        "# workers={} (host-parallelism knob; simulated results are independent of it)\n",
+        effective_workers()
     );
     match std::fs::File::create(&path) {
         Ok(mut f) => {
@@ -62,14 +60,4 @@ pub fn effective_workers() -> usize {
             .map(|p| p.get())
             .unwrap_or(1)
     })
-}
-
-/// Shards for the time-windowed parallel executor (`DSTM_SHARDS`
-/// override); 1 (serial) when unset.
-pub fn shards() -> usize {
-    std::env::var("DSTM_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1)
 }

@@ -116,14 +116,6 @@ impl TxProgram for DhtProgram {
         self.st = if opened { St::OpenAck } else { St::NextOp };
     }
 
-    fn access_hint(&self, out: &mut Vec<ObjectId>) {
-        // Key→bucket mapping is static, so the full access set is known up
-        // front — exactly what the locality partitioner wants.
-        for op in self.ops.iter() {
-            out.push(bucket_of(op.key(), self.buckets));
-        }
-    }
-
     fn step(&mut self, input: StepInput<'_>) -> StepOutput {
         match self.st {
             St::NextOp => {

@@ -118,9 +118,8 @@ pub fn explain_decision(
 
 /// Owner-side conflict resolution strategy.
 ///
-/// `Send` because a policy lives inside a simulated node, and whole nodes
-/// migrate between threads under the sharded executor
-/// (`GenericWorld::run_sharded`) and the cell worker pool.
+/// `Send` because a policy lives inside a simulated node, and the cell
+/// worker pool builds and runs whole systems on its threads.
 pub trait ConflictPolicy: Send {
     fn kind(&self) -> SchedulerKind;
 

@@ -78,7 +78,7 @@ pub fn enabled() -> bool {
 /// live size. No-op without `bench-alloc`.
 ///
 /// Counters are process-global and exact under concurrency: every
-/// allocation on every thread — worker-pool cells, shard threads — is an
+/// allocation on every thread — worker-pool cells included — is an
 /// atomic increment, and live-byte accounting never drifts because
 /// `CURRENT` is monotone with respect to alloc/dealloc pairs (it is never
 /// zeroed, so a cross-reset free subtracts exactly what its allocation
@@ -113,7 +113,7 @@ mod tests {
     }
 
     /// Counters must stay exact when allocations come from many threads at
-    /// once (the worker pool and the sharded executor both do this): no
+    /// once (the worker pool does this): no
     /// lost increments, and the peak must see the simultaneously-live sum.
     #[test]
     fn multithreaded_counts_are_exact() {

@@ -4,20 +4,12 @@
 //! dstm-sweep [nodes] [txns_per_node] [benchmark] [--hist-out out.json]
 //!            [--telemetry] [--epoch-ns N] [--cache]
 //! dstm-sweep scenario [rts|tfa|tfa-backoff] [writers] [readers]
-//! dstm-sweep large-smoke [nodes] [--shards S] [--partition P] [--cache]
+//! dstm-sweep large-smoke [nodes] [--cache]
 //! ```
 //!
 //! `--cache` (env `DSTM_CACHE=1`) turns on clock-validated remote-read
 //! caching plus same-tick message coalescing — a **protocol variant** that
-//! changes simulated results (fewer fetch round trips), unlike `--shards`.
-//!
-//! All modes accept `--shards S` (env `DSTM_SHARDS`) to run each cell on
-//! the conservative time-windowed parallel executor
-//! (`GenericWorld::run_partitioned`, per-shard-pair lookahead windows), and
-//! `--partition round-robin|locality` (env `DSTM_PARTITION`) to pick the
-//! node→shard assignment. Results are bit-identical to `--shards 1` under
-//! either partitioner — the flags change host wall-clock only — which is
-//! what the CI shard-determinism job byte-diffs.
+//! changes simulated results (fewer fetch round trips).
 //!
 //! All modes accept `--trace <path>` / `--trace-format jsonl|chrome` (or the
 //! `DSTM_TRACE` / `DSTM_TRACE_FORMAT` environment variables) to record
@@ -44,9 +36,7 @@
 //! 160-node (or `[nodes]`, up to 10k) Bank/RTS cell on the hashed topology.
 //! With `--trace` the run records protocol events for `dstm-trace audit`;
 //! without it the cell runs untraced (how the 10k-node smoke stays within
-//! CI time and memory). With `--shards S` its summary line also carries the
-//! window count and each shard's events, barrier wait, execute and mailbox
-//! drain time — what a sharded wall clock has to be read against.
+//! CI time and memory).
 //!
 //! An argument starting with `--` that is not one of the flags above, a flag
 //! without its value, a flag, positional or `DSTM_*` value that does not
@@ -62,7 +52,7 @@ use dstm_harness::runner::{
     TopologySpec,
 };
 use dstm_harness::traceio::to_chrome_trace;
-use hyflow_dstm::{HistSummary, PartitionStrategy, TelemetryReport, TraceLog};
+use hyflow_dstm::{HistSummary, TelemetryReport, TraceLog};
 use rts_core::SchedulerKind;
 use std::fmt::Write as _;
 
@@ -105,10 +95,6 @@ struct Flags {
     positional: Vec<String>,
     topts: TraceOpts,
     hist_out: Option<String>,
-    /// `--shards` (env `DSTM_SHARDS`); 1 (serial) when absent.
-    shards: usize,
-    /// `--partition` (env `DSTM_PARTITION`); round-robin when absent.
-    partition: PartitionStrategy,
     /// `--telemetry` (env `DSTM_TELEMETRY=1`): enable the sim-time epoch
     /// sampler on the representative cell and write `BENCH_timeseries.json`.
     telemetry: bool,
@@ -187,8 +173,6 @@ fn split_flags(args: &[String]) -> Result<Flags, String> {
     let mut trace_path = env_or("DSTM_TRACE", |s| Some(s.to_string()))?;
     let mut format = env_or("DSTM_TRACE_FORMAT", TraceFormat::parse)?;
     let mut hist_out = None;
-    let mut shards = env_or("DSTM_SHARDS", number)?;
-    let mut partition = env_or("DSTM_PARTITION", PartitionStrategy::from_name)?;
     let mut telemetry = env_or("DSTM_TELEMETRY", switch)?.unwrap_or(false);
     let mut epoch_ns = env_or("DSTM_EPOCH_NS", number)?;
     let mut cache = env_or("DSTM_CACHE", switch)?.unwrap_or(false);
@@ -201,13 +185,9 @@ fn split_flags(args: &[String]) -> Result<Flags, String> {
                 format = Some(parsed(a, value(a, &mut it)?, TraceFormat::parse)?);
             }
             "--hist-out" => hist_out = Some(value(a, &mut it)?.to_string()),
-            "--shards" => shards = Some(parsed(a, value(a, &mut it)?, number)?),
             "--telemetry" => telemetry = true,
             "--epoch-ns" => epoch_ns = Some(parsed(a, value(a, &mut it)?, number)?),
             "--cache" => cache = true,
-            "--partition" => {
-                partition = Some(parsed(a, value(a, &mut it)?, PartitionStrategy::from_name)?);
-            }
             _ if a.starts_with("--") => return Err(format!("unknown flag {a}")),
             _ => positional.push(a.to_string()),
         }
@@ -219,8 +199,6 @@ fn split_flags(args: &[String]) -> Result<Flags, String> {
             format: format.unwrap_or(TraceFormat::Jsonl),
         },
         hist_out,
-        shards: shards.unwrap_or(1).max(1),
-        partition: partition.unwrap_or_default(),
         telemetry,
         epoch_ns,
         cache,
@@ -242,11 +220,9 @@ fn scheduler_from_name(s: &str) -> Option<SchedulerKind> {
 }
 
 /// One large-scale cell, for CI smoke + `dstm-trace audit`. With `--trace`
-/// the run records protocol events and writes them out (what the
-/// shard-determinism job byte-diffs at 1 vs 4 shards); without it the cell
+/// the run records protocol events and writes them out; without it the cell
 /// runs untraced, which is what lets the 10k-node smoke cell fit CI time
-/// and memory — a 10k-node trace log is millions of records. `--shards` /
-/// `--partition` select the executor configuration.
+/// and memory — a 10k-node trace log is millions of records.
 fn large_smoke(args: &[String], flags: &Flags) -> Result<(), String> {
     at_most(args, 1)?;
     let nodes: usize = positional(args, 0, "nodes", number, 160)?;
@@ -256,8 +232,6 @@ fn large_smoke(args: &[String], flags: &Flags) -> Result<(), String> {
             min_ms: 1,
             max_ms: 50,
         })
-        .with_shards(flags.shards)
-        .with_partition(flags.partition)
         .with_cache(flags.cache);
     let (r, trace) = if flags.topts.path.is_some() {
         let (r, t) = run_cell_traced(cell);
@@ -267,10 +241,8 @@ fn large_smoke(args: &[String], flags: &Flags) -> Result<(), String> {
     };
     assert!(r.completed, "large-smoke cell stalled at n={nodes}");
     let mut line = format!(
-        "large-smoke: Bank/RTS n={nodes} hashed topology shards={} part={} cache={}  commits={}  \
+        "large-smoke: Bank/RTS n={nodes} hashed topology cache={}  commits={}  \
          events={}  {:.1} ms wall  {:.0} ns/event",
-        flags.shards,
-        flags.partition.label(),
         if flags.cache { "on" } else { "off" },
         r.metrics.merged.commits,
         r.metrics.messages,
@@ -289,20 +261,6 @@ fn large_smoke(args: &[String], flags: &Flags) -> Result<(), String> {
     }
     if let Some(t) = &trace {
         let _ = write!(line, "  {} trace records", t.records.len());
-    }
-    if let Some(stats) = &r.shard_stats {
-        let barrier: u64 = stats.barrier_wait_ns.iter().sum();
-        let exec: u64 = stats.profiles.iter().map(|p| p.execute_ns).sum();
-        let drain: u64 = stats.profiles.iter().map(|p| p.drain_ns).sum();
-        let _ = write!(
-            line,
-            "  windows={} shard_events={:?} barrier {:.1} ms exec {:.1} ms drain {:.1} ms",
-            stats.windows,
-            stats.shard_events,
-            barrier as f64 / 1e6,
-            exec as f64 / 1e6,
-            drain as f64 / 1e6
-        );
     }
     println!("{line}");
     if let Some(t) = &trace {
@@ -350,7 +308,7 @@ type HistRow = (
 );
 
 /// Write the `BENCH_timeseries.json` sidecar for one telemetry-enabled
-/// cell: provenance headers (cell, executor, host), then one epoch row per
+/// cell: provenance headers (cell, host), then one epoch row per
 /// line (counters merged across nodes by epoch index) and the per-object
 /// wasted-work ranking. Per-epoch deltas sum to the end-of-run totals —
 /// `telemetry_is_passive_and_epoch_sums_reconcile` asserts it, and the
@@ -368,8 +326,6 @@ fn timeseries_sidecar(out_path: &str, cell: &Cell, r: &CellResult, reports: &[Te
     let _ = writeln!(json, "  \"nodes\": {},", cell.params.nodes);
     let _ = writeln!(json, "  \"read_ratio\": {},", cell.params.read_ratio);
     let _ = writeln!(json, "  \"txns_per_node\": {},", cell.params.txns_per_node);
-    let _ = writeln!(json, "  \"shards\": {},", cell.shards);
-    let _ = writeln!(json, "  \"partition\": \"{}\",", cell.partition.label());
     let _ = writeln!(json, "  \"host_cores\": {},", host_cores());
     let _ = writeln!(json, "  \"dropped_epochs\": {dropped},");
     let _ = writeln!(json, "  \"commits\": {},", r.metrics.merged.commits);
@@ -422,12 +378,10 @@ fn timeseries_sidecar(out_path: &str, cell: &Cell, r: &CellResult, reports: &[Te
     }
 }
 
-fn hist_sidecar(out_path: &str, rows: &[HistRow], nodes: usize, txns: usize, flags: &Flags) {
+fn hist_sidecar(out_path: &str, rows: &[HistRow], nodes: usize, txns: usize) {
     let mut json = String::from("{\n  \"unit\": \"ns\",\n");
     let _ = writeln!(json, "  \"nodes\": {nodes},");
     let _ = writeln!(json, "  \"txns_per_node\": {txns},");
-    let _ = writeln!(json, "  \"shards\": {},", flags.shards);
-    let _ = writeln!(json, "  \"partition\": \"{}\",", flags.partition.label());
     let _ = writeln!(json, "  \"host_cores\": {},", host_cores());
     json.push_str("  \"cells\": [\n");
     for (i, (b, read_ratio, s, summaries)) in rows.iter().enumerate() {
@@ -482,9 +436,7 @@ fn run() -> Result<(), String> {
     )?;
 
     println!(
-        "dstm-sweep: {nodes} nodes, {txns} txns/node, delays 1-50 ms, shards={} part={} cache={}\n",
-        flags.shards,
-        flags.partition.label(),
+        "dstm-sweep: {nodes} nodes, {txns} txns/node, delays 1-50 ms, cache={}\n",
         if flags.cache { "on" } else { "off" }
     );
     let mut hist_rows = Vec::new();
@@ -505,8 +457,6 @@ fn run() -> Result<(), String> {
             ] {
                 let mut cell = Cell::new(b, s, nodes, read_ratio)
                     .with_txns(txns)
-                    .with_shards(flags.shards)
-                    .with_partition(flags.partition)
                     .with_cache(flags.cache);
                 if let Some(ns) = flags.epoch_ns {
                     cell = cell.with_epoch_ns(ns);
@@ -554,7 +504,6 @@ fn run() -> Result<(), String> {
         &hist_rows,
         nodes,
         txns,
-        &flags,
     );
     Ok(())
 }

@@ -25,6 +25,11 @@
 //! the aborts, which transactions discarded whose work, where throughput
 //! knees over — and reconciles the event-derived wasted-work ledger
 //! against the live counters.
+//!
+//! An argument starting with `--` that the subcommand does not take, a flag
+//! value that does not parse, and a positional argument the subcommand has
+//! no place for each print the usage text on stderr and exit with status 2
+//! before any file is read or written.
 
 use dstm_harness::experiments::scenarios::run_collision_traced;
 use dstm_harness::traceio::{analyze, audit, to_chrome_trace, trace_stats};
@@ -41,14 +46,15 @@ fn load(path: &str) -> Result<TraceLog, String> {
 /// with its `.jsonl` replaced by `default_ext`).
 fn convert(
     path: &str,
-    out: Option<&String>,
+    out: Option<&str>,
     default_ext: &str,
     render: fn(&TraceLog) -> String,
     note: &str,
 ) -> ExitCode {
-    let out_path = out
-        .cloned()
-        .unwrap_or_else(|| format!("{}{default_ext}", path.trim_end_matches(".jsonl")));
+    let out_path = out.map_or_else(
+        || format!("{}{default_ext}", path.trim_end_matches(".jsonl")),
+        str::to_string,
+    );
     let written = load(path).and_then(|log| {
         std::fs::write(&out_path, render(&log)).map_err(|e| format!("cannot write {out_path}: {e}"))
     });
@@ -75,12 +81,29 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let (Some(cmd), file) = (args.get(1), args.get(2)) else {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
-    match (cmd.as_str(), file) {
-        ("audit", Some(path)) => match load(path) {
+    // `analyze` is the one subcommand with flags; everything else that
+    // starts with `--` is a mistake, not a file name.
+    let mut json = false;
+    let mut epoch_ns = 0u64; // 0 = analyzer default (50 ms)
+    let mut positional: Vec<&str> = Vec::new();
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--json" if cmd == "analyze" => json = true,
+            "--epoch-ns" if cmd == "analyze" => match it.next().map(|v| v.parse::<u64>()) {
+                Some(Ok(n)) => epoch_ns = n,
+                _ => return usage(),
+            },
+            flag if flag.starts_with("--") => return usage(),
+            path => positional.push(path),
+        }
+    }
+    match (cmd.as_str(), positional.as_slice()) {
+        ("audit", [path]) => match load(path) {
             Ok(log) => {
                 let report = audit(&log);
                 print!("{}", report.render());
@@ -95,7 +118,7 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        ("stats", Some(path)) => match load(path) {
+        ("stats", [path]) => match load(path) {
             Ok(log) => {
                 print!("{}", trace_stats(&log));
                 ExitCode::SUCCESS
@@ -105,59 +128,41 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        ("analyze", Some(path)) => {
-            let mut json = false;
-            let mut epoch_ns = 0u64; // 0 = analyzer default (50 ms)
-            let mut rest = args[3..].iter();
-            while let Some(flag) = rest.next() {
-                match flag.as_str() {
-                    "--json" => json = true,
-                    "--epoch-ns" => match rest.next().map(|v| v.parse::<u64>()) {
-                        Some(Ok(n)) => epoch_ns = n,
-                        _ => return usage(),
-                    },
-                    _ => return usage(),
+        ("analyze", [path]) => match load(path) {
+            Ok(log) => {
+                let report = analyze(&log, epoch_ns);
+                if json {
+                    print!("{}", report.to_json());
+                } else {
+                    print!("{}", report.render());
+                }
+                if report.ok() {
+                    ExitCode::SUCCESS
+                } else {
+                    ExitCode::FAILURE
                 }
             }
-            match load(path) {
-                Ok(log) => {
-                    let report = analyze(&log, epoch_ns);
-                    if json {
-                        print!("{}", report.to_json());
-                    } else {
-                        print!("{}", report.render());
-                    }
-                    if report.ok() {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::from(2)
-                }
+            Err(e) => {
+                eprintln!("{e}");
+                ExitCode::from(2)
             }
-        }
-        ("chrome", Some(path)) => convert(
+        },
+        ("chrome", [path, out @ ..]) if out.len() <= 1 => convert(
             path,
-            args.get(3),
+            out.first().copied(),
             ".chrome.json",
             to_chrome_trace,
             " — open in chrome://tracing or Perfetto",
         ),
-        ("jsonl", Some(path)) => convert(
+        ("jsonl", [path, out @ ..]) if out.len() <= 1 => convert(
             path,
-            args.get(3),
+            out.first().copied(),
             ".canonical.jsonl",
             TraceLog::to_jsonl,
             "",
         ),
-        ("demo", _) => {
-            let out_path = args
-                .get(2)
-                .map(String::as_str)
-                .unwrap_or("fig3_trace.jsonl");
+        ("demo", out) if out.len() <= 1 => {
+            let out_path = out.first().copied().unwrap_or("fig3_trace.jsonl");
             let (result, trace) = run_collision_traced(SchedulerKind::Rts, 6, 2);
             assert!(result.all_done, "demo scenario stalled");
             match std::fs::write(out_path, trace.to_jsonl()) {

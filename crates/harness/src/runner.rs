@@ -7,7 +7,7 @@
 
 use dstm_benchmarks::{Benchmark, WorkloadParams};
 use dstm_net::Topology;
-use dstm_sim::{EventQueue, ShardRunStats, SimRng};
+use dstm_sim::{EventQueue, SimRng};
 use hyflow_dstm::{
     DstmConfig, NodeEvent, PartitionStrategy, QueueBackend, RunMetrics, System, SystemBuilder,
     TraceLog,
@@ -46,47 +46,6 @@ pub struct Cell {
     pub sim_seed: u64,
     /// Network model (defaults to the paper's 1–50 ms uniform matrix).
     pub topology: TopologySpec,
-    /// Shards for the conservative time-windowed parallel executor; 1 runs
-    /// the classic serial loop. Results are bit-identical either way — this
-    /// is purely a host wall-clock knob. `Cell::new` seeds it from the
-    /// `DSTM_SHARDS` environment variable (like `DSTM_WORKERS` for the cell
-    /// pool), so every sweep and bench target honors the override without
-    /// plumbing; `with_shards` sets it explicitly.
-    pub shards: usize,
-    /// Node→shard assignment strategy for sharded runs (ignored at
-    /// `shards == 1`). Bit-identical results either way; locality widens
-    /// the conservative windows by keeping chatty nodes together. Seeded
-    /// from `DSTM_PARTITION` (`round-robin`/`locality`) like `shards` is
-    /// from `DSTM_SHARDS`; `with_partition` sets it explicitly.
-    pub partition: PartitionStrategy,
-}
-
-/// `DSTM_SHARDS` default for new cells; 1 (serial) when unset or invalid.
-fn env_shards() -> usize {
-    std::env::var("DSTM_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// `DSTM_CACHE` default for new cells; off when unset or unrecognized.
-/// Unlike `DSTM_SHARDS` this changes simulated results (fewer fetch round
-/// trips), which is why it defaults off and the differential tests pin it.
-fn env_cache() -> bool {
-    matches!(
-        std::env::var("DSTM_CACHE").as_deref(),
-        Ok("1") | Ok("true") | Ok("on")
-    )
-}
-
-/// `DSTM_PARTITION` default for new cells; round-robin when unset or
-/// unrecognized.
-fn env_partition() -> PartitionStrategy {
-    std::env::var("DSTM_PARTITION")
-        .ok()
-        .and_then(|s| PartitionStrategy::from_name(&s))
-        .unwrap_or_default()
 }
 
 impl Cell {
@@ -107,7 +66,6 @@ impl Cell {
         let (threshold, slack) = benchmark.rts_tuning();
         dstm.cl_threshold = threshold;
         dstm.queue_deadline_percent = slack;
-        dstm.cache = env_cache();
         Cell {
             benchmark,
             scheduler,
@@ -118,21 +76,16 @@ impl Cell {
                 min_ms: 1,
                 max_ms: 50,
             },
-            shards: env_shards(),
-            partition: env_partition(),
         }
     }
 
-    /// Run the simulation on `shards` threads (conservative time-windowed
-    /// executor); clamped to ≥ 1. Bit-identical to the serial run.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+    /// Identity, kept only because `benchmark/src/workloads.rs` calls it; deleted with that call.
+    pub fn with_shards(self, _: usize) -> Self {
         self
     }
 
-    /// Node→shard assignment strategy for sharded runs.
-    pub fn with_partition(mut self, partition: PartitionStrategy) -> Self {
-        self.partition = partition;
+    /// Identity, kept only because `benchmark/src/workloads.rs` calls it; deleted with that call.
+    pub fn with_partition(self, _: PartitionStrategy) -> Self {
         self
     }
 
@@ -185,7 +138,7 @@ impl Cell {
     /// Clock-validated remote-read caching plus same-tick message
     /// coalescing (see `hyflow_dstm::config::DstmConfig::cache`). Changes
     /// simulated results — fewer fetch round trips — so it is an explicit
-    /// protocol variant, not a host-side knob like `with_shards`.
+    /// protocol variant, off unless a caller asks for it here.
     pub fn with_cache(mut self, cache: bool) -> Self {
         self.dstm.cache = cache;
         self
@@ -202,17 +155,10 @@ pub struct CellResult {
     /// (per-cell even when cells run on the worker pool).
     pub wall_ns: u64,
     /// Thread-CPU time for build + run of this cell, in nanoseconds. A
-    /// serial cell runs entirely on one thread, so this is the
-    /// preemption-immune cost — on shared/noisy hosts wall clock inflates
-    /// under contention while this stays put. Benchmarks key ns/event off
-    /// this. For sharded cells (`shards > 1`) this counts only the
-    /// coordinating thread (which runs shard 0); cross-thread speedup claims
-    /// must use `wall_ns`.
+    /// cell runs entirely on one thread, so this is the preemption-immune
+    /// cost — on shared/noisy hosts wall clock inflates under contention
+    /// while this stays put. Benchmarks key ns/event off this.
     pub cpu_ns: u64,
-    /// Executor statistics for sharded cells (`None` for serial ones):
-    /// per-shard event counts and per-shard barrier-wait nanoseconds, the
-    /// attribution data `dstm-sweep large-smoke --shards S` prints.
-    pub shard_stats: Option<ShardRunStats>,
 }
 
 /// Current thread's consumed CPU time in nanoseconds (Linux
@@ -286,22 +232,16 @@ pub fn build_system(cell: &Cell) -> System {
     build_system_with_queue(cell, dstm_sim::BinaryHeapQueue::new())
 }
 
-/// Build the cell's system, run it serially or sharded, let `collect` take
-/// what its caller wants out of the finished system, and stamp host time
-/// over all of it.
+/// Build the cell's system, run it, let `collect` take what its caller
+/// wants out of the finished system, and stamp host time over all of it.
 fn run_and_collect(cell: Cell, collect: &mut dyn FnMut(&mut System, &RunMetrics)) -> CellResult {
     let t0 = std::time::Instant::now();
     let c0 = thread_cpu_ns();
     let mut system = build_system(&cell);
-    let metrics = if cell.shards > 1 {
-        system.run_sharded_default_with(cell.shards, cell.partition)
-    } else {
-        system.run_default()
-    };
+    let metrics = system.run_default();
     collect(&mut system, &metrics);
     CellResult {
         completed: system.all_done(),
-        shard_stats: system.shard_stats().cloned(),
         cell,
         metrics,
         cpu_ns: thread_cpu_ns() - c0,
@@ -387,12 +327,11 @@ pub fn try_run_cells(cells: Vec<Cell>, workers: Option<usize>) -> Result<Vec<Cel
         workers,
         &|c| {
             format!(
-                "{}/{}/n={} seed={:#x} shards={}",
+                "{}/{}/n={} seed={:#x}",
                 c.benchmark.label(),
                 c.scheduler.label(),
                 c.params.nodes,
-                c.sim_seed,
-                c.shards
+                c.sim_seed
             )
         },
         &|c| run_cell(c.clone()),
@@ -521,29 +460,6 @@ mod tests {
         assert_eq!(a.metrics.merged.commits, b.metrics.merged.commits);
         assert_eq!(a.metrics.messages, b.metrics.messages);
         assert_eq!(a.metrics.elapsed, b.metrics.elapsed);
-    }
-
-    #[test]
-    fn sharded_cells_match_serial_bit_for_bit() {
-        let base = tiny(Benchmark::Bank, SchedulerKind::Rts);
-        let serial = run_cell(base.clone());
-        assert!(serial.completed);
-        assert!(serial.shard_stats.is_none(), "serial cells record no stats");
-        for partition in [PartitionStrategy::RoundRobin, PartitionStrategy::Locality] {
-            for shards in [2, 4, 8] {
-                let sharded = run_cell(base.clone().with_shards(shards).with_partition(partition));
-                assert!(
-                    sharded.completed,
-                    "sharded({shards}, {partition:?}) stalled"
-                );
-                assert_eq!(serial.metrics.merged, sharded.metrics.merged);
-                assert_eq!(serial.metrics.messages, sharded.metrics.messages);
-                assert_eq!(serial.metrics.ended_at, sharded.metrics.ended_at);
-                let stats = sharded.shard_stats.expect("sharded cells record stats");
-                assert_eq!(stats.shard_events.iter().sum::<u64>(), stats.steps);
-                assert_eq!(stats.barrier_wait_ns.len(), stats.shard_events.len());
-            }
-        }
     }
 
     #[test]

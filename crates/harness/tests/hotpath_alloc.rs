@@ -37,7 +37,6 @@ fn allocs_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
 fn cell(benchmark: Benchmark) -> Cell {
     Cell::new(benchmark, SchedulerKind::Rts, 8, 0.1)
         .with_txns(12)
-        .with_shards(1)
         .with_cache(false)
         .with_seed(0xD57A)
 }

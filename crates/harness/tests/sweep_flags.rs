@@ -4,9 +4,8 @@
 //! A mistyped flag used to become a positional argument; a flag value, a
 //! positional argument or a `DSTM_*` variable that did not parse used to
 //! fall back to the default; a trailing flag lost its value silently — each
-//! of which ran a *different* sweep and exited 0, so CI's
-//! `cmp serial.jsonl sharded.jsonl` compared two serial runs — and an
-//! unknown `scenario` scheduler panicked. Each is now one `error:` line on
+//! of which ran a *different* sweep and exited 0 — and an unknown `scenario`
+//! scheduler panicked. Each is now one `error:` line on
 //! stderr and exit status 2 before anything runs; checked through the binary.
 
 use std::process::{Command, Output};
@@ -51,21 +50,24 @@ fn refused(args: &[&str]) -> String {
 
 #[test]
 fn a_mistyped_flag_is_refused() {
-    assert!(refused(&["large-smoke", "40", "--shard", "4"]).contains("--shard"));
+    assert!(refused(&["large-smoke", "40", "--epoch", "4"]).contains("--epoch"));
 }
 
 #[test]
 fn a_value_that_does_not_parse_is_refused() {
-    let line = refused(&["large-smoke", "40", "--shards", "four"]);
-    assert!(line.contains("--shards") && line.contains("four"), "{line}");
-    refused(&["large-smoke", "40", "--partition", "nearest"]);
+    let line = refused(&["large-smoke", "40", "--epoch-ns", "four"]);
+    assert!(
+        line.contains("--epoch-ns") && line.contains("four"),
+        "{line}"
+    );
+    refused(&["large-smoke", "40", "--trace-format", "xml"]);
 }
 
 #[test]
 fn a_flag_without_its_value_is_refused() {
     assert!(refused(&["large-smoke", "40", "--trace"]).contains("--trace"));
     // The next flag is not the missing value.
-    assert!(refused(&["large-smoke", "40", "--trace", "--shards", "2"]).contains("--trace"));
+    assert!(refused(&["large-smoke", "40", "--trace", "--cache"]).contains("--trace"));
 }
 
 #[test]
@@ -90,10 +92,17 @@ fn the_retired_kernel_mode_is_refused() {
 }
 
 #[test]
+fn the_retired_executor_flags_are_refused() {
+    // A script that still asks for the parallel executor must fail, not run
+    // serially and report success.
+    assert!(refused(&["large-smoke", "40", "--shards", "2"]).contains("unknown flag --shards"));
+    assert!(refused(&["large-smoke", "40", "--partition", "locality"])
+        .contains("unknown flag --partition"));
+}
+
+#[test]
 fn a_malformed_environment_value_is_refused_like_its_flag() {
     for (name, value) in [
-        ("DSTM_SHARDS", "four"),
-        ("DSTM_PARTITION", "nearest"),
         ("DSTM_EPOCH_NS", "abc"),
         ("DSTM_TRACE_FORMAT", "xml"),
         ("DSTM_TELEMETRY", "yes"),
@@ -101,35 +110,5 @@ fn a_malformed_environment_value_is_refused_like_its_flag() {
     ] {
         let line = refused_under(&[(name, value)], &["large-smoke", "40"]);
         assert!(line.contains(name) && line.contains(value), "{line}");
-    }
-}
-
-/// The value of `key=` in a `large-smoke` summary line.
-fn field<'a>(line: &'a str, key: &str) -> &'a str {
-    let at = line
-        .find(key)
-        .unwrap_or_else(|| panic!("no {key} in {line}"));
-    line[at + key.len()..]
-        .split_whitespace()
-        .next()
-        .unwrap_or_default()
-}
-
-#[test]
-fn a_sharded_large_smoke_matches_serial_and_says_where_its_time_went() {
-    let summary = |args: &[&str]| {
-        let out = sweep(&[], args);
-        assert!(out.status.success(), "{args:?}: {out:?}");
-        String::from_utf8(out.stdout).expect("utf-8 summary")
-    };
-    let serial = summary(&["large-smoke", "40"]);
-    let sharded = summary(&["large-smoke", "40", "--shards", "2"]);
-    for key in ["commits=", "events="] {
-        assert_eq!(field(&serial, key), field(&sharded, key), "{key}");
-    }
-    assert_eq!(field(&sharded, "shards="), "2");
-    for part in ["windows=", "shard_events=", "barrier ", "exec ", "drain "] {
-        assert!(sharded.contains(part), "no {part:?} in {sharded}");
-        assert!(!serial.contains(part), "{part:?} in the serial {serial}");
     }
 }

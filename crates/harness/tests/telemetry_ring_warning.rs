@@ -21,7 +21,6 @@ fn sweep(dir: &str, extra: &[&str]) -> (Output, PathBuf) {
         // The flags under test must not be overridden from outside.
         .env_remove("DSTM_EPOCH_NS")
         .env_remove("DSTM_TELEMETRY")
-        .env_remove("DSTM_SHARDS")
         .output()
         .expect("dstm-sweep runs");
     assert!(out.status.success(), "dstm-sweep failed: {out:?}");

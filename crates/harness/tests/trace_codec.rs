@@ -16,12 +16,10 @@ use hyflow_dstm::{Fnv64, ProtoEvent, TraceLog, TraceRecord};
 use rts_core::{SchedulerKind, TxId, TxKind};
 
 /// One fixed 8-node Bank cell, contended enough (4 objects per node, half
-/// writes) that every scheduler aborts, nests, forwards and migrates. Every
-/// knob `Cell::new` would read from the environment is pinned.
+/// writes) that every scheduler aborts, nests, forwards and migrates.
 fn traced_cell(scheduler: SchedulerKind, cache: bool) -> TraceLog {
     let mut cell = Cell::new(Benchmark::Bank, scheduler, 8, 0.5)
         .with_txns(6)
-        .with_shards(1)
         .with_cache(cache);
     cell.params.objects_per_node = 4;
     let (result, trace) = run_cell_traced(cell);

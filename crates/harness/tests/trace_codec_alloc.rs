@@ -20,7 +20,6 @@ use rts_core::SchedulerKind;
 fn traced_cell(scheduler: SchedulerKind) -> TraceLog {
     let mut cell = Cell::new(Benchmark::Bank, scheduler, 8, 0.5)
         .with_txns(6)
-        .with_shards(1)
         .with_cache(false);
     cell.params.objects_per_node = 4;
     run_cell_traced(cell).1

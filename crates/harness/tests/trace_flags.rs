@@ -1,0 +1,104 @@
+//! A command line `dstm-trace` cannot use must stop it, not shorten what it
+//! does.
+//!
+//! Every subcommand used to read the arguments it had a place for and drop
+//! the rest: `audit a.jsonl b.jsonl` audited `a.jsonl` alone and exited 0,
+//! and a stray word after `stats`, `chrome`, `jsonl` or `demo` was ignored
+//! the same way. Each is now the usage text on stderr and exit status 2
+//! before any file is read or written; checked through the binary.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn trace_tool(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dstm-trace"))
+        .args(args)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .expect("dstm-trace runs")
+}
+
+/// A scratch path of this test's own (tests run on parallel threads).
+fn scratch(name: &str) -> PathBuf {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("trace_flags_{name}"));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// The Fig. 3 collision trace, recorded through the tool's own `demo`.
+fn recorded(name: &str) -> String {
+    let path = scratch(name);
+    let path = path.to_str().expect("utf-8 scratch path");
+    let out = trace_tool(&["demo", path]);
+    assert!(out.status.success(), "demo failed: {out:?}");
+    path.to_string()
+}
+
+/// `dstm-trace <args>` must print usage, exit 2, report on nothing and leave
+/// `untouched` nonexistent.
+fn refused(args: &[&str], untouched: &[&Path]) {
+    let out = trace_tool(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+    assert!(out.stdout.is_empty(), "{args:?} did something: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("usage:"), "{args:?}: {stderr}");
+    for path in untouched {
+        assert!(!path.exists(), "{args:?} wrote {}", path.display());
+    }
+}
+
+#[test]
+fn audit_refuses_a_second_trace_and_an_unknown_flag() {
+    let good = recorded("audit.jsonl");
+    refused(&["audit", &good, "missing.jsonl"], &[]);
+    refused(&["audit", &good, "--strict"], &[]);
+}
+
+#[test]
+fn stats_refuses_a_stray_argument() {
+    let good = recorded("stats.jsonl");
+    refused(&["stats", &good, "bogus"], &[]);
+}
+
+#[test]
+fn analyze_refuses_a_stray_argument_and_a_bad_epoch() {
+    let good = recorded("analyze.jsonl");
+    refused(&["analyze", &good, "bogus"], &[]);
+    refused(&["analyze", &good, "--epoch-ns", "soon"], &[]);
+}
+
+#[test]
+fn chrome_and_jsonl_refuse_an_argument_past_the_output_path() {
+    let good = recorded("convert.jsonl");
+    for (cmd, name) in [("chrome", "extra.chrome.json"), ("jsonl", "extra.re.jsonl")] {
+        let out = scratch(name);
+        refused(&[cmd, &good, out.to_str().unwrap(), "extra"], &[&out]);
+        // A flag is not an output path either.
+        refused(&[cmd, &good, "--out"], &[Path::new("--out")]);
+    }
+}
+
+#[test]
+fn demo_refuses_an_argument_past_the_output_path() {
+    let out = scratch("demo_extra.jsonl");
+    refused(&["demo", out.to_str().unwrap(), "extra"], &[&out]);
+}
+
+#[test]
+fn the_invocations_ci_makes_still_succeed() {
+    let good = recorded("ci.jsonl");
+    for cmd in ["audit", "stats", "analyze"] {
+        let out = trace_tool(&[cmd, &good]);
+        assert!(out.status.success(), "{cmd}: {out:?}");
+        assert!(!out.stdout.is_empty(), "{cmd} printed nothing");
+    }
+    for (cmd, name) in [("chrome", "ci.chrome.json"), ("jsonl", "ci.re.jsonl")] {
+        let out_path = scratch(name);
+        let out = trace_tool(&[cmd, &good, out_path.to_str().unwrap()]);
+        assert!(out.status.success(), "{cmd}: {out:?}");
+        assert!(
+            out_path.metadata().is_ok_and(|m| m.len() > 0),
+            "{cmd} wrote nothing"
+        );
+    }
+}

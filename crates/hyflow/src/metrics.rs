@@ -58,8 +58,8 @@ pub enum NestedAbortCause {
 }
 
 /// Per-node counters, merged across nodes at the end of a run.
-/// `PartialEq` so differential tests (serial vs sharded execution, queue
-/// backends) can compare whole runs structurally. `repr(C)`: the counters
+/// `PartialEq` so differential tests (telemetry on/off, queue backends) can
+/// compare whole runs structurally. `repr(C)`: the counters
 /// are one contiguous run of words ahead of the 2 KiB of histograms.
 #[derive(Clone, Debug, Default, PartialEq)]
 #[repr(C)]

@@ -233,8 +233,7 @@ pub struct Node {
     /// Virtual time of this node's last commit — the moment [`Node::done`]
     /// flipped true. `None` until then (or `Some(ZERO)` for a node that
     /// started with no workload). A property of the node's own event
-    /// sequence, so it is identical under serial and sharded execution even
-    /// though the two drain trailing in-flight events in different orders.
+    /// sequence, so it does not move with whatever trails the last commit.
     done_at: Option<SimTime>,
     pub completed: usize,
     /// Scratch buffers reused across event handlers so steady-state
@@ -378,43 +377,6 @@ impl Node {
         self.objs
             .iter()
             .filter_map(|s| s.owned.as_ref().map(|o| (&s.oid, o)))
-    }
-
-    /// Debug report of live transactions and queue state (stall diagnosis).
-    pub fn stuck_report(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .txs
-            .iter()
-            .flatten()
-            .map(|tx| {
-                format!(
-                    "node {} tx {:?} attempt {} levels {} phase {:?}",
-                    self.me,
-                    tx.id,
-                    tx.attempt,
-                    tx.levels().len(),
-                    tx.phase
-                )
-            })
-            .collect();
-        for s in self.objs.iter() {
-            if let Some(o) = &s.owned {
-                if o.is_locked() {
-                    out.push(format!(
-                        "node {} object {:?} locked by {:?}",
-                        self.me, s.oid, o.lock
-                    ));
-                }
-            }
-        }
-        if self.sched.total_queued() > 0 {
-            out.push(format!(
-                "node {} has {} queued requesters",
-                self.me,
-                self.sched.total_queued()
-            ));
-        }
-        out
     }
 
     // -- verification surface ---------------------------------------------
@@ -726,8 +688,7 @@ impl Node {
     /// plainly, two or more to the same `(destination, latency)` leave as
     /// one [`Msg::Batch`] — one DES event instead of k. Groups flush in
     /// insertion order and messages within a group keep send order, so the
-    /// schedule stays deterministic (and identical under sharding: a batch
-    /// routes to a single actor like any message).
+    /// schedule stays deterministic.
     fn flush_outbox(&mut self, ctx: &mut NodeCtx<'_>) {
         if self.outbox.is_empty() {
             return;

@@ -127,15 +127,7 @@ pub trait TxProgram: Send {
         "tx"
     }
 
-    /// Append the objects this program is statically known to access —
-    /// the **access profile** the locality partitioner feeds on
-    /// (`SystemBuilder` collects hints before the run and co-locates each
-    /// requester with the homes of its hinted objects). Duplicates are
-    /// welcome: each occurrence adds affinity weight. Data-dependent
-    /// programs (tree/list traversals) that cannot enumerate their accesses
-    /// up front may leave this empty — the partitioner then falls back to
-    /// load balancing for their node. Must not depend on execution state:
-    /// hints are taken from the pristine program before it first steps.
+    /// No-op, kept only because `benchmark/src/timed.rs` forwards it; deleted with that call.
     fn access_hint(&self, _out: &mut Vec<ObjectId>) {}
 }
 
@@ -276,17 +268,6 @@ impl TxProgram for ScriptProgram {
     fn label(&self) -> &'static str {
         "script"
     }
-
-    fn access_hint(&self, out: &mut Vec<ObjectId>) {
-        // Only `Acquire`-producing ops fetch objects; `AddScalar`/`Set`
-        // mutate working copies that an earlier Read/Write already pulled.
-        for op in self.ops.iter() {
-            match op {
-                ScriptOp::Read(oid) | ScriptOp::Write(oid) => out.push(*oid),
-                _ => {}
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -356,11 +337,6 @@ impl TxProgram for WithTrailer {
         self.st = TrailerSt::Inner;
         self.last_scalar = 0;
         self.inner.rewind(to);
-    }
-
-    fn access_hint(&self, out: &mut Vec<ObjectId>) {
-        self.inner.access_hint(out);
-        out.push(self.oid);
     }
 
     fn step(&mut self, input: StepInput<'_>) -> StepOutput {

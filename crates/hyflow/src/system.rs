@@ -10,8 +10,7 @@ use crate::program::BoxedProgram;
 use crate::trace::TraceLog;
 use dstm_net::Topology;
 use dstm_sim::{
-    ActorId, BinaryHeapQueue, EventQueue, GenericWorld, KernelEvent, Partition, ShardRunStats,
-    SimDuration, SimTime,
+    ActorId, BinaryHeapQueue, EventQueue, GenericWorld, KernelEvent, SimDuration, SimTime,
 };
 use rts_core::{build_policy, ObjectId, RtsPolicy, ThresholdController};
 use std::collections::HashMap;
@@ -20,95 +19,10 @@ use std::sync::Arc;
 /// The kernel event type of a D-STM world (what a queue backend must hold).
 pub type NodeEvent = KernelEvent<Msg, Timer>;
 
-/// How [`System::run_sharded_with`] assigns nodes to executor shards.
-///
-/// Either way the run is bit-identical to serial — the partition is purely
-/// a performance knob (it decides which messages cross shards and therefore
-/// how wide the conservative windows can be).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// One variant, kept only because `benchmark/src/workloads.rs` names it; deleted with that call.
+#[derive(Clone, Copy, Debug)]
 pub enum PartitionStrategy {
-    /// `node i → shard i % S`. Ignores the workload; the PR-4 default.
-    #[default]
     RoundRobin,
-    /// Deterministic greedy co-location of object homes with their heaviest
-    /// requesters, seeded from the static program access profile
-    /// ([`crate::program::TxProgram::access_hint`]) and balance-capped at
-    /// +10% actors per shard so a locality-hungry split cannot starve a
-    /// shard (the competitive-analysis constraint).
-    Locality,
-}
-
-impl PartitionStrategy {
-    /// Stable name used by CLI flags and bench-row labels.
-    pub fn label(self) -> &'static str {
-        match self {
-            PartitionStrategy::RoundRobin => "round-robin",
-            PartitionStrategy::Locality => "locality",
-        }
-    }
-
-    /// Parse a CLI/env spelling (`round-robin`/`rr`, `locality`/`loc`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "round-robin" | "roundrobin" | "rr" => Some(PartitionStrategy::RoundRobin),
-            "locality" | "loc" => Some(PartitionStrategy::Locality),
-            _ => None,
-        }
-    }
-}
-
-/// Greedy balanced graph partitioning over the access-affinity adjacency
-/// (`affinity[i]` = sorted `(neighbour, weight)` list, symmetric). Nodes are
-/// placed in descending order of total affinity (heaviest talkers first,
-/// ties by id); each lands on the shard it has the most already-placed
-/// affinity with, among shards still under the +10% balance cap; nodes with
-/// no placed affinity go to the least-loaded shard. Entirely deterministic.
-fn locality_partition(affinity: &[Vec<(u32, u64)>], shards: usize) -> Vec<u32> {
-    let n = affinity.len();
-    // +10% over a perfectly even split, and never below ⌈n/S⌉ so a
-    // feasible shard always exists.
-    let cap = (n * 11).div_ceil(shards * 10).max(1);
-    let total: Vec<u64> = affinity
-        .iter()
-        .map(|adj| adj.iter().map(|&(_, w)| w).sum())
-        .collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(total[i]), i));
-    let mut assign = vec![u32::MAX; n];
-    let mut counts = vec![0usize; shards];
-    let mut score = vec![0u64; shards];
-    for &i in &order {
-        score.iter_mut().for_each(|s| *s = 0);
-        for &(nb, w) in &affinity[i] {
-            let a = assign[nb as usize];
-            if a != u32::MAX {
-                score[a as usize] += w;
-            }
-        }
-        let mut best: Option<usize> = None;
-        for s in 0..shards {
-            if counts[s] >= cap {
-                continue;
-            }
-            // Strictly-greater keeps the lowest shard id on full ties;
-            // `Reverse(counts)` prefers the emptier shard at equal score,
-            // which is also the zero-affinity fallback.
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    (score[s], std::cmp::Reverse(counts[s]))
-                        > (score[b], std::cmp::Reverse(counts[b]))
-                }
-            };
-            if better {
-                best = Some(s);
-            }
-        }
-        let s = best.expect("cap × shards ≥ n, so an open shard exists");
-        assign[i] = s as u32;
-        counts[s] += 1;
-    }
-    assign
 }
 
 /// Where a system gets its shared objects and transactions.
@@ -165,34 +79,6 @@ impl SystemBuilder {
         );
         let cfg = Arc::new(self.cfg);
 
-        // Static access profile for the locality partitioner: every hinted
-        // access is an affinity edge between the requesting node and the
-        // object's home node. Collected here, while the pristine programs
-        // are still in hand; self-edges carry no partitioning information
-        // and are dropped.
-        let mut edges: HashMap<(u32, u32), u64> = HashMap::new();
-        let mut hint: Vec<ObjectId> = Vec::new();
-        for (i, queue) in workload.programs.iter().enumerate() {
-            for prog in queue {
-                hint.clear();
-                prog.access_hint(&mut hint);
-                for oid in hint.drain(..) {
-                    let h = oid.home(n);
-                    let i = i as u32;
-                    if h != i {
-                        *edges.entry((i.min(h), i.max(h))).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-        let mut sorted_edges: Vec<((u32, u32), u64)> = edges.into_iter().collect();
-        sorted_edges.sort_unstable();
-        let mut affinity: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
-        for ((a, b), w) in sorted_edges {
-            affinity[a as usize].push((b, w));
-            affinity[b as usize].push((a, w));
-        }
-
         // Partition objects to their home nodes.
         let mut per_node: Vec<Vec<(ObjectId, Payload)>> = (0..n).map(|_| Vec::new()).collect();
         for (oid, payload) in workload.objects {
@@ -231,8 +117,6 @@ impl SystemBuilder {
         System {
             world,
             topo: self.topo,
-            affinity,
-            shard_stats: None,
         }
     }
 }
@@ -243,11 +127,6 @@ impl SystemBuilder {
 pub struct System<Q = BinaryHeapQueue<NodeEvent>> {
     world: GenericWorld<Node, Q>,
     topo: Arc<Topology>,
-    /// Symmetric requester↔home affinity adjacency from the static access
-    /// profile (input to [`PartitionStrategy::Locality`]).
-    affinity: Vec<Vec<(u32, u64)>>,
-    /// Executor statistics of the most recent sharded run, if any.
-    shard_stats: Option<ShardRunStats>,
 }
 
 impl<Q: EventQueue<NodeEvent>> System<Q> {
@@ -268,73 +147,18 @@ impl<Q: EventQueue<NodeEvent>> System<Q> {
     /// Returns the aggregated run metrics.
     ///
     /// All protocol timers are one-shot and the workload is finite, so a
-    /// run always drains shortly after the last node finishes; quiescence
-    /// is — unlike "stop at the event that completed the last node" — the
-    /// *same* stop point the sharded executor reaches, which is what makes
-    /// [`run_sharded`](Self::run_sharded) bit-identical to this method.
-    /// The makespan reported in the metrics still ends at the last commit,
-    /// not at the drain: see [`collect`](Self::collect).
+    /// run always drains shortly after the last node finishes. Quiescence
+    /// is — unlike "stop at the event that completed the last node" — a
+    /// stop point that does not depend on the order in which the tail's
+    /// simultaneous events are delivered: message counts, final object
+    /// state and every node's trace are complete, which is what the golden
+    /// digests and the offline audit compare. The makespan reported in the
+    /// metrics still ends at the last commit, not at the drain: see
+    /// [`collect`](Self::collect).
     pub fn run(&mut self, event_budget: u64) -> RunMetrics {
         let started_at = self.world.now();
         self.world.run_while(event_budget, |_| true);
         self.collect(started_at)
-    }
-
-    /// Like [`run`](Self::run), but executes on `shards` threads using the
-    /// kernel's conservative time-windowed parallel executor with round-robin
-    /// partitioning. The outcome — metrics, histograms, object state,
-    /// protocol traces — is bit-identical to the serial `run` for every
-    /// shard count. Shorthand for [`run_sharded_with`](Self::run_sharded_with)
-    /// with [`PartitionStrategy::RoundRobin`].
-    pub fn run_sharded(&mut self, event_budget: u64, shards: usize) -> RunMetrics
-    where
-        Q: Default + Send,
-    {
-        self.run_sharded_with(event_budget, shards, PartitionStrategy::RoundRobin)
-    }
-
-    /// [`run_sharded`](Self::run_sharded) with an explicit partitioning
-    /// strategy. The lookahead is the topology's per-shard-pair minimum
-    /// cross-delay matrix ([`Topology::cross_min_delay`]) — every pair's
-    /// window is at least as wide as the old fleet-wide `min_delay` window,
-    /// and far wider wherever the partition keeps chatty nodes together.
-    /// Executor statistics (per-shard event counts, barrier-wait ns) are
-    /// retained and readable via [`shard_stats`](Self::shard_stats).
-    pub fn run_sharded_with(
-        &mut self,
-        event_budget: u64,
-        shards: usize,
-        strategy: PartitionStrategy,
-    ) -> RunMetrics
-    where
-        Q: Default + Send,
-    {
-        let started_at = self.world.now();
-        let part = self.partition_for(strategy, shards);
-        let lookahead = self.topo.cross_min_delay(part.shard_of(), part.shards());
-        let stats = self.world.run_partitioned(part, &lookahead, event_budget);
-        self.shard_stats = Some(stats);
-        self.collect(started_at)
-    }
-
-    /// The node→shard assignment a sharded run with this strategy would
-    /// use (shard count clamped to the node count). Exposed so tests and
-    /// the harness can audit partition balance without running anything.
-    pub fn partition_for(&self, strategy: PartitionStrategy, shards: usize) -> Partition {
-        let n = self.topo.n();
-        let s = shards.clamp(1, n.max(1));
-        match strategy {
-            PartitionStrategy::RoundRobin => Partition::round_robin(n, s),
-            PartitionStrategy::Locality => {
-                Partition::from_assignment(locality_partition(&self.affinity, s), s)
-            }
-        }
-    }
-
-    /// Executor statistics of the most recent sharded run (`None` until one
-    /// happens): per-shard event counts and per-shard barrier-wait time.
-    pub fn shard_stats(&self) -> Option<&ShardRunStats> {
-        self.shard_stats.as_ref()
     }
 
     fn collect(&self, started_at: SimTime) -> RunMetrics {
@@ -344,8 +168,7 @@ impl<Q: EventQueue<NodeEvent>> System<Q> {
         // are not useful work (RTS in particular leaves long retry timers
         // pending, and counting them would understate its throughput by
         // several-fold). Each node records its own completion time, so the
-        // max is identical under serial and sharded execution even though
-        // the two drain the tail in different orders. An incomplete run
+        // max does not depend on how the tail drains. An incomplete run
         // (budget backstop tripped) has no last commit; fall back to the
         // stop time.
         let ended_at = self
@@ -373,27 +196,6 @@ impl<Q: EventQueue<NodeEvent>> System<Q> {
     /// workloads (≈50k events per transaction).
     pub fn run_default(&mut self) -> RunMetrics {
         self.run(self.default_budget())
-    }
-
-    /// [`run_sharded`](Self::run_sharded) with the same default event budget
-    /// as [`run_default`](Self::run_default).
-    pub fn run_sharded_default(&mut self, shards: usize) -> RunMetrics
-    where
-        Q: Default + Send,
-    {
-        self.run_sharded(self.default_budget(), shards)
-    }
-
-    /// [`run_sharded_with`](Self::run_sharded_with) with the default budget.
-    pub fn run_sharded_default_with(
-        &mut self,
-        shards: usize,
-        strategy: PartitionStrategy,
-    ) -> RunMetrics
-    where
-        Q: Default + Send,
-    {
-        self.run_sharded_with(self.default_budget(), shards, strategy)
     }
 
     fn default_budget(&self) -> u64 {
@@ -599,163 +401,6 @@ mod tests {
                 "{scheduler:?} violated serializability"
             );
         }
-    }
-
-    #[test]
-    fn sharded_run_is_bit_identical_to_serial() {
-        // Contended multi-node workload: the conservative windowed executor
-        // must reproduce the serial run exactly, for every shard count.
-        fn build() -> System {
-            let oid = ObjectId(1);
-            let mut rng = SimRng::new(23);
-            let topo = Topology::uniform_random(6, 1, 20, &mut rng);
-            let cfg = DstmConfig::default()
-                .with_scheduler(SchedulerKind::Rts)
-                .with_concurrency(2);
-            let mk = || -> BoxedProgram {
-                Box::new(ScriptProgram::new(
-                    TxKind(1),
-                    vec![
-                        ScriptOp::Write(oid),
-                        ScriptOp::AddScalar(oid, 1),
-                        ScriptOp::Compute(SimDuration::from_micros(250)),
-                    ],
-                ))
-            };
-            let programs = (0..6).map(|_| (0..3).map(|_| mk()).collect()).collect();
-            SystemBuilder::new(topo, cfg)
-                .seed(17)
-                .build(WorkloadSource {
-                    objects: vec![(ObjectId(1), Payload::Scalar(0))],
-                    programs,
-                })
-        }
-
-        let mut serial = build();
-        let want = serial.run(5_000_000);
-        assert!(serial.all_done());
-        for strategy in [PartitionStrategy::RoundRobin, PartitionStrategy::Locality] {
-            for shards in [1, 2, 4, 8] {
-                let mut sys = build();
-                let got = sys.run_sharded_with(5_000_000, shards, strategy);
-                assert!(sys.all_done(), "sharded({shards}, {strategy:?}) stalled");
-                assert_eq!(
-                    got.merged, want.merged,
-                    "metrics diverged at {shards} ({strategy:?})"
-                );
-                assert_eq!(got.messages, want.messages);
-                assert_eq!(got.ended_at, want.ended_at);
-                assert_eq!(sys.object_state(), serial.object_state());
-                let stats = sys.shard_stats().expect("sharded run records stats");
-                assert_eq!(
-                    stats.shard_events.iter().sum::<u64>(),
-                    stats.steps,
-                    "per-shard events must sum to the total"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn partition_strategy_names_round_trip() {
-        for s in [PartitionStrategy::RoundRobin, PartitionStrategy::Locality] {
-            assert_eq!(PartitionStrategy::from_name(s.label()), Some(s));
-        }
-        assert_eq!(
-            PartitionStrategy::from_name("rr"),
-            Some(PartitionStrategy::RoundRobin)
-        );
-        assert_eq!(
-            PartitionStrategy::from_name("loc"),
-            Some(PartitionStrategy::Locality)
-        );
-        assert_eq!(PartitionStrategy::from_name("metis"), None);
-    }
-
-    #[test]
-    fn locality_partition_balances_and_co_locates() {
-        // Two chatty cliques {0,1,2} and {3,4,5} plus two silent nodes.
-        // The partitioner must keep each clique together and still respect
-        // the +10% cap (here: 8 nodes / 2 shards → cap 5).
-        let mut affinity: Vec<Vec<(u32, u64)>> = vec![Vec::new(); 8];
-        let mut link = |a: u32, b: u32, w: u64| {
-            affinity[a as usize].push((b, w));
-            affinity[b as usize].push((a, w));
-        };
-        for &(a, b) in &[(0, 1), (0, 2), (1, 2)] {
-            link(a, b, 10);
-        }
-        for &(a, b) in &[(3, 4), (3, 5), (4, 5)] {
-            link(a, b, 10);
-        }
-        let assign = locality_partition(&affinity, 2);
-        assert_eq!(assign[0], assign[1]);
-        assert_eq!(assign[0], assign[2]);
-        assert_eq!(assign[3], assign[4]);
-        assert_eq!(assign[3], assign[5]);
-        assert_ne!(assign[0], assign[3], "cliques spread over both shards");
-        let mut counts = [0usize; 2];
-        for &s in &assign {
-            counts[s as usize] += 1;
-        }
-        assert!(counts.iter().all(|&c| c <= 5), "cap violated: {counts:?}");
-        assert_eq!(assign, locality_partition(&affinity, 2), "deterministic");
-    }
-
-    #[test]
-    fn locality_partition_cap_prevents_starvation() {
-        // A star: everyone loves node 0. Greedy-without-cap would dump all
-        // 10 nodes on one shard; the +10% cap (⌈10·1.1/2⌉ = 6) must stop
-        // that — the competitive-analysis balance requirement.
-        let mut affinity: Vec<Vec<(u32, u64)>> = vec![Vec::new(); 10];
-        for b in 1..10u32 {
-            affinity[0].push((b, 5));
-            affinity[b as usize].push((0, 5));
-        }
-        let assign = locality_partition(&affinity, 2);
-        let mut counts = [0usize; 2];
-        for &s in &assign {
-            counts[s as usize] += 1;
-        }
-        assert!(
-            counts.iter().all(|&c| (4..=6).contains(&c)),
-            "star workload starved a shard: {counts:?}"
-        );
-    }
-
-    #[test]
-    fn affinity_profile_reaches_the_partitioner() {
-        // 4 nodes, each hammering one object homed at node 0: the built
-        // system's affinity adjacency must contain requester→home edges
-        // (3 requesters × 1 object each), and `partition_for(Locality)`
-        // must produce a legal, balanced partition that differs from
-        // round-robin in a way that keeps node 0 with some requester.
-        let oid = ObjectId(0); // home = 0 % 4 = 0
-        let topo = Topology::complete(4, 5);
-        let cfg = DstmConfig::default().with_scheduler(rts_core::SchedulerKind::Tfa);
-        let mk = || -> BoxedProgram {
-            Box::new(ScriptProgram::new(
-                rts_core::TxKind(1),
-                vec![ScriptOp::Write(oid), ScriptOp::AddScalar(oid, 1)],
-            ))
-        };
-        let sys = SystemBuilder::new(topo, cfg).build(WorkloadSource {
-            objects: vec![(oid, Payload::Scalar(0))],
-            programs: (0..4).map(|_| vec![mk()]).collect(),
-        });
-        // Nodes 1..3 each have one edge to node 0 of weight 1 (node 0's
-        // own access is a self-edge and dropped).
-        assert_eq!(sys.affinity[0].len(), 3);
-        for r in 1..4 {
-            assert_eq!(sys.affinity[r], vec![(0u32, 1u64)]);
-        }
-        let part = sys.partition_for(PartitionStrategy::Locality, 2);
-        assert_eq!(part.shards(), 2);
-        // Cap for 4 nodes / 2 shards is ⌈4·1.1/2⌉ = 3: node 0 plus two
-        // requesters share a shard, the leftover requester gets the other.
-        let home_shard = part.shard_of()[0];
-        let with_home = part.shard_of().iter().filter(|&&s| s == home_shard).count();
-        assert_eq!(with_home, 3, "partition: {:?}", part.shard_of());
     }
 
     #[test]

@@ -274,171 +274,6 @@ impl Topology {
         SimDuration::from_nanos((sum / pairs) as u64)
     }
 
-    /// Minimum one-way delay over distinct pairs — the **lookahead** of the
-    /// conservative sharded executor (`GenericWorld::run_sharded`): no
-    /// message between different nodes can arrive sooner than this, so a
-    /// synchronized window of this width is safe to execute without
-    /// cross-shard coordination. Every generator keeps delays ≥ 1 ms, so
-    /// this is ≥ 1 ms in practice; a degenerate single-node topology
-    /// (no pairs) reports 1 ms as a harmless fallback.
-    pub fn min_delay(&self) -> SimDuration {
-        let mut min: Option<SimDuration> = None;
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if a != b {
-                    let d = self.d(a, b);
-                    min = Some(min.map_or(d, |m| m.min(d)));
-                }
-            }
-        }
-        min.unwrap_or(SimDuration::from_millis(1))
-    }
-
-    /// Per-shard-pair minimum one-way delay — the **lookahead matrix** of
-    /// the conservative sharded executor (`GenericWorld::run_partitioned`).
-    ///
-    /// `shard_of[node]` assigns every node to one of `shards` shards; the
-    /// result is a row-major `shards × shards` matrix `L` where `L[p*S+q]`
-    /// is a lower bound on the delay of *any* message from a node in shard
-    /// `p` to a node in shard `q`. Whenever two shards have no fast links
-    /// between them, their mutual windows can be much wider than the
-    /// fleet-wide [`Topology::min_delay`] — that is the whole point.
-    ///
-    /// Conventions:
-    /// * the diagonal is [`SimDuration::MAX`] (a shard never constrains
-    ///   itself through this matrix; cycles are handled by the executor's
-    ///   min-plus closure),
-    /// * a pair with no node pairs at all — either shard empty — is
-    ///   "disconnected" and also reports [`SimDuration::MAX`] (∞ lookahead:
-    ///   no message can ever cross it).
-    ///
-    /// Cost is O(n²) only for the representations that genuinely need an
-    /// exhaustive pair scan (dense matrices, metric planes). Ring is a
-    /// doubled-circle sweep in O(n·S); clustered reduces to residue-set
-    /// overlap in O(n + S²·C); complete is O(S²); hashed uses the
-    /// generator's floor `min_ms` in O(n + S²), which is what lets a
-    /// 10k-node sweep build its matrix without touching 10⁸ pairs. Every
-    /// entry is a *sound* lower bound: for the on-demand kinds it is exact,
-    /// for hashed it is the distribution floor (≤ the true pairwise min,
-    /// never above it).
-    pub fn cross_min_delay(&self, shard_of: &[u32], shards: usize) -> Vec<SimDuration> {
-        assert_eq!(
-            shard_of.len(),
-            self.n,
-            "partition covers {} nodes but the topology has {}",
-            shard_of.len(),
-            self.n
-        );
-        assert!(shards > 0);
-        for (node, &s) in shard_of.iter().enumerate() {
-            assert!(
-                (s as usize) < shards,
-                "node {node} assigned to shard {s}, but only {shards} shards exist"
-            );
-        }
-        let mut out = vec![SimDuration::MAX; shards * shards];
-        let mut count = vec![0u64; shards];
-        for &s in shard_of {
-            count[s as usize] += 1;
-        }
-        match &self.repr {
-            // The sequential-RNG matrix and the plane have no shortcut:
-            // exact min over every ordered cross-shard pair.
-            Repr::Dense(_) | Repr::Plane { .. } => {
-                for a in 0..self.n {
-                    let p = shard_of[a] as usize;
-                    for (b, &qs) in shard_of.iter().enumerate() {
-                        let q = qs as usize;
-                        if a == b || p == q {
-                            continue;
-                        }
-                        let d = self.d(a, b);
-                        let e = &mut out[p * shards + q];
-                        if d < *e {
-                            *e = d;
-                        }
-                    }
-                }
-            }
-            // Doubled-circle sweep: at each position, the nearest preceding
-            // occurrence of every other shard yields that pair's forward
-            // gap; min(gap, n-gap) is exactly the ring distance of that
-            // node pair, and the globally closest pair is always one of
-            // the "nearest preceding" pairs some position sees.
-            Repr::Ring { hop_ms } => {
-                let n = self.n;
-                let mut last: Vec<Option<usize>> = vec![None; shards];
-                for i in 0..(2 * n) {
-                    let t = shard_of[i % n] as usize;
-                    for (u, l) in last.iter().enumerate() {
-                        if u == t {
-                            continue;
-                        }
-                        if let Some(j) = *l {
-                            let gap = i - j;
-                            if gap >= n {
-                                continue;
-                            }
-                            let hops = gap.min(n - gap) as u64;
-                            let d = SimDuration::from_millis(hops * hop_ms);
-                            if d < out[t * shards + u] {
-                                out[t * shards + u] = d;
-                                out[u * shards + t] = d;
-                            }
-                        }
-                    }
-                    last[t] = Some(i);
-                }
-            }
-            // Two shards are `intra_ms` apart iff they both contain a node
-            // of some common residue class `node % clusters`.
-            Repr::Clustered {
-                clusters,
-                intra_ms,
-                inter_ms,
-            } => {
-                let c = *clusters;
-                let mut present = vec![false; shards * c];
-                for (node, &s) in shard_of.iter().enumerate() {
-                    present[s as usize * c + node % c] = true;
-                }
-                for p in 0..shards {
-                    for q in 0..shards {
-                        if p == q || count[p] == 0 || count[q] == 0 {
-                            continue;
-                        }
-                        let share = (0..c).any(|r| present[p * c + r] && present[q * c + r]);
-                        out[p * shards + q] =
-                            SimDuration::from_millis(if share { *intra_ms } else { *inter_ms });
-                    }
-                }
-            }
-            Repr::Complete { d } => {
-                for p in 0..shards {
-                    for q in 0..shards {
-                        if p != q && count[p] > 0 && count[q] > 0 {
-                            out[p * shards + q] = *d;
-                        }
-                    }
-                }
-            }
-            // The generator guarantees every delay ≥ min_ms; use that floor
-            // rather than hashing O(n²) pairs. (At sweep-scale node counts
-            // the exhaustive min coincides with the floor w.h.p. anyway.)
-            Repr::Hashed { min_ms, .. } => {
-                let d = SimDuration::from_millis(*min_ms);
-                for p in 0..shards {
-                    for q in 0..shards {
-                        if p != q && count[p] > 0 && count[q] > 0 {
-                            out[p * shards + q] = d;
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// `Σ_i d(from, i)` — total one-way delay from `from` to every node,
     /// the term `Σ d(n0, ni)` in Lemmas 3.2/3.3.
     pub fn sum_delays_from(&self, from: ActorId) -> SimDuration {
@@ -608,6 +443,11 @@ mod tests {
                         "{:?} diverges from its dense form at ({a},{b})",
                         t.kind()
                     );
+                    // The generators' floor: distinct nodes are never
+                    // closer than 1 ms.
+                    assert!(
+                        a == b || t.delay(ActorId(a), ActorId(b)) >= SimDuration::from_millis(1)
+                    );
                 }
             }
         }
@@ -658,213 +498,6 @@ mod tests {
         let mut seen: Vec<u32> = tour.iter().map(|a| a.0).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..30).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn min_delay_is_the_smallest_pairwise_delay() {
-        assert_eq!(Topology::complete(5, 7).min_delay().as_millis(), 7);
-        assert_eq!(Topology::ring(6, 10).min_delay().as_millis(), 10);
-        assert_eq!(Topology::clustered(8, 2, 2, 20).min_delay().as_millis(), 2);
-        // Random matrices: min over an exhaustive pair scan, and ≥ the
-        // generator's floor — the lookahead guarantee the sharded executor
-        // relies on.
-        for t in [
-            Topology::uniform_random(20, 1, 50, &mut rng()),
-            Topology::hashed_random(20, 1, 50, 99),
-        ] {
-            let mut want = SimDuration::MAX;
-            for a in 0..20 {
-                for b in 0..20 {
-                    if a != b {
-                        want = want.min(t.delay(ActorId(a), ActorId(b)));
-                    }
-                }
-            }
-            assert_eq!(t.min_delay(), want);
-            assert!(t.min_delay() >= SimDuration::from_millis(1));
-        }
-        // Degenerate: no pairs → 1 ms fallback.
-        assert_eq!(Topology::complete(1, 9).min_delay().as_millis(), 1);
-    }
-
-    /// Reference implementation: exhaustive min over every cross-shard
-    /// node pair, `MAX` on the diagonal and for pairs with no nodes.
-    fn brute_cross_min(t: &Topology, shard_of: &[u32], shards: usize) -> Vec<SimDuration> {
-        let mut out = vec![SimDuration::MAX; shards * shards];
-        for a in 0..t.n() {
-            for b in 0..t.n() {
-                let (p, q) = (shard_of[a] as usize, shard_of[b] as usize);
-                if a == b || p == q {
-                    continue;
-                }
-                let d = t.delay(ActorId(a as u32), ActorId(b as u32));
-                out[p * shards + q] = out[p * shards + q].min(d);
-            }
-        }
-        out
-    }
-
-    fn round_robin(n: usize, shards: usize) -> Vec<u32> {
-        (0..n).map(|g| (g % shards) as u32).collect()
-    }
-
-    #[test]
-    fn cross_min_delay_complete_is_constant_off_diagonal() {
-        let t = Topology::complete(6, 7);
-        let m = t.cross_min_delay(&round_robin(6, 3), 3);
-        for p in 0..3 {
-            for q in 0..3 {
-                let want = if p == q {
-                    SimDuration::MAX
-                } else {
-                    SimDuration::from_millis(7)
-                };
-                assert_eq!(m[p * 3 + q], want, "({p},{q})");
-            }
-        }
-    }
-
-    #[test]
-    fn cross_min_delay_ring_matches_brute_force() {
-        // Contiguous halves: closest cross pair is at the block boundary
-        // (1 hop); also exercise a scrambled partition and an exhaustive
-        // comparison against the O(n²) reference.
-        let t = Topology::ring(10, 5);
-        let halves: Vec<u32> = (0..10).map(|g| u32::from(g >= 5)).collect();
-        let m = t.cross_min_delay(&halves, 2);
-        assert_eq!(m[1], SimDuration::from_millis(5));
-        assert_eq!(m[2], SimDuration::from_millis(5));
-        assert_eq!(m[0], SimDuration::MAX);
-        assert_eq!(m[3], SimDuration::MAX);
-        for shards in [2usize, 3, 4] {
-            for shard_of in [
-                round_robin(10, shards),
-                (0..10).map(|g| ((g * 7 + 3) % shards) as u32).collect(),
-            ] {
-                assert_eq!(
-                    t.cross_min_delay(&shard_of, shards),
-                    brute_cross_min(&t, &shard_of, shards),
-                    "ring diverges from brute force at {shards} shards"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cross_min_delay_clustered_residue_overlap() {
-        let t = Topology::clustered(8, 2, 2, 20);
-        // Shard 0 = even nodes (residue 0 only), shard 1 = odd nodes
-        // (residue 1 only): no shared residue, so the cross floor is the
-        // inter-cluster delay.
-        let parity: Vec<u32> = (0..8).map(|g| (g % 2) as u32).collect();
-        let m = t.cross_min_delay(&parity, 2);
-        assert_eq!(m[1], SimDuration::from_millis(20));
-        // Contiguous halves mix both residues on each side → intra floor.
-        let halves: Vec<u32> = (0..8).map(|g| u32::from(g >= 4)).collect();
-        let m = t.cross_min_delay(&halves, 2);
-        assert_eq!(m[1], SimDuration::from_millis(2));
-        assert_eq!(
-            m,
-            brute_cross_min(&t, &halves, 2),
-            "clustered diverges from brute force"
-        );
-    }
-
-    #[test]
-    fn cross_min_delay_hashed_uses_generator_floor() {
-        // 64 nodes → 2016 distinct pairs over a 50-value range: the
-        // exhaustive pairwise min hits the floor (verified below), so the
-        // O(n) floor answer is also the exact one.
-        let t = Topology::hashed_random(64, 1, 50, 99);
-        assert_eq!(t.min_delay(), SimDuration::from_millis(1));
-        let m = t.cross_min_delay(&round_robin(64, 4), 4);
-        for p in 0..4 {
-            for q in 0..4 {
-                let want = if p == q {
-                    SimDuration::MAX
-                } else {
-                    SimDuration::from_millis(1)
-                };
-                assert_eq!(m[p * 4 + q], want, "({p},{q})");
-            }
-        }
-    }
-
-    #[test]
-    fn cross_min_delay_degenerate_single_shard_is_all_max() {
-        // One shard: the matrix is 1×1 and the diagonal convention makes
-        // it MAX — the executor sees no cross-shard constraint at all.
-        let t = Topology::ring(6, 10);
-        assert_eq!(t.cross_min_delay(&[0; 6], 1), vec![SimDuration::MAX]);
-    }
-
-    #[test]
-    fn cross_min_delay_empty_shard_pairs_are_disconnected() {
-        // Shard 1 holds no nodes: every pair involving it is ∞ — no
-        // message can ever cross it, so it never narrows a window.
-        let t = Topology::complete(4, 7);
-        let shard_of = vec![0, 0, 2, 2];
-        let m = t.cross_min_delay(&shard_of, 3);
-        for p in 0..3 {
-            assert_eq!(m[p * 3 + 1], SimDuration::MAX, "into empty shard {p}");
-            assert_eq!(m[3 + p], SimDuration::MAX, "out of empty shard {p}");
-        }
-        assert_eq!(m[2], SimDuration::from_millis(7));
-        assert_eq!(m[6], SimDuration::from_millis(7));
-    }
-
-    #[test]
-    fn cross_min_delay_matches_brute_force_on_every_repr() {
-        let tops = [
-            Topology::uniform_random(18, 1, 50, &mut rng()),
-            Topology::metric_plane(18, 40.0, 2, &mut rng()),
-            Topology::ring(18, 7),
-            Topology::clustered(18, 4, 2, 20),
-            Topology::complete(18, 9),
-        ];
-        for t in &tops {
-            for shards in [1usize, 2, 3, 5] {
-                let shard_of = round_robin(18, shards);
-                assert_eq!(
-                    t.cross_min_delay(&shard_of, shards),
-                    brute_cross_min(t, &shard_of, shards),
-                    "{:?} diverges from brute force at {shards} shards",
-                    t.kind()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cross_min_delay_entries_never_undercut_global_min_delay() {
-        // The acceptance bound: per-pair windows are at least as wide as
-        // the old fleet-wide window on every topology kind in the suite
-        // (MAX entries are trivially wider).
-        let tops = [
-            Topology::uniform_random(20, 1, 50, &mut rng()),
-            Topology::hashed_random(64, 1, 50, 99),
-            Topology::metric_plane(20, 40.0, 2, &mut rng()),
-            Topology::ring(20, 7),
-            Topology::clustered(20, 4, 2, 20),
-            Topology::complete(20, 9),
-        ];
-        for t in &tops {
-            let global = t.min_delay();
-            for shards in [2usize, 4, 8] {
-                let shard_of = round_robin(t.n(), shards);
-                for (i, &d) in t.cross_min_delay(&shard_of, shards).iter().enumerate() {
-                    assert!(
-                        d >= global,
-                        "{:?}: L[{}][{}] = {:?} < global min {:?}",
-                        t.kind(),
-                        i / shards,
-                        i % shards,
-                        d,
-                        global
-                    );
-                }
-            }
-        }
     }
 
     #[test]

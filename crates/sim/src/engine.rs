@@ -26,17 +26,15 @@
 //! # Per-actor kernel state
 //!
 //! Everything the kernel tracks per actor — RNG stream, issue-sequence
-//! counter, timer slab — lives in one [`ActorState`] that travels with the
-//! actor. This is what makes sharded execution (`shard.rs`) possible: a
-//! shard takes ownership of its actors' states wholesale, so timer tokens
-//! stay valid and event keys stay identical regardless of how actors are
-//! partitioned. A [`KernelCore`] addresses states through a [`SlotView`]:
-//! the serial world uses the identity mapping (slot = global id), while a
-//! shard resolves slots through the shared [`Partition`] — which supports
-//! arbitrary (e.g. locality-aware) actor-to-shard assignments, not just
-//! round-robin.
-//!
-//! [`Partition`]: crate::shard::Partition
+//! counter, timer slab — lives in one [`ActorState`], indexed by the actor's
+//! id. Nothing an actor draws, stamps or arms depends on what any other
+//! actor did in between, so an event's key and a timer's token are functions
+//! of the issuing actor's own history alone — the order in which handlers of
+//! *different* actors happened to run is encoded nowhere. The golden digests
+//! are taken over that order, and the verifier's queues rely on it: swapping
+//! two simultaneous deliveries renumbers nobody's later events. One state
+//! per actor is also what the run loop prefetches as a unit (see
+//! [`GenericWorld::step`]'s lookahead hints).
 //!
 //! # Timer cancellation
 //!
@@ -46,15 +44,11 @@
 //! so a queued timer event whose stamped generation no longer matches is
 //! skipped when popped. Slots are recycled through a free list, bounding slab
 //! size by the maximum number of *concurrently armed* timers rather than the
-//! total armed over a run. The slab is per-actor (not global) so that a
-//! token armed before a run and cancelled inside a shard still resolves.
-
-use std::sync::Arc;
+//! total armed over a run.
 
 use crate::event::{EventKey, Sequenced, MAX_ACTORS, MAX_LOCAL_SEQ};
 use crate::queue::{BinaryHeapQueue, EventQueue};
 use crate::rng::SimRng;
-use crate::shard::Partition;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceSink};
 
@@ -118,9 +112,9 @@ pub trait Actor {
     /// [`prefetch`] addresses computed from `self`'s own address — it must
     /// not load a field, or the miss the hint is there to hide happens here.
     ///
-    /// Both hint hooks are advisory. The serial run loop calls them when the
-    /// queue backend offers a [`EventQueue::lookahead`]; other loops never
-    /// do, and a hint may name an event that is overtaken by an earlier one.
+    /// Both hint hooks are advisory. The run loop calls them when the queue
+    /// backend offers a [`EventQueue::lookahead`], and a hint may name an
+    /// event that is overtaken by an earlier one.
     /// They take `&self` and no [`Ctx`]: no randomness, no timers, no sends,
     /// no counters — nothing a run's outcome could depend on.
     #[inline]
@@ -161,7 +155,7 @@ pub fn prefetch<T>(p: *const T, lines: usize) {
 /// One pending event in the kernel queue: a message delivery or a timer
 /// expiry. Public so queue backends can be named in type signatures
 /// (e.g. `BinaryHeapQueue<KernelEvent<M, T>>`), but its fields stay private to
-/// the engine (and the sharded executor).
+/// the engine.
 pub enum KernelEvent<M, T> {
     Msg {
         from: ActorId,
@@ -176,10 +170,9 @@ pub enum KernelEvent<M, T> {
 }
 
 impl<M, T> KernelEvent<M, T> {
-    /// The actor this event will be delivered to — the routing key of the
-    /// sharded executor.
+    /// The actor this event will be delivered to.
     #[inline]
-    pub(crate) fn destination(&self) -> ActorId {
+    fn destination(&self) -> ActorId {
         match self {
             KernelEvent::Msg { to, .. } => *to,
             KernelEvent::Timer { on, .. } => *on,
@@ -187,23 +180,23 @@ impl<M, T> KernelEvent<M, T> {
     }
 }
 
-/// Kernel state owned by (and moving with) one actor: its deterministic RNG
-/// stream, its private event-issue counter (the [`EventKey`] tiebreak), and
-/// its timer slab.
+/// Kernel state owned by one actor: its deterministic RNG stream, its
+/// private event-issue counter (the [`EventKey`] tiebreak), and its timer
+/// slab.
 #[derive(Debug)]
-pub(crate) struct ActorState {
-    pub(crate) rng: SimRng,
+struct ActorState {
+    rng: SimRng,
     /// Events issued by this actor so far; the next event it schedules gets
     /// `seq + 1`. Interleaving-independent by construction.
-    pub(crate) seq: u64,
+    seq: u64,
     /// Generation stamp per timer slot; bumped when the slot's timer fires or
     /// is cancelled, invalidating any queued event carrying the old stamp.
     /// (A stamp would have to survive 2^32 arm/retire cycles of one slot
     /// while its event sits in the queue to collide — not possible, since
     /// a slot is only recycled after its previous event is resolved.)
-    pub(crate) timer_gens: Vec<u32>,
+    timer_gens: Vec<u32>,
     /// Recycled slots available for the next `set_timer`.
-    pub(crate) timer_free: Vec<u32>,
+    timer_free: Vec<u32>,
 }
 
 impl ActorState {
@@ -217,42 +210,25 @@ impl ActorState {
     }
 }
 
-/// How a [`KernelCore`] maps global actor ids onto its `states` vector.
-///
-/// The serial world owns every actor, so slot = global id with zero
-/// indirection. A shard owns an arbitrary subset chosen by the partitioner
-/// (round-robin or locality-greedy), so it resolves slots through the shared
-/// [`Partition`] — two array loads, no hashing, no division.
-pub(crate) enum SlotView {
-    /// The serial world: slot = global actor id.
-    Identity,
-    /// Shard `shard` of a partitioned run: slot = the partition's per-shard
-    /// dense index (actors arrive in ascending global-id order).
-    Sharded { shard: u32, part: Arc<Partition> },
-}
-
 /// Queue-independent engine state shared between the run loop and actor
 /// callbacks. Holds no message/timer payloads, so it needs no type
 /// parameters — which is what lets [`Ctx`] stay independent of the queue
 /// backend.
 ///
-/// `states[i]` belongs to the actor that `view` maps to slot `i`: the whole
-/// actor set in global-id order for the serial world, one shard's actors in
-/// ascending global-id order for a shard core.
-pub(crate) struct KernelCore {
-    pub(crate) now: SimTime,
-    pub(crate) view: SlotView,
-    pub(crate) states: Vec<ActorState>,
-    pub(crate) trace: TraceSink,
+/// `states[i]` belongs to actor `i`.
+struct KernelCore {
+    now: SimTime,
+    states: Vec<ActorState>,
+    trace: TraceSink,
     /// Delivered message count (protocol messages, not timers). A coalesced
     /// batch counts once — it is one delivery event.
-    pub(crate) messages_delivered: u64,
-    pub(crate) timers_fired: u64,
+    messages_delivered: u64,
+    timers_fired: u64,
     /// Logical messages folded away by transport-level coalescing: an actor
     /// unpacking a k-message batch reports `k - 1` here, so
     /// `messages_delivered + batched_messages` is the protocol message count
     /// a batching-free run would have delivered.
-    pub(crate) batched_messages: u64,
+    batched_messages: u64,
 }
 
 /// The [`EventKey`] tiebreak has 24 bits for the issuing actor; a larger
@@ -271,7 +247,6 @@ impl KernelCore {
         let root = SimRng::new(seed);
         KernelCore {
             now: SimTime::ZERO,
-            view: SlotView::Identity,
             states: (0..actors)
                 .map(|i| ActorState::new(&root, i as u32))
                 .collect(),
@@ -282,46 +257,11 @@ impl KernelCore {
         }
     }
 
-    /// An empty core for shard `shard` of `part`; states are installed by
-    /// the sharded executor (moved, not recreated, so RNG streams, issue
-    /// counters, and timer slabs carry over exactly).
-    pub(crate) fn shard_shell(now: SimTime, shard: u32, part: Arc<Partition>) -> Self {
-        check_actor_count(part.len());
-        KernelCore {
-            now,
-            view: SlotView::Sharded { shard, part },
-            states: Vec::new(),
-            trace: TraceSink::Disabled,
-            messages_delivered: 0,
-            timers_fired: 0,
-            batched_messages: 0,
-        }
-    }
-
-    /// Slot of `id` in `states` under this core's view. The serial case is
-    /// the identity — no division, no loads — and this sits on the per-event
-    /// hot path (every push, pop, rng draw, and timer op).
-    #[inline]
-    pub(crate) fn slot(&self, id: ActorId) -> usize {
-        match &self.view {
-            SlotView::Identity => id.0 as usize,
-            SlotView::Sharded { shard, part } => {
-                debug_assert_eq!(
-                    part.shard_of()[id.index()],
-                    *shard,
-                    "actor {id:?} not owned by shard {shard}"
-                );
-                part.slot_of(id.0)
-            }
-        }
-    }
-
     /// Claim a slot in `me`'s timer slab for a newly armed timer and stamp a
     /// token with its current generation.
     #[inline]
     fn timer_arm(&mut self, me: ActorId) -> TimerToken {
-        let slot = self.slot(me);
-        let st = &mut self.states[slot];
+        let st = &mut self.states[me.index()];
         let slot = match st.timer_free.pop() {
             Some(slot) => slot,
             None => {
@@ -337,8 +277,7 @@ impl KernelCore {
     /// the timer already fired or was already cancelled.
     #[inline]
     fn timer_retire(&mut self, on: ActorId, token: TimerToken) -> bool {
-        let slot = self.slot(on);
-        let st = &mut self.states[slot];
+        let st = &mut self.states[on.index()];
         let (slot, generation) = token.unpack();
         let current = &mut st.timer_gens[slot as usize];
         if *current != generation {
@@ -362,8 +301,7 @@ fn schedule<M, T>(
     payload: KernelEvent<M, T>,
 ) {
     let at = core.now + delay;
-    let slot = core.slot(issuer);
-    let st = &mut core.states[slot];
+    let st = &mut core.states[issuer.index()];
     if st.seq >= MAX_LOCAL_SEQ {
         seq_exhausted(issuer);
     }
@@ -385,7 +323,7 @@ fn seq_exhausted(issuer: ActorId) -> ! {
 }
 
 /// What one pass over the event queue did.
-pub(crate) enum StepOutcome {
+enum StepOutcome {
     /// Queue empty — nothing left to run.
     Drained,
     /// A cancelled timer was discarded; no handler ran.
@@ -395,10 +333,8 @@ pub(crate) enum StepOutcome {
 }
 
 /// Deliver one already-popped event: advance time, dispatch to the owning
-/// actor's handler (or discard a cancelled timer). Shared verbatim by the
-/// serial step loop and the per-shard window loop, so both execute events
-/// identically by construction.
-pub(crate) fn dispatch_one<A: Actor>(
+/// actor's handler (or discard a cancelled timer).
+fn dispatch_one<A: Actor>(
     actors: &mut [A],
     core: &mut KernelCore,
     queue: &mut dyn EventQueue<KernelEvent<A::Msg, A::Timer>>,
@@ -417,13 +353,12 @@ pub(crate) fn dispatch_one<A: Actor>(
                     tag: "msg",
                 });
             }
-            let idx = core.slot(to);
             let mut ctx = Ctx {
                 core,
                 queue,
                 me: to,
             };
-            actors[idx].on_message(&mut ctx, from, msg);
+            actors[to.index()].on_message(&mut ctx, from, msg);
             StepOutcome::Ran(to)
         }
         KernelEvent::Timer { on, token, timer } => {
@@ -438,13 +373,12 @@ pub(crate) fn dispatch_one<A: Actor>(
                     tag: "timer",
                 });
             }
-            let idx = core.slot(on);
             let mut ctx = Ctx {
                 core,
                 queue,
                 me: on,
             };
-            actors[idx].on_timer(&mut ctx, timer);
+            actors[on.index()].on_timer(&mut ctx, timer);
             StepOutcome::Ran(on)
         }
     }
@@ -454,11 +388,11 @@ pub(crate) fn dispatch_one<A: Actor>(
 ///
 /// Independent of the queue backend (`Q`) by design: the queue is borrowed as
 /// a trait object, so `Actor` implementations compile once and run under any
-/// backend — including the sharded executor's routing queue.
+/// backend.
 pub struct Ctx<'a, M, T> {
-    pub(crate) core: &'a mut KernelCore,
-    pub(crate) queue: &'a mut dyn EventQueue<KernelEvent<M, T>>,
-    pub(crate) me: ActorId,
+    core: &'a mut KernelCore,
+    queue: &'a mut dyn EventQueue<KernelEvent<M, T>>,
+    me: ActorId,
 }
 
 impl<'a, M, T> Ctx<'a, M, T> {
@@ -512,8 +446,7 @@ impl<'a, M, T> Ctx<'a, M, T> {
     /// This actor's private deterministic RNG stream.
     #[inline]
     pub fn rng(&mut self) -> &mut SimRng {
-        let slot = self.core.slot(self.me);
-        &mut self.core.states[slot].rng
+        &mut self.core.states[self.me.index()].rng
     }
 
     /// Report `extra` logical messages unpacked from a coalesced batch
@@ -538,9 +471,9 @@ impl<'a, M, T> Ctx<'a, M, T> {
 /// substituting a wrapper or a model for the heap (a perturbing queue, a
 /// timing wrapper, a test oracle) via [`GenericWorld::with_queue`].
 pub struct GenericWorld<A: Actor, Q> {
-    pub(crate) actors: Vec<A>,
-    pub(crate) core: KernelCore,
-    pub(crate) queue: Q,
+    actors: Vec<A>,
+    core: KernelCore,
+    queue: Q,
 }
 
 /// The default world: binary-heap-backed pending-event set. A type alias (not
@@ -644,8 +577,8 @@ impl<A: Actor, Q: EventQueue<KernelEvent<A::Msg, A::Timer>>> GenericWorld<A, Q> 
 
     /// Inject a message from outside the world (workload arrival); `from` is
     /// recorded as the destination itself, and the event is stamped from the
-    /// destination's issue counter (so external injections order the same
-    /// way regardless of execution mode).
+    /// destination's issue counter (so external injections get keys that
+    /// depend on nothing but their destination).
     pub fn send_external(&mut self, to: ActorId, msg: A::Msg, delay: SimDuration) {
         schedule(
             &mut self.core,
@@ -713,7 +646,7 @@ impl<A: Actor, Q: EventQueue<KernelEvent<A::Msg, A::Timer>>> GenericWorld<A, Q> 
     /// Process one event, reporting which actor's handler ran (if any) so
     /// callers can re-examine just that actor instead of scanning all of
     /// them after every event.
-    pub(crate) fn step_touched(&mut self) -> StepOutcome {
+    fn step_touched(&mut self) -> StepOutcome {
         let ev = match self.queue.pop() {
             Some(ev) => ev,
             None => return StepOutcome::Drained,
@@ -735,15 +668,14 @@ impl<A: Actor, Q: EventQueue<KernelEvent<A::Msg, A::Timer>>> GenericWorld<A, Q> 
     /// away had that done an event ago, so its lines can be read now to
     /// request what the coming event reaches through them.
     ///
-    /// Only here, not in [`dispatch_one`]: the shard loops pop from queues
-    /// that offer no lookahead. A hint goes stale when the handler about to
-    /// run schedules something earlier — that costs the requested lines'
-    /// worth of bandwidth and nothing else.
+    /// A hint goes stale when the handler about to run schedules something
+    /// earlier — that costs the requested lines' worth of bandwidth and
+    /// nothing else.
     #[inline]
     fn hint_ahead(&self) {
         let [next, after] = self.queue.lookahead();
         if let Some(ev) = after {
-            let slot = self.core.slot(ev.destination());
+            let slot = ev.destination().index();
             if let (Some(actor), Some(state)) = (self.actors.get(slot), self.core.states.get(slot))
             {
                 let lines = std::mem::size_of::<ActorState>().div_ceil(CACHE_LINE);
@@ -752,7 +684,7 @@ impl<A: Actor, Q: EventQueue<KernelEvent<A::Msg, A::Timer>>> GenericWorld<A, Q> 
             }
         }
         if let Some(ev) = next {
-            if let Some(actor) = self.actors.get(self.core.slot(ev.destination())) {
+            if let Some(actor) = self.actors.get(ev.destination().index()) {
                 actor.hint_next(ev);
             }
         }

@@ -6,11 +6,10 @@
 //! single `u64`. Crucially this tiebreak is **interleaving-independent**:
 //! each actor stamps its own events from its own counter, so the key an
 //! event gets does not depend on how actors' handler invocations were
-//! interleaved globally. That is what lets the sharded executor
-//! (`GenericWorld::run_sharded`) run actors on different threads and still
-//! produce the exact event order a serial run produces — a global
-//! issue-sequence counter (the previous scheme) would be assigned in
-//! nondeterministic order under parallel execution.
+//! interleaved globally. Under a global issue-sequence counter, a queue that
+//! swaps two simultaneous deliveries (the verifier's `PerturbQueue` and
+//! `ChoiceQueue` do) would renumber every event issued after them; here the
+//! keys of everything the swap did not cause stay what they were.
 //!
 //! Among simultaneous events the order is: lower actor id first, then FIFO
 //! per actor — deterministic and stable.

@@ -1,10 +1,7 @@
 //! # dstm-sim — deterministic discrete-event simulation kernel
 //!
 //! This crate provides the execution substrate for the D-STM reproduction:
-//! a fully deterministic discrete-event simulator — serial by default, with
-//! an optional conservative time-windowed parallel executor
-//! ([`GenericWorld::run_sharded`], see [`shard`]) that produces bit-identical
-//! results on any shard count — with
+//! a fully deterministic, single-threaded discrete-event simulator with
 //!
 //! * nanosecond-resolution virtual time ([`SimTime`], [`SimDuration`]),
 //! * one pending-event set, a 4-ary packed-key heap, behind a trait where
@@ -52,7 +49,6 @@ pub mod event;
 pub mod perturb;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -64,7 +60,6 @@ pub use event::{EventKey, Sequenced};
 pub use perturb::{ChoiceQueue, Perturb, PerturbQueue, Schedule};
 pub use queue::{BinaryHeapQueue, EventQueue};
 pub use rng::{mix64, SimRng};
-pub use shard::{uniform_lookahead, Partition, ShardRunStats, WindowProfile};
 pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceSink};

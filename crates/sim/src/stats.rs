@@ -4,8 +4,8 @@ use crate::time::SimDuration;
 
 /// Welford online mean/variance accumulator. `PartialEq` is field-wise
 /// (float accumulators): runs that pushed the same samples in the same
-/// order compare equal, which is exactly what the serial-vs-sharded
-/// differential tests check.
+/// order compare equal, which is exactly what the differential tests
+/// (telemetry on/off, model queue vs heap) check.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct OnlineStats {
     n: u64,

@@ -65,15 +65,12 @@ impl Default for EpisodeSpec {
 }
 
 impl EpisodeSpec {
-    /// The harness cell this spec runs, under `seed`. Shards are pinned to
-    /// 1 so `DSTM_SHARDS` in the environment cannot change what a saved
-    /// reproducer replays.
+    /// The harness cell this spec runs, under `seed`.
     pub fn cell(&self, seed: u64) -> Cell {
         let mut cell = Cell::new(self.benchmark, self.scheduler, self.nodes, 0.5)
             .with_txns(self.txns)
             .with_seed(seed)
-            .with_cache(self.cache)
-            .with_shards(1);
+            .with_cache(self.cache);
         if self.telemetry {
             cell = cell.with_telemetry();
         }

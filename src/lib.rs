@@ -51,9 +51,9 @@ pub mod prelude {
     pub use dstm_net::Topology;
     pub use dstm_sim::{SimDuration, SimRng, SimTime};
     pub use hyflow_dstm::{
-        AccessMode, BoxedProgram, ConflictScope, DstmConfig, NestingMode, PartitionStrategy,
-        Payload, ProgramCheckpoint, RunMetrics, StepInput, StepOutput, System, SystemBuilder,
-        TxProgram, WorkloadSource,
+        AccessMode, BoxedProgram, ConflictScope, DstmConfig, NestingMode, Payload,
+        ProgramCheckpoint, RunMetrics, StepInput, StepOutput, System, SystemBuilder, TxProgram,
+        WorkloadSource,
     };
     pub use rts_core::{ObjectId, SchedulerKind, TxId, TxKind};
 }

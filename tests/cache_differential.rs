@@ -1,24 +1,24 @@
 //! Differential tests for clock-validated remote-read caching and message
 //! coalescing (`Cell::with_cache` / `--cache` / `DSTM_CACHE`).
 //!
-//! Unlike `--shards`, the cache is a **protocol variant**: it changes the
-//! simulated message pattern (fewer fetch round trips), so cache-on results
-//! legitimately differ from cache-off ones. The contract split is:
+//! The cache is a **protocol variant**: it changes the simulated message
+//! pattern (fewer fetch round trips), so cache-on results legitimately
+//! differ from cache-off ones. The contract split is:
 //!
 //! * **Cache off (the default)** must be bit-identical to the pre-cache
 //!   protocol — zero cache counters, no cache fields in traces, and the
 //!   golden digests in `layout_differential.rs` unchanged.
 //! * **Cache on** must still be a correct TFA execution: every trace passes
 //!   the offline serializability audit and the `analyze` ledger
-//!   reconciliation, under every scheduler and shard count — and sharded
-//!   cache-on runs stay bit-identical to serial cache-on runs.
+//!   reconciliation, under every scheduler — and a cache-on run repeats
+//!   bit for bit.
 //! * On contended workloads the cache must actually pay: fewer kernel
 //!   messages per commit, a nonzero hit rate, and (via conflict-verdict
 //!   owner healing) no more tombstone forwards than the cache-off run.
 
 use closed_nesting_dstm::harness::runner::{run_cell, run_cell_telemetry, run_cell_traced, Cell};
 use closed_nesting_dstm::harness::{analyze, audit};
-use closed_nesting_dstm::hyflow::{merge_epoch_series, EpochSample, PartitionStrategy};
+use closed_nesting_dstm::hyflow::{merge_epoch_series, EpochSample};
 use closed_nesting_dstm::prelude::*;
 use rts_core::SchedulerKind;
 
@@ -65,51 +65,44 @@ fn cache_off_runs_carry_no_cache_state() {
 fn cache_on_passes_audit_and_ledger_reconciliation() {
     for benchmark in [Benchmark::Bank, Benchmark::Vacation] {
         for scheduler in SCHEDULERS {
-            for shards in [1usize, 2, 4] {
-                let cell = contended_cell(benchmark, scheduler, 9)
-                    .with_cache(true)
-                    .with_shards(shards);
-                let (r, trace) = run_cell_traced(cell);
-                assert!(
-                    r.completed,
-                    "{}/{} with cache at {shards} shards stalled",
-                    benchmark.label(),
-                    scheduler.label()
-                );
-                let report = audit(&trace);
-                assert!(
-                    report.ok(),
-                    "{}/{} with cache at {shards} shards failed audit: {:?}",
-                    benchmark.label(),
-                    scheduler.label(),
-                    report.violations
-                );
-                assert!(report.summary_checked);
-                let ledger = analyze(&trace, 0);
-                assert!(
-                    ledger.ok(),
-                    "{}/{} with cache at {shards} shards failed ledger \
-                     reconciliation: {:?}",
-                    benchmark.label(),
-                    scheduler.label(),
-                    ledger.mismatches
-                );
-            }
+            let cell = contended_cell(benchmark, scheduler, 9).with_cache(true);
+            let (r, trace) = run_cell_traced(cell);
+            assert!(
+                r.completed,
+                "{}/{} with cache stalled",
+                benchmark.label(),
+                scheduler.label()
+            );
+            let report = audit(&trace);
+            assert!(
+                report.ok(),
+                "{}/{} with cache failed audit: {:?}",
+                benchmark.label(),
+                scheduler.label(),
+                report.violations
+            );
+            assert!(report.summary_checked);
+            let ledger = analyze(&trace, 0);
+            assert!(
+                ledger.ok(),
+                "{}/{} with cache failed ledger reconciliation: {:?}",
+                benchmark.label(),
+                scheduler.label(),
+                ledger.mismatches
+            );
         }
     }
 }
 
 #[test]
-fn cache_on_sharded_runs_match_serial_bit_for_bit() {
-    // Coalesced batches target one destination, so the sharded executor
-    // routes them like any single message; the variant must stay
-    // shard-deterministic.
+fn cache_on_runs_repeat_bit_for_bit() {
+    // Coalescing packs whatever one handler sent to one destination into a
+    // batch; which messages share a batch, and in what order, must be a
+    // function of the seed alone.
     for scheduler in SCHEDULERS {
-        let digest = |shards: usize| {
+        let digest = || {
             let (r, trace) = run_cell_traced(
-                contended_cell(Benchmark::Vacation, scheduler, 13)
-                    .with_cache(true)
-                    .with_shards(shards),
+                contended_cell(Benchmark::Vacation, scheduler, 13).with_cache(true),
             );
             assert!(r.completed);
             let m = &r.metrics;
@@ -122,63 +115,48 @@ fn cache_on_sharded_runs_match_serial_bit_for_bit() {
                 trace.to_jsonl()
             )
         };
-        let serial = digest(1);
-        for shards in [2usize, 4] {
-            assert_eq!(
-                serial,
-                digest(shards),
-                "cache-on run under {} diverged at {shards} shards",
-                scheduler.label()
-            );
-        }
+        assert_eq!(
+            digest(),
+            digest(),
+            "cache-on run under {} did not repeat",
+            scheduler.label()
+        );
     }
 }
 
 #[test]
-fn cache_counters_reconcile_with_epoch_sums_across_shards_and_partitioners() {
+fn cache_counters_reconcile_with_epoch_sums_under_every_scheduler() {
     // The passive epoch sampler and the end-of-run counters are maintained
     // on different paths (per-epoch deltas vs monotone totals), so their
-    // agreement cross-checks the cache instrumentation — and it must hold
-    // identically however the nodes are packed onto shard threads.
-    for shards in [1usize, 2, 4] {
-        for partition in [PartitionStrategy::RoundRobin, PartitionStrategy::Locality] {
-            let cell = contended_cell(Benchmark::Bank, SchedulerKind::Rts, 9)
-                .with_cache(true)
-                .with_shards(shards)
-                .with_partition(partition);
-            let (r, reports) = run_cell_telemetry(cell);
-            assert!(
-                r.completed,
-                "cache+telemetry at {shards} shards / {partition:?} stalled"
-            );
-            assert!(
-                reports.iter().all(|rep| rep.dropped_epochs == 0),
-                "{shards} shards / {partition:?}: sampler dropped epochs"
-            );
-            let series = merge_epoch_series(&reports);
-            let m = &r.metrics.merged;
-            let sum = |f: fn(&EpochSample) -> u64| -> u64 { series.iter().map(f).sum() };
-            for (name, epochs, counter) in [
-                ("cache_hits", sum(|e| e.cache_hits), m.cache_hits),
-                ("cache_misses", sum(|e| e.cache_misses), m.cache_misses),
-                (
-                    "cache_invalidations",
-                    sum(|e| e.cache_invalidations),
-                    m.cache_invalidations,
-                ),
-                ("commits", sum(|e| e.commits), m.commits),
-            ] {
-                assert_eq!(
-                    epochs, counter,
-                    "{shards} shards / {partition:?}: epoch-sum {name} diverged \
-                     from the end-of-run counter"
-                );
-            }
-            assert!(
-                m.cache_hits > 0,
-                "{shards} shards / {partition:?}: contended cache-on run never hit"
+    // agreement cross-checks the cache instrumentation.
+    for scheduler in SCHEDULERS {
+        let who = scheduler.label();
+        let cell = contended_cell(Benchmark::Bank, scheduler, 9).with_cache(true);
+        let (r, reports) = run_cell_telemetry(cell);
+        assert!(r.completed, "{who}: cache+telemetry stalled");
+        assert!(
+            reports.iter().all(|rep| rep.dropped_epochs == 0),
+            "{who}: sampler dropped epochs"
+        );
+        let series = merge_epoch_series(&reports);
+        let m = &r.metrics.merged;
+        let sum = |f: fn(&EpochSample) -> u64| -> u64 { series.iter().map(f).sum() };
+        for (name, epochs, counter) in [
+            ("cache_hits", sum(|e| e.cache_hits), m.cache_hits),
+            ("cache_misses", sum(|e| e.cache_misses), m.cache_misses),
+            (
+                "cache_invalidations",
+                sum(|e| e.cache_invalidations),
+                m.cache_invalidations,
+            ),
+            ("commits", sum(|e| e.commits), m.commits),
+        ] {
+            assert_eq!(
+                epochs, counter,
+                "{who}: epoch-sum {name} diverged from the end-of-run counter"
             );
         }
+        assert!(m.cache_hits > 0, "{who}: contended cache-on run never hit");
     }
 }
 
@@ -256,7 +234,6 @@ fn a_zombie_tree_walk_is_aborted_instead_of_spinning_forever() {
     let mut cell = Cell::new(Benchmark::RbTree, SchedulerKind::Tfa, 10, 0.9)
         .with_txns(10)
         .with_cache(true)
-        .with_shards(1)
         .with_seed(0xba08_d4da_75ec_ca7b);
     cell.dstm.trace_protocol = true;
     let mut system = build_system(&cell);

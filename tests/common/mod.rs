@@ -64,19 +64,15 @@ impl<E> EventQueue<E> for ModelQueue<E> {
     }
 }
 
-/// `run_cell_traced` on an explicit queue — serial, or sharded as the cell
-/// says — minus the run-header and summary records the runner appends.
+/// `run_cell_traced` on an explicit queue, minus the run-header and summary
+/// records the runner appends.
 pub fn run_traced_on<Q>(mut cell: Cell, queue: Q) -> (RunMetrics, TraceLog)
 where
-    Q: EventQueue<NodeEvent> + Default + Send,
+    Q: EventQueue<NodeEvent>,
 {
     cell.dstm.trace_protocol = true;
     let mut system = build_system_with_queue(&cell, queue);
-    let metrics = if cell.shards > 1 {
-        system.run_sharded_default_with(cell.shards, cell.partition)
-    } else {
-        system.run_default()
-    };
+    let metrics = system.run_default();
     assert!(system.all_done(), "cell stalled");
     (metrics, system.take_trace())
 }

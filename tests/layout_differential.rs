@@ -58,9 +58,8 @@ fn digest(cell: Cell) -> String {
 ///
 /// Migrated ONCE for the interleaving-independent `EventKey` tiebreak
 /// (`(time, issuing actor, per-actor seq)` replacing the global issue
-/// sequence, required by `GenericWorld::run_sharded`): every metric,
-/// message count, and timestamp was unchanged; only the three vacation
-/// trace hashes moved (same-timestamp deliveries now order by actor id —
+/// sequence): every metric, message count, and timestamp was unchanged;
+/// only the three vacation trace hashes moved (same-timestamp deliveries now order by actor id —
 /// before/after pairs recorded in EXPERIMENTS.md).
 ///
 /// Migrated a SECOND time for the trace-format additions of the telemetry

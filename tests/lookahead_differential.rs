@@ -81,7 +81,6 @@ fn hinted_and_unhinted_runs_are_identical() {
                     let mut cell = Cell::new(benchmark, scheduler, nodes, 0.5)
                         .with_txns(if nodes == 8 { 6 } else { 3 })
                         .with_seed(0x100 + nodes as u64)
-                        .with_shards(1)
                         .with_cache(cache);
                     assert_hints_invisible(&label, &cell);
                     // With the trace on, the digest covers every protocol
@@ -99,7 +98,6 @@ fn a_400_node_hashed_cell_is_identical() {
     let cell = Cell::new(Benchmark::Bank, SchedulerKind::Rts, 400, 0.5)
         .with_txns(3)
         .with_seed(0xD57A)
-        .with_shards(1)
         .with_cache(false)
         .with_topology(TopologySpec::HashedRandom {
             min_ms: 1,

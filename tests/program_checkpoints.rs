@@ -293,9 +293,6 @@ impl TxProgram for Forwarding {
     fn label(&self) -> &'static str {
         self.0.label()
     }
-    fn access_hint(&self, out: &mut Vec<ObjectId>) {
-        self.0.access_hint(out)
-    }
 }
 
 /// Four nodes hammering three counters from inside nested children, with a

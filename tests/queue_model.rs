@@ -14,9 +14,9 @@
 //! * the length wanders across every `4k+1 … 4k+4` boundary, so the heap's
 //!   last, partially filled group of children is hit at every depth.
 //!
-//! Then a whole actor world — messages, timers, timer cancellations — runs
-//! once on the heap and once on the model, and must follow the same
-//! trajectory.
+//! Then a whole actor world — messages, timers, timer cancellations — and a
+//! whole D-STM `System` on the hashed topology each run once on the heap and
+//! once on the model, and must follow the same trajectory.
 //!
 //! `lookahead` rides along on every one of those streams: whenever the model
 //! is consulted, its first two entries must be exactly the two payloads the
@@ -25,15 +25,18 @@
 //! does not override `lookahead` must offer nothing.
 //!
 //! The contract is what is pinned, not the layout: nothing here knows how the
-//! heap stores its keys.
+//! heap stores its keys. The order itself — lexicographic on `(time, issuer,
+//! per-actor seq)` — is pinned last.
 
 mod common;
 
+use closed_nesting_dstm::harness::runner::{Cell, TopologySpec};
+use closed_nesting_dstm::prelude::{Benchmark, SchedulerKind};
 use closed_nesting_dstm::sim::{
     Actor, ActorId, BinaryHeapQueue, Ctx, EventKey, EventQueue, GenericWorld, KernelEvent,
     Sequenced, SimDuration, SimTime, TimerToken,
 };
-use common::{ModelQueue, NoLookahead};
+use common::{outcome_line, run_traced_on, ModelQueue, NoLookahead};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -235,6 +238,29 @@ proptest! {
     }
 }
 
+/// The protocol stack as the queue's client: one contended Bank cell on the
+/// hashed topology, every protocol event traced, on the heap and on the
+/// model.
+#[test]
+fn a_hashed_topology_system_on_the_heap_matches_the_model_queue() {
+    let mk = || {
+        let mut c = Cell::new(Benchmark::Bank, SchedulerKind::Rts, 6, 0.5)
+            .with_txns(5)
+            .with_seed(3)
+            .with_topology(TopologySpec::HashedRandom {
+                min_ms: 1,
+                max_ms: 50,
+            });
+        c.params.objects_per_node = 3;
+        c
+    };
+    let (m, trace) = run_traced_on(mk(), BinaryHeapQueue::new());
+    assert!(m.merged.commits > 0, "nothing committed");
+    let on_heap = outcome_line(&m, &trace);
+    let (m, trace) = run_traced_on(mk(), ModelQueue::default());
+    assert_eq!(on_heap, outcome_line(&m, &trace));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
@@ -305,5 +331,22 @@ proptest! {
             }
         }
         q.drain()?;
+    }
+
+    /// The order every backend must honour: `EventKey::compose` is a total
+    /// order, lexicographic on `(time, issuer, per-actor seq)` — stable
+    /// under any packing change.
+    #[test]
+    fn event_key_order_is_total_and_stable(
+        ta in 0u64..1_000, ia in 0u32..512, sa in 0u64..1_000,
+        tb in 0u64..1_000, ib in 0u32..512, sb in 0u64..1_000,
+    ) {
+        let ka = EventKey::compose(SimTime(ta), ia, sa);
+        let kb = EventKey::compose(SimTime(tb), ib, sb);
+        // Exactly the lexicographic order on the triple.
+        prop_assert_eq!(ka.cmp(&kb), (ta, ia, sa).cmp(&(tb, ib, sb)));
+        // Antisymmetric + roundtrip: distinct triples give distinct keys.
+        prop_assert_eq!(kb.cmp(&ka), ka.cmp(&kb).reverse());
+        prop_assert_eq!((ka.time, ka.issuer(), ka.local_seq()), (SimTime(ta), ia, sa));
     }
 }

@@ -4,11 +4,7 @@
 //! observer: a run with telemetry on must be **bit-identical** to the same
 //! run with it off — same metrics (including the always-on wasted-work
 //! ledger), same message count, same virtual end time, same protocol trace
-//! byte-for-byte — for every shard count and partitioner. The epoch series
-//! itself is part of the determinism contract: it samples sim-time, so the
-//! merged series must not depend on how the host parallelised the run.
-//! Same bar the sharded executor had to clear (`shard_differential.rs`),
-//! extended to the observability layer.
+//! byte-for-byte — under every scheduler.
 
 use closed_nesting_dstm::harness::experiments::scenarios::run_collision;
 use closed_nesting_dstm::harness::runner::{run_cell, run_cell_telemetry, run_cell_traced, Cell};
@@ -22,11 +18,6 @@ const SCHEDULERS: [SchedulerKind; 3] = [
     SchedulerKind::Tfa,
     SchedulerKind::TfaBackoff,
 ];
-
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-const PARTITIONS: [PartitionStrategy; 2] =
-    [PartitionStrategy::RoundRobin, PartitionStrategy::Locality];
 
 /// FNV-1a over a byte string (stable, dependency-free).
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -71,46 +62,25 @@ fn traced_digest(cell: Cell) -> String {
 }
 
 #[test]
-fn telemetry_on_matches_off_across_shards_and_partitioners() {
+fn telemetry_on_matches_off_under_every_scheduler() {
     for scheduler in SCHEDULERS {
         let baseline = run_cell(contended_cell(scheduler, 13));
         assert!(baseline.completed);
-        let mut series_digest: Option<String> = None;
-        for shards in SHARD_COUNTS {
-            for partition in PARTITIONS {
-                let cell = contended_cell(scheduler, 13)
-                    .with_shards(shards)
-                    .with_partition(partition);
-                let (r, reports) = run_cell_telemetry(cell);
-                assert!(r.completed);
-                // Whole-struct comparison: NodeMetrics PartialEq covers
-                // every counter (wasted-work ledger included) and every
-                // latency histogram bucket.
-                assert_eq!(
-                    baseline.metrics.merged,
-                    r.metrics.merged,
-                    "{} diverged with telemetry at {shards} shards / {}",
-                    scheduler.label(),
-                    partition.label()
-                );
-                assert_eq!(baseline.metrics.messages, r.metrics.messages);
-                assert_eq!(baseline.metrics.ended_at, r.metrics.ended_at);
-                // The epoch series samples sim-time, so it must be the
-                // same series no matter how the host parallelised the run.
-                let series = merge_epoch_series(&reports);
-                assert!(!series.is_empty(), "contended run spans epochs");
-                let digest = format!("{series:?}");
-                match &series_digest {
-                    None => series_digest = Some(digest),
-                    Some(want) => assert_eq!(
-                        want,
-                        &digest,
-                        "epoch series diverged at {shards} shards / {}",
-                        partition.label()
-                    ),
-                }
-            }
-        }
+        let (r, reports) = run_cell_telemetry(contended_cell(scheduler, 13));
+        assert!(r.completed);
+        // Whole-struct comparison: NodeMetrics PartialEq covers every
+        // counter (wasted-work ledger included) and every latency
+        // histogram bucket.
+        assert_eq!(
+            baseline.metrics.merged,
+            r.metrics.merged,
+            "{} diverged with telemetry",
+            scheduler.label()
+        );
+        assert_eq!(baseline.metrics.messages, r.metrics.messages);
+        assert_eq!(baseline.metrics.ended_at, r.metrics.ended_at);
+        let series = merge_epoch_series(&reports);
+        assert!(!series.is_empty(), "contended run spans epochs");
     }
 }
 
@@ -181,21 +151,17 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 10, .. ProptestConfig::default() })]
 
     /// Randomized sweep of the pure-observer claim: any seed, any
-    /// scheduler, any shard count, either partitioner, tracing on or off —
-    /// the run with the sampler enabled equals the run without it.
+    /// scheduler, tracing on or off — the run with the sampler enabled
+    /// equals the run without it.
     #[test]
     fn telemetry_on_vs_off_digest_equality(
         seed in 1u64..10_000,
         sched in 0usize..3,
-        shards in 0usize..3,
-        partition in 0usize..2,
         traced in 0u8..2,
     ) {
         let traced = traced == 1;
         let mk = |telemetry: bool| {
-            let mut cell = contended_cell(SCHEDULERS[sched], seed)
-                .with_shards(SHARD_COUNTS[shards])
-                .with_partition(PARTITIONS[partition]);
+            let mut cell = contended_cell(SCHEDULERS[sched], seed);
             if telemetry {
                 cell = cell.with_telemetry();
             }
