@@ -3,20 +3,21 @@
 //! observe a peak point of transactional throughput"). Also compares the
 //! adaptive hill-climbing controller.
 
-use dstm_bench::{emit, workers};
+use dstm_bench::settings;
 use dstm_benchmarks::Benchmark;
-use dstm_harness::experiments::{threshold, Scale};
+use dstm_harness::experiments::threshold;
 
 fn main() {
-    let scale = Scale::from_env();
+    let settings = settings();
+    let scale = &settings.scale;
     let t0 = std::time::Instant::now();
     let sweeps = threshold::run(
-        &scale,
+        scale,
         &[Benchmark::Bank, Benchmark::Dht, Benchmark::Vacation],
         &[2, 4, 8, 16, 32, 64, 128],
-        workers(),
+        settings.workers,
     );
     let mut out = threshold::render(&sweeps);
     out.push_str(&format!("\n[{} s]\n", t0.elapsed().as_secs()));
-    emit("ablation_cl_threshold", &out);
+    settings.emit("ablation_cl_threshold", &out);
 }

@@ -1,19 +1,20 @@
 //! Ablation: closed vs flat nesting — §I's motivating claim that flat
 //! nesting's monolithic rollbacks hurt, quantified on this substrate.
 
-use dstm_bench::{emit, workers};
+use dstm_bench::settings;
 use dstm_benchmarks::Benchmark;
-use dstm_harness::experiments::{nesting, Scale};
+use dstm_harness::experiments::nesting;
 
 fn main() {
-    let scale = Scale::from_env();
+    let settings = settings();
+    let scale = &settings.scale;
     let t0 = std::time::Instant::now();
     let rows = nesting::run(
-        &scale,
+        scale,
         &[Benchmark::Bank, Benchmark::Vacation, Benchmark::Dht],
-        workers(),
+        settings.workers,
     );
     let mut out = nesting::render(&rows);
     out.push_str(&format!("\n[{} s]\n", t0.elapsed().as_secs()));
-    emit("ablation_nesting", &out);
+    settings.emit("ablation_nesting", &out);
 }

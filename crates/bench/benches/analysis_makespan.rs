@@ -2,15 +2,15 @@
 //! Theorem 3.4's RCR, and the measured worst-case makespans (N
 //! transactions, one object) under TFA and RTS.
 
-use dstm_bench::emit;
+use dstm_bench::settings;
 use dstm_harness::experiments::analysis;
 
 fn main() {
-    let scale = dstm_harness::experiments::Scale::from_env();
-    let counts: Vec<usize> = scale.node_counts.clone();
+    let settings = settings();
+    let counts: Vec<usize> = settings.scale.node_counts.clone();
     let t0 = std::time::Instant::now();
     let rows = analysis::run(&counts);
     let mut out = analysis::render(&rows);
     out.push_str(&format!("\n[{} s]\n", t0.elapsed().as_secs()));
-    emit("analysis_makespan", &out);
+    settings.emit("analysis_makespan", &out);
 }

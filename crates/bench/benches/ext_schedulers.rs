@@ -1,19 +1,20 @@
 //! Extension: five-way scheduler comparison (RTS, TFA, TFA+Backoff, and
 //! §V's related-work schedulers ATS and Bi-interval) on three benchmarks.
 
-use dstm_bench::{emit, workers};
+use dstm_bench::settings;
 use dstm_benchmarks::Benchmark;
-use dstm_harness::experiments::{ext_schedulers, Scale};
+use dstm_harness::experiments::ext_schedulers;
 
 fn main() {
-    let scale = Scale::from_env();
+    let settings = settings();
+    let scale = &settings.scale;
     let t0 = std::time::Instant::now();
     let rows = ext_schedulers::run(
-        &scale,
+        scale,
         &[Benchmark::Bank, Benchmark::Vacation, Benchmark::Dht],
-        workers(),
+        settings.workers,
     );
     let mut out = ext_schedulers::render(&rows);
     out.push_str(&format!("\n[{} s]\n", t0.elapsed().as_secs()));
-    emit("ext_schedulers", &out);
+    settings.emit("ext_schedulers", &out);
 }

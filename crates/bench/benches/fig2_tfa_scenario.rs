@@ -3,11 +3,12 @@
 //! that requested earlier (their versions go stale) and the ones that
 //! request during the validation window.
 
-use dstm_bench::emit;
+use dstm_bench::settings;
 use dstm_harness::experiments::scenarios;
 use rts_core::SchedulerKind;
 
 fn main() {
+    let settings = settings();
     let r = scenarios::run_collision(SchedulerKind::Tfa, 6, 0);
     let mut out = scenarios::render(
         "Figure 2 — TFA scenario: six writers, one object, no scheduler",
@@ -17,5 +18,5 @@ fn main() {
         "\nExpected anatomy: scheduler(lock-busy) aborts > 0 AND validation aborts > 0;\n\
          all six transactions eventually commit and the counter serializes to 6.\n",
     );
-    emit("fig2_tfa_scenario", &out);
+    settings.emit("fig2_tfa_scenario", &out);
 }

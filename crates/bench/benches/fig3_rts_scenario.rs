@@ -2,11 +2,12 @@
 //! collision pattern conflicting parents are enqueued and handed the object
 //! on release; consecutive read requesters are served simultaneously.
 
-use dstm_bench::emit;
+use dstm_bench::settings;
 use dstm_harness::experiments::scenarios;
 use rts_core::SchedulerKind;
 
 fn main() {
+    let settings = settings();
     let writers = scenarios::run_collision(SchedulerKind::Rts, 6, 0);
     let readers = scenarios::run_collision(SchedulerKind::Rts, 1, 3);
     let mut out = scenarios::render(
@@ -22,5 +23,5 @@ fn main() {
         "\nExpected: enqueued > 0 and queue_served > 0 under RTS (parents parked,\n\
          object handed down the queue); readers served concurrently in (b).\n",
     );
-    emit("fig3_rts_scenario", &out);
+    settings.emit("fig3_rts_scenario", &out);
 }

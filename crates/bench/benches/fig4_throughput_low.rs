@@ -2,13 +2,14 @@
 //! low contention (90% read transactions), six benchmarks × three
 //! schedulers.
 
-use dstm_bench::{emit, workers};
-use dstm_harness::experiments::{throughput, Scale};
+use dstm_bench::settings;
+use dstm_harness::experiments::throughput;
 
 fn main() {
-    let scale = Scale::from_env();
+    let settings = settings();
+    let scale = &settings.scale;
     let t0 = std::time::Instant::now();
-    let fig = throughput::run(&scale, 0.9, workers());
+    let fig = throughput::run(scale, 0.9, settings.workers);
     let mut out =
         String::from("Figure 4 — Transactional throughput on LOW contention (90% reads)\n\n");
     out.push_str(&fig.render());
@@ -19,5 +20,5 @@ fn main() {
         incomplete,
         t0.elapsed().as_secs()
     ));
-    emit("fig4_throughput_low", &out);
+    settings.emit("fig4_throughput_low", &out);
 }

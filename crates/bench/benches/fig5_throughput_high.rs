@@ -1,13 +1,14 @@
 //! Regenerates **Figure 5** — transactional throughput vs node count at
 //! high contention (10% read transactions).
 
-use dstm_bench::{emit, workers};
-use dstm_harness::experiments::{throughput, Scale};
+use dstm_bench::settings;
+use dstm_harness::experiments::throughput;
 
 fn main() {
-    let scale = Scale::from_env();
+    let settings = settings();
+    let scale = &settings.scale;
     let t0 = std::time::Instant::now();
-    let fig = throughput::run(&scale, 0.1, workers());
+    let fig = throughput::run(scale, 0.1, settings.workers);
     let mut out =
         String::from("Figure 5 — Transactional throughput on HIGH contention (10% reads)\n\n");
     out.push_str(&fig.render());
@@ -18,5 +19,5 @@ fn main() {
         incomplete,
         t0.elapsed().as_secs()
     ));
-    emit("fig5_throughput_high", &out);
+    settings.emit("fig5_throughput_high", &out);
 }

@@ -2,13 +2,14 @@
 //! and TFA+Backoff at low and high contention (re-running Figs. 4 and 5
 //! and summarizing, as the paper does).
 
-use dstm_bench::{emit, workers};
-use dstm_harness::experiments::{speedup, Scale};
+use dstm_bench::settings;
+use dstm_harness::experiments::speedup;
 
 fn main() {
-    let scale = Scale::from_env();
+    let settings = settings();
+    let scale = &settings.scale;
     let t0 = std::time::Instant::now();
-    let (_, _, summary) = speedup::run(&scale, workers());
+    let (_, _, summary) = speedup::run(scale, settings.workers);
     let mut out = String::from("Figure 6 — Summary of Throughput Speedup (RTS / competitor)\n\n");
     out.push_str(&summary.render());
     out.push_str(&format!(
@@ -17,5 +18,5 @@ fn main() {
         summary.max_speedup(),
         t0.elapsed().as_secs()
     ));
-    emit("fig6_speedup", &out);
+    settings.emit("fig6_speedup", &out);
 }

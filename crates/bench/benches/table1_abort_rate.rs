@@ -1,13 +1,14 @@
 //! Regenerates **Table I** — abort rate of nested transactions (RTS vs TFA
 //! at low/high contention, all six benchmarks).
 
-use dstm_bench::{emit, workers};
-use dstm_harness::experiments::{table1, Scale};
+use dstm_bench::settings;
+use dstm_harness::experiments::table1;
 
 fn main() {
-    let scale = Scale::from_env();
+    let settings = settings();
+    let scale = &settings.scale;
     let t0 = std::time::Instant::now();
-    let table = table1::run(&scale, workers());
+    let table = table1::run(scale, settings.workers);
     let mut out = String::new();
     out.push_str(&format!(
         "Table I — Abort rate of nested transactions (nested aborts caused by a parent abort / all nested aborts)\n\
@@ -27,5 +28,5 @@ fn main() {
         ));
     }
     out.push_str(&format!("\n[{} s]\n", t0.elapsed().as_secs()));
-    emit("table1_abort_rate", &out);
+    settings.emit("table1_abort_rate", &out);
 }

@@ -12,7 +12,6 @@ pub struct BloomFilter {
     bits: Vec<u64>,
     m: usize,
     k: u32,
-    inserted: u64,
 }
 
 #[inline]
@@ -44,7 +43,6 @@ impl BloomFilter {
             bits: vec![0; words],
             m: words * 64,
             k,
-            inserted: 0,
         }
     }
 
@@ -71,18 +69,12 @@ impl BloomFilter {
         for pos in positions {
             self.bits[pos / 64] |= 1u64 << (pos % 64);
         }
-        self.inserted += 1;
     }
 
     /// `true` means "possibly present"; `false` means "definitely absent".
     pub fn contains(&self, item: u64) -> bool {
         self.bit_positions(item)
             .all(|pos| self.bits[pos / 64] & (1u64 << (pos % 64)) != 0)
-    }
-
-    /// Number of `insert` calls since construction/clear.
-    pub fn inserted(&self) -> u64 {
-        self.inserted
     }
 
     /// Bits in the filter.
@@ -94,23 +86,8 @@ impl BloomFilter {
         self.k
     }
 
-    /// Expected false-positive probability at the current fill, using the
-    /// standard `(1 − e^{−kn/m})^k` estimate.
-    pub fn estimated_fp_rate(&self) -> f64 {
-        let kn = self.k as f64 * self.inserted as f64;
-        let frac = 1.0 - (-kn / self.m as f64).exp();
-        frac.powi(self.k as i32)
-    }
-
-    /// Fraction of set bits (diagnostic).
-    pub fn fill_ratio(&self) -> f64 {
-        let set: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
-        set as f64 / self.m as f64
-    }
-
     pub fn clear(&mut self) {
         self.bits.fill(0);
-        self.inserted = 0;
     }
 }
 
@@ -138,15 +115,12 @@ mod tests {
         let fps = (1_000_000u64..1_100_000).filter(|&x| f.contains(x)).count();
         let rate = fps as f64 / 100_000.0;
         assert!(rate < 0.03, "fp rate {rate} too high for 1% target");
-        assert!(f.estimated_fp_rate() < 0.02);
     }
 
     #[test]
     fn empty_filter_contains_nothing() {
         let f = BloomFilter::new(1024, 4);
         assert!(!f.contains(42));
-        assert_eq!(f.inserted(), 0);
-        assert_eq!(f.fill_ratio(), 0.0);
     }
 
     #[test]
@@ -156,7 +130,6 @@ mod tests {
         assert!(f.contains(42));
         f.clear();
         assert!(!f.contains(42));
-        assert_eq!(f.inserted(), 0);
     }
 
     #[test]

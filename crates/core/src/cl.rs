@@ -267,10 +267,6 @@ impl ClAccounting {
     pub fn clear(&mut self) {
         self.held.clear();
     }
-
-    pub fn held_objects(&self) -> usize {
-        self.held.len()
-    }
 }
 
 #[cfg(test)]
@@ -326,7 +322,6 @@ mod tests {
         assert_eq!(acc.my_cl(), 1);
         acc.clear();
         assert_eq!(acc.my_cl(), 0);
-        assert_eq!(acc.held_objects(), 0);
     }
 
     #[test]
@@ -335,6 +330,5 @@ mod tests {
         acc.object_received(ObjectId(1), 3);
         acc.object_received(ObjectId(1), 5);
         assert_eq!(acc.my_cl(), 5);
-        assert_eq!(acc.held_objects(), 1);
     }
 }

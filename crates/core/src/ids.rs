@@ -67,10 +67,6 @@ impl fmt::Display for ObjectId {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxKind(pub u16);
 
-impl TxKind {
-    pub const UNKNOWN: TxKind = TxKind(0);
-}
-
 impl fmt::Debug for TxKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "kind#{}", self.0)

@@ -48,6 +48,19 @@ impl SchedulerKind {
             SchedulerKind::BiInterval => "Bi-interval",
         }
     }
+
+    /// The inverse of [`label`](Self::label) (how traces name a run's
+    /// scheduler).
+    pub fn from_label(s: &str) -> Option<Self> {
+        match s {
+            "TFA" => Some(SchedulerKind::Tfa),
+            "TFA+Backoff" => Some(SchedulerKind::TfaBackoff),
+            "RTS" => Some(SchedulerKind::Rts),
+            "ATS" => Some(SchedulerKind::Ats),
+            "Bi-interval" => Some(SchedulerKind::BiInterval),
+            _ => None,
+        }
+    }
 }
 
 /// Everything the owner knows about a conflicting request.
@@ -421,5 +434,20 @@ mod tests {
             assert_eq!(p.kind(), kind);
         }
         assert_eq!(SchedulerKind::Rts.label(), "RTS");
+    }
+
+    #[test]
+    fn scheduler_labels_round_trip() {
+        for kind in [
+            SchedulerKind::Tfa,
+            SchedulerKind::TfaBackoff,
+            SchedulerKind::Rts,
+            SchedulerKind::Ats,
+            SchedulerKind::BiInterval,
+        ] {
+            assert_eq!(SchedulerKind::from_label(kind.label()), Some(kind));
+        }
+        assert_eq!(SchedulerKind::from_label("rts"), None, "labels are exact");
+        assert_eq!(SchedulerKind::from_label(""), None);
     }
 }

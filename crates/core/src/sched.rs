@@ -197,18 +197,6 @@ impl SchedulingTable {
     pub fn queue_depth(&self, oid: ObjectId) -> usize {
         self.map.get(&oid).map_or(0, |l| l.len())
     }
-
-    /// Drop a transaction from every queue (it aborted or committed
-    /// elsewhere). Returns how many entries were removed.
-    pub fn purge_tx(&mut self, tx: TxId) -> usize {
-        let mut removed = 0;
-        for l in self.map.values_mut() {
-            if l.remove_duplicate(tx) {
-                removed += 1;
-            }
-        }
-        removed
-    }
 }
 
 #[cfg(test)]
@@ -288,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn table_purge_and_with_list() {
+    fn table_with_list() {
         let mut t = SchedulingTable::new();
         assert_eq!(t.with_list(ObjectId(1), |l| l.len()), None);
         t.list_mut(ObjectId(1)).add_requester(1, req(1, false));
@@ -297,7 +285,9 @@ mod tests {
         assert_eq!(t.total_queued(), 3);
         assert_eq!(t.queue_depth(ObjectId(2)), 2);
         assert_eq!(t.queue_depth(ObjectId(9)), 0);
-        assert_eq!(t.purge_tx(TxId::new(1, 1)), 2);
+        for oid in [ObjectId(1), ObjectId(2)] {
+            t.list_mut(oid).remove_duplicate(TxId::new(1, 1));
+        }
         assert_eq!(t.total_queued(), 1);
         // Looking a list up never creates one ...
         assert_eq!(t.with_list(ObjectId(9), |l| l.len()), None);

@@ -133,10 +133,6 @@ impl StatsTable {
     pub fn commits(&self, kind: TxKind) -> u64 {
         self.entries.get(&kind).map_or(0, |e| e.commits)
     }
-
-    pub fn kinds_tracked(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]
@@ -222,6 +218,5 @@ mod tests {
         t.record_commit(TxKind(2), ms(90), ms(1));
         assert_eq!(t.expected_exec(TxKind(1)), ms(10));
         assert_eq!(t.expected_exec(TxKind(2)), ms(90));
-        assert_eq!(t.kinds_tracked(), 2);
     }
 }

@@ -7,21 +7,20 @@
 //! dstm-sweep large-smoke [nodes] [--cache]
 //! ```
 //!
-//! `--cache` (env `DSTM_CACHE=1`) turns on clock-validated remote-read
-//! caching plus same-tick message coalescing — a **protocol variant** that
-//! changes simulated results (fewer fetch round trips).
+//! `--cache` turns on clock-validated remote-read caching plus same-tick
+//! message coalescing — a **protocol variant** that changes simulated
+//! results (fewer fetch round trips).
 //!
-//! All modes accept `--trace <path>` / `--trace-format jsonl|chrome` (or the
-//! `DSTM_TRACE` / `DSTM_TRACE_FORMAT` environment variables) to record
-//! protocol events: `scenario` and `large-smoke` trace their whole run, and
-//! the default sweep traces its first RTS low-contention cell as a
-//! representative sample.
+//! All modes accept `--trace <path>` to record protocol events as JSONL:
+//! `scenario` and `large-smoke` trace their whole run, and the default sweep
+//! traces its first RTS low-contention cell as a representative sample.
+//! `dstm-trace chrome <in.jsonl> <out.json>` turns the file into a Chrome
+//! trace.
 //!
-//! `--telemetry` (env `DSTM_TELEMETRY=1`) enables the sim-time epoch
-//! sampler on the default sweep's first RTS high-contention cell and
-//! writes the merged per-epoch counter series plus per-object wasted-work
-//! ranking to `BENCH_timeseries.json`; `--epoch-ns N` (env `DSTM_EPOCH_NS`)
-//! overrides the 50 ms epoch length.
+//! `--telemetry` enables the sim-time epoch sampler on the default sweep's
+//! first RTS high-contention cell and writes the merged per-epoch counter
+//! series plus per-object wasted-work ranking to `BENCH_timeseries.json`;
+//! `--epoch-ns N` overrides the 50 ms epoch length.
 //!
 //! The default mode prints throughput, nested-abort rate, and speedups for
 //! every (benchmark, contention, scheduler) cell and writes the latency
@@ -38,11 +37,11 @@
 //! without it the cell runs untraced (how the 10k-node smoke stays within
 //! CI time and memory).
 //!
-//! An argument starting with `--` that is not one of the flags above, a flag
-//! without its value, a flag, positional or `DSTM_*` value that does not
-//! parse, and a positional argument the mode has no place for each end the
-//! program with one `error:` line on stderr and exit status 2, before
-//! anything runs. An empty `DSTM_*` variable counts as unset.
+//! Every setting comes from the command line; no environment variable is
+//! read. An argument starting with `--` that is not one of the flags above,
+//! a flag without its value, a flag or positional value that does not parse,
+//! and a positional argument the mode has no place for each end the program
+//! with one `error:` line on stderr and exit status 2, before anything runs.
 
 use dstm_benchmarks::Benchmark;
 use dstm_harness::experiments::scenarios::{render, run_collision_traced};
@@ -51,58 +50,31 @@ use dstm_harness::runner::{
     run_cell, run_cell_telemetry, run_cell_traced, warn_dropped_epochs, Cell, CellResult,
     TopologySpec,
 };
-use dstm_harness::traceio::to_chrome_trace;
 use hyflow_dstm::{HistSummary, TelemetryReport, TraceLog};
 use rts_core::SchedulerKind;
 use std::fmt::Write as _;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TraceFormat {
-    Jsonl,
-    Chrome,
-}
-
-impl TraceFormat {
-    fn parse(s: &str) -> Option<TraceFormat> {
-        match s {
-            "jsonl" => Some(TraceFormat::Jsonl),
-            "chrome" => Some(TraceFormat::Chrome),
-            _ => None,
-        }
-    }
-}
-
-struct TraceOpts {
-    path: Option<String>,
-    format: TraceFormat,
-}
-
-impl TraceOpts {
-    fn write(&self, trace: &TraceLog) {
-        let Some(path) = &self.path else { return };
-        let body = match self.format {
-            TraceFormat::Jsonl => trace.to_jsonl(),
-            TraceFormat::Chrome => to_chrome_trace(trace),
-        };
-        match std::fs::write(path, body) {
-            Ok(()) => println!("[trace: {} records written to {path}]", trace.records.len()),
-            Err(e) => eprintln!("could not write trace to {path}: {e}"),
-        }
+/// Write `trace` to `path` as JSONL.
+fn write_trace(path: &str, trace: &TraceLog) {
+    match std::fs::write(path, trace.to_jsonl()) {
+        Ok(()) => println!("[trace: {} records written to {path}]", trace.records.len()),
+        Err(e) => eprintln!("could not write trace to {path}: {e}"),
     }
 }
 
 struct Flags {
     positional: Vec<String>,
-    topts: TraceOpts,
+    /// `--trace <path>`: where the traced run's JSONL goes.
+    trace: Option<String>,
     hist_out: Option<String>,
-    /// `--telemetry` (env `DSTM_TELEMETRY=1`): enable the sim-time epoch
-    /// sampler on the representative cell and write `BENCH_timeseries.json`.
+    /// `--telemetry`: enable the sim-time epoch sampler on the
+    /// representative cell and write `BENCH_timeseries.json`.
     telemetry: bool,
-    /// `--epoch-ns N` (env `DSTM_EPOCH_NS`): epoch length for the sampler;
-    /// `None` keeps the 50 ms default.
+    /// `--epoch-ns N`: epoch length for the sampler; `None` keeps the 50 ms
+    /// default.
     epoch_ns: Option<u64>,
-    /// `--cache` (env `DSTM_CACHE=1`): enable the remote-read cache +
-    /// message coalescing on the cells this invocation runs.
+    /// `--cache`: enable the remote-read cache + message coalescing on the
+    /// cells this invocation runs.
     cache: bool,
 }
 
@@ -117,19 +89,10 @@ fn value<'a>(name: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a st
     }
 }
 
-/// `v`, the value given for flag, variable or positional argument `name`,
-/// through `parse`.
+/// `v`, the value given for flag or positional argument `name`, through
+/// `parse`.
 fn parsed<T>(name: &str, v: &str, parse: impl Fn(&str) -> Option<T>) -> Result<T, String> {
     parse(v).ok_or_else(|| format!("{name}: cannot use {v:?}"))
-}
-
-/// Environment variable `name` through `parse`, the parser its flag uses;
-/// `None` when unset or empty.
-fn env_or<T>(name: &str, parse: impl Fn(&str) -> Option<T>) -> Result<Option<T>, String> {
-    match std::env::var(name) {
-        Ok(v) if !v.is_empty() => parsed(name, &v, parse).map(Some),
-        _ => Ok(None),
-    }
 }
 
 /// Positional argument `i`, called `name` in errors, through `parse`;
@@ -156,34 +119,20 @@ fn number<T: std::str::FromStr>(s: &str) -> Option<T> {
     s.parse().ok()
 }
 
-/// What `DSTM_TELEMETRY` and `DSTM_CACHE` may hold (their flags take no
-/// value).
-fn switch(s: &str) -> Option<bool> {
-    match s {
-        "1" | "true" | "on" => Some(true),
-        "0" | "false" | "off" => Some(false),
-        _ => None,
-    }
-}
-
-/// Pull the `--flag value` pairs out of the argument list, over their
-/// `DSTM_*` defaults; the rest stay positional.
+/// Pull the `--flag value` pairs out of the argument list; the rest stay
+/// positional.
 fn split_flags(args: &[String]) -> Result<Flags, String> {
     let mut positional = Vec::new();
-    let mut trace_path = env_or("DSTM_TRACE", |s| Some(s.to_string()))?;
-    let mut format = env_or("DSTM_TRACE_FORMAT", TraceFormat::parse)?;
+    let mut trace = None;
     let mut hist_out = None;
-    let mut telemetry = env_or("DSTM_TELEMETRY", switch)?.unwrap_or(false);
-    let mut epoch_ns = env_or("DSTM_EPOCH_NS", number)?;
-    let mut cache = env_or("DSTM_CACHE", switch)?.unwrap_or(false);
+    let mut telemetry = false;
+    let mut epoch_ns = None;
+    let mut cache = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let a = a.as_str();
         match a {
-            "--trace" => trace_path = Some(value(a, &mut it)?.to_string()),
-            "--trace-format" => {
-                format = Some(parsed(a, value(a, &mut it)?, TraceFormat::parse)?);
-            }
+            "--trace" => trace = Some(value(a, &mut it)?.to_string()),
             "--hist-out" => hist_out = Some(value(a, &mut it)?.to_string()),
             "--telemetry" => telemetry = true,
             "--epoch-ns" => epoch_ns = Some(parsed(a, value(a, &mut it)?, number)?),
@@ -194,10 +143,7 @@ fn split_flags(args: &[String]) -> Result<Flags, String> {
     }
     Ok(Flags {
         positional,
-        topts: TraceOpts {
-            path: trace_path,
-            format: format.unwrap_or(TraceFormat::Jsonl),
-        },
+        trace,
         hist_out,
         telemetry,
         epoch_ns,
@@ -233,7 +179,7 @@ fn large_smoke(args: &[String], flags: &Flags) -> Result<(), String> {
             max_ms: 50,
         })
         .with_cache(flags.cache);
-    let (r, trace) = if flags.topts.path.is_some() {
+    let (r, trace) = if flags.trace.is_some() {
         let (r, t) = run_cell_traced(cell);
         (r, Some(t))
     } else {
@@ -263,14 +209,14 @@ fn large_smoke(args: &[String], flags: &Flags) -> Result<(), String> {
         let _ = write!(line, "  {} trace records", t.records.len());
     }
     println!("{line}");
-    if let Some(t) = &trace {
-        flags.topts.write(t);
+    if let (Some(path), Some(t)) = (&flags.trace, &trace) {
+        write_trace(path, t);
     }
     Ok(())
 }
 
 /// Replay the Fig. 2/3 collision under one scheduler with tracing on.
-fn scenario_mode(args: &[String], topts: &TraceOpts) -> Result<(), String> {
+fn scenario_mode(args: &[String], trace_path: Option<&str>) -> Result<(), String> {
     at_most(args, 3)?;
     let scheduler = positional(
         args,
@@ -296,7 +242,9 @@ fn scenario_mode(args: &[String], topts: &TraceOpts) -> Result<(), String> {
             h.count, h.mean, h.p50, h.p95, h.p99
         );
     }
-    topts.write(&trace);
+    if let Some(path) = trace_path {
+        write_trace(path, &trace);
+    }
     Ok(())
 }
 
@@ -421,7 +369,7 @@ fn run() -> Result<(), String> {
     let args = &flags.positional;
     match args.first().map(String::as_str) {
         Some("large-smoke") => return large_smoke(&args[1..], &flags),
-        Some("scenario") => return scenario_mode(&args[1..], &flags.topts),
+        Some("scenario") => return scenario_mode(&args[1..], flags.trace.as_deref()),
         _ => {}
     }
     at_most(args, 3)?;
@@ -440,7 +388,7 @@ fn run() -> Result<(), String> {
         if flags.cache { "on" } else { "off" }
     );
     let mut hist_rows = Vec::new();
-    let mut trace_opts = Some(&flags.topts); // first RTS low-contention cell only
+    let mut trace_path = flags.trace.as_deref(); // first RTS low-contention cell only
     let mut telemetry_slot = flags.telemetry; // first RTS high-contention cell only
     for b in Benchmark::ALL {
         if only.is_some_and(|o| o != b) {
@@ -462,9 +410,9 @@ fn run() -> Result<(), String> {
                     cell = cell.with_epoch_ns(ns);
                 }
                 let r = if s == SchedulerKind::Rts && read_ratio > 0.5 {
-                    if let Some(t) = trace_opts.take().filter(|t| t.path.is_some()) {
+                    if let Some(path) = trace_path.take() {
                         let (r, trace) = run_cell_traced(cell);
-                        t.write(&trace);
+                        write_trace(path, &trace);
                         r
                     } else {
                         run_cell(cell)

@@ -86,15 +86,4 @@ impl Scale {
             _ => None,
         }
     }
-
-    /// Scale selected by the `DSTM_SCALE` environment variable:
-    /// `quick` (fast sanity run), `full` (the paper's 10–80 node sweep,
-    /// default), `smoke`, or `large` (160–10k nodes, hashed topology).
-    pub fn from_env() -> Self {
-        std::env::var("DSTM_SCALE")
-            .ok()
-            .as_deref()
-            .and_then(Scale::from_name)
-            .unwrap_or_default()
-    }
 }

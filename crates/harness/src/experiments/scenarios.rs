@@ -8,7 +8,6 @@
 //!   pattern, conflicting parents are enqueued (kept live) and receive the
 //!   object on release; read requesters are served simultaneously.
 
-use dstm_benchmarks::WorkloadParams;
 use dstm_net::Topology;
 use dstm_sim::SimDuration;
 use hyflow_dstm::program::{ScriptOp, ScriptProgram};
@@ -169,12 +168,6 @@ pub fn render(title: &str, r: &ScenarioResult) -> String {
         m.nested_aborts_own,
         m.nested_aborts_parent,
     )
-}
-
-/// The `WorkloadParams` are unused here but kept for symmetry with other
-/// experiments' signatures.
-pub fn default_params() -> WorkloadParams {
-    WorkloadParams::default()
 }
 
 #[cfg(test)]

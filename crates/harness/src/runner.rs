@@ -260,14 +260,12 @@ pub fn run_cell(cell: Cell) -> CellResult {
 /// span-derived numbers (Table I) against the live counters.
 pub fn run_cell_traced(mut cell: Cell) -> (CellResult, TraceLog) {
     cell.dstm.trace_protocol = true;
-    let label = hyflow_dstm::SchedLabel::from_label(cell.scheduler.label());
+    let scheduler = cell.scheduler;
     let nodes = cell.params.nodes as u64;
     let mut trace = TraceLog::default();
     let r = run_and_collect(cell, &mut |system, metrics| {
         trace = system.take_trace();
-        if let Some(label) = label {
-            trace.push_run_info(label, nodes);
-        }
+        trace.push_run_info(scheduler, nodes);
         trace.push_summary(system.now(), &metrics.merged);
     });
     (r, trace)

@@ -60,35 +60,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Render as a Markdown table (for EXPERIMENTS.md).
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "| {} |", self.header.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.header
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
-        }
-        out
-    }
-
-    /// Render as CSV.
-    pub fn render_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.header.join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
-        }
-        out
-    }
 }
 
 /// An x-axis series plot rendered as text (Figs. 4–5: throughput vs nodes,
@@ -167,14 +138,6 @@ mod tests {
     fn row_width_checked() {
         let mut t = TextTable::new(vec!["a", "b"]);
         t.row(vec!["only one"]);
-    }
-
-    #[test]
-    fn markdown_and_csv() {
-        let mut t = TextTable::new(vec!["a", "b"]);
-        t.row(vec!["1", "2"]);
-        assert!(t.render_markdown().contains("| a | b |"));
-        assert_eq!(t.render_csv(), "a,b\n1,2\n");
     }
 
     #[test]

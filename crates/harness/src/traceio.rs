@@ -1123,7 +1123,7 @@ mod tests {
     use super::*;
     use dstm_sim::{SimDuration, SimTime};
     use hyflow_dstm::{AbortCause, TraceRecord};
-    use rts_core::TxKind;
+    use rts_core::{SchedulerKind, TxKind};
 
     fn rec(at: u64, node: u32, ev: ProtoEvent) -> TraceRecord {
         TraceRecord {
@@ -1410,7 +1410,6 @@ mod tests {
 
     #[test]
     fn stats_split_per_scheduler_and_node_count() {
-        use hyflow_dstm::SchedLabel;
         let tx = TxId::new(0, 1);
         let log = TraceLog {
             records: vec![
@@ -1418,7 +1417,7 @@ mod tests {
                     0,
                     0,
                     ProtoEvent::RunInfo {
-                        scheduler: SchedLabel::Rts,
+                        scheduler: SchedulerKind::Rts,
                         nodes: 8,
                     },
                 ),
@@ -1427,7 +1426,7 @@ mod tests {
                     2_000,
                     0,
                     ProtoEvent::RunInfo {
-                        scheduler: SchedLabel::Tfa,
+                        scheduler: SchedulerKind::Tfa,
                         nodes: 16,
                     },
                 ),
@@ -1468,7 +1467,6 @@ mod tests {
 
     #[test]
     fn analyze_ranks_hot_objects_chains_aggressors_and_reconciles() {
-        use hyflow_dstm::SchedLabel;
         let (t0, t1, t2) = (TxId::new(0, 1), TxId::new(1, 1), TxId::new(2, 1));
         let (a, b) = (ObjectId(1), ObjectId(2));
         let log = TraceLog {
@@ -1477,7 +1475,7 @@ mod tests {
                     0,
                     0,
                     ProtoEvent::RunInfo {
-                        scheduler: SchedLabel::Rts,
+                        scheduler: SchedulerKind::Rts,
                         nodes: 3,
                     },
                 ),

@@ -45,14 +45,14 @@ fn cell(benchmark: Benchmark) -> Cell {
 fn second_half(benchmark: Benchmark) -> (u64, u64) {
     let total = {
         let mut system = build_system(&cell(benchmark));
-        let events = system.world_mut().run_while(u64::MAX, |_| true);
+        let events = system.world_mut().run_budget(u64::MAX);
         assert!(system.all_done(), "{benchmark:?} cell stalled");
         events
     };
     let mut system = build_system(&cell(benchmark));
-    let first = system.world_mut().run_while(total / 2, |_| true);
+    let first = system.world_mut().run_budget(total / 2);
     assert_eq!(first, total / 2);
-    let (allocs, rest) = allocs_of(|| system.world_mut().run_while(u64::MAX, |_| true));
+    let (allocs, rest) = allocs_of(|| system.world_mut().run_budget(u64::MAX));
     assert_eq!(first + rest, total, "the run is not deterministic");
     assert!(system.all_done());
     (allocs, rest)

@@ -1,51 +1,38 @@
-//! A command line or environment `dstm-sweep` cannot use must stop it, not
-//! change what it runs.
+//! A command line `dstm-sweep` cannot use must stop it, not change what it
+//! runs; the environment does not reach it at all.
 //!
-//! A mistyped flag used to become a positional argument; a flag value, a
-//! positional argument or a `DSTM_*` variable that did not parse used to
-//! fall back to the default; a trailing flag lost its value silently — each
-//! of which ran a *different* sweep and exited 0 — and an unknown `scenario`
-//! scheduler panicked. Each is now one `error:` line on
-//! stderr and exit status 2 before anything runs; checked through the binary.
+//! A mistyped flag used to become a positional argument; a flag value or a
+//! positional argument that did not parse used to fall back to the default;
+//! a trailing flag lost its value silently — each of which ran a *different*
+//! sweep and exited 0 — and an unknown `scenario` scheduler panicked. Each
+//! is now one `error:` line on stderr and exit status 2 before anything
+//! runs; checked through the binary.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
-/// `dstm-sweep <args>` with `env` set and every other `DSTM_*` variable
-/// removed, so the caller's environment cannot change the case under test.
-fn sweep(env: &[(&str, &str)], args: &[&str]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_dstm-sweep"));
-    for (name, _) in std::env::vars_os() {
-        if name.to_string_lossy().starts_with("DSTM_") {
-            cmd.env_remove(name);
-        }
-    }
-    cmd.args(args)
+/// `dstm-sweep <args>` in `cwd` with `env` set.
+fn sweep(cwd: &Path, env: &[(&str, &str)], args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dstm-sweep"))
+        .args(args)
         .envs(env.iter().copied())
-        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .current_dir(cwd)
         .output()
         .expect("dstm-sweep runs")
 }
 
-/// Run `dstm-sweep <args>` under `env`, expect the refusal, return its
-/// `error:` line.
-fn refused_under(env: &[(&str, &str)], args: &[&str]) -> String {
-    let out = sweep(env, args);
+/// Run `dstm-sweep <args>`, expect the refusal, return its `error:` line.
+fn refused(args: &[&str]) -> String {
+    let out = sweep(Path::new(env!("CARGO_TARGET_TMPDIR")), &[], args);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{env:?} {args:?}: {out:?}");
-    assert!(
-        out.stdout.is_empty(),
-        "{env:?} {args:?} ran something: {out:?}"
-    );
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+    assert!(out.stdout.is_empty(), "{args:?} ran something: {out:?}");
     let lines: Vec<&str> = stderr.lines().collect();
     assert!(
         matches!(lines[..], [line] if line.starts_with("error: ")),
-        "{env:?} {args:?}: stderr is not one error line: {stderr}"
+        "{args:?}: stderr is not one error line: {stderr}"
     );
     lines[0].to_string()
-}
-
-fn refused(args: &[&str]) -> String {
-    refused_under(&[], args)
 }
 
 #[test]
@@ -60,7 +47,6 @@ fn a_value_that_does_not_parse_is_refused() {
         line.contains("--epoch-ns") && line.contains("four"),
         "{line}"
     );
-    refused(&["large-smoke", "40", "--trace-format", "xml"]);
 }
 
 #[test]
@@ -98,17 +84,31 @@ fn the_retired_executor_flags_are_refused() {
     assert!(refused(&["large-smoke", "40", "--shards", "2"]).contains("unknown flag --shards"));
     assert!(refused(&["large-smoke", "40", "--partition", "locality"])
         .contains("unknown flag --partition"));
+    // `--trace` writes JSONL only; `dstm-trace chrome` converts it.
+    assert!(refused(&["large-smoke", "40", "--trace-format", "chrome"])
+        .contains("unknown flag --trace-format"));
 }
 
 #[test]
-fn a_malformed_environment_value_is_refused_like_its_flag() {
-    for (name, value) in [
-        ("DSTM_EPOCH_NS", "abc"),
-        ("DSTM_TRACE_FORMAT", "xml"),
-        ("DSTM_TELEMETRY", "yes"),
-        ("DSTM_CACHE", "yes"),
-    ] {
-        let line = refused_under(&[(name, value)], &["large-smoke", "40"]);
-        assert!(line.contains(name) && line.contains(value), "{line}");
-    }
+fn the_environment_does_not_reach_the_sweep() {
+    // The flags alone decide: with none given this is a plain cache-off,
+    // untraced run, whatever these variables say.
+    let cwd = Path::new(env!("CARGO_TARGET_TMPDIR")).join("sweep-env");
+    std::fs::create_dir_all(&cwd).expect("scratch directory");
+    let _ = std::fs::remove_file(cwd.join("t.jsonl"));
+    let out = sweep(
+        &cwd,
+        &[
+            ("DSTM_CACHE", "1"),
+            ("DSTM_TELEMETRY", "yes"),
+            ("DSTM_EPOCH_NS", "abc"),
+            ("DSTM_TRACE", "t.jsonl"),
+            ("DSTM_TRACE_FORMAT", "xml"),
+        ],
+        &["large-smoke", "40"],
+    );
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("cache=off"), "{stdout}");
+    assert!(!cwd.join("t.jsonl").exists(), "DSTM_TRACE wrote a trace");
 }

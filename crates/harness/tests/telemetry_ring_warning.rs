@@ -18,9 +18,6 @@ fn sweep(dir: &str, extra: &[&str]) -> (Output, PathBuf) {
         .args(["4", "3", "bank", "--telemetry"])
         .args(extra)
         .current_dir(&cwd)
-        // The flags under test must not be overridden from outside.
-        .env_remove("DSTM_EPOCH_NS")
-        .env_remove("DSTM_TELEMETRY")
         .output()
         .expect("dstm-sweep runs");
     assert!(out.status.success(), "dstm-sweep failed: {out:?}");

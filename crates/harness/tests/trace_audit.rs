@@ -81,9 +81,9 @@ fn empty_trace_fails_audit() {
 #[test]
 fn header_only_trace_fails_audit() {
     use dstm_sim::SimTime;
-    use hyflow_dstm::{NodeMetrics, SchedLabel};
+    use hyflow_dstm::NodeMetrics;
     let mut trace = TraceLog::default();
-    trace.push_run_info(SchedLabel::from_label("RTS").unwrap(), 4);
+    trace.push_run_info(SchedulerKind::Rts, 4);
     trace.push_summary(SimTime(1_000), &NodeMetrics::default());
     // Round-trip through JSONL like the CLI does.
     let parsed = TraceLog::parse_jsonl(&trace.to_jsonl()).expect("header-only trace must parse");

@@ -80,7 +80,7 @@ pub struct DstmConfig {
     /// `telemetry` is off).
     pub epoch: SimDuration,
     /// Clock-validated remote-read caching plus same-tick message
-    /// coalescing (`--cache` / `DSTM_CACHE`). Off by default: the cached
+    /// coalescing (`dstm-sweep --cache`). Off by default: the cached
     /// fast paths and per-destination send buffers change message timing,
     /// so the flag must stay opt-in for the golden digests of the default
     /// configuration to remain bit-identical.

@@ -71,4 +71,4 @@ pub use telemetry::{
     merge_epoch_series, merge_object_waste, EpochSample, ObjWaste, TelemetryReport,
 };
 pub use trace::{ProtoEvent, ProtoTrace, SchedLabel, TraceLog, TraceRecord, Verdict};
-pub use tx::{TxOutcome, TxRuntime};
+pub use tx::TxRuntime;

@@ -303,15 +303,6 @@ impl RunMetrics {
             self.merged.nested_aborts_parent as f64 / total as f64
         }
     }
-
-    /// Aborts per commit (contention indicator).
-    pub fn abort_ratio(&self) -> f64 {
-        if self.merged.commits == 0 {
-            0.0
-        } else {
-            self.merged.total_aborts() as f64 / self.merged.commits as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -473,6 +464,5 @@ mod tests {
         };
         assert_eq!(run.throughput(), 0.0);
         assert_eq!(run.nested_abort_rate(), 0.0);
-        assert_eq!(run.abort_ratio(), 0.0);
     }
 }

@@ -98,17 +98,6 @@ impl Payload {
             }
         }
     }
-
-    /// Rough serialized size in bytes, for network-volume accounting.
-    pub fn approx_size(&self) -> usize {
-        match self {
-            Payload::Scalar(_) => 8,
-            Payload::Ptr(_) => 9,
-            Payload::ListNode { .. } => 17,
-            Payload::TreeNode { .. } => 27,
-            Payload::Bucket(kvs) => 8 + kvs.len() * 16,
-        }
-    }
 }
 
 /// A read copy retained after a grant (`DstmConfig::cache`). Reuse is a
@@ -221,12 +210,5 @@ mod tests {
     #[should_panic(expected = "expected Scalar")]
     fn wrong_accessor_panics() {
         Payload::Ptr(None).as_scalar();
-    }
-
-    #[test]
-    fn sizes_monotone_in_content() {
-        let small = Payload::Bucket(vec![(1, 1)]);
-        let big = Payload::Bucket(vec![(1, 1); 10]);
-        assert!(big.approx_size() > small.approx_size());
     }
 }

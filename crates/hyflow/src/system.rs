@@ -157,7 +157,7 @@ impl<Q: EventQueue<NodeEvent>> System<Q> {
     /// [`collect`](Self::collect).
     pub fn run(&mut self, event_budget: u64) -> RunMetrics {
         let started_at = self.world.now();
-        self.world.run_while(event_budget, |_| true);
+        self.world.run_budget(event_budget);
         self.collect(started_at)
     }
 

@@ -2,10 +2,9 @@
 //! closed-nesting child spans, scheduler decisions, queue service, and
 //! object migration — attributed to virtual time and node.
 //!
-//! This sits **above** the kernel's [`dstm_sim::TraceSink`] (which sees raw
-//! message delivery): events here carry protocol semantics (`TxId`s,
-//! versions, `AbortCause`s, CL/ETS numbers), which is what the offline
-//! `dstm-trace` auditor and the Chrome exporter need.
+//! Events carry protocol semantics (`TxId`s, versions, `AbortCause`s,
+//! CL/ETS numbers), which is what the offline `dstm-trace` auditor and the
+//! Chrome exporter need; the kernel itself records nothing.
 //!
 //! Cost discipline: every instrumentation site in `node.rs` is guarded by
 //! [`ProtoTrace::on`] — one branch on a bool — and no event (or its `Vec`
@@ -27,7 +26,7 @@
 
 use crate::metrics::{AbortCause, NodeMetrics};
 use dstm_sim::{SimDuration, SimTime};
-use rts_core::{ObjectId, TxId, TxKind};
+use rts_core::{ObjectId, SchedulerKind, TxId, TxKind};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
@@ -164,7 +163,10 @@ pub enum ProtoEvent {
     },
     /// Run identity prepended by the harness (scheduler and node count) so
     /// offline tools can label and segment multi-run logs.
-    RunInfo { scheduler: SchedLabel, nodes: u64 },
+    RunInfo {
+        scheduler: SchedulerKind,
+        nodes: u64,
+    },
     /// End-of-run counter snapshot appended by the harness so an offline
     /// audit can compare span-derived totals against the live counters.
     /// The wasted-work totals let `dstm-trace analyze` reconcile its
@@ -187,40 +189,8 @@ pub enum ProtoEvent {
     },
 }
 
-/// Scheduler identity as recorded in traces — a copy of the harness's
-/// scheduler axis that stays label-encodable without depending on the
-/// scheduler crate's internals.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedLabel {
-    Rts,
-    Tfa,
-    TfaBackoff,
-    Ats,
-    BiInterval,
-}
-
-impl SchedLabel {
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedLabel::Rts => "RTS",
-            SchedLabel::Tfa => "TFA",
-            SchedLabel::TfaBackoff => "TFA+Backoff",
-            SchedLabel::Ats => "ATS",
-            SchedLabel::BiInterval => "Bi-interval",
-        }
-    }
-
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "RTS" => Some(SchedLabel::Rts),
-            "TFA" => Some(SchedLabel::Tfa),
-            "TFA+Backoff" => Some(SchedLabel::TfaBackoff),
-            "ATS" => Some(SchedLabel::Ats),
-            "Bi-interval" => Some(SchedLabel::BiInterval),
-            _ => None,
-        }
-    }
-}
+/// Kept only because `benchmark/src/measure.rs` names it; deleted with that call.
+pub type SchedLabel = SchedulerKind;
 
 /// A timestamped, node-attributed protocol event.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -587,7 +557,7 @@ impl TraceRecord {
             "run_info" => ProtoEvent::RunInfo {
                 scheduler: {
                     let label = f.label(Slot::Scheduler)?;
-                    SchedLabel::from_label(label)
+                    SchedulerKind::from_label(label)
                         .ok_or_else(|| format!("unknown scheduler {label:?}"))?
                 },
                 nodes: f.num(Slot::Nodes)?,
@@ -707,7 +677,7 @@ impl TraceLog {
     /// Prepend the run-identity record (scheduler, node count) offline
     /// tools use to label and segment the log. Sits at time zero, before
     /// every protocol event.
-    pub fn push_run_info(&mut self, scheduler: SchedLabel, nodes: u64) {
+    pub fn push_run_info(&mut self, scheduler: SchedulerKind, nodes: u64) {
         self.records.insert(
             0,
             TraceRecord {
@@ -1304,7 +1274,7 @@ mod tests {
                 version: 12,
             },
             ProtoEvent::RunInfo {
-                scheduler: SchedLabel::TfaBackoff,
+                scheduler: SchedulerKind::TfaBackoff,
                 nodes: 160,
             },
             ProtoEvent::RunSummary {
@@ -1396,7 +1366,7 @@ mod tests {
             aborts_scheduler: 3,
             ..NodeMetrics::default()
         };
-        log.push_run_info(SchedLabel::Rts, 8);
+        log.push_run_info(SchedulerKind::Rts, 8);
         log.push_summary(SimTime(10), &metrics);
         assert!(matches!(log.records[0].ev, ProtoEvent::RunInfo { .. }));
         let text = log.to_jsonl();

@@ -140,13 +140,6 @@ pub struct AbortAccounting {
     pub parent_aborted: bool,
 }
 
-/// Terminal state of a transaction attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TxOutcome {
-    Committed,
-    Aborted,
-}
-
 /// The full runtime state of one live transaction.
 ///
 /// `repr(C)`, hot-first: a node boxes its runtimes, so one is reached

@@ -232,27 +232,3 @@ fn rts_queue_survives_ownership_transfer() {
     assert_eq!(m.merged.commits, 5);
     assert_eq!(sys.object_state()[&oid].0.as_scalar(), 5);
 }
-
-#[test]
-fn trace_records_protocol_messages() {
-    let n = 2;
-    let oid = oid_homed_at(0, n);
-    let cfg = DstmConfig {
-        scheduler: SchedulerKind::Tfa,
-        ..DstmConfig::default()
-    };
-    let mut sys = build(
-        n,
-        cfg,
-        vec![(oid, Payload::Scalar(0))],
-        vec![vec![], vec![writer(oid, 1, 0)]],
-    );
-    sys.world_mut().enable_trace(512);
-    let m = sys.run(10_000_000);
-    assert!(sys.all_done());
-    assert_eq!(m.merged.commits, 1);
-    let events = sys.world().trace_events();
-    assert!(!events.is_empty(), "trace must capture deliveries");
-    // Times are monotone in the trace.
-    assert!(events.windows(2).all(|w| w[0].at() <= w[1].at()));
-}

@@ -9,10 +9,10 @@
 //!   stable sort by `(at, node)`, on streams full of duplicate timestamps.
 
 use dstm_sim::{SimDuration, SimTime};
-use hyflow_dstm::{AbortCause, ProtoEvent, SchedLabel, TraceLog, TraceRecord, Verdict};
+use hyflow_dstm::{AbortCause, ProtoEvent, TraceLog, TraceRecord, Verdict};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rts_core::{ObjectId, TxId, TxKind};
+use rts_core::{ObjectId, SchedulerKind, TxId, TxKind};
 
 const VARIANTS: usize = 12;
 
@@ -118,11 +118,11 @@ fn record_from(variant: usize, w: &[u64]) -> TraceRecord {
         },
         10 => ProtoEvent::RunInfo {
             scheduler: [
-                SchedLabel::Rts,
-                SchedLabel::Tfa,
-                SchedLabel::TfaBackoff,
-                SchedLabel::Ats,
-                SchedLabel::BiInterval,
+                SchedulerKind::Rts,
+                SchedulerKind::Tfa,
+                SchedulerKind::TfaBackoff,
+                SchedulerKind::Ats,
+                SchedulerKind::BiInterval,
             ][(w[4] % 5) as usize],
             nodes: n(5),
         },

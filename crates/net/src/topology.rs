@@ -250,49 +250,6 @@ impl Topology {
         self.d(a.index(), b.index())
     }
 
-    /// Round-trip delay `2 × d(a, b)` — the cost of one remote object fetch
-    /// (request + response), the quantity the paper's makespan analysis sums.
-    #[inline]
-    pub fn rtt(&self, a: ActorId, b: ActorId) -> SimDuration {
-        self.delay(a, b) * 2
-    }
-
-    /// Mean one-way delay over distinct pairs.
-    pub fn mean_delay(&self) -> SimDuration {
-        if self.n < 2 {
-            return SimDuration::ZERO;
-        }
-        let mut sum = 0u128;
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if a != b {
-                    sum += self.d(a, b).as_nanos() as u128;
-                }
-            }
-        }
-        let pairs = (self.n * (self.n - 1)) as u128;
-        SimDuration::from_nanos((sum / pairs) as u64)
-    }
-
-    /// `Σ_i d(from, i)` — total one-way delay from `from` to every node,
-    /// the term `Σ d(n0, ni)` in Lemmas 3.2/3.3.
-    pub fn sum_delays_from(&self, from: ActorId) -> SimDuration {
-        let mut sum = SimDuration::ZERO;
-        for b in 0..self.n {
-            sum += self.d(from.index(), b);
-        }
-        sum
-    }
-
-    /// Length of a tour visiting `order` in sequence — the term
-    /// `Σ d(n(i-1), n(i))` in Lemma 3.3.
-    pub fn tour_length(&self, order: &[ActorId]) -> SimDuration {
-        order
-            .windows(2)
-            .map(|w| self.delay(w[0], w[1]))
-            .fold(SimDuration::ZERO, |acc, d| acc + d)
-    }
-
     /// Greedy nearest-neighbour tour over all nodes starting at `start`.
     /// Rosenkrantz et al. (cited by the paper as [21]) bound NN tours within
     /// `O(log N)` of optimal on metric spaces; the analysis reproduction
@@ -474,21 +431,15 @@ mod tests {
     #[test]
     fn complete_constant() {
         let t = Topology::complete(5, 7);
-        assert_eq!(t.mean_delay().as_millis(), 7);
+        assert_eq!(t.delay(ActorId(0), ActorId(4)).as_millis(), 7);
         assert!(t.is_metric());
-        assert_eq!(t.rtt(ActorId(0), ActorId(1)).as_millis(), 14);
     }
 
     #[test]
-    fn sums_and_tours() {
+    fn nn_tour_walks_a_ring_in_order() {
         let t = Topology::ring(4, 10);
-        // from node 0: d=0,10,20,10 -> 40 ms
-        assert_eq!(t.sum_delays_from(ActorId(0)).as_millis(), 40);
         let tour = t.nearest_neighbour_tour(ActorId(0));
-        assert_eq!(tour.len(), 4);
-        assert_eq!(tour[0], ActorId(0));
-        // NN tour on a ring is 10+10+10 = 30ms
-        assert_eq!(t.tour_length(&tour).as_millis(), 30);
+        assert_eq!(tour, [0, 1, 2, 3].map(ActorId));
     }
 
     #[test]

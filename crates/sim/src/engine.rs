@@ -50,7 +50,6 @@ use crate::event::{EventKey, Sequenced, MAX_ACTORS, MAX_LOCAL_SEQ};
 use crate::queue::{BinaryHeapQueue, EventQueue};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, TraceSink};
 
 /// Identifies an actor (node) in the world. Dense indices starting at 0.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -219,7 +218,6 @@ impl ActorState {
 struct KernelCore {
     now: SimTime,
     states: Vec<ActorState>,
-    trace: TraceSink,
     /// Delivered message count (protocol messages, not timers). A coalesced
     /// batch counts once — it is one delivery event.
     messages_delivered: u64,
@@ -250,7 +248,6 @@ impl KernelCore {
             states: (0..actors)
                 .map(|i| ActorState::new(&root, i as u32))
                 .collect(),
-            trace: TraceSink::Disabled,
             messages_delivered: 0,
             timers_fired: 0,
             batched_messages: 0,
@@ -322,16 +319,6 @@ fn seq_exhausted(issuer: ActorId) -> ! {
     );
 }
 
-/// What one pass over the event queue did.
-enum StepOutcome {
-    /// Queue empty — nothing left to run.
-    Drained,
-    /// A cancelled timer was discarded; no handler ran.
-    Skipped,
-    /// This actor's handler ran.
-    Ran(ActorId),
-}
-
 /// Deliver one already-popped event: advance time, dispatch to the owning
 /// actor's handler (or discard a cancelled timer).
 fn dispatch_one<A: Actor>(
@@ -339,47 +326,30 @@ fn dispatch_one<A: Actor>(
     core: &mut KernelCore,
     queue: &mut dyn EventQueue<KernelEvent<A::Msg, A::Timer>>,
     ev: Sequenced<KernelEvent<A::Msg, A::Timer>>,
-) -> StepOutcome {
+) {
     debug_assert!(ev.key.time >= core.now, "time went backwards");
     core.now = ev.key.time;
     match ev.payload {
         KernelEvent::Msg { from, to, msg } => {
             core.messages_delivered += 1;
-            if core.trace.enabled() {
-                core.trace.record(TraceEvent::Deliver {
-                    at: core.now,
-                    from,
-                    to,
-                    tag: "msg",
-                });
-            }
             let mut ctx = Ctx {
                 core,
                 queue,
                 me: to,
             };
             actors[to.index()].on_message(&mut ctx, from, msg);
-            StepOutcome::Ran(to)
         }
         KernelEvent::Timer { on, token, timer } => {
             if !core.timer_retire(on, token) {
-                return StepOutcome::Skipped; // cancelled
+                return; // cancelled
             }
             core.timers_fired += 1;
-            if core.trace.enabled() {
-                core.trace.record(TraceEvent::TimerFired {
-                    at: core.now,
-                    on,
-                    tag: "timer",
-                });
-            }
             let mut ctx = Ctx {
                 core,
                 queue,
                 me: on,
             };
             actors[on.index()].on_timer(&mut ctx, timer);
-            StepOutcome::Ran(on)
         }
     }
 }
@@ -456,14 +426,6 @@ impl<'a, M, T> Ctx<'a, M, T> {
     pub fn count_batched(&mut self, extra: u64) {
         self.core.batched_messages += extra;
     }
-
-    /// Emit a free-form trace annotation (no-op when tracing is disabled;
-    /// the closure only runs when a sink is attached).
-    pub fn note(&mut self, text: impl FnOnce() -> String) {
-        let at = self.core.now;
-        let on = self.me;
-        self.core.trace.note_with(at, on, text);
-    }
 }
 
 /// A complete simulation — actors plus kernel — generic over the
@@ -502,15 +464,6 @@ impl<A: Actor, Q: EventQueue<KernelEvent<A::Msg, A::Timer>>> GenericWorld<A, Q> 
         }
     }
 
-    /// Enable in-memory tracing (for tests/scenario inspection).
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.core.trace = TraceSink::ring(cap);
-    }
-
-    pub fn trace_events(&self) -> &[TraceEvent] {
-        self.core.trace.events()
-    }
-
     pub fn len(&self) -> usize {
         self.actors.len()
     }
@@ -525,10 +478,6 @@ impl<A: Actor, Q: EventQueue<KernelEvent<A::Msg, A::Timer>>> GenericWorld<A, Q> 
 
     pub fn actor(&self, id: ActorId) -> &A {
         &self.actors[id.index()]
-    }
-
-    pub fn actor_mut(&mut self, id: ActorId) -> &mut A {
-        &mut self.actors[id.index()]
     }
 
     pub fn actors(&self) -> &[A] {
@@ -604,55 +553,14 @@ impl<A: Actor, Q: EventQueue<KernelEvent<A::Msg, A::Timer>>> GenericWorld<A, Q> 
         f(&mut self.actors[actor.index()], &mut ctx)
     }
 
-    /// Run until `done(actor)` holds for every actor or the event budget
-    /// is exhausted; returns the number of events processed. `done` must be
-    /// **monotonic** (once true for an actor it stays true) and may only
-    /// flip inside that actor's own handlers — both hold for protocol
-    /// nodes, whose doneness depends only on their local state. Under
-    /// those rules only the actor each event touched needs re-examining,
-    /// so the check is O(1) per event where a `run_while` full scan is
-    /// O(n); the stop point — and therefore every simulated outcome — is
-    /// identical.
-    pub fn run_until_all_done(&mut self, budget: u64, done: impl Fn(&A) -> bool) -> u64 {
-        let mut is_done = vec![false; self.actors.len()];
-        let mut remaining = 0usize;
-        for (flag, a) in is_done.iter_mut().zip(&self.actors) {
-            *flag = done(a);
-            remaining += usize::from(!*flag);
-        }
-        let mut steps = 0;
-        while remaining > 0 && steps < budget {
-            match self.step_touched() {
-                StepOutcome::Drained => break,
-                StepOutcome::Skipped => steps += 1,
-                StepOutcome::Ran(id) => {
-                    steps += 1;
-                    let flag = &mut is_done[id.index()];
-                    if !*flag && done(&self.actors[id.index()]) {
-                        *flag = true;
-                        remaining -= 1;
-                    }
-                }
-            }
-        }
-        steps
-    }
-
     /// Process one event. Returns `false` when the queue is exhausted.
     pub fn step(&mut self) -> bool {
-        !matches!(self.step_touched(), StepOutcome::Drained)
-    }
-
-    /// Process one event, reporting which actor's handler ran (if any) so
-    /// callers can re-examine just that actor instead of scanning all of
-    /// them after every event.
-    fn step_touched(&mut self) -> StepOutcome {
-        let ev = match self.queue.pop() {
-            Some(ev) => ev,
-            None => return StepOutcome::Drained,
+        let Some(ev) = self.queue.pop() else {
+            return false;
         };
         self.hint_ahead();
-        dispatch_one(&mut self.actors, &mut self.core, &mut self.queue, ev)
+        dispatch_one(&mut self.actors, &mut self.core, &mut self.queue, ev);
+        true
     }
 
     /// Turn the queue's lookahead into cache hints, so the misses of the
@@ -695,31 +603,11 @@ impl<A: Actor, Q: EventQueue<KernelEvent<A::Msg, A::Timer>>> GenericWorld<A, Q> 
         while self.step() {}
     }
 
-    /// Run until virtual time reaches `deadline`. Events at exactly
-    /// `deadline` are processed; later ones remain queued. On return `now()`
-    /// is exactly `max(deadline, now)` on **every** exit path — including
-    /// when the queue drains early — so callers can treat the world as having
-    /// idled up to the deadline.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(key) = self.queue.peek_key() {
-            if key.time > deadline {
-                break;
-            }
-            self.step();
-        }
-        if self.core.now < deadline {
-            self.core.now = deadline;
-        }
-    }
-
-    /// Run until `pred` over the world returns true, checking after every
-    /// event, with a hard event-count budget to bound runaway protocols.
-    pub fn run_while(&mut self, budget: u64, mut pred: impl FnMut(&Self) -> bool) -> u64 {
+    /// Run until the queue drains or `budget` events have been processed
+    /// (the bound on a runaway protocol); returns the events processed.
+    pub fn run_budget(&mut self, budget: u64) -> u64 {
         let mut steps = 0;
-        while steps < budget && pred(self) {
-            if !self.step() {
-                break;
-            }
+        while steps < budget && self.step() {
             steps += 1;
         }
         steps
@@ -872,36 +760,6 @@ mod tests {
             "slab grew to {} slots for 1 concurrent timer",
             w.core.states[0].timer_gens.len()
         );
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut w = World::new(vec![Echo::new()], 1);
-        w.send_external(ActorId(0), 5, SimDuration::from_millis(1));
-        w.send_external(ActorId(0), 6, SimDuration::from_millis(10));
-        w.run_until(SimTime(5_000_000));
-        assert_eq!(w.actor(ActorId(0)).deliveries.len(), 1);
-        assert_eq!(w.now(), SimTime(5_000_000));
-        w.run();
-        assert_eq!(w.actor(ActorId(0)).deliveries.len(), 2);
-    }
-
-    #[test]
-    fn run_until_advances_to_deadline_when_queue_drains() {
-        // Both exit paths of run_until must leave now() at the deadline: the
-        // last event here lands at 1 ms, well before the 5 ms deadline.
-        let mut w = World::new(vec![Echo::new()], 1);
-        w.send_external(ActorId(0), 5, SimDuration::from_millis(1));
-        w.run_until(SimTime(5_000_000));
-        assert_eq!(w.actor(ActorId(0)).deliveries.len(), 1);
-        assert_eq!(
-            w.now(),
-            SimTime(5_000_000),
-            "drained queue must still advance now"
-        );
-        // And a deadline in the past never moves time backwards.
-        w.run_until(SimTime(1_000_000));
-        assert_eq!(w.now(), SimTime(5_000_000));
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{
     prefetch, Actor, ActorId, Ctx, GenericWorld, KernelEvent, TimerToken, World, CACHE_LINE,
@@ -62,4 +61,3 @@ pub use queue::{BinaryHeapQueue, EventQueue};
 pub use rng::{mix64, SimRng};
 pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceSink};

@@ -144,27 +144,6 @@ impl SimRng {
             items.swap(i, j);
         }
     }
-
-    /// Sample an exponentially distributed value with the given mean
-    /// (inter-arrival times of open workloads).
-    #[inline]
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = 1.0 - self.unit_f64(); // (0, 1]
-        -mean * u.ln()
-    }
-
-    /// Fill a byte slice from the stream (hash seeds, identifiers).
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -270,22 +249,5 @@ mod tests {
             (0..100).collect::<Vec<u32>>(),
             "shuffle left input unchanged"
         );
-    }
-
-    #[test]
-    fn exponential_mean_close() {
-        let mut rng = SimRng::new(8);
-        let n = 200_000;
-        let sum: f64 = (0..n).map(|_| rng.exponential(5.0)).sum();
-        let mean = sum / n as f64;
-        assert!((4.9..5.1).contains(&mean), "mean {mean}");
-    }
-
-    #[test]
-    fn fill_bytes_covers_remainder() {
-        let mut rng = SimRng::new(9);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -61,10 +61,6 @@ impl OnlineStats {
         }
     }
 
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     pub fn min(&self) -> f64 {
         if self.n == 0 {
             0.0

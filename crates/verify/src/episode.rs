@@ -30,7 +30,7 @@ use dstm_benchmarks::Benchmark;
 use dstm_harness::runner::{build_system_with_queue, Cell};
 use dstm_harness::traceio::{analyze, audit};
 use dstm_sim::{PerturbQueue, Schedule};
-use hyflow_dstm::{Fnv64, SchedLabel, TraceLog};
+use hyflow_dstm::{Fnv64, TraceLog};
 use rts_core::SchedulerKind;
 
 /// The fixed (schedule-independent) axes of a fuzz episode. The varying
@@ -199,9 +199,7 @@ pub fn run_episode_mutated(
     // Offline trace oracles on the JSONL round trip, with the mutation
     // hook in between (identity for real fuzzing).
     let mut trace = system.take_trace();
-    if let Some(label) = SchedLabel::from_label(spec.scheduler.label()) {
-        trace.push_run_info(label, spec.nodes as u64);
-    }
+    trace.push_run_info(spec.scheduler, spec.nodes as u64);
     trace.push_summary(system.now(), &metrics.merged);
     mutate(schedule, &mut trace);
     let jsonl = trace.to_jsonl();

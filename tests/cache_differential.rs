@@ -1,5 +1,5 @@
 //! Differential tests for clock-validated remote-read caching and message
-//! coalescing (`Cell::with_cache` / `--cache` / `DSTM_CACHE`).
+//! coalescing (`Cell::with_cache` / `--cache`).
 //!
 //! The cache is a **protocol variant**: it changes the simulated message
 //! pattern (fewer fetch round trips), so cache-on results legitimately
@@ -229,7 +229,7 @@ fn a_zombie_tree_walk_is_aborted_instead_of_spinning_forever() {
     // holds: every step is served locally, no event is ever scheduled, and
     // before the step limit in `Node::drive` the handler never returned.
     use closed_nesting_dstm::harness::runner::build_system;
-    use closed_nesting_dstm::hyflow::{AbortCause, ProtoEvent, SchedLabel};
+    use closed_nesting_dstm::hyflow::{AbortCause, ProtoEvent};
 
     let mut cell = Cell::new(Benchmark::RbTree, SchedulerKind::Tfa, 10, 0.9)
         .with_txns(10)
@@ -263,7 +263,7 @@ fn a_zombie_tree_walk_is_aborted_instead_of_spinning_forever() {
         .count();
     assert!(zombies > 0, "the seed no longer reaches the zombie walk");
 
-    trace.push_run_info(SchedLabel::from_label("TFA").expect("known label"), 10);
+    trace.push_run_info(SchedulerKind::Tfa, 10);
     trace.push_summary(system.now(), &metrics.merged);
     let report = audit(&trace);
     assert!(report.ok(), "audit failed: {:?}", report.violations);
