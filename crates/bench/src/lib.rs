@@ -1,10 +1,9 @@
 //! # dstm-bench — regeneration targets for every table and figure
 //!
-//! Each `cargo bench -p dstm-bench --bench <target>` either runs Criterion
-//! micro-benchmarks (`micro`) or regenerates one artifact of the paper's
-//! evaluation (printing the table/series and writing it under
-//! `paper_results/`). Set `DSTM_SCALE=quick` or `DSTM_SCALE=smoke` to run
-//! reduced sweeps.
+//! Each `cargo bench -p dstm-bench --bench <target>` regenerates one
+//! artifact of the paper's evaluation (printing the table/series and writing
+//! it under `paper_results/`). Set `DSTM_SCALE=quick` or `DSTM_SCALE=smoke`
+//! to run reduced sweeps. Host speed is measured by `benchmark/` alone.
 //!
 //! This is the only crate that reads the environment: `DSTM_SCALE` and
 //! `DSTM_WORKERS` through [`settings`], `DSTM_RESULTS_DIR` through

@@ -56,8 +56,11 @@ impl BloomFilter {
         BloomFilter::new(m.max(64), k)
     }
 
+    /// The item's `k` bit positions. The iterator owns `h1`, `h2` and `m`
+    /// and borrows nothing, so `insert` — once per commit on every node —
+    /// sets bits while iterating instead of collecting the positions first.
     #[inline]
-    fn bit_positions(&self, item: u64) -> impl Iterator<Item = usize> + '_ {
+    fn bit_positions(&self, item: u64) -> impl Iterator<Item = usize> {
         let h1 = mix1(item);
         let h2 = mix2(item) | 1; // odd stride
         let m = self.m as u64;
@@ -65,8 +68,7 @@ impl BloomFilter {
     }
 
     pub fn insert(&mut self, item: u64) {
-        let positions: Vec<usize> = self.bit_positions(item).collect();
-        for pos in positions {
+        for pos in self.bit_positions(item) {
             self.bits[pos / 64] |= 1u64 << (pos % 64);
         }
     }
@@ -77,15 +79,6 @@ impl BloomFilter {
             .all(|pos| self.bits[pos / 64] & (1u64 << (pos % 64)) != 0)
     }
 
-    /// Bits in the filter.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
     pub fn clear(&mut self) {
         self.bits.fill(0);
     }
@@ -94,6 +87,7 @@ impl BloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn no_false_negatives() {
@@ -136,7 +130,20 @@ mod tests {
     fn sizing_formula_sane() {
         let f = BloomFilter::with_capacity(1000, 0.01);
         // Standard result: ~9.6 bits/item, k ~ 7 for p = 1%.
-        assert!((9_000..11_000).contains(&f.m()), "m = {}", f.m());
-        assert_eq!(f.k(), 7);
+        assert!((9_000..11_000).contains(&f.m), "m = {}", f.m);
+        assert_eq!(f.k, 7);
+    }
+
+    proptest! {
+        #[test]
+        fn bloom_has_no_false_negatives(items in proptest::collection::hash_set(0u64..1_000_000, 1..500)) {
+            let mut f = BloomFilter::with_capacity(items.len().max(8), 0.01);
+            for &x in &items {
+                f.insert(x);
+            }
+            for &x in &items {
+                prop_assert!(f.contains(x));
+            }
+        }
     }
 }

@@ -8,10 +8,9 @@
 //!   the whole stack;
 //! * [`ets`] — the **execution-time structure** carried in every object
 //!   request: start, request, and expected-commit timestamps (§III-B);
-//! * [`bloom`] — the Bloom filter backing the transaction stats table
-//!   (the paper cites Bloom [5] for the commit-time sketch);
 //! * [`stats`] — the **transaction stats table** mapping transaction kinds to
-//!   expected execution/commit times, used to pick backoffs;
+//!   expected execution/commit times, used to pick backoffs, over a private
+//!   Bloom-filter sketch of recent commit times (the paper cites Bloom [5]);
 //! * [`cl`] — **contention level** (CL) accounting: local CL (requests per
 //!   object over a recent window) and remote CL (carried as `myCL`);
 //! * [`sched`] — the **scheduling table** of Algorithm 1: per-object
@@ -27,7 +26,7 @@
 //!   (Lemmas 3.1–3.3, Theorem 3.4).
 
 pub mod analysis;
-pub mod bloom;
+mod bloom;
 pub mod cl;
 pub mod ets;
 pub mod extensions;
@@ -38,7 +37,6 @@ pub mod sched;
 pub mod stats;
 pub mod threshold;
 
-pub use bloom::BloomFilter;
 pub use cl::{ClAccounting, ObjectClWindow};
 pub use ets::Ets;
 pub use extensions::{AtsPolicy, QueueAllPolicy};

@@ -12,7 +12,6 @@
 //!                                             # parse and re-export: the canonical form
 //!                                             # (fixed field order, no whitespace,
 //!                                             # unknown keys dropped)
-//! dstm-trace demo    [out.jsonl]              # record the Fig. 3 collision, write JSONL
 //! ```
 //!
 //! Traces are the JSONL streams written by `dstm-sweep --trace` (or any
@@ -31,10 +30,8 @@
 //! no place for each print the usage text on stderr and exit with status 2
 //! before any file is read or written.
 
-use dstm_harness::experiments::scenarios::run_collision_traced;
 use dstm_harness::traceio::{analyze, audit, to_chrome_trace, trace_stats};
 use hyflow_dstm::TraceLog;
-use rts_core::SchedulerKind;
 use std::process::ExitCode;
 
 fn load(path: &str) -> Result<TraceLog, String> {
@@ -75,7 +72,7 @@ fn usage() -> ExitCode {
         "usage:\n  dstm-trace audit   <trace.jsonl>\n  dstm-trace stats   <trace.jsonl>\n  \
          dstm-trace analyze <trace.jsonl> [--json] [--epoch-ns N]\n  \
          dstm-trace chrome  <trace.jsonl> [out.json]\n  \
-         dstm-trace jsonl   <trace.jsonl> [out.jsonl]\n  dstm-trace demo    [out.jsonl]"
+         dstm-trace jsonl   <trace.jsonl> [out.jsonl]"
     );
     ExitCode::from(2)
 }
@@ -161,25 +158,6 @@ fn main() -> ExitCode {
             TraceLog::to_jsonl,
             "",
         ),
-        ("demo", out) if out.len() <= 1 => {
-            let out_path = out.first().copied().unwrap_or("fig3_trace.jsonl");
-            let (result, trace) = run_collision_traced(SchedulerKind::Rts, 6, 2);
-            assert!(result.all_done, "demo scenario stalled");
-            match std::fs::write(out_path, trace.to_jsonl()) {
-                Ok(()) => {
-                    println!(
-                        "[Fig. 3 collision: {} records, {} commits — written to {out_path}]",
-                        trace.records.len(),
-                        result.metrics.merged.commits
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("cannot write {out_path}: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
         _ => usage(),
     }
 }

@@ -111,24 +111,24 @@ fn loaded_runtime(payloads: &[Arc<Payload>]) -> TxRuntime {
 
 /// Allocator calls per 1000 popped events over the second half of the run
 /// that each cell may not exceed. The counts are exact (one thread, one
-/// seed): Bank 1955 / 10176 events = 192, Linked List 1831 / 31081 = 58,
-/// RB Tree 894 / 9289 = 96 (503 / 347 / 488 while every nesting level and
+/// seed): Bank 1896 / 10176 events = 186, Linked List 1769 / 31081 = 56,
+/// RB Tree 834 / 9289 = 89 (503 / 347 / 488 while every nesting level and
 /// every retry copied the program); the bounds leave 2 % for a `Vec`
 /// doubling landing on the other side of the midpoint under another `std`.
 /// What is left, by call site, in Bank's second half: 1071 fresh payload
 /// `Arc`s (`write_local` on a shared payload), 477 for the CL windows of
 /// objects that changed owner (a new owner's window and its ring growing),
 /// 179 `granted` lists of lock rounds and 95 `stale` lists of failed
-/// validations, 59 in the stats table's sketch, 46 requester-queue entries
-/// and hand-offs, 28 others (table and buffer growth) — and no program
-/// copy: the in-tree programs all checkpoint, so the `clone_box` fallback
-/// (a program without `checkpoint`: one copy per transaction, per
-/// `OpenNested` and per rollback) does not run here. RB Tree's largest
-/// single site is its programs' own model maps (182).
+/// validations, 46 requester-queue entries and hand-offs, 28 others (table
+/// and buffer growth) — and no program copy: the in-tree programs all
+/// checkpoint, so the `clone_box` fallback (a program without
+/// `checkpoint`: one copy per transaction, per `OpenNested` and per
+/// rollback) does not run here, and no stats-table sketch update. RB
+/// Tree's largest single site is its programs' own model maps (182).
 const BOUNDS_PER_1000_EVENTS: [(Benchmark, u64); 3] = [
-    (Benchmark::Bank, 196),
-    (Benchmark::LinkedList, 60),
-    (Benchmark::RbTree, 98),
+    (Benchmark::Bank, 190),
+    (Benchmark::LinkedList, 58),
+    (Benchmark::RbTree, 91),
 ];
 
 #[test]

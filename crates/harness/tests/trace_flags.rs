@@ -3,8 +3,8 @@
 //!
 //! Every subcommand used to read the arguments it had a place for and drop
 //! the rest: `audit a.jsonl b.jsonl` audited `a.jsonl` alone and exited 0,
-//! and a stray word after `stats`, `chrome`, `jsonl` or `demo` was ignored
-//! the same way. Each is now the usage text on stderr and exit status 2
+//! and a stray word after `stats`, `chrome` or `jsonl` was ignored the same
+//! way. Each is now the usage text on stderr and exit status 2
 //! before any file is read or written; checked through the binary.
 
 use std::path::{Path, PathBuf};
@@ -25,12 +25,15 @@ fn scratch(name: &str) -> PathBuf {
     path
 }
 
-/// The Fig. 3 collision trace, recorded through the tool's own `demo`.
+/// The Fig. 3 collision trace, recorded the way CI records it.
 fn recorded(name: &str) -> String {
     let path = scratch(name);
     let path = path.to_str().expect("utf-8 scratch path");
-    let out = trace_tool(&["demo", path]);
-    assert!(out.status.success(), "demo failed: {out:?}");
+    let out = Command::new(env!("CARGO_BIN_EXE_dstm-sweep"))
+        .args(["scenario", "rts", "6", "2", "--trace", path])
+        .output()
+        .expect("dstm-sweep runs");
+    assert!(out.status.success(), "scenario failed: {out:?}");
     path.to_string()
 }
 
@@ -78,10 +81,11 @@ fn chrome_and_jsonl_refuse_an_argument_past_the_output_path() {
     }
 }
 
+/// `demo` wrote what `dstm-sweep scenario rts 6 2 --trace` writes; it is gone.
 #[test]
-fn demo_refuses_an_argument_past_the_output_path() {
-    let out = scratch("demo_extra.jsonl");
-    refused(&["demo", out.to_str().unwrap(), "extra"], &[&out]);
+fn demo_is_not_a_subcommand() {
+    let out = scratch("demo.jsonl");
+    refused(&["demo", out.to_str().unwrap()], &[&out]);
 }
 
 #[test]

@@ -1386,6 +1386,18 @@ impl Node {
             self.abort_parent(ctx, tx, cause, SimDuration::ZERO, oid, None);
             return;
         }
+        self.roll_back_child(ctx.now(), tx, level);
+        // Replay the child: its snapshot was taken right after `OpenNested`,
+        // so re-feeding the acknowledgement re-enters the child body. The
+        // replay may even run to a synchronous commit if every object it
+        // needs is already held by an ancestor level.
+        self.drive(ctx, tx, DriveInput::Ack);
+    }
+
+    /// Roll `tx` back to the child at `level` > 0 and account for it: the
+    /// Table-I own/parent split, the wasted-work ledger and the
+    /// `NestedAbort` trace record. The caller decides how the child resumes.
+    fn roll_back_child(&mut self, now: SimTime, tx: &mut TxRuntime, level: usize) {
         let acc = tx.abort_to_level(level);
         self.metrics
             .record_nested_aborts(NestedAbortCause::Own, acc.nested_own);
@@ -1397,7 +1409,7 @@ impl Node {
         self.metrics.wasted_nested_parent += acc.nested_parent;
         if self.ptrace.on() {
             self.ptrace.push(
-                ctx.now(),
+                now,
                 self.me,
                 ProtoEvent::NestedAbort {
                     tx: tx.id,
@@ -1408,11 +1420,6 @@ impl Node {
                 },
             );
         }
-        // Replay the child: its snapshot was taken right after `OpenNested`,
-        // so re-feeding the acknowledgement re-enters the child body. The
-        // replay may even run to a synchronous commit if every object it
-        // needs is already held by an ancestor level.
-        self.drive(ctx, tx, DriveInput::Ack);
     }
 
     // -- owner side: fetches --------------------------------------------------
@@ -1999,27 +2006,8 @@ impl Node {
                     // siblings) survive. The child replays, re-fetching its
                     // own objects.
                     let level = tx.top();
-                    let acc = tx.abort_to_level(level);
-                    self.metrics
-                        .record_nested_aborts(NestedAbortCause::Own, acc.nested_own);
-                    self.metrics
-                        .record_nested_aborts(NestedAbortCause::ParentAbort, acc.nested_parent);
-                    self.metrics.wasted_nested_own += acc.nested_own;
-                    self.metrics.wasted_nested_parent += acc.nested_parent;
+                    self.roll_back_child(ctx.now(), &mut tx, level);
                     self.metrics.child_conflict_retries += 1;
-                    if self.ptrace.on() {
-                        self.ptrace.push(
-                            ctx.now(),
-                            self.me,
-                            ProtoEvent::NestedAbort {
-                                tx: txid,
-                                attempt: tx.attempt,
-                                level: level as u32,
-                                own: acc.nested_own,
-                                parent: acc.nested_parent,
-                            },
-                        );
-                    }
                     // Same symmetry-breaking jitter as parent retries.
                     let jitter = SimDuration::from_micros(ctx.rng().below(2_000));
                     tx.phase = TxPhase::ChildBackedOff;

@@ -538,21 +538,6 @@ impl<A: Actor, Q: EventQueue<KernelEvent<A::Msg, A::Timer>>> GenericWorld<A, Q> 
         );
     }
 
-    /// Run a callback in `actor`'s context, as if an event had fired there.
-    /// Used to bootstrap protocol state (e.g. starting the first transactions).
-    pub fn with_ctx<R>(
-        &mut self,
-        actor: ActorId,
-        f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg, A::Timer>) -> R,
-    ) -> R {
-        let mut ctx = Ctx {
-            core: &mut self.core,
-            queue: &mut self.queue,
-            me: actor,
-        };
-        f(&mut self.actors[actor.index()], &mut ctx)
-    }
-
     /// Process one event. Returns `false` when the queue is exhausted.
     pub fn step(&mut self) -> bool {
         let Some(ev) = self.queue.pop() else {
@@ -618,6 +603,9 @@ impl<A: Actor, Q: EventQueue<KernelEvent<A::Msg, A::Timer>>> GenericWorld<A, Q> 
 mod tests {
     use super::*;
 
+    /// Makes an [`Echo`] send 50 messages to actor 1 at random delays.
+    const SCATTER: u32 = u32::MAX;
+
     /// An actor that records delivery times and bounces messages.
     struct Echo {
         deliveries: Vec<(SimTime, u32)>,
@@ -650,6 +638,12 @@ mod tests {
                 2 => {
                     if let Some(tok) = self.armed.take() {
                         ctx.cancel_timer(tok);
+                    }
+                }
+                SCATTER => {
+                    for i in 0..50 {
+                        let d = SimDuration::from_micros(ctx.rng().below(1000));
+                        ctx.send(ActorId(1), i, d);
                     }
                 }
                 _ => {}
@@ -766,13 +760,7 @@ mod tests {
     fn identical_seeds_identical_runs() {
         fn run_one(seed: u64) -> Vec<(SimTime, u32)> {
             let mut w = World::new(vec![Echo::new(), Echo::new()], seed);
-            // jittered sends driven by actor rng
-            w.with_ctx(ActorId(0), |_, ctx| {
-                for i in 0..50 {
-                    let d = SimDuration::from_micros(ctx.rng().below(1000));
-                    ctx.send(ActorId(1), i, d);
-                }
-            });
+            w.send_external(ActorId(0), SCATTER, SimDuration::ZERO);
             w.run();
             w.actor(ActorId(1)).deliveries.clone()
         }

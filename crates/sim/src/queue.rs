@@ -10,8 +10,8 @@
 //! wrapper and the tests' model queue substitute for it.
 //!
 //! The heap is checked against a `BTreeMap` model in `tests/queue_model.rs`
-//! (total order out, FIFO among ties, `lookahead`) and timed in the `micro`
-//! criterion bench.
+//! (total order out, FIFO among ties, `lookahead`) and timed inside real
+//! workloads by `benchmark/` (`sim.queue.{push,pop}_ns`).
 
 use crate::event::{EventKey, Sequenced};
 use crate::time::SimTime;
@@ -117,14 +117,6 @@ impl<E> BinaryHeapQueue<E> {
         BinaryHeapQueue {
             heap: Vec::new(),
             slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        BinaryHeapQueue {
-            heap: Vec::with_capacity(cap),
-            slots: Vec::with_capacity(cap),
             free: Vec::new(),
         }
     }

@@ -114,18 +114,6 @@ proptest! {
     }
 
     #[test]
-    fn bloom_has_no_false_negatives(items in proptest::collection::hash_set(0u64..1_000_000, 1..500)) {
-        use closed_nesting_dstm::rts::BloomFilter;
-        let mut f = BloomFilter::with_capacity(items.len().max(8), 0.01);
-        for &x in &items {
-            f.insert(x);
-        }
-        for &x in &items {
-            prop_assert!(f.contains(x));
-        }
-    }
-
-    #[test]
     fn topology_always_well_formed(n in 1usize..40, seed in 0u64..100) {
         let mut rng = SimRng::new(seed);
         let t = Topology::uniform_random(n, 1, 50, &mut rng);
