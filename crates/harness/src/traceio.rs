@@ -667,6 +667,12 @@ pub fn trace_stats(log: &TraceLog) -> String {
 /// override it — matches the epoch sampler's default (50 ms of sim-time).
 pub const DEFAULT_ANALYZE_EPOCH_NS: u64 = 50_000_000;
 
+/// Most epochs [`analyze`] buckets commits into (8 MiB of counters). A real
+/// run spans a few hundred at the default epoch; a commit stamped further
+/// out than this is refused with a mismatch rather than a dense series
+/// sized by its timestamp.
+const MAX_ANALYZE_EPOCHS: u64 = 1 << 20;
+
 /// Contention profile of one object, derived from abort attribution,
 /// queue-service, and migration records.
 #[derive(Clone, Debug)]
@@ -912,6 +918,18 @@ impl AnalyzeReport {
     }
 }
 
+/// [`analyze`]'s way out of its loop for a commit past the end of the
+/// per-epoch series: grow the series to hold epoch `e` — unless that is
+/// past [`MAX_ANALYZE_EPOCHS`], in which case the commit goes unbucketed.
+#[cold]
+#[inline(never)]
+fn first_in_epoch(series: &mut Vec<u64>, e: u64) {
+    if e < MAX_ANALYZE_EPOCHS {
+        series.resize(e as usize + 1, 0);
+        series[e as usize] = 1;
+    }
+}
+
 fn hot_entry(map: &mut FxHashMap<ObjectId, HotObject>, oid: ObjectId) -> &mut HotObject {
     map.entry(oid).or_insert_with(|| HotObject {
         oid,
@@ -954,11 +972,11 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
             ProtoEvent::RunInfo { .. } => report.runs += 1,
             ProtoEvent::TxCommit { .. } => {
                 report.commits += 1;
-                let e = (r.at.0 / epoch_ns) as usize;
-                if commits_per_epoch.len() <= e {
-                    commits_per_epoch.resize(e + 1, 0);
+                let e = r.at.0 / epoch_ns;
+                match commits_per_epoch.get_mut(e as usize) {
+                    Some(n) => *n += 1,
+                    None => first_in_epoch(&mut commits_per_epoch, e),
                 }
-                commits_per_epoch[e] += 1;
             }
             ProtoEvent::TxAbort {
                 tx,
@@ -1009,6 +1027,22 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
             }
             _ => {}
         }
+    }
+
+    if commits_per_epoch.iter().sum::<u64>() < report.commits {
+        // Only a refused commit gets here; find the furthest one.
+        let span = log
+            .records
+            .iter()
+            .filter(|r| matches!(r.ev, ProtoEvent::TxCommit { .. }))
+            .map(|r| r.at.0)
+            .max()
+            .unwrap_or(0);
+        report.mismatches.push(format!(
+            "commits span {span} ns, more than {MAX_ANALYZE_EPOCHS} epochs of {epoch_ns} ns; \
+             rerun with --epoch-ns {} or more",
+            span / MAX_ANALYZE_EPOCHS + 1
+        ));
     }
 
     // Reconciliation: the event-derived ledger must equal the live counters.

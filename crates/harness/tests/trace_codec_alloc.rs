@@ -1,10 +1,11 @@
-//! Allocation guard for the trace text codec and the stream merge.
+//! Allocation guard for the trace text codec and the end-of-run take.
 //!
 //! The codec's contract is that no step allocates per record: parsing a
-//! line touches the heap only for a `TxCommit`'s two result vectors, and
-//! export and merge allocate their output buffer (plus a constant number of
-//! small helpers) however many records pass through. This test turns that
-//! into assertions under the counting allocator.
+//! line touches the heap only for a `TxCommit`'s two result vectors, export
+//! allocates its output buffer (plus a constant number of small helpers)
+//! however many records pass through, and `System::take_trace` moves the
+//! run's one log out at the same constant cost for any length. This test
+//! turns that into assertions under the counting allocator.
 //!
 //! Only meaningful with the counting allocator installed; without the
 //! feature the probes read zero and the test would pass vacuously, so it is
@@ -12,6 +13,7 @@
 #![cfg(feature = "bench-alloc")]
 
 use dstm_benchmarks::Benchmark;
+use dstm_harness::runner::build_system;
 use dstm_harness::traceio::to_chrome_trace;
 use dstm_harness::{alloc_counter, run_cell_traced, Cell};
 use hyflow_dstm::{ProtoEvent, TraceLog, TraceRecord};
@@ -72,8 +74,8 @@ fn the_codec_allocates_per_buffer_not_per_record() {
         assert_eq!(parsed.as_ref(), Ok(rec));
     }
 
-    // Export, merge and Chrome export: the same handful of allocations for
-    // a log of n records as for the log repeated eight times over.
+    // Export and Chrome export: the same handful of allocations for a log
+    // of n records as for the log repeated eight times over.
     let log = TraceLog {
         records: records.clone(),
     };
@@ -83,27 +85,11 @@ fn the_codec_allocates_per_buffer_not_per_record() {
             .cloned()
             .collect(),
     };
-    let streams = |log: &TraceLog| {
-        let mut streams = vec![Vec::new(); 8];
-        for r in &log.records {
-            streams[r.node as usize % 8].push(r.clone());
-        }
-        for s in &mut streams {
-            s.sort_by_key(|r| (r.at, r.node));
-        }
-        streams
-    };
-    let (small_streams, big_streams) = (streams(&log), streams(&big));
     for (step, small, large) in [
         (
             "to_jsonl",
             allocs_of(|| log.to_jsonl().len()).0,
             allocs_of(|| big.to_jsonl().len()).0,
-        ),
-        (
-            "from_node_streams",
-            allocs_of(|| TraceLog::from_node_streams(small_streams).records.len()).0,
-            allocs_of(|| TraceLog::from_node_streams(big_streams).records.len()).0,
         ),
         (
             "to_chrome_trace",
@@ -118,4 +104,23 @@ fn the_codec_allocates_per_buffer_not_per_record() {
             "{step} allocates per record: {small} allocations for n records, {large} for 8n"
         );
     }
+
+    // Take: the same count for a cell that leaves n records as for one that
+    // leaves eight times as many.
+    let take = |txns: usize| {
+        let mut cell = Cell::new(Benchmark::Bank, SchedulerKind::Rts, 8, 0.5)
+            .with_txns(txns)
+            .with_cache(false)
+            .with_trace();
+        cell.params.objects_per_node = 4;
+        let mut system = build_system(&cell);
+        system.run_default();
+        allocs_of(|| system.take_trace().records.len())
+    };
+    let ((small, n), (large, n8)) = (take(6), take(48));
+    assert!(n8 >= 7 * n, "{n8} records is not about 8 × {n}");
+    assert_eq!(
+        small, large,
+        "take_trace allocates per record: {small} allocations for {n} records, {large} for {n8}"
+    );
 }

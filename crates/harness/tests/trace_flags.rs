@@ -106,3 +106,30 @@ fn the_invocations_ci_makes_still_succeed() {
         );
     }
 }
+
+/// A commit stamped at the end of time used to make `analyze` size its
+/// per-epoch series by the timestamp and die allocating 2.9 TB. It is now a
+/// mismatch naming the span and an epoch that fits, with exit status 1.
+#[test]
+fn analyze_refuses_a_far_future_commit_without_dying() {
+    let path = scratch("far_future.jsonl");
+    std::fs::write(
+        &path,
+        "{\"at\":18446744073709551615,\"node\":0,\"ev\":\"tx_commit\",\"tx\":[0,1],\
+         \"attempt\":0,\"nested_committed\":0,\"reads\":[],\"writes\":[]}\n",
+    )
+    .expect("write trace");
+    let path = path.to_str().unwrap();
+    assert!(trace_tool(&["audit", path]).status.success());
+
+    let out = trace_tool(&["analyze", path]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("commits span 18446744073709551615 ns")
+            && stdout.contains("rerun with --epoch-ns 17592186044416"),
+        "{stdout}"
+    );
+    let out = trace_tool(&["analyze", path, "--epoch-ns", "17592186044416"]);
+    assert!(out.status.success(), "{out:?}");
+}

@@ -21,7 +21,7 @@ use crate::metrics::{AbortCause, NestedAbortCause, NodeMetrics};
 use crate::object::{CachedCopy, OwnedObject, Payload};
 use crate::program::{AccessMode, BoxedProgram, ProgramSnapshot, StepInput, StepOutput};
 use crate::telemetry::{Gauges, Telemetry, TelemetryReport};
-use crate::trace::{ProtoEvent, ProtoTrace, TraceRecord, Verdict};
+use crate::trace::{ProtoEvent, ProtoTrace, Verdict};
 use crate::tx::{TxPhase, TxRuntime, ValidationResume};
 use dstm_net::Topology;
 use dstm_sim::{prefetch, Actor, ActorId, Ctx, KernelEvent, SimDuration, SimTime, CACHE_LINE};
@@ -206,8 +206,9 @@ pub struct Node {
     sched: SchedulingTable,
     /// Owner-side conflict policy (the scheduler under evaluation).
     policy: Box<dyn ConflictPolicy>,
-    /// Protocol-event sink (off unless `cfg.trace_protocol`; every caller
-    /// site checks `ptrace.on()` before building an event).
+    /// Handle on the run-wide protocol-event log (off unless
+    /// `cfg.trace_protocol`; every caller site checks `ptrace.on()` before
+    /// building an event).
     ptrace: ProtoTrace,
     /// Per-destination same-tick send buffers (`cfg.cache` only): one
     /// `(destination, latency, messages)` group per distinct pair touched
@@ -261,16 +262,13 @@ impl Node {
         policy: Box<dyn ConflictPolicy>,
         initial_objects: Vec<(ObjectId, Payload)>,
         workload: Vec<BoxedProgram>,
+        ptrace: ProtoTrace,
     ) -> Self {
         let stats = StatsTable::new(cfg.default_exec_estimate);
         // Home objects plus headroom for remotely fetched/cached entries.
         let mut objs = ObjTable::with_capacity(initial_objects.len() * 2 + 16);
         for (oid, p) in initial_objects {
             objs.ensure(oid).owned = Some(OwnedObject::new(p));
-        }
-        let mut ptrace = ProtoTrace::disabled();
-        if cfg.trace_protocol {
-            ptrace.enable();
         }
         let telemetry = if cfg.telemetry {
             Telemetry::enabled(cfg.epoch.0)
@@ -303,11 +301,6 @@ impl Node {
             outbox_pool: Vec::new(),
             spare_tx: None,
         }
-    }
-
-    /// Drain this node's protocol-event stream (end-of-run collection).
-    pub fn take_trace(&mut self) -> Vec<TraceRecord> {
-        self.ptrace.take()
     }
 
     /// Drain this node's telemetry (end-of-run collection), closing the
@@ -2562,9 +2555,12 @@ mod tests {
         for (field, end) in hot {
             assert!(end <= Node::HOT_BYTES, "{field} ends at byte {end}");
         }
-        // The counters come straight after the sampler; nothing cold sits
-        // between the hot bytes and them.
-        assert_eq!(offset_of!(Node, metrics), end_of!(Node, telemetry));
+        // The counters come straight after the sampler, up to their own
+        // alignment; nothing cold sits between the hot bytes and them.
+        assert_eq!(
+            offset_of!(Node, metrics),
+            end_of!(Node, telemetry).next_multiple_of(align_of::<NodeMetrics>())
+        );
         // 3 040 bytes before the reorder; the rest is padding to the line.
         assert_eq!(align_of::<Node>(), CACHE_LINE);
         assert!(size_of::<Node>() <= 3_040_usize.next_multiple_of(CACHE_LINE));

@@ -7,7 +7,7 @@ use crate::metrics::{NodeMetrics, RunMetrics};
 use crate::node::Node;
 use crate::object::Payload;
 use crate::program::BoxedProgram;
-use crate::trace::TraceLog;
+use crate::trace::{ProtoTrace, TraceLog};
 use dstm_net::Topology;
 use dstm_sim::{
     ActorId, BinaryHeapQueue, EventQueue, GenericWorld, KernelEvent, SimDuration, SimTime,
@@ -85,6 +85,11 @@ impl SystemBuilder {
             per_node[oid.home(n) as usize].push((oid, payload));
         }
 
+        let trace = if cfg.trace_protocol {
+            ProtoTrace::enabled()
+        } else {
+            ProtoTrace::disabled()
+        };
         let mut programs = workload.programs;
         let nodes: Vec<Node> = (0..n)
             .map(|i| {
@@ -106,6 +111,7 @@ impl SystemBuilder {
                     policy,
                     std::mem::take(&mut per_node[i]),
                     std::mem::take(&mut programs[i]),
+                    trace.clone(),
                 )
             })
             .collect();
@@ -117,6 +123,7 @@ impl SystemBuilder {
         System {
             world,
             topo: self.topo,
+            trace,
         }
     }
 }
@@ -127,6 +134,8 @@ impl SystemBuilder {
 pub struct System<Q = BinaryHeapQueue<NodeEvent>> {
     world: GenericWorld<Node, Q>,
     topo: Arc<Topology>,
+    /// The run-wide protocol-event log every node appends to.
+    trace: ProtoTrace,
 }
 
 impl<Q: EventQueue<NodeEvent>> System<Q> {
@@ -151,7 +160,7 @@ impl<Q: EventQueue<NodeEvent>> System<Q> {
     /// is — unlike "stop at the event that completed the last node" — a
     /// stop point that does not depend on the order in which the tail's
     /// simultaneous events are delivered: message counts, final object
-    /// state and every node's trace are complete, which is what the golden
+    /// state and the trace are complete, which is what the golden
     /// digests and the offline audit compare. The makespan reported in the
     /// metrics still ends at the last commit, not at the drain: see
     /// [`collect`](Self::collect).
@@ -243,17 +252,13 @@ impl<Q: EventQueue<NodeEvent>> System<Q> {
         self.world.now()
     }
 
-    /// Drain every node's protocol-event stream into one time-ordered
-    /// [`TraceLog`] (empty unless the run was built with
-    /// `DstmConfig::trace_protocol`). Call after `run`.
+    /// Move the run's protocol-event log out as one time-ordered
+    /// [`TraceLog`], ties by node (empty unless the run was built with
+    /// `DstmConfig::trace_protocol`). The nodes appended to it in dispatch
+    /// order, so only runs of equal time need regrouping
+    /// ([`ProtoTrace::take`]). Call after `run`.
     pub fn take_trace(&mut self) -> TraceLog {
-        let streams = self
-            .world
-            .actors_mut()
-            .iter_mut()
-            .map(|n| n.take_trace())
-            .collect();
-        TraceLog::from_node_streams(streams)
+        self.trace.take()
     }
 
     /// Drain every node's telemetry (empty unless the run was built with

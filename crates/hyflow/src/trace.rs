@@ -7,8 +7,9 @@
 //! Chrome exporter need; the kernel itself records nothing.
 //!
 //! Cost discipline: every instrumentation site in `node.rs` is guarded by
-//! [`ProtoTrace::on`] — one branch on a bool — and no event (or its `Vec`
-//! payloads) is constructed when tracing is off.
+//! [`ProtoTrace::on`] — one branch on an `Option` — and no event (or its
+//! `Vec` payloads) is constructed when tracing is off. When it is on, every
+//! node appends to one run-wide log in dispatch order.
 //!
 //! Serialization is hand-rolled JSONL (one record per line) because the
 //! workspace is offline and carries no serde, and allocation- and
@@ -27,8 +28,8 @@
 use crate::metrics::{AbortCause, NodeMetrics};
 use dstm_sim::{SimDuration, SimTime};
 use rts_core::{ObjectId, SchedulerKind, TxId, TxKind};
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// The scheduler's verdict shape, as recorded in a trace (the backoff
 /// magnitude travels separately so the variant stays label-encodable).
@@ -581,13 +582,17 @@ impl TraceRecord {
     }
 }
 
-/// Per-node protocol-event sink. Disabled by default; every caller guards
-/// with [`ProtoTrace::on`] before building an event, so the disabled path is
-/// one branch and zero allocation.
-#[derive(Debug, Default)]
+/// A node's handle on its run's protocol-event log. Disabled by default;
+/// every caller guards with [`ProtoTrace::on`] before building an event, so
+/// the disabled path is one branch and zero allocation.
+///
+/// An enabled handle shares one log with every other node of the run
+/// (`SystemBuilder` clones one [`ProtoTrace::enabled`] into each node), so
+/// records land in dispatch order on one warm tail. A run executes on one
+/// thread, hence `Rc<RefCell<_>>`: a node holding a handle is `!Send`.
+#[derive(Clone, Debug, Default)]
 pub struct ProtoTrace {
-    enabled: bool,
-    records: Vec<TraceRecord>,
+    log: Option<Rc<RefCell<Vec<TraceRecord>>>>,
 }
 
 impl ProtoTrace {
@@ -595,85 +600,60 @@ impl ProtoTrace {
         ProtoTrace::default()
     }
 
-    pub fn enable(&mut self) {
-        self.enabled = true;
+    /// A fresh, empty run-wide log.
+    pub fn enabled() -> Self {
+        ProtoTrace {
+            log: Some(Rc::default()),
+        }
     }
 
     /// The one-branch guard callers check before constructing an event.
     #[inline]
     pub fn on(&self) -> bool {
-        self.enabled
+        self.log.is_some()
     }
 
+    /// Append a record. Every caller stamps the kernel's clock, so `at`
+    /// never decreases along the log.
     #[inline]
-    pub fn push(&mut self, at: SimTime, node: u32, ev: ProtoEvent) {
-        if self.enabled {
-            self.records.push(TraceRecord { at, node, ev });
+    pub fn push(&self, at: SimTime, node: u32, ev: ProtoEvent) {
+        if let Some(log) = &self.log {
+            let mut log = log.borrow_mut();
+            debug_assert!(
+                log.last().is_none_or(|r| r.at <= at),
+                "trace time went backwards"
+            );
+            log.push(TraceRecord { at, node, ev });
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Drain the recorded events (end-of-run collection).
-    pub fn take(&mut self) -> Vec<TraceRecord> {
-        std::mem::take(&mut self.records)
+    /// Move the recorded log out (end-of-run collection) in the global
+    /// order offline tools rely on: by time, ties by node, records with
+    /// equal `(at, node)` in the order their node pushed them. The log is
+    /// already ordered by time, so that means a stable sort of each run of
+    /// equal `at` by node — and only the few runs that are not already in
+    /// node order are touched.
+    pub fn take(&self) -> TraceLog {
+        let Some(log) = &self.log else {
+            return TraceLog::default();
+        };
+        let mut records = std::mem::take(&mut *log.borrow_mut());
+        for tie in records.chunk_by_mut(|a, b| a.at == b.at) {
+            if !tie.is_sorted_by_key(|r| r.node) {
+                tie.sort_by_key(|r| r.node);
+            }
+        }
+        TraceLog { records }
     }
 }
 
-/// A whole run's merged trace, time-ordered across nodes.
+/// A whole run's trace, time-ordered across nodes (ties by node).
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
     pub records: Vec<TraceRecord>,
 }
 
 impl TraceLog {
-    /// Merge per-node record streams into one deterministic global order:
-    /// by time, ties by node. Each stream must already be in that order
-    /// (a node stamps its records with its own monotone clock), which makes
-    /// this a k-way merge that moves every record exactly once; records
-    /// with equal `(at, node)` keep their stream order, earlier stream
-    /// first — the order a stable sort of the concatenation would give.
-    pub fn from_node_streams(streams: Vec<Vec<TraceRecord>>) -> Self {
-        debug_assert!(
-            streams.iter().all(|s| s
-                .windows(2)
-                .all(|w| (w[0].at, w[0].node) <= (w[1].at, w[1].node))),
-            "a node stream is not ordered by (at, node)"
-        );
-        let mut records = Vec::with_capacity(size_class(streams.iter().map(Vec::len).sum()));
-        let mut streams: Vec<_> = streams.into_iter().map(Vec::into_iter).collect();
-        // Min-heap over each stream's head. The key packs (at, node, stream
-        // index) into one integer, most significant first, so an ordering
-        // test is a single 128-bit compare.
-        let key = |r: &TraceRecord, stream: u32| {
-            Reverse(u128::from(r.at.0) << 64 | u128::from(r.node) << 32 | u128::from(stream))
-        };
-        let mut heads: BinaryHeap<_> = (0u32..)
-            .zip(&streams)
-            .filter_map(|(i, s)| s.as_slice().first().map(|r| key(r, i)))
-            .collect();
-        while let Some(mut head) = heads.peek_mut() {
-            let i = head.0 as u32;
-            let stream = &mut streams[i as usize];
-            records.extend(stream.next());
-            match stream.as_slice().first() {
-                // Replacing the top in place costs one sift-down, not a
-                // pop and a push.
-                Some(next) => *head = key(next, i),
-                None => {
-                    PeekMut::pop(head);
-                }
-            }
-        }
-        TraceLog { records }
-    }
-
     /// Prepend the run-identity record (scheduler, node count) offline
     /// tools use to label and segment the log. Sits at time zero, before
     /// every protocol event.
@@ -1315,7 +1295,7 @@ mod tests {
 
     #[test]
     fn disabled_sink_records_nothing() {
-        let mut t = ProtoTrace::disabled();
+        let t = ProtoTrace::disabled();
         assert!(!t.on());
         t.push(
             SimTime(1),
@@ -1326,38 +1306,66 @@ mod tests {
                 attempt: 0,
             },
         );
-        assert!(t.is_empty());
+        assert!(t.take().records.is_empty());
     }
 
     #[test]
-    fn log_merges_streams_in_time_order() {
-        let mk = |at: u64, node: u32| TraceRecord {
+    fn take_regroups_equal_times_by_node() {
+        let mk = |at: u64, node: u32, seq: u64| TraceRecord {
             at: SimTime(at),
             node,
             ev: ProtoEvent::NestedCommit {
-                tx: TxId::new(node, 1),
+                tx: TxId::new(node, seq),
                 attempt: 0,
                 level: 1,
             },
         };
-        let log =
-            TraceLog::from_node_streams(vec![vec![mk(5, 0), mk(9, 0)], vec![mk(1, 1), mk(9, 1)]]);
-        let order: Vec<(u64, u32)> = log.records.iter().map(|r| (r.at.0, r.node)).collect();
-        assert_eq!(order, vec![(1, 1), (5, 0), (9, 0), (9, 1)]);
+        let node0 = ProtoTrace::enabled();
+        let node1 = node0.clone();
+        // Dispatch order: node 1 runs first at every shared time.
+        let pushed = [
+            (1, 1, 1),
+            (5, 0, 1),
+            (9, 1, 2),
+            (9, 0, 2),
+            (9, 1, 3),
+            (9, 0, 3),
+        ];
+        for (at, node, seq) in pushed {
+            let handle = if node == 0 { &node0 } else { &node1 };
+            let r = mk(at, node, seq);
+            handle.push(r.at, r.node, r.ev);
+        }
+        let want = [
+            (1, 1, 1),
+            (5, 0, 1),
+            (9, 0, 2),
+            (9, 0, 3),
+            (9, 1, 2),
+            (9, 1, 3),
+        ];
+        let want: Vec<_> = want
+            .into_iter()
+            .map(|(at, node, seq)| mk(at, node, seq))
+            .collect();
+        assert_eq!(node0.take().records, want);
+        assert!(node1.take().records.is_empty(), "one log, moved out once");
     }
 
     #[test]
     fn jsonl_text_roundtrip_with_summary() {
-        let mut log = TraceLog::from_node_streams(vec![vec![TraceRecord {
-            at: SimTime(3),
-            node: 2,
-            ev: ProtoEvent::QueueServed {
-                oid: ObjectId(1),
-                tx: TxId::new(2, 4),
-                attempt: 0,
-                wait: SimDuration::from_millis(3),
-            },
-        }]]);
+        let mut log = TraceLog {
+            records: vec![TraceRecord {
+                at: SimTime(3),
+                node: 2,
+                ev: ProtoEvent::QueueServed {
+                    oid: ObjectId(1),
+                    tx: TxId::new(2, 4),
+                    attempt: 0,
+                    wait: SimDuration::from_millis(3),
+                },
+            }],
+        };
         let metrics = NodeMetrics {
             commits: 6,
             nested_commits: 8,

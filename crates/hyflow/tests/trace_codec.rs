@@ -1,15 +1,16 @@
-//! Property tests for the trace text codec and the stream merge.
+//! Property tests for the trace text codec and the run-wide log's order.
 //!
 //! * every `ProtoEvent` variant, with field values biased towards the edges
 //!   of their types, survives `write_jsonl` → `parse` unchanged;
 //! * mangled lines (truncated, byte-flipped, spliced) make `parse` and
 //!   `parse_jsonl` return `Ok` or `Err` — never panic — and whatever they do
 //!   accept re-exports to text that parses to the same record;
-//! * `TraceLog::from_node_streams` equals the obvious reference, flatten +
-//!   stable sort by `(at, node)`, on streams full of duplicate timestamps.
+//! * `ProtoTrace::take` on a log that nodes appended to in dispatch order
+//!   equals the obvious reference — split by node, flatten, stable sort by
+//!   `(at, node)` — on pushes full of duplicate timestamps.
 
 use dstm_sim::{SimDuration, SimTime};
-use hyflow_dstm::{AbortCause, ProtoEvent, TraceLog, TraceRecord, Verdict};
+use hyflow_dstm::{AbortCause, ProtoEvent, ProtoTrace, TraceLog, TraceRecord, Verdict};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rts_core::{ObjectId, SchedulerKind, TxId, TxKind};
@@ -227,41 +228,36 @@ proptest! {
     }
 
     #[test]
-    fn stream_merge_equals_flatten_then_stable_sort(
-        deltas in vec(vec(0u64..3, 0..40), 0..9),
+    fn take_equals_split_by_node_then_stable_sort(
+        nodes in 1u32..9,
+        pushes in vec((0u32..8, 0u64..8), 0..300),
     ) {
-        // Stream `s` belongs to node `s % 3`, so streams share nodes and
-        // equal `(at, node)` keys occur both within and across streams; the
-        // `seq` of each record's `tx` makes every record distinguishable.
-        let mut serial = 0u64;
-        let streams: Vec<Vec<TraceRecord>> = deltas
-            .iter()
-            .enumerate()
-            .map(|(s, ds)| {
-                let node = (s % 3) as u32;
-                let mut at = 0u64;
-                ds.iter()
-                    .map(|d| {
-                        at += d;
-                        serial += 1;
-                        TraceRecord {
-                            at: SimTime(at),
-                            node,
-                            ev: ProtoEvent::NestedCommit {
-                                tx: TxId::new(s as u32, serial),
-                                attempt: 0,
-                                level: 1,
-                            },
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        // Three in four pushes keep the clock where it is, so most records
+        // tie on `at` with their neighbours — across nodes and within one;
+        // the `seq` of each record's `tx` makes every record distinguishable.
+        let log = ProtoTrace::enabled();
+        let handles: Vec<ProtoTrace> = (0..nodes).map(|_| log.clone()).collect();
+        let mut streams: Vec<Vec<TraceRecord>> = vec![Vec::new(); nodes as usize];
+        let mut at = 0u64;
+        for (seq, &(node, d)) in (1u64..).zip(&pushes) {
+            let node = node % nodes;
+            at += d / 6;
+            let rec = TraceRecord {
+                at: SimTime(at),
+                node,
+                ev: ProtoEvent::NestedCommit {
+                    tx: TxId::new(node, seq),
+                    attempt: 0,
+                    level: 1,
+                },
+            };
+            handles[node as usize].push(rec.at, rec.node, rec.ev.clone());
+            streams[node as usize].push(rec);
+        }
 
-        let mut reference: Vec<TraceRecord> = streams.iter().flatten().cloned().collect();
+        let mut reference: Vec<TraceRecord> = streams.into_iter().flatten().collect();
         reference.sort_by_key(|r| (r.at, r.node));
 
-        let merged = TraceLog::from_node_streams(streams);
-        prop_assert_eq!(merged.records, reference);
+        prop_assert_eq!(log.take().records, reference);
     }
 }
