@@ -93,6 +93,45 @@ fn header_only_trace_fails_audit() {
 }
 
 #[test]
+fn auditing_a_hot_object_takes_milliseconds() {
+    // One object installed 50 000 times, every commit reading the version
+    // before its own: each read's window lookup must not scan the
+    // object's whole history.
+    use dstm_sim::SimTime;
+    use hyflow_dstm::TraceRecord;
+    use rts_core::{ObjectId, TxId};
+    const COMMITS: u64 = 50_000;
+    let o = ObjectId(1);
+    let records = (0..COMMITS)
+        .map(|i| TraceRecord {
+            at: SimTime(10 * (i + 1)),
+            node: 0,
+            ev: ProtoEvent::TxCommit {
+                tx: TxId::new(0, i + 1),
+                attempt: 0,
+                nested_committed: 0,
+                reads: vec![(o, i)],
+                writes: vec![(o, i, i + 1)],
+            },
+        })
+        .collect();
+    let log = TraceLog { records };
+    let started = std::time::Instant::now();
+    let report = audit(&log);
+    let took = started.elapsed();
+    assert!(
+        report.ok(),
+        "first violation: {:?}",
+        report.violations.first()
+    );
+    assert_eq!(report.reads_checked as u64, COMMITS);
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "audit of {COMMITS} installs of one object took {took:?}"
+    );
+}
+
+#[test]
 fn tracing_does_not_perturb_the_simulation() {
     // Determinism guard: recording events must not change any simulated
     // outcome — identical commits, messages, and virtual elapsed time.

@@ -10,6 +10,10 @@
 //! protocol tracing: with telemetry off the per-event check is a single
 //! integer compare (`now >= u64::MAX`), and nothing here allocates.
 //!
+//! A flush costs O(open CL windows), not O(objects the node ever touched):
+//! the sampler keeps the list of objects whose window took a request since
+//! the `cl_open` gauge last saw it empty, and the gauge walks only that.
+//!
 //! Samples land in a fixed-capacity ring ([`RING_CAP`]) preallocated when
 //! telemetry is enabled, so the steady state allocates nothing; if a run
 //! outlives the ring, the oldest epochs are overwritten and counted in
@@ -129,6 +133,12 @@ pub struct Telemetry {
     dropped: u64,
     last: Snapshot,
     objects: Vec<ObjWaste>,
+    /// Object slots (the node's object-table indices) whose CL window took
+    /// a request since the `cl_open` gauge last saw it empty: a superset of
+    /// the open windows, and all the gauge looks at.
+    windows: Vec<u32>,
+    /// One bit per object slot: whether it is on `windows`.
+    listed: Vec<u64>,
 }
 
 impl Telemetry {
@@ -152,6 +162,8 @@ impl Telemetry {
             dropped: 0,
             last: Snapshot::default(),
             objects: Vec::new(),
+            windows: Vec::new(),
+            listed: Vec::new(),
         }
     }
 
@@ -208,6 +220,44 @@ impl Telemetry {
             self.head = (self.head + 1) % RING_CAP;
             self.dropped += 1;
         }
+    }
+
+    /// Note that the CL window of object slot `slot` took a request: the
+    /// `cl_open` gauge looks at it from now on, until it finds it empty.
+    #[inline]
+    pub fn window_recorded(&mut self, slot: usize) {
+        if self.on() {
+            self.list_window(slot);
+        }
+    }
+
+    fn list_window(&mut self, slot: usize) {
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if word >= self.listed.len() {
+            self.listed.resize(word + 1, 0);
+        }
+        if self.listed[word] & bit == 0 {
+            self.listed[word] |= bit;
+            self.windows
+                .push(u32::try_from(slot).expect("object slots fit u32"));
+        }
+    }
+
+    /// The `cl_open` gauge: how many of the windows noted by
+    /// [`Telemetry::window_recorded`] `is_open` finds open. One it finds
+    /// empty leaves the list until its next request, so a flush costs
+    /// O(open windows), not O(objects the node ever touched).
+    pub fn open_windows(&mut self, mut is_open: impl FnMut(usize) -> bool) -> u64 {
+        let listed = &mut self.listed;
+        self.windows.retain(|&slot| {
+            let slot = slot as usize;
+            let open = is_open(slot);
+            if !open {
+                listed[slot / 64] &= !(1 << (slot % 64));
+            }
+            open
+        });
+        self.windows.len() as u64
     }
 
     /// Attribute one abort's wasted work to the object that caused it.
@@ -353,11 +403,38 @@ mod tests {
 
     #[test]
     fn disabled_sampler_never_fires_and_holds_no_memory() {
-        let t = Telemetry::disabled();
+        let mut t = Telemetry::disabled();
+        t.window_recorded(1_000);
         assert!(!t.on());
         assert!(!t.due(SimTime(u64::MAX - 1)));
         assert_eq!(t.ring.capacity(), 0);
         assert_eq!(t.objects.capacity(), 0);
+        assert_eq!((t.windows.capacity(), t.listed.capacity()), (0, 0));
+    }
+
+    #[test]
+    fn the_cl_gauge_walks_each_noted_window_until_it_finds_it_empty() {
+        let mut t = Telemetry::enabled(100);
+        for slot in [3, 70, 3, 5, 70] {
+            t.window_recorded(slot);
+        }
+        assert_eq!(t.windows, [3, 70, 5], "noted once each, in order");
+        let mut asked = Vec::new();
+        let open = t.open_windows(|slot| {
+            asked.push(slot);
+            slot != 70
+        });
+        assert_eq!((open, asked), (2, vec![3, 70, 5]));
+        // Slot 70 was found empty: not asked again until its next request.
+        let mut asked = Vec::new();
+        let open = t.open_windows(|slot| {
+            asked.push(slot);
+            true
+        });
+        assert_eq!(open, 2);
+        assert_eq!(asked, [3, 5]);
+        t.window_recorded(70);
+        assert_eq!(t.open_windows(|_| true), 3);
     }
 
     #[test]

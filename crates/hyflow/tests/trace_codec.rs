@@ -2,6 +2,10 @@
 //!
 //! * every `ProtoEvent` variant, with field values biased towards the edges
 //!   of their types, survives `write_jsonl` → `parse` unchanged;
+//! * the layout reader and the keyed reader each read that line back to
+//!   the same record, and on the same record's line shuffled, padded, with
+//!   unknown or repeated keys, a narrow field past its type or a 20-digit
+//!   number, `parse` answers exactly what the keyed reader alone does;
 //! * mangled lines (truncated, byte-flipped, spliced) make `parse` and
 //!   `parse_jsonl` return `Ok` or `Err` — never panic — and whatever they do
 //!   accept re-exports to text that parses to the same record;
@@ -158,6 +162,105 @@ fn line_of(rec: &TraceRecord) -> String {
     line
 }
 
+/// The line's top-level `"key":value` members, in order.
+fn members(line: &str) -> Vec<&str> {
+    let body = &line[1..line.len() - 1];
+    let (mut out, mut depth, mut start) = (Vec::new(), 0, 0);
+    for (i, b) in body.bytes().enumerate() {
+        match b {
+            b'[' => depth += 1,
+            b']' => depth -= 1,
+            b',' if depth == 0 => {
+                out.push(&body[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    out.push(&body[start..]);
+    out
+}
+
+/// `line` with the first digit run after `"key":` (or `"key":[`) replaced
+/// by `value`; `None` if the line has no such key.
+fn with_value(line: &str, key: &str, value: &str) -> Option<String> {
+    let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
+    let start = at + usize::from(line[at..].starts_with('['));
+    let len = line[start..].bytes().take_while(u8::is_ascii_digit).count();
+    Some(format!("{}{value}{}", &line[..start], &line[start + len..]))
+}
+
+/// Numeric keys narrower than `u64`, with one past their type's maximum.
+const NARROW: [(&str, u64); 12] = [
+    ("node", 1 << 32),
+    ("tx", 1 << 32),
+    ("aggr", 1 << 32),
+    ("attempt", 1 << 32),
+    ("level", 1 << 32),
+    ("kind", 1 << 16),
+    ("from", 1 << 32),
+    ("to", 1 << 32),
+    ("local_cl", 1 << 32),
+    ("requester_cl", 1 << 32),
+    ("window_requests", 1 << 32),
+    ("threshold", 1 << 32),
+];
+
+/// `rec`'s line in layouts the writer never produces, each paired with
+/// what the keyed reader must make of it: a record, or (`None`) an error.
+fn non_canonical(rec: &TraceRecord, w: &[u64]) -> Vec<(String, Option<TraceRecord>)> {
+    let line = line_of(rec);
+    let line = line.trim_end();
+    let m = members(line);
+    let mut out = Vec::new();
+
+    // Keys shuffled (Fisher–Yates on the entropy words).
+    let mut shuffled = m.clone();
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, (w[i % w.len()] % (i as u64 + 1)) as usize);
+    }
+    out.push((format!("{{{}}}", shuffled.join(",")), Some(rec.clone())));
+
+    // Whitespace at token boundaries, where the grammar allows it.
+    let spaced: Vec<String> = m.iter().map(|kv| kv.replacen("\":", "\" :\t", 1)).collect();
+    out.push((
+        format!(" {{ {} }}\t", spaced.join(" , ")),
+        Some(rec.clone()),
+    ));
+
+    // An unknown key first or further in; a repeated key last.
+    let unknown = "\"later\":[[1,2],\"x\",[]]";
+    let mut with_unknown = m.clone();
+    with_unknown.insert(1 + (w[0] as usize) % m.len(), unknown);
+    out.push((format!("{{{}}}", with_unknown.join(",")), Some(rec.clone())));
+    out.push((format!("{{{unknown},{}}}", m.join(",")), Some(rec.clone())));
+    let repeated = m[(w[1] as usize) % m.len()];
+    out.push((format!("{{{},{repeated}}}", m.join(",")), Some(rec.clone())));
+
+    // A narrow field one past its type.
+    for (key, past) in NARROW {
+        if let Some(l) = with_value(line, key, &past.to_string()) {
+            out.push((l, None));
+        }
+    }
+
+    // Numbers of 20 digits, out of range and in.
+    for (digits, at) in [
+        ("18446744073709551616", None),
+        ("99999999999999999999", None),
+        ("18446744073709551615", Some(u64::MAX)),
+        ("00000000000000000007", Some(7)),
+    ] {
+        let l = with_value(line, "at", digits).expect("every line has \"at\"");
+        let want = at.map(|at| TraceRecord {
+            at: SimTime(at),
+            ..rec.clone()
+        });
+        out.push((l, want));
+    }
+    out
+}
+
 /// Whatever the parser accepts must be a fixed point of export → parse.
 fn check_accepted(rec: &TraceRecord) -> Result<(), TestCaseError> {
     let again = TraceRecord::parse(line_of(rec).trim_end());
@@ -181,6 +284,29 @@ proptest! {
         prop_assert!(line.ends_with("}\n") && line.is_ascii());
         let back = TraceRecord::parse(line.trim_end());
         prop_assert_eq!(back, Ok(rec), "line was {}", line);
+    }
+
+    #[test]
+    fn the_layout_reader_agrees_with_the_keyed_reader(
+        variant in 0usize..VARIANTS,
+        words in vec(0u64..=u64::MAX, 16..17),
+    ) {
+        let rec = record_from(variant, &words);
+        let line = line_of(&rec);
+        let line = line.trim_end();
+        // The writer's own layout: each reader alone reads `rec`.
+        prop_assert_eq!(TraceRecord::parse_layout(line), Some(rec.clone()), "line was {}", line);
+        prop_assert_eq!(TraceRecord::parse_keyed(line), Ok(rec.clone()), "line was {}", line);
+        // Any other layout: `parse` answers exactly what the keyed reader
+        // alone does — the same record, or the same error text.
+        for (other, want) in non_canonical(&rec, &words) {
+            let keyed = TraceRecord::parse_keyed(&other);
+            prop_assert_eq!(TraceRecord::parse(&other), keyed.clone(), "line was {}", other);
+            match want {
+                Some(want) => prop_assert_eq!(keyed, Ok(want), "line was {}", other),
+                None => prop_assert!(keyed.is_err(), "line was {}", other),
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! byte-for-byte — under every scheduler.
 
 use closed_nesting_dstm::harness::experiments::scenarios::run_collision;
-use closed_nesting_dstm::harness::runner::{run_cell, run_cell_telemetry, run_cell_traced, Cell};
-use closed_nesting_dstm::hyflow::merge_epoch_series;
+use closed_nesting_dstm::harness::runner::{
+    run_cell, run_cell_telemetry, run_cell_traced, Cell, TopologySpec,
+};
+use closed_nesting_dstm::hyflow::{merge_epoch_series, EpochSample};
 use closed_nesting_dstm::prelude::*;
 use proptest::prelude::*;
 use rts_core::SchedulerKind;
@@ -82,6 +84,98 @@ fn telemetry_on_matches_off_under_every_scheduler() {
         let series = merge_epoch_series(&reports);
         assert!(!series.is_empty(), "contended run spans epochs");
     }
+}
+
+/// FNV-1a over every field of every epoch of the merged series, gauges
+/// (`queue_depth`, `in_flight`, `cl_open`) included.
+fn series_digest(cell: Cell) -> u64 {
+    let (r, reports) = run_cell_telemetry(cell);
+    assert!(r.completed, "cell stalled");
+    let series = merge_epoch_series(&reports);
+    let mut bytes = Vec::new();
+    for e in &series {
+        let EpochSample {
+            epoch,
+            commits,
+            aborts,
+            nested_aborts,
+            enqueued,
+            wasted_ns,
+            wasted_msgs,
+            cache_hits,
+            cache_misses,
+            cache_invalidations,
+            queue_depth,
+            in_flight,
+            cl_open,
+        } = *e;
+        for v in [
+            epoch,
+            commits,
+            aborts,
+            nested_aborts,
+            enqueued,
+            wasted_ns,
+            wasted_msgs,
+            cache_hits,
+            cache_misses,
+            cache_invalidations,
+            queue_depth,
+            in_flight,
+            cl_open,
+        ] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    // Pin something: the gauges must read nonzero somewhere.
+    for (gauge, sum) in [
+        ("in_flight", series.iter().map(|e| e.in_flight).sum::<u64>()),
+        ("cl_open", series.iter().map(|e| e.cl_open).sum()),
+    ] {
+        assert!(sum > 0, "{gauge} never sampled nonzero");
+    }
+    fnv1a(&bytes)
+}
+
+/// The 160-node hashed Bank cell of the pinned gauges.
+fn hashed_bank_160() -> Cell {
+    Cell::new(Benchmark::Bank, SchedulerKind::Rts, 160, 0.1)
+        .with_txns(4)
+        .with_topology(TopologySpec::HashedRandom {
+            min_ms: 1,
+            max_ms: 50,
+        })
+}
+
+/// The gauges are read at flush time from node state the sampler does not
+/// own; these digests of the merged series were taken while the `cl_open`
+/// gauge still scanned every object slot, and the gauges that replaced
+/// that scan must reproduce them.
+#[test]
+fn epoch_series_digests_are_pinned() {
+    let cells = [
+        ("contended RTS", contended_cell(SchedulerKind::Rts, 13)),
+        ("contended TFA", contended_cell(SchedulerKind::Tfa, 13)),
+        (
+            "contended TFA+Backoff",
+            contended_cell(SchedulerKind::TfaBackoff, 13),
+        ),
+        ("hashed Bank RTS @ 160", hashed_bank_160()),
+    ];
+    let got: Vec<(&str, u64)> = cells
+        .into_iter()
+        .map(|(label, cell)| (label, series_digest(cell)))
+        .collect();
+    let want = [
+        ("contended RTS", 0xfb9e_6c5b_f56b_7364),
+        ("contended TFA", 0xd835_0273_8a2d_3723),
+        ("contended TFA+Backoff", 0x98df_a2e1_9758_e46d),
+        ("hashed Bank RTS @ 160", 0x129f_2e61_021c_34ec),
+    ];
+    assert_eq!(
+        got, want,
+        "the merged epoch series moved — got {got:#018x?}"
+    );
 }
 
 #[test]
