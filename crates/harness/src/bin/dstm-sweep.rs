@@ -35,7 +35,9 @@
 //! 160-node (or `[nodes]`, up to 10k) Bank/RTS cell on the hashed topology.
 //! With `--trace` the run records protocol events for `dstm-trace audit`;
 //! without it the cell runs untraced (how the 10k-node smoke stays within
-//! CI time and memory).
+//! CI time and memory). Its summary line ends with `peak_rss=<MiB>`, the
+//! process's peak resident set (`VmHWM`; `n/a` off Linux), which CI holds
+//! to a budget.
 //!
 //! Every setting comes from the command line; no environment variable is
 //! read. An argument starting with `--` that is not one of the flags above,
@@ -165,13 +167,29 @@ fn scheduler_from_name(s: &str) -> Option<SchedulerKind> {
     }
 }
 
+/// A node count a run can hold: at least one node, and no more than the
+/// kernel's event keys can name.
+fn node_count(s: &str) -> Option<usize> {
+    number(s).filter(|n| (1..=dstm_sim::MAX_ACTORS).contains(n))
+}
+
+/// Peak resident set of this process in MiB: `VmHWM` from
+/// `/proc/self/status`, `None` where there is no such file (off Linux).
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 /// One large-scale cell, for CI smoke + `dstm-trace audit`. With `--trace`
 /// the run records protocol events and writes them out; without it the cell
 /// runs untraced, which is what lets the 10k-node smoke cell fit CI time
 /// and memory — a 10k-node trace log is millions of records.
 fn large_smoke(args: &[String], flags: &Flags) -> Result<(), String> {
     at_most(args, 1)?;
-    let nodes: usize = positional(args, 0, "nodes", number, 160)?;
+    let name = format!("nodes (1..={})", dstm_sim::MAX_ACTORS);
+    let nodes: usize = positional(args, 0, &name, node_count, 160)?;
     let cell = Cell::new(Benchmark::Bank, SchedulerKind::Rts, nodes, 0.9)
         .with_txns(Scale::large().txns_per_node)
         .with_topology(TopologySpec::HashedRandom {
@@ -207,6 +225,12 @@ fn large_smoke(args: &[String], flags: &Flags) -> Result<(), String> {
     }
     if let Some(t) = &trace {
         let _ = write!(line, "  {} trace records", t.records.len());
+    }
+    match peak_rss_mib() {
+        Some(mib) => {
+            let _ = write!(line, "  peak_rss={mib:.1}");
+        }
+        None => line.push_str("  peak_rss=n/a"),
     }
     println!("{line}");
     if let (Some(path), Some(t)) = (&flags.trace, &trace) {

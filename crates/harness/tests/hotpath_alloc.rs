@@ -111,16 +111,17 @@ fn loaded_runtime(payloads: &[Arc<Payload>]) -> TxRuntime {
 
 /// Allocator calls per 1000 popped events over the second half of the run
 /// that each cell may not exceed. The counts are exact (one thread, one
-/// seed): Bank 1896 / 10176 events = 186, Linked List 1769 / 31081 = 56,
-/// RB Tree 834 / 9289 = 89 (503 / 347 / 488 while every nesting level and
+/// seed): Bank 1892 / 10176 events = 185, Linked List 1768 / 31081 = 56,
+/// RB Tree 833 / 9289 = 89 (503 / 347 / 488 while every nesting level and
 /// every retry copied the program); the bounds leave 2 % for a `Vec`
 /// doubling landing on the other side of the midpoint under another `std`.
 /// What is left, by call site, in Bank's second half: 1071 fresh payload
 /// `Arc`s (`write_local` on a shared payload), 477 for the CL windows of
 /// objects that changed owner (a new owner's window and its ring growing),
 /// 179 `granted` lists of lock rounds and 95 `stale` lists of failed
-/// validations, 46 requester-queue entries and hand-offs, 28 others (table
-/// and buffer growth) — and no program copy: the in-tree programs all
+/// validations, 46 requester-queue entries and hand-offs, 24 others (table
+/// and buffer growth; 28 while a node kept a slot for every object it had
+/// touched) — and no program copy: the in-tree programs all
 /// checkpoint, so the `clone_box` fallback (a program without
 /// `checkpoint`: one copy per transaction, per `OpenNested` and per
 /// rollback) does not run here, and no stats-table sketch update. RB

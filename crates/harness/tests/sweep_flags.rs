@@ -71,6 +71,42 @@ fn a_positional_argument_that_does_not_parse_is_refused() {
 }
 
 #[test]
+fn a_node_count_no_run_can_hold_is_refused() {
+    // No nodes panicked in the topology; more than the event keys can name
+    // aborted on allocation.
+    assert!(refused(&["large-smoke", "0"]).contains("\"0\""));
+    assert!(refused(&["large-smoke", "99999999999"]).contains("99999999999"));
+    assert!(refused(&["large-smoke", "16777217"]).contains("16777217"));
+}
+
+#[test]
+fn large_smoke_reports_its_peak_resident_set() {
+    let out = sweep(
+        Path::new(env!("CARGO_TARGET_TMPDIR")),
+        &[],
+        &["large-smoke", "12"],
+    );
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("large-smoke: "))
+        .expect("summary line");
+    let rss = line
+        .rsplit_once("  peak_rss=")
+        .map(|(_, v)| v)
+        .expect("peak_rss at the end of the summary line");
+    if cfg!(target_os = "linux") {
+        let mib: f64 = rss.parse().expect("a number of MiB");
+        assert!(mib > 0.0, "{line}");
+    } else {
+        assert_eq!(rss, "n/a");
+    }
+    // What CI greps the line for still matches.
+    assert!(line.contains("cache=off"), "{line}");
+}
+
+#[test]
 fn the_retired_kernel_mode_is_refused() {
     // `kernel` is not a node count, and its flags are no longer flags.
     assert!(refused(&["kernel"]).contains("kernel"));

@@ -55,7 +55,7 @@ pub mod time;
 pub use engine::{
     prefetch, Actor, ActorId, Ctx, GenericWorld, KernelEvent, TimerToken, World, CACHE_LINE,
 };
-pub use event::{EventKey, Sequenced};
+pub use event::{EventKey, Sequenced, MAX_ACTORS};
 pub use perturb::{ChoiceQueue, Perturb, PerturbQueue, Schedule};
 pub use queue::{BinaryHeapQueue, EventQueue};
 pub use rng::{mix64, SimRng};

@@ -13,8 +13,10 @@
 //!
 //! Exit status: 0 clean, 1 violation found (fuzz also writes the shrunk
 //! reproducer to `--out`, default `verify-reproducer.txt`), 2 usage error —
-//! an unknown flag, a stray argument, a missing or unparsable value: one
-//! `dstm-verify:` line and the usage on stderr, and nothing is run. A flag
+//! an unknown flag, a stray argument, a missing or unparsable value, a count
+//! no run can use (`check` needs 2 nodes and an object, `fuzz` and `replay`
+//! 1..=`dstm_sim::MAX_ACTORS` nodes and a transaction): one `dstm-verify:`
+//! line and the usage on stderr, and nothing is run. A flag
 //! that is dropped instead selects a different model (`--parent-scop` the
 //! child-scope one) whose clean run exits 0.
 
@@ -131,6 +133,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         };
         cfg.max_states = max_states.unwrap_or(states_cap);
         cfg.max_depth = max_depth.unwrap_or(depth_cap);
+        cfg.validate().map_err(|e| format!("--{e}"))?;
         Ok((schedulers, cfg))
     })();
     let (schedulers, base) = match parsed {
@@ -217,6 +220,7 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 other => return Err(unknown(other)),
             }
         }
+        spec.validate().map_err(|e| format!("--{e}"))?;
         Ok((spec, cfg, out))
     })();
     let (spec, cfg, out) = match parsed {
@@ -277,17 +281,11 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("dstm-verify: cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage(&format!("cannot read {path}: {e}")),
     };
     let (spec, schedule) = match parse_reproducer(&text) {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("dstm-verify: bad reproducer {path}: {e}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage(&format!("bad reproducer {path}: {e}")),
     };
     println!(
         "replaying {} / {} / {} nodes x {} txns, seed {:#x}, {} perturbations",

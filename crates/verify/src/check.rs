@@ -95,6 +95,23 @@ impl Default for ModelCfg {
     }
 }
 
+impl ModelCfg {
+    /// Whether the model can be built: two nodes for a conflict, and an
+    /// object to conflict on. The error names the offending count.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.nodes < 2 {
+            return Err(format!("nodes {}: the model needs at least 2", self.nodes));
+        }
+        if self.objects < 1 {
+            return Err(format!(
+                "objects {}: the model needs at least 1",
+                self.objects
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Exploration outcome.
 #[derive(Clone, Debug, Default)]
 pub struct CheckReport {
@@ -130,9 +147,13 @@ impl CheckReport {
 type ModelSystem = System<ChoiceQueue<Msg, Timer>>;
 
 /// Build the model system: fresh, at time zero, `StartWorkload` pending.
+///
+/// # Panics
+/// If `cfg` fails [`ModelCfg::validate`].
 pub fn build_model(cfg: &ModelCfg) -> ModelSystem {
-    assert!(cfg.nodes >= 2, "model needs at least two nodes");
-    assert!(cfg.objects >= 1, "model needs at least one object");
+    if let Err(e) = cfg.validate() {
+        panic!("{e}");
+    }
     let topo = Topology::complete(cfg.nodes, 5);
     let mut dstm = DstmConfig::default()
         .with_scheduler(cfg.scheduler)

@@ -65,6 +65,24 @@ impl Default for EpisodeSpec {
 }
 
 impl EpisodeSpec {
+    /// Whether an episode can run: at least one node and no more than the
+    /// kernel's event keys can name, and at least one transaction per node
+    /// (a run that commits nothing leaves the trace oracles nothing to
+    /// check). The error names the offending count.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(1..=dstm_sim::MAX_ACTORS).contains(&self.nodes) {
+            return Err(format!(
+                "nodes {}: an episode needs 1..={}",
+                self.nodes,
+                dstm_sim::MAX_ACTORS
+            ));
+        }
+        if self.txns < 1 {
+            return Err(format!("txns {}: an episode needs at least 1", self.txns));
+        }
+        Ok(())
+    }
+
     /// The harness cell this spec runs, under `seed`.
     pub fn cell(&self, seed: u64) -> Cell {
         let mut cell = Cell::new(self.benchmark, self.scheduler, self.nodes, 0.5)

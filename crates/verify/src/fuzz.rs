@@ -253,7 +253,9 @@ pub fn reproducer_text(spec: &EpisodeSpec, schedule: &Schedule) -> String {
     out
 }
 
-/// Parse [`reproducer_text`] output back into a spec + schedule.
+/// Parse [`reproducer_text`] output back into a spec + schedule. A spec
+/// that fails [`EpisodeSpec::validate`] is an error, like the flags of
+/// `dstm-verify fuzz` that would produce it.
 pub fn parse_reproducer(text: &str) -> Result<(EpisodeSpec, Schedule), String> {
     let mut spec = EpisodeSpec::default();
     let mut schedule_lines = String::new();
@@ -285,6 +287,7 @@ pub fn parse_reproducer(text: &str) -> Result<(EpisodeSpec, Schedule), String> {
             }
         }
     }
+    spec.validate()?;
     let schedule = Schedule::from_text(&schedule_lines)?;
     Ok((spec, schedule))
 }

@@ -70,6 +70,31 @@ fn a_value_that_does_not_parse_is_refused() {
     assert!(refused(&["fuzz", "--benchmark", "bnak"]).contains("bnak"));
 }
 
+#[test]
+fn a_count_no_run_can_use_is_refused() {
+    // These panicked in `build_model` or the topology (exit 101), or, with
+    // no transactions, reported a violation of a run that never ran.
+    assert!(refused(&["check", "--nodes", "0"]).contains("--nodes 0"));
+    assert!(refused(&["check", "--nodes", "1"]).contains("--nodes 1"));
+    assert!(refused(&["check", "--objects", "0"]).contains("--objects 0"));
+    assert!(refused(&["fuzz", "--nodes", "0"]).contains("--nodes 0"));
+    assert!(refused(&["fuzz", "--nodes", "16777217"]).contains("--nodes 16777217"));
+    assert!(refused(&["fuzz", "--txns", "0"]).contains("--txns 0"));
+    // A reproducer is held to the same counts as the flags.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (name, count) in [
+        ("no-nodes", "nodes 0"),
+        ("too-many-nodes", "nodes 3000000000"),
+        ("no-txns", "txns 0"),
+    ] {
+        let path = dir.join(format!("{name}.txt"));
+        std::fs::write(&path, format!("benchmark bank\n{count}\nseed 7\n"))
+            .expect("reproducer written");
+        let line = refused(&["replay", path.to_str().expect("utf-8 path")]);
+        assert!(line.contains(count), "{line}");
+    }
+}
+
 /// The flag sets of CI's `verify-smoke` job, at sizes a debug binary runs in
 /// seconds where a size flag exists.
 #[test]

@@ -15,7 +15,7 @@
 
 mod common;
 
-use closed_nesting_dstm::harness::runner::{run_cell_traced, Cell, TopologySpec};
+use closed_nesting_dstm::harness::runner::{build_system, run_cell_traced, Cell, TopologySpec};
 use closed_nesting_dstm::prelude::*;
 use common::{outcome_line, run_traced_on, ModelQueue};
 use dstm_net::Topology;
@@ -93,6 +93,32 @@ fn refactored_layouts_match_pre_refactor_goldens() {
         assert_eq!(name, *gname, "golden table order changed");
         let got = digest(cell);
         assert_eq!(got, *want, "layout changed simulated behaviour in {name}");
+    }
+}
+
+/// A node keeps a slot only for what it holds. After a 160-node hashed
+/// Bank run, with and without the read cache, every slot the object index
+/// names owns or caches its object and every other slot is on the free
+/// list (`Node::local_invariants` checks both) — where a node used to keep
+/// a slot for every object it had ever touched.
+#[test]
+fn a_node_keeps_slots_only_for_what_it_holds() {
+    for cache in [false, true] {
+        let cell = Cell::new(Benchmark::Bank, SchedulerKind::Rts, 160, 0.9)
+            .with_txns(4)
+            .with_topology(TopologySpec::HashedRandom {
+                min_ms: 1,
+                max_ms: 50,
+            })
+            .with_cache(cache);
+        let mut system = build_system(&cell);
+        system.run_default();
+        assert!(system.all_done(), "cell stalled, cache {cache}");
+        let mut broken = Vec::new();
+        for node in system.world().actors() {
+            node.local_invariants(&mut broken);
+        }
+        assert_eq!(broken, Vec::<String>::new(), "cache {cache}");
     }
 }
 
