@@ -50,13 +50,15 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
     }
 
     let mut programs: Vec<Vec<BoxedProgram>> = Vec::with_capacity(p.nodes);
+    // One script buffer for the whole workload: each program copies it
+    // into an op list of its final length.
+    let mut ops: Vec<ScriptOp> = Vec::new();
     for node in 0..p.nodes {
         let mut rng = p.node_rng(node);
         let mut queue: Vec<BoxedProgram> = Vec::with_capacity(p.txns_per_node);
         for _ in 0..p.txns_per_node {
             let nested = p.sample_nested_ops(&mut rng);
-            // Up to 10 ops per nested transfer plus the parent-level trailer.
-            let mut ops = Vec::with_capacity(nested * 10 + 3);
+            ops.clear();
             if p.sample_read_only(&mut rng) {
                 for _ in 0..nested {
                     let a = account_oid(rng.below(accounts));
@@ -67,7 +69,7 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
                 }
                 // Parent-level read of the branch log at the end.
                 ops.push(ScriptOp::Read(log_oid(rng.below(log_count(p)))));
-                queue.push(Box::new(ScriptProgram::new(KIND_AUDIT, ops)));
+                queue.push(Box::new(ScriptProgram::new(KIND_AUDIT, &ops[..])));
             } else {
                 for _ in 0..nested {
                     let a = rng.below(accounts);
@@ -91,7 +93,7 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
                 let log = log_oid(rng.below(log_count(p)));
                 ops.push(ScriptOp::Write(log));
                 ops.push(ScriptOp::AddScalar(log, 1));
-                queue.push(Box::new(ScriptProgram::new(KIND_TRANSFER, ops)));
+                queue.push(Box::new(ScriptProgram::new(KIND_TRANSFER, &ops[..])));
             }
         }
         programs.push(queue);

@@ -135,7 +135,7 @@ pub struct BstProgram {
 impl BstProgram {
     pub fn new(
         kind: TxKind,
-        ops: Vec<BstOp>,
+        ops: impl Into<Arc<[BstOp]>>,
         invoking_node: usize,
         pool_size: u64,
         compute: SimDuration,
@@ -491,7 +491,8 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
             } else {
                 KIND_BST_WRITER
             };
-            let ops: Vec<BstOp> = (0..nested)
+            // Collected straight into the shared list: one allocation.
+            let ops: Arc<[BstOp]> = (0..nested)
                 .map(|_| {
                     let v = 1 + rng.below(value_space) as i64;
                     if read_only {
@@ -506,7 +507,7 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
             let summary = ObjectId(SUMMARY_BASE + rng.below(summary_count));
             let delta = if read_only { None } else { Some(1) };
             queue.push(Box::new(WithTrailer::new(
-                Box::new(BstProgram::new(kind, ops, node, pool_size, p.compute)),
+                BstProgram::new(kind, ops, node, pool_size, p.compute),
                 summary,
                 delta,
             )));

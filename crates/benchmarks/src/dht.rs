@@ -76,7 +76,12 @@ pub struct DhtProgram {
 }
 
 impl DhtProgram {
-    pub fn new(kind: TxKind, ops: Vec<DhtOp>, buckets: u64, compute: SimDuration) -> Self {
+    pub fn new(
+        kind: TxKind,
+        ops: impl Into<Arc<[DhtOp]>>,
+        buckets: u64,
+        compute: SimDuration,
+    ) -> Self {
         DhtProgram {
             kind,
             ops: ops.into(),
@@ -195,7 +200,8 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
             } else {
                 KIND_DHT_WRITER
             };
-            let ops: Vec<DhtOp> = (0..nested)
+            // Collected straight into the shared list: one allocation.
+            let ops: Arc<[DhtOp]> = (0..nested)
                 .map(|_| {
                     let k = rng.below(key_space);
                     if read_only {
@@ -208,7 +214,7 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
             let summary = ObjectId(SUMMARY_BASE + rng.below(summary_count));
             let delta = if read_only { None } else { Some(1) };
             queue.push(Box::new(WithTrailer::new(
-                Box::new(DhtProgram::new(kind, ops, buckets, p.compute)),
+                DhtProgram::new(kind, ops, buckets, p.compute),
                 summary,
                 delta,
             )));

@@ -141,7 +141,7 @@ pub struct ListProgram {
 impl ListProgram {
     pub fn new(
         kind: TxKind,
-        ops: Vec<ListOp>,
+        ops: impl Into<Arc<[ListOp]>>,
         invoking_node: usize,
         pool_size: u64,
         compute: SimDuration,
@@ -415,7 +415,8 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
             } else {
                 KIND_LL_WRITER
             };
-            let ops: Vec<ListOp> = (0..nested)
+            // Collected straight into the shared list: one allocation.
+            let ops: Arc<[ListOp]> = (0..nested)
                 .map(|_| {
                     let v = 1 + rng.below(value_space as u64) as i64;
                     if read_only {
@@ -430,7 +431,7 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
             let summary = ObjectId(SUMMARY_BASE + rng.below(summary_count));
             let delta = if read_only { None } else { Some(1) };
             queue.push(Box::new(WithTrailer::new(
-                Box::new(ListProgram::new(kind, ops, node, pool_size, p.compute)),
+                ListProgram::new(kind, ops, node, pool_size, p.compute),
                 summary,
                 delta,
             )));

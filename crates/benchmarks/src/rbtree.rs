@@ -21,8 +21,7 @@ use hyflow_dstm::program::{
     AccessMode, ProgramCheckpoint, StepInput, StepOutput, TxProgram, WithTrailer,
 };
 use hyflow_dstm::{BoxedProgram, Payload, WorkloadSource};
-use rts_core::{ObjectId, TxKind};
-use std::collections::HashMap;
+use rts_core::{FxHashMap, ObjectId, TxKind};
 use std::sync::Arc;
 
 pub const KIND_RB_READER: TxKind = TxKind(50);
@@ -147,9 +146,9 @@ pub struct RbProgram {
     st: St,
     cur: Option<ObjectId>,
     // Local model of the subtree seen so far.
-    nodes: HashMap<ObjectId, Tn>,
-    baseline: HashMap<ObjectId, Tn>,
-    parent: HashMap<ObjectId, ObjectId>,
+    nodes: FxHashMap<ObjectId, Tn>,
+    baseline: FxHashMap<ObjectId, Tn>,
+    parent: FxHashMap<ObjectId, ObjectId>,
     root: Option<ObjectId>,
     baseline_root: Option<ObjectId>,
     /// Node the fixup is currently repairing.
@@ -163,7 +162,7 @@ pub struct RbProgram {
 impl RbProgram {
     pub fn new(
         kind: TxKind,
-        ops: Vec<RbOp>,
+        ops: impl Into<Arc<[RbOp]>>,
         invoking_node: usize,
         pool_size: u64,
         compute: SimDuration,
@@ -178,9 +177,9 @@ impl RbProgram {
             op_idx: 0,
             st: St::NextOp,
             cur: None,
-            nodes: HashMap::new(),
-            baseline: HashMap::new(),
-            parent: HashMap::new(),
+            nodes: FxHashMap::default(),
+            baseline: FxHashMap::default(),
+            parent: FxHashMap::default(),
             root: None,
             baseline_root: None,
             fix: None,
@@ -345,7 +344,7 @@ impl RbProgram {
                 writes.push((*oid, tn.payload()));
             }
         }
-        // Deterministic order (HashMap iteration is not).
+        // Object order, not the map's: the writes reach the simulation.
         writes.sort_by_key(|(oid, _)| *oid);
         if self.root != self.baseline_root {
             writes.push((ROOT, Payload::Ptr(self.root)));
@@ -626,7 +625,8 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
             } else {
                 KIND_RB_WRITER
             };
-            let ops: Vec<RbOp> = (0..nested)
+            // Collected straight into the shared list: one allocation.
+            let ops: Arc<[RbOp]> = (0..nested)
                 .map(|_| {
                     let v = 1 + rng.below(value_space) as i64;
                     if read_only {
@@ -639,7 +639,7 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
             let summary = ObjectId(SUMMARY_BASE + rng.below(summary_count));
             let delta = if read_only { None } else { Some(1) };
             queue.push(Box::new(WithTrailer::new(
-                Box::new(RbProgram::new(kind, ops, node, pool_size, p.compute)),
+                RbProgram::new(kind, ops, node, pool_size, p.compute),
                 summary,
                 delta,
             )));
@@ -712,6 +712,7 @@ pub fn check_rb(state: &std::collections::HashMap<ObjectId, (Payload, u64)>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn drive(prog: &mut RbProgram, store: &mut HashMap<ObjectId, Payload>) {
         let mut value: Option<Payload> = None;

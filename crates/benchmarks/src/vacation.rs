@@ -71,13 +71,15 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
     }
 
     let mut programs: Vec<Vec<BoxedProgram>> = Vec::with_capacity(p.nodes);
+    // One script buffer for the whole workload: each program copies it
+    // into an op list of its final length.
+    let mut ops: Vec<ScriptOp> = Vec::new();
     for node in 0..p.nodes {
         let mut rng = p.node_rng(node);
         let mut queue: Vec<BoxedProgram> = Vec::with_capacity(p.txns_per_node);
         for _ in 0..p.txns_per_node {
             let nested = p.sample_nested_ops(&mut rng);
-            // 4-5 ops per nested booking plus the parent-level trailer.
-            let mut ops = Vec::with_capacity(nested * 5 + 3);
+            ops.clear();
             if p.sample_read_only(&mut rng) {
                 for _ in 0..nested {
                     let cat = rng.below(3);
@@ -90,7 +92,7 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
                 // Parent-level read of the customer's record at the end.
                 let cust = layout.customer_oid(rng.below(layout.customers));
                 ops.push(ScriptOp::Read(cust));
-                queue.push(Box::new(ScriptProgram::new(KIND_QUERY, ops)));
+                queue.push(Box::new(ScriptProgram::new(KIND_QUERY, &ops[..])));
             } else {
                 // 80% reservations, 20% cancellations.
                 let cancel = rng.chance(0.2);
@@ -117,7 +119,7 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
                 ops.push(ScriptOp::Write(cust));
                 ops.push(ScriptOp::AddScalar(cust, -delta * booked * ITEM_PRICE));
                 ops.push(ScriptOp::Compute(p.compute));
-                queue.push(Box::new(ScriptProgram::new(kind, ops)));
+                queue.push(Box::new(ScriptProgram::new(kind, &ops[..])));
             }
         }
         programs.push(queue);

@@ -3,10 +3,11 @@
 //! Behind the `bench-alloc` feature this module installs a counting
 //! [`GlobalAlloc`] that wraps the system allocator with three relaxed
 //! atomics: total allocation count, current live bytes, and peak live
-//! bytes. The guard tests (`tests/hotpath_alloc.rs`, `mailbox_alloc.rs`,
+//! bytes. The guard tests (`tests/hotpath_alloc.rs`, `generate_alloc.rs`,
 //! `trace_codec_alloc.rs`) reset the counters around a fixed run and pin
-//! the allocator calls it makes, turning "steady-state event handling
-//! allocates (almost) nothing" from a claim into a checked number.
+//! the allocator calls it makes (and, for generated workloads, the bytes
+//! they keep), turning "steady-state event handling allocates (almost)
+//! nothing" from a claim into a checked number.
 //!
 //! With the feature off every probe compiles to zeros and no allocator is
 //! installed, so the default build's timings are untouched.
@@ -67,6 +68,10 @@ mod imp {
     pub fn peak_bytes() -> usize {
         PEAK.load(Relaxed)
     }
+
+    pub fn live_bytes() -> usize {
+        CURRENT.load(Relaxed)
+    }
 }
 
 /// Whether the counting allocator is compiled in.
@@ -98,6 +103,15 @@ pub fn snapshot() -> (u64, usize) {
     return (imp::allocs(), imp::peak_bytes());
     #[cfg(not(feature = "bench-alloc"))]
     (0, 0)
+}
+
+/// Bytes allocated and not yet freed, process-wide, counted from the first
+/// allocation (never reset). Zero without `bench-alloc`.
+pub fn live_bytes() -> usize {
+    #[cfg(feature = "bench-alloc")]
+    return imp::live_bytes();
+    #[cfg(not(feature = "bench-alloc"))]
+    0
 }
 
 #[cfg(all(test, feature = "bench-alloc"))]

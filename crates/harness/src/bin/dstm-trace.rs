@@ -28,7 +28,9 @@
 //! An argument starting with `--` that the subcommand does not take, a flag
 //! value that does not parse, and a positional argument the subcommand has
 //! no place for each print the usage text on stderr and exit with status 2
-//! before any file is read or written.
+//! before any file is read or written. `chrome` and `jsonl` likewise refuse,
+//! with one line on stderr and status 2, an output path that resolves to the
+//! input trace: writing it would destroy the trace it was converted from.
 
 use dstm_harness::traceio::{analyze, audit, to_chrome_trace, trace_stats};
 use hyflow_dstm::TraceLog;
@@ -52,6 +54,10 @@ fn convert(
         || format!("{}{default_ext}", path.trim_end_matches(".jsonl")),
         str::to_string,
     );
+    if same_file(path, &out_path) {
+        eprintln!("refusing to write {out_path}: it is the input trace {path}");
+        return ExitCode::from(2);
+    }
     let written = load(path).and_then(|log| {
         std::fs::write(&out_path, render(&log)).map_err(|e| format!("cannot write {out_path}: {e}"))
     });
@@ -64,6 +70,14 @@ fn convert(
             eprintln!("{e}");
             ExitCode::from(2)
         }
+    }
+}
+
+/// Whether `a` and `b` resolve to one existing file.
+fn same_file(a: &str, b: &str) -> bool {
+    match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
+        (Ok(a), Ok(b)) => a == b,
+        _ => false,
     }
 }
 

@@ -1,0 +1,88 @@
+//! Allocation guard for workload generation.
+//!
+//! Every node's transactions are generated before a run starts and live
+//! until it ends, so what one pre-generated program costs is paid
+//! `nodes × txns_per_node` times, in set-up time and in peak memory. A
+//! program is one box plus one shared op list of its final length: two
+//! allocator calls. This test pins that, per benchmark, at 1000 nodes × 10
+//! transactions, plus the bytes a Bank or Vacation program keeps — both
+//! are mostly script ops, so a wider op shows up here first.
+//!
+//! Only meaningful with the counting allocator installed; without the
+//! feature the probes read zero and the test would pass vacuously, so it is
+//! compiled out entirely. One test per binary: the counters are global.
+#![cfg(feature = "bench-alloc")]
+
+use dstm_benchmarks::{Benchmark, WorkloadParams};
+use dstm_harness::alloc_counter;
+
+const NODES: usize = 1000;
+const TXNS_PER_NODE: usize = 10;
+const PROGRAMS: u64 = (NODES * TXNS_PER_NODE) as u64;
+
+/// Allocator calls generation may make per program: the program's box and
+/// its op list (3 for a script and 4 for a wrapped program while every op
+/// list was built in a `Vec` and copied, and the wrapper boxed its inner
+/// program separately).
+const ALLOCS_PER_PROGRAM: u64 = 2;
+
+/// Allocator calls generation may make per node beyond that: the node's
+/// program queue, and slack for the object list and pool growth.
+const ALLOCS_PER_NODE: u64 = 2;
+
+/// Bytes a generated program may keep, counting its queue slot, where the
+/// bound is tight enough to catch a wider script op: Bank 945 and Vacation
+/// 691 at 56-byte ops; 447 and 338 at 24.
+const BYTES_PER_PROGRAM: [(Benchmark, usize); 2] =
+    [(Benchmark::Bank, 600), (Benchmark::Vacation, 450)];
+
+/// The shape of a `scale_1k` cell: half the parents read-only.
+fn params() -> WorkloadParams {
+    WorkloadParams {
+        nodes: NODES,
+        txns_per_node: TXNS_PER_NODE,
+        read_ratio: 0.5,
+        ..WorkloadParams::default()
+    }
+}
+
+/// `(allocator calls, bytes the programs keep)` of generating `benchmark`.
+fn generation_cost(benchmark: Benchmark) -> (u64, usize) {
+    alloc_counter::reset();
+    let workload = benchmark.generate(&params());
+    let allocs = alloc_counter::snapshot().0;
+    assert_eq!(workload.programs.len(), NODES);
+    let with_programs = alloc_counter::live_bytes();
+    drop(workload.programs);
+    (allocs, with_programs - alloc_counter::live_bytes())
+}
+
+#[test]
+fn a_generated_program_is_one_box_and_one_op_list() {
+    assert!(alloc_counter::enabled());
+
+    for benchmark in Benchmark::ALL {
+        let (allocs, kept) = generation_cost(benchmark);
+        println!(
+            "{}: {allocs} allocator calls ({:.2} per program), {} B kept per program",
+            benchmark.label(),
+            allocs as f64 / PROGRAMS as f64,
+            kept as u64 / PROGRAMS,
+        );
+        let bound = ALLOCS_PER_PROGRAM * PROGRAMS + ALLOCS_PER_NODE * NODES as u64;
+        assert!(
+            allocs <= bound,
+            "{}: generation made {allocs} allocator calls (bound {bound}): \
+             a program costs more than its box and its op list",
+            benchmark.label()
+        );
+        if let Some(&(_, bytes)) = BYTES_PER_PROGRAM.iter().find(|(b, _)| *b == benchmark) {
+            let per_program = kept / PROGRAMS as usize;
+            assert!(
+                per_program <= bytes,
+                "{}: {per_program} B kept per generated program (bound {bytes})",
+                benchmark.label()
+            );
+        }
+    }
+}

@@ -81,6 +81,37 @@ fn chrome_and_jsonl_refuse_an_argument_past_the_output_path() {
     }
 }
 
+/// Converting a trace onto itself used to replace it with the output:
+/// Chrome JSON that `audit` can no longer read, or the canonical form minus
+/// every key the reader does not know. The output path is now refused,
+/// however it is spelled, before anything is written.
+#[test]
+fn chrome_and_jsonl_refuse_to_overwrite_their_input() {
+    let good = recorded("self.jsonl");
+    let before = std::fs::read(&good).expect("read trace");
+    let path = Path::new(&good);
+    let dotted = path
+        .parent()
+        .unwrap()
+        .join(".")
+        .join(path.file_name().unwrap());
+    for cmd in ["chrome", "jsonl"] {
+        for out in [good.as_str(), dotted.to_str().unwrap()] {
+            let run = trace_tool(&[cmd, &good, out]);
+            assert_eq!(run.status.code(), Some(2), "{cmd} {out}: {run:?}");
+            assert!(run.stdout.is_empty(), "{cmd} {out}: {run:?}");
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(stderr.lines().count(), 1, "{cmd} {out}: {stderr}");
+            assert!(stderr.contains("input"), "{cmd} {out}: {stderr}");
+            assert!(
+                std::fs::read(&good).expect("read trace") == before,
+                "{cmd} {out} changed its input"
+            );
+        }
+    }
+    assert!(trace_tool(&["audit", &good]).status.success());
+}
+
 /// `demo` wrote what `dstm-sweep scenario rts 6 2 --trace` writes; it is gone.
 #[test]
 fn demo_is_not_a_subcommand() {

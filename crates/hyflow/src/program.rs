@@ -29,6 +29,7 @@
 use crate::object::Payload;
 use dstm_sim::SimDuration;
 use rts_core::{ObjectId, TxKind};
+use std::sync::Arc;
 
 /// Read or write intent for an object acquisition. In TFA both return a
 /// copy optimistically; write intent additionally puts the object in the
@@ -181,23 +182,23 @@ impl From<BoxedProgram> for ProgramSnapshot {
 // Script programs: a straight-line DSL used by unit tests and scenarios
 // ---------------------------------------------------------------------------
 
-/// One scripted operation (see [`ScriptProgram`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One scripted operation (see [`ScriptProgram`]): a plain 24-byte `Copy`
+/// value — an object id and a scalar at most — so a script is one flat
+/// array and a step copies its op out of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScriptOp {
     Read(ObjectId),
     Write(ObjectId),
     /// Add `delta` to a previously acquired `Scalar` object.
     AddScalar(ObjectId, i64),
-    /// Overwrite a previously write-acquired object.
-    Set(ObjectId, Payload),
     Compute(SimDuration),
     OpenNested(TxKind),
     CloseNested,
 }
 
 /// A transaction that replays a fixed list of operations — data-independent,
-/// which is exactly what the scripted scenario reproductions (Figs. 2–3) and
-/// many unit tests need.
+/// which is exactly what the scripted scenario reproductions (Figs. 2–3),
+/// Bank, Vacation and many unit tests need.
 ///
 /// The op list is immutable after construction and shared behind an `Arc`,
 /// so a `clone_box` copies a pointer, not the script. Only the cursor (`pc`)
@@ -205,14 +206,18 @@ pub enum ScriptOp {
 #[derive(Clone, Debug)]
 pub struct ScriptProgram {
     kind: TxKind,
-    ops: std::sync::Arc<[ScriptOp]>,
+    ops: Arc<[ScriptOp]>,
     pc: usize,
     /// Last value read (used by `AddScalar`).
     last_scalar: i64,
 }
 
 impl ScriptProgram {
-    pub fn new(kind: TxKind, ops: Vec<ScriptOp>) -> Self {
+    /// A program over `ops`: an `Arc<[ScriptOp]>` is shared as is; a slice
+    /// or a `Vec` is copied into one allocation of its final length, so a
+    /// generator that builds many scripts reuses one buffer and passes it
+    /// as a slice.
+    pub fn new(kind: TxKind, ops: impl Into<Arc<[ScriptOp]>>) -> Self {
         ScriptProgram {
             kind,
             ops: ops.into(),
@@ -231,9 +236,8 @@ impl TxProgram for ScriptProgram {
         if let StepInput::Value(Payload::Scalar(v)) = input {
             self.last_scalar = *v;
         }
-        let op = match self.ops.get(self.pc) {
-            None => return StepOutput::Finish,
-            Some(op) => op.clone(),
+        let Some(&op) = self.ops.get(self.pc) else {
+            return StepOutput::Finish;
         };
         self.pc += 1;
         match op {
@@ -242,7 +246,6 @@ impl TxProgram for ScriptProgram {
             ScriptOp::AddScalar(oid, delta) => {
                 StepOutput::WriteLocal(oid, Payload::Scalar(self.last_scalar + delta))
             }
-            ScriptOp::Set(oid, payload) => StepOutput::WriteLocal(oid, payload),
             ScriptOp::Compute(d) => StepOutput::Compute(d),
             ScriptOp::OpenNested(kind) => StepOutput::OpenNested(kind),
             ScriptOp::CloseNested => StepOutput::CloseNested,
@@ -282,9 +285,12 @@ impl TxProgram for ScriptProgram {
 /// *after* its nested `T1-1` commits): a conflict on the trailing access
 /// puts the whole parent — and every committed child — at stake, which is
 /// exactly the situation RTS's enqueue-instead-of-abort protects.
+///
+/// Generic over the program it wraps, which it holds inline: a wrapped
+/// program is one box, and a step is one dynamic call.
 #[derive(Clone)]
-pub struct WithTrailer {
-    inner: BoxedProgram,
+pub struct WithTrailer<P> {
+    inner: P,
     oid: ObjectId,
     /// `Some(delta)` increments the scalar (write access); `None` reads.
     delta: Option<i64>,
@@ -300,8 +306,8 @@ enum TrailerSt {
     Done,
 }
 
-impl WithTrailer {
-    pub fn new(inner: BoxedProgram, oid: ObjectId, delta: Option<i64>) -> Self {
+impl<P> WithTrailer<P> {
+    pub fn new(inner: P, oid: ObjectId, delta: Option<i64>) -> Self {
         WithTrailer {
             inner,
             oid,
@@ -312,7 +318,7 @@ impl WithTrailer {
     }
 }
 
-impl TxProgram for WithTrailer {
+impl<P: TxProgram + Clone + 'static> TxProgram for WithTrailer<P> {
     fn kind(&self) -> TxKind {
         self.inner.kind()
     }
@@ -396,6 +402,20 @@ pub fn nested_increments(kind: TxKind, child_kind: TxKind, oids: &[ObjectId]) ->
 mod tests {
     use super::*;
 
+    // A script op stays a plain value: copied out of its shared array on
+    // every step, never cloned.
+    const _: fn() = || {
+        fn copy<T: Copy>() {}
+        copy::<ScriptOp>();
+    };
+
+    #[test]
+    fn a_script_op_is_24_bytes() {
+        // Tag plus `AddScalar`'s object id and delta: a pre-generated Bank
+        // or Vacation program is mostly these.
+        assert_eq!(std::mem::size_of::<ScriptOp>(), 24);
+    }
+
     #[test]
     fn script_replays_ops_in_order() {
         let mut p = ScriptProgram::new(
@@ -454,7 +474,7 @@ mod tests {
                 ScriptOp::CloseNested,
             ],
         );
-        let mut p = WithTrailer::new(Box::new(inner), ObjectId(9), Some(2));
+        let mut p = WithTrailer::new(inner, ObjectId(9), Some(2));
         assert_eq!(p.step(StepInput::Begin), StepOutput::OpenNested(TxKind(2)));
         assert_eq!(
             p.step(StepInput::Ack),
@@ -479,7 +499,7 @@ mod tests {
     #[test]
     fn trailer_read_only() {
         let inner = ScriptProgram::new(TxKind(1), vec![]);
-        let mut p = WithTrailer::new(Box::new(inner), ObjectId(9), None);
+        let mut p = WithTrailer::new(inner, ObjectId(9), None);
         assert_eq!(
             p.step(StepInput::Begin),
             StepOutput::Acquire(ObjectId(9), AccessMode::Read)

@@ -313,11 +313,7 @@ fn contended_cell(wrap: fn(BoxedProgram) -> BoxedProgram) -> (RunMetrics, Vec<(O
             ]);
         }
         let script = ScriptProgram::new(TxKind(1), ops);
-        wrap(Box::new(WithTrailer::new(
-            Box::new(script),
-            ObjectId(4),
-            Some(1),
-        )))
+        wrap(Box::new(WithTrailer::new(script, ObjectId(4), Some(1))))
     };
     let programs: Vec<Vec<BoxedProgram>> = (0..nodes)
         .map(|n| {
