@@ -49,8 +49,33 @@ impl SchedulerKind {
         }
     }
 
+    /// The command-line and reproducer spelling: lowercase, no `+`.
+    pub fn name(self) -> &'static str {
+        match self {
+            SchedulerKind::Tfa => "tfa",
+            SchedulerKind::TfaBackoff => "backoff",
+            SchedulerKind::Rts => "rts",
+            SchedulerKind::Ats => "ats",
+            SchedulerKind::BiInterval => "bi-interval",
+        }
+    }
+
+    /// A scheduler named on a command line or in a reproducer, in any case:
+    /// its [`name`](Self::name), its [`label`](Self::label), or one of the
+    /// short forms `tfa-backoff`, `tfab` and `biinterval`.
+    pub fn from_name(s: &str) -> Option<Self> {
+        match s.to_ascii_lowercase().as_str() {
+            "tfa" => Some(SchedulerKind::Tfa),
+            "backoff" | "tfa+backoff" | "tfa-backoff" | "tfab" => Some(SchedulerKind::TfaBackoff),
+            "rts" => Some(SchedulerKind::Rts),
+            "ats" => Some(SchedulerKind::Ats),
+            "bi-interval" | "biinterval" => Some(SchedulerKind::BiInterval),
+            _ => None,
+        }
+    }
+
     /// The inverse of [`label`](Self::label) (how traces name a run's
-    /// scheduler).
+    /// scheduler). Exact: a trace is read back, not typed.
     pub fn from_label(s: &str) -> Option<Self> {
         match s {
             "TFA" => Some(SchedulerKind::Tfa),
@@ -288,6 +313,40 @@ pub fn build_policy(
 mod tests {
     use super::*;
     use crate::ids::TxId;
+
+    #[test]
+    fn every_spelling_a_tool_accepted_names_one_kind() {
+        use SchedulerKind::*;
+        // What `dstm-sweep scenario` read, then what `dstm-verify` read, each
+        // with the kind that tool gave it; both read them in any case.
+        let table = [
+            ("rts", Rts),
+            ("tfa", Tfa),
+            ("tfa-backoff", TfaBackoff),
+            ("tfab", TfaBackoff),
+            ("backoff", TfaBackoff),
+            ("tfa+backoff", TfaBackoff),
+            ("ats", Ats),
+            ("bi-interval", BiInterval),
+            ("biinterval", BiInterval),
+        ];
+        for (spelling, kind) in table {
+            for s in [spelling.to_string(), spelling.to_ascii_uppercase()] {
+                assert_eq!(SchedulerKind::from_name(&s), Some(kind), "{s}");
+            }
+        }
+        for kind in [Tfa, TfaBackoff, Rts, Ats, BiInterval] {
+            assert_eq!(SchedulerKind::from_name(kind.name()), Some(kind));
+            assert_eq!(SchedulerKind::from_name(kind.label()), Some(kind));
+            assert_eq!(SchedulerKind::from_label(kind.label()), Some(kind));
+        }
+        assert_eq!(SchedulerKind::from_name("bogus"), None);
+        assert_eq!(
+            SchedulerKind::from_label("rts"),
+            None,
+            "trace labels stay exact"
+        );
+    }
 
     fn t(ms: u64) -> SimTime {
         SimTime(ms * 1_000_000)

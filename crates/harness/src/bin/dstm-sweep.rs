@@ -3,7 +3,7 @@
 //! ```text
 //! dstm-sweep [nodes] [txns_per_node] [benchmark] [--hist-out out.json]
 //!            [--telemetry] [--epoch-ns N] [--cache]
-//! dstm-sweep scenario [rts|tfa|tfa-backoff] [writers] [readers]
+//! dstm-sweep scenario [rts|tfa|backoff|ats|bi-interval] [writers] [readers]
 //! dstm-sweep large-smoke [nodes] [--cache]
 //! ```
 //!
@@ -158,15 +158,6 @@ fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
-fn scheduler_from_name(s: &str) -> Option<SchedulerKind> {
-    match s.to_ascii_lowercase().as_str() {
-        "rts" => Some(SchedulerKind::Rts),
-        "tfa" => Some(SchedulerKind::Tfa),
-        "tfa-backoff" | "tfab" => Some(SchedulerKind::TfaBackoff),
-        _ => None,
-    }
-}
-
 /// A node count a run can hold: at least one node, and no more than the
 /// kernel's event keys can name.
 fn node_count(s: &str) -> Option<usize> {
@@ -245,8 +236,8 @@ fn scenario_mode(args: &[String], trace_path: Option<&str>) -> Result<(), String
     let scheduler = positional(
         args,
         0,
-        "scheduler (rts|tfa|tfa-backoff)",
-        scheduler_from_name,
+        "scheduler (rts|tfa|backoff|ats|bi-interval)",
+        SchedulerKind::from_name,
         SchedulerKind::Rts,
     )?;
     let writers: usize = positional(args, 1, "writers", number, 6)?;

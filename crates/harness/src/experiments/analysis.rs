@@ -36,7 +36,6 @@ fn worst_case_makespan(topo: &Topology, oid: ObjectId, scheduler: SchedulerKind)
     let cfg = DstmConfig {
         scheduler,
         concurrency_per_node: 1,
-        txns_per_node: 1,
         ..DstmConfig::default()
     };
     let programs: Vec<Vec<BoxedProgram>> = (0..n)

@@ -64,7 +64,6 @@ fn run_collision_inner(
     let cfg = DstmConfig {
         scheduler,
         concurrency_per_node: 1,
-        txns_per_node: 1,
         trace_protocol: trace,
         ..DstmConfig::default()
     };

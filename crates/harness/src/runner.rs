@@ -219,7 +219,6 @@ pub fn build_system_with_queue<Q: EventQueue<NodeEvent>>(cell: &Cell, queue: Q) 
     };
     let mut dstm = cell.dstm.clone();
     dstm.scheduler = cell.scheduler;
-    dstm.txns_per_node = cell.params.txns_per_node;
     let workload = cell.benchmark.generate(&cell.params);
     SystemBuilder::new(topo, dstm)
         .seed(cell.sim_seed ^ 0xA5A5_5A5A)

@@ -15,7 +15,7 @@
 //! * [`trace_stats`] — a quick textual census of the log.
 
 use hyflow_dstm::trace::{push_u64, size_class};
-use hyflow_dstm::{ProtoEvent, TraceLog, Verdict};
+use hyflow_dstm::{ProtoEvent, TraceLog, TraceRecord, Verdict};
 use rts_core::{FxHashMap, FxHashSet, ObjectId, TxId};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -88,6 +88,11 @@ impl AuditReport {
 /// by a scheduler decision that *enqueued* that same `(tx, attempt)` — a
 /// timeout without an enqueue means a deadline timer fired for a requester
 /// the owner never parked.
+///
+/// A log may hold several runs, one after another (concatenated traces):
+/// each is audited on its own and the counts summed. A run ends at its
+/// `RunSummary`, and a `RunInfo` starts a new one; when there is more than
+/// one, each violation names its run, counting from 1.
 pub fn audit(log: &TraceLog) -> AuditReport {
     let mut report = AuditReport::default();
 
@@ -113,11 +118,47 @@ pub fn audit(log: &TraceLog) -> AuditReport {
         );
         return report;
     }
+    let runs = runs(&log.records);
+    for (k, run) in runs.iter().enumerate() {
+        let before = report.violations.len();
+        audit_run(run, &mut report);
+        if runs.len() > 1 {
+            for v in &mut report.violations[before..] {
+                *v = format!("run {}: {v}", k + 1);
+            }
+        }
+    }
+    report
+}
 
+/// The runs `records` holds: each ends at its `RunSummary`, and a `RunInfo`
+/// starts a new one. A log without either is one run.
+fn runs(records: &[TraceRecord]) -> Vec<&[TraceRecord]> {
+    let mut runs = Vec::new();
+    let mut start = 0;
+    for (i, r) in records.iter().enumerate() {
+        let end = match r.ev {
+            ProtoEvent::RunInfo { .. } => i,
+            ProtoEvent::RunSummary { .. } => i + 1,
+            _ => continue,
+        };
+        if end > start {
+            runs.push(&records[start..end]);
+            start = end;
+        }
+    }
+    if start < records.len() {
+        runs.push(&records[start..]);
+    }
+    runs
+}
+
+/// [`audit`] one run, adding its counts and violations to `report`.
+fn audit_run(records: &[TraceRecord], report: &mut AuditReport) {
     // Pass 1: per-object install history, in record order (the log is
     // time-ordered), then indexed for the read windows.
     let mut installs: FxHashMap<ObjectId, Vec<Install>> = FxHashMap::default();
-    for r in &log.records {
+    for r in records {
         if let ProtoEvent::TxCommit { writes, .. } = &r.ev {
             for &(oid, _expect, new) in writes {
                 installs.entry(oid).or_default().push(Install {
@@ -140,7 +181,7 @@ pub fn audit(log: &TraceLog) -> AuditReport {
     let mut enqueued: FxHashSet<(TxId, u32)> = FxHashSet::default();
     let mut spans = SpanTotals::default();
 
-    for r in &log.records {
+    for r in records {
         match &r.ev {
             ProtoEvent::TxCommit {
                 tx,
@@ -261,7 +302,6 @@ pub fn audit(log: &TraceLog) -> AuditReport {
             _ => {}
         }
     }
-    report
 }
 
 /// One recorded install of an object version, for [`read_window`].

@@ -62,6 +62,23 @@ fn an_unknown_scenario_scheduler_is_refused() {
 }
 
 #[test]
+fn a_scenario_takes_every_scheduler_spelling_dstm_verify_takes() {
+    for (spelling, label) in [("BACKOFF", "TFA+Backoff"), ("tfa+backoff", "TFA+Backoff")] {
+        let out = sweep(
+            Path::new(env!("CARGO_TARGET_TMPDIR")),
+            &[],
+            &["scenario", spelling, "1", "0"],
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{spelling}: {out:?}");
+        assert!(
+            stdout.contains(&format!("under {label}")),
+            "{spelling}: {stdout}"
+        );
+    }
+}
+
+#[test]
 fn a_positional_argument_that_does_not_parse_is_refused() {
     assert!(refused(&["large-smoke", "abc"]).contains("abc"));
     assert!(refused(&["6", "4", "bnak"]).contains("bnak"));

@@ -66,6 +66,46 @@ fn benchmark_cell_traces_pass_audit_under_all_schedulers() {
 }
 
 #[test]
+fn concatenated_runs_are_audited_one_by_one() {
+    // The Fig. 2 and Fig. 3 traces, one file after the other: each run has
+    // its own version chains and its own `RunSummary` to reconcile with.
+    let (fig2, first) = run_collision_traced(SchedulerKind::Tfa, 6, 0);
+    let (fig3, second) = run_collision_traced(SchedulerKind::Rts, 6, 2);
+    let concatenated = |second: &TraceLog| {
+        TraceLog::parse_jsonl(&(first.to_jsonl() + &second.to_jsonl())).expect("trace must parse")
+    };
+    let report = audit(&concatenated(&second));
+    assert!(report.ok(), "violations: {:?}", report.violations);
+    assert!(report.summary_checked);
+    assert_eq!(
+        report.commits_checked as u64,
+        fig2.metrics.merged.commits + fig3.metrics.merged.commits
+    );
+
+    // A lost update in the second run is still found, and named by its run.
+    let mut planted = second.clone();
+    let last_write = planted
+        .records
+        .iter_mut()
+        .rev()
+        .find_map(|r| match &mut r.ev {
+            ProtoEvent::TxCommit { writes, .. } if !writes.is_empty() => Some(&mut writes[0]),
+            _ => None,
+        })
+        .expect("the Fig. 3 run commits writes");
+    last_write.1 = 0;
+    let report = audit(&concatenated(&planted));
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.starts_with("run 2: lost update")),
+        "violations: {:?}",
+        report.violations
+    );
+}
+
+#[test]
 fn empty_trace_fails_audit() {
     // Regression: a truncated capture or untraced run must not vacuously
     // pass (`dstm-trace audit` exits non-zero on a violating report).

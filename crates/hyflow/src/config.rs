@@ -51,8 +51,6 @@ pub struct DstmConfig {
     pub backoff_base: SimDuration,
     /// Sliding window for the owner-side local CL.
     pub cl_window: SimDuration,
-    /// Prior for expected execution time before a kind has history.
-    pub default_exec_estimate: SimDuration,
     /// Extra latency of a *granted* lock acknowledgement, modelling the
     /// paper's slow commit-time validation: "a validation in distributed
     /// systems includes global registration of object ownership, which
@@ -87,7 +85,9 @@ pub struct DstmConfig {
     pub cache: bool,
     /// Concurrent transactions each node keeps in flight.
     pub concurrency_per_node: usize,
-    /// Top-level transactions each node runs in total (the workload size).
+    /// Read by nothing — the workload size is whatever `WorkloadSource`
+    /// holds; kept only because `benchmark/src/layers.rs` assigns it; deleted
+    /// with that assignment.
     pub txns_per_node: usize,
 }
 
@@ -99,7 +99,6 @@ impl Default for DstmConfig {
             adaptive_threshold: false,
             backoff_base: SimDuration::from_millis(10),
             cl_window: SimDuration::from_millis(500),
-            default_exec_estimate: SimDuration::from_millis(60),
             validation_overhead: SimDuration::from_millis(25),
             queue_deadline_percent: 150,
             conflict_scope: ConflictScope::Child,
@@ -120,23 +119,8 @@ impl DstmConfig {
         self
     }
 
-    pub fn with_cl_threshold(mut self, t: u32) -> Self {
-        self.cl_threshold = t;
-        self
-    }
-
-    pub fn with_txns_per_node(mut self, n: usize) -> Self {
-        self.txns_per_node = n;
-        self
-    }
-
     pub fn with_concurrency(mut self, c: usize) -> Self {
         self.concurrency_per_node = c;
-        self
-    }
-
-    pub fn with_protocol_trace(mut self, on: bool) -> Self {
-        self.trace_protocol = on;
         self
     }
 
@@ -167,14 +151,14 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = DstmConfig::default()
-            .with_scheduler(SchedulerKind::Tfa)
-            .with_cl_threshold(7)
-            .with_txns_per_node(10)
-            .with_concurrency(2);
+        let c = DstmConfig {
+            cl_threshold: 7,
+            ..DstmConfig::default()
+        }
+        .with_scheduler(SchedulerKind::Tfa)
+        .with_concurrency(2);
         assert_eq!(c.scheduler, SchedulerKind::Tfa);
         assert_eq!(c.cl_threshold, 7);
-        assert_eq!(c.txns_per_node, 10);
         assert_eq!(c.concurrency_per_node, 2);
     }
 

@@ -57,7 +57,7 @@ pub mod trace;
 pub mod tx;
 
 pub use config::{ConflictScope, DstmConfig, NestingMode, QueueBackend};
-pub use message::{FetchResult, Msg, Timer};
+pub use message::{FetchReq, FetchResult, Msg, Timer};
 pub use metrics::{AbortCause, HistSummary, NestedAbortCause, NodeMetrics, RunMetrics};
 pub use node::Node;
 pub use object::{CachedCopy, OwnedObject, Payload};

@@ -4,8 +4,9 @@
 //!
 //! 1. **Fetch** (`ObjReq` → `ObjResp`, possibly forwarded along the
 //!    ownership chain): Algorithm 2's `Open_Object` / Algorithm 3's
-//!    `Retrieve_Request`. Requests carry the ETS timestamps and `myCL`;
-//!    responses carry the object or a scheduler verdict.
+//!    `Retrieve_Request`. A fetch is one [`FetchReq`] value carrying the ETS
+//!    timestamps and `myCL`, re-sent unchanged when forwarded; responses
+//!    carry the object or a scheduler verdict.
 //! 2. **Commit** (`LockReq`/`LockResp`, then `Publish`/`PublishAck` or
 //!    `Unlock`): TFA's validation — lock every written object at its owner,
 //!    check versions, then publish new versions (moving ownership to the
@@ -18,6 +19,9 @@
 //!    Algorithm 4's `Retrieve_Response`.
 //! 5. **Workload** (`StartWorkload`) — kicks off each node's transaction
 //!    supply at time zero.
+//!
+//! A request names its requester by `tx` alone: the answer goes to
+//! `tx.node`, whichever node the request was forwarded through.
 
 use crate::object::Payload;
 use crate::small::Fnv64;
@@ -62,25 +66,73 @@ pub enum FetchResult {
     },
 }
 
+/// A request for `oid` (Algorithm 2 sends "oid, txid, myCL, and ETS"):
+/// what [`Msg::ObjReq`] carries and [`Msg::VersionReq`] spreads inline.
+#[derive(Clone, Copy, Debug)]
+pub struct FetchReq {
+    pub oid: ObjectId,
+    pub tx: TxId,
+    pub attempt: u32,
+    pub mode: AccessMode,
+    pub ets: Ets,
+    pub my_cl: u32,
+    /// Whether the request was issued inside a closed-nested child. The
+    /// scheduler only adjudicates parent-level requests (§III-A: RTS acts
+    /// on "a losing parent transaction"); child-level conflicts are
+    /// ordinary closed-nesting retries.
+    pub nested: bool,
+}
+
+impl FetchReq {
+    /// The message that sends this fetch: a plain [`Msg::ObjReq`], or, for
+    /// a requester holding `cached_version`, a [`Msg::VersionReq`].
+    pub(crate) fn into_msg(self, cached_version: Option<u64>) -> Msg {
+        let Some(version) = cached_version else {
+            return Msg::ObjReq(self);
+        };
+        Msg::VersionReq {
+            oid: self.oid,
+            tx: self.tx,
+            attempt: self.attempt,
+            mode: self.mode,
+            ets: self.ets,
+            my_cl: self.my_cl,
+            nested: self.nested,
+            version,
+        }
+    }
+
+    /// The [`Msg::ObjResp`] answering this fetch with `result`.
+    pub(crate) fn answer(&self, result: FetchResult) -> Msg {
+        Msg::ObjResp {
+            oid: self.oid,
+            tx: self.tx,
+            attempt: self.attempt,
+            result,
+        }
+    }
+
+    /// The [`Msg::hash_into`] part of a fetch: everything but the ETS.
+    fn hash_into(&self, h: &mut Fnv64) {
+        h.write_u64(self.oid.0);
+        tx_into(h, &self.tx, self.attempt);
+        h.write_u8(matches!(self.mode, AccessMode::Write) as u8);
+        h.write_u64(u64::from(self.my_cl));
+        h.write_u8(u8::from(self.nested));
+    }
+}
+
+fn tx_into(h: &mut Fnv64, tx: &TxId, attempt: u32) {
+    h.write_u64(u64::from(tx.node));
+    h.write_u64(tx.seq);
+    h.write_u64(u64::from(attempt));
+}
+
 /// Protocol messages between TM proxies.
 #[derive(Clone, Debug)]
 pub enum Msg {
-    /// Request `oid` (Algorithm 2 sends "oid, txid, myCL, and ETS").
-    ObjReq {
-        oid: ObjectId,
-        tx: TxId,
-        attempt: u32,
-        mode: AccessMode,
-        ets: Ets,
-        my_cl: u32,
-        /// Whether the request was issued inside a closed-nested child. The
-        /// scheduler only adjudicates parent-level requests (§III-A: RTS
-        /// acts on "a losing parent transaction"); child-level conflicts
-        /// are ordinary closed-nesting retries.
-        nested: bool,
-        /// The node the response must go to (stable under forwarding).
-        reply_to: u32,
-    },
+    /// Request an object.
+    ObjReq(FetchReq),
     /// Response to a fetch, or a queue-service push on release.
     ObjResp {
         oid: ObjectId,
@@ -106,7 +158,6 @@ pub enum Msg {
         ets: Ets,
         my_cl: u32,
         nested: bool,
-        reply_to: u32,
         /// Version of the requester's cached copy.
         version: u64,
     },
@@ -129,7 +180,6 @@ pub enum Msg {
         tx: TxId,
         attempt: u32,
         expect_version: u64,
-        reply_to: u32,
     },
     LockResp {
         oid: ObjectId,
@@ -164,7 +214,6 @@ pub enum Msg {
         tx: TxId,
         attempt: u32,
         expect_version: u64,
-        reply_to: u32,
     },
     VersionResp {
         oid: ObjectId,
@@ -230,30 +279,9 @@ impl Msg {
     /// excluded. Logical TFA clocks (`my_cl`, `local_cl`, `owner_clock`)
     /// and versions *are* protocol state and are included.
     pub fn hash_into(&self, h: &mut Fnv64) {
-        fn tx_into(h: &mut Fnv64, tx: &TxId, attempt: u32) {
-            h.write_u64(u64::from(tx.node));
-            h.write_u64(tx.seq);
-            h.write_u64(u64::from(attempt));
-        }
         h.write_bytes(self.tag().as_bytes());
         match self {
-            Msg::ObjReq {
-                oid,
-                tx,
-                attempt,
-                mode,
-                ets: _,
-                my_cl,
-                nested,
-                reply_to,
-            } => {
-                h.write_u64(oid.0);
-                tx_into(h, tx, *attempt);
-                h.write_u8(matches!(mode, AccessMode::Write) as u8);
-                h.write_u64(u64::from(*my_cl));
-                h.write_u8(u8::from(*nested));
-                h.write_u64(u64::from(*reply_to));
-            }
+            Msg::ObjReq(req) => req.hash_into(h),
             Msg::ObjResp {
                 oid,
                 tx,
@@ -305,7 +333,6 @@ impl Msg {
                 ets: _,
                 my_cl,
                 nested,
-                reply_to,
                 version,
             } => {
                 h.write_u64(oid.0);
@@ -313,7 +340,6 @@ impl Msg {
                 h.write_u8(matches!(mode, AccessMode::Write) as u8);
                 h.write_u64(u64::from(*my_cl));
                 h.write_u8(u8::from(*nested));
-                h.write_u64(u64::from(*reply_to));
                 h.write_u64(*version);
             }
             Msg::VersionAck {
@@ -337,12 +363,10 @@ impl Msg {
                 tx,
                 attempt,
                 expect_version,
-                reply_to,
             } => {
                 h.write_u64(oid.0);
                 tx_into(h, tx, *attempt);
                 h.write_u64(*expect_version);
-                h.write_u64(u64::from(*reply_to));
             }
             Msg::LockResp {
                 oid,
@@ -386,12 +410,10 @@ impl Msg {
                 tx,
                 attempt,
                 expect_version,
-                reply_to,
             } => {
                 h.write_u64(oid.0);
                 tx_into(h, tx, *attempt);
                 h.write_u64(*expect_version);
-                h.write_u64(u64::from(*reply_to));
             }
             Msg::VersionResp {
                 oid,

@@ -16,7 +16,7 @@
 //!   deadline).
 
 use crate::config::DstmConfig;
-use crate::message::{FetchResult, Msg, Timer};
+use crate::message::{FetchReq, FetchResult, Msg, Timer};
 use crate::metrics::{AbortCause, NestedAbortCause, NodeMetrics};
 use crate::object::{CachedCopy, OwnedObject, Payload};
 use crate::program::{AccessMode, BoxedProgram, ProgramSnapshot, StepInput, StepOutput};
@@ -449,8 +449,8 @@ pub struct Node {
     /// Owner-side conflict policy (the scheduler under evaluation).
     policy: Box<dyn ConflictPolicy>,
     /// Handle on the run-wide protocol-event log (off unless
-    /// `cfg.trace_protocol`; every caller site checks `ptrace.on()` before
-    /// building an event).
+    /// `cfg.trace_protocol`; every caller site hands [`ProtoTrace::emit`] a
+    /// closure, which builds the event only when tracing is on).
     ptrace: ProtoTrace,
     /// Per-destination same-tick send buffers (`cfg.cache` only): one
     /// `(destination, latency, messages)` group per distinct pair touched
@@ -506,7 +506,9 @@ impl Node {
         workload: Vec<BoxedProgram>,
         ptrace: ProtoTrace,
     ) -> Self {
-        let stats = StatsTable::new(cfg.default_exec_estimate);
+        /// Prior for a kind's expected execution time before it has history.
+        const DEFAULT_EXEC_ESTIMATE: SimDuration = SimDuration::from_millis(60);
+        let stats = StatsTable::new(DEFAULT_EXEC_ESTIMATE);
         // Home objects plus headroom for remotely fetched/cached entries.
         let mut objs = ObjTable::with_capacity(initial_objects.len() * 2 + 16);
         for (oid, p) in initial_objects {
@@ -957,6 +959,19 @@ impl Node {
         self.txs.get_mut(i)?.take()
     }
 
+    /// The live runtime of `id` if `attempt` is its current attempt — the
+    /// gate every reply and timer carrying an attempt passes. A runtime on
+    /// another attempt goes back into its slot.
+    #[inline]
+    fn take_attempt(&mut self, id: TxId, attempt: u32) -> Option<Box<TxRuntime>> {
+        let tx = self.tx_take(id)?;
+        if tx.attempt == attempt {
+            return Some(tx);
+        }
+        self.tx_put(tx);
+        None
+    }
+
     /// Put a runtime taken via [`Node::tx_take`] back into its slot.
     #[inline]
     fn tx_put(&mut self, tx: Box<TxRuntime>) {
@@ -996,17 +1011,12 @@ impl Node {
                 None => Box::new(TxRuntime::new(id, program, ctx.now(), expected, self.clock)),
             };
             self.active += 1;
-            if self.ptrace.on() {
-                self.ptrace.push(
-                    ctx.now(),
-                    self.me,
-                    ProtoEvent::TxStart {
-                        tx: id,
-                        kind,
-                        attempt: 0,
-                    },
-                );
-            }
+            self.ptrace
+                .emit(ctx.now(), self.me, || ProtoEvent::TxStart {
+                    tx: id,
+                    kind,
+                    attempt: 0,
+                });
             self.drive(ctx, &mut tx, DriveInput::Begin);
             // Every minted seq gets a slot (None when already finished) so
             // slot index stays `seq - 1`.
@@ -1049,22 +1059,7 @@ impl Node {
                             CacheOpen::Fetch => {}
                         }
                     }
-                    let owner = self.owner_guess(oid);
-                    let msg = Msg::ObjReq {
-                        oid,
-                        tx: tx.id,
-                        attempt: tx.attempt,
-                        mode,
-                        ets: tx.ets(ctx.now()),
-                        my_cl: tx.cl.my_cl(),
-                        nested: tx.in_nested(),
-                        reply_to: self.me,
-                    };
-                    self.send(ctx, owner, msg);
-                    tx.attempt_msgs += 1;
-                    tx.fetch_sent_at = ctx.now();
-                    tx.phase = TxPhase::AwaitObject { oid, mode };
-                    return;
+                    return self.request_object(ctx, tx, oid, mode, None);
                 }
                 StepOutput::WriteLocal(oid, payload) => {
                     tx.write_local(oid, payload);
@@ -1085,18 +1080,13 @@ impl Node {
                     if self.cfg.nesting == crate::config::NestingMode::Closed {
                         let snapshot = ProgramSnapshot::of(tx.program.as_ref());
                         tx.open_nested(kind, snapshot, ctx.now());
-                        if self.ptrace.on() {
-                            self.ptrace.push(
-                                ctx.now(),
-                                self.me,
-                                ProtoEvent::NestedOpen {
-                                    tx: tx.id,
-                                    attempt: tx.attempt,
-                                    level: tx.top() as u32,
-                                    kind,
-                                },
-                            );
-                        }
+                        self.ptrace
+                            .emit(ctx.now(), self.me, || ProtoEvent::NestedOpen {
+                                tx: tx.id,
+                                attempt: tx.attempt,
+                                level: tx.top() as u32,
+                                kind,
+                            });
                     }
                     // Flat nesting: the delimiter is inlined — no level, no
                     // independent rollback; the code simply becomes part of
@@ -1105,17 +1095,12 @@ impl Node {
                 }
                 StepOutput::CloseNested => {
                     if self.cfg.nesting == crate::config::NestingMode::Closed {
-                        if self.ptrace.on() {
-                            self.ptrace.push(
-                                ctx.now(),
-                                self.me,
-                                ProtoEvent::NestedCommit {
-                                    tx: tx.id,
-                                    attempt: tx.attempt,
-                                    level: tx.top() as u32,
-                                },
-                            );
-                        }
+                        self.ptrace
+                            .emit(ctx.now(), self.me, || ProtoEvent::NestedCommit {
+                                tx: tx.id,
+                                attempt: tx.attempt,
+                                level: tx.top() as u32,
+                            });
                         tx.close_nested();
                         tx.nested_committed += 1;
                         self.metrics.nested_commits += 1;
@@ -1217,8 +1202,22 @@ impl Node {
         // the full fetch path itself when the copy is stale, so this never
         // costs an extra round trip.
         let version = c.version;
-        let owner = self.owner_guess(oid);
-        let msg = Msg::VersionReq {
+        self.request_object(ctx, tx, oid, mode, Some(version));
+        CacheOpen::Revalidating
+    }
+
+    /// Send a fetch of `oid` to its owner guess — with `cached_version`, a
+    /// revalidation of that cached copy — and park `tx` on the answer.
+    fn request_object(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        tx: &mut TxRuntime,
+        oid: ObjectId,
+        mode: AccessMode,
+        cached_version: Option<u64>,
+    ) {
+        let now = ctx.now();
+        let req = FetchReq {
             oid,
             tx: tx.id,
             attempt: tx.attempt,
@@ -1226,14 +1225,12 @@ impl Node {
             ets: tx.ets(now),
             my_cl: tx.cl.my_cl(),
             nested: tx.in_nested(),
-            reply_to: self.me,
-            version,
         };
-        self.send(ctx, owner, msg);
+        let owner = self.owner_guess(oid);
+        self.send(ctx, owner, req.into_msg(cached_version));
         tx.attempt_msgs += 1;
         tx.fetch_sent_at = now;
         tx.phase = TxPhase::AwaitObject { oid, mode };
-        CacheOpen::Revalidating
     }
 
     // -- commit protocol (requester side) -----------------------------------
@@ -1263,7 +1260,6 @@ impl Node {
                 tx: tx.id,
                 attempt: tx.attempt,
                 expect_version: *version,
-                reply_to: self.me,
             };
             self.send(ctx, *owner, msg);
             tx.attempt_msgs += 1;
@@ -1299,7 +1295,6 @@ impl Node {
                 tx: tx.id,
                 attempt: tx.attempt,
                 expect_version: version,
-                reply_to: self.me,
             };
             self.send(ctx, owner, msg);
             tx.attempt_msgs += 1;
@@ -1350,9 +1345,9 @@ impl Node {
         } else {
             self.clock.max(tx.wv) + 1
         };
-        if self.ptrace.on() {
-            self.record_commit_event(ctx.now(), tx, &summary, &write_back, new_version);
-        }
+        self.ptrace.emit(ctx.now(), self.me, || {
+            Self::commit_event(tx, &summary, &write_back, new_version)
+        });
         self.summary_buf = summary;
         if write_back.is_empty() {
             self.wbs_buf = write_back;
@@ -1387,19 +1382,14 @@ impl Node {
                     self.metrics.cache_invalidations += 1;
                 }
                 self.metrics.objects_received += 1;
-                if self.ptrace.on() {
-                    self.ptrace.push(
-                        ctx.now(),
-                        self.me,
-                        ProtoEvent::Migrate {
-                            oid,
-                            tx: tx.id,
-                            from: owner,
-                            to: self.me,
-                            version: new_version,
-                        },
-                    );
-                }
+                self.ptrace
+                    .emit(ctx.now(), self.me, || ProtoEvent::Migrate {
+                        oid,
+                        tx: tx.id,
+                        from: owner,
+                        to: self.me,
+                        version: new_version,
+                    });
                 tx.pending.insert(oid);
                 let msg = Msg::Publish {
                     oid,
@@ -1420,38 +1410,30 @@ impl Node {
         tx.phase = TxPhase::AwaitPublish;
     }
 
-    /// Record the [`ProtoEvent::TxCommit`] span end at the serialization
-    /// point: the full read footprint (object, version) out of the
-    /// transaction's object `summary`, and the write set (object, expected
-    /// version, published version). Caller has checked `ptrace.on()`, so the
-    /// `Vec` payloads only exist when tracing.
-    fn record_commit_event(
-        &mut self,
-        now: SimTime,
+    /// The [`ProtoEvent::TxCommit`] span end at the serialization point: the
+    /// full read footprint (object, version) out of the transaction's object
+    /// `summary`, and the write set (object, expected version, published
+    /// version). Built inside [`ProtoTrace::emit`], so the `Vec` payloads
+    /// only exist when tracing.
+    fn commit_event(
         tx: &TxRuntime,
         summary: &[(ObjectId, u64, u32, bool, AccessMode)],
         write_back: &[(ObjectId, Arc<Payload>, u64, u32)],
         new_version: u64,
-    ) {
-        let reads = summary
-            .iter()
-            .map(|&(oid, version, _owner, _dirty, _mode)| (oid, version))
-            .collect();
-        let writes = write_back
-            .iter()
-            .map(|&(oid, _, expect, _)| (oid, expect, new_version))
-            .collect();
-        self.ptrace.push(
-            now,
-            self.me,
-            ProtoEvent::TxCommit {
-                tx: tx.id,
-                attempt: tx.attempt,
-                nested_committed: tx.nested_committed,
-                reads,
-                writes,
-            },
-        );
+    ) -> ProtoEvent {
+        ProtoEvent::TxCommit {
+            tx: tx.id,
+            attempt: tx.attempt,
+            nested_committed: tx.nested_committed,
+            reads: summary
+                .iter()
+                .map(|&(oid, version, _owner, _dirty, _mode)| (oid, version))
+                .collect(),
+            writes: write_back
+                .iter()
+                .map(|&(oid, _, expect, _)| (oid, expect, new_version))
+                .collect(),
+        }
     }
 
     /// Terminal commit bookkeeping. The caller must drop the transaction.
@@ -1512,23 +1494,18 @@ impl Node {
             // Per-object rollup (telemetry only; self-guarded one branch).
             self.telemetry.record_obj_waste(blamed, wasted_ns);
         }
-        if self.ptrace.on() {
-            self.ptrace.push(
-                ctx.now(),
-                self.me,
-                ProtoEvent::TxAbort {
-                    tx: tx.id,
-                    attempt: tx.attempt,
-                    cause,
-                    nested_parent: acc.nested_parent,
-                    backoff,
-                    wasted_ns,
-                    msgs,
-                    oid,
-                    aggressor,
-                },
-            );
-        }
+        self.ptrace
+            .emit(ctx.now(), self.me, || ProtoEvent::TxAbort {
+                tx: tx.id,
+                attempt: tx.attempt,
+                cause,
+                nested_parent: acc.nested_parent,
+                backoff,
+                wasted_ns,
+                msgs,
+                oid,
+                aggressor,
+            });
         // Even "immediate" retries carry a randomized delay that escalates
         // with the transaction's abort count. Two reasons, both rooted in
         // §II's requirement that the contention manager avoid livelocks:
@@ -1554,17 +1531,11 @@ impl Node {
         let now = ctx.now();
         let expected = self.stats.expected_commit_time(tx.kind, now);
         tx.restart(now, expected, self.clock);
-        if self.ptrace.on() {
-            self.ptrace.push(
-                now,
-                self.me,
-                ProtoEvent::TxStart {
-                    tx: tx.id,
-                    kind: tx.kind,
-                    attempt: tx.attempt,
-                },
-            );
-        }
+        self.ptrace.emit(now, self.me, || ProtoEvent::TxStart {
+            tx: tx.id,
+            kind: tx.kind,
+            attempt: tx.attempt,
+        });
         // May commit synchronously (degenerate programs).
         self.drive(ctx, tx, DriveInput::Begin);
     }
@@ -1605,66 +1576,51 @@ impl Node {
         // the Table-I counters above by tests and `dstm-trace analyze`).
         self.metrics.wasted_nested_own += acc.nested_own;
         self.metrics.wasted_nested_parent += acc.nested_parent;
-        if self.ptrace.on() {
-            self.ptrace.push(
-                now,
-                self.me,
-                ProtoEvent::NestedAbort {
-                    tx: tx.id,
-                    attempt: tx.attempt,
-                    level: level as u32,
-                    own: acc.nested_own,
-                    parent: acc.nested_parent,
-                },
-            );
-        }
+        self.ptrace.emit(now, self.me, || ProtoEvent::NestedAbort {
+            tx: tx.id,
+            attempt: tx.attempt,
+            level: level as u32,
+            own: acc.nested_own,
+            parent: acc.nested_parent,
+        });
     }
 
     // -- owner side: fetches --------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_obj_req(
+    /// The slot of `req`'s object if it is owned here. Otherwise the fetch
+    /// goes on unchanged — an `ObjReq`, or with `cached_version` a
+    /// `VersionReq` — along the ownership chain, or, misrouted (unreachable,
+    /// since owner guesses start at the home node and publishes always
+    /// leave tombstones), back to the home node.
+    fn owned_or_forward(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        oid: ObjectId,
-        txid: TxId,
-        attempt: u32,
-        mode: AccessMode,
-        ets: rts_core::Ets,
-        my_cl: u32,
-        nested: bool,
-        reply_to: u32,
-    ) {
-        let i = match self.objs.owned_index(oid) {
-            Ok(i) => i,
-            Err(tombstone) => {
-                // Not (any longer) the owner: forward along the ownership chain,
-                // or — misrouted, which should be unreachable since caches start
-                // at the home node and publishes always leave tombstones —
-                // recover via home.
-                let next = tombstone.unwrap_or_else(|| {
-                    debug_assert!(
-                        oid.home(self.topo.n()) != self.me,
-                        "home node lost object {oid:?} without a tombstone"
-                    );
-                    oid.home(self.topo.n())
-                });
-                self.metrics.forwarded_reqs += 1;
-                let msg = Msg::ObjReq {
-                    oid,
-                    tx: txid,
-                    attempt,
-                    mode,
-                    ets,
-                    my_cl,
-                    nested,
-                    reply_to,
-                };
-                self.send(ctx, next, msg);
-                return;
-            }
+        req: FetchReq,
+        cached_version: Option<u64>,
+    ) -> Option<usize> {
+        let tombstone = match self.objs.owned_index(req.oid) {
+            Ok(i) => return Some(i),
+            Err(tombstone) => tombstone,
         };
+        let next = tombstone.unwrap_or_else(|| {
+            let home = req.oid.home(self.topo.n());
+            debug_assert!(
+                home != self.me,
+                "home node lost object {:?} without a tombstone",
+                req.oid
+            );
+            home
+        });
+        self.metrics.forwarded_reqs += 1;
+        self.send(ctx, next, req.into_msg(cached_version));
+        None
+    }
 
+    fn handle_obj_req(&mut self, ctx: &mut NodeCtx<'_>, req: FetchReq) {
+        let Some(i) = self.owned_or_forward(ctx, req, None) else {
+            return;
+        };
+        let (oid, txid) = (req.oid, req.tx);
         let now = ctx.now();
         let local_cl = self.record_and_local_cl(i, now, txid);
         // The lock holder at adjudication time is the aggressor an eventual
@@ -1673,103 +1629,73 @@ impl Node {
 
         if holder.is_some() {
             self.metrics.fetch_conflicts += 1;
-            if nested && self.cfg.conflict_scope == crate::config::ConflictScope::Child {
+            if req.nested && self.cfg.conflict_scope == crate::config::ConflictScope::Child {
                 // A child-level conflict is resolved by the closed-nesting
                 // substrate (the child aborts and retries), not by the
                 // transactional scheduler, which adjudicates parents only.
-                let msg = Msg::ObjResp {
-                    oid,
-                    tx: txid,
-                    attempt,
-                    result: FetchResult::Conflict {
-                        backoff: SimDuration::ZERO,
-                        enqueued: false,
-                        owner: self.me,
-                        aggressor: None,
-                    },
+                let result = FetchResult::Conflict {
+                    backoff: SimDuration::ZERO,
+                    enqueued: false,
+                    owner: self.me,
+                    aggressor: None,
                 };
-                self.send(ctx, reply_to, msg);
-                return;
+                return self.send(ctx, txid.node, req.answer(result));
             }
             let requester = Requester {
-                node: reply_to,
+                node: txid.node,
                 tx: txid,
-                read_only: mode == AccessMode::Read,
-                attempt,
+                read_only: req.mode == AccessMode::Read,
+                attempt: req.attempt,
                 enqueued_at: now,
             };
             let cctx = ConflictCtx {
                 now,
                 oid,
                 requester,
-                ets,
-                requester_cl: my_cl,
+                ets: req.ets,
+                requester_cl: req.my_cl,
                 local_cl,
-                attempt,
+                attempt: req.attempt,
             };
             let decision = self.policy.on_conflict(&cctx, &mut self.sched);
-            if self.ptrace.on() {
+            let (verdict, backoff) = match decision {
+                Decision::Abort => (Verdict::Abort, SimDuration::ZERO),
+                Decision::AbortBackoff(b) => (Verdict::AbortBackoff, b),
+                Decision::Enqueue { backoff } => (Verdict::Enqueue, backoff),
+            };
+            let enqueued = verdict == Verdict::Enqueue;
+            if enqueued {
+                self.metrics.enqueued += 1;
+            }
+            self.ptrace.emit(now, self.me, || {
                 let explain = explain_decision(decision, self.policy.as_ref(), &self.sched, oid);
-                let (verdict, chosen_backoff) = match decision {
-                    Decision::Abort => (Verdict::Abort, SimDuration::ZERO),
-                    Decision::AbortBackoff(b) => (Verdict::AbortBackoff, b),
-                    Decision::Enqueue { backoff } => (Verdict::Enqueue, backoff),
-                };
                 let window_requests = self.objs.slots[i]
                     .cl_window
                     .as_mut()
                     .map_or(0, |w| w.requests_in_window(now));
-                self.ptrace.push(
-                    now,
-                    self.me,
-                    ProtoEvent::SchedDecision {
-                        oid,
-                        tx: txid,
-                        attempt,
-                        local_cl,
-                        requester_cl: my_cl,
-                        window_requests,
-                        executed: ets.executed_so_far(),
-                        remaining: ets.expected_remaining(),
-                        queue_depth: explain.queue_depth as u64,
-                        bk: explain.bk,
-                        threshold: explain.threshold,
-                        verdict,
-                        backoff: chosen_backoff,
-                    },
-                );
-            }
-            let result = match decision {
-                Decision::Abort => FetchResult::Conflict {
-                    backoff: SimDuration::ZERO,
-                    enqueued: false,
-                    owner: self.me,
-                    aggressor: holder,
-                },
-                Decision::AbortBackoff(b) => FetchResult::Conflict {
-                    backoff: b,
-                    enqueued: false,
-                    owner: self.me,
-                    aggressor: holder,
-                },
-                Decision::Enqueue { backoff } => {
-                    self.metrics.enqueued += 1;
-                    FetchResult::Conflict {
-                        backoff,
-                        enqueued: true,
-                        owner: self.me,
-                        aggressor: holder,
-                    }
+                ProtoEvent::SchedDecision {
+                    oid,
+                    tx: txid,
+                    attempt: req.attempt,
+                    local_cl,
+                    requester_cl: req.my_cl,
+                    window_requests,
+                    executed: req.ets.executed_so_far(),
+                    remaining: req.ets.expected_remaining(),
+                    queue_depth: explain.queue_depth as u64,
+                    bk: explain.bk,
+                    threshold: explain.threshold,
+                    verdict,
+                    backoff,
                 }
+            });
+            let result = FetchResult::Conflict {
+                backoff,
+                enqueued,
+                owner: self.me,
+                aggressor: holder,
             };
-            let msg = Msg::ObjResp {
-                oid,
-                tx: txid,
-                attempt,
-                result,
-            };
-            self.send(ctx, reply_to, msg);
-            return;
+            return self.send(ctx, txid.node, req.answer(result));
         }
 
         // Free object: serve a copy. Drop any stale queue entry of this
@@ -1777,19 +1703,14 @@ impl Node {
         self.sched.with_list(oid, |l| l.remove_duplicate(txid));
         self.metrics.fetches_served += 1;
         let o = self.objs.slots[i].owned.as_ref().expect("checked");
-        let msg = Msg::ObjResp {
-            oid,
-            tx: txid,
-            attempt,
-            result: FetchResult::Granted {
-                payload: Arc::clone(&o.payload),
-                version: o.version,
-                local_cl,
-                owner: self.me,
-                owner_clock: self.clock,
-            },
+        let result = FetchResult::Granted {
+            payload: Arc::clone(&o.payload),
+            version: o.version,
+            local_cl,
+            owner: self.me,
+            owner_clock: self.clock,
         };
-        self.send(ctx, reply_to, msg);
+        self.send(ctx, txid.node, req.answer(result));
     }
 
     /// Owner side of cache revalidation: a [`Msg::VersionReq`] names the
@@ -1798,62 +1719,31 @@ impl Node {
     /// the full fetch path, which replies with the payload or a scheduler
     /// verdict — the requester never pays a second round trip for a stale
     /// cache. Forwarded along tombstone chains exactly like `ObjReq`.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_version_req(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        oid: ObjectId,
-        txid: TxId,
-        attempt: u32,
-        mode: AccessMode,
-        ets: rts_core::Ets,
-        my_cl: u32,
-        nested: bool,
-        reply_to: u32,
-        version: u64,
-    ) {
-        let i = match self.objs.owned_index(oid) {
-            Ok(i) => i,
-            Err(tombstone) => {
-                let next = tombstone.unwrap_or_else(|| oid.home(self.topo.n()));
-                self.metrics.forwarded_reqs += 1;
-                let msg = Msg::VersionReq {
-                    oid,
-                    tx: txid,
-                    attempt,
-                    mode,
-                    ets,
-                    my_cl,
-                    nested,
-                    reply_to,
-                    version,
-                };
-                self.send(ctx, next, msg);
-                return;
-            }
+    fn handle_version_req(&mut self, ctx: &mut NodeCtx<'_>, req: FetchReq, version: u64) {
+        let Some(i) = self.owned_or_forward(ctx, req, Some(version)) else {
+            return;
         };
         let o = self.objs.slots[i].owned.as_ref().expect("checked");
         if o.version != version || o.is_locked() {
             // Counted on the owner so a failed revalidation registers as a
             // miss exactly once (node metrics merge across the run).
             self.metrics.cache_misses += 1;
-            self.handle_obj_req(ctx, oid, txid, attempt, mode, ets, my_cl, nested, reply_to);
-            return;
+            return self.handle_obj_req(ctx, req);
         }
-        let now = ctx.now();
-        let local_cl = self.record_and_local_cl(i, now, txid);
-        self.sched.with_list(oid, |l| l.remove_duplicate(txid));
+        let local_cl = self.record_and_local_cl(i, ctx.now(), req.tx);
+        self.sched
+            .with_list(req.oid, |l| l.remove_duplicate(req.tx));
         self.metrics.fetches_served += 1;
         let msg = Msg::VersionAck {
-            oid,
-            tx: txid,
-            attempt,
+            oid: req.oid,
+            tx: req.tx,
+            attempt: req.attempt,
             version,
             local_cl,
             owner: self.me,
             owner_clock: self.clock,
         };
-        self.send(ctx, reply_to, msg);
+        self.send(ctx, req.tx.node, msg);
     }
 
     /// Requester side of cache revalidation. A [`Msg::VersionAck`] confirms
@@ -1902,30 +1792,13 @@ impl Node {
             return;
         }
         self.invalidate_cache(oid);
-        let Some(mut tx) = self.tx_take(txid) else {
+        let Some(mut tx) = self.take_attempt(txid, attempt) else {
             return;
         };
-        let mode = match tx.phase {
-            TxPhase::AwaitObject { oid: o, mode } if o == oid && tx.attempt == attempt => {
-                Some(mode)
+        if let TxPhase::AwaitObject { oid: o, mode } = tx.phase {
+            if o == oid {
+                self.request_object(ctx, &mut tx, oid, mode, None);
             }
-            _ => None,
-        };
-        if let Some(mode) = mode {
-            let owner = self.owner_guess(oid);
-            let msg = Msg::ObjReq {
-                oid,
-                tx: tx.id,
-                attempt: tx.attempt,
-                mode,
-                ets: tx.ets(ctx.now()),
-                my_cl: tx.cl.my_cl(),
-                nested: tx.in_nested(),
-                reply_to: self.me,
-            };
-            self.send(ctx, owner, msg);
-            tx.attempt_msgs += 1;
-            tx.fetch_sent_at = ctx.now();
         }
         self.tx_put(tx);
     }
@@ -1960,18 +1833,12 @@ impl Node {
             self.metrics.queue_served += 1;
             let wait = now.saturating_since(r.enqueued_at);
             self.metrics.queue_wait_hist.record_duration(wait);
-            if self.ptrace.on() {
-                self.ptrace.push(
-                    now,
-                    self.me,
-                    ProtoEvent::QueueServed {
-                        oid,
-                        tx: r.tx,
-                        attempt: r.attempt,
-                        wait,
-                    },
-                );
-            }
+            self.ptrace.emit(now, self.me, || ProtoEvent::QueueServed {
+                oid,
+                tx: r.tx,
+                attempt: r.attempt,
+                wait,
+            });
             let msg = Msg::ObjResp {
                 oid,
                 tx: r.tx,
@@ -1998,7 +1865,6 @@ impl Node {
         txid: TxId,
         attempt: u32,
         expect_version: u64,
-        reply_to: u32,
     ) {
         let granted = match self.objs.get_mut(oid).and_then(|s| s.owned.as_mut()) {
             None => false,
@@ -2014,9 +1880,9 @@ impl Node {
             // Global registration of object ownership is the slow part of a
             // distributed validation (§II); the object stays locked for it.
             let overhead = self.cfg.validation_overhead;
-            self.send_after(ctx, reply_to, msg, overhead);
+            self.send_after(ctx, txid.node, msg, overhead);
         } else {
-            self.send(ctx, reply_to, msg);
+            self.send(ctx, txid.node, msg);
         }
     }
 
@@ -2065,15 +1931,9 @@ impl Node {
         attempt: u32,
         result: FetchResult,
     ) {
-        let Some(mut tx) = self.tx_take(txid) else {
-            self.decline_if_granted(ctx, oid, txid, &result);
-            return;
+        let Some(mut tx) = self.take_attempt(txid, attempt) else {
+            return self.decline_if_granted(ctx, oid, txid, &result);
         };
-        if tx.attempt != attempt {
-            self.decline_if_granted(ctx, oid, txid, &result);
-            self.tx_put(tx);
-            return;
-        }
         let wanted = match &tx.phase {
             TxPhase::AwaitObject { oid: o, mode } if *o == oid => Some((*mode, None)),
             TxPhase::AwaitQueuedObject {
@@ -2119,19 +1979,14 @@ impl Node {
                 if version > tx.wv && tx.has_objects() {
                     // Transactional forwarding: early-validate before
                     // advancing the transaction's clock (TFA §II).
-                    if self.ptrace.on() {
-                        self.ptrace.push(
-                            ctx.now(),
-                            self.me,
-                            ProtoEvent::TxForward {
-                                tx: txid,
-                                attempt: tx.attempt,
-                                oid,
-                                wv_old: tx.wv,
-                                wv_new: version,
-                            },
-                        );
-                    }
+                    self.ptrace
+                        .emit(ctx.now(), self.me, || ProtoEvent::TxForward {
+                            tx: txid,
+                            attempt: tx.attempt,
+                            oid,
+                            wv_old: tx.wv,
+                            wv_new: version,
+                        });
                     self.begin_validation(
                         ctx,
                         &mut tx,
@@ -2241,13 +2096,9 @@ impl Node {
         attempt: u32,
         ok: bool,
     ) {
-        let Some(mut tx) = self.tx_take(txid) else {
+        let Some(mut tx) = self.take_attempt(txid, attempt) else {
             return;
         };
-        if tx.attempt != attempt {
-            self.tx_put(tx);
-            return;
-        }
         let round_done = match &mut tx.phase {
             TxPhase::AwaitValidation { stale, .. } => {
                 tx.pending.remove(&oid);
@@ -2316,21 +2167,18 @@ impl Node {
         attempt: u32,
         granted: bool,
     ) {
-        let Some(mut tx) = self.tx_take(txid) else {
-            if granted {
-                let msg = Msg::Unlock { oid, tx: txid };
-                self.send(ctx, from.0, msg);
+        let mut tx = match self.take_attempt(txid, attempt) {
+            Some(tx) if matches!(tx.phase, TxPhase::AwaitLocks { .. }) => tx,
+            stale => {
+                if granted {
+                    self.send(ctx, from.0, Msg::Unlock { oid, tx: txid });
+                }
+                if let Some(tx) = stale {
+                    self.tx_put(tx);
+                }
+                return;
             }
-            return;
         };
-        if tx.attempt != attempt || !matches!(tx.phase, TxPhase::AwaitLocks { .. }) {
-            if granted {
-                let msg = Msg::Unlock { oid, tx: txid };
-                self.send(ctx, from.0, msg);
-            }
-            self.tx_put(tx);
-            return;
-        }
         let round_done = {
             let TxPhase::AwaitLocks {
                 granted: acc,
@@ -2445,16 +2293,7 @@ impl Node {
     fn dispatch_msg(&mut self, ctx: &mut NodeCtx<'_>, from: ActorId, msg: Msg) {
         match msg {
             Msg::StartWorkload => self.pump(ctx),
-            Msg::ObjReq {
-                oid,
-                tx,
-                attempt,
-                mode,
-                ets,
-                my_cl,
-                nested,
-                reply_to,
-            } => self.handle_obj_req(ctx, oid, tx, attempt, mode, ets, my_cl, nested, reply_to),
+            Msg::ObjReq(req) => self.handle_obj_req(ctx, req),
             Msg::ObjResp {
                 oid,
                 tx,
@@ -2467,8 +2306,7 @@ impl Node {
                 tx,
                 attempt,
                 expect_version,
-                reply_to,
-            } => self.handle_lock_req(ctx, oid, tx, attempt, expect_version, reply_to),
+            } => self.handle_lock_req(ctx, oid, tx, attempt, expect_version),
             Msg::LockResp {
                 oid,
                 tx,
@@ -2485,7 +2323,6 @@ impl Node {
                 tx,
                 attempt,
                 expect_version,
-                reply_to,
             } => {
                 // Stale if the version moved, the object migrated away, or it
                 // is mid-validation by someone else ("transactions that
@@ -2502,7 +2339,7 @@ impl Node {
                     attempt,
                     ok,
                 };
-                self.send(ctx, reply_to, msg);
+                self.send(ctx, tx.node, msg);
             }
             Msg::VersionResp {
                 oid,
@@ -2518,11 +2355,19 @@ impl Node {
                 ets,
                 my_cl,
                 nested,
-                reply_to,
                 version,
-            } => self.handle_version_req(
-                ctx, oid, tx, attempt, mode, ets, my_cl, nested, reply_to, version,
-            ),
+            } => {
+                let req = FetchReq {
+                    oid,
+                    tx,
+                    attempt,
+                    mode,
+                    ets,
+                    my_cl,
+                    nested,
+                };
+                self.handle_version_req(ctx, req, version)
+            }
             Msg::VersionAck {
                 oid,
                 tx,
@@ -2555,12 +2400,11 @@ impl Node {
     fn dispatch_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: Timer) {
         match timer {
             Timer::ComputeDone { tx: txid, attempt } => {
-                let Some(mut tx) = self.tx_take(txid) else {
+                let Some(mut tx) = self.take_attempt(txid, attempt) else {
                     return;
                 };
-                if tx.attempt != attempt || !matches!(tx.phase, TxPhase::Computing) {
-                    self.tx_put(tx);
-                    return;
+                if !matches!(tx.phase, TxPhase::Computing) {
+                    return self.tx_put(tx);
                 }
                 self.drive(ctx, &mut tx, DriveInput::Ack);
                 self.tx_settle(tx);
@@ -2571,14 +2415,10 @@ impl Node {
                 attempt,
                 oid,
             } => {
-                let Some(mut tx) = self.tx_take(txid) else {
+                let Some(mut tx) = self.take_attempt(txid, attempt) else {
                     return;
                 };
-                let waiting = matches!(
-                    &tx.phase,
-                    TxPhase::AwaitQueuedObject { oid: o, .. } if *o == oid
-                ) && tx.attempt == attempt;
-                if waiting {
+                if matches!(&tx.phase, TxPhase::AwaitQueuedObject { oid: o, .. } if *o == oid) {
                     // The assigned backoff expired before the object arrived
                     // (Algorithm 2): abort and re-request as a new attempt.
                     // The awaited object is known; its holder is not.
@@ -2595,13 +2435,9 @@ impl Node {
                 self.pump(ctx);
             }
             Timer::RetryBackoff { tx: txid, attempt } => {
-                let Some(mut tx) = self.tx_take(txid) else {
+                let Some(mut tx) = self.take_attempt(txid, attempt) else {
                     return;
                 };
-                if tx.attempt != attempt {
-                    self.tx_put(tx);
-                    return;
-                }
                 match tx.phase {
                     TxPhase::BackedOff => self.restart_now(ctx, &mut tx),
                     TxPhase::ChildBackedOff => {
@@ -2651,7 +2487,7 @@ impl Actor for Node {
     fn hint_next(&self, next: &KernelEvent<Msg, Timer>) {
         match next {
             KernelEvent::Msg { msg, .. } => match msg {
-                Msg::ObjReq { oid, .. }
+                Msg::ObjReq(FetchReq { oid, .. })
                 | Msg::LockReq { oid, .. }
                 | Msg::Unlock { oid, .. }
                 | Msg::Publish { oid, .. }

@@ -418,10 +418,12 @@ mod tests {
         let oid = ObjectId(1);
         let mut rng = SimRng::new(13);
         let topo = Topology::uniform_random(3, 1, 10, &mut rng);
-        let cfg = DstmConfig::default()
-            .with_scheduler(SchedulerKind::Rts)
-            .with_concurrency(2)
-            .with_protocol_trace(true);
+        let cfg = DstmConfig {
+            trace_protocol: true,
+            ..DstmConfig::default()
+        }
+        .with_scheduler(SchedulerKind::Rts)
+        .with_concurrency(2);
         let programs: Vec<Vec<BoxedProgram>> = (0..3)
             .map(|_| {
                 (0..4)

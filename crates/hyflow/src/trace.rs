@@ -6,9 +6,10 @@
 //! CL/ETS numbers), which is what the offline `dstm-trace` auditor and the
 //! Chrome exporter need; the kernel itself records nothing.
 //!
-//! Cost discipline: every instrumentation site in `node.rs` is guarded by
-//! [`ProtoTrace::on`] — one branch on an `Option` — and no event (or its
-//! `Vec` payloads) is constructed when tracing is off. When it is on, every
+//! Cost discipline: every instrumentation site in `node.rs` goes through
+//! [`ProtoTrace::emit`], which calls the closure that builds the event
+//! only when tracing is on — one branch on an `Option` — so no event (or
+//! its `Vec` payloads) is constructed when tracing is off. When it is on, every
 //! node appends to one run-wide log in dispatch order.
 //!
 //! Serialization is hand-rolled JSONL (one record per line) because the
@@ -719,7 +720,7 @@ impl TraceRecord {
 }
 
 /// A node's handle on its run's protocol-event log. Disabled by default;
-/// every caller guards with [`ProtoTrace::on`] before building an event, so
+/// callers hand [`ProtoTrace::emit`] a closure that builds the event, so
 /// the disabled path is one branch and zero allocation.
 ///
 /// An enabled handle shares one log with every other node of the run
@@ -743,10 +744,18 @@ impl ProtoTrace {
         }
     }
 
-    /// The one-branch guard callers check before constructing an event.
+    /// Whether events are recorded.
     #[inline]
     pub fn on(&self) -> bool {
         self.log.is_some()
+    }
+
+    /// Append the event `ev` builds; `ev` runs only when tracing is on.
+    #[inline]
+    pub fn emit(&self, at: SimTime, node: u32, ev: impl FnOnce() -> ProtoEvent) {
+        if self.on() {
+            self.push(at, node, ev());
+        }
     }
 
     /// Append a record. Every caller stamps the kernel's clock, so `at`

@@ -232,3 +232,87 @@ fn rts_queue_survives_ownership_transfer() {
     assert_eq!(m.merged.commits, 5);
     assert_eq!(sys.object_state()[&oid].0.as_scalar(), 5);
 }
+
+#[test]
+fn stale_replies_stay_inert() {
+    // Replies that reach a requester after its transaction has finished:
+    // a pushed grant is declined to its owner, a granted lock is released,
+    // and anything else changes nothing.
+    use dstm_sim::ActorId;
+    use hyflow_dstm::{FetchResult, Msg};
+    use rts_core::TxId;
+    use std::sync::Arc;
+
+    let n = 2;
+    let oid = oid_homed_at(0, n);
+    let cfg = DstmConfig {
+        scheduler: SchedulerKind::Rts,
+        concurrency_per_node: 1,
+        ..DstmConfig::default()
+    };
+    let programs = vec![vec![], vec![writer(oid, 1, 0)]];
+    let mut sys = build(n, cfg, vec![(oid, Payload::Scalar(0))], programs);
+    let done = sys.run(1_000_000);
+    assert!(sys.all_done());
+    assert_eq!(done.merged.commits, 1);
+    let finished = TxId::new(1, 1);
+    let state = sys.object_state();
+
+    // Deliver `msg` to node 1 and run to quiescence: the messages delivered
+    // and the metrics afterwards.
+    let mut inject = |msg: Msg| {
+        let before = sys.world().messages_delivered();
+        sys.world_mut()
+            .send_external(ActorId(1), msg, SimDuration::from_millis(1));
+        let m = sys.run(1_000);
+        (m.messages - before, m.merged)
+    };
+
+    let (delivered, after) = inject(Msg::ObjResp {
+        oid,
+        tx: finished,
+        attempt: 0,
+        result: FetchResult::Granted {
+            payload: Arc::new(Payload::Scalar(0)),
+            version: 0,
+            local_cl: 0,
+            owner: 0,
+            owner_clock: 0,
+        },
+    });
+    assert_eq!(delivered, 2, "the grant and its ObjectDecline");
+    let mut expected = done.merged.clone();
+    expected.queue_declined += 1;
+    assert_eq!(after, expected);
+
+    let lock_resp = |granted| Msg::LockResp {
+        oid,
+        tx: finished,
+        attempt: 0,
+        granted,
+    };
+    assert_eq!(
+        inject(lock_resp(true)),
+        (2, expected.clone()),
+        "and its Unlock"
+    );
+    assert_eq!(inject(lock_resp(false)), (1, expected.clone()));
+
+    let version_resp = Msg::VersionResp {
+        oid,
+        tx: finished,
+        attempt: 0,
+        ok: false,
+    };
+    assert_eq!(inject(version_resp), (1, expected.clone()));
+    let publish_ack = Msg::PublishAck {
+        oid,
+        tx: finished,
+        queue: Vec::new(),
+    };
+    assert_eq!(inject(publish_ack), (1, expected));
+
+    assert_eq!(sys.object_state(), state);
+    let owner = &sys.world().actors()[1];
+    assert_eq!(owner.owned_object(oid).map(|o| o.lock), Some(None));
+}

@@ -23,8 +23,8 @@
 use std::process::ExitCode;
 
 use dstm_verify::{
-    check_model_with, fuzz, parse_reproducer, reproducer_text, run_episode, scheduler_from_name,
-    scheduler_name, CheckReport, EpisodeSpec, FuzzConfig, ModelCfg,
+    check_model_with, fuzz, parse_reproducer, reproducer_text, run_episode, CheckReport,
+    EpisodeSpec, FuzzConfig, ModelCfg,
 };
 use rts_core::SchedulerKind;
 
@@ -112,7 +112,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
                 "--scheduler" => {
                     schedulers = parsed(flag, &mut it, |v| match v {
                         "all" => Some(all.clone()),
-                        one => scheduler_from_name(one).map(|s| vec![s]),
+                        one => SchedulerKind::from_name(one).map(|s| vec![s]),
                     })?;
                 }
                 "--nodes" => cfg.nodes = parsed(flag, &mut it, number)?,
@@ -149,7 +149,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         };
         println!(
             "checking {} on {} nodes x {} objects (cache {}, {} scope) ...",
-            scheduler_name(s),
+            s.name(),
             cfg.nodes,
             cfg.objects,
             if cfg.cache { "on" } else { "off" },
@@ -171,7 +171,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
 fn print_check_report(s: SchedulerKind, r: &CheckReport) {
     println!(
         "{}: {} states, {} transitions, {} terminals, {} deduped, depth {} — {}",
-        scheduler_name(s),
+        s.name(),
         r.explored,
         r.transitions,
         r.terminals,
@@ -185,15 +185,15 @@ fn print_check_report(s: SchedulerKind, r: &CheckReport) {
     );
     println!(
         "{}: conflict coverage: max {} aborts / {} enqueues in any explored state",
-        scheduler_name(s),
+        s.name(),
         r.max_aborts_seen,
         r.max_enqueued_seen
     );
     if r.ok() {
-        println!("{}: no invariant violations", scheduler_name(s));
+        println!("{}: no invariant violations", s.name());
     } else {
         for v in &r.violations {
-            println!("{}: VIOLATION: {v}", scheduler_name(s));
+            println!("{}: VIOLATION: {v}", s.name());
         }
     }
 }
@@ -209,7 +209,7 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 "--benchmark" => {
                     spec.benchmark = parsed(flag, &mut it, dstm_benchmarks::Benchmark::from_name)?;
                 }
-                "--scheduler" => spec.scheduler = parsed(flag, &mut it, scheduler_from_name)?,
+                "--scheduler" => spec.scheduler = parsed(flag, &mut it, SchedulerKind::from_name)?,
                 "--nodes" => spec.nodes = parsed(flag, &mut it, number)?,
                 "--txns" => spec.txns = parsed(flag, &mut it, number)?,
                 "--episodes" => cfg.episodes = parsed(flag, &mut it, number)?,
@@ -232,7 +232,7 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
         "fuzzing {} episodes: {} / {} / {} nodes x {} txns (seed {:#x})",
         cfg.episodes,
         spec.benchmark.label(),
-        scheduler_name(spec.scheduler),
+        spec.scheduler.name(),
         spec.nodes,
         spec.txns,
         cfg.base_seed
@@ -290,7 +290,7 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     println!(
         "replaying {} / {} / {} nodes x {} txns, seed {:#x}, {} perturbations",
         spec.benchmark.label(),
-        scheduler_name(spec.scheduler),
+        spec.scheduler.name(),
         spec.nodes,
         spec.txns,
         schedule.seed,

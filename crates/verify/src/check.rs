@@ -155,9 +155,7 @@ pub fn build_model(cfg: &ModelCfg) -> ModelSystem {
         panic!("{e}");
     }
     let topo = Topology::complete(cfg.nodes, 5);
-    let mut dstm = DstmConfig::default()
-        .with_scheduler(cfg.scheduler)
-        .with_txns_per_node(1);
+    let mut dstm = DstmConfig::default().with_scheduler(cfg.scheduler);
     dstm.concurrency_per_node = 1;
     if cfg.parent_scope {
         dstm.conflict_scope = hyflow_dstm::ConflictScope::Parent;

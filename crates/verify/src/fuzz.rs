@@ -238,7 +238,7 @@ pub fn reproducer_text(spec: &EpisodeSpec, schedule: &Schedule) -> String {
             .to_ascii_lowercase()
             .replace(' ', "-")
     ));
-    out.push_str(&format!("scheduler {}\n", scheduler_name(spec.scheduler)));
+    out.push_str(&format!("scheduler {}\n", spec.scheduler.name()));
     out.push_str(&format!("nodes {}\n", spec.nodes));
     out.push_str(&format!("txns {}\n", spec.txns));
     out.push_str(&format!(
@@ -273,7 +273,7 @@ pub fn parse_reproducer(text: &str) -> Result<(EpisodeSpec, Schedule), String> {
                 spec.benchmark = Benchmark::from_name(arg).ok_or_else(|| bad("benchmark"))?;
             }
             "scheduler" => {
-                spec.scheduler = scheduler_from_name(arg).ok_or_else(|| bad("scheduler"))?;
+                spec.scheduler = SchedulerKind::from_name(arg).ok_or_else(|| bad("scheduler"))?;
             }
             "nodes" => spec.nodes = arg.parse().map_err(|_| bad("node count"))?,
             "txns" => spec.txns = arg.parse().map_err(|_| bad("txn count"))?,
@@ -296,30 +296,6 @@ fn on_off(s: &str) -> Option<bool> {
     match s {
         "on" | "true" | "1" => Some(true),
         "off" | "false" | "0" => Some(false),
-        _ => None,
-    }
-}
-
-/// CLI-stable scheduler name (lowercase, no punctuation surprises).
-pub fn scheduler_name(s: SchedulerKind) -> &'static str {
-    match s {
-        SchedulerKind::Tfa => "tfa",
-        SchedulerKind::TfaBackoff => "backoff",
-        SchedulerKind::Rts => "rts",
-        SchedulerKind::Ats => "ats",
-        SchedulerKind::BiInterval => "bi-interval",
-    }
-}
-
-/// Parse [`scheduler_name`] output (plus the display labels, for
-/// convenience).
-pub fn scheduler_from_name(name: &str) -> Option<SchedulerKind> {
-    match name.to_ascii_lowercase().as_str() {
-        "tfa" => Some(SchedulerKind::Tfa),
-        "backoff" | "tfa+backoff" | "tfa-backoff" => Some(SchedulerKind::TfaBackoff),
-        "rts" => Some(SchedulerKind::Rts),
-        "ats" => Some(SchedulerKind::Ats),
-        "bi-interval" | "biinterval" => Some(SchedulerKind::BiInterval),
         _ => None,
     }
 }

@@ -30,6 +30,6 @@ pub mod fuzz;
 pub use check::{build_model, check_model, check_model_with, CheckReport, ModelCfg};
 pub use episode::{run_episode, run_episode_mutated, EpisodeOutcome, EpisodeSpec};
 pub use fuzz::{
-    fuzz, fuzz_mutated, generate_schedule, parse_reproducer, reproducer_text, scheduler_from_name,
-    scheduler_name, shrink_schedule, FuzzConfig, FuzzFailure, FuzzReport,
+    fuzz, fuzz_mutated, generate_schedule, parse_reproducer, reproducer_text, shrink_schedule,
+    FuzzConfig, FuzzFailure, FuzzReport,
 };

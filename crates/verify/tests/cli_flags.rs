@@ -40,6 +40,18 @@ fn refused(args: &[&str]) -> String {
 }
 
 #[test]
+fn check_takes_every_scheduler_spelling_dstm_sweep_takes() {
+    for spelling in ["tfab", "TFA-Backoff"] {
+        let out = verify(&["check", "--scheduler", spelling, "--max-states", "20"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with("checking backoff on "),
+            "{spelling}: {out:?}"
+        );
+    }
+}
+
+#[test]
 fn a_mistyped_flag_is_refused() {
     assert!(refused(&["check", "--parent-scop", "--scheduler", "tfa"]).contains("--parent-scop"));
     assert!(refused(&["fuzz", "--episodes", "2", "--bogus", "1"]).contains("--bogus"));
