@@ -1,8 +1,7 @@
 //! `dstm-sweep` — run one benchmark × scheduler grid from the command line.
 //!
 //! ```text
-//! dstm-sweep [nodes] [txns_per_node] [benchmark] [--hist-out out.json]
-//!            [--telemetry] [--epoch-ns N] [--cache]
+//! dstm-sweep [nodes] [txns_per_node] [benchmark] [--cache]
 //! dstm-sweep scenario [rts|tfa|backoff|ats|bi-interval] [writers] [readers]
 //! dstm-sweep large-smoke [nodes] [--cache]
 //! ```
@@ -17,19 +16,15 @@
 //! `dstm-trace chrome <in.jsonl> <out.json>` turns the file into a Chrome
 //! trace.
 //!
-//! `--telemetry` enables the sim-time epoch sampler on the default sweep's
-//! first RTS high-contention cell and writes the merged per-epoch counter
-//! series plus per-object wasted-work ranking to `BENCH_timeseries.json`;
-//! `--epoch-ns N` overrides the 50 ms epoch length.
-//!
 //! The default mode prints throughput, nested-abort rate, and speedups for
-//! every (benchmark, contention, scheduler) cell and writes the latency
-//! histogram summaries (commit latency, queue wait, fetch RTT, retries) to
-//! `BENCH_trace.json` — override with `--hist-out`.
+//! every (benchmark, contention, scheduler) cell, and writes no file unless
+//! `--trace` asks for one.
 //!
 //! `scenario` mode replays the Fig. 2/3 single-object collision under the
-//! given scheduler (default RTS, 6 writers, 2 readers); with `--trace` the
-//! JSONL it writes is exactly what `dstm-trace audit` consumes.
+//! given scheduler (default RTS, 6 writers, 2 readers) and prints the
+//! latency histogram summaries (commit latency, queue wait, fetch RTT,
+//! retries); with `--trace` the JSONL it writes is exactly what
+//! `dstm-trace audit` consumes.
 //!
 //! `large-smoke` is the CI entry point for the large-scale path: one
 //! 160-node (or `[nodes]`, up to 10k) Bank/RTS cell on the hashed topology.
@@ -48,11 +43,8 @@
 use dstm_benchmarks::Benchmark;
 use dstm_harness::experiments::scenarios::{render, run_collision_traced};
 use dstm_harness::experiments::Scale;
-use dstm_harness::runner::{
-    run_cell, run_cell_telemetry, run_cell_traced, warn_dropped_epochs, Cell, CellResult,
-    TopologySpec,
-};
-use hyflow_dstm::{HistSummary, TelemetryReport, TraceLog};
+use dstm_harness::runner::{run_cell, run_cell_traced, Cell, TopologySpec};
+use hyflow_dstm::TraceLog;
 use rts_core::SchedulerKind;
 use std::fmt::Write as _;
 
@@ -68,13 +60,6 @@ struct Flags {
     positional: Vec<String>,
     /// `--trace <path>`: where the traced run's JSONL goes.
     trace: Option<String>,
-    hist_out: Option<String>,
-    /// `--telemetry`: enable the sim-time epoch sampler on the
-    /// representative cell and write `BENCH_timeseries.json`.
-    telemetry: bool,
-    /// `--epoch-ns N`: epoch length for the sampler; `None` keeps the 50 ms
-    /// default.
-    epoch_ns: Option<u64>,
     /// `--cache`: enable the remote-read cache + message coalescing on the
     /// cells this invocation runs.
     cache: bool,
@@ -126,18 +111,12 @@ fn number<T: std::str::FromStr>(s: &str) -> Option<T> {
 fn split_flags(args: &[String]) -> Result<Flags, String> {
     let mut positional = Vec::new();
     let mut trace = None;
-    let mut hist_out = None;
-    let mut telemetry = false;
-    let mut epoch_ns = None;
     let mut cache = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let a = a.as_str();
         match a {
             "--trace" => trace = Some(value(a, &mut it)?.to_string()),
-            "--hist-out" => hist_out = Some(value(a, &mut it)?.to_string()),
-            "--telemetry" => telemetry = true,
-            "--epoch-ns" => epoch_ns = Some(parsed(a, value(a, &mut it)?, number)?),
             "--cache" => cache = true,
             _ if a.starts_with("--") => return Err(format!("unknown flag {a}")),
             _ => positional.push(a.to_string()),
@@ -146,16 +125,8 @@ fn split_flags(args: &[String]) -> Result<Flags, String> {
     Ok(Flags {
         positional,
         trace,
-        hist_out,
-        telemetry,
-        epoch_ns,
         cache,
     })
-}
-
-/// Cores the OS reports; both sidecars record it.
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// A node count a run can hold: at least one node, and no more than the
@@ -263,114 +234,6 @@ fn scenario_mode(args: &[String], trace_path: Option<&str>) -> Result<(), String
     Ok(())
 }
 
-type HistRow = (
-    Benchmark,
-    f64,
-    SchedulerKind,
-    [(&'static str, HistSummary); 4],
-);
-
-/// Write the `BENCH_timeseries.json` sidecar for one telemetry-enabled
-/// cell: provenance headers (cell, host), then one epoch row per
-/// line (counters merged across nodes by epoch index) and the per-object
-/// wasted-work ranking. Per-epoch deltas sum to the end-of-run totals —
-/// `telemetry_is_passive_and_epoch_sums_reconcile` asserts it, and the
-/// `commits`/`aborts`/`wasted_ns` headers here restate the totals so the
-/// sidecar is checkable standalone.
-fn timeseries_sidecar(out_path: &str, cell: &Cell, r: &CellResult, reports: &[TelemetryReport]) {
-    warn_dropped_epochs(cell, reports);
-    let epochs = hyflow_dstm::merge_epoch_series(reports);
-    let objects = hyflow_dstm::merge_object_waste(reports);
-    let dropped: u64 = reports.iter().map(|t| t.dropped_epochs).sum();
-    let mut json = String::from("{\n  \"unit\": \"ns\",\n  \"clock\": \"sim_time\",\n");
-    let _ = writeln!(json, "  \"epoch_ns\": {},", cell.dstm.epoch.0);
-    let _ = writeln!(json, "  \"benchmark\": \"{}\",", cell.benchmark.label());
-    let _ = writeln!(json, "  \"scheduler\": \"{}\",", cell.scheduler.label());
-    let _ = writeln!(json, "  \"nodes\": {},", cell.params.nodes);
-    let _ = writeln!(json, "  \"read_ratio\": {},", cell.params.read_ratio);
-    let _ = writeln!(json, "  \"txns_per_node\": {},", cell.params.txns_per_node);
-    let _ = writeln!(json, "  \"host_cores\": {},", host_cores());
-    let _ = writeln!(json, "  \"dropped_epochs\": {dropped},");
-    let _ = writeln!(json, "  \"commits\": {},", r.metrics.merged.commits);
-    let _ = writeln!(json, "  \"aborts\": {},", r.metrics.merged.total_aborts());
-    let _ = writeln!(
-        json,
-        "  \"wasted_ns\": {},",
-        r.metrics.merged.wasted_work_ns
-    );
-    json.push_str("  \"epochs\": [\n");
-    for (i, e) in epochs.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"epoch\": {}, \"commits\": {}, \"aborts\": {}, \
-             \"nested_aborts\": {}, \"enqueued\": {}, \"wasted_ns\": {}, \
-             \"wasted_msgs\": {}, \"queue_depth\": {}, \"in_flight\": {}, \
-             \"cl_open\": {}}}{}",
-            e.epoch,
-            e.commits,
-            e.aborts,
-            e.nested_aborts,
-            e.enqueued,
-            e.wasted_ns,
-            e.wasted_msgs,
-            e.queue_depth,
-            e.in_flight,
-            e.cl_open,
-            if i + 1 == epochs.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ],\n  \"objects\": [\n");
-    for (i, o) in objects.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"oid\": {}, \"aborts\": {}, \"wasted_ns\": {}}}{}",
-            o.oid.0,
-            o.aborts,
-            o.wasted_ns,
-            if i + 1 == objects.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write(out_path, &json) {
-        Ok(()) => println!(
-            "[telemetry: {} epochs, {} hot objects written to {out_path}]",
-            epochs.len(),
-            objects.len()
-        ),
-        Err(e) => eprintln!("could not write {out_path}: {e}"),
-    }
-}
-
-fn hist_sidecar(out_path: &str, rows: &[HistRow], nodes: usize, txns: usize) {
-    let mut json = String::from("{\n  \"unit\": \"ns\",\n");
-    let _ = writeln!(json, "  \"nodes\": {nodes},");
-    let _ = writeln!(json, "  \"txns_per_node\": {txns},");
-    let _ = writeln!(json, "  \"host_cores\": {},", host_cores());
-    json.push_str("  \"cells\": [\n");
-    for (i, (b, read_ratio, s, summaries)) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"benchmark\": \"{}\", \"read_ratio\": {}, \"scheduler\": \"{}\"",
-            b.label(),
-            read_ratio,
-            s.label()
-        );
-        for (name, h) in summaries {
-            let _ = write!(
-                json,
-                ", \"{name}\": {{\"count\": {}, \"mean\": {:.1}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                h.count, h.mean, h.p50, h.p95, h.p99
-            );
-        }
-        let _ = writeln!(json, "}}{}", if i + 1 == rows.len() { "" } else { "," });
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write(out_path, &json) {
-        Ok(()) => println!("\n[histogram summaries written to {out_path}]"),
-        Err(e) => eprintln!("could not write {out_path}: {e}"),
-    }
-}
-
 fn main() {
     if let Err(e) = run() {
         eprintln!("error: {e}");
@@ -402,9 +265,7 @@ fn run() -> Result<(), String> {
         "dstm-sweep: {nodes} nodes, {txns} txns/node, delays 1-50 ms, cache={}\n",
         if flags.cache { "on" } else { "off" }
     );
-    let mut hist_rows = Vec::new();
     let mut trace_path = flags.trace.as_deref(); // first RTS low-contention cell only
-    let mut telemetry_slot = flags.telemetry; // first RTS high-contention cell only
     for b in Benchmark::ALL {
         if only.is_some_and(|o| o != b) {
             continue;
@@ -418,30 +279,17 @@ fn run() -> Result<(), String> {
                 SchedulerKind::Tfa,
                 SchedulerKind::TfaBackoff,
             ] {
-                let mut cell = Cell::new(b, s, nodes, read_ratio)
+                let cell = Cell::new(b, s, nodes, read_ratio)
                     .with_txns(txns)
                     .with_cache(flags.cache);
-                if let Some(ns) = flags.epoch_ns {
-                    cell = cell.with_epoch_ns(ns);
-                }
-                let r = if s == SchedulerKind::Rts && read_ratio > 0.5 {
-                    if let Some(path) = trace_path.take() {
+                let traced = s == SchedulerKind::Rts && read_ratio > 0.5;
+                let r = match trace_path.take_if(|_| traced) {
+                    Some(path) => {
                         let (r, trace) = run_cell_traced(cell);
                         write_trace(path, &trace);
                         r
-                    } else {
-                        run_cell(cell)
                     }
-                } else if s == SchedulerKind::Rts && read_ratio < 0.5 && telemetry_slot {
-                    // The representative high-contention cell: the one
-                    // whose epoch series is worth a sidecar.
-                    telemetry_slot = false;
-                    let spec = cell.clone();
-                    let (r, reports) = run_cell_telemetry(cell);
-                    timeseries_sidecar("BENCH_timeseries.json", &spec, &r, &reports);
-                    r
-                } else {
-                    run_cell(cell)
+                    None => run_cell(cell),
                 };
                 assert!(r.completed, "{} under {s:?} stalled", b.label());
                 tputs.push(r.throughput());
@@ -451,8 +299,6 @@ fn run() -> Result<(), String> {
                     r.throughput(),
                     r.nested_abort_rate()
                 );
-                let summaries = r.metrics.merged.hist_summaries();
-                hist_rows.push((b, read_ratio, s, summaries));
             }
             line += &format!(
                 "  | RTS speedup: {:.2}x vs TFA, {:.2}x vs TFA+Backoff",
@@ -462,11 +308,5 @@ fn run() -> Result<(), String> {
             println!("{line}");
         }
     }
-    hist_sidecar(
-        flags.hist_out.as_deref().unwrap_or("BENCH_trace.json"),
-        &hist_rows,
-        nodes,
-        txns,
-    );
     Ok(())
 }

@@ -129,12 +129,6 @@ impl Cell {
         self
     }
 
-    /// Sampling epoch for telemetry, in sim-time nanoseconds (default 50 ms).
-    pub fn with_epoch_ns(mut self, epoch_ns: u64) -> Self {
-        self.dstm.epoch = dstm_sim::SimDuration(epoch_ns);
-        self
-    }
-
     /// Clock-validated remote-read caching plus same-tick message
     /// coalescing (see `hyflow_dstm::config::DstmConfig::cache`). Changes
     /// simulated results — fewer fetch round trips — so it is an explicit
@@ -278,25 +272,6 @@ pub fn run_cell_telemetry(mut cell: Cell) -> (CellResult, Vec<hyflow_dstm::Telem
     let mut reports = Vec::new();
     let r = run_and_collect(cell, &mut |system, _| reports = system.take_telemetry());
     (r, reports)
-}
-
-/// Say on stderr when a telemetry-enabled cell outlived the sampler's ring:
-/// the series about to be written starts late, and the sidecar's
-/// `dropped_epochs` field alone is easy to overlook. Every sweep path that
-/// collects telemetry reports calls this once per cell.
-pub fn warn_dropped_epochs(cell: &Cell, reports: &[hyflow_dstm::TelemetryReport]) {
-    let dropped: u64 = reports.iter().map(|t| t.dropped_epochs).sum();
-    if dropped > 0 {
-        eprintln!(
-            "warning: {}/{}/n{}: the telemetry ring overwrote {dropped} epochs \
-             (summed over nodes); the series lacks the start of the run — \
-             rerun with a longer --epoch-ns than {}",
-            cell.benchmark.label(),
-            cell.scheduler.label(),
-            cell.params.nodes,
-            cell.dstm.epoch.0
-        );
-    }
 }
 
 /// Run many cells on `workers` threads (defaults to the parallelism the OS

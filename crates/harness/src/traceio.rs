@@ -597,8 +597,7 @@ pub fn to_chrome_trace(log: &TraceLog) -> String {
 // Stats
 // ---------------------------------------------------------------------------
 
-/// One census segment: records between two `RunInfo` markers (or the whole
-/// log when no marker is present).
+/// One census segment: the records of one run (see [`runs`]).
 #[derive(Default)]
 struct StatsSegment {
     label: Option<String>,
@@ -655,23 +654,46 @@ impl StatsSegment {
 }
 
 /// A quick textual census of the log: record counts per kind plus outcome
-/// totals. A log carrying `RunInfo` markers (the harness prepends one per
-/// traced run) is split into one census block per `(scheduler, node-count)`
-/// cell; an unmarked log renders as a single unlabeled block, exactly as
-/// before.
+/// totals, one block per run (split as [`audit`] splits them). A run that
+/// starts with a `RunInfo` marker (the harness prepends one per traced
+/// cell) is labeled with its `(scheduler, node-count)` cell.
 pub fn trace_stats(log: &TraceLog) -> String {
-    let mut segments: Vec<StatsSegment> = Vec::new();
-    for r in &log.records {
-        if let ProtoEvent::RunInfo { scheduler, nodes } = &r.ev {
-            segments.push(StatsSegment {
-                label: Some(format!("{} @ {} nodes", scheduler.label(), nodes)),
-                ..StatsSegment::default()
-            });
+    let segments: Vec<StatsSegment> = runs(&log.records).into_iter().map(census).collect();
+    let mut out = String::new();
+    if segments.is_empty() {
+        let _ = writeln!(out, "0 records");
+        return out;
+    }
+    for (i, seg) in segments.iter().enumerate() {
+        if i > 0 {
+            out.push('\n');
         }
-        if segments.is_empty() {
-            segments.push(StatsSegment::default());
-        }
-        let seg = segments.last_mut().expect("segment pushed above");
+        seg.render(&mut out);
+    }
+    if segments.len() > 1 {
+        let total: u64 = segments.iter().map(|s| s.records).sum();
+        let _ = writeln!(
+            out,
+            "\ntotal: {} records across {} runs",
+            total,
+            segments.len()
+        );
+    }
+    out
+}
+
+/// [`trace_stats`]'s block for one run.
+fn census(run: &[TraceRecord]) -> StatsSegment {
+    let mut seg = StatsSegment {
+        label: match run.first().map(|r| &r.ev) {
+            Some(ProtoEvent::RunInfo { scheduler, nodes }) => {
+                Some(format!("{} @ {} nodes", scheduler.label(), nodes))
+            }
+            _ => None,
+        },
+        ..StatsSegment::default()
+    };
+    for r in run {
         seg.records += 1;
         let kind = match &r.ev {
             ProtoEvent::TxStart { .. } => "tx_start",
@@ -713,27 +735,7 @@ pub fn trace_stats(log: &TraceLog) -> String {
         };
         *seg.by_kind.entry(kind).or_default() += 1;
     }
-    let mut out = String::new();
-    if segments.is_empty() {
-        let _ = writeln!(out, "0 records");
-        return out;
-    }
-    for (i, seg) in segments.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        seg.render(&mut out);
-    }
-    if segments.len() > 1 {
-        let total: u64 = segments.iter().map(|s| s.records).sum();
-        let _ = writeln!(
-            out,
-            "\ntotal: {} records across {} runs",
-            total,
-            segments.len()
-        );
-    }
-    out
+    seg
 }
 
 // ---------------------------------------------------------------------------
@@ -741,8 +743,8 @@ pub fn trace_stats(log: &TraceLog) -> String {
 // ---------------------------------------------------------------------------
 
 /// Epoch used to bucket commits for knee detection when the caller does not
-/// override it — matches the epoch sampler's default (50 ms of sim-time).
-pub const DEFAULT_ANALYZE_EPOCH_NS: u64 = 50_000_000;
+/// override it — the epoch sampler's own width.
+pub const DEFAULT_ANALYZE_EPOCH_NS: u64 = hyflow_dstm::telemetry::EPOCH.as_nanos();
 
 /// Most epochs [`analyze`] buckets commits into (8 MiB of counters). A real
 /// run spans a few hundred at the default epoch; a commit stamped further
@@ -754,6 +756,8 @@ const MAX_ANALYZE_EPOCHS: u64 = 1 << 20;
 /// queue-service, and migration records.
 #[derive(Clone, Debug)]
 pub struct HotObject {
+    /// The run the object belongs to, counted from 1.
+    pub run: usize,
     pub oid: ObjectId,
     /// Parent-level aborts that blamed this object.
     pub aborts_caused: u64,
@@ -771,12 +775,15 @@ pub struct HotObject {
 /// how much of their work was discarded.
 #[derive(Clone, Debug)]
 pub struct Aggressor {
+    /// The run the transaction belongs to, counted from 1.
+    pub run: usize,
     pub tx: TxId,
     pub victim_aborts: u64,
     pub wasted_ns: u64,
 }
 
-/// Commits bucketed into fixed sim-time epochs, plus the detected knee.
+/// One run's commits bucketed into fixed sim-time epochs, plus the
+/// detected knee.
 #[derive(Clone, Debug, Default)]
 pub struct ThroughputSeries {
     pub epoch_ns: u64,
@@ -794,13 +801,17 @@ pub struct ThroughputSeries {
 #[derive(Clone, Debug, Default)]
 pub struct AnalyzeReport {
     pub records: usize,
-    /// `RunInfo`-delimited runs seen (0 for unmarked legacy logs).
+    /// Runs in the log, split as [`audit`] splits them.
     pub runs: usize,
     pub hot_objects: Vec<HotObject>,
     pub aggressors: Vec<Aggressor>,
-    /// Longest victim → aggressor → … causal chain found (cycle-free walk).
+    /// Longest victim → aggressor → … causal chain found within one run
+    /// (cycle-free walk; the earliest run wins a tie).
     pub longest_chain: Vec<TxId>,
-    pub throughput: ThroughputSeries,
+    /// The run that chain belongs to, counted from 1.
+    pub longest_chain_run: usize,
+    /// One series per run: each run's sim time starts at 0.
+    pub throughput: Vec<ThroughputSeries>,
     /// Whether at least one `RunSummary` was present to reconcile against.
     pub summary_checked: bool,
     /// Event-derived vs counter-derived discrepancies; empty means the
@@ -822,6 +833,14 @@ impl AnalyzeReport {
     /// Human-readable report.
     pub fn render(&self) -> String {
         let ms = |ns: u64| ns as f64 / 1e6;
+        // Names a row's run when the log holds more than one.
+        let run = |k: usize| {
+            if self.runs > 1 {
+                format!("run {k} ")
+            } else {
+                String::new()
+            }
+        };
         let mut out = format!(
             "analyzed {} records ({} run{}); counter reconciliation: {}\n",
             self.records,
@@ -860,7 +879,7 @@ impl AnalyzeReport {
                 let _ = writeln!(
                     out,
                     "  {:<10} {:>7} {:>11.3} {:>7} {:>10.3} {:>11}",
-                    h.oid.to_string(),
+                    format!("{}{}", run(h.run), h.oid),
                     h.aborts_caused,
                     ms(h.wasted_ns),
                     h.serves,
@@ -875,7 +894,7 @@ impl AnalyzeReport {
                 let _ = writeln!(
                     out,
                     "  {:<10} victims {:<5} wasted(ms) {:.3}",
-                    a.tx.to_string(),
+                    format!("{}{}", run(a.run), a.tx),
                     a.victim_aborts,
                     ms(a.wasted_ns)
                 );
@@ -883,33 +902,30 @@ impl AnalyzeReport {
         }
         if self.longest_chain.len() > 1 {
             let chain: Vec<String> = self.longest_chain.iter().map(|t| t.to_string()).collect();
-            let _ = writeln!(out, "longest abort chain: {}", chain.join(" <- "));
+            let _ = writeln!(
+                out,
+                "longest abort chain: {}{}",
+                run(self.longest_chain_run),
+                chain.join(" <- ")
+            );
         }
-        let t = &self.throughput;
-        if !t.commits_per_epoch.is_empty() {
-            let peak = t.commits_per_epoch[t.peak_epoch];
-            match t.knee_epoch {
-                Some(k) => {
-                    let _ = writeln!(
-                        out,
-                        "throughput: peak {} commits in epoch {} ({} ms); knee at epoch {} \
-                         (sustained < 50% of peak)",
-                        peak,
-                        t.peak_epoch,
-                        t.epoch_ns / 1_000_000,
-                        k
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "throughput: peak {} commits in epoch {} ({} ms); no knee detected",
-                        peak,
-                        t.peak_epoch,
-                        t.epoch_ns / 1_000_000
-                    );
-                }
+        for (k, t) in self.throughput.iter().enumerate() {
+            if t.commits_per_epoch.is_empty() {
+                continue;
             }
+            let peak = t.commits_per_epoch[t.peak_epoch];
+            let knee = match t.knee_epoch {
+                Some(k) => format!("knee at epoch {k} (sustained < 50% of peak)"),
+                None => "no knee detected".to_string(),
+            };
+            let _ = writeln!(
+                out,
+                "{}throughput: peak {} commits in epoch {} ({} ms); {knee}",
+                run(k + 1),
+                peak,
+                t.peak_epoch,
+                t.epoch_ns / 1_000_000,
+            );
         }
         for m in &self.mismatches {
             let _ = writeln!(out, "MISMATCH: {m}");
@@ -942,9 +958,15 @@ impl AnalyzeReport {
             }
             let _ = write!(
                 out,
-                "{{\"oid\":{},\"aborts\":{},\"wasted_ns\":{},\"serves\":{},\
+                "{{\"run\":{},\"oid\":{},\"aborts\":{},\"wasted_ns\":{},\"serves\":{},\
                  \"wait_ns\":{},\"migrations\":{}}}",
-                h.oid.0, h.aborts_caused, h.wasted_ns, h.serves, h.wait_induced_ns, h.migrations
+                h.run,
+                h.oid.0,
+                h.aborts_caused,
+                h.wasted_ns,
+                h.serves,
+                h.wait_induced_ns,
+                h.migrations
             );
         }
         out.push_str("],\"aggressors\":[");
@@ -954,36 +976,42 @@ impl AnalyzeReport {
             }
             let _ = write!(
                 out,
-                "{{\"tx\":[{},{}],\"victims\":{},\"wasted_ns\":{}}}",
-                a.tx.node, a.tx.seq, a.victim_aborts, a.wasted_ns
+                "{{\"run\":{},\"tx\":[{},{}],\"victims\":{},\"wasted_ns\":{}}}",
+                a.run, a.tx.node, a.tx.seq, a.victim_aborts, a.wasted_ns
             );
         }
-        out.push_str("],\"longest_chain\":[");
+        let _ = write!(
+            out,
+            "],\"longest_chain_run\":{},\"longest_chain\":[",
+            self.longest_chain_run
+        );
         for (i, t) in self.longest_chain.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(out, "[{},{}]", t.node, t.seq);
         }
-        let _ = write!(
-            out,
-            "],\"epoch_ns\":{},\"commits_per_epoch\":[",
-            self.throughput.epoch_ns
-        );
-        for (i, c) in self.throughput.commits_per_epoch.iter().enumerate() {
+        out.push_str("],\"throughput\":[");
+        for (i, t) in self.throughput.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{c}");
-        }
-        let _ = write!(out, "],\"peak_epoch\":{}", self.throughput.peak_epoch);
-        match self.throughput.knee_epoch {
-            Some(k) => {
-                let _ = write!(out, ",\"knee_epoch\":{k}");
+            let _ = write!(out, "{{\"epoch_ns\":{},\"commits_per_epoch\":[", t.epoch_ns);
+            for (i, c) in t.commits_per_epoch.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{c}");
             }
-            None => out.push_str(",\"knee_epoch\":null"),
+            let _ = write!(out, "],\"peak_epoch\":{}", t.peak_epoch);
+            match t.knee_epoch {
+                Some(k) => {
+                    let _ = write!(out, ",\"knee_epoch\":{k}}}");
+                }
+                None => out.push_str(",\"knee_epoch\":null}"),
+            }
         }
-        out.push_str(",\"mismatches\":[");
+        out.push_str("],\"mismatches\":[");
         for (i, m) in self.mismatches.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -1007,8 +1035,13 @@ fn first_in_epoch(series: &mut Vec<u64>, e: u64) {
     }
 }
 
-fn hot_entry(map: &mut FxHashMap<ObjectId, HotObject>, oid: ObjectId) -> &mut HotObject {
-    map.entry(oid).or_insert_with(|| HotObject {
+fn hot_entry(
+    map: &mut FxHashMap<(usize, ObjectId), HotObject>,
+    run: usize,
+    oid: ObjectId,
+) -> &mut HotObject {
+    map.entry((run, oid)).or_insert_with(|| HotObject {
+        run,
         oid,
         aborts_caused: 0,
         wasted_ns: 0,
@@ -1016,6 +1049,63 @@ fn hot_entry(map: &mut FxHashMap<ObjectId, HotObject>, oid: ObjectId) -> &mut Ho
         wait_induced_ns: 0,
         migrations: 0,
     })
+}
+
+/// The longest victim -> aggressor -> (that aggressor's own aggressor, if
+/// it too aborted) -> … chain of one run's `blamed_by` map; of chains as
+/// long, the one that starts at the smallest id. Cycle-guarded.
+fn longest_chain(blamed_by: &FxHashMap<TxId, TxId>) -> Vec<TxId> {
+    let mut best: Vec<TxId> = Vec::new();
+    for &start in blamed_by.keys() {
+        let mut chain = vec![start];
+        let mut seen: FxHashSet<TxId> = FxHashSet::default();
+        seen.insert(start);
+        let mut cur = start;
+        while let Some(&next) = blamed_by.get(&cur) {
+            if !seen.insert(next) {
+                break;
+            }
+            chain.push(next);
+            cur = next;
+        }
+        if chain.len() > best.len()
+            || (chain.len() == best.len()
+                && best
+                    .first()
+                    .is_some_and(|b| (start.node, start.seq) < (b.node, b.seq)))
+        {
+            best = chain;
+        }
+    }
+    best
+}
+
+/// One run's commit series with its peak and knee: the knee is the first
+/// post-peak epoch from which every later epoch stays below half the peak
+/// rate.
+fn throughput(commits_per_epoch: Vec<u64>, epoch_ns: u64) -> ThroughputSeries {
+    let peak_epoch = commits_per_epoch
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
+        .map(|(i, _)| i)
+        .unwrap_or(0);
+    let mut knee = None;
+    if let Some(&peak) = commits_per_epoch.get(peak_epoch) {
+        let half = peak.div_ceil(2);
+        for i in (peak_epoch + 1..commits_per_epoch.len()).rev() {
+            if commits_per_epoch[i] >= half {
+                break;
+            }
+            knee = Some(i);
+        }
+    }
+    ThroughputSeries {
+        epoch_ns,
+        commits_per_epoch,
+        peak_epoch,
+        knee_epoch: knee,
+    }
 }
 
 /// Build the object-conflict picture of a trace: rank hot objects by the
@@ -1038,75 +1128,94 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
         records: log.records.len(),
         ..AnalyzeReport::default()
     };
-    let mut objects: FxHashMap<ObjectId, HotObject> = FxHashMap::default();
-    let mut aggressors: FxHashMap<TxId, (u64, u64)> = FxHashMap::default();
-    let mut blamed_by: FxHashMap<TxId, TxId> = FxHashMap::default();
-    let mut commits_per_epoch: Vec<u64> = Vec::new();
+    let mut objects: FxHashMap<(usize, ObjectId), HotObject> = FxHashMap::default();
+    let mut aggressors: FxHashMap<(usize, TxId), (u64, u64)> = FxHashMap::default();
     let mut summary = (0u64, 0u64, 0u64, 0u64, 0u64); // commits, aborts, wasted_ns, msgs, attributed
 
-    for r in &log.records {
-        match &r.ev {
-            ProtoEvent::RunInfo { .. } => report.runs += 1,
-            ProtoEvent::TxCommit { .. } => {
-                report.commits += 1;
-                let e = r.at.0 / epoch_ns;
-                match commits_per_epoch.get_mut(e as usize) {
-                    Some(n) => *n += 1,
-                    None => first_in_epoch(&mut commits_per_epoch, e),
+    // Transaction and object ids repeat from run to run and each run's
+    // clock starts at 0, so the tallies below are kept per run: each run
+    // walks its own victim → aggressor map and buckets its own commits.
+    let runs = runs(&log.records);
+    report.runs = runs.len();
+    for (k, run) in runs.into_iter().enumerate() {
+        let mut blamed_by: FxHashMap<TxId, TxId> = FxHashMap::default();
+        let mut commits_per_epoch: Vec<u64> = Vec::new();
+        for r in run {
+            match &r.ev {
+                ProtoEvent::TxCommit { .. } => {
+                    report.commits += 1;
+                    let e = r.at.0 / epoch_ns;
+                    match commits_per_epoch.get_mut(e as usize) {
+                        Some(n) => *n += 1,
+                        None => first_in_epoch(&mut commits_per_epoch, e),
+                    }
                 }
-            }
-            ProtoEvent::TxAbort {
-                tx,
-                wasted_ns,
-                msgs,
-                oid,
-                aggressor,
-                ..
-            } => {
-                report.aborts += 1;
-                report.wasted_ns += wasted_ns;
-                report.wasted_msgs += msgs;
-                if let Some(blamed) = oid {
-                    let h = hot_entry(&mut objects, *blamed);
-                    h.aborts_caused += 1;
-                    h.wasted_ns += wasted_ns;
+                ProtoEvent::TxAbort {
+                    tx,
+                    wasted_ns,
+                    msgs,
+                    oid,
+                    aggressor,
+                    ..
+                } => {
+                    report.aborts += 1;
+                    report.wasted_ns += wasted_ns;
+                    report.wasted_msgs += msgs;
+                    if let Some(blamed) = oid {
+                        let h = hot_entry(&mut objects, k + 1, *blamed);
+                        h.aborts_caused += 1;
+                        h.wasted_ns += wasted_ns;
+                    }
+                    if let Some(agg) = aggressor {
+                        report.attributed += 1;
+                        let slot = aggressors.entry((k + 1, *agg)).or_default();
+                        slot.0 += 1;
+                        slot.1 += wasted_ns;
+                        blamed_by.insert(*tx, *agg);
+                    }
                 }
-                if let Some(agg) = aggressor {
-                    report.attributed += 1;
-                    let slot = aggressors.entry(*agg).or_default();
-                    slot.0 += 1;
-                    slot.1 += wasted_ns;
-                    blamed_by.insert(*tx, *agg);
+                ProtoEvent::QueueServed { oid, wait, .. } => {
+                    let h = hot_entry(&mut objects, k + 1, *oid);
+                    h.serves += 1;
+                    h.wait_induced_ns += wait.as_nanos();
                 }
+                ProtoEvent::Migrate { oid, .. } => {
+                    hot_entry(&mut objects, k + 1, *oid).migrations += 1;
+                }
+                ProtoEvent::RunSummary {
+                    commits,
+                    aborts,
+                    wasted_ns,
+                    wasted_msgs,
+                    attributed,
+                    ..
+                } => {
+                    report.summary_checked = true;
+                    summary.0 += commits;
+                    summary.1 += aborts;
+                    summary.2 += wasted_ns;
+                    summary.3 += wasted_msgs;
+                    summary.4 += attributed;
+                }
+                _ => {}
             }
-            ProtoEvent::QueueServed { oid, wait, .. } => {
-                let h = hot_entry(&mut objects, *oid);
-                h.serves += 1;
-                h.wait_induced_ns += wait.as_nanos();
-            }
-            ProtoEvent::Migrate { oid, .. } => {
-                hot_entry(&mut objects, *oid).migrations += 1;
-            }
-            ProtoEvent::RunSummary {
-                commits,
-                aborts,
-                wasted_ns,
-                wasted_msgs,
-                attributed,
-                ..
-            } => {
-                report.summary_checked = true;
-                summary.0 += commits;
-                summary.1 += aborts;
-                summary.2 += wasted_ns;
-                summary.3 += wasted_msgs;
-                summary.4 += attributed;
-            }
-            _ => {}
         }
+        let chain = longest_chain(&blamed_by);
+        if chain.len() > report.longest_chain.len() {
+            report.longest_chain = chain;
+            report.longest_chain_run = k + 1;
+        }
+        report
+            .throughput
+            .push(throughput(commits_per_epoch, epoch_ns));
     }
 
-    if commits_per_epoch.iter().sum::<u64>() < report.commits {
+    let bucketed: u64 = report
+        .throughput
+        .iter()
+        .map(|t| t.commits_per_epoch.iter().sum::<u64>())
+        .sum();
+    if bucketed < report.commits {
         // Only a refused commit gets here; find the furthest one.
         let span = log
             .records
@@ -1143,12 +1252,20 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
     // Hot objects: aborts caused, then wasted work, then queue wait.
     let mut hot: Vec<HotObject> = objects.into_values().collect();
     hot.sort_by(|a, b| {
-        (b.aborts_caused, b.wasted_ns, b.wait_induced_ns, a.oid.0).cmp(&(
-            a.aborts_caused,
-            a.wasted_ns,
-            a.wait_induced_ns,
-            b.oid.0,
-        ))
+        (
+            b.aborts_caused,
+            b.wasted_ns,
+            b.wait_induced_ns,
+            a.run,
+            a.oid.0,
+        )
+            .cmp(&(
+                a.aborts_caused,
+                a.wasted_ns,
+                a.wait_induced_ns,
+                b.run,
+                b.oid.0,
+            ))
     });
     hot.truncate(TOP_OBJECTS);
     report.hot_objects = hot;
@@ -1156,75 +1273,22 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
     // Aggressors by wasted work induced.
     let mut aggs: Vec<Aggressor> = aggressors
         .into_iter()
-        .map(|(tx, (victim_aborts, wasted_ns))| Aggressor {
+        .map(|((run, tx), (victim_aborts, wasted_ns))| Aggressor {
+            run,
             tx,
             victim_aborts,
             wasted_ns,
         })
         .collect();
     aggs.sort_by(|a, b| {
-        (b.wasted_ns, b.victim_aborts, (a.tx.node, a.tx.seq)).cmp(&(
+        (b.wasted_ns, b.victim_aborts, (a.run, a.tx.node, a.tx.seq)).cmp(&(
             a.wasted_ns,
             a.victim_aborts,
-            (b.tx.node, b.tx.seq),
+            (b.run, b.tx.node, b.tx.seq),
         ))
     });
     aggs.truncate(TOP_AGGRESSORS);
     report.aggressors = aggs;
-
-    // Longest causal chain: victim -> aggressor -> (that aggressor's own
-    // aggressor, if it too aborted) -> …, cycle-guarded.
-    let mut best: Vec<TxId> = Vec::new();
-    for &start in blamed_by.keys() {
-        let mut chain = vec![start];
-        let mut seen: FxHashSet<TxId> = FxHashSet::default();
-        seen.insert(start);
-        let mut cur = start;
-        while let Some(&next) = blamed_by.get(&cur) {
-            if !seen.insert(next) {
-                break;
-            }
-            chain.push(next);
-            cur = next;
-        }
-        if chain.len() > best.len()
-            || (chain.len() == best.len()
-                && best
-                    .first()
-                    .is_some_and(|b| (start.node, start.seq) < (b.node, b.seq)))
-        {
-            best = chain;
-        }
-    }
-    report.longest_chain = best;
-
-    // Throughput knee: the first post-peak epoch from which every later
-    // epoch stays below half the peak rate.
-    if !commits_per_epoch.is_empty() {
-        let peak_epoch = commits_per_epoch
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let peak = commits_per_epoch[peak_epoch];
-        let half = peak.div_ceil(2);
-        let mut knee = None;
-        for i in (peak_epoch + 1..commits_per_epoch.len()).rev() {
-            if commits_per_epoch[i] >= half {
-                break;
-            }
-            knee = Some(i);
-        }
-        report.throughput = ThroughputSeries {
-            epoch_ns,
-            commits_per_epoch,
-            peak_epoch,
-            knee_epoch: knee,
-        };
-    } else {
-        report.throughput.epoch_ns = epoch_ns;
-    }
 
     report
 }
@@ -1757,15 +1821,81 @@ mod tests {
         }
         let log = TraceLog { records };
         let report = analyze(&log, epoch);
-        assert_eq!(report.throughput.commits_per_epoch, vec![4, 4, 1, 1]);
-        assert_eq!(report.throughput.peak_epoch, 0);
-        assert_eq!(report.throughput.knee_epoch, Some(2));
+        assert_eq!(report.throughput[0].commits_per_epoch, vec![4, 4, 1, 1]);
+        assert_eq!(report.throughput[0].peak_epoch, 0);
+        assert_eq!(report.throughput[0].knee_epoch, Some(2));
         // A flat series has no knee.
         let flat = TraceLog {
             records: (0..4)
                 .map(|e| commit(e * epoch, tx, vec![], vec![]))
                 .collect(),
         };
-        assert_eq!(analyze(&flat, epoch).throughput.knee_epoch, None);
+        assert_eq!(analyze(&flat, epoch).throughput[0].knee_epoch, None);
+    }
+
+    #[test]
+    fn analyze_keeps_every_tally_within_its_run() {
+        let (t0, t1, t2, t3) = (
+            TxId::new(0, 1),
+            TxId::new(1, 1),
+            TxId::new(2, 1),
+            TxId::new(3, 1),
+        );
+        let a = ObjectId(1);
+        let info = |at| {
+            rec(
+                at,
+                0,
+                ProtoEvent::RunInfo {
+                    scheduler: SchedulerKind::Rts,
+                    nodes: 4,
+                },
+            )
+        };
+        let epoch = 1_000u64;
+        // Run 1 blames T1.1 on T2.1, run 2 blames T2.1 on T3.1: no chain
+        // T1.1 <- T2.1 <- T3.1, since run 2's T2.1 is another transaction.
+        // T3.1 aggresses in both runs.
+        let log = TraceLog {
+            records: vec![
+                info(0),
+                abort_blaming(100, t1, 500, 1, Some(a), Some(t2)),
+                abort_blaming(150, t0, 200, 1, Some(a), Some(t3)),
+                commit(200, t1, vec![], vec![]),
+                commit(300, t0, vec![], vec![]),
+                info(0),
+                abort_blaming(100, t2, 700, 1, Some(a), Some(t3)),
+                commit(2_500, t2, vec![], vec![]),
+            ],
+        };
+        let report = analyze(&log, epoch);
+        assert_eq!(report.runs, 2);
+        assert_eq!(report.longest_chain, vec![t0, t3], "run 1's, the earliest");
+        assert_eq!(report.longest_chain_run, 1);
+        // Two entries for T3.1, not one summed across runs.
+        let t3_tolls: Vec<_> = report
+            .aggressors
+            .iter()
+            .filter(|g| g.tx == t3)
+            .map(|g| (g.run, g.victim_aborts, g.wasted_ns))
+            .collect();
+        assert_eq!(t3_tolls, vec![(2, 1, 700), (1, 1, 200)]);
+        // Object `a` likewise, once per run.
+        let a_tolls: Vec<_> = report
+            .hot_objects
+            .iter()
+            .map(|h| (h.run, h.oid, h.aborts_caused, h.wasted_ns))
+            .collect();
+        assert_eq!(a_tolls, vec![(1, a, 2, 700), (2, a, 1, 700)]);
+        // Each run's commits are bucketed from its own time 0.
+        let series: Vec<_> = report
+            .throughput
+            .iter()
+            .map(|t| t.commits_per_epoch.clone())
+            .collect();
+        assert_eq!(series, vec![vec![2], vec![0, 0, 1]]);
+        let text = report.render();
+        assert!(text.contains("run 2 T3.1"), "{text}");
+        assert!(text.contains("run 1 throughput: peak 2"), "{text}");
     }
 }

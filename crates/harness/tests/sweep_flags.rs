@@ -42,9 +42,9 @@ fn a_mistyped_flag_is_refused() {
 
 #[test]
 fn a_value_that_does_not_parse_is_refused() {
-    let line = refused(&["large-smoke", "40", "--epoch-ns", "four"]);
+    let line = refused(&["4", "three", "bank"]);
     assert!(
-        line.contains("--epoch-ns") && line.contains("four"),
+        line.contains("txns_per_node") && line.contains("three"),
         "{line}"
     );
 }
@@ -140,6 +140,29 @@ fn the_retired_executor_flags_are_refused() {
     // `--trace` writes JSONL only; `dstm-trace chrome` converts it.
     assert!(refused(&["large-smoke", "40", "--trace-format", "chrome"])
         .contains("unknown flag --trace-format"));
+    // The sweep writes no sidecar, so nothing is left to sample or name.
+    for args in [
+        &["4", "3", "bank", "--telemetry"][..],
+        &["4", "3", "bank", "--epoch-ns", "5"],
+        &["4", "3", "bank", "--hist-out", "x"],
+    ] {
+        let flag = args[3];
+        assert!(refused(args).contains(&format!("unknown flag {flag}")));
+    }
+}
+
+#[test]
+fn the_default_sweep_writes_no_file() {
+    let cwd = Path::new(env!("CARGO_TARGET_TMPDIR")).join("sweep-no-file");
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).expect("scratch directory");
+    let out = sweep(&cwd, &[], &["4", "3", "bank"]);
+    assert!(out.status.success(), "{out:?}");
+    let left: Vec<_> = std::fs::read_dir(&cwd)
+        .expect("scratch directory")
+        .map(|e| e.expect("directory entry").file_name())
+        .collect();
+    assert!(left.is_empty(), "the sweep left {left:?}");
 }
 
 #[test]

@@ -4,10 +4,11 @@
 
 use dstm_benchmarks::Benchmark;
 use dstm_harness::experiments::scenarios::run_collision_traced;
-use dstm_harness::traceio::audit;
+use dstm_harness::traceio::{analyze, audit, trace_stats};
 use dstm_harness::{run_cell_traced, Cell};
 use hyflow_dstm::{ProtoEvent, TraceLog};
-use rts_core::SchedulerKind;
+use rts_core::{SchedulerKind, TxId};
+use std::collections::HashSet;
 
 fn audit_round_tripped(trace: &TraceLog) -> dstm_harness::AuditReport {
     // Audit the parsed-back trace, not the in-memory one, so the JSONL
@@ -81,6 +82,39 @@ fn concatenated_runs_are_audited_one_by_one() {
         report.commits_checked as u64,
         fig2.metrics.merged.commits + fig3.metrics.merged.commits
     );
+
+    // `analyze` and `stats` split the log the same way. Both runs number
+    // their transactions from scratch, so a chain that crossed from one run
+    // into the other would join strangers: every link of the longest chain
+    // must be an abort of one and the same run.
+    let both = analyze(&concatenated(&second), 0);
+    assert!(both.ok(), "mismatches: {:?}", both.mismatches);
+    assert_eq!(both.runs, 2);
+    assert!(both.render().contains("(2 runs)"), "{}", both.render());
+    let links = |run: &TraceLog| -> HashSet<(TxId, TxId)> {
+        run.records
+            .iter()
+            .filter_map(|r| match r.ev {
+                ProtoEvent::TxAbort {
+                    tx,
+                    aggressor: Some(agg),
+                    ..
+                } => Some((tx, agg)),
+                _ => None,
+            })
+            .collect()
+    };
+    let chain = &both.longest_chain;
+    assert!(chain.len() > 1, "the collisions abort on a known aggressor");
+    assert!(
+        [links(&first), links(&second)]
+            .iter()
+            .any(|run| chain.windows(2).all(|l| run.contains(&(l[0], l[1])))),
+        "chain {chain:?} is not one run's"
+    );
+    let census = trace_stats(&concatenated(&second));
+    assert_eq!(census.matches(" records\n").count(), 2, "{census}");
+    assert!(census.ends_with("across 2 runs\n"), "{census}");
 
     // A lost update in the second run is still found, and named by its run.
     let mut planted = second.clone();

@@ -69,14 +69,11 @@ pub struct DstmConfig {
     /// guard, so a disabled run allocates nothing for tracing.
     pub trace_protocol: bool,
     /// Record time-resolved telemetry ([`crate::telemetry`]): per-node
-    /// epoch samples of commit/abort/queue/CL activity plus the per-object
-    /// wasted-work rollup. Off by default behind the same one-branch guard
+    /// 50 ms epoch samples of the commit, abort, wasted-work and cache
+    /// counters. Off by default behind the same one-branch guard
     /// discipline as `trace_protocol` — a disabled run takes one branch per
     /// event and allocates nothing.
     pub telemetry: bool,
-    /// Simulated-time width of one telemetry epoch (ignored when
-    /// `telemetry` is off).
-    pub epoch: SimDuration,
     /// Clock-validated remote-read caching plus same-tick message
     /// coalescing (`dstm-sweep --cache`). Off by default: the cached
     /// fast paths and per-destination send buffers change message timing,
@@ -105,7 +102,6 @@ impl Default for DstmConfig {
             nesting: NestingMode::Closed,
             trace_protocol: false,
             telemetry: false,
-            epoch: SimDuration::from_millis(50),
             cache: false,
             concurrency_per_node: 4,
             txns_per_node: 50,
@@ -126,11 +122,6 @@ impl DstmConfig {
 
     pub fn with_telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
-        self
-    }
-
-    pub fn with_epoch(mut self, epoch: SimDuration) -> Self {
-        self.epoch = epoch;
         self
     }
 
@@ -163,15 +154,10 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_knobs_default_off() {
+    fn telemetry_defaults_off() {
         let c = DstmConfig::default();
         assert!(!c.telemetry);
-        assert_eq!(c.epoch, SimDuration::from_millis(50));
-        let c = c
-            .with_telemetry(true)
-            .with_epoch(SimDuration::from_millis(20));
-        assert!(c.telemetry);
-        assert_eq!(c.epoch, SimDuration::from_millis(20));
+        assert!(c.with_telemetry(true).telemetry);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! * [`metrics`] — commit/abort accounting, including the nested-abort
 //!   cause split that Table I reports;
 //! * [`telemetry`] — time-resolved observability: the passive epoch
-//!   sampler and per-object wasted-work rollup (off by default behind the
-//!   same one-branch guard discipline as protocol tracing);
+//!   sampler (off by default behind the same one-branch guard discipline
+//!   as protocol tracing);
 //! * [`config`] — knobs (scheduler kind, CL threshold, windows, estimates);
 //! * [`system`] — builds a [`dstm_sim::World`] of nodes over a
 //!   [`dstm_net::Topology`], seeds the workload, runs it, aggregates.
@@ -67,8 +67,6 @@ pub use program::{
 };
 pub use small::{Fnv64, ObjSet};
 pub use system::{NodeEvent, PartitionStrategy, System, SystemBuilder, WorkloadSource};
-pub use telemetry::{
-    merge_epoch_series, merge_object_waste, EpochSample, ObjWaste, TelemetryReport,
-};
+pub use telemetry::{merge_epoch_series, EpochSample, TelemetryReport};
 pub use trace::{ProtoEvent, ProtoTrace, SchedLabel, TraceLog, TraceRecord, Verdict};
 pub use tx::TxRuntime;

@@ -130,8 +130,8 @@ pub struct NodeMetrics {
     pub retries_per_commit: Histogram,
 }
 
-/// p50/p95/p99 upper bounds plus count/mean for one histogram, as reported
-/// in sweep sidecars.
+/// p50/p95/p99 upper bounds plus count/mean for one histogram, as
+/// `dstm-sweep scenario` prints them.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HistSummary {
     pub count: u64,

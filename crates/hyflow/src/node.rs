@@ -20,7 +20,7 @@ use crate::message::{FetchReq, FetchResult, Msg, Timer};
 use crate::metrics::{AbortCause, NestedAbortCause, NodeMetrics};
 use crate::object::{CachedCopy, OwnedObject, Payload};
 use crate::program::{AccessMode, BoxedProgram, ProgramSnapshot, StepInput, StepOutput};
-use crate::telemetry::{Gauges, Telemetry, TelemetryReport};
+use crate::telemetry::{Telemetry, TelemetryReport, EPOCH};
 use crate::trace::{ProtoEvent, ProtoTrace, Verdict};
 use crate::tx::{TxPhase, TxRuntime, ValidationResume};
 use dstm_net::Topology;
@@ -515,7 +515,7 @@ impl Node {
             objs.install_home(oid, p);
         }
         let telemetry = if cfg.telemetry {
-            Telemetry::enabled(cfg.epoch.0)
+            Telemetry::enabled(EPOCH.0)
         } else {
             Telemetry::disabled()
         };
@@ -550,37 +550,14 @@ impl Node {
     /// Drain this node's telemetry (end-of-run collection), closing the
     /// final partial epoch at `now`.
     pub fn take_telemetry(&mut self, now: SimTime) -> TelemetryReport {
-        let gauges = if self.telemetry.on() {
-            self.telemetry_gauges(now)
-        } else {
-            Gauges::default()
-        };
-        self.telemetry.take(now, &self.metrics, gauges)
-    }
-
-    /// Point-in-time gauges for an epoch flush (needs `&mut` because
-    /// reading a CL window prunes its expired entries).
-    fn telemetry_gauges(&mut self, now: SimTime) -> Gauges {
-        let slots = &mut self.objs.slots;
-        let cl_open = self.telemetry.open_windows(|i| {
-            slots[i]
-                .cl_window
-                .as_mut()
-                .is_some_and(|w| w.requests_in_window(now) > 0)
-        });
-        Gauges {
-            queue_depth: self.sched.total_queued() as u64,
-            in_flight: self.active as u64,
-            cl_open,
-        }
+        self.telemetry.take(now, &self.metrics)
     }
 
     /// Cold path of the per-event sampler check: close the epochs that
     /// ended at or before `now`.
     #[cold]
     fn telemetry_flush(&mut self, now: SimTime) {
-        let gauges = self.telemetry_gauges(now);
-        self.telemetry.flush(now, &self.metrics, gauges);
+        self.telemetry.flush(now, &self.metrics);
     }
 
     pub fn id(&self) -> u32 {
@@ -938,12 +915,7 @@ impl Node {
             .cl_window
             .get_or_insert_with(|| ObjectClWindow::new(window));
         w.record(now, tx);
-        let cl = w.local_cl(now);
-        // Noted after the window exists: noting first puts the sampler's
-        // list growth between a new window's allocations, which read
-        // ~2 MiB more peak RSS and a slower pass on `observe_160`.
-        self.telemetry.window_recorded(i);
-        cl
+        w.local_cl(now)
     }
 
     // -- tx table ----------------------------------------------------------
@@ -1490,10 +1462,6 @@ impl Node {
             .record_nested_aborts(NestedAbortCause::ParentAbort, acc.nested_parent);
         self.metrics
             .record_wasted_work(wasted_ns, msgs, aggressor.is_some(), acc.nested_parent);
-        if let Some(blamed) = oid {
-            // Per-object rollup (telemetry only; self-guarded one branch).
-            self.telemetry.record_obj_waste(blamed, wasted_ns);
-        }
         self.ptrace
             .emit(ctx.now(), self.me, || ProtoEvent::TxAbort {
                 tx: tx.id,

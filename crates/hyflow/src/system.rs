@@ -485,8 +485,7 @@ mod tests {
             let cfg = DstmConfig::default()
                 .with_scheduler(SchedulerKind::Rts)
                 .with_concurrency(2)
-                .with_telemetry(telemetry)
-                .with_epoch(SimDuration::from_millis(5));
+                .with_telemetry(telemetry);
             let programs: Vec<Vec<BoxedProgram>> = (0..4)
                 .map(|_| {
                     (0..4)
@@ -520,7 +519,7 @@ mod tests {
 
         let reports = on.take_telemetry();
         let series = crate::telemetry::merge_epoch_series(&reports);
-        assert!(!series.is_empty(), "contended run spans several epochs");
+        assert!(series.len() > 1, "contended run spans several epochs");
         let commits: u64 = series.iter().map(|e| e.commits).sum();
         let aborts: u64 = series.iter().map(|e| e.aborts).sum();
         let wasted: u64 = series.iter().map(|e| e.wasted_ns).sum();
@@ -528,14 +527,6 @@ mod tests {
         assert_eq!(aborts, got.merged.total_aborts());
         assert_eq!(wasted, got.merged.wasted_work_ns);
         assert!(got.merged.wasted_work_reconciles(), "Table-I split ledger");
-        // Aborts attributed to objects in the rollup are a subset of all
-        // top-level aborts (timeout/validation aborts may know no object).
-        let rollup = crate::telemetry::merge_object_waste(&reports);
-        let rollup_aborts: u64 = rollup.iter().map(|o| o.aborts).sum();
-        assert!(rollup_aborts <= got.merged.total_aborts());
-        if got.merged.total_aborts() > 0 {
-            assert!(!rollup.is_empty(), "contended aborts blame objects");
-        }
     }
 
     #[test]

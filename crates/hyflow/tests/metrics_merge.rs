@@ -1,8 +1,8 @@
 //! Property tests for metrics aggregation: merging per-node metrics must
 //! be a plain sum for every counter (each `AbortCause` and
 //! `NestedAbortCause` independently), and histogram merging must be
-//! order-independent — the guarantees the trace audits and sweep sidecars
-//! lean on when they cross-check span-derived numbers against counters.
+//! order-independent — the guarantees the trace audits lean on when they
+//! cross-check span-derived numbers against counters.
 
 use dstm_sim::Histogram;
 use hyflow_dstm::{AbortCause, NestedAbortCause, NodeMetrics};
