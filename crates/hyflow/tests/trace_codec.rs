@@ -1,5 +1,8 @@
 //! Property tests for the trace text codec and the run-wide log's order.
 //!
+//! * one record of every kind — optional fields present and absent, empty
+//!   and non-empty tuple arrays, every scheduler label — is written as a
+//!   pinned line, which each reader alone reads back to that record;
 //! * every `ProtoEvent` variant, with field values biased towards the edges
 //!   of their types, survives `write_jsonl` → `parse` unchanged;
 //! * the layout reader and the keyed reader each read that line back to
@@ -385,5 +388,268 @@ proptest! {
         reference.sort_by_key(|r| (r.at, r.node));
 
         prop_assert_eq!(log.take().records, reference);
+    }
+}
+
+/// One record of every kind, covering the branches a whole-run digest can
+/// miss — optional fields present and absent, empty and non-empty tuple
+/// arrays, the cache counters of `run_summary` written and left out, every
+/// scheduler label — each paired with the exact line the writer makes of it.
+fn pinned() -> Vec<(TraceRecord, &'static str)> {
+    let tx = TxId::new(3, 17);
+    let rec = |at: u64, node: u32, ev: ProtoEvent| TraceRecord {
+        at: SimTime(at),
+        node,
+        ev,
+    };
+    let abort = |oid: Option<u64>, aggressor: Option<TxId>| ProtoEvent::TxAbort {
+        tx,
+        attempt: 2,
+        cause: AbortCause::QueueTimeout,
+        nested_parent: 4,
+        backoff: SimDuration(7_000_000),
+        wasted_ns: 123_456,
+        msgs: 9,
+        oid: oid.map(ObjectId),
+        aggressor,
+    };
+    let decision = |threshold: Option<u32>, verdict: Verdict| ProtoEvent::SchedDecision {
+        oid: ObjectId(7),
+        tx,
+        attempt: 3,
+        local_cl: 2,
+        requester_cl: 1,
+        window_requests: 5,
+        executed: SimDuration(50),
+        remaining: SimDuration(20),
+        queue_depth: 2,
+        bk: SimDuration(45),
+        threshold,
+        verdict,
+        backoff: SimDuration(44),
+    };
+    let summary = |hits: u64, misses: u64, inval: u64| ProtoEvent::RunSummary {
+        commits: 10,
+        aborts: 4,
+        nested_own: 2,
+        nested_parent: 5,
+        nested_commits: 12,
+        wasted_ns: 1_000_000,
+        wasted_msgs: 40,
+        attributed: 3,
+        cache_hits: hits,
+        cache_misses: misses,
+        cache_invalidations: inval,
+    };
+    let mut out = vec![
+        (
+            rec(
+                5,
+                1,
+                ProtoEvent::TxStart {
+                    tx,
+                    kind: TxKind(2),
+                    attempt: 0,
+                },
+            ),
+            r#"{"at":5,"node":1,"ev":"tx_start","tx":[3,17],"kind":2,"attempt":0}"#,
+        ),
+        (
+            rec(
+                6,
+                1,
+                ProtoEvent::TxForward {
+                    tx,
+                    attempt: 1,
+                    oid: ObjectId(9),
+                    wv_old: 4,
+                    wv_new: 11,
+                },
+            ),
+            r#"{"at":6,"node":1,"ev":"tx_forward","tx":[3,17],"attempt":1,"oid":9,"wv_old":4,"wv_new":11}"#,
+        ),
+        (
+            rec(
+                7,
+                1,
+                ProtoEvent::TxCommit {
+                    tx,
+                    attempt: 0,
+                    nested_committed: 0,
+                    reads: vec![],
+                    writes: vec![],
+                },
+            ),
+            r#"{"at":7,"node":1,"ev":"tx_commit","tx":[3,17],"attempt":0,"nested_committed":0,"reads":[],"writes":[]}"#,
+        ),
+        (
+            rec(
+                8,
+                1,
+                ProtoEvent::TxCommit {
+                    tx,
+                    attempt: 2,
+                    nested_committed: 3,
+                    reads: vec![(ObjectId(1), 5), (ObjectId(2), 0)],
+                    writes: vec![(ObjectId(1), 5, 9)],
+                },
+            ),
+            r#"{"at":8,"node":1,"ev":"tx_commit","tx":[3,17],"attempt":2,"nested_committed":3,"reads":[[1,5],[2,0]],"writes":[[1,5,9]]}"#,
+        ),
+        (
+            rec(
+                9,
+                1,
+                ProtoEvent::TxCommit {
+                    tx,
+                    attempt: 1,
+                    nested_committed: 1,
+                    reads: vec![(ObjectId(4), 1)],
+                    writes: vec![(ObjectId(4), 1, 2), (ObjectId(6), 0, 3)],
+                },
+            ),
+            r#"{"at":9,"node":1,"ev":"tx_commit","tx":[3,17],"attempt":1,"nested_committed":1,"reads":[[4,1]],"writes":[[4,1,2],[6,0,3]]}"#,
+        ),
+        (
+            rec(10, 1, abort(Some(42), Some(TxId::new(5, 77)))),
+            r#"{"at":10,"node":1,"ev":"tx_abort","tx":[3,17],"attempt":2,"cause":"queue-timeout","nested_parent":4,"backoff":7000000,"wasted_ns":123456,"msgs":9,"oid":42,"aggr":[5,77]}"#,
+        ),
+        (
+            rec(10, 1, abort(Some(42), None)),
+            r#"{"at":10,"node":1,"ev":"tx_abort","tx":[3,17],"attempt":2,"cause":"queue-timeout","nested_parent":4,"backoff":7000000,"wasted_ns":123456,"msgs":9,"oid":42}"#,
+        ),
+        (
+            rec(10, 1, abort(None, Some(TxId::new(5, 77)))),
+            r#"{"at":10,"node":1,"ev":"tx_abort","tx":[3,17],"attempt":2,"cause":"queue-timeout","nested_parent":4,"backoff":7000000,"wasted_ns":123456,"msgs":9,"aggr":[5,77]}"#,
+        ),
+        (
+            rec(10, 1, abort(None, None)),
+            r#"{"at":10,"node":1,"ev":"tx_abort","tx":[3,17],"attempt":2,"cause":"queue-timeout","nested_parent":4,"backoff":7000000,"wasted_ns":123456,"msgs":9}"#,
+        ),
+        (
+            rec(
+                11,
+                2,
+                ProtoEvent::NestedOpen {
+                    tx,
+                    attempt: 0,
+                    level: 1,
+                    kind: TxKind(8),
+                },
+            ),
+            r#"{"at":11,"node":2,"ev":"nested_open","tx":[3,17],"attempt":0,"level":1,"kind":8}"#,
+        ),
+        (
+            rec(
+                12,
+                2,
+                ProtoEvent::NestedCommit {
+                    tx,
+                    attempt: 0,
+                    level: 1,
+                },
+            ),
+            r#"{"at":12,"node":2,"ev":"nested_commit","tx":[3,17],"attempt":0,"level":1}"#,
+        ),
+        (
+            rec(
+                13,
+                2,
+                ProtoEvent::NestedAbort {
+                    tx,
+                    attempt: 1,
+                    level: 2,
+                    own: 1,
+                    parent: 6,
+                },
+            ),
+            r#"{"at":13,"node":2,"ev":"nested_abort","tx":[3,17],"attempt":1,"level":2,"own":1,"parent":6}"#,
+        ),
+        (
+            rec(14, 0, decision(Some(16), Verdict::Enqueue)),
+            r#"{"at":14,"node":0,"ev":"sched_decision","oid":7,"tx":[3,17],"attempt":3,"local_cl":2,"requester_cl":1,"window_requests":5,"executed":50,"remaining":20,"queue_depth":2,"bk":45,"threshold":16,"verdict":"enqueue","backoff":44}"#,
+        ),
+        (
+            rec(14, 0, decision(None, Verdict::Abort)),
+            r#"{"at":14,"node":0,"ev":"sched_decision","oid":7,"tx":[3,17],"attempt":3,"local_cl":2,"requester_cl":1,"window_requests":5,"executed":50,"remaining":20,"queue_depth":2,"bk":45,"verdict":"abort","backoff":44}"#,
+        ),
+        (
+            rec(14, 0, decision(None, Verdict::AbortBackoff)),
+            r#"{"at":14,"node":0,"ev":"sched_decision","oid":7,"tx":[3,17],"attempt":3,"local_cl":2,"requester_cl":1,"window_requests":5,"executed":50,"remaining":20,"queue_depth":2,"bk":45,"verdict":"abort-backoff","backoff":44}"#,
+        ),
+        (
+            rec(
+                15,
+                0,
+                ProtoEvent::QueueServed {
+                    oid: ObjectId(7),
+                    tx,
+                    attempt: 1,
+                    wait: SimDuration(12),
+                },
+            ),
+            r#"{"at":15,"node":0,"ev":"queue_served","oid":7,"tx":[3,17],"attempt":1,"wait":12}"#,
+        ),
+        (
+            rec(
+                16,
+                0,
+                ProtoEvent::Migrate {
+                    oid: ObjectId(7),
+                    tx,
+                    from: 0,
+                    to: 3,
+                    version: 12,
+                },
+            ),
+            r#"{"at":16,"node":0,"ev":"migrate","oid":7,"tx":[3,17],"from":0,"to":3,"version":12}"#,
+        ),
+        (
+            rec(17, 0, summary(0, 0, 0)),
+            r#"{"at":17,"node":0,"ev":"run_summary","commits":10,"aborts":4,"nested_own":2,"nested_parent":5,"nested_commits":12,"wasted_ns":1000000,"wasted_msgs":40,"attributed":3}"#,
+        ),
+        (
+            rec(17, 0, summary(15, 4, 2)),
+            r#"{"at":17,"node":0,"ev":"run_summary","commits":10,"aborts":4,"nested_own":2,"nested_parent":5,"nested_commits":12,"wasted_ns":1000000,"wasted_msgs":40,"attributed":3,"cache_hits":15,"cache_misses":4,"cache_inval":2}"#,
+        ),
+        (
+            rec(17, 0, summary(0, 0, 2)),
+            r#"{"at":17,"node":0,"ev":"run_summary","commits":10,"aborts":4,"nested_own":2,"nested_parent":5,"nested_commits":12,"wasted_ns":1000000,"wasted_msgs":40,"attributed":3,"cache_hits":0,"cache_misses":0,"cache_inval":2}"#,
+        ),
+    ];
+    for (nodes, (scheduler, line)) in (8..).zip([
+        (
+            SchedulerKind::Rts,
+            r#"{"at":0,"node":0,"ev":"run_info","scheduler":"RTS","nodes":8}"#,
+        ),
+        (
+            SchedulerKind::Tfa,
+            r#"{"at":0,"node":0,"ev":"run_info","scheduler":"TFA","nodes":9}"#,
+        ),
+        (
+            SchedulerKind::TfaBackoff,
+            r#"{"at":0,"node":0,"ev":"run_info","scheduler":"TFA+Backoff","nodes":10}"#,
+        ),
+        (
+            SchedulerKind::Ats,
+            r#"{"at":0,"node":0,"ev":"run_info","scheduler":"ATS","nodes":11}"#,
+        ),
+        (
+            SchedulerKind::BiInterval,
+            r#"{"at":0,"node":0,"ev":"run_info","scheduler":"Bi-interval","nodes":12}"#,
+        ),
+    ]) {
+        out.push((rec(0, 0, ProtoEvent::RunInfo { scheduler, nodes }), line));
+    }
+    out
+}
+
+#[test]
+fn every_kind_writes_its_pinned_line_and_both_readers_read_it_back() {
+    for (rec, want) in pinned() {
+        let line = line_of(&rec);
+        assert_eq!(line, format!("{want}\n"));
+        assert_eq!(TraceRecord::parse_layout(want), Some(rec.clone()), "{want}");
+        assert_eq!(TraceRecord::parse_keyed(want), Ok(rec), "{want}");
     }
 }
