@@ -89,6 +89,10 @@ impl AuditReport {
 /// timeout without an enqueue means a deadline timer fired for a requester
 /// the owner never parked.
 ///
+/// **Time order.** The writer never lets `at` decrease within a run, so
+/// the first record of a run stamped earlier than the one before it is
+/// reported: a log out of time order cannot be replayed.
+///
 /// A log may hold several runs, one after another (concatenated traces):
 /// each is audited on its own and the counts summed. A run ends at its
 /// `RunSummary`, and a `RunInfo` starts a new one; when there is more than
@@ -155,6 +159,15 @@ fn runs(records: &[TraceRecord]) -> Vec<&[TraceRecord]> {
 
 /// [`audit`] one run, adding its counts and violations to `report`.
 fn audit_run(records: &[TraceRecord], report: &mut AuditReport) {
+    if let Some(i) = records.windows(2).position(|w| w[1].at < w[0].at) {
+        report.violations.push(format!(
+            "time goes backwards at record {} of the run: t={} after t={}",
+            i + 2,
+            records[i + 1].at.0,
+            records[i].at.0
+        ));
+    }
+
     // Pass 1: per-object install history, in record order (the log is
     // time-ordered), then indexed for the read windows.
     let mut installs: FxHashMap<ObjectId, Vec<Install>> = FxHashMap::default();

@@ -164,3 +164,28 @@ fn analyze_refuses_a_far_future_commit_without_dying() {
     let out = trace_tool(&["analyze", path, "--epoch-ns", "17592186044416"]);
     assert!(out.status.success(), "{out:?}");
 }
+
+/// `audit` used to pass a run whose clock went backwards — this committed
+/// two-line trace, a commit stamped before its own start, printed "OK" and
+/// exited 0. The first decreasing record of a run is now a violation, while
+/// a log of runs one after another (each starting at time zero) passes.
+#[test]
+fn audit_refuses_a_run_whose_time_goes_backwards() {
+    let reversed = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/time_reversed.jsonl"
+    );
+    let out = trace_tool(&["audit", reversed]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("time goes backwards at record 2 of the run: t=1 after t=5"),
+        "{stdout}"
+    );
+
+    let good = std::fs::read_to_string(recorded("twice.jsonl")).expect("read trace");
+    let twice = scratch("twice_concatenated.jsonl");
+    std::fs::write(&twice, format!("{good}{good}")).expect("write trace");
+    let out = trace_tool(&["audit", twice.to_str().unwrap()]);
+    assert!(out.status.success(), "{out:?}");
+}
