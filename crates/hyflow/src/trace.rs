@@ -17,6 +17,14 @@
 //! `core::fmt`-free because a 160-node run leaves ~10^5 records per cell and
 //! the trace only earns its keep if it is cheap enough to leave on.
 //!
+//! **One field list.** The `events!` table below is the line format: each
+//! kind's label, then per field its JSON key, its type — whose [`Value`]
+//! impl is the value's shape on the line — and what a missing value means
+//! (`required`; `default`: older traces lack it, it reads as zero or
+//! `None`; `nonzero`: written only when one of the kind's `nonzero` fields
+//! is). The enum, the writer and both readers are generated from it, so a
+//! new field is one line of the table.
+//!
 //! **Accepted grammar** ([`TraceRecord::parse`]): one flat object per line;
 //! a value is an unsigned integer that fits `u64`, a label string without
 //! escapes, or an array of values (in practice `[a,b]` and arrays of 2- or
@@ -28,10 +36,11 @@
 //!
 //! Two readers share that grammar. The layout reader
 //! ([`TraceRecord::parse_layout`]) knows only the writer's own bytes —
-//! fixed key order per kind, no whitespace — and reads them without
-//! looking a key up; the keyed reader ([`TraceRecord::parse_keyed`]) reads
-//! anything the grammar allows. `parse` tries the first and hands any line
-//! it refuses to the second, which words every error.
+//! the table's key order, no whitespace between fields — and reads them
+//! without looking a key up; the keyed reader
+//! ([`TraceRecord::parse_keyed`]) reads anything the grammar allows.
+//! `parse` tries the first and hands any line it refuses to the second,
+//! which words every error.
 
 use crate::metrics::{AbortCause, NodeMetrics};
 use dstm_sim::{SimDuration, SimTime};
@@ -67,135 +76,259 @@ impl Verdict {
     }
 }
 
-/// One typed protocol occurrence. Times live on the enclosing
-/// [`TraceRecord`]; durations inside events are plain nanosecond values.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ProtoEvent {
-    /// A top-level attempt began executing (attempt 0 = first start,
-    /// higher = retry after an abort).
-    TxStart {
-        tx: TxId,
-        kind: TxKind,
-        attempt: u32,
-    },
-    /// Transactional forwarding: a fetched version exceeded the
-    /// transaction's write-version clock, triggering early validation.
-    TxForward {
-        tx: TxId,
-        attempt: u32,
-        oid: ObjectId,
-        wv_old: u64,
-        wv_new: u64,
-    },
-    /// The attempt reached its serialization point (locks held, reads
-    /// validated). `reads` is every `(object, version)` the commit is based
-    /// on; `writes` is `(object, expected_version, new_version)` for each
-    /// published object. For a read-only commit `writes` is empty and the
-    /// record is emitted at finalization.
-    TxCommit {
-        tx: TxId,
-        attempt: u32,
-        nested_committed: u64,
-        reads: Vec<(ObjectId, u64)>,
-        writes: Vec<(ObjectId, u64, u64)>,
-    },
-    /// The whole (parent) transaction aborted; it will retry as
-    /// `attempt + 1`. `nested_parent` children died with it (Table I).
-    ///
-    /// Abort attribution rides along unconditionally (the fields are plain
-    /// integers, so recording them costs nothing extra): `wasted_ns` is the
-    /// virtual time the attempt had been running, `msgs` the protocol
-    /// messages it had sent — both discarded. `oid` is the contended object
-    /// (when the abort traces to one) and `aggressor` the transaction
-    /// holding its lock, when the owner knew it (queue timeouts know the
-    /// object but not the holder).
-    TxAbort {
-        tx: TxId,
-        attempt: u32,
-        cause: AbortCause,
-        nested_parent: u64,
-        backoff: SimDuration,
-        wasted_ns: u64,
-        msgs: u64,
-        oid: Option<ObjectId>,
-        aggressor: Option<TxId>,
-    },
-    /// A closed-nested child level opened.
-    NestedOpen {
-        tx: TxId,
-        attempt: u32,
-        level: u32,
-        kind: TxKind,
-    },
-    /// The innermost child merged into its parent.
-    NestedCommit { tx: TxId, attempt: u32, level: u32 },
-    /// A child level rolled back for its own conflict (`own`) taking
-    /// `parent`-caused casualties (committed descendants) with it.
-    NestedAbort {
-        tx: TxId,
-        attempt: u32,
-        level: u32,
-        own: u64,
-        parent: u64,
-    },
-    /// The owner-side scheduler adjudicated a lock-busy fetch
-    /// (Algorithm 3): the full decision inputs and the verdict.
-    SchedDecision {
-        oid: ObjectId,
-        tx: TxId,
-        attempt: u32,
-        local_cl: u32,
-        requester_cl: u32,
-        window_requests: u32,
-        executed: SimDuration,
-        remaining: SimDuration,
-        queue_depth: u64,
-        bk: SimDuration,
-        threshold: Option<u32>,
-        verdict: Verdict,
-        backoff: SimDuration,
-    },
-    /// A queued requester was handed the object on release, after `wait`.
-    QueueServed {
-        oid: ObjectId,
-        tx: TxId,
-        attempt: u32,
-        wait: SimDuration,
-    },
-    /// Ownership of `oid` moved from `from` to `to` at a commit.
-    Migrate {
-        oid: ObjectId,
-        tx: TxId,
-        from: u32,
-        to: u32,
-        version: u64,
-    },
-    /// Run identity prepended by the harness (scheduler and node count) so
-    /// offline tools can label and segment multi-run logs.
-    RunInfo {
-        scheduler: SchedulerKind,
-        nodes: u64,
-    },
-    /// End-of-run counter snapshot appended by the harness so an offline
-    /// audit can compare span-derived totals against the live counters.
-    /// The wasted-work totals let `dstm-trace analyze` reconcile its
-    /// event-derived ledger against the live counters.
-    RunSummary {
-        commits: u64,
-        aborts: u64,
-        nested_own: u64,
-        nested_parent: u64,
-        nested_commits: u64,
-        wasted_ns: u64,
-        wasted_msgs: u64,
-        attributed: u64,
-        /// Remote-read cache totals (`DstmConfig::cache`). Written only
-        /// when any is nonzero so cache-off traces stay byte-identical to
-        /// the pre-cache format; absent fields parse as zero.
-        cache_hits: u64,
-        cache_misses: u64,
-        cache_invalidations: u64,
-    },
+/// Declares [`ProtoEvent`] from its line format and generates the writer
+/// and both readers from the same list (see the module docs).
+macro_rules! events {
+    (
+        $(#[$doc:meta])*
+        pub enum ProtoEvent {$(
+            $(#[$kind_doc:meta])*
+            $kind:ident = $label:literal {$(
+                $(#[$field_doc:meta])*
+                $field:ident: $ty:ty = $key:literal $rule:ident,
+            )*},
+        )*}
+    ) => {
+        $(#[$doc])*
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub enum ProtoEvent {$(
+            $(#[$kind_doc])*
+            $kind {$($(#[$field_doc])* $field: $ty,)*},
+        )*}
+
+        impl ProtoEvent {
+            /// Append `,"ev":"<label>"` and every field the line carries.
+            fn write_fields(&self, out: &mut String) {
+                match self {$(
+                    ProtoEvent::$kind { $($field),* } => {
+                        out.push_str(concat!(",\"ev\":\"", $label, "\""));
+                        #[allow(unused_variables)]
+                        let any_nonzero = false $(|| is_nonzero!($rule, $field))*;
+                        $(if written!($rule, any_nonzero) && $field.present() {
+                            out.push_str(concat!(",\"", $key, "\":"));
+                            $field.write(out);
+                        })*
+                    }
+                )*}
+            }
+
+            /// The fields of a `label` line in the writer's order and bytes.
+            fn read_layout(label: &str, c: &mut Cursor<'_>) -> Option<ProtoEvent> {
+                Some(match label {
+                    $($label => ProtoEvent::$kind {$(
+                        $field: layout_field!($rule, c, concat!(",\"", $key, "\":")),
+                    )*},)*
+                    _ => return None,
+                })
+            }
+
+            /// The fields of a `label` line, keys in any order.
+            fn read_keyed(label: &str, line: &str) -> Result<ProtoEvent, String> {
+                Ok(match label {
+                    $($label => {
+                        $(let mut $field = Slot::<$ty>::Unseen;)*
+                        scan(line, |key, c| match key {
+                            $($key => $field.take(c),)*
+                            _ => false,
+                        })?;
+                        ProtoEvent::$kind {$(
+                            $field: match $field.value($key)? {
+                                Some(v) => v,
+                                None => if_absent!($rule, $ty, $key),
+                            },
+                        )*}
+                    })*
+                    other => return Err(format!("unknown event kind {other:?}")),
+                })
+            }
+        }
+    };
+}
+
+/// Whether a `nonzero` field holds a value worth writing. Names every
+/// rule, so a misspelt one fails to compile.
+macro_rules! is_nonzero {
+    (nonzero, $v:ident) => {
+        *$v != 0
+    };
+    (required, $v:ident) => {
+        false
+    };
+    (default, $v:ident) => {
+        false
+    };
+}
+
+/// Whether a field of this rule is written, given whether any of the
+/// kind's `nonzero` fields is.
+macro_rules! written {
+    (nonzero, $any:ident) => {
+        $any
+    };
+    ($rule:ident, $any:ident) => {
+        true
+    };
+}
+
+/// The layout reader's step for one field: `"key":` and the value, which a
+/// field that may be missing may also leave out.
+macro_rules! layout_field {
+    (required, $c:ident, $fragment:expr) => {{
+        $c.lit($fragment)?;
+        Value::read($c)?.ok()?
+    }};
+    ($rule:ident, $c:ident, $fragment:expr) => {
+        match $c.lit($fragment) {
+            Some(()) => Value::read($c)?.ok()?,
+            None => Default::default(),
+        }
+    };
+}
+
+/// The keyed reader's answer for a field the line does not carry.
+macro_rules! if_absent {
+    (required, $ty:ty, $key:literal) => {
+        return Err(missing::<$ty>($key))
+    };
+    ($rule:ident, $ty:ty, $key:literal) => {
+        <$ty>::default()
+    };
+}
+
+events! {
+    /// One typed protocol occurrence. Times live on the enclosing
+    /// [`TraceRecord`]; durations inside events are plain nanosecond values.
+    pub enum ProtoEvent {
+        /// A top-level attempt began executing (attempt 0 = first start,
+        /// higher = retry after an abort).
+        TxStart = "tx_start" {
+            tx: TxId = "tx" required,
+            kind: TxKind = "kind" required,
+            attempt: u32 = "attempt" required,
+        },
+        /// Transactional forwarding: a fetched version exceeded the
+        /// transaction's write-version clock, triggering early validation.
+        TxForward = "tx_forward" {
+            tx: TxId = "tx" required,
+            attempt: u32 = "attempt" required,
+            oid: ObjectId = "oid" required,
+            wv_old: u64 = "wv_old" required,
+            wv_new: u64 = "wv_new" required,
+        },
+        /// The attempt reached its serialization point (locks held, reads
+        /// validated). `reads` is every `(object, version)` the commit is based
+        /// on; `writes` is `(object, expected_version, new_version)` for each
+        /// published object. For a read-only commit `writes` is empty and the
+        /// record is emitted at finalization.
+        TxCommit = "tx_commit" {
+            tx: TxId = "tx" required,
+            attempt: u32 = "attempt" required,
+            nested_committed: u64 = "nested_committed" required,
+            reads: Vec<(ObjectId, u64)> = "reads" required,
+            writes: Vec<(ObjectId, u64, u64)> = "writes" required,
+        },
+        /// The whole (parent) transaction aborted; it will retry as
+        /// `attempt + 1`. `nested_parent` children died with it (Table I).
+        ///
+        /// Abort attribution rides along unconditionally (the fields are plain
+        /// integers, so recording them costs nothing extra): `wasted_ns` is the
+        /// virtual time the attempt had been running, `msgs` the protocol
+        /// messages it had sent — both discarded. `oid` is the contended object
+        /// (when the abort traces to one) and `aggressor` the transaction
+        /// holding its lock, when the owner knew it (queue timeouts know the
+        /// object but not the holder).
+        TxAbort = "tx_abort" {
+            tx: TxId = "tx" required,
+            attempt: u32 = "attempt" required,
+            cause: AbortCause = "cause" required,
+            nested_parent: u64 = "nested_parent" required,
+            backoff: SimDuration = "backoff" required,
+            wasted_ns: u64 = "wasted_ns" default,
+            msgs: u64 = "msgs" default,
+            oid: Option<ObjectId> = "oid" default,
+            aggressor: Option<TxId> = "aggr" default,
+        },
+        /// A closed-nested child level opened.
+        NestedOpen = "nested_open" {
+            tx: TxId = "tx" required,
+            attempt: u32 = "attempt" required,
+            level: u32 = "level" required,
+            kind: TxKind = "kind" required,
+        },
+        /// The innermost child merged into its parent.
+        NestedCommit = "nested_commit" {
+            tx: TxId = "tx" required,
+            attempt: u32 = "attempt" required,
+            level: u32 = "level" required,
+        },
+        /// A child level rolled back for its own conflict (`own`) taking
+        /// `parent`-caused casualties (committed descendants) with it.
+        NestedAbort = "nested_abort" {
+            tx: TxId = "tx" required,
+            attempt: u32 = "attempt" required,
+            level: u32 = "level" required,
+            own: u64 = "own" required,
+            parent: u64 = "parent" required,
+        },
+        /// The owner-side scheduler adjudicated a lock-busy fetch
+        /// (Algorithm 3): the full decision inputs and the verdict.
+        SchedDecision = "sched_decision" {
+            oid: ObjectId = "oid" required,
+            tx: TxId = "tx" required,
+            attempt: u32 = "attempt" required,
+            local_cl: u32 = "local_cl" required,
+            requester_cl: u32 = "requester_cl" required,
+            window_requests: u32 = "window_requests" required,
+            executed: SimDuration = "executed" required,
+            remaining: SimDuration = "remaining" required,
+            queue_depth: u64 = "queue_depth" required,
+            bk: SimDuration = "bk" required,
+            threshold: Option<u32> = "threshold" default,
+            verdict: Verdict = "verdict" required,
+            backoff: SimDuration = "backoff" required,
+        },
+        /// A queued requester was handed the object on release, after `wait`.
+        QueueServed = "queue_served" {
+            oid: ObjectId = "oid" required,
+            tx: TxId = "tx" required,
+            attempt: u32 = "attempt" required,
+            wait: SimDuration = "wait" required,
+        },
+        /// Ownership of `oid` moved from `from` to `to` at a commit.
+        Migrate = "migrate" {
+            oid: ObjectId = "oid" required,
+            tx: TxId = "tx" required,
+            from: u32 = "from" required,
+            to: u32 = "to" required,
+            version: u64 = "version" required,
+        },
+        /// Run identity prepended by the harness (scheduler and node count) so
+        /// offline tools can label and segment multi-run logs.
+        RunInfo = "run_info" {
+            scheduler: SchedulerKind = "scheduler" required,
+            nodes: u64 = "nodes" required,
+        },
+        /// End-of-run counter snapshot appended by the harness so an offline
+        /// audit can compare span-derived totals against the live counters.
+        /// The wasted-work totals let `dstm-trace analyze` reconcile its
+        /// event-derived ledger against the live counters.
+        RunSummary = "run_summary" {
+            commits: u64 = "commits" required,
+            aborts: u64 = "aborts" required,
+            nested_own: u64 = "nested_own" required,
+            nested_parent: u64 = "nested_parent" required,
+            nested_commits: u64 = "nested_commits" required,
+            wasted_ns: u64 = "wasted_ns" default,
+            wasted_msgs: u64 = "wasted_msgs" default,
+            attributed: u64 = "attributed" default,
+            /// Remote-read cache totals (`DstmConfig::cache`), left off the
+            /// line when all are zero so cache-off traces stay byte-identical
+            /// to the pre-cache format.
+            cache_hits: u64 = "cache_hits" nonzero,
+            cache_misses: u64 = "cache_misses" nonzero,
+            cache_invalidations: u64 = "cache_inval" nonzero,
+        },
+    }
 }
 
 /// Kept only because `benchmark/src/measure.rs` names it; deleted with that call.
@@ -253,215 +386,14 @@ pub fn size_class(n: usize) -> usize {
     n.next_power_of_two()
 }
 
-/// Append a literal fragment (`,"key":` with whatever precedes it) and a
-/// number.
-#[inline]
-fn field(out: &mut String, fragment: &str, v: impl Into<u64>) {
-    out.push_str(fragment);
-    push_u64(out, v.into());
-}
-
-/// Append `<fragment>a,b]` — `fragment` ends in the opening bracket.
-#[inline]
-fn pair(out: &mut String, fragment: &str, tx: TxId) {
-    field(out, fragment, tx.node);
-    field(out, ",", tx.seq);
-    out.push(']');
-}
-
 impl TraceRecord {
     /// Append this record as one JSONL line (including the newline).
     pub fn write_jsonl(&self, out: &mut String) {
-        field(out, "{\"at\":", self.at.0);
-        field(out, ",\"node\":", self.node);
-        match &self.ev {
-            ProtoEvent::TxStart { tx, kind, attempt } => {
-                pair(out, ",\"ev\":\"tx_start\",\"tx\":[", *tx);
-                field(out, ",\"kind\":", kind.0);
-                field(out, ",\"attempt\":", *attempt);
-            }
-            ProtoEvent::TxForward {
-                tx,
-                attempt,
-                oid,
-                wv_old,
-                wv_new,
-            } => {
-                pair(out, ",\"ev\":\"tx_forward\",\"tx\":[", *tx);
-                field(out, ",\"attempt\":", *attempt);
-                field(out, ",\"oid\":", oid.0);
-                field(out, ",\"wv_old\":", *wv_old);
-                field(out, ",\"wv_new\":", *wv_new);
-            }
-            ProtoEvent::TxCommit {
-                tx,
-                attempt,
-                nested_committed,
-                reads,
-                writes,
-            } => {
-                pair(out, ",\"ev\":\"tx_commit\",\"tx\":[", *tx);
-                field(out, ",\"attempt\":", *attempt);
-                field(out, ",\"nested_committed\":", *nested_committed);
-                out.push_str(",\"reads\":[");
-                for (i, (oid, v)) in reads.iter().enumerate() {
-                    field(out, if i == 0 { "[" } else { ",[" }, oid.0);
-                    field(out, ",", *v);
-                    out.push(']');
-                }
-                out.push_str("],\"writes\":[");
-                for (i, (oid, expect, new)) in writes.iter().enumerate() {
-                    field(out, if i == 0 { "[" } else { ",[" }, oid.0);
-                    field(out, ",", *expect);
-                    field(out, ",", *new);
-                    out.push(']');
-                }
-                out.push(']');
-            }
-            ProtoEvent::TxAbort {
-                tx,
-                attempt,
-                cause,
-                nested_parent,
-                backoff,
-                wasted_ns,
-                msgs,
-                oid,
-                aggressor,
-            } => {
-                pair(out, ",\"ev\":\"tx_abort\",\"tx\":[", *tx);
-                field(out, ",\"attempt\":", *attempt);
-                out.push_str(",\"cause\":\"");
-                out.push_str(cause.label());
-                field(out, "\",\"nested_parent\":", *nested_parent);
-                field(out, ",\"backoff\":", backoff.0);
-                field(out, ",\"wasted_ns\":", *wasted_ns);
-                field(out, ",\"msgs\":", *msgs);
-                if let Some(oid) = oid {
-                    field(out, ",\"oid\":", oid.0);
-                }
-                if let Some(a) = aggressor {
-                    pair(out, ",\"aggr\":[", *a);
-                }
-            }
-            ProtoEvent::NestedOpen {
-                tx,
-                attempt,
-                level,
-                kind,
-            } => {
-                pair(out, ",\"ev\":\"nested_open\",\"tx\":[", *tx);
-                field(out, ",\"attempt\":", *attempt);
-                field(out, ",\"level\":", *level);
-                field(out, ",\"kind\":", kind.0);
-            }
-            ProtoEvent::NestedCommit { tx, attempt, level } => {
-                pair(out, ",\"ev\":\"nested_commit\",\"tx\":[", *tx);
-                field(out, ",\"attempt\":", *attempt);
-                field(out, ",\"level\":", *level);
-            }
-            ProtoEvent::NestedAbort {
-                tx,
-                attempt,
-                level,
-                own,
-                parent,
-            } => {
-                pair(out, ",\"ev\":\"nested_abort\",\"tx\":[", *tx);
-                field(out, ",\"attempt\":", *attempt);
-                field(out, ",\"level\":", *level);
-                field(out, ",\"own\":", *own);
-                field(out, ",\"parent\":", *parent);
-            }
-            ProtoEvent::SchedDecision {
-                oid,
-                tx,
-                attempt,
-                local_cl,
-                requester_cl,
-                window_requests,
-                executed,
-                remaining,
-                queue_depth,
-                bk,
-                threshold,
-                verdict,
-                backoff,
-            } => {
-                field(out, ",\"ev\":\"sched_decision\",\"oid\":", oid.0);
-                pair(out, ",\"tx\":[", *tx);
-                field(out, ",\"attempt\":", *attempt);
-                field(out, ",\"local_cl\":", *local_cl);
-                field(out, ",\"requester_cl\":", *requester_cl);
-                field(out, ",\"window_requests\":", *window_requests);
-                field(out, ",\"executed\":", executed.0);
-                field(out, ",\"remaining\":", remaining.0);
-                field(out, ",\"queue_depth\":", *queue_depth);
-                field(out, ",\"bk\":", bk.0);
-                if let Some(t) = threshold {
-                    field(out, ",\"threshold\":", *t);
-                }
-                out.push_str(",\"verdict\":\"");
-                out.push_str(verdict.label());
-                field(out, "\",\"backoff\":", backoff.0);
-            }
-            ProtoEvent::QueueServed {
-                oid,
-                tx,
-                attempt,
-                wait,
-            } => {
-                field(out, ",\"ev\":\"queue_served\",\"oid\":", oid.0);
-                pair(out, ",\"tx\":[", *tx);
-                field(out, ",\"attempt\":", *attempt);
-                field(out, ",\"wait\":", wait.0);
-            }
-            ProtoEvent::Migrate {
-                oid,
-                tx,
-                from,
-                to,
-                version,
-            } => {
-                field(out, ",\"ev\":\"migrate\",\"oid\":", oid.0);
-                pair(out, ",\"tx\":[", *tx);
-                field(out, ",\"from\":", *from);
-                field(out, ",\"to\":", *to);
-                field(out, ",\"version\":", *version);
-            }
-            ProtoEvent::RunInfo { scheduler, nodes } => {
-                out.push_str(",\"ev\":\"run_info\",\"scheduler\":\"");
-                out.push_str(scheduler.label());
-                field(out, "\",\"nodes\":", *nodes);
-            }
-            ProtoEvent::RunSummary {
-                commits,
-                aborts,
-                nested_own,
-                nested_parent,
-                nested_commits,
-                wasted_ns,
-                wasted_msgs,
-                attributed,
-                cache_hits,
-                cache_misses,
-                cache_invalidations,
-            } => {
-                field(out, ",\"ev\":\"run_summary\",\"commits\":", *commits);
-                field(out, ",\"aborts\":", *aborts);
-                field(out, ",\"nested_own\":", *nested_own);
-                field(out, ",\"nested_parent\":", *nested_parent);
-                field(out, ",\"nested_commits\":", *nested_commits);
-                field(out, ",\"wasted_ns\":", *wasted_ns);
-                field(out, ",\"wasted_msgs\":", *wasted_msgs);
-                field(out, ",\"attributed\":", *attributed);
-                if *cache_hits != 0 || *cache_misses != 0 || *cache_invalidations != 0 {
-                    field(out, ",\"cache_hits\":", *cache_hits);
-                    field(out, ",\"cache_misses\":", *cache_misses);
-                    field(out, ",\"cache_inval\":", *cache_invalidations);
-                }
-            }
-        }
+        out.push_str("{\"at\":");
+        self.at.write(out);
+        out.push_str(",\"node\":");
+        self.node.write(out);
+        self.ev.write_fields(out);
         out.push_str("}\n");
     }
 
@@ -479,242 +411,41 @@ impl TraceRecord {
         }
     }
 
-    /// Read `line` in exactly the layout [`TraceRecord::write_jsonl`]
-    /// emits: the kind's fixed key order, literal fragments compared as
-    /// bytes, digits accumulated inline, narrow fields range-checked.
-    /// `None` at the first byte that departs from that layout; whatever it
-    /// accepts, [`TraceRecord::parse_keyed`] reads as the same record.
+    /// Read `line` in the layout [`TraceRecord::write_jsonl`] emits: the
+    /// table's key order, each `,"key":` fragment compared as bytes,
+    /// narrow fields range-checked. `None` at the first byte that departs
+    /// from that layout; whatever it accepts, [`TraceRecord::parse_keyed`]
+    /// reads as the same record.
     pub fn parse_layout(line: &str) -> Option<TraceRecord> {
-        let mut l = Layout { text: line, pos: 0 };
-        let at = SimTime(l.num("{\"at\":")?);
-        let node = l.narrow(",\"node\":")?;
-        let ev = match l.label(",\"ev\":\"")? {
-            "tx_start" => ProtoEvent::TxStart {
-                tx: l.tx(",\"tx\":[")?,
-                kind: TxKind(l.narrow(",\"kind\":")?),
-                attempt: l.narrow(",\"attempt\":")?,
-            },
-            "tx_forward" => ProtoEvent::TxForward {
-                tx: l.tx(",\"tx\":[")?,
-                attempt: l.narrow(",\"attempt\":")?,
-                oid: ObjectId(l.num(",\"oid\":")?),
-                wv_old: l.num(",\"wv_old\":")?,
-                wv_new: l.num(",\"wv_new\":")?,
-            },
-            "tx_commit" => ProtoEvent::TxCommit {
-                tx: l.tx(",\"tx\":[")?,
-                attempt: l.narrow(",\"attempt\":")?,
-                nested_committed: l.num(",\"nested_committed\":")?,
-                reads: l.tuples(",\"reads\":[", |[oid, v]| (ObjectId(oid), v))?,
-                writes: l.tuples(",\"writes\":[", |[oid, e, n]| (ObjectId(oid), e, n))?,
-            },
-            "tx_abort" => ProtoEvent::TxAbort {
-                tx: l.tx(",\"tx\":[")?,
-                attempt: l.narrow(",\"attempt\":")?,
-                cause: AbortCause::from_label(l.label(",\"cause\":\"")?)?,
-                nested_parent: l.num(",\"nested_parent\":")?,
-                backoff: SimDuration(l.num(",\"backoff\":")?),
-                wasted_ns: l.num(",\"wasted_ns\":")?,
-                msgs: l.num(",\"msgs\":")?,
-                oid: l.opt(",\"oid\":", |l| l.num(""))?.map(ObjectId),
-                aggressor: l.opt(",\"aggr\":[", |l| l.tx(""))?,
-            },
-            "nested_open" => ProtoEvent::NestedOpen {
-                tx: l.tx(",\"tx\":[")?,
-                attempt: l.narrow(",\"attempt\":")?,
-                level: l.narrow(",\"level\":")?,
-                kind: TxKind(l.narrow(",\"kind\":")?),
-            },
-            "nested_commit" => ProtoEvent::NestedCommit {
-                tx: l.tx(",\"tx\":[")?,
-                attempt: l.narrow(",\"attempt\":")?,
-                level: l.narrow(",\"level\":")?,
-            },
-            "nested_abort" => ProtoEvent::NestedAbort {
-                tx: l.tx(",\"tx\":[")?,
-                attempt: l.narrow(",\"attempt\":")?,
-                level: l.narrow(",\"level\":")?,
-                own: l.num(",\"own\":")?,
-                parent: l.num(",\"parent\":")?,
-            },
-            "sched_decision" => ProtoEvent::SchedDecision {
-                oid: ObjectId(l.num(",\"oid\":")?),
-                tx: l.tx(",\"tx\":[")?,
-                attempt: l.narrow(",\"attempt\":")?,
-                local_cl: l.narrow(",\"local_cl\":")?,
-                requester_cl: l.narrow(",\"requester_cl\":")?,
-                window_requests: l.narrow(",\"window_requests\":")?,
-                executed: SimDuration(l.num(",\"executed\":")?),
-                remaining: SimDuration(l.num(",\"remaining\":")?),
-                queue_depth: l.num(",\"queue_depth\":")?,
-                bk: SimDuration(l.num(",\"bk\":")?),
-                threshold: l.opt(",\"threshold\":", |l| l.narrow(""))?,
-                verdict: Verdict::from_label(l.label(",\"verdict\":\"")?)?,
-                backoff: SimDuration(l.num(",\"backoff\":")?),
-            },
-            "queue_served" => ProtoEvent::QueueServed {
-                oid: ObjectId(l.num(",\"oid\":")?),
-                tx: l.tx(",\"tx\":[")?,
-                attempt: l.narrow(",\"attempt\":")?,
-                wait: SimDuration(l.num(",\"wait\":")?),
-            },
-            "migrate" => ProtoEvent::Migrate {
-                oid: ObjectId(l.num(",\"oid\":")?),
-                tx: l.tx(",\"tx\":[")?,
-                from: l.narrow(",\"from\":")?,
-                to: l.narrow(",\"to\":")?,
-                version: l.num(",\"version\":")?,
-            },
-            "run_info" => ProtoEvent::RunInfo {
-                scheduler: SchedulerKind::from_label(l.label(",\"scheduler\":\"")?)?,
-                nodes: l.num(",\"nodes\":")?,
-            },
-            "run_summary" => ProtoEvent::RunSummary {
-                commits: l.num(",\"commits\":")?,
-                aborts: l.num(",\"aborts\":")?,
-                nested_own: l.num(",\"nested_own\":")?,
-                nested_parent: l.num(",\"nested_parent\":")?,
-                nested_commits: l.num(",\"nested_commits\":")?,
-                wasted_ns: l.num(",\"wasted_ns\":")?,
-                wasted_msgs: l.num(",\"wasted_msgs\":")?,
-                attributed: l.num(",\"attributed\":")?,
-                cache_hits: l.opt(",\"cache_hits\":", |l| l.num(""))?.unwrap_or(0),
-                cache_misses: l.opt(",\"cache_misses\":", |l| l.num(""))?.unwrap_or(0),
-                cache_invalidations: l.opt(",\"cache_inval\":", |l| l.num(""))?.unwrap_or(0),
-            },
-            _ => return None,
-        };
-        l.lit("}")?;
-        (l.pos == line.len()).then_some(TraceRecord { at, node, ev })
+        let c = &mut Cursor { text: line, pos: 0 };
+        let at = layout_field!(required, c, "{\"at\":");
+        let node = layout_field!(required, c, ",\"node\":");
+        let label = layout_field!(required, c, ",\"ev\":");
+        let ev = ProtoEvent::read_layout(label, c)?;
+        c.lit("}")?;
+        (c.pos == line.len()).then_some(TraceRecord { at, node, ev })
     }
 
     /// Read `line` key by key, in whatever order and spacing the
-    /// module-level grammar allows: one pass over the bytes fills a stack
-    /// scratch of typed slots. [`TraceRecord::parse`] falls back to it for
-    /// every line the layout reader refuses, and it is the reference that
-    /// reader is tested against.
+    /// module-level grammar allows: one pass checks the line and reads the
+    /// header (`at`, `node`, `ev`), a second reads the fields of the kind
+    /// `ev` names. [`TraceRecord::parse`] falls back to it for every line
+    /// the layout reader refuses, and it is the reference that reader is
+    /// tested against.
     pub fn parse_keyed(line: &str) -> Result<TraceRecord, String> {
-        let f = Fields::scan(line)?;
-        let at = SimTime(f.num(Slot::At)?);
-        let node = f.narrow(Slot::Node)?;
-        let ev = match f.label(Slot::Ev)? {
-            "tx_start" => ProtoEvent::TxStart {
-                tx: f.tx()?,
-                kind: TxKind(f.narrow(Slot::Kind)?),
-                attempt: f.narrow(Slot::Attempt)?,
-            },
-            "tx_forward" => ProtoEvent::TxForward {
-                tx: f.tx()?,
-                attempt: f.narrow(Slot::Attempt)?,
-                oid: ObjectId(f.num(Slot::Oid)?),
-                wv_old: f.num(Slot::WvOld)?,
-                wv_new: f.num(Slot::WvNew)?,
-            },
-            "tx_commit" => {
-                if !f.has(Slot::Reads) || !f.has(Slot::Writes) {
-                    return Err("\"reads\" must hold 2-tuples and \"writes\" 3-tuples".into());
-                }
-                ProtoEvent::TxCommit {
-                    tx: f.tx()?,
-                    attempt: f.narrow(Slot::Attempt)?,
-                    nested_committed: f.num(Slot::NestedCommitted)?,
-                    reads: f.reads,
-                    writes: f.writes,
-                }
-            }
-            "tx_abort" => ProtoEvent::TxAbort {
-                tx: f.tx()?,
-                attempt: f.narrow(Slot::Attempt)?,
-                cause: {
-                    let label = f.label(Slot::Cause)?;
-                    AbortCause::from_label(label)
-                        .ok_or_else(|| format!("unknown abort cause {label:?}"))?
-                },
-                nested_parent: f.num(Slot::NestedParent)?,
-                backoff: SimDuration(f.num(Slot::Backoff)?),
-                // Attribution fields default to zero/absent so traces
-                // written before they existed still parse.
-                wasted_ns: f.opt(Slot::WastedNs).unwrap_or(0),
-                msgs: f.opt(Slot::Msgs).unwrap_or(0),
-                oid: f.opt(Slot::Oid).map(ObjectId),
-                aggressor: f.opt_tx(Slot::Aggr)?,
-            },
-            "nested_open" => ProtoEvent::NestedOpen {
-                tx: f.tx()?,
-                attempt: f.narrow(Slot::Attempt)?,
-                level: f.narrow(Slot::Level)?,
-                kind: TxKind(f.narrow(Slot::Kind)?),
-            },
-            "nested_commit" => ProtoEvent::NestedCommit {
-                tx: f.tx()?,
-                attempt: f.narrow(Slot::Attempt)?,
-                level: f.narrow(Slot::Level)?,
-            },
-            "nested_abort" => ProtoEvent::NestedAbort {
-                tx: f.tx()?,
-                attempt: f.narrow(Slot::Attempt)?,
-                level: f.narrow(Slot::Level)?,
-                own: f.num(Slot::Own)?,
-                parent: f.num(Slot::Parent)?,
-            },
-            "sched_decision" => ProtoEvent::SchedDecision {
-                oid: ObjectId(f.num(Slot::Oid)?),
-                tx: f.tx()?,
-                attempt: f.narrow(Slot::Attempt)?,
-                local_cl: f.narrow(Slot::LocalCl)?,
-                requester_cl: f.narrow(Slot::RequesterCl)?,
-                window_requests: f.narrow(Slot::WindowRequests)?,
-                executed: SimDuration(f.num(Slot::Executed)?),
-                remaining: SimDuration(f.num(Slot::Remaining)?),
-                queue_depth: f.num(Slot::QueueDepth)?,
-                bk: SimDuration(f.num(Slot::Bk)?),
-                threshold: f
-                    .has(Slot::Threshold)
-                    .then(|| f.narrow(Slot::Threshold))
-                    .transpose()?,
-                verdict: {
-                    let label = f.label(Slot::Verdict)?;
-                    Verdict::from_label(label)
-                        .ok_or_else(|| format!("unknown verdict {label:?}"))?
-                },
-                backoff: SimDuration(f.num(Slot::Backoff)?),
-            },
-            "queue_served" => ProtoEvent::QueueServed {
-                oid: ObjectId(f.num(Slot::Oid)?),
-                tx: f.tx()?,
-                attempt: f.narrow(Slot::Attempt)?,
-                wait: SimDuration(f.num(Slot::Wait)?),
-            },
-            "migrate" => ProtoEvent::Migrate {
-                oid: ObjectId(f.num(Slot::Oid)?),
-                tx: f.tx()?,
-                from: f.narrow(Slot::From)?,
-                to: f.narrow(Slot::To)?,
-                version: f.num(Slot::Version)?,
-            },
-            "run_info" => ProtoEvent::RunInfo {
-                scheduler: {
-                    let label = f.label(Slot::Scheduler)?;
-                    SchedulerKind::from_label(label)
-                        .ok_or_else(|| format!("unknown scheduler {label:?}"))?
-                },
-                nodes: f.num(Slot::Nodes)?,
-            },
-            "run_summary" => ProtoEvent::RunSummary {
-                commits: f.num(Slot::Commits)?,
-                aborts: f.num(Slot::Aborts)?,
-                nested_own: f.num(Slot::NestedOwn)?,
-                nested_parent: f.num(Slot::NestedParent)?,
-                nested_commits: f.num(Slot::NestedCommits)?,
-                wasted_ns: f.opt(Slot::WastedNs).unwrap_or(0),
-                wasted_msgs: f.opt(Slot::WastedMsgs).unwrap_or(0),
-                attributed: f.opt(Slot::Attributed).unwrap_or(0),
-                cache_hits: f.opt(Slot::CacheHits).unwrap_or(0),
-                cache_misses: f.opt(Slot::CacheMisses).unwrap_or(0),
-                cache_invalidations: f.opt(Slot::CacheInval).unwrap_or(0),
-            },
-            other => return Err(format!("unknown event kind {other:?}")),
-        };
+        let mut at = Slot::<SimTime>::Unseen;
+        let mut node = Slot::<u32>::Unseen;
+        let mut ev = Slot::<&str>::Unseen;
+        scan(line, |key, c| match key {
+            "at" => at.take(c),
+            "node" => node.take(c),
+            "ev" => ev.take(c),
+            _ => false,
+        })?;
+        let at = at.value("at")?.ok_or_else(|| missing::<SimTime>("at"))?;
+        let node = node.value("node")?.ok_or_else(|| missing::<u32>("node"))?;
+        let label = ev.value("ev")?.ok_or_else(|| missing::<&str>("ev"))?;
+        let ev = ProtoEvent::read_keyed(label, line)?;
         Ok(TraceRecord { at, node, ev })
     }
 }
@@ -883,288 +614,294 @@ impl TraceLog {
     }
 }
 
-/// Cursor of [`TraceRecord::parse_layout`]. Each step names the literal
-/// fragment the writer puts before a value and answers `None` as soon as
-/// the line departs from it — the position is then of no further use.
-struct Layout<'a> {
-    text: &'a str,
-    pos: usize,
+/// A field value of the line format: how the writer puts it after its
+/// `"key":`, and how both readers take it back. The impl for a field's type
+/// is that field's shape on the line.
+trait Value<'a>: Sized {
+    /// The shape, as the keyed reader's error for a missing field names it.
+    const SHAPE: &'static str;
+
+    /// Whether the field goes on the line at all (an absent `Option` does
+    /// not).
+    #[inline]
+    fn present(&self) -> bool {
+        true
+    }
+
+    fn write(&self, out: &mut String);
+
+    /// The value at the cursor: `None` if it has another shape (the cursor
+    /// is then anywhere), `Some(Err(_))` if it has this shape but is no
+    /// value of this type.
+    fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>>;
 }
 
-impl<'a> Layout<'a> {
-    /// Step over `fragment`, which must come next.
+impl<'a> Value<'a> for u64 {
+    const SHAPE: &'static str = "numeric";
+
     #[inline]
-    fn lit(&mut self, fragment: &str) -> Option<()> {
-        let end = self.pos + fragment.len();
-        if self.text.as_bytes().get(self.pos..end)? != fragment.as_bytes() {
-            return None;
-        }
-        self.pos = end;
-        Some(())
+    fn write(&self, out: &mut String) {
+        push_u64(out, *self);
     }
 
-    /// `fragment`, then a run of at least one digit that fits `u64`.
-    #[inline]
-    fn num(&mut self, fragment: &str) -> Option<u64> {
-        // 19 digits cannot overflow a u64; only a 20th needs the check.
-        const UNCHECKED_DIGITS: usize = 19;
-        self.lit(fragment)?;
-        let mut v = 0u64;
-        let mut len = 0;
-        for &b in &self.text.as_bytes()[self.pos..] {
-            let d = u64::from(b.wrapping_sub(b'0'));
-            if d > 9 {
-                break;
-            }
-            v = if len < UNCHECKED_DIGITS {
-                v * 10 + d
-            } else {
-                v.checked_mul(10)?.checked_add(d)?
-            };
-            len += 1;
-        }
-        self.pos += len;
-        (len > 0).then_some(v)
-    }
-
-    /// A number that fits the narrower `T`.
-    #[inline]
-    fn narrow<T: TryFrom<u64>>(&mut self, fragment: &str) -> Option<T> {
-        T::try_from(self.num(fragment)?).ok()
-    }
-
-    /// `fragment` (ending in `[`), then `node,seq]`.
-    #[inline]
-    fn tx(&mut self, fragment: &str) -> Option<TxId> {
-        let node = self.narrow(fragment)?;
-        let seq = self.num(",")?;
-        self.lit("]")?;
-        Some(TxId::new(node, seq))
-    }
-
-    /// `fragment` (ending in the opening quote), then a label up to its
-    /// closing quote.
-    #[inline]
-    fn label(&mut self, fragment: &str) -> Option<&'a str> {
-        self.lit(fragment)?;
-        let text = self.text;
-        let n = text.as_bytes()[self.pos..]
-            .iter()
-            .position(|&b| b == b'"')?;
-        // Both ends sit next to an ASCII quote: char boundaries.
-        let label = &text[self.pos..self.pos + n];
-        self.pos += n + 1;
-        Some(label)
-    }
-
-    /// An optional field: `Some(None)` when `fragment` does not come next,
-    /// `Some(Some(v))` when it does and `value` reads what follows it.
-    #[inline]
-    fn opt<T>(
-        &mut self,
-        fragment: &str,
-        value: impl FnOnce(&mut Self) -> Option<T>,
-    ) -> Option<Option<T>> {
-        match self.lit(fragment) {
-            Some(()) => value(self).map(Some),
-            None => Some(None),
-        }
-    }
-
-    /// `fragment` (ending in `[`), then `]` or `[…],…,[…]]` of `N`-tuples,
-    /// each turned into an element by `make`.
-    fn tuples<const N: usize, T>(
-        &mut self,
-        fragment: &str,
-        make: impl Fn([u64; N]) -> T,
-    ) -> Option<Vec<T>> {
-        self.lit(fragment)?;
-        let mut out = Vec::new();
-        if self.lit("]").is_some() {
-            return Some(out);
-        }
-        loop {
-            let mut t = [0; N];
-            let mut before = "[";
-            for n in &mut t {
-                *n = self.num(before)?;
-                before = ",";
-            }
-            self.lit("]")?;
-            out.push(make(t));
-            if self.lit("]").is_some() {
-                return Some(out);
-            }
-            self.lit(",")?;
-        }
+    #[inline(always)]
+    fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
+        c.number().map(Ok)
     }
 }
 
-/// Declares [`Slot`]: one scratch slot per key of the line format, and the
-/// key → slot dispatch generated from the same list.
-macro_rules! slots {
-    ($($slot:ident = $key:literal),* $(,)?) => {
-        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-        enum Slot { $($slot),* }
+/// Numbers narrower than `u64`: range-checked, never truncated.
+macro_rules! narrow {
+    ($($t:ty),*) => {$(
+        impl<'a> Value<'a> for $t {
+            const SHAPE: &'static str = "numeric";
 
-        impl Slot {
-            const KEYS: &'static [&'static str] = &[$($key),*];
+            #[inline]
+            fn write(&self, out: &mut String) {
+                push_u64(out, u64::from(*self));
+            }
 
-            fn of(key: &str) -> Option<Slot> {
-                match key {
-                    $($key => Some(Slot::$slot),)*
-                    _ => None,
-                }
+            #[inline(always)]
+            fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
+                c.number().map(|v| Self::try_from(v).map_err(|_| Invalid::Range))
             }
         }
-    };
+    )*};
 }
+narrow!(u32, u16);
 
-slots! {
-    // Listed the way the dispatch tries them: the keys every line carries
-    // first, the end-of-run summary's last.
-    // Label strings.
-    Ev = "ev", Cause = "cause", Verdict = "verdict", Scheduler = "scheduler",
-    // `[node,seq]` pairs.
-    Tx = "tx", Aggr = "aggr",
-    // Arrays of 2- and 3-tuples.
-    Reads = "reads", Writes = "writes",
-    // Unsigned integers.
-    At = "at", Node = "node", Attempt = "attempt", Level = "level", Kind = "kind",
-    Oid = "oid", Own = "own", Parent = "parent", WvOld = "wv_old", WvNew = "wv_new",
-    From = "from", To = "to", Version = "version", NestedParent = "nested_parent",
-    Backoff = "backoff", WastedNs = "wasted_ns", Msgs = "msgs",
-    NestedCommitted = "nested_committed", Wait = "wait", LocalCl = "local_cl",
-    RequesterCl = "requester_cl", WindowRequests = "window_requests",
-    Executed = "executed", Remaining = "remaining", QueueDepth = "queue_depth",
-    Bk = "bk", Threshold = "threshold", Nodes = "nodes", Commits = "commits",
-    Aborts = "aborts", NestedOwn = "nested_own", NestedCommits = "nested_commits",
-    WastedMsgs = "wasted_msgs", Attributed = "attributed",
-    CacheHits = "cache_hits", CacheMisses = "cache_misses",
-    CacheInval = "cache_inval",
+/// Newtypes, written as the number they wrap.
+macro_rules! wrapped {
+    ($($t:ident($inner:ty)),*) => {$(
+        impl<'a> Value<'a> for $t {
+            const SHAPE: &'static str = "numeric";
+
+            #[inline]
+            fn write(&self, out: &mut String) {
+                self.0.write(out);
+            }
+
+            #[inline(always)]
+            fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
+                Some(<$inner>::read(c)?.map($t))
+            }
+        }
+    )*};
 }
+wrapped!(SimTime(u64), SimDuration(u64), ObjectId(u64), TxKind(u16));
 
-impl Slot {
-    const LABELS: usize = Slot::Tx as usize;
-    const PAIRS: usize = Slot::Reads as usize - Slot::Tx as usize;
-    const NUMS: usize = Slot::KEYS.len() - Slot::At as usize;
+impl<'a> Value<'a> for TxId {
+    const SHAPE: &'static str = "[node,seq]";
 
-    fn key(self) -> &'static str {
-        Slot::KEYS[self as usize]
+    #[inline]
+    fn write(&self, out: &mut String) {
+        write_tuples(out, [[u64::from(self.node), self.seq]]);
     }
 
-    fn bit(self) -> u64 {
-        1 << self as u32
+    #[inline(always)]
+    fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
+        let [node, seq] = c.tuple()?;
+        Some(match u32::try_from(node) {
+            Ok(node) => Ok(TxId::new(node, seq)),
+            Err(_) => Err(Invalid::Range),
+        })
     }
 }
 
-// `Fields` keeps one bit per slot in a `u64`.
-const _: () = assert!(Slot::KEYS.len() <= 64);
+/// Enums written as their label.
+macro_rules! labels {
+    ($($t:ty = $what:literal),*) => {$(
+        impl<'a> Value<'a> for $t {
+            const SHAPE: &'static str = "string";
 
-/// The typed scratch one line is scanned into: a slot per known key,
-/// whatever the order the keys came in.
-struct Fields<'a> {
-    /// Keys met so far — a repeated key is skipped (first occurrence wins).
-    seen: u64,
-    /// Slots holding a value of the slot's own shape. A known key with a
-    /// value of another shape counts as absent, which is an error exactly
-    /// when the event kind on the line requires that field.
-    have: u64,
-    nums: [u64; Slot::NUMS],
-    labels: [&'a str; Slot::LABELS],
-    pairs: [[u64; 2]; Slot::PAIRS],
-    reads: Vec<(ObjectId, u64)>,
-    writes: Vec<(ObjectId, u64, u64)>,
+            #[inline]
+            fn write(&self, out: &mut String) {
+                self.label().write(out);
+            }
+
+            #[inline(always)]
+            fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
+                let label = c.label()?;
+                Some(<$t>::from_label(label).ok_or(Invalid::Label($what, label)))
+            }
+        }
+    )*};
+}
+labels!(
+    AbortCause = "abort cause",
+    Verdict = "verdict",
+    SchedulerKind = "scheduler"
+);
+
+impl<'a> Value<'a> for &'a str {
+    const SHAPE: &'static str = "string";
+
+    #[inline]
+    fn write(&self, out: &mut String) {
+        out.push('"');
+        out.push_str(self);
+        out.push('"');
+    }
+
+    #[inline(always)]
+    fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
+        c.label().map(Ok)
+    }
 }
 
-impl<'a> Fields<'a> {
-    fn scan(line: &'a str) -> Result<Self, String> {
-        let mut f = Fields {
-            seen: 0,
-            have: 0,
-            nums: [0; Slot::NUMS],
-            labels: [""; Slot::LABELS],
-            pairs: [[0; 2]; Slot::PAIRS],
-            reads: Vec::new(),
-            writes: Vec::new(),
+impl<'a, T: Value<'a>> Value<'a> for Option<T> {
+    const SHAPE: &'static str = T::SHAPE;
+
+    #[inline]
+    fn present(&self) -> bool {
+        self.is_some()
+    }
+
+    #[inline]
+    fn write(&self, out: &mut String) {
+        if let Some(v) = self {
+            v.write(out);
+        }
+    }
+
+    #[inline(always)]
+    fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
+        Some(T::read(c)?.map(Some))
+    }
+}
+
+impl<'a> Value<'a> for Vec<(ObjectId, u64)> {
+    const SHAPE: &'static str = "[[oid,version],...]";
+
+    #[inline]
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        write_tuples(out, self.iter().map(|&(oid, v)| [oid.0, v]));
+        out.push(']');
+    }
+
+    #[inline(always)]
+    fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
+        c.tuples(|[oid, v]| (ObjectId(oid), v)).map(Ok)
+    }
+}
+
+impl<'a> Value<'a> for Vec<(ObjectId, u64, u64)> {
+    const SHAPE: &'static str = "[[oid,expected,new],...]";
+
+    #[inline]
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        write_tuples(out, self.iter().map(|&(oid, e, n)| [oid.0, e, n]));
+        out.push(']');
+    }
+
+    #[inline(always)]
+    fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
+        c.tuples(|[oid, e, n]| (ObjectId(oid), e, n)).map(Ok)
+    }
+}
+
+/// Append `[a,b,…]` for each tuple, comma-separated.
+fn write_tuples<const N: usize>(out: &mut String, tuples: impl IntoIterator<Item = [u64; N]>) {
+    for (i, t) in tuples.into_iter().enumerate() {
+        out.push_str(if i == 0 { "[" } else { ",[" });
+        for (j, &v) in t.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            push_u64(out, v);
+        }
+        out.push(']');
+    }
+}
+
+/// A value of a field's shape that is no value of its type.
+enum Invalid<'a> {
+    /// A number past a narrow field's type.
+    Range,
+    /// A label the type does not know: what the label names, and the text.
+    Label(&'static str, &'a str),
+}
+
+/// The keyed reader's error for a required field the line lacks, or holds
+/// a value of another shape in.
+fn missing<'a, T: Value<'a>>(key: &str) -> String {
+    format!("missing {} field {key:?}", T::SHAPE)
+}
+
+/// What the keyed reader has made of one field so far.
+enum Slot<'a, T> {
+    /// The key has not come up.
+    Unseen,
+    /// Its first occurrence held a value of another shape: absent.
+    Absent,
+    Got(T),
+    Bad(Invalid<'a>),
+}
+
+impl<'a, T: Value<'a>> Slot<'a, T> {
+    /// Read the value at `c` if this is the key's first occurrence
+    /// (`true`); otherwise leave it to be skipped (`false`).
+    fn take(&mut self, c: &mut Cursor<'a>) -> bool {
+        if !matches!(self, Slot::Unseen) {
+            return false;
+        }
+        *self = match T::read(c) {
+            Some(Ok(v)) => Slot::Got(v),
+            Some(Err(e)) => Slot::Bad(e),
+            None => Slot::Absent,
         };
-        let mut c = Cursor { text: line, pos: 0 };
-        c.expect(b'{')?;
-        if c.peek() == Some(b'}') {
-            c.pos += 1;
-        } else {
-            loop {
-                let key = c.string()?;
-                c.expect(b':')?;
-                match Slot::of(key) {
-                    Some(slot) if f.seen & slot.bit() == 0 => {
-                        f.seen |= slot.bit();
-                        if c.value_into(slot, &mut f)? {
-                            f.have |= slot.bit();
-                        }
-                    }
-                    _ => c.skip_value()?,
+        !matches!(self, Slot::Absent)
+    }
+
+    /// The value `key` holds, `None` if the line has none of its shape.
+    fn value(self, key: &str) -> Result<Option<T>, String> {
+        match self {
+            Slot::Got(v) => Ok(Some(v)),
+            Slot::Bad(Invalid::Range) => Err(format!("field {key:?} out of range")),
+            Slot::Bad(Invalid::Label(what, label)) => Err(format!("unknown {what} {label:?}")),
+            Slot::Unseen | Slot::Absent => Ok(None),
+        }
+    }
+}
+
+/// Walk the object on `line`, checking it against the module-level grammar,
+/// and hand each key with the cursor at its value to `member`, which reads
+/// the value (`true`) or leaves it to be checked and skipped (`false`).
+fn scan<'a>(
+    line: &'a str,
+    mut member: impl FnMut(&'a str, &mut Cursor<'a>) -> bool,
+) -> Result<(), String> {
+    let mut c = Cursor { text: line, pos: 0 };
+    c.expect(b'{')?;
+    if c.peek() == Some(b'}') {
+        c.pos += 1;
+    } else {
+        loop {
+            let key = c.string()?;
+            c.expect(b':')?;
+            c.peek();
+            let start = c.pos;
+            if !member(key, &mut c) {
+                c.pos = start;
+                c.skip_value()?;
+            }
+            match c.peek() {
+                Some(b',') => c.pos += 1,
+                Some(b'}') => {
+                    c.pos += 1;
+                    break;
                 }
-                match c.peek() {
-                    Some(b',') => c.pos += 1,
-                    Some(b'}') => {
-                        c.pos += 1;
-                        break;
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", c.pos)),
-                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", c.pos)),
             }
         }
-        c.skip_ws();
-        if c.pos != line.len() {
-            return Err("trailing garbage after object".into());
-        }
-        Ok(f)
     }
-
-    fn has(&self, slot: Slot) -> bool {
-        self.have & slot.bit() != 0
+    c.skip_ws();
+    if c.pos != line.len() {
+        return Err("trailing garbage after object".into());
     }
-
-    fn opt(&self, slot: Slot) -> Option<u64> {
-        self.has(slot)
-            .then(|| self.nums[slot as usize - Slot::At as usize])
-    }
-
-    fn num(&self, slot: Slot) -> Result<u64, String> {
-        self.opt(slot)
-            .ok_or_else(|| format!("missing numeric field {:?}", slot.key()))
-    }
-
-    /// A numeric field whose type is narrower than `u64`.
-    fn narrow<T: TryFrom<u64>>(&self, slot: Slot) -> Result<T, String> {
-        T::try_from(self.num(slot)?).map_err(|_| format!("field {:?} out of range", slot.key()))
-    }
-
-    fn label(&self, slot: Slot) -> Result<&'a str, String> {
-        if self.has(slot) {
-            Ok(self.labels[slot as usize])
-        } else {
-            Err(format!("missing string field {:?}", slot.key()))
-        }
-    }
-
-    /// The `[node,seq]` pair in `slot`, if the line has one.
-    fn opt_tx(&self, slot: Slot) -> Result<Option<TxId>, String> {
-        if !self.has(slot) {
-            return Ok(None);
-        }
-        let [node, seq] = self.pairs[slot as usize - Slot::Tx as usize];
-        match u32::try_from(node) {
-            Ok(node) => Ok(Some(TxId::new(node, seq))),
-            Err(_) => Err(format!("field {:?} out of range", slot.key())),
-        }
-    }
-
-    fn tx(&self) -> Result<TxId, String> {
-        self.opt_tx(Slot::Tx)?
-            .ok_or_else(|| "tx must be [node,seq]".into())
-    }
+    Ok(())
 }
 
 /// Byte cursor over one line. Not a general JSON reader: it knows exactly
@@ -1191,6 +928,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// The next byte that is not whitespace.
+    #[inline]
     fn peek(&mut self) -> Option<u8> {
         // Every ASCII whitespace byte is <= b' ', and the writer emits none.
         match self.byte() {
@@ -1211,23 +949,51 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<&'a str, String> {
-        self.expect(b'"')?;
-        let rest = self.rest();
-        match rest.iter().position(|&b| b == b'"' || b == b'\\') {
-            Some(n) if rest[n] == b'"' => {
-                // Both ends sit next to an ASCII quote: char boundaries.
-                let s = &self.text[self.pos..self.pos + n];
-                self.pos += n + 1;
-                Ok(s)
-            }
-            Some(_) => Err("escape sequences are not part of the trace format".into()),
-            None => Err("unterminated string".into()),
+    /// Step over `fragment`, which must come next, byte for byte.
+    #[inline(always)]
+    fn lit(&mut self, fragment: &str) -> Option<()> {
+        let end = self.pos + fragment.len();
+        if self.text.as_bytes().get(self.pos..end)? != fragment.as_bytes() {
+            return None;
         }
+        self.pos = end;
+        Some(())
     }
 
-    /// The run of digits at the cursor (the caller has seen the first).
-    fn number(&mut self) -> Result<u64, String> {
+    /// A string without escapes, if one comes next.
+    #[inline]
+    fn label(&mut self) -> Option<&'a str> {
+        if self.peek() != Some(b'"') {
+            return None;
+        }
+        let start = self.pos + 1;
+        let rest = &self.text.as_bytes()[start..];
+        let n = rest.iter().position(|&b| b == b'"' || b == b'\\')?;
+        if rest[n] != b'"' {
+            return None;
+        }
+        self.pos = start + n + 1;
+        // Both ends sit next to an ASCII quote: char boundaries.
+        Some(&self.text[start..start + n])
+    }
+
+    /// [`Cursor::label`], with the reason it found none worded.
+    fn string(&mut self) -> Result<&'a str, String> {
+        if let Some(s) = self.label() {
+            return Ok(s);
+        }
+        self.expect(b'"')?;
+        Err(if self.rest().contains(&b'\\') {
+            "escape sequences are not part of the trace format".into()
+        } else {
+            "unterminated string".into()
+        })
+    }
+
+    /// The number at the cursor, if one starts there and fits `u64`; the
+    /// cursor stays put when it does not fit.
+    #[inline(always)]
+    fn number(&mut self) -> Option<u64> {
         // 19 digits cannot overflow a u64; only a 20th needs the check.
         const UNCHECKED_DIGITS: usize = 19;
         let mut v = 0u64;
@@ -1240,21 +1006,16 @@ impl<'a> Cursor<'a> {
             v = if len < UNCHECKED_DIGITS {
                 v * 10 + d
             } else {
-                v.checked_mul(10)
-                    .and_then(|v| v.checked_add(d))
-                    .ok_or_else(|| format!("number at byte {} does not fit in 64 bits", self.pos))?
+                v.checked_mul(10)?.checked_add(d)?
             };
             len += 1;
         }
         self.pos += len;
-        Ok(v)
-    }
-
-    fn at_digit(&mut self) -> bool {
-        self.peek().is_some_and(|b| b.is_ascii_digit())
+        (len > 0).then_some(v)
     }
 
     /// `[n,n,…]` with exactly `N` numbers, or `None` (cursor anywhere).
+    #[inline(always)]
     fn tuple<const N: usize>(&mut self) -> Option<[u64; N]> {
         let mut t = [0; N];
         let mut opener = b'[';
@@ -1263,10 +1024,8 @@ impl<'a> Cursor<'a> {
                 return None;
             }
             self.pos += 1;
-            if !self.at_digit() {
-                return None;
-            }
-            *n = self.number().ok()?;
+            self.peek();
+            *n = self.number()?;
             opener = b',';
         }
         if self.peek() != Some(b']') {
@@ -1276,76 +1035,29 @@ impl<'a> Cursor<'a> {
         Some(t)
     }
 
-    /// `[]` or `[[…],[…],…]` of `N`-tuples, each handed to `push`; `false`
-    /// on any other shape (cursor anywhere, some tuples already pushed).
-    fn tuples<const N: usize>(&mut self, mut push: impl FnMut([u64; N])) -> bool {
+    /// `[]` or `[[…],[…],…]` of `N`-tuples, each turned into an element by
+    /// `make`; `None` on any other shape (cursor anywhere).
+    fn tuples<const N: usize, T>(&mut self, make: impl Fn([u64; N]) -> T) -> Option<Vec<T>> {
         if self.peek() != Some(b'[') {
-            return false;
+            return None;
         }
         self.pos += 1;
+        let mut out = Vec::new();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return true;
+            return Some(out);
         }
-        while let Some(t) = self.tuple() {
-            push(t);
+        loop {
+            out.push(make(self.tuple()?));
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return true;
+                    return Some(out);
                 }
-                _ => break,
+                _ => return None,
             }
         }
-        false
-    }
-
-    /// Read the value at the cursor into `slot` if it has the slot's shape
-    /// (`true`); otherwise skip it like an unknown key's (`false`).
-    fn value_into(&mut self, slot: Slot, f: &mut Fields<'a>) -> Result<bool, String> {
-        let start = self.pos;
-        let i = slot as usize;
-        let fits = match slot {
-            Slot::Reads => {
-                self.tuples(|[oid, v]| f.reads.push((ObjectId(oid), v))) || {
-                    f.reads.clear();
-                    false
-                }
-            }
-            Slot::Writes => {
-                self.tuples(|[oid, e, n]| f.writes.push((ObjectId(oid), e, n))) || {
-                    f.writes.clear();
-                    false
-                }
-            }
-            Slot::Tx | Slot::Aggr => match self.tuple() {
-                Some(pair) => {
-                    f.pairs[i - Slot::Tx as usize] = pair;
-                    true
-                }
-                None => false,
-            },
-            _ if i < Slot::LABELS => {
-                let quoted = self.peek() == Some(b'"');
-                if quoted {
-                    f.labels[i] = self.string()?;
-                }
-                quoted
-            }
-            _ => {
-                let digit = self.at_digit();
-                if digit {
-                    f.nums[i - Slot::At as usize] = self.number()?;
-                }
-                digit
-            }
-        };
-        if !fits {
-            self.pos = start;
-            self.skip_value()?;
-        }
-        Ok(fits)
     }
 
     /// Check and step over one value of any shape. Iterative, so nesting
@@ -1366,7 +1078,12 @@ impl<'a> Cursor<'a> {
                     self.pos += 1;
                 }
                 Some(b) if b.is_ascii_digit() => {
-                    self.number()?;
+                    if self.number().is_none() {
+                        return Err(format!(
+                            "number at byte {} does not fit in 64 bits",
+                            self.pos
+                        ));
+                    }
                 }
                 _ => return Err(format!("unexpected value at byte {}", self.pos)),
             }
