@@ -18,7 +18,7 @@
 //! the trace only earns its keep if it is cheap enough to leave on.
 //!
 //! **One field list.** The `events!` table below is the line format: each
-//! kind's label, then per field its JSON key, its type — whose [`Value`]
+//! kind's label, then per field its JSON key, its type — whose `Value`
 //! impl is the value's shape on the line — and what a missing value means
 //! (`required`; `default`: older traces lack it, it reads as zero or
 //! `None`; `nonzero`: written only when one of the kind's `nonzero` fields
@@ -175,11 +175,11 @@ macro_rules! written {
 macro_rules! layout_field {
     (required, $c:ident, $fragment:expr) => {{
         $c.lit($fragment)?;
-        Value::read($c)?.ok()?
+        Value::read($c)??
     }};
     ($rule:ident, $c:ident, $fragment:expr) => {
         match $c.lit($fragment) {
-            Some(()) => Value::read($c)?.ok()?,
+            Some(()) => Value::read($c)??,
             None => Default::default(),
         }
     };
@@ -631,9 +631,15 @@ trait Value<'a>: Sized {
     fn write(&self, out: &mut String);
 
     /// The value at the cursor: `None` if it has another shape (the cursor
-    /// is then anywhere), `Some(Err(_))` if it has this shape but is no
-    /// value of this type.
-    fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>>;
+    /// is then anywhere), `Some(None)` if it has this shape but is no value
+    /// of this type.
+    fn read(c: &mut Cursor<'a>) -> Option<Option<Self>>;
+
+    /// The keyed reader's error for `raw`, a value of this shape that
+    /// [`Value::read`] found no value of this type in.
+    fn invalid(key: &str, _raw: &str) -> String {
+        format!("field {key:?} out of range")
+    }
 }
 
 impl<'a> Value<'a> for u64 {
@@ -645,8 +651,8 @@ impl<'a> Value<'a> for u64 {
     }
 
     #[inline(always)]
-    fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
-        c.number().map(Ok)
+    fn read(c: &mut Cursor<'a>) -> Option<Option<Self>> {
+        c.number().map(Some)
     }
 }
 
@@ -662,8 +668,8 @@ macro_rules! narrow {
             }
 
             #[inline(always)]
-            fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
-                c.number().map(|v| Self::try_from(v).map_err(|_| Invalid::Range))
+            fn read(c: &mut Cursor<'a>) -> Option<Option<Self>> {
+                c.number().map(|v| Self::try_from(v).ok())
             }
         }
     )*};
@@ -682,7 +688,7 @@ macro_rules! wrapped {
             }
 
             #[inline(always)]
-            fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
+            fn read(c: &mut Cursor<'a>) -> Option<Option<Self>> {
                 Some(<$inner>::read(c)?.map($t))
             }
         }
@@ -699,20 +705,17 @@ impl<'a> Value<'a> for TxId {
     }
 
     #[inline(always)]
-    fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
+    fn read(c: &mut Cursor<'a>) -> Option<Option<Self>> {
         let [node, seq] = c.tuple()?;
-        Some(match u32::try_from(node) {
-            Ok(node) => Ok(TxId::new(node, seq)),
-            Err(_) => Err(Invalid::Range),
-        })
+        Some(u32::try_from(node).ok().map(|node| TxId::new(node, seq)))
     }
 }
 
-/// Enums written as their label.
+/// Enums written as their label; `$what` names them in errors.
 macro_rules! labels {
     ($($t:ty = $what:literal),*) => {$(
         impl<'a> Value<'a> for $t {
-            const SHAPE: &'static str = "string";
+            const SHAPE: &'static str = $what;
 
             #[inline]
             fn write(&self, out: &mut String) {
@@ -720,9 +723,12 @@ macro_rules! labels {
             }
 
             #[inline(always)]
-            fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
-                let label = c.label()?;
-                Some(<$t>::from_label(label).ok_or(Invalid::Label($what, label)))
+            fn read(c: &mut Cursor<'a>) -> Option<Option<Self>> {
+                Some(<$t>::from_label(c.label()?))
+            }
+
+            fn invalid(_key: &str, raw: &str) -> String {
+                format!("unknown {} {raw}", $what)
             }
         }
     )*};
@@ -744,8 +750,8 @@ impl<'a> Value<'a> for &'a str {
     }
 
     #[inline(always)]
-    fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
-        c.label().map(Ok)
+    fn read(c: &mut Cursor<'a>) -> Option<Option<Self>> {
+        c.label().map(Some)
     }
 }
 
@@ -765,8 +771,12 @@ impl<'a, T: Value<'a>> Value<'a> for Option<T> {
     }
 
     #[inline(always)]
-    fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
+    fn read(c: &mut Cursor<'a>) -> Option<Option<Self>> {
         Some(T::read(c)?.map(Some))
+    }
+
+    fn invalid(key: &str, raw: &str) -> String {
+        T::invalid(key, raw)
     }
 }
 
@@ -781,8 +791,8 @@ impl<'a> Value<'a> for Vec<(ObjectId, u64)> {
     }
 
     #[inline(always)]
-    fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
-        c.tuples(|[oid, v]| (ObjectId(oid), v)).map(Ok)
+    fn read(c: &mut Cursor<'a>) -> Option<Option<Self>> {
+        c.tuples(|[oid, v]| (ObjectId(oid), v)).map(Some)
     }
 }
 
@@ -797,8 +807,8 @@ impl<'a> Value<'a> for Vec<(ObjectId, u64, u64)> {
     }
 
     #[inline(always)]
-    fn read(c: &mut Cursor<'a>) -> Option<Result<Self, Invalid<'a>>> {
-        c.tuples(|[oid, e, n]| (ObjectId(oid), e, n)).map(Ok)
+    fn read(c: &mut Cursor<'a>) -> Option<Option<Self>> {
+        c.tuples(|[oid, e, n]| (ObjectId(oid), e, n)).map(Some)
     }
 }
 
@@ -816,14 +826,6 @@ fn write_tuples<const N: usize>(out: &mut String, tuples: impl IntoIterator<Item
     }
 }
 
-/// A value of a field's shape that is no value of its type.
-enum Invalid<'a> {
-    /// A number past a narrow field's type.
-    Range,
-    /// A label the type does not know: what the label names, and the text.
-    Label(&'static str, &'a str),
-}
-
 /// The keyed reader's error for a required field the line lacks, or holds
 /// a value of another shape in.
 fn missing<'a, T: Value<'a>>(key: &str) -> String {
@@ -837,7 +839,9 @@ enum Slot<'a, T> {
     /// Its first occurrence held a value of another shape: absent.
     Absent,
     Got(T),
-    Bad(Invalid<'a>),
+    /// Its first occurrence held this text, of the field's shape but no
+    /// value of its type.
+    Bad(&'a str),
 }
 
 impl<'a, T: Value<'a>> Slot<'a, T> {
@@ -847,9 +851,10 @@ impl<'a, T: Value<'a>> Slot<'a, T> {
         if !matches!(self, Slot::Unseen) {
             return false;
         }
+        let start = c.pos;
         *self = match T::read(c) {
-            Some(Ok(v)) => Slot::Got(v),
-            Some(Err(e)) => Slot::Bad(e),
+            Some(Some(v)) => Slot::Got(v),
+            Some(None) => Slot::Bad(&c.text[start..c.pos]),
             None => Slot::Absent,
         };
         !matches!(self, Slot::Absent)
@@ -859,8 +864,7 @@ impl<'a, T: Value<'a>> Slot<'a, T> {
     fn value(self, key: &str) -> Result<Option<T>, String> {
         match self {
             Slot::Got(v) => Ok(Some(v)),
-            Slot::Bad(Invalid::Range) => Err(format!("field {key:?} out of range")),
-            Slot::Bad(Invalid::Label(what, label)) => Err(format!("unknown {what} {label:?}")),
+            Slot::Bad(raw) => Err(T::invalid(key, raw)),
             Slot::Unseen | Slot::Absent => Ok(None),
         }
     }
@@ -921,6 +925,8 @@ impl<'a> Cursor<'a> {
         &self.text.as_bytes()[self.pos..]
     }
 
+    /// Cold: the writer emits no whitespace.
+    #[cold]
     fn skip_ws(&mut self) {
         while self.byte().is_some_and(|b| b.is_ascii_whitespace()) {
             self.pos += 1;
@@ -928,7 +934,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// The next byte that is not whitespace.
-    #[inline]
+    #[inline(always)]
     fn peek(&mut self) -> Option<u8> {
         // Every ASCII whitespace byte is <= b' ', and the writer emits none.
         match self.byte() {
@@ -961,7 +967,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// A string without escapes, if one comes next.
-    #[inline]
+    #[inline(always)]
     fn label(&mut self) -> Option<&'a str> {
         if self.peek() != Some(b'"') {
             return None;
