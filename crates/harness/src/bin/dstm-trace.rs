@@ -18,8 +18,9 @@
 //! caller of `TraceLog::to_jsonl`). `audit` replays the trace and checks
 //! what the live counters cannot: every commit's read/write footprint is
 //! consistent with a serial order, every queue-timeout abort was actually
-//! enqueued, and the Table-I nested-abort split recomputed from spans
-//! matches the counter-based `RunSummary` exactly. `analyze` builds the
+//! enqueued, the Table-I nested-abort split recomputed from spans
+//! matches the counter-based `RunSummary` exactly, and time never goes
+//! backwards within a run. `analyze` builds the
 //! object-conflict picture from abort attribution — which objects caused
 //! the aborts, which transactions discarded whose work, where throughput
 //! knees over — and reconciles the event-derived wasted-work ledger

@@ -5,8 +5,9 @@
 //! * [`audit`] — replays a trace and checks protocol invariants that the
 //!   live counters cannot express: commit-footprint consistency (a
 //!   necessary condition for serializability), write version chains,
-//!   enqueue/queue-timeout pairing, and the Table-I nested-abort split
-//!   recomputed from spans against the counter-based `RunSummary` record;
+//!   enqueue/queue-timeout pairing, the Table-I nested-abort split
+//!   recomputed from spans against the counter-based `RunSummary` record,
+//!   and time order within each run;
 //! * [`to_chrome_trace`] — renders the log in Chrome `trace_event` JSON
 //!   (open in `chrome://tracing` or Perfetto): one process per node, one
 //!   thread lane per transaction, complete-event spans per attempt and

@@ -173,10 +173,9 @@ macro_rules! written {
 /// The layout reader's step for one field: `"key":` and the value, which a
 /// field that may be missing may also leave out.
 macro_rules! layout_field {
-    (required, $c:ident, $fragment:expr) => {{
-        $c.lit($fragment)?;
-        Value::read($c)??
-    }};
+    (required, $c:ident, $fragment:expr) => {
+        $c.field($fragment)?
+    };
     ($rule:ident, $c:ident, $fragment:expr) => {
         match $c.lit($fragment) {
             Some(()) => Value::read($c)??,
@@ -964,6 +963,13 @@ impl<'a> Cursor<'a> {
         }
         self.pos = end;
         Some(())
+    }
+
+    /// `fragment`, then a value of `T`: one step of the layout reader.
+    #[inline(never)]
+    fn field<T: Value<'a>>(&mut self, fragment: &str) -> Option<T> {
+        self.lit(fragment)?;
+        T::read(self)?
     }
 
     /// A string without escapes, if one comes next.
