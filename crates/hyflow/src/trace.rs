@@ -641,22 +641,8 @@ trait Value<'a>: Sized {
     }
 }
 
-impl<'a> Value<'a> for u64 {
-    const SHAPE: &'static str = "numeric";
-
-    #[inline]
-    fn write(&self, out: &mut String) {
-        push_u64(out, *self);
-    }
-
-    #[inline(always)]
-    fn read(c: &mut Cursor<'a>) -> Option<Option<Self>> {
-        c.number().map(Some)
-    }
-}
-
-/// Numbers narrower than `u64`: range-checked, never truncated.
-macro_rules! narrow {
+/// Numbers: range-checked into their type, never truncated.
+macro_rules! numbers {
     ($($t:ty),*) => {$(
         impl<'a> Value<'a> for $t {
             const SHAPE: &'static str = "numeric";
@@ -673,7 +659,7 @@ macro_rules! narrow {
         }
     )*};
 }
-narrow!(u32, u16);
+numbers!(u64, u32, u16);
 
 /// Newtypes, written as the number they wrap.
 macro_rules! wrapped {
