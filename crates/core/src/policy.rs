@@ -155,10 +155,7 @@ pub fn explain_decision(
 }
 
 /// Owner-side conflict resolution strategy.
-///
-/// `Send` because a policy lives inside a simulated node, and the cell
-/// worker pool builds and runs whole systems on its threads.
-pub trait ConflictPolicy: Send {
+pub trait ConflictPolicy {
     fn kind(&self) -> SchedulerKind;
 
     /// Decide the fate of a request that found `ctx.oid` locked. The policy

@@ -58,7 +58,9 @@ pub mod tx;
 
 pub use config::{ConflictScope, DstmConfig, NestingMode, QueueBackend};
 pub use message::{FetchReq, FetchResult, Msg, Timer};
-pub use metrics::{AbortCause, HistSummary, NestedAbortCause, NodeMetrics, RunMetrics};
+pub use metrics::{
+    AbortCause, HistSummary, NestedAbortCause, NodeCounters, NodeMetrics, RunHistograms, RunMetrics,
+};
 pub use node::Node;
 pub use object::{CachedCopy, OwnedObject, Payload};
 pub use program::{

@@ -6,6 +6,9 @@
 //! parent transaction's abort / total nested transaction aborts"*).
 
 use dstm_sim::{Histogram, OnlineStats, SimDuration, SimTime};
+use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
+use std::rc::Rc;
 
 /// Why a whole (parent) transaction attempt aborted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -57,13 +60,13 @@ pub enum NestedAbortCause {
     ParentAbort,
 }
 
-/// Per-node counters, merged across nodes at the end of a run.
-/// `PartialEq` so differential tests (telemetry on/off, queue backends) can
-/// compare whole runs structurally. `repr(C)`: the counters
-/// are one contiguous run of words ahead of the 2 KiB of histograms.
+/// What one node counts: the counters, then the two Welford statistics.
+/// `repr(C)`: the counters are one contiguous run of words at the front.
+/// The latency histograms are not here but in the run's one
+/// [`RunHistograms`] set.
 #[derive(Clone, Debug, Default, PartialEq)]
 #[repr(C)]
-pub struct NodeMetrics {
+pub struct NodeCounters {
     /// Top-level commits.
     pub commits: u64,
     /// Top-level aborts by cause.
@@ -121,13 +124,73 @@ pub struct NodeMetrics {
     pub commit_latency: OnlineStats,
     /// Full transaction latency (first start → commit, across retries).
     pub total_latency: OnlineStats,
-    /// Latency-shape histograms (always on; a record is two array
-    /// increments). Units: nanoseconds, except `retries_per_commit` which
-    /// counts aborted attempts preceding each commit.
+}
+
+/// Merged results: the counters of a set of nodes plus the run's latency
+/// histograms. `PartialEq` so differential tests (telemetry on/off, queue
+/// backends) can compare whole runs structurally. Reads of the counters
+/// go through `Deref` to [`NodeCounters`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct NodeMetrics {
+    pub counters: NodeCounters,
+    /// Latency-shape histograms. Units: nanoseconds, except
+    /// `retries_per_commit` which counts aborted attempts preceding each
+    /// commit.
     pub commit_latency_hist: Histogram,
     pub queue_wait_hist: Histogram,
     pub fetch_rtt_hist: Histogram,
     pub retries_per_commit: Histogram,
+}
+
+impl Deref for NodeMetrics {
+    type Target = NodeCounters;
+
+    fn deref(&self) -> &NodeCounters {
+        &self.counters
+    }
+}
+
+impl DerefMut for NodeMetrics {
+    fn deref_mut(&mut self) -> &mut NodeCounters {
+        &mut self.counters
+    }
+}
+
+/// Handle on the run's one set of latency histograms (always on; a record
+/// is two array increments). `SystemBuilder` clones one handle into every
+/// node, as it does the trace log, so 2 KiB of buckets cost one block per
+/// run rather than one per node. A run lives on one thread, hence
+/// `Rc<RefCell<_>>`. Bucket counts and sums add exactly, so the set holds
+/// what merging per-node histograms would; the two `OnlineStats` stay in
+/// [`NodeCounters`] because a Welford merge is order-dependent in floating
+/// point.
+#[derive(Clone, Debug, Default)]
+pub struct RunHistograms(Rc<RefCell<NodeMetrics>>);
+
+impl RunHistograms {
+    /// A successful attempt: its latency and the aborted attempts before
+    /// it.
+    pub fn record_commit(&self, exec: SimDuration, retries: u64) {
+        let mut h = self.0.borrow_mut();
+        h.commit_latency_hist.record_duration(exec);
+        h.retries_per_commit.record(retries);
+    }
+
+    /// How long a served requester waited in an owner's queue.
+    pub fn record_queue_wait(&self, wait: SimDuration) {
+        self.0.borrow_mut().queue_wait_hist.record_duration(wait);
+    }
+
+    /// Round trip of a fetch that brought an object.
+    pub fn record_fetch_rtt(&self, rtt: SimDuration) {
+        self.0.borrow_mut().fetch_rtt_hist.record_duration(rtt);
+    }
+
+    /// What has been recorded so far, with every counter zero: the start of
+    /// `System::collect`'s merge of the node counters.
+    pub fn snapshot(&self) -> NodeMetrics {
+        self.0.borrow().clone()
+    }
 }
 
 /// p50/p95/p99 upper bounds plus count/mean for one histogram, as
@@ -153,7 +216,7 @@ impl HistSummary {
     }
 }
 
-impl NodeMetrics {
+impl NodeCounters {
     pub fn record_abort(&mut self, cause: AbortCause) {
         match cause {
             AbortCause::ForwardValidation => self.aborts_forward_validation += 1,
@@ -217,7 +280,7 @@ impl NodeMetrics {
         }
     }
 
-    pub fn merge(&mut self, other: &NodeMetrics) {
+    pub fn merge(&mut self, other: &NodeCounters) {
         self.commits += other.commits;
         self.aborts_forward_validation += other.aborts_forward_validation;
         self.aborts_commit_validation += other.aborts_commit_validation;
@@ -244,10 +307,26 @@ impl NodeMetrics {
         self.wasted_nested_parent += other.wasted_nested_parent;
         self.commit_latency.merge(&other.commit_latency);
         self.total_latency.merge(&other.total_latency);
+    }
+}
+
+impl NodeMetrics {
+    pub fn merge(&mut self, other: &NodeMetrics) {
+        self.counters.merge(&other.counters);
         self.commit_latency_hist.merge(&other.commit_latency_hist);
         self.queue_wait_hist.merge(&other.queue_wait_hist);
         self.fetch_rtt_hist.merge(&other.fetch_rtt_hist);
         self.retries_per_commit.merge(&other.retries_per_commit);
+    }
+
+    /// The histograms shadow counters kept on independent paths: one
+    /// commit-latency and one retries record per commit, one queue-wait
+    /// record per served requester. Catches a node that records into the
+    /// shared set twice, or not at all.
+    pub fn histograms_reconcile(&self) -> bool {
+        self.commit_latency_hist.count() == self.commits
+            && self.retries_per_commit.count() == self.commits
+            && self.queue_wait_hist.count() == self.queue_served
     }
 
     /// The four latency-shape summaries, labelled for report emission.
@@ -309,16 +388,19 @@ impl RunMetrics {
 mod tests {
     use super::*;
 
-    /// Every counter precedes the statistics and histograms, so the words
-    /// handlers bump are one contiguous run at the front of the struct.
+    /// Every counter precedes the two statistics, so the words handlers
+    /// bump are one contiguous run at the front of the struct, and nothing
+    /// else is in it: the histograms live in the run's one set.
     #[test]
-    fn counters_lead_and_histograms_trail() {
+    fn counters_lead_and_statistics_trail() {
         use std::mem::{offset_of, size_of};
-        let tail = 2 * size_of::<OnlineStats>() + 4 * size_of::<Histogram>();
+        let tail = 2 * size_of::<OnlineStats>();
         assert_eq!(
-            size_of::<NodeMetrics>() - offset_of!(NodeMetrics, commit_latency),
+            size_of::<NodeCounters>() - offset_of!(NodeCounters, commit_latency),
             tail
         );
+        // 24 counters; 2 448 bytes while the four histograms were here too.
+        assert_eq!(size_of::<NodeCounters>(), 24 * size_of::<u64>() + tail);
     }
 
     #[test]
@@ -352,7 +434,10 @@ mod tests {
     #[test]
     fn throughput_over_virtual_time() {
         let m = NodeMetrics {
-            commits: 500,
+            counters: NodeCounters {
+                commits: 500,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let run = RunMetrics {
@@ -406,7 +491,7 @@ mod tests {
 
     #[test]
     fn wasted_work_merge_and_reconciliation() {
-        let mut a = NodeMetrics::default();
+        let mut a = NodeCounters::default();
         a.record_wasted_work(1_000, 3, true, 2);
         a.record_wasted_work(500, 1, false, 0);
         a.record_nested_aborts(NestedAbortCause::ParentAbort, 2);
@@ -417,9 +502,9 @@ mod tests {
 
         // A ledger entry without the matching Table-I counter must not
         // reconcile until the counter catches up.
-        let mut b = NodeMetrics {
+        let mut b = NodeCounters {
             wasted_nested_own: 1,
-            ..NodeMetrics::default()
+            ..NodeCounters::default()
         };
         assert!(!b.wasted_work_reconciles());
         b.record_nested_aborts(NestedAbortCause::Own, 1);
@@ -433,16 +518,43 @@ mod tests {
     }
 
     #[test]
+    fn histograms_reconcile_with_the_counters_they_shadow() {
+        let set = RunHistograms::default();
+        let node = set.clone();
+        node.record_commit(SimDuration::from_micros(5), 1);
+        node.record_queue_wait(SimDuration::from_micros(2));
+        node.record_fetch_rtt(SimDuration::from_micros(3));
+        let mut m = set.snapshot();
+        assert_eq!(
+            m.counters,
+            NodeCounters::default(),
+            "the set holds no counters"
+        );
+        assert_eq!(m.fetch_rtt_hist.count(), 1);
+        assert!(!m.histograms_reconcile(), "records without their counters");
+        m.commits = 1;
+        m.queue_served = 1;
+        assert!(m.histograms_reconcile());
+
+        // A second record of the same commit, through another handle.
+        set.record_commit(SimDuration::from_micros(5), 1);
+        let counters = m.counters.clone();
+        m = set.snapshot();
+        m.counters = counters;
+        assert!(!m.histograms_reconcile(), "a commit recorded twice");
+    }
+
+    #[test]
     fn cache_hit_rate_and_merge() {
-        let mut a = NodeMetrics::default();
+        let mut a = NodeCounters::default();
         assert_eq!(a.cache_hit_rate(), 0.0, "no lookups, no rate");
         a.cache_hits = 3;
         a.cache_misses = 1;
-        let b = NodeMetrics {
+        let b = NodeCounters {
             cache_hits: 1,
             cache_invalidations: 2,
             forwarded_reqs: 5,
-            ..NodeMetrics::default()
+            ..NodeCounters::default()
         };
         a.merge(&b);
         assert_eq!(a.cache_hits, 4);

@@ -17,7 +17,7 @@
 
 use crate::config::DstmConfig;
 use crate::message::{FetchReq, FetchResult, Msg, Timer};
-use crate::metrics::{AbortCause, NestedAbortCause, NodeMetrics};
+use crate::metrics::{AbortCause, NestedAbortCause, NodeCounters, RunHistograms};
 use crate::object::{CachedCopy, OwnedObject, Payload};
 use crate::program::{AccessMode, BoxedProgram, ProgramSnapshot, StepInput, StepOutput};
 use crate::telemetry::{Telemetry, TelemetryReport, EPOCH};
@@ -424,7 +424,7 @@ enum CacheOpen {
 /// cache, and what the handlers read on their way to the first object or
 /// transaction lookup should be a few adjacent lines — the ones
 /// [`Actor::hint_soon`] requests — not one line per field scattered between
-/// the histograms. Line-aligned for the same reason. The unit tests at the
+/// cold state. Line-aligned for the same reason. The unit tests at the
 /// bottom of this file pin which fields lie in [`Node::HOT_BYTES`].
 #[repr(C, align(64))]
 pub struct Node {
@@ -465,9 +465,12 @@ pub struct Node {
     /// perturb the simulated schedule. Last of the hot fields: the guard is
     /// its first word, the sampler state behind it is cold.
     telemetry: Telemetry,
-    /// Counters first (most handlers bump one or two), histograms after.
-    pub metrics: NodeMetrics,
+    /// Counters first (most handlers bump one or two), then the two
+    /// statistics a commit pushes.
+    pub metrics: NodeCounters,
     // -- cold from here: touched per transaction start/commit, or rarer ------
+    /// Handle on the run's one set of latency histograms.
+    hists: RunHistograms,
     /// Workload not yet started.
     pending: VecDeque<BoxedProgram>,
     next_seq: u64,
@@ -497,6 +500,7 @@ pub struct Node {
 }
 
 impl Node {
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         me: u32,
         topo: Arc<Topology>,
@@ -505,6 +509,7 @@ impl Node {
         initial_objects: Vec<(ObjectId, Payload)>,
         workload: Vec<BoxedProgram>,
         ptrace: ProtoTrace,
+        hists: RunHistograms,
     ) -> Self {
         /// Prior for a kind's expected execution time before it has history.
         const DEFAULT_EXEC_ESTIMATE: SimDuration = SimDuration::from_millis(60);
@@ -533,7 +538,8 @@ impl Node {
             ptrace,
             outbox: Vec::new(),
             telemetry,
-            metrics: NodeMetrics::default(),
+            metrics: NodeCounters::default(),
+            hists,
             done_at: pending.is_empty().then_some(SimTime::ZERO),
             pending,
             next_seq: 0,
@@ -1422,10 +1428,7 @@ impl Node {
         self.metrics
             .total_latency
             .push_duration(now.saturating_since(tx.first_started_at));
-        self.metrics.commit_latency_hist.record_duration(exec);
-        self.metrics
-            .retries_per_commit
-            .record(u64::from(tx.attempt));
+        self.hists.record_commit(exec, u64::from(tx.attempt));
         self.policy.on_commit(now);
         tx.phase = TxPhase::Done;
         self.active -= 1;
@@ -1800,7 +1803,7 @@ impl Node {
         for r in grants.drain(..) {
             self.metrics.queue_served += 1;
             let wait = now.saturating_since(r.enqueued_at);
-            self.metrics.queue_wait_hist.record_duration(wait);
+            self.hists.record_queue_wait(wait);
             self.ptrace.emit(now, self.me, || ProtoEvent::QueueServed {
                 oid,
                 tx: r.tx,
@@ -1941,9 +1944,8 @@ impl Node {
                 });
                 self.objs.grant(oid, owner, copy);
                 self.clock = self.clock.max(version);
-                self.metrics
-                    .fetch_rtt_hist
-                    .record_duration(ctx.now().saturating_since(tx.fetch_sent_at));
+                self.hists
+                    .record_fetch_rtt(ctx.now().saturating_since(tx.fetch_sent_at));
                 if version > tx.wv && tx.has_objects() {
                     // Transactional forwarding: early-validate before
                     // advancing the transaction's clock (TFA §II).
@@ -2554,11 +2556,12 @@ mod tests {
         // alignment; nothing cold sits between the hot bytes and them.
         assert_eq!(
             offset_of!(Node, metrics),
-            end_of!(Node, telemetry).next_multiple_of(align_of::<NodeMetrics>())
+            end_of!(Node, telemetry).next_multiple_of(align_of::<NodeCounters>())
         );
-        // 3 040 bytes before the reorder; the rest is padding to the line.
+        // 3 072 bytes while every node carried its own four latency
+        // histograms (2 176 bytes); they are one set per run now.
         assert_eq!(align_of::<Node>(), CACHE_LINE);
-        assert!(size_of::<Node>() <= 3_040_usize.next_multiple_of(CACHE_LINE));
+        assert!(size_of::<Node>() <= 832);
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub struct ProgramCheckpoint {
 }
 
 /// A resumable transaction body.
-pub trait TxProgram: Send {
+pub trait TxProgram {
     /// The transaction's kind, keying the stats table.
     fn kind(&self) -> TxKind;
 

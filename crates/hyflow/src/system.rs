@@ -3,7 +3,7 @@
 
 use crate::config::DstmConfig;
 use crate::message::{Msg, Timer};
-use crate::metrics::{NodeMetrics, RunMetrics};
+use crate::metrics::{RunHistograms, RunMetrics};
 use crate::node::Node;
 use crate::object::Payload;
 use crate::program::BoxedProgram;
@@ -90,6 +90,7 @@ impl SystemBuilder {
         } else {
             ProtoTrace::disabled()
         };
+        let hists = RunHistograms::default();
         let mut programs = workload.programs;
         let nodes: Vec<Node> = (0..n)
             .map(|i| {
@@ -112,6 +113,7 @@ impl SystemBuilder {
                     std::mem::take(&mut per_node[i]),
                     std::mem::take(&mut programs[i]),
                     trace.clone(),
+                    hists.clone(),
                 )
             })
             .collect();
@@ -124,6 +126,7 @@ impl SystemBuilder {
             world,
             topo: self.topo,
             trace,
+            hists,
         }
     }
 }
@@ -136,6 +139,8 @@ pub struct System<Q = BinaryHeapQueue<NodeEvent>> {
     topo: Arc<Topology>,
     /// The run-wide protocol-event log every node appends to.
     trace: ProtoTrace,
+    /// The run's latency histograms, which every node records into.
+    hists: RunHistograms,
 }
 
 impl<Q: EventQueue<NodeEvent>> System<Q> {
@@ -187,9 +192,9 @@ impl<Q: EventQueue<NodeEvent>> System<Q> {
             .map(|n| n.done_at())
             .try_fold(SimTime::ZERO, |acc, t| t.map(|t| acc.max(t)))
             .unwrap_or_else(|| self.world.now());
-        let mut merged = NodeMetrics::default();
+        let mut merged = self.hists.snapshot();
         for node in self.world.actors() {
-            merged.merge(&node.metrics);
+            merged.counters.merge(&node.metrics);
         }
         RunMetrics {
             nodes: self.topo.n(),

@@ -14,7 +14,7 @@
 //! outlives the ring, the oldest epochs are overwritten and counted in
 //! `dropped_epochs`.
 
-use crate::metrics::NodeMetrics;
+use crate::metrics::NodeCounters;
 use dstm_sim::{SimDuration, SimTime};
 
 /// Simulated-time width of one epoch.
@@ -62,7 +62,7 @@ struct Snapshot {
 }
 
 impl Snapshot {
-    fn of(m: &NodeMetrics) -> Self {
+    fn of(m: &NodeCounters) -> Self {
         Snapshot {
             commits: m.commits,
             aborts: m.total_aborts(),
@@ -141,7 +141,7 @@ impl Telemetry {
 
     /// Close every epoch that ended at or before `now`, recording counter
     /// deltas. Cold path: runs at most once per epoch per node.
-    pub fn flush(&mut self, now: SimTime, metrics: &NodeMetrics) {
+    pub fn flush(&mut self, now: SimTime, metrics: &NodeCounters) {
         debug_assert!(self.on());
         let snap = Snapshot::of(metrics);
         while now.0 >= self.next_epoch_end {
@@ -178,7 +178,7 @@ impl Telemetry {
     }
 
     /// Close the final (partial) epoch and drain everything collected.
-    pub fn take(&mut self, now: SimTime, metrics: &NodeMetrics) -> TelemetryReport {
+    pub fn take(&mut self, now: SimTime, metrics: &NodeCounters) -> TelemetryReport {
         if !self.on() {
             return TelemetryReport::default();
         }
@@ -269,9 +269,9 @@ mod tests {
     #[test]
     fn deltas_accumulate_per_epoch() {
         let mut t = Telemetry::enabled(100);
-        let mut m = NodeMetrics {
+        let mut m = NodeCounters {
             commits: 2,
-            ..NodeMetrics::default()
+            ..NodeCounters::default()
         };
         assert!(!t.due(SimTime(99)));
         assert!(t.due(SimTime(100)));
@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn ring_wraps_and_counts_drops() {
         let mut t = Telemetry::enabled(10);
-        let mut m = NodeMetrics::default();
+        let mut m = NodeCounters::default();
         // Drive RING_CAP + 5 epochs past the sampler, each with a commit so
         // the tail survives the trim.
         for e in 1..=RING_CAP as u64 + 5 {

@@ -42,7 +42,7 @@
 //! `parse` tries the first and hands any line it refuses to the second,
 //! which words every error.
 
-use crate::metrics::{AbortCause, NodeMetrics};
+use crate::metrics::{AbortCause, NodeCounters};
 use dstm_sim::{SimDuration, SimTime};
 use rts_core::{ObjectId, SchedulerKind, TxId, TxKind};
 use std::cell::RefCell;
@@ -545,7 +545,7 @@ impl TraceLog {
 
     /// Append the end-of-run counter snapshot the auditor cross-checks
     /// span-derived totals against.
-    pub fn push_summary(&mut self, at: SimTime, merged: &NodeMetrics) {
+    pub fn push_summary(&mut self, at: SimTime, merged: &NodeCounters) {
         self.records.push(TraceRecord {
             at,
             node: 0,
@@ -1343,13 +1343,13 @@ mod tests {
                 },
             }],
         };
-        let metrics = NodeMetrics {
+        let metrics = NodeCounters {
             commits: 6,
             nested_commits: 8,
             nested_aborts_own: 1,
             nested_aborts_parent: 2,
             aborts_scheduler: 3,
-            ..NodeMetrics::default()
+            ..NodeCounters::default()
         };
         log.push_run_info(SchedulerKind::Rts, 8);
         log.push_summary(SimTime(10), &metrics);
@@ -1421,15 +1421,15 @@ mod tests {
         // Bit-identity guard: with all cache counters zero the summary line
         // must be byte-identical to the pre-cache format.
         let mut log = TraceLog::default();
-        log.push_summary(SimTime(10), &NodeMetrics::default());
+        log.push_summary(SimTime(10), &NodeCounters::default());
         let text = log.to_jsonl();
         assert!(!text.contains("cache"), "line was {text}");
         let mut cached = TraceLog::default();
         cached.push_summary(
             SimTime(10),
-            &NodeMetrics {
+            &NodeCounters {
                 cache_hits: 3,
-                ..NodeMetrics::default()
+                ..NodeCounters::default()
             },
         );
         assert!(cached.to_jsonl().contains("\"cache_hits\":3"));

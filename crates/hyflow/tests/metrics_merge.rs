@@ -65,7 +65,7 @@ proptest! {
             merged.aborts_queue_timeout,
             sum_by_cause(|n| n.aborts_queue_timeout)
         );
-        prop_assert_eq!(merged.total_aborts(), sum_by_cause(NodeMetrics::total_aborts));
+        prop_assert_eq!(merged.total_aborts(), sum_by_cause(|n| n.total_aborts()));
 
         // Both NestedAbortCause legs (the Table-I split).
         prop_assert_eq!(merged.nested_aborts_own, sum_by_cause(|n| n.nested_aborts_own));

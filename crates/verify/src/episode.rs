@@ -154,6 +154,13 @@ pub fn run_episode_mutated(
             metrics.merged.commits
         ));
     }
+    // Every node records into the run's one histogram set: once per commit
+    // and once per served requester.
+    if !metrics.merged.histograms_reconcile() {
+        violations.push(
+            "latency histograms do not reconcile with the commit and queue-served counters".into(),
+        );
+    }
 
     // Safety: exactly one writable copy per object, and no cached read
     // copy ahead of the authoritative version.

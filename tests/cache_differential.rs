@@ -161,6 +161,37 @@ fn cache_counters_reconcile_with_epoch_sums_under_every_scheduler() {
 }
 
 #[test]
+fn latency_histograms_reconcile_with_their_counters_on_every_benchmark() {
+    // Every node records into the run's one histogram set: one commit
+    // latency and one retries record per commit, one queue wait per served
+    // requester. A node that records twice, or not at all, breaks it.
+    let mut served = 0;
+    for benchmark in Benchmark::ALL {
+        for scheduler in SCHEDULERS {
+            for cache in [false, true] {
+                let r = run_cell(contended_cell(benchmark, scheduler, 17).with_cache(cache));
+                let m = &r.metrics.merged;
+                assert!(r.completed && m.commits > 0);
+                assert!(
+                    m.histograms_reconcile(),
+                    "{}/{} cache={cache}: {} commits, {} served; histogram counts \
+                     {} / {} / {}",
+                    benchmark.label(),
+                    scheduler.label(),
+                    m.commits,
+                    m.queue_served,
+                    m.commit_latency_hist.count(),
+                    m.retries_per_commit.count(),
+                    m.queue_wait_hist.count()
+                );
+                served += m.queue_served;
+            }
+        }
+    }
+    assert!(served > 0, "no cell served a queued requester");
+}
+
+#[test]
 fn cache_reduces_messages_per_commit_on_contended_reads() {
     for benchmark in [Benchmark::Bank, Benchmark::Vacation] {
         let off = run_cell(contended_cell(benchmark, SchedulerKind::Rts, 21).with_cache(false));
