@@ -7,13 +7,11 @@
 //! touch nodes already fetched during the descent, so the write phase is a
 //! local plan drained through instant acquires.
 
+use crate::op_loop::{generate_programs, pool_objects, Alloc, OpLoop, OpMachine, Pool, WritePlan};
 use crate::params::WorkloadParams;
-use crate::{op_checkpoint, op_position};
 use dstm_sim::SimDuration;
-use hyflow_dstm::program::{
-    AccessMode, ProgramCheckpoint, StepInput, StepOutput, TxProgram, WithTrailer,
-};
-use hyflow_dstm::{BoxedProgram, Payload, WorkloadSource};
+use hyflow_dstm::program::{AccessMode, StepInput, StepOutput};
+use hyflow_dstm::{Payload, WorkloadSource};
 use rts_core::{ObjectId, TxKind};
 use std::sync::Arc;
 
@@ -25,11 +23,6 @@ pub const KIND_REMOVE: TxKind = TxKind(44);
 
 pub const ROOT: ObjectId = ObjectId(1);
 const NODE_BASE: u64 = 2;
-const COUNTER_BASE: u64 = 1_000_000;
-const POOL_BASE: u64 = 2_000_000;
-/// Parent-level summary/statistics objects, touched after the nested ops
-/// (Fig. 1's trailing top-level access; see DESIGN.md).
-const SUMMARY_BASE: u64 = 3_000_000;
 
 /// One BST operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,14 +33,6 @@ pub enum BstOp {
 }
 
 impl BstOp {
-    fn child_kind(self) -> TxKind {
-        match self {
-            BstOp::Contains(_) => KIND_CONTAINS,
-            BstOp::Insert(_) => KIND_INSERT,
-            BstOp::Remove(_) => KIND_REMOVE,
-        }
-    }
-
     fn value(self) -> i64 {
         match self {
             BstOp::Contains(v) | BstOp::Insert(v) | BstOp::Remove(v) => v,
@@ -64,73 +49,48 @@ struct Seen {
     right: Option<ObjectId>,
 }
 
-impl Seen {
-    fn payload_with(&self, value: i64, left: Option<ObjectId>, right: Option<ObjectId>) -> Payload {
-        let _ = self;
-        Payload::TreeNode {
-            value,
-            left,
-            right,
-            red: false,
-        }
+/// A (black) tree node's payload.
+fn tree_node(value: i64, left: Option<ObjectId>, right: Option<ObjectId>) -> Payload {
+    Payload::TreeNode {
+        value,
+        left,
+        right,
+        red: false,
     }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
+enum St {
+    RootValue,
     /// Descending toward the operation's key.
     Find,
     /// Descending the right subtree of the removal target toward its
     /// in-order successor.
     FindSucc,
+    /// Allocating the inserted node from the pool.
+    Alloc,
+    /// Draining the structural write plan.
+    Plan,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum St {
-    NextOp,
-    OpenAck,
-    RootValue,
-    Descend,
-    CounterGot,
-    CounterWritten,
-    PoolGot,
-    /// New leaf written: link it from its parent (or the root pointer).
-    NewLinked,
-    /// Draining the structural write plan: the acquired payload arrived.
-    PlanGot,
-    CloseOp,
-    Closed,
-    Gap,
-}
-
-/// The BST transaction program.
-///
-/// The descent path, removal target and write plan live inside one
-/// operation: `OpenAck` resets them before anything reads them, and every
-/// level boundary lies at `NextOp` (attempt start) or `OpenAck` (behind an
-/// `OpenNested`). The checkpoint is the operation index and which of the two.
+/// One BST operation: the descent, the successor search of a two-children
+/// removal, and the structural writes as a plan.
 #[derive(Clone, Debug)]
-pub struct BstProgram {
-    kind: TxKind,
-    /// Immutable and shared, so a `clone_box` copies a pointer.
-    ops: Arc<[BstOp]>,
-    counter: ObjectId,
-    pool_base: u64,
-    pool_size: u64,
-    compute: SimDuration,
-    op_idx: usize,
+pub struct BstWalk {
+    pool: Pool,
     st: St,
-    phase: Phase,
     cur: Option<ObjectId>,
     path: Vec<Seen>,
     /// Removal target (found during `Find`).
     target: Option<Seen>,
-    /// Link holder to the successor during `FindSucc`: (node, via-left?).
-    succ_parent: Option<(Seen, bool)>,
-    new_node: Option<ObjectId>,
-    /// Structural writes to apply: (object, payload).
-    plan: Vec<(ObjectId, Payload)>,
+    /// The successor's parent during `FindSucc`, once the successor is not
+    /// the target's right child.
+    succ_parent: Option<Seen>,
+    plan: WritePlan,
 }
+
+/// The BST transaction program.
+pub type BstProgram = OpLoop<BstWalk>;
 
 impl BstProgram {
     pub fn new(
@@ -139,87 +99,58 @@ impl BstProgram {
         invoking_node: usize,
         pool_size: u64,
         compute: SimDuration,
+        summary: ObjectId,
+        delta: Option<i64>,
     ) -> Self {
-        BstProgram {
-            kind,
-            ops: ops.into(),
-            counter: ObjectId(COUNTER_BASE + invoking_node as u64),
-            pool_base: POOL_BASE + invoking_node as u64 * pool_size,
-            pool_size,
-            compute,
-            op_idx: 0,
-            st: St::NextOp,
-            phase: Phase::Find,
+        let walk = BstWalk::new(invoking_node, pool_size);
+        OpLoop::with_machine(kind, ops, compute, summary, delta, walk)
+    }
+}
+
+impl BstWalk {
+    fn new(invoking_node: usize, pool_size: u64) -> Self {
+        BstWalk {
+            pool: Pool::new(invoking_node, pool_size),
+            st: St::RootValue,
             cur: None,
             path: Vec::new(),
             target: None,
             succ_parent: None,
-            new_node: None,
-            plan: Vec::new(),
+            plan: WritePlan::default(),
         }
     }
 
-    fn op(&self) -> BstOp {
-        self.ops[self.op_idx]
+    /// Fetch `oid` as the next node of the descent in `st`.
+    fn descend(&mut self, st: St, oid: ObjectId) -> StepOutput {
+        self.cur = Some(oid);
+        self.st = st;
+        StepOutput::Acquire(oid, AccessMode::Read)
     }
 
-    fn close(&mut self) -> StepOutput {
-        self.st = St::Closed;
-        StepOutput::CloseNested
-    }
-
-    /// Emit the next plan write (acquire first; all plan objects are already
-    /// held, so the acquire is satisfied locally).
-    fn drain_plan(&mut self) -> StepOutput {
-        match self.plan.first() {
-            Some((oid, _)) => {
-                let oid = *oid;
-                self.st = St::PlanGot;
-                StepOutput::Acquire(oid, AccessMode::Write)
-            }
-            None => self.close(),
-        }
-    }
-
-    /// The object holding the link to the current descent position: the last
-    /// path node, or the root pointer.
-    fn parent_link_payload(&self, child: Option<ObjectId>) -> (ObjectId, Payload) {
-        match self.path.last() {
+    /// Plan the write that points the link to the current descent position
+    /// — the last path node's, or the root pointer — at `child`.
+    fn link(&mut self, op: BstOp, child: Option<ObjectId>) {
+        let (oid, payload) = match self.path.last() {
             None => (ROOT, Payload::Ptr(child)),
-            Some(p) => {
-                let target_value = match self.phase {
-                    Phase::Find => self.op().value(),
-                    Phase::FindSucc => unreachable!("insert happens in Find phase"),
-                };
-                if target_value < p.value {
-                    (p.oid, p.payload_with(p.value, child, p.right))
-                } else {
-                    (p.oid, p.payload_with(p.value, p.left, child))
-                }
-            }
-        }
+            Some(p) if op.value() < p.value => (p.oid, tree_node(p.value, child, p.right)),
+            Some(p) => (p.oid, tree_node(p.value, p.left, child)),
+        };
+        self.plan.push(oid, payload);
+        self.st = St::Plan;
     }
 
     fn start_alloc(&mut self) -> StepOutput {
-        self.st = St::CounterGot;
-        StepOutput::Acquire(self.counter, AccessMode::Write)
+        self.st = St::Alloc;
+        self.pool.start()
     }
 
-    /// Got a node during descent; route by phase.
-    fn on_node(&mut self, seen: Seen) -> StepOutput {
-        match self.phase {
-            Phase::Find => self.on_find(seen),
-            Phase::FindSucc => self.on_find_succ(seen),
-        }
-    }
-
-    fn on_find(&mut self, seen: Seen) -> StepOutput {
-        let v = self.op().value();
+    fn on_find(&mut self, op: BstOp, seen: Seen) -> StepOutput {
+        let v = op.value();
         if v == seen.value {
-            return match self.op() {
-                BstOp::Contains(_) => self.close(),
-                BstOp::Insert(_) => self.close(), // duplicate
-                BstOp::Remove(_) => self.start_remove(seen),
+            // Found: a contains or a duplicate insert writes nothing.
+            return match op {
+                BstOp::Remove(_) => self.start_remove(op, seen),
+                _ => StepOutput::CloseNested,
             };
         }
         let next = if v < seen.value {
@@ -228,130 +159,89 @@ impl BstProgram {
             seen.right
         };
         self.path.push(seen);
-        match next {
-            Some(oid) => {
-                self.cur = Some(oid);
-                self.st = St::Descend;
-                StepOutput::Acquire(oid, AccessMode::Read)
-            }
-            None => match self.op() {
-                BstOp::Insert(_) => self.start_alloc(),
-                _ => self.close(), // contains/remove: absent
-            },
+        match (next, op) {
+            (Some(oid), _) => self.descend(St::Find, oid),
+            (None, BstOp::Insert(_)) => self.start_alloc(),
+            (None, _) => StepOutput::CloseNested, // contains/remove: absent
         }
     }
 
-    fn start_remove(&mut self, t: Seen) -> StepOutput {
+    fn start_remove(&mut self, op: BstOp, t: Seen) -> StepOutput {
         match (t.left, t.right) {
-            (None, None) => {
-                let (oid, payload) = self.parent_link_payload(None);
-                self.plan.push((oid, payload));
-                self.drain_plan()
-            }
-            (Some(c), None) | (None, Some(c)) => {
-                let (oid, payload) = self.parent_link_payload(Some(c));
-                self.plan.push((oid, payload));
-                self.drain_plan()
+            // No child or one: link the parent to it.
+            (child, None) | (None, child) => {
+                self.link(op, child);
+                self.plan.drain()
             }
             (Some(_), Some(r)) => {
                 // Two children: find the in-order successor in the right
                 // subtree, splice it out, move its value into the target.
                 self.target = Some(t);
                 self.succ_parent = None; // direct right child case
-                self.phase = Phase::FindSucc;
-                self.cur = Some(r);
-                self.st = St::Descend;
-                StepOutput::Acquire(r, AccessMode::Read)
+                self.descend(St::FindSucc, r)
             }
         }
     }
 
     fn on_find_succ(&mut self, seen: Seen) -> StepOutput {
         if let Some(l) = seen.left {
-            self.succ_parent = Some((seen, true));
-            self.cur = Some(l);
-            self.st = St::Descend;
-            return StepOutput::Acquire(l, AccessMode::Read);
+            self.succ_parent = Some(seen);
+            return self.descend(St::FindSucc, l);
         }
         // `seen` is the successor.
         let t = self.target.expect("target recorded");
         match self.succ_parent {
-            None => {
-                // Successor is the target's direct right child.
+            // Successor is the target's direct right child.
+            None => self
+                .plan
+                .push(t.oid, tree_node(seen.value, t.left, seen.right)),
+            Some(sp) => {
                 self.plan
-                    .push((t.oid, t.payload_with(seen.value, t.left, seen.right)));
-            }
-            Some((sp, _via_left)) => {
+                    .push(t.oid, tree_node(seen.value, t.left, t.right));
                 self.plan
-                    .push((t.oid, t.payload_with(seen.value, t.left, t.right)));
-                self.plan
-                    .push((sp.oid, sp.payload_with(sp.value, seen.right, sp.right)));
+                    .push(sp.oid, tree_node(sp.value, seen.right, sp.right));
             }
         }
-        self.drain_plan()
+        self.st = St::Plan;
+        self.plan.drain()
     }
 }
 
-impl TxProgram for BstProgram {
-    fn kind(&self) -> TxKind {
-        self.kind
+impl OpMachine for BstWalk {
+    type Op = BstOp;
+
+    const LABEL: &'static str = "bst";
+
+    fn child_kind(op: BstOp) -> TxKind {
+        match op {
+            BstOp::Contains(_) => KIND_CONTAINS,
+            BstOp::Insert(_) => KIND_INSERT,
+            BstOp::Remove(_) => KIND_REMOVE,
+        }
     }
 
-    fn label(&self) -> &'static str {
-        "bst"
+    fn start(&mut self, _: BstOp) -> StepOutput {
+        self.path.clear();
+        self.plan.clear();
+        self.target = None;
+        self.succ_parent = None;
+        self.st = St::RootValue;
+        StepOutput::Acquire(ROOT, AccessMode::Read)
     }
 
-    fn clone_box(&self) -> BoxedProgram {
-        Box::new(self.clone())
-    }
-
-    fn checkpoint(&self) -> Option<ProgramCheckpoint> {
-        debug_assert!(matches!(self.st, St::NextOp | St::OpenAck));
-        Some(op_checkpoint(self.op_idx, self.st == St::OpenAck))
-    }
-
-    fn rewind(&mut self, to: &ProgramCheckpoint) {
-        let (op_idx, opened) = op_position(to);
-        self.op_idx = op_idx;
-        self.st = if opened { St::OpenAck } else { St::NextOp };
-    }
-
-    fn step(&mut self, input: StepInput<'_>) -> StepOutput {
-        match self.st.clone() {
-            St::NextOp => {
-                if self.op_idx >= self.ops.len() {
-                    return StepOutput::Finish;
-                }
-                self.st = St::OpenAck;
-                StepOutput::OpenNested(self.op().child_kind())
-            }
-            St::OpenAck => {
-                self.phase = Phase::Find;
-                self.path.clear();
-                self.plan.clear();
-                self.target = None;
-                self.succ_parent = None;
-                self.new_node = None;
-                self.st = St::RootValue;
-                StepOutput::Acquire(ROOT, AccessMode::Read)
-            }
+    fn step(&mut self, op: BstOp, input: StepInput<'_>) -> StepOutput {
+        match self.st {
             St::RootValue => {
                 let StepInput::Value(Payload::Ptr(root)) = input else {
                     panic!("expected root pointer, got {input:?}");
                 };
-                match *root {
-                    Some(oid) => {
-                        self.cur = Some(oid);
-                        self.st = St::Descend;
-                        StepOutput::Acquire(oid, AccessMode::Read)
-                    }
-                    None => match self.op() {
-                        BstOp::Insert(_) => self.start_alloc(),
-                        _ => self.close(),
-                    },
+                match (*root, op) {
+                    (Some(oid), _) => self.descend(St::Find, oid),
+                    (None, BstOp::Insert(_)) => self.start_alloc(),
+                    (None, _) => StepOutput::CloseNested,
                 }
             }
-            St::Descend => {
+            St::Find | St::FindSucc => {
                 let StepInput::Value(Payload::TreeNode {
                     value, left, right, ..
                 }) = input
@@ -364,57 +254,22 @@ impl TxProgram for BstProgram {
                     left: *left,
                     right: *right,
                 };
-                self.on_node(seen)
-            }
-            St::CounterGot => {
-                let StepInput::Value(Payload::Scalar(c)) = input else {
-                    panic!("expected counter, got {input:?}");
-                };
-                let c = *c;
-                if (c as u64) >= self.pool_size {
-                    return self.close(); // pool exhausted: no-op
+                if self.st == St::Find {
+                    self.on_find(op, seen)
+                } else {
+                    self.on_find_succ(seen)
                 }
-                self.new_node = Some(ObjectId(self.pool_base + c as u64));
-                self.st = St::CounterWritten;
-                StepOutput::WriteLocal(self.counter, Payload::Scalar(c + 1))
             }
-            St::CounterWritten => {
-                self.st = St::PoolGot;
-                StepOutput::Acquire(self.new_node.expect("allocated"), AccessMode::Write)
-            }
-            St::PoolGot => {
-                self.st = St::NewLinked;
-                StepOutput::WriteLocal(
-                    self.new_node.expect("allocated"),
-                    Payload::TreeNode {
-                        value: self.op().value(),
-                        left: None,
-                        right: None,
-                        red: false,
-                    },
-                )
-            }
-            St::NewLinked => {
-                let (oid, payload) = self.parent_link_payload(self.new_node);
-                self.plan.push((oid, payload));
-                self.drain_plan()
-            }
-            St::PlanGot => {
-                let (oid, payload) = self.plan.remove(0);
-                self.st = St::CloseOp;
-                let _ = input; // the old payload is superseded by the plan
-                StepOutput::WriteLocal(oid, payload)
-            }
-            St::CloseOp => self.drain_plan(),
-            St::Closed => {
-                self.st = St::Gap;
-                StepOutput::Compute(self.compute)
-            }
-            St::Gap => {
-                self.op_idx += 1;
-                self.st = St::NextOp;
-                self.step(StepInput::Ack)
-            }
+            St::Alloc => match self.pool.step(input) {
+                Alloc::Step(out) => out,
+                Alloc::Spent => StepOutput::CloseNested,
+                Alloc::Got(node) => {
+                    // The new leaf's write, then the plan links it in.
+                    self.link(op, Some(node));
+                    StepOutput::WriteLocal(node, tree_node(op.value(), None, None))
+                }
+            },
+            St::Plan => self.plan.drain(),
         }
     }
 }
@@ -436,15 +291,7 @@ fn build_balanced(
     // Reserve the id before recursing so ids are unique.
     let left = build_balanced(values, lo, mid, next_oid, out);
     let right = build_balanced(values, mid + 1, hi, next_oid, out);
-    out.push((
-        oid,
-        Payload::TreeNode {
-            value: values[mid],
-            left,
-            right,
-            red: false,
-        },
-    ));
+    out.push((oid, tree_node(values[mid], left, right)));
     Some(oid)
 }
 
@@ -458,62 +305,25 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
     let mut next_oid = NODE_BASE;
     let root = build_balanced(&values, 0, values.len(), &mut next_oid, &mut objects);
     objects.push((ROOT, Payload::Ptr(root)));
-    for node in 0..p.nodes {
-        objects.push((ObjectId(COUNTER_BASE + node as u64), Payload::Scalar(0)));
-        for k in 0..pool_size {
-            objects.push((
-                ObjectId(POOL_BASE + node as u64 * pool_size + k),
-                Payload::TreeNode {
-                    value: 0,
-                    left: None,
-                    right: None,
-                    red: false,
-                },
-            ));
-        }
-    }
+    pool_objects(p.nodes, pool_size, &tree_node(0, None, None), &mut objects);
 
     let value_space = 2 * size as u64 + 2;
-    let summary_count = (p.nodes as u64 / 2).max(2);
-    for i in 0..summary_count {
-        objects.push((ObjectId(SUMMARY_BASE + i), Payload::Scalar(0)));
-    }
-
-    let mut programs: Vec<Vec<BoxedProgram>> = Vec::with_capacity(p.nodes);
-    for node in 0..p.nodes {
-        let mut rng = p.node_rng(node);
-        let mut queue: Vec<BoxedProgram> = Vec::with_capacity(p.txns_per_node);
-        for _ in 0..p.txns_per_node {
-            let nested = p.sample_nested_ops(&mut rng);
-            let read_only = p.sample_read_only(&mut rng);
-            let kind = if read_only {
-                KIND_BST_READER
+    let programs = generate_programs(
+        p,
+        &mut objects,
+        [KIND_BST_READER, KIND_BST_WRITER],
+        |rng, read_only| {
+            let v = 1 + rng.below(value_space) as i64;
+            if read_only {
+                BstOp::Contains(v)
+            } else if rng.chance(0.5) {
+                BstOp::Insert(v)
             } else {
-                KIND_BST_WRITER
-            };
-            // Collected straight into the shared list: one allocation.
-            let ops: Arc<[BstOp]> = (0..nested)
-                .map(|_| {
-                    let v = 1 + rng.below(value_space) as i64;
-                    if read_only {
-                        BstOp::Contains(v)
-                    } else if rng.chance(0.5) {
-                        BstOp::Insert(v)
-                    } else {
-                        BstOp::Remove(v)
-                    }
-                })
-                .collect();
-            let summary = ObjectId(SUMMARY_BASE + rng.below(summary_count));
-            let delta = if read_only { None } else { Some(1) };
-            queue.push(Box::new(WithTrailer::new(
-                BstProgram::new(kind, ops, node, pool_size, p.compute),
-                summary,
-                delta,
-            )));
-        }
-        programs.push(queue);
-    }
+                BstOp::Remove(v)
+            }
+        },
+        |node| BstWalk::new(node, pool_size),
+    );
     WorkloadSource { objects, programs }
 }
 
@@ -552,9 +362,14 @@ pub fn collect_inorder(state: &std::collections::HashMap<ObjectId, (Payload, u64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyflow_dstm::TxProgram;
+
+    /// The trailer's summary object, added to a store by `drive`.
+    const SUMMARY: ObjectId = ObjectId(3_000_000);
     use std::collections::HashMap;
 
     fn drive(prog: &mut BstProgram, store: &mut HashMap<ObjectId, Payload>) {
+        store.entry(SUMMARY).or_insert(Payload::Scalar(0));
         let mut value: Option<Payload> = None;
         let mut begin = true;
         loop {
@@ -625,6 +440,8 @@ mod tests {
             0,
             16,
             SimDuration::from_micros(1),
+            SUMMARY,
+            Some(1),
         );
         drive(&mut prog, &mut store);
         let v = inorder(&store);
@@ -645,6 +462,8 @@ mod tests {
             0,
             16,
             SimDuration::from_micros(1),
+            SUMMARY,
+            Some(1),
         );
         drive(&mut prog, &mut store);
         let after = inorder(&store);
@@ -668,6 +487,8 @@ mod tests {
                 0,
                 64,
                 SimDuration::from_micros(1),
+                SUMMARY,
+                Some(1),
             );
             drive(&mut prog, &mut store);
             let now = inorder(&store);
@@ -688,6 +509,8 @@ mod tests {
             0,
             16,
             SimDuration::from_micros(1),
+            SUMMARY,
+            None,
         );
         drive(&mut prog, &mut store);
         assert_eq!(inorder(&store), before);
@@ -705,6 +528,8 @@ mod tests {
             0,
             16,
             SimDuration::from_micros(1),
+            SUMMARY,
+            Some(1),
         );
         drive(&mut prog, &mut store);
         assert_eq!(inorder(&store), before);
@@ -726,6 +551,8 @@ mod tests {
             0,
             16,
             SimDuration::from_micros(1),
+            SUMMARY,
+            Some(1),
         );
         drive(&mut prog, &mut store);
         let v = inorder(&store);

@@ -5,13 +5,11 @@
 //! `put` rewrites it. Single-object transactions with short traversals —
 //! the highest-throughput benchmark in the paper's Figs. 4–5.
 
+use crate::op_loop::{generate_programs, OpLoop, OpMachine};
 use crate::params::WorkloadParams;
-use crate::{op_checkpoint, op_position};
 use dstm_sim::SimDuration;
-use hyflow_dstm::program::{
-    AccessMode, ProgramCheckpoint, StepInput, StepOutput, TxProgram, WithTrailer,
-};
-use hyflow_dstm::{BoxedProgram, Payload, WorkloadSource};
+use hyflow_dstm::program::{AccessMode, StepInput, StepOutput};
+use hyflow_dstm::{Payload, WorkloadSource};
 use rts_core::{ObjectId, TxKind};
 use std::sync::Arc;
 
@@ -21,9 +19,6 @@ pub const KIND_GET: TxKind = TxKind(62);
 pub const KIND_PUT: TxKind = TxKind(63);
 
 const BUCKET_BASE: u64 = 1;
-/// Parent-level summary/statistics objects, touched after the nested ops
-/// (Fig. 1's trailing top-level access; see DESIGN.md).
-const SUMMARY_BASE: u64 = 3_000_000;
 
 /// One DHT operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,48 +27,20 @@ pub enum DhtOp {
     Put(u64, i64),
 }
 
-impl DhtOp {
-    fn child_kind(self) -> TxKind {
-        match self {
-            DhtOp::Get(_) => KIND_GET,
-            DhtOp::Put(..) => KIND_PUT,
-        }
-    }
-
-    fn key(self) -> u64 {
-        match self {
-            DhtOp::Get(k) | DhtOp::Put(k, _) => k,
-        }
-    }
-}
-
 pub fn bucket_of(key: u64, buckets: u64) -> ObjectId {
     ObjectId(BUCKET_BASE + key % buckets)
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum St {
-    NextOp,
-    OpenAck,
-    BucketValue,
-    Written,
-    Closed,
-    Gap,
+/// One DHT operation: read the key's bucket, and for a put write it back
+/// with the key set. Which step it is on, the input tells: the bucket's
+/// value, or the acknowledgement of its write.
+#[derive(Clone, Debug)]
+pub struct DhtBucket {
+    buckets: u64,
 }
 
-/// The DHT transaction program. Its checkpoint is the operation index and
-/// whether the operation's `OpenNested` is out (`OpenAck`) or not
-/// (`NextOp`): it is at a level boundary in no other state.
-#[derive(Clone, Debug)]
-pub struct DhtProgram {
-    kind: TxKind,
-    /// Immutable and shared, so a `clone_box` copies a pointer.
-    ops: Arc<[DhtOp]>,
-    buckets: u64,
-    compute: SimDuration,
-    op_idx: usize,
-    st: St,
-}
+/// The DHT transaction program.
+pub type DhtProgram = OpLoop<DhtBucket>;
 
 impl DhtProgram {
     pub fn new(
@@ -81,96 +48,45 @@ impl DhtProgram {
         ops: impl Into<Arc<[DhtOp]>>,
         buckets: u64,
         compute: SimDuration,
+        summary: ObjectId,
+        delta: Option<i64>,
     ) -> Self {
-        DhtProgram {
-            kind,
-            ops: ops.into(),
-            buckets,
-            compute,
-            op_idx: 0,
-            st: St::NextOp,
-        }
-    }
-
-    fn op(&self) -> DhtOp {
-        self.ops[self.op_idx]
+        OpLoop::with_machine(kind, ops, compute, summary, delta, DhtBucket { buckets })
     }
 }
 
-impl TxProgram for DhtProgram {
-    fn kind(&self) -> TxKind {
-        self.kind
+impl OpMachine for DhtBucket {
+    type Op = DhtOp;
+
+    const LABEL: &'static str = "dht";
+
+    fn child_kind(op: DhtOp) -> TxKind {
+        match op {
+            DhtOp::Get(_) => KIND_GET,
+            DhtOp::Put(..) => KIND_PUT,
+        }
     }
 
-    fn label(&self) -> &'static str {
-        "dht"
+    fn start(&mut self, op: DhtOp) -> StepOutput {
+        match op {
+            DhtOp::Get(k) => StepOutput::Acquire(bucket_of(k, self.buckets), AccessMode::Read),
+            DhtOp::Put(k, _) => StepOutput::Acquire(bucket_of(k, self.buckets), AccessMode::Write),
+        }
     }
 
-    fn clone_box(&self) -> BoxedProgram {
-        Box::new(self.clone())
-    }
-
-    fn checkpoint(&self) -> Option<ProgramCheckpoint> {
-        debug_assert!(matches!(self.st, St::NextOp | St::OpenAck));
-        Some(op_checkpoint(self.op_idx, self.st == St::OpenAck))
-    }
-
-    fn rewind(&mut self, to: &ProgramCheckpoint) {
-        let (op_idx, opened) = op_position(to);
-        self.op_idx = op_idx;
-        self.st = if opened { St::OpenAck } else { St::NextOp };
-    }
-
-    fn step(&mut self, input: StepInput<'_>) -> StepOutput {
-        match self.st {
-            St::NextOp => {
-                if self.op_idx >= self.ops.len() {
-                    return StepOutput::Finish;
+    fn step(&mut self, op: DhtOp, input: StepInput<'_>) -> StepOutput {
+        match (op, input) {
+            (DhtOp::Put(k, v), StepInput::Value(Payload::Bucket(kvs))) => {
+                let mut kvs = kvs.clone();
+                match kvs.iter_mut().find(|(key, _)| *key == k) {
+                    Some(entry) => entry.1 = v,
+                    None => kvs.push((k, v)),
                 }
-                self.st = St::OpenAck;
-                StepOutput::OpenNested(self.op().child_kind())
+                StepOutput::WriteLocal(bucket_of(k, self.buckets), Payload::Bucket(kvs))
             }
-            St::OpenAck => {
-                let mode = match self.op() {
-                    DhtOp::Get(_) => AccessMode::Read,
-                    DhtOp::Put(..) => AccessMode::Write,
-                };
-                self.st = St::BucketValue;
-                StepOutput::Acquire(bucket_of(self.op().key(), self.buckets), mode)
-            }
-            St::BucketValue => {
-                let StepInput::Value(Payload::Bucket(kvs)) = input else {
-                    panic!("expected bucket, got {input:?}");
-                };
-                match self.op() {
-                    DhtOp::Get(_) => {
-                        self.st = St::Closed;
-                        StepOutput::CloseNested
-                    }
-                    DhtOp::Put(k, v) => {
-                        let mut kvs = kvs.clone();
-                        match kvs.iter_mut().find(|(key, _)| *key == k) {
-                            Some(entry) => entry.1 = v,
-                            None => kvs.push((k, v)),
-                        }
-                        self.st = St::Written;
-                        StepOutput::WriteLocal(bucket_of(k, self.buckets), Payload::Bucket(kvs))
-                    }
-                }
-            }
-            St::Written => {
-                self.st = St::Closed;
-                StepOutput::CloseNested
-            }
-            St::Closed => {
-                self.st = St::Gap;
-                StepOutput::Compute(self.compute)
-            }
-            St::Gap => {
-                self.op_idx += 1;
-                self.st = St::NextOp;
-                self.step(StepInput::Ack)
-            }
+            (DhtOp::Get(_), StepInput::Value(Payload::Bucket(_)))
+            | (DhtOp::Put(..), StepInput::Ack) => StepOutput::CloseNested,
+            (_, input) => panic!("expected bucket, got {input:?}"),
         }
     }
 }
@@ -182,45 +98,20 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
     let mut objects: Vec<(ObjectId, Payload)> = (0..buckets)
         .map(|b| (ObjectId(BUCKET_BASE + b), Payload::Bucket(Vec::new())))
         .collect();
-
-    let summary_count = (p.nodes as u64 / 2).max(2);
-    for i in 0..summary_count {
-        objects.push((ObjectId(SUMMARY_BASE + i), Payload::Scalar(0)));
-    }
-
-    let mut programs: Vec<Vec<BoxedProgram>> = Vec::with_capacity(p.nodes);
-    for node in 0..p.nodes {
-        let mut rng = p.node_rng(node);
-        let mut queue: Vec<BoxedProgram> = Vec::with_capacity(p.txns_per_node);
-        for _ in 0..p.txns_per_node {
-            let nested = p.sample_nested_ops(&mut rng);
-            let read_only = p.sample_read_only(&mut rng);
-            let kind = if read_only {
-                KIND_DHT_READER
+    let programs = generate_programs(
+        p,
+        &mut objects,
+        [KIND_DHT_READER, KIND_DHT_WRITER],
+        |rng, read_only| {
+            let k = rng.below(key_space);
+            if read_only {
+                DhtOp::Get(k)
             } else {
-                KIND_DHT_WRITER
-            };
-            // Collected straight into the shared list: one allocation.
-            let ops: Arc<[DhtOp]> = (0..nested)
-                .map(|_| {
-                    let k = rng.below(key_space);
-                    if read_only {
-                        DhtOp::Get(k)
-                    } else {
-                        DhtOp::Put(k, rng.below(1000) as i64)
-                    }
-                })
-                .collect();
-            let summary = ObjectId(SUMMARY_BASE + rng.below(summary_count));
-            let delta = if read_only { None } else { Some(1) };
-            queue.push(Box::new(WithTrailer::new(
-                DhtProgram::new(kind, ops, buckets, p.compute),
-                summary,
-                delta,
-            )));
-        }
-        programs.push(queue);
-    }
+                DhtOp::Put(k, rng.below(1000) as i64)
+            }
+        },
+        |_| DhtBucket { buckets },
+    );
     WorkloadSource { objects, programs }
 }
 
@@ -253,9 +144,14 @@ pub fn check_placement(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyflow_dstm::TxProgram;
+
+    /// The trailer's summary object, added to a store by `drive`.
+    const SUMMARY: ObjectId = ObjectId(3_000_000);
     use std::collections::HashMap;
 
     fn drive(prog: &mut DhtProgram, store: &mut HashMap<ObjectId, Payload>) {
+        store.entry(SUMMARY).or_insert(Payload::Scalar(0));
         let mut value: Option<Payload> = None;
         let mut begin = true;
         loop {
@@ -293,6 +189,8 @@ mod tests {
             vec![DhtOp::Put(9, 1), DhtOp::Put(9, 2), DhtOp::Put(13, 3)],
             buckets,
             SimDuration::from_micros(1),
+            SUMMARY,
+            Some(1),
         );
         drive(&mut prog, &mut store);
         let Payload::Bucket(kvs) = &store[&bucket_of(9, buckets)] else {
@@ -308,6 +206,7 @@ mod tests {
         let buckets = 4;
         let mut store: HashMap<ObjectId, Payload> = (0..buckets)
             .map(|b| (ObjectId(BUCKET_BASE + b), Payload::Bucket(vec![(b, 7)])))
+            .chain([(SUMMARY, Payload::Scalar(0))])
             .collect();
         let before = store.clone();
         let mut prog = DhtProgram::new(
@@ -315,6 +214,8 @@ mod tests {
             vec![DhtOp::Get(0), DhtOp::Get(5)],
             buckets,
             SimDuration::from_micros(1),
+            SUMMARY,
+            None,
         );
         drive(&mut prog, &mut store);
         assert_eq!(store, before);

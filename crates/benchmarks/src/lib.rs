@@ -16,6 +16,12 @@
 //! (*"the number of nested transactions per transaction are randomly
 //! decided"*).
 //!
+//! Bank and Vacation are scripts ([`hyflow_dstm::program::ScriptProgram`]).
+//! The four data structures run one program, [`OpLoop`]: one closed-nested
+//! child per operation, then a top-level access to a summary object
+//! (Fig. 1's shape). Each structure supplies only an [`OpMachine`], the
+//! steps of one operation inside its child.
+//!
 //! Structure-modifying benchmarks allocate new nodes from **pre-provisioned
 //! per-node pools** guarded by a pool-counter object: object creation in the
 //! dataflow D-STM would need a registration protocol, whereas a counter
@@ -26,29 +32,12 @@ pub mod bank;
 pub mod bst;
 pub mod dht;
 pub mod list;
+pub mod op_loop;
 pub mod params;
 pub mod rbtree;
 pub mod suite;
 pub mod vacation;
 
+pub use op_loop::{OpLoop, OpMachine};
 pub use params::WorkloadParams;
 pub use suite::Benchmark;
-
-use hyflow_dstm::program::ProgramCheckpoint;
-
-/// The checkpoint of a program that runs a list of operations, one
-/// closed-nested child each (the four data structures): the index of the
-/// current operation and whether its `OpenNested` is out. Such a program is
-/// at a level boundary — the only place it is asked — in those two states
-/// alone, and what an operation accumulates it resets when the next opens.
-fn op_checkpoint(op_idx: usize, opened: bool) -> ProgramCheckpoint {
-    ProgramCheckpoint {
-        pc: op_idx as u64,
-        regs: [i64::from(opened), 0, 0],
-    }
-}
-
-/// `(op_idx, opened)` of an [`op_checkpoint`].
-fn op_position(at: &ProgramCheckpoint) -> (usize, bool) {
-    (at.pc as usize, at.regs[0] != 0)
-}

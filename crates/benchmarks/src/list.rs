@@ -9,13 +9,11 @@
 //! re-fetching after a parent abort is expensive, i.e. exactly the case RTS
 //! targets.
 
+use crate::op_loop::{generate_programs, pool_objects, Alloc, OpLoop, OpMachine, Pool};
 use crate::params::WorkloadParams;
-use crate::{op_checkpoint, op_position};
 use dstm_sim::SimDuration;
-use hyflow_dstm::program::{
-    AccessMode, ProgramCheckpoint, StepInput, StepOutput, TxProgram, WithTrailer,
-};
-use hyflow_dstm::{BoxedProgram, Payload, WorkloadSource};
+use hyflow_dstm::program::{AccessMode, StepInput, StepOutput};
+use hyflow_dstm::{Payload, WorkloadSource};
 use rts_core::{ObjectId, TxKind};
 use std::sync::Arc;
 
@@ -27,11 +25,6 @@ pub const KIND_REMOVE: TxKind = TxKind(34);
 
 pub const HEAD: ObjectId = ObjectId(1);
 const NODE_BASE: u64 = 2;
-const COUNTER_BASE: u64 = 1_000_000;
-const POOL_BASE: u64 = 2_000_000;
-/// Parent-level summary/statistics objects, touched after the nested ops
-/// (Fig. 1's trailing top-level access; see DESIGN.md).
-const SUMMARY_BASE: u64 = 3_000_000;
 
 /// One list operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,14 +35,6 @@ pub enum ListOp {
 }
 
 impl ListOp {
-    fn child_kind(self) -> TxKind {
-        match self {
-            ListOp::Contains(_) => KIND_CONTAINS,
-            ListOp::Insert(_) => KIND_INSERT,
-            ListOp::Remove(_) => KIND_REMOVE,
-        }
-    }
-
     fn value(self) -> i64 {
         match self {
             ListOp::Contains(v) | ListOp::Insert(v) | ListOp::Remove(v) => v,
@@ -87,56 +72,34 @@ impl PrevLink {
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum St {
-    /// Between operations: emit `OpenNested` or `Finish`.
-    NextOp,
-    /// `OpenNested` acked: read the head pointer.
-    OpenAck,
     /// Head pointer value arrived.
     HeadValue,
     /// A `ListNode` for `cur` arrived.
     NodeValue,
-    /// Allocation: counter value arrived (write it back +1).
-    CounterGot,
-    /// Counter write acked: acquire the fresh pool node.
-    CounterWritten,
-    /// Pool node value arrived (overwrite with the new payload).
-    PoolGot,
+    /// Allocating the inserted node from the pool.
+    Alloc,
     /// New node written: acquire `prev` for linking.
     NodeWritten,
     /// Prev payload arrived: rewrite its next link to `link_to`.
     PrevGot,
-    /// Link write acked: close the nested op.
+    /// Link write acked: the operation is done.
     LinkDone,
-    /// `CloseNested` acked: emit the inter-op compute gap.
-    Closed,
-    /// Compute acked: next operation.
-    Gap,
 }
 
-/// The LL transaction program.
-///
-/// Every level boundary lies between operations (`NextOp`, at attempt
-/// start) or right behind an `OpenNested` (`OpenAck`), and `OpenAck` resets
-/// the traversal state before anything reads it: the checkpoint is the
-/// operation index and which of the two states.
+/// One list operation: walk from the head to the first node not below the
+/// key, then relink around it for an insert or a remove.
 #[derive(Clone, Debug)]
-pub struct ListProgram {
-    kind: TxKind,
-    /// Immutable and shared, so a `clone_box` copies a pointer.
-    ops: Arc<[ListOp]>,
-    counter: ObjectId,
-    pool_base: u64,
-    pool_size: u64,
-    compute: SimDuration,
-    op_idx: usize,
+pub struct ListWalk {
+    pool: Pool,
     st: St,
     prev: PrevLink,
     cur: Option<ObjectId>,
-    /// `next` of the node being removed / insertion point.
+    /// `next` of the node being removed / the inserted node.
     link_to: Option<ObjectId>,
-    /// Allocated pool slot for an in-flight insert.
-    new_node: Option<ObjectId>,
 }
+
+/// The LL transaction program.
+pub type ListProgram = OpLoop<ListWalk>;
 
 impl ListProgram {
     pub fn new(
@@ -145,209 +108,130 @@ impl ListProgram {
         invoking_node: usize,
         pool_size: u64,
         compute: SimDuration,
+        summary: ObjectId,
+        delta: Option<i64>,
     ) -> Self {
-        ListProgram {
-            kind,
-            ops: ops.into(),
-            counter: ObjectId(COUNTER_BASE + invoking_node as u64),
-            pool_base: POOL_BASE + invoking_node as u64 * pool_size,
-            pool_size,
-            compute,
-            op_idx: 0,
-            st: St::NextOp,
-            prev: PrevLink::Head,
-            cur: None,
-            link_to: None,
-            new_node: None,
-        }
-    }
-
-    fn op(&self) -> ListOp {
-        self.ops[self.op_idx]
+        let walk = ListWalk::new(invoking_node, pool_size);
+        OpLoop::with_machine(kind, ops, compute, summary, delta, walk)
     }
 }
 
-impl TxProgram for ListProgram {
-    fn kind(&self) -> TxKind {
-        self.kind
+impl ListWalk {
+    fn new(invoking_node: usize, pool_size: u64) -> Self {
+        ListWalk {
+            pool: Pool::new(invoking_node, pool_size),
+            st: St::HeadValue,
+            prev: PrevLink::Head,
+            cur: None,
+            link_to: None,
+        }
     }
 
-    fn label(&self) -> &'static str {
-        "linked-list"
+    /// Decide the next move given the current node's contents (`None` for
+    /// "cur is past the end").
+    fn advance(&mut self, op: ListOp, node: Option<(i64, Option<ObjectId>)>) -> StepOutput {
+        let target = op.value();
+        match (op, node) {
+            (_, Some((value, next))) if value < target => {
+                // Keep walking.
+                self.prev = PrevLink::Node(self.cur.expect("walking a real node"));
+                self.cur = next;
+                self.continue_walk(op)
+            }
+            // Absent (ran off the end, or stopped above the key): link in.
+            (ListOp::Insert(_), None) => self.start_alloc(),
+            (ListOp::Insert(_), Some((value, _))) if value != target => self.start_alloc(),
+            (ListOp::Remove(_), Some((value, next))) if value == target => {
+                // Unlink: prev.next = cur.next.
+                self.link_to = next;
+                self.st = St::PrevGot;
+                StepOutput::Acquire(self.prev.oid(), AccessMode::Write)
+            }
+            // Contains, a duplicate insert, or a missing remove: no write.
+            _ => StepOutput::CloseNested,
+        }
     }
 
-    fn clone_box(&self) -> BoxedProgram {
-        Box::new(self.clone())
+    fn continue_walk(&mut self, op: ListOp) -> StepOutput {
+        match self.cur {
+            Some(oid) => {
+                self.st = St::NodeValue;
+                StepOutput::Acquire(oid, AccessMode::Read)
+            }
+            None => self.advance(op, None),
+        }
     }
 
-    fn checkpoint(&self) -> Option<ProgramCheckpoint> {
-        debug_assert!(matches!(self.st, St::NextOp | St::OpenAck));
-        Some(op_checkpoint(self.op_idx, self.st == St::OpenAck))
+    fn start_alloc(&mut self) -> StepOutput {
+        self.st = St::Alloc;
+        self.pool.start()
+    }
+}
+
+impl OpMachine for ListWalk {
+    type Op = ListOp;
+
+    const LABEL: &'static str = "linked-list";
+
+    fn child_kind(op: ListOp) -> TxKind {
+        match op {
+            ListOp::Contains(_) => KIND_CONTAINS,
+            ListOp::Insert(_) => KIND_INSERT,
+            ListOp::Remove(_) => KIND_REMOVE,
+        }
     }
 
-    fn rewind(&mut self, to: &ProgramCheckpoint) {
-        let (op_idx, opened) = op_position(to);
-        self.op_idx = op_idx;
-        self.st = if opened { St::OpenAck } else { St::NextOp };
+    fn start(&mut self, _: ListOp) -> StepOutput {
+        self.prev = PrevLink::Head;
+        self.cur = None;
+        self.st = St::HeadValue;
+        StepOutput::Acquire(HEAD, AccessMode::Read)
     }
 
-    fn step(&mut self, input: StepInput<'_>) -> StepOutput {
+    fn step(&mut self, op: ListOp, input: StepInput<'_>) -> StepOutput {
         match self.st {
-            St::NextOp => {
-                if self.op_idx >= self.ops.len() {
-                    return StepOutput::Finish;
-                }
-                self.st = St::OpenAck;
-                StepOutput::OpenNested(self.op().child_kind())
-            }
-            St::OpenAck => {
-                self.prev = PrevLink::Head;
-                self.cur = None;
-                self.new_node = None;
-                self.st = St::HeadValue;
-                StepOutput::Acquire(HEAD, AccessMode::Read)
-            }
             St::HeadValue => {
                 let StepInput::Value(Payload::Ptr(first)) = input else {
                     panic!("expected head pointer, got {input:?}");
                 };
                 self.cur = *first;
-                self.continue_walk()
+                self.continue_walk(op)
             }
             St::NodeValue => {
                 let StepInput::Value(Payload::ListNode { value, next }) = input else {
                     panic!("expected list node, got {input:?}");
                 };
-                self.advance_traversal(Some((*value, *next)))
+                self.advance(op, Some((*value, *next)))
             }
-            St::CounterGot => {
-                let StepInput::Value(Payload::Scalar(c)) = input else {
-                    panic!("expected counter, got {input:?}");
-                };
-                let c = *c;
-                if (c as u64) >= self.pool_size {
-                    // Pool exhausted: degrade to a no-op (documented).
-                    self.st = St::Closed;
-                    return StepOutput::CloseNested;
+            St::Alloc => match self.pool.step(input) {
+                Alloc::Step(out) => out,
+                Alloc::Spent => StepOutput::CloseNested,
+                Alloc::Got(node) => {
+                    self.link_to = Some(node);
+                    self.st = St::NodeWritten;
+                    let next = self.cur;
+                    StepOutput::WriteLocal(
+                        node,
+                        Payload::ListNode {
+                            value: op.value(),
+                            next,
+                        },
+                    )
                 }
-                self.new_node = Some(ObjectId(self.pool_base + c as u64));
-                self.st = St::CounterWritten;
-                StepOutput::WriteLocal(self.counter, Payload::Scalar(c + 1))
-            }
-            St::CounterWritten => {
-                self.st = St::PoolGot;
-                StepOutput::Acquire(self.new_node.expect("allocated"), AccessMode::Write)
-            }
-            St::PoolGot => {
-                self.st = St::NodeWritten;
-                StepOutput::WriteLocal(
-                    self.new_node.expect("allocated"),
-                    Payload::ListNode {
-                        value: self.op().value(),
-                        next: self.cur,
-                    },
-                )
-            }
+            },
             St::NodeWritten => {
                 self.st = St::PrevGot;
-                self.link_to = self.new_node;
                 StepOutput::Acquire(self.prev.oid(), AccessMode::Write)
             }
             St::PrevGot => {
                 let StepInput::Value(old) = input else {
                     panic!("expected prev payload, got {input:?}");
                 };
-                let payload = self.prev.relink(old, self.link_to);
                 self.st = St::LinkDone;
-                StepOutput::WriteLocal(self.prev.oid(), payload)
+                StepOutput::WriteLocal(self.prev.oid(), self.prev.relink(old, self.link_to))
             }
-            St::LinkDone => {
-                self.st = St::Closed;
-                StepOutput::CloseNested
-            }
-            St::Closed => {
-                self.st = St::Gap;
-                StepOutput::Compute(self.compute)
-            }
-            St::Gap => {
-                self.op_idx += 1;
-                self.st = St::NextOp;
-                self.step(StepInput::Ack)
-            }
+            St::LinkDone => StepOutput::CloseNested,
         }
-    }
-}
-
-impl ListProgram {
-    /// Decide the next move given the current node's contents (`None` for
-    /// "cur is past the end").
-    fn advance_traversal(&mut self, node: Option<(i64, Option<ObjectId>)>) -> StepOutput {
-        let target = self.op().value();
-        if let Some((value, next)) = node {
-            if value < target {
-                // Keep walking.
-                self.prev = PrevLink::Node(self.cur.expect("walking a real node"));
-                self.cur = next;
-                return self.continue_walk();
-            }
-            // value >= target: decide per op.
-            return match self.op() {
-                ListOp::Contains(_) => {
-                    self.st = St::Closed;
-                    StepOutput::CloseNested
-                }
-                ListOp::Insert(_) if value == target => {
-                    // Already present: no-op.
-                    self.st = St::Closed;
-                    StepOutput::CloseNested
-                }
-                ListOp::Insert(_) => self.start_alloc(),
-                ListOp::Remove(_) if value == target => {
-                    // Unlink: prev.next = cur.next.
-                    self.link_to = next;
-                    self.st = St::PrevGot;
-                    StepOutput::Acquire(self.prev.oid(), AccessMode::Write)
-                }
-                ListOp::Remove(_) => {
-                    // Not present: no-op.
-                    self.st = St::Closed;
-                    StepOutput::CloseNested
-                }
-            };
-        }
-        // Ran off the end of the list.
-        match self.op() {
-            ListOp::Insert(_) => self.start_alloc(),
-            _ => {
-                self.st = St::Closed;
-                StepOutput::CloseNested
-            }
-        }
-    }
-
-    fn continue_walk(&mut self) -> StepOutput {
-        match self.cur {
-            Some(oid) => {
-                self.st = St::NodeValue;
-                StepOutput::Acquire(oid, AccessMode::Read)
-            }
-            None => self.advance_traversal_end(),
-        }
-    }
-
-    fn advance_traversal_end(&mut self) -> StepOutput {
-        match self.op() {
-            ListOp::Insert(_) => self.start_alloc(),
-            _ => {
-                self.st = St::Closed;
-                StepOutput::CloseNested
-            }
-        }
-    }
-
-    fn start_alloc(&mut self) -> StepOutput {
-        self.st = St::CounterGot;
-        StepOutput::Acquire(self.counter, AccessMode::Write)
     }
 }
 
@@ -359,85 +243,38 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
     let len = p.total_objects().min(12) as u64;
     let pool_size = (p.txns_per_node * p.max_nested_ops) as u64;
 
-    let mut objects: Vec<(ObjectId, Payload)> = Vec::new();
     // Chain: values 2, 4, ..., 2*len; node i links to node i+1.
-    for i in 0..len {
-        let next = if i + 1 < len {
-            Some(ObjectId(NODE_BASE + i + 1))
-        } else {
-            None
-        };
-        objects.push((
-            ObjectId(NODE_BASE + i),
-            Payload::ListNode {
-                value: 2 * (i as i64 + 1),
-                next,
-            },
-        ));
-    }
-    objects.push((
-        HEAD,
-        Payload::Ptr(if len > 0 {
-            Some(ObjectId(NODE_BASE))
-        } else {
-            None
-        }),
-    ));
-    // Pools and counters.
-    for node in 0..p.nodes {
-        objects.push((ObjectId(COUNTER_BASE + node as u64), Payload::Scalar(0)));
-        for k in 0..pool_size {
-            objects.push((
-                ObjectId(POOL_BASE + node as u64 * pool_size + k),
-                Payload::ListNode {
-                    value: 0,
-                    next: None,
-                },
-            ));
-        }
-    }
+    let mut objects: Vec<(ObjectId, Payload)> = (0..len)
+        .map(|i| {
+            let next = (i + 1 < len).then(|| ObjectId(NODE_BASE + i + 1));
+            let value = 2 * (i as i64 + 1);
+            (ObjectId(NODE_BASE + i), Payload::ListNode { value, next })
+        })
+        .collect();
+    objects.push((HEAD, Payload::Ptr((len > 0).then_some(ObjectId(NODE_BASE)))));
+    let spare = Payload::ListNode {
+        value: 0,
+        next: None,
+    };
+    pool_objects(p.nodes, pool_size, &spare, &mut objects);
 
-    let value_space = 2 * len as i64 + 2;
-    let summary_count = (p.nodes as u64 / 2).max(2);
-    for i in 0..summary_count {
-        objects.push((ObjectId(SUMMARY_BASE + i), Payload::Scalar(0)));
-    }
-
-    let mut programs: Vec<Vec<BoxedProgram>> = Vec::with_capacity(p.nodes);
-    for node in 0..p.nodes {
-        let mut rng = p.node_rng(node);
-        let mut queue: Vec<BoxedProgram> = Vec::with_capacity(p.txns_per_node);
-        for _ in 0..p.txns_per_node {
-            let nested = p.sample_nested_ops(&mut rng);
-            let read_only = p.sample_read_only(&mut rng);
-            let kind = if read_only {
-                KIND_LL_READER
+    let value_space = 2 * len + 2;
+    let programs = generate_programs(
+        p,
+        &mut objects,
+        [KIND_LL_READER, KIND_LL_WRITER],
+        |rng, read_only| {
+            let v = 1 + rng.below(value_space) as i64;
+            if read_only {
+                ListOp::Contains(v)
+            } else if rng.chance(0.5) {
+                ListOp::Insert(v)
             } else {
-                KIND_LL_WRITER
-            };
-            // Collected straight into the shared list: one allocation.
-            let ops: Arc<[ListOp]> = (0..nested)
-                .map(|_| {
-                    let v = 1 + rng.below(value_space as u64) as i64;
-                    if read_only {
-                        ListOp::Contains(v)
-                    } else if rng.chance(0.5) {
-                        ListOp::Insert(v)
-                    } else {
-                        ListOp::Remove(v)
-                    }
-                })
-                .collect();
-            let summary = ObjectId(SUMMARY_BASE + rng.below(summary_count));
-            let delta = if read_only { None } else { Some(1) };
-            queue.push(Box::new(WithTrailer::new(
-                ListProgram::new(kind, ops, node, pool_size, p.compute),
-                summary,
-                delta,
-            )));
-        }
-        programs.push(queue);
-    }
+                ListOp::Remove(v)
+            }
+        },
+        |node| ListWalk::new(node, pool_size),
+    );
     WorkloadSource { objects, programs }
 }
 
@@ -466,8 +303,14 @@ pub fn collect_list(state: &std::collections::HashMap<ObjectId, (Payload, u64)>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op_loop::{COUNTER_BASE, POOL_BASE};
+    use hyflow_dstm::TxProgram;
+
+    /// The trailer's summary object, added to a store by `drive`.
+    const SUMMARY: ObjectId = ObjectId(3_000_000);
 
     fn drive_to_end(p: &mut ListProgram, store: &mut std::collections::HashMap<ObjectId, Payload>) {
+        store.entry(SUMMARY).or_insert(Payload::Scalar(0));
         // A tiny synchronous interpreter sufficient for program unit tests.
         let mut input_owned: Option<Payload> = None;
         let mut is_begin = true;
@@ -558,6 +401,8 @@ mod tests {
             0,
             4,
             SimDuration::from_micros(1),
+            SUMMARY,
+            Some(1),
         );
         drive_to_end(&mut prog, &mut store);
         assert_eq!(list_values(&store), vec![2, 3, 4, 6]);
@@ -572,6 +417,8 @@ mod tests {
             0,
             4,
             SimDuration::from_micros(1),
+            SUMMARY,
+            Some(1),
         );
         drive_to_end(&mut prog, &mut store);
         assert_eq!(list_values(&store), vec![1, 2, 4, 6, 9]);
@@ -586,6 +433,8 @@ mod tests {
             0,
             4,
             SimDuration::from_micros(1),
+            SUMMARY,
+            Some(1),
         );
         drive_to_end(&mut prog, &mut store);
         assert_eq!(list_values(&store), vec![2, 4, 6]);
@@ -600,6 +449,8 @@ mod tests {
             0,
             4,
             SimDuration::from_micros(1),
+            SUMMARY,
+            Some(1),
         );
         drive_to_end(&mut prog, &mut store);
         assert_eq!(list_values(&store), vec![2, 6]);
@@ -614,6 +465,8 @@ mod tests {
             0,
             4,
             SimDuration::from_micros(1),
+            SUMMARY,
+            Some(1),
         );
         drive_to_end(&mut prog, &mut store);
         assert_eq!(list_values(&store), vec![4, 6]);
@@ -629,6 +482,8 @@ mod tests {
             0,
             4,
             SimDuration::from_micros(1),
+            SUMMARY,
+            None,
         );
         drive_to_end(&mut prog, &mut store);
         assert_eq!(list_values(&store), before);
@@ -644,6 +499,8 @@ mod tests {
             0,
             4,
             SimDuration::from_micros(1),
+            SUMMARY,
+            Some(1),
         );
         drive_to_end(&mut prog, &mut store);
         assert_eq!(list_values(&store), vec![2, 4, 6]);

@@ -14,13 +14,11 @@
 //! RB-Tree more write-write contention than the plain BST at the same op
 //! mix.
 
+use crate::op_loop::{generate_programs, pool_objects, Alloc, OpLoop, OpMachine, Pool, WritePlan};
 use crate::params::WorkloadParams;
-use crate::{op_checkpoint, op_position};
 use dstm_sim::SimDuration;
-use hyflow_dstm::program::{
-    AccessMode, ProgramCheckpoint, StepInput, StepOutput, TxProgram, WithTrailer,
-};
-use hyflow_dstm::{BoxedProgram, Payload, WorkloadSource};
+use hyflow_dstm::program::{AccessMode, StepInput, StepOutput};
+use hyflow_dstm::{Payload, WorkloadSource};
 use rts_core::{FxHashMap, ObjectId, TxKind};
 use std::sync::Arc;
 
@@ -31,11 +29,6 @@ pub const KIND_INSERT: TxKind = TxKind(53);
 
 pub const ROOT: ObjectId = ObjectId(1);
 const NODE_BASE: u64 = 2;
-const COUNTER_BASE: u64 = 1_000_000;
-const POOL_BASE: u64 = 2_000_000;
-/// Parent-level summary/statistics objects, touched after the nested ops
-/// (Fig. 1's trailing top-level access; see DESIGN.md).
-const SUMMARY_BASE: u64 = 3_000_000;
 
 /// One RB operation (inserts and lookups, per the STAMP-style RB workload).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,13 +38,6 @@ pub enum RbOp {
 }
 
 impl RbOp {
-    fn child_kind(self) -> TxKind {
-        match self {
-            RbOp::Contains(_) => KIND_CONTAINS,
-            RbOp::Insert(_) => KIND_INSERT,
-        }
-    }
-
     fn value(self) -> i64 {
         match self {
             RbOp::Contains(v) | RbOp::Insert(v) => v,
@@ -107,42 +93,26 @@ enum Fixup {
     Done,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum St {
-    NextOp,
-    OpenAck,
     RootValue,
     Descend,
-    CounterGot,
-    CounterWritten,
-    PoolGot,
+    /// Allocating the inserted node from the pool.
+    Alloc,
     /// Suspended fixup: waiting for an uncle node's payload.
     UncleGot,
     /// Draining the write plan.
-    PlanGot,
-    CloseOp,
-    Closed,
-    Gap,
+    Plan,
 }
 
-/// The RB-Tree transaction program.
-///
-/// The local model (three maps), the fixup cursor and the write plan live
-/// inside one operation: `OpenAck` clears them before anything reads them,
-/// and every level boundary lies at `NextOp` (attempt start) or `OpenAck`
-/// (behind an `OpenNested`). So the checkpoint is the operation index and
-/// which of the two — a retry rewinds two fields where a `clone_box` copies
-/// the maps of the operation before.
+/// One RB-Tree operation: the descent, and for an insert the new red node
+/// spliced into the local model, the fixup and the diff as a write plan.
+/// The model (three maps), the fixup cursor and the plan live inside one
+/// operation and are cleared when the next starts, so a retry keeps none
+/// of them.
 #[derive(Clone, Debug)]
-pub struct RbProgram {
-    kind: TxKind,
-    /// Immutable and shared, so a `clone_box` copies a pointer.
-    ops: Arc<[RbOp]>,
-    counter: ObjectId,
-    pool_base: u64,
-    pool_size: u64,
-    compute: SimDuration,
-    op_idx: usize,
+pub struct RbWalk {
+    pool: Pool,
     st: St,
     cur: Option<ObjectId>,
     // Local model of the subtree seen so far.
@@ -155,9 +125,11 @@ pub struct RbProgram {
     fix: Option<ObjectId>,
     /// Parent of the uncle being fetched (to index it into the model).
     pending_uncle: Option<(ObjectId, ObjectId)>,
-    new_node: Option<ObjectId>,
-    plan: Vec<(ObjectId, Payload)>,
+    plan: WritePlan,
 }
+
+/// The RB-Tree transaction program.
+pub type RbProgram = OpLoop<RbWalk>;
 
 impl RbProgram {
     pub fn new(
@@ -166,16 +138,19 @@ impl RbProgram {
         invoking_node: usize,
         pool_size: u64,
         compute: SimDuration,
+        summary: ObjectId,
+        delta: Option<i64>,
     ) -> Self {
-        RbProgram {
-            kind,
-            ops: ops.into(),
-            counter: ObjectId(COUNTER_BASE + invoking_node as u64),
-            pool_base: POOL_BASE + invoking_node as u64 * pool_size,
-            pool_size,
-            compute,
-            op_idx: 0,
-            st: St::NextOp,
+        let walk = RbWalk::new(invoking_node, pool_size);
+        OpLoop::with_machine(kind, ops, compute, summary, delta, walk)
+    }
+}
+
+impl RbWalk {
+    fn new(invoking_node: usize, pool_size: u64) -> Self {
+        RbWalk {
+            pool: Pool::new(invoking_node, pool_size),
+            st: St::RootValue,
             cur: None,
             nodes: FxHashMap::default(),
             baseline: FxHashMap::default(),
@@ -184,28 +159,7 @@ impl RbProgram {
             baseline_root: None,
             fix: None,
             pending_uncle: None,
-            new_node: None,
-            plan: Vec::new(),
-        }
-    }
-
-    fn op(&self) -> RbOp {
-        self.ops[self.op_idx]
-    }
-
-    fn close(&mut self) -> StepOutput {
-        self.st = St::Closed;
-        StepOutput::CloseNested
-    }
-
-    fn drain_plan(&mut self) -> StepOutput {
-        match self.plan.first() {
-            Some((oid, _)) => {
-                let oid = *oid;
-                self.st = St::PlanGot;
-                StepOutput::Acquire(oid, AccessMode::Write)
-            }
-            None => self.close(),
+            plan: WritePlan::default(),
         }
     }
 
@@ -338,19 +292,18 @@ impl RbProgram {
 
     /// Fixup finished: diff the model against the baseline into the plan.
     fn emit_plan(&mut self) -> StepOutput {
-        let mut writes: Vec<(ObjectId, Payload)> = Vec::new();
         for (oid, tn) in &self.nodes {
             if self.baseline.get(oid) != Some(tn) {
-                writes.push((*oid, tn.payload()));
+                self.plan.push(*oid, tn.payload());
             }
         }
         // Object order, not the map's: the writes reach the simulation.
-        writes.sort_by_key(|(oid, _)| *oid);
+        self.plan.sort();
         if self.root != self.baseline_root {
-            writes.push((ROOT, Payload::Ptr(self.root)));
+            self.plan.push(ROOT, Payload::Ptr(self.root));
         }
-        self.plan = writes;
-        self.drain_plan()
+        self.st = St::Plan;
+        self.plan.drain()
     }
 
     fn resume_fixup(&mut self) -> StepOutput {
@@ -373,71 +326,50 @@ impl RbProgram {
     }
 
     fn start_alloc(&mut self) -> StepOutput {
-        self.st = St::CounterGot;
-        StepOutput::Acquire(self.counter, AccessMode::Write)
+        self.st = St::Alloc;
+        self.pool.start()
     }
 }
 
-impl TxProgram for RbProgram {
-    fn kind(&self) -> TxKind {
-        self.kind
+impl OpMachine for RbWalk {
+    type Op = RbOp;
+
+    const LABEL: &'static str = "rb-tree";
+
+    fn child_kind(op: RbOp) -> TxKind {
+        match op {
+            RbOp::Contains(_) => KIND_CONTAINS,
+            RbOp::Insert(_) => KIND_INSERT,
+        }
     }
 
-    fn label(&self) -> &'static str {
-        "rb-tree"
+    fn start(&mut self, _: RbOp) -> StepOutput {
+        self.nodes.clear();
+        self.baseline.clear();
+        self.parent.clear();
+        self.plan.clear();
+        self.fix = None;
+        self.pending_uncle = None;
+        self.st = St::RootValue;
+        StepOutput::Acquire(ROOT, AccessMode::Read)
     }
 
-    fn clone_box(&self) -> BoxedProgram {
-        Box::new(self.clone())
-    }
-
-    fn checkpoint(&self) -> Option<ProgramCheckpoint> {
-        debug_assert!(matches!(self.st, St::NextOp | St::OpenAck));
-        Some(op_checkpoint(self.op_idx, self.st == St::OpenAck))
-    }
-
-    fn rewind(&mut self, to: &ProgramCheckpoint) {
-        let (op_idx, opened) = op_position(to);
-        self.op_idx = op_idx;
-        self.st = if opened { St::OpenAck } else { St::NextOp };
-    }
-
-    fn step(&mut self, input: StepInput<'_>) -> StepOutput {
-        match self.st.clone() {
-            St::NextOp => {
-                if self.op_idx >= self.ops.len() {
-                    return StepOutput::Finish;
-                }
-                self.st = St::OpenAck;
-                StepOutput::OpenNested(self.op().child_kind())
-            }
-            St::OpenAck => {
-                self.nodes.clear();
-                self.baseline.clear();
-                self.parent.clear();
-                self.plan.clear();
-                self.fix = None;
-                self.pending_uncle = None;
-                self.new_node = None;
-                self.st = St::RootValue;
-                StepOutput::Acquire(ROOT, AccessMode::Read)
-            }
+    fn step(&mut self, op: RbOp, input: StepInput<'_>) -> StepOutput {
+        match self.st {
             St::RootValue => {
                 let StepInput::Value(Payload::Ptr(root)) = input else {
                     panic!("expected root pointer, got {input:?}");
                 };
                 self.root = *root;
                 self.baseline_root = *root;
-                match *root {
-                    Some(oid) => {
+                match (*root, op) {
+                    (Some(oid), _) => {
                         self.cur = Some(oid);
                         self.st = St::Descend;
                         StepOutput::Acquire(oid, AccessMode::Read)
                     }
-                    None => match self.op() {
-                        RbOp::Insert(_) => self.start_alloc(),
-                        RbOp::Contains(_) => self.close(),
-                    },
+                    (None, RbOp::Insert(_)) => self.start_alloc(),
+                    (None, RbOp::Contains(_)) => StepOutput::CloseNested,
                 }
             }
             St::Descend => {
@@ -446,67 +378,52 @@ impl TxProgram for RbProgram {
                 };
                 let tn = Tn::from_payload(p);
                 let oid = self.cur.expect("descending a real node");
-                let parent = self.parent_of_descent(oid);
+                // The parent recorded on the way down (none for the first node).
+                let parent = self.parent.get(&oid).copied();
                 self.record(oid, tn, parent);
-                let v = self.op().value();
+                let v = op.value();
                 if v == tn.value {
-                    return self.close(); // found (contains) / duplicate (insert)
+                    return StepOutput::CloseNested; // found (contains) / duplicate (insert)
                 }
                 let next = if v < tn.value { tn.left } else { tn.right };
-                match next {
-                    Some(c) => {
+                match (next, op) {
+                    (Some(c), _) => {
                         self.parent.insert(c, oid);
                         self.cur = Some(c);
-                        self.st = St::Descend;
                         StepOutput::Acquire(c, AccessMode::Read)
                     }
-                    None => match self.op() {
-                        RbOp::Insert(_) => self.start_alloc(),
-                        RbOp::Contains(_) => self.close(),
-                    },
+                    (None, RbOp::Insert(_)) => self.start_alloc(),
+                    (None, RbOp::Contains(_)) => StepOutput::CloseNested,
                 }
             }
-            St::CounterGot => {
-                let StepInput::Value(Payload::Scalar(c)) = input else {
-                    panic!("expected counter, got {input:?}");
-                };
-                let c = *c;
-                if (c as u64) >= self.pool_size {
-                    return self.close();
-                }
-                self.new_node = Some(ObjectId(self.pool_base + c as u64));
-                self.st = St::CounterWritten;
-                StepOutput::WriteLocal(self.counter, Payload::Scalar(c + 1))
-            }
-            St::CounterWritten => {
-                self.st = St::PoolGot;
-                StepOutput::Acquire(self.new_node.expect("allocated"), AccessMode::Write)
-            }
-            St::PoolGot => {
-                // Splice the new red node into the model, then rebalance.
-                let new = self.new_node.expect("allocated");
-                let v = self.op().value();
-                let tn = Tn {
-                    value: v,
-                    left: None,
-                    right: None,
-                    red: true,
-                };
-                self.nodes.insert(new, tn);
-                // Note: intentionally absent from `baseline`, so the diff
-                // always emits the new node's write.
-                match self.cur {
-                    Some(leaf) if self.root.is_some() => {
-                        let left = v < self.nodes[&leaf].value;
-                        self.set_child(leaf, left, Some(new));
+            St::Alloc => match self.pool.step(input) {
+                Alloc::Step(out) => out,
+                Alloc::Spent => StepOutput::CloseNested,
+                Alloc::Got(new) => {
+                    // Splice the new red node into the model, then rebalance.
+                    let v = op.value();
+                    let tn = Tn {
+                        value: v,
+                        left: None,
+                        right: None,
+                        red: true,
+                    };
+                    self.nodes.insert(new, tn);
+                    // Note: intentionally absent from `baseline`, so the diff
+                    // always emits the new node's write.
+                    match self.cur {
+                        Some(leaf) if self.root.is_some() => {
+                            let left = v < self.nodes[&leaf].value;
+                            self.set_child(leaf, left, Some(new));
+                        }
+                        _ => {
+                            self.root = Some(new);
+                        }
                     }
-                    _ => {
-                        self.root = Some(new);
-                    }
+                    self.fix = Some(new);
+                    self.resume_fixup()
                 }
-                self.fix = Some(new);
-                self.resume_fixup()
-            }
+            },
             St::UncleGot => {
                 let StepInput::Value(p) = input else {
                     panic!("expected uncle payload, got {input:?}");
@@ -516,30 +433,8 @@ impl TxProgram for RbProgram {
                 self.record(uncle, tn, Some(parent_hint));
                 self.resume_fixup()
             }
-            St::PlanGot => {
-                let (oid, payload) = self.plan.remove(0);
-                self.st = St::CloseOp;
-                StepOutput::WriteLocal(oid, payload)
-            }
-            St::CloseOp => self.drain_plan(),
-            St::Closed => {
-                self.st = St::Gap;
-                StepOutput::Compute(self.compute)
-            }
-            St::Gap => {
-                self.op_idx += 1;
-                self.st = St::NextOp;
-                self.step(StepInput::Ack)
-            }
+            St::Plan => self.plan.drain(),
         }
-    }
-}
-
-impl RbProgram {
-    /// The parent of `oid` as recorded during the descent (None for the
-    /// descent's first node).
-    fn parent_of_descent(&self, oid: ObjectId) -> Option<ObjectId> {
-        self.parent.get(&oid).copied()
     }
 }
 
@@ -592,60 +487,29 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
         &mut objects,
     );
     objects.push((ROOT, Payload::Ptr(root)));
-    for node in 0..p.nodes {
-        objects.push((ObjectId(COUNTER_BASE + node as u64), Payload::Scalar(0)));
-        for k in 0..pool_size {
-            objects.push((
-                ObjectId(POOL_BASE + node as u64 * pool_size + k),
-                Payload::TreeNode {
-                    value: 0,
-                    left: None,
-                    right: None,
-                    red: false,
-                },
-            ));
-        }
-    }
+    let spare = Payload::TreeNode {
+        value: 0,
+        left: None,
+        right: None,
+        red: false,
+    };
+    pool_objects(p.nodes, pool_size, &spare, &mut objects);
 
     let value_space = 2 * size as u64 + 2;
-    let summary_count = (p.nodes as u64 / 2).max(2);
-    for i in 0..summary_count {
-        objects.push((ObjectId(SUMMARY_BASE + i), Payload::Scalar(0)));
-    }
-
-    let mut programs: Vec<Vec<BoxedProgram>> = Vec::with_capacity(p.nodes);
-    for node in 0..p.nodes {
-        let mut rng = p.node_rng(node);
-        let mut queue: Vec<BoxedProgram> = Vec::with_capacity(p.txns_per_node);
-        for _ in 0..p.txns_per_node {
-            let nested = p.sample_nested_ops(&mut rng);
-            let read_only = p.sample_read_only(&mut rng);
-            let kind = if read_only {
-                KIND_RB_READER
+    let programs = generate_programs(
+        p,
+        &mut objects,
+        [KIND_RB_READER, KIND_RB_WRITER],
+        |rng, read_only| {
+            let v = 1 + rng.below(value_space) as i64;
+            if read_only {
+                RbOp::Contains(v)
             } else {
-                KIND_RB_WRITER
-            };
-            // Collected straight into the shared list: one allocation.
-            let ops: Arc<[RbOp]> = (0..nested)
-                .map(|_| {
-                    let v = 1 + rng.below(value_space) as i64;
-                    if read_only {
-                        RbOp::Contains(v)
-                    } else {
-                        RbOp::Insert(v)
-                    }
-                })
-                .collect();
-            let summary = ObjectId(SUMMARY_BASE + rng.below(summary_count));
-            let delta = if read_only { None } else { Some(1) };
-            queue.push(Box::new(WithTrailer::new(
-                RbProgram::new(kind, ops, node, pool_size, p.compute),
-                summary,
-                delta,
-            )));
-        }
-        programs.push(queue);
-    }
+                RbOp::Insert(v)
+            }
+        },
+        |node| RbWalk::new(node, pool_size),
+    );
     WorkloadSource { objects, programs }
 }
 
@@ -712,9 +576,15 @@ pub fn check_rb(state: &std::collections::HashMap<ObjectId, (Payload, u64)>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op_loop::{COUNTER_BASE, POOL_BASE};
+    use hyflow_dstm::TxProgram;
+
+    /// The trailer's summary object, added to a store by `drive`.
+    const SUMMARY: ObjectId = ObjectId(3_000_000);
     use std::collections::HashMap;
 
     fn drive(prog: &mut RbProgram, store: &mut HashMap<ObjectId, Payload>) {
+        store.entry(SUMMARY).or_insert(Payload::Scalar(0));
         let mut value: Option<Payload> = None;
         let mut begin = true;
         loop {
@@ -800,6 +670,8 @@ mod tests {
             0,
             8,
             SimDuration::from_micros(1),
+            SUMMARY,
+            Some(1),
         );
         drive(&mut prog, &mut store);
         let state = as_state(&store);
@@ -838,6 +710,8 @@ mod tests {
                 0,
                 n,
                 SimDuration::from_micros(1),
+                SUMMARY,
+                Some(1),
             );
             drive(&mut prog, &mut store);
             check_rb(&as_state(&store)).unwrap_or_else(|e| panic!("after insert {v}: {e}"));
@@ -873,6 +747,8 @@ mod tests {
                 0,
                 (p.txns_per_node * p.max_nested_ops) as u64,
                 SimDuration::from_micros(1),
+                SUMMARY,
+                Some(1),
             );
             drive(&mut prog, &mut store);
             check_rb(&as_state(&store)).unwrap_or_else(|e| panic!("after insert #{i} ({v}): {e}"));
@@ -891,6 +767,8 @@ mod tests {
             0,
             8,
             SimDuration::from_micros(1),
+            SUMMARY,
+            None,
         );
         drive(&mut prog, &mut store);
         assert_eq!(store.len(), before.len());

@@ -37,8 +37,10 @@
 //! Every setting comes from the command line; no environment variable is
 //! read. An argument starting with `--` that is not one of the flags above,
 //! a flag without its value, a flag or positional value that does not parse,
-//! and a positional argument the mode has no place for each end the program
-//! with one `error:` line on stderr and exit status 2, before anything runs.
+//! a count no run can use (a node count outside `1..=MAX_ACTORS`, zero
+//! transactions per node), and a positional argument the mode has no place
+//! for each end the program with one `error:` line on stderr and exit status
+//! 2, before anything runs.
 
 use dstm_benchmarks::Benchmark;
 use dstm_harness::experiments::scenarios::{render, run_collision_traced};
@@ -135,6 +137,17 @@ fn node_count(s: &str) -> Option<usize> {
     number(s).filter(|n| (1..=dstm_sim::MAX_ACTORS).contains(n))
 }
 
+/// What a node-count argument is called in errors, with its range.
+fn nodes_name() -> String {
+    format!("nodes (1..={})", dstm_sim::MAX_ACTORS)
+}
+
+/// A count that must not be zero: a sweep of no transactions has no
+/// throughput to compare.
+fn positive(s: &str) -> Option<usize> {
+    number(s).filter(|&n| n > 0)
+}
+
 /// Peak resident set of this process in MiB: `VmHWM` from
 /// `/proc/self/status`, `None` where there is no such file (off Linux).
 fn peak_rss_mib() -> Option<f64> {
@@ -150,8 +163,7 @@ fn peak_rss_mib() -> Option<f64> {
 /// and memory — a 10k-node trace log is millions of records.
 fn large_smoke(args: &[String], flags: &Flags) -> Result<(), String> {
     at_most(args, 1)?;
-    let name = format!("nodes (1..={})", dstm_sim::MAX_ACTORS);
-    let nodes: usize = positional(args, 0, &name, node_count, 160)?;
+    let nodes: usize = positional(args, 0, &nodes_name(), node_count, 160)?;
     let cell = Cell::new(Benchmark::Bank, SchedulerKind::Rts, nodes, 0.9)
         .with_txns(Scale::large().txns_per_node)
         .with_topology(TopologySpec::HashedRandom {
@@ -251,8 +263,8 @@ fn run() -> Result<(), String> {
         _ => {}
     }
     at_most(args, 3)?;
-    let nodes: usize = positional(args, 0, "nodes", number, 20)?;
-    let txns: usize = positional(args, 1, "txns_per_node", number, 20)?;
+    let nodes: usize = positional(args, 0, &nodes_name(), node_count, 20)?;
+    let txns: usize = positional(args, 1, "txns_per_node (≥ 1)", positive, 20)?;
     let only: Option<Benchmark> = positional(
         args,
         2,

@@ -97,6 +97,19 @@ fn a_node_count_no_run_can_hold_is_refused() {
 }
 
 #[test]
+fn the_default_sweep_refuses_counts_no_run_can_use() {
+    // No nodes panicked in the topology, too many aborted on allocation,
+    // and no transactions printed NaN speedups; all three exited non-2.
+    assert!(refused(&["0", "2", "bank"]).contains("\"0\""));
+    assert!(refused(&["20000000", "1", "bank"]).contains("20000000"));
+    let line = refused(&["1", "0", "bank"]);
+    assert!(
+        line.contains("txns_per_node") && line.contains("\"0\""),
+        "{line}"
+    );
+}
+
+#[test]
 fn large_smoke_reports_its_peak_resident_set() {
     let out = sweep(
         Path::new(env!("CARGO_TARGET_TMPDIR")),

@@ -65,7 +65,6 @@ pub use node::Node;
 pub use object::{CachedCopy, OwnedObject, Payload};
 pub use program::{
     AccessMode, BoxedProgram, ProgramCheckpoint, ProgramSnapshot, StepInput, StepOutput, TxProgram,
-    WithTrailer,
 };
 pub use small::{Fnv64, ObjSet};
 pub use system::{NodeEvent, PartitionStrategy, System, SystemBuilder, WorkloadSource};

@@ -273,117 +273,6 @@ impl TxProgram for ScriptProgram {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Program combinators
-// ---------------------------------------------------------------------------
-
-/// Wraps a program with a **parent-level trailing access**: after the inner
-/// program finishes (all its nested children committed), the transaction
-/// touches one more object at top level — a read, or a scalar increment.
-///
-/// This is the shape of the paper's Fig. 1 (`T1` accesses `z` at top level
-/// *after* its nested `T1-1` commits): a conflict on the trailing access
-/// puts the whole parent — and every committed child — at stake, which is
-/// exactly the situation RTS's enqueue-instead-of-abort protects.
-///
-/// Generic over the program it wraps, which it holds inline: a wrapped
-/// program is one box, and a step is one dynamic call.
-#[derive(Clone)]
-pub struct WithTrailer<P> {
-    inner: P,
-    oid: ObjectId,
-    /// `Some(delta)` increments the scalar (write access); `None` reads.
-    delta: Option<i64>,
-    st: TrailerSt,
-    last_scalar: i64,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TrailerSt {
-    Inner,
-    Value,
-    Written,
-    Done,
-}
-
-impl<P> WithTrailer<P> {
-    pub fn new(inner: P, oid: ObjectId, delta: Option<i64>) -> Self {
-        WithTrailer {
-            inner,
-            oid,
-            delta,
-            st: TrailerSt::Inner,
-            last_scalar: 0,
-        }
-    }
-}
-
-impl<P: TxProgram + Clone + 'static> TxProgram for WithTrailer<P> {
-    fn kind(&self) -> TxKind {
-        self.inner.kind()
-    }
-
-    fn label(&self) -> &'static str {
-        self.inner.label()
-    }
-
-    fn clone_box(&self) -> BoxedProgram {
-        Box::new(self.clone())
-    }
-
-    /// The inner program's: every level boundary lies inside the inner
-    /// program (the trailer opens no child), where the trailer's own state
-    /// is still its initial one.
-    fn checkpoint(&self) -> Option<ProgramCheckpoint> {
-        debug_assert!(self.st == TrailerSt::Inner && self.last_scalar == 0);
-        self.inner.checkpoint()
-    }
-
-    fn rewind(&mut self, to: &ProgramCheckpoint) {
-        self.st = TrailerSt::Inner;
-        self.last_scalar = 0;
-        self.inner.rewind(to);
-    }
-
-    fn step(&mut self, input: StepInput<'_>) -> StepOutput {
-        match self.st {
-            TrailerSt::Inner => {
-                let out = self.inner.step(input);
-                if out == StepOutput::Finish {
-                    self.st = TrailerSt::Value;
-                    let mode = if self.delta.is_some() {
-                        AccessMode::Write
-                    } else {
-                        AccessMode::Read
-                    };
-                    StepOutput::Acquire(self.oid, mode)
-                } else {
-                    out
-                }
-            }
-            TrailerSt::Value => {
-                if let StepInput::Value(Payload::Scalar(v)) = input {
-                    self.last_scalar = *v;
-                }
-                match self.delta {
-                    Some(d) => {
-                        self.st = TrailerSt::Written;
-                        StepOutput::WriteLocal(self.oid, Payload::Scalar(self.last_scalar + d))
-                    }
-                    None => {
-                        self.st = TrailerSt::Done;
-                        StepOutput::Finish
-                    }
-                }
-            }
-            TrailerSt::Written | TrailerSt::Done => {
-                self.st = TrailerSt::Done;
-                StepOutput::Finish
-            }
-        }
-    }
-}
-
 /// Shorthand builder: a script that increments a set of scalars, each in a
 /// nested child transaction — the canonical closed-nesting workload shape
 /// from the paper's Fig. 1 example.
@@ -462,50 +351,6 @@ mod tests {
             restored.step(StepInput::Begin),
             StepOutput::Acquire(ObjectId(1), AccessMode::Read)
         );
-    }
-
-    #[test]
-    fn trailer_appends_parent_level_write() {
-        let inner = ScriptProgram::new(
-            TxKind(1),
-            vec![
-                ScriptOp::OpenNested(TxKind(2)),
-                ScriptOp::Read(ObjectId(1)),
-                ScriptOp::CloseNested,
-            ],
-        );
-        let mut p = WithTrailer::new(inner, ObjectId(9), Some(2));
-        assert_eq!(p.step(StepInput::Begin), StepOutput::OpenNested(TxKind(2)));
-        assert_eq!(
-            p.step(StepInput::Ack),
-            StepOutput::Acquire(ObjectId(1), AccessMode::Read)
-        );
-        let v = Payload::Scalar(0);
-        assert_eq!(p.step(StepInput::Value(&v)), StepOutput::CloseNested);
-        // Inner finished -> trailing parent-level acquire.
-        assert_eq!(
-            p.step(StepInput::Ack),
-            StepOutput::Acquire(ObjectId(9), AccessMode::Write)
-        );
-        let s = Payload::Scalar(40);
-        assert_eq!(
-            p.step(StepInput::Value(&s)),
-            StepOutput::WriteLocal(ObjectId(9), Payload::Scalar(42))
-        );
-        assert_eq!(p.step(StepInput::Ack), StepOutput::Finish);
-        assert_eq!(p.kind(), TxKind(1));
-    }
-
-    #[test]
-    fn trailer_read_only() {
-        let inner = ScriptProgram::new(TxKind(1), vec![]);
-        let mut p = WithTrailer::new(inner, ObjectId(9), None);
-        assert_eq!(
-            p.step(StepInput::Begin),
-            StepOutput::Acquire(ObjectId(9), AccessMode::Read)
-        );
-        let v = Payload::Scalar(5);
-        assert_eq!(p.step(StepInput::Value(&v)), StepOutput::Finish);
     }
 
     #[test]

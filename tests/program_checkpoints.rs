@@ -23,7 +23,6 @@ mod custom_workload;
 
 use closed_nesting_dstm::benchmarks::{bst, dht, list, rbtree};
 use closed_nesting_dstm::hyflow::program::{ScriptOp, ScriptProgram};
-use closed_nesting_dstm::hyflow::WithTrailer;
 use closed_nesting_dstm::prelude::*;
 use std::collections::HashMap;
 
@@ -162,7 +161,7 @@ fn check_all(programs: &[BoxedProgram], store: &HashMap<ObjectId, Payload>, what
 #[test]
 fn every_benchmark_program_rewinds_like_its_clone() {
     // As generated: Bank and Vacation scripts; List, BST, RB Tree and DHT
-    // under the `WithTrailer` every generator wraps them in.
+    // operation loops, each ending in its summary-object trailer.
     for benchmark in Benchmark::ALL {
         let workload = benchmark.generate(&params());
         let store: HashMap<_, _> = workload.objects.into_iter().collect();
@@ -171,9 +170,13 @@ fn every_benchmark_program_rewinds_like_its_clone() {
     }
 }
 
+/// Hand-picked operation lists that reach the paths a random draw may
+/// miss (inserts and removes of present and absent keys, successor splices,
+/// rebalancing), each with a writer's trailer on a generated summary object.
 #[test]
-fn the_data_structure_programs_rewind_without_their_trailer() {
+fn hand_picked_data_structure_operations_rewind_like_their_clone() {
     let p = params();
+    let (summary, delta) = (ObjectId(3_000_000), Some(1));
     let pool = (p.txns_per_node * p.max_nested_ops) as u64;
     let stores: Vec<HashMap<ObjectId, Payload>> = [
         Benchmark::LinkedList,
@@ -194,8 +197,10 @@ fn the_data_structure_programs_rewind_without_their_trailer() {
         ListOp::Insert(1),
         ListOp::Remove(99),
     ];
-    let program: BoxedProgram = Box::new(list::ListProgram::new(kind, ops, 1, pool, p.compute));
-    check_all(&[program], &stores[0], "bare list");
+    let program: BoxedProgram = Box::new(list::ListProgram::new(
+        kind, ops, 1, pool, p.compute, summary, delta,
+    ));
+    check_all(&[program], &stores[0], "hand-picked list");
 
     use bst::BstOp;
     let ops = vec![
@@ -205,8 +210,10 @@ fn the_data_structure_programs_rewind_without_their_trailer() {
         BstOp::Remove(24),
         BstOp::Insert(33),
     ];
-    let program: BoxedProgram = Box::new(bst::BstProgram::new(kind, ops, 1, pool, p.compute));
-    check_all(&[program], &stores[1], "bare bst");
+    let program: BoxedProgram = Box::new(bst::BstProgram::new(
+        kind, ops, 1, pool, p.compute, summary, delta,
+    ));
+    check_all(&[program], &stores[1], "hand-picked bst");
 
     use rbtree::RbOp;
     let ops = vec![
@@ -216,14 +223,18 @@ fn the_data_structure_programs_rewind_without_their_trailer() {
         RbOp::Insert(11),
         RbOp::Insert(13),
     ];
-    let program: BoxedProgram = Box::new(rbtree::RbProgram::new(kind, ops, 1, pool, p.compute));
-    check_all(&[program], &stores[2], "bare rb-tree");
+    let program: BoxedProgram = Box::new(rbtree::RbProgram::new(
+        kind, ops, 1, pool, p.compute, summary, delta,
+    ));
+    check_all(&[program], &stores[2], "hand-picked rb-tree");
 
     use dht::DhtOp;
     let ops = vec![DhtOp::Put(5, 1), DhtOp::Get(5), DhtOp::Put(29, 2)];
     let buckets = p.total_objects() as u64;
-    let program: BoxedProgram = Box::new(dht::DhtProgram::new(kind, ops, buckets, p.compute));
-    check_all(&[program], &stores[3], "bare dht");
+    let program: BoxedProgram = Box::new(dht::DhtProgram::new(
+        kind, ops, buckets, p.compute, summary, delta,
+    ));
+    check_all(&[program], &stores[3], "hand-picked dht");
 }
 
 /// The generated scripts read a scalar right before every `AddScalar`; the
@@ -295,8 +306,9 @@ impl TxProgram for Forwarding {
     }
 }
 
-/// Four nodes hammering three counters from inside nested children, with a
-/// parent-level trailer: child aborts, parent aborts and restarts all occur.
+/// Four nodes hammering three counters from inside nested children, then
+/// incrementing a fourth at top level: child aborts, parent aborts and
+/// restarts all occur.
 fn contended_cell(wrap: fn(BoxedProgram) -> BoxedProgram) -> (RunMetrics, Vec<(ObjectId, i64)>) {
     let nodes = 4;
     let objects: Vec<(ObjectId, Payload)> =
@@ -312,8 +324,11 @@ fn contended_cell(wrap: fn(BoxedProgram) -> BoxedProgram) -> (RunMetrics, Vec<(O
                 ScriptOp::CloseNested,
             ]);
         }
-        let script = ScriptProgram::new(TxKind(1), ops);
-        wrap(Box::new(WithTrailer::new(script, ObjectId(4), Some(1))))
+        ops.extend([
+            ScriptOp::Write(ObjectId(4)),
+            ScriptOp::AddScalar(ObjectId(4), 1),
+        ]);
+        wrap(Box::new(ScriptProgram::new(TxKind(1), ops)))
     };
     let programs: Vec<Vec<BoxedProgram>> = (0..nodes)
         .map(|n| {
