@@ -478,4 +478,298 @@ mod tests {
         assert_eq!(Msg::StartWorkload.tag(), "StartWorkload");
         assert_eq!(Msg::Batch(Vec::new()).tag(), "Batch");
     }
+
+    fn fp(m: &Msg) -> u64 {
+        let mut h = Fnv64::new();
+        m.hash_into(&mut h);
+        h.finish()
+    }
+
+    fn fp_timer(t: &Timer) -> u64 {
+        let mut h = Fnv64::new();
+        t.hash_into(&mut h);
+        h.finish()
+    }
+
+    /// One `fn(&mut $t)` per edit; each edit runs on a value matching `$pat`.
+    macro_rules! edits {
+        ($t:ty, $pat:pat => $($edit:expr),+ $(,)?) => {
+            vec![$((|v: &mut $t| {
+                let $pat = v else { unreachable!() };
+                let _ = $edit;
+            }) as fn(&mut $t)),+]
+        };
+    }
+
+    /// `base`'s fingerprint ignores every edit in `same` and moves under
+    /// every edit in `differ`. Returns the fingerprint.
+    fn pin<T: Clone + std::fmt::Debug>(
+        fp: fn(&T) -> u64,
+        base: T,
+        same: Vec<fn(&mut T)>,
+        differ: Vec<fn(&mut T)>,
+    ) -> u64 {
+        let want = fp(&base);
+        for (i, edit) in same.iter().enumerate() {
+            let mut v = base.clone();
+            edit(&mut v);
+            assert_eq!(fp(&v), want, "time-valued edit {i} moved {base:?}");
+        }
+        for (i, edit) in differ.iter().enumerate() {
+            let mut v = base.clone();
+            edit(&mut v);
+            assert_ne!(fp(&v), want, "edit {i} did not move {base:?}");
+        }
+        want
+    }
+
+    /// The checker's time abstraction, field by field: a fingerprint leaves
+    /// out exactly the ETS, a conflict's backoff and a queued requester's
+    /// enqueue time, and covers every other field of every message and
+    /// timer.
+    #[test]
+    #[allow(unused_variables)]
+    fn the_fingerprint_leaves_out_exactly_the_time_valued_fields() {
+        use dstm_sim::SimTime;
+        use rts_core::Requester;
+
+        let req = FetchReq {
+            oid: ObjectId(1),
+            tx: TxId::new(1, 2),
+            attempt: 3,
+            mode: AccessMode::Write,
+            ets: Ets::new(SimTime(4), SimTime(5), SimTime(6)),
+            my_cl: 7,
+            nested: true,
+        };
+        let granted = FetchResult::Granted {
+            payload: Arc::new(Payload::Scalar(8)),
+            version: 9,
+            local_cl: 10,
+            owner: 11,
+            owner_clock: 12,
+        };
+        let conflict = FetchResult::Conflict {
+            backoff: SimDuration(13),
+            enqueued: true,
+            owner: 14,
+            aggressor: Some(TxId::new(2, 15)),
+        };
+        let queued = |attempt| Requester {
+            node: 2,
+            tx: TxId::new(2, 16),
+            read_only: false,
+            attempt,
+            enqueued_at: SimTime(17),
+        };
+        let (oid, tx) = (ObjectId(1), TxId::new(1, 2));
+        let resp_header = edits!(Msg, Msg::ObjResp { oid, tx, attempt, .. } =>
+            oid.0 += 1, tx.node += 1, tx.seq += 1, *attempt += 1);
+
+        let mut msgs = vec![
+            pin(
+                fp,
+                Msg::ObjReq(req),
+                edits!(Msg, Msg::ObjReq(r) =>
+                    r.ets.start.0 += 1, r.ets.request.0 += 1, r.ets.expected_commit.0 += 1),
+                edits!(Msg, Msg::ObjReq(r) =>
+                    r.oid.0 += 1, r.tx.node += 1, r.tx.seq += 1, r.attempt += 1,
+                    r.mode = AccessMode::Read, r.my_cl += 1, r.nested ^= true),
+            ),
+            pin(
+                fp,
+                req.answer(granted),
+                vec![],
+                [
+                    resp_header.clone(),
+                    edits!(Msg, Msg::ObjResp { result: FetchResult::Granted {
+                        payload, version, local_cl, owner, owner_clock }, .. } =>
+                        *payload = Arc::new(Payload::Scalar(0)), *version += 1, *local_cl += 1,
+                        *owner += 1, *owner_clock += 1),
+                    edits!(Msg, Msg::ObjResp { result, .. } =>
+                    *result = FetchResult::Conflict {
+                        backoff: SimDuration(13),
+                        enqueued: true,
+                        owner: 14,
+                        aggressor: Some(TxId::new(2, 15)),
+                    }),
+                ]
+                .concat(),
+            ),
+            pin(
+                fp,
+                req.answer(conflict),
+                edits!(Msg, Msg::ObjResp { result: FetchResult::Conflict { backoff, .. }, .. } =>
+                    backoff.0 += 1),
+                [
+                    resp_header,
+                    edits!(Msg, Msg::ObjResp { result: FetchResult::Conflict {
+                        backoff, enqueued, owner, aggressor }, .. } =>
+                        *enqueued ^= true, *owner += 1, *aggressor = None,
+                        *aggressor = Some(TxId::new(3, 15)), *aggressor = Some(TxId::new(2, 0))),
+                ]
+                .concat(),
+            ),
+            pin(
+                fp,
+                Msg::ObjectDecline { oid, tx },
+                vec![],
+                edits!(Msg, Msg::ObjectDecline { oid, tx } =>
+                    oid.0 += 1, tx.node += 1, tx.seq += 1),
+            ),
+            pin(
+                fp,
+                req.into_msg(Some(18)),
+                edits!(Msg, Msg::VersionReq { ets, .. } =>
+                    ets.start.0 += 1, ets.request.0 += 1, ets.expected_commit.0 += 1),
+                edits!(Msg, Msg::VersionReq { oid, tx, attempt, mode, ets, my_cl, nested, version } =>
+                    oid.0 += 1, tx.node += 1, tx.seq += 1, *attempt += 1,
+                    *mode = AccessMode::Read, *my_cl += 1, *nested ^= true, *version += 1),
+            ),
+            pin(
+                fp,
+                Msg::VersionAck {
+                    oid,
+                    tx,
+                    attempt: 3,
+                    version: 9,
+                    local_cl: 10,
+                    owner: 11,
+                    owner_clock: 12,
+                },
+                vec![],
+                edits!(Msg, Msg::VersionAck { oid, tx, attempt, version, local_cl, owner, owner_clock } =>
+                    oid.0 += 1, tx.node += 1, tx.seq += 1, *attempt += 1, *version += 1,
+                    *local_cl += 1, *owner += 1, *owner_clock += 1),
+            ),
+            pin(
+                fp,
+                Msg::LockReq {
+                    oid,
+                    tx,
+                    attempt: 3,
+                    expect_version: 9,
+                },
+                vec![],
+                edits!(Msg, Msg::LockReq { oid, tx, attempt, expect_version } =>
+                    oid.0 += 1, tx.node += 1, tx.seq += 1, *attempt += 1, *expect_version += 1),
+            ),
+            pin(
+                fp,
+                Msg::LockResp {
+                    oid,
+                    tx,
+                    attempt: 3,
+                    granted: true,
+                },
+                vec![],
+                edits!(Msg, Msg::LockResp { oid, tx, attempt, granted } =>
+                    oid.0 += 1, tx.node += 1, tx.seq += 1, *attempt += 1, *granted ^= true),
+            ),
+            pin(
+                fp,
+                Msg::Unlock { oid, tx },
+                vec![],
+                edits!(Msg, Msg::Unlock { oid, tx } => oid.0 += 1, tx.node += 1, tx.seq += 1),
+            ),
+            pin(
+                fp,
+                Msg::Publish {
+                    oid,
+                    tx,
+                    payload: Arc::new(Payload::Scalar(8)),
+                    new_version: 9,
+                    new_owner: 11,
+                },
+                vec![],
+                edits!(Msg, Msg::Publish { oid, tx, payload, new_version, new_owner } =>
+                    oid.0 += 1, tx.node += 1, tx.seq += 1, *payload = Arc::new(Payload::Scalar(0)),
+                    *new_version += 1, *new_owner += 1),
+            ),
+            pin(
+                fp,
+                Msg::PublishAck {
+                    oid,
+                    tx,
+                    queue: vec![queued(1), queued(2)],
+                },
+                edits!(Msg, Msg::PublishAck { queue, .. } =>
+                    queue[0].enqueued_at.0 += 1, queue[1].enqueued_at.0 += 1),
+                edits!(Msg, Msg::PublishAck { oid, tx, queue } =>
+                    oid.0 += 1, tx.node += 1, tx.seq += 1, queue[0].node += 1,
+                    queue[0].tx.node += 1, queue[0].tx.seq += 1, queue[0].read_only ^= true,
+                    queue[0].attempt += 1, queue.pop(), queue.swap(0, 1)),
+            ),
+            pin(
+                fp,
+                Msg::VersionCheck {
+                    oid,
+                    tx,
+                    attempt: 3,
+                    expect_version: 9,
+                },
+                vec![],
+                edits!(Msg, Msg::VersionCheck { oid, tx, attempt, expect_version } =>
+                    oid.0 += 1, tx.node += 1, tx.seq += 1, *attempt += 1, *expect_version += 1),
+            ),
+            pin(
+                fp,
+                Msg::VersionResp {
+                    oid,
+                    tx,
+                    attempt: 3,
+                    ok: true,
+                },
+                vec![],
+                edits!(Msg, Msg::VersionResp { oid, tx, attempt, ok } =>
+                    oid.0 += 1, tx.node += 1, tx.seq += 1, *attempt += 1, *ok ^= true),
+            ),
+            fp(&Msg::StartWorkload),
+            pin(
+                fp,
+                Msg::Batch(vec![Msg::ObjReq(req), Msg::StartWorkload]),
+                edits!(Msg, Msg::Batch(ms) => if let Msg::ObjReq(r) = &mut ms[0] {
+                    r.ets.start.0 += 1
+                }),
+                edits!(Msg, Msg::Batch(ms) =>
+                ms.pop(), ms.swap(0, 1), if let Msg::ObjReq(r) = &mut ms[0] {
+                    r.my_cl += 1
+                }),
+            ),
+        ];
+        let mut timers = vec![
+            pin(
+                fp_timer,
+                Timer::ComputeDone { tx, attempt: 3 },
+                vec![],
+                edits!(Timer, Timer::ComputeDone { tx, attempt } =>
+                    tx.node += 1, tx.seq += 1, *attempt += 1),
+            ),
+            pin(
+                fp_timer,
+                Timer::QueueDeadline {
+                    tx,
+                    attempt: 3,
+                    oid,
+                },
+                vec![],
+                edits!(Timer, Timer::QueueDeadline { tx, attempt, oid } =>
+                    tx.node += 1, tx.seq += 1, *attempt += 1, oid.0 += 1),
+            ),
+            pin(
+                fp_timer,
+                Timer::RetryBackoff { tx, attempt: 3 },
+                vec![],
+                edits!(Timer, Timer::RetryBackoff { tx, attempt } =>
+                    tx.node += 1, tx.seq += 1, *attempt += 1),
+            ),
+        ];
+        // Variants with the same fields still fingerprint apart.
+        for fps in [&mut msgs, &mut timers] {
+            let n = fps.len();
+            fps.sort_unstable();
+            fps.dedup();
+            assert_eq!(fps.len(), n, "two variants share a fingerprint");
+        }
+    }
 }
