@@ -12,6 +12,7 @@ use crate::ids::{ObjectId, TxId};
 use dstm_sim::{SimDuration, SimTime};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 
 /// One enqueued requester (Algorithm 1's `Requester`: address + txid; we
 /// also keep the access mode for the read fan-out of §III-B and the enqueue
@@ -27,6 +28,23 @@ pub struct Requester {
     /// stale attempt are declined by the requester.
     pub attempt: u32,
     pub enqueued_at: SimTime,
+}
+
+/// Everything but `enqueued_at`, which is wall-clock-valued: the model
+/// checker's state fingerprints treat two queues that differ only in
+/// enqueue times as the same protocol state. The pattern names every field,
+/// so a new one must be placed on one side or the other.
+impl Hash for Requester {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let Requester {
+            node,
+            tx,
+            read_only,
+            attempt,
+            enqueued_at: _,
+        } = self;
+        (node, tx, read_only, attempt).hash(h);
+    }
 }
 
 /// Per-object requester queue (`Requester_List`).

@@ -24,9 +24,9 @@
 //! `tx.node`, whichever node the request was forwarded through.
 
 use crate::object::Payload;
-use crate::small::Fnv64;
 use dstm_sim::SimDuration;
 use rts_core::{Ets, ObjectId, TxId};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::program::AccessMode;
@@ -66,9 +66,33 @@ pub enum FetchResult {
     },
 }
 
+/// Everything but a conflict's `backoff`, which is wall-clock-valued: the
+/// model checker's fingerprints treat verdicts that differ only in how long
+/// to wait as the same protocol event. The patterns name every field, so a
+/// new one must be placed on one side or the other.
+impl Hash for FetchResult {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        match self {
+            FetchResult::Granted {
+                payload,
+                version,
+                local_cl,
+                owner,
+                owner_clock,
+            } => (0u8, payload, version, local_cl, owner, owner_clock).hash(h),
+            FetchResult::Conflict {
+                backoff: _,
+                enqueued,
+                owner,
+                aggressor,
+            } => (1u8, enqueued, owner, aggressor).hash(h),
+        }
+    }
+}
+
 /// A request for `oid` (Algorithm 2 sends "oid, txid, myCL, and ETS"):
 /// what [`Msg::ObjReq`] carries and [`Msg::VersionReq`] spreads inline.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 pub struct FetchReq {
     pub oid: ObjectId,
     pub tx: TxId,
@@ -111,25 +135,10 @@ impl FetchReq {
             result,
         }
     }
-
-    /// The [`Msg::hash_into`] part of a fetch: everything but the ETS.
-    fn hash_into(&self, h: &mut Fnv64) {
-        h.write_u64(self.oid.0);
-        tx_into(h, &self.tx, self.attempt);
-        h.write_u8(matches!(self.mode, AccessMode::Write) as u8);
-        h.write_u64(u64::from(self.my_cl));
-        h.write_u8(u8::from(self.nested));
-    }
-}
-
-fn tx_into(h: &mut Fnv64, tx: &TxId, attempt: u32) {
-    h.write_u64(u64::from(tx.node));
-    h.write_u64(tx.seq);
-    h.write_u64(u64::from(attempt));
 }
 
 /// Protocol messages between TM proxies.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum Msg {
     /// Request an object.
     ObjReq(FetchReq),
@@ -234,7 +243,7 @@ pub enum Msg {
 }
 
 /// Node-local timers.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum Timer {
     /// A `Compute(d)` step finished for this transaction.
     ComputeDone { tx: TxId, attempt: u32 },
@@ -269,194 +278,12 @@ impl Msg {
             Msg::Batch(_) => "Batch",
         }
     }
-
-    /// Fold this message into a **time-abstract** structural fingerprint.
-    ///
-    /// Used by the model checker to deduplicate protocol states: two
-    /// in-flight messages that differ only in wall-clock-valued fields
-    /// ([`Ets`] deadlines, backoff durations) are the same protocol event
-    /// under a different schedule, so those fields are deliberately
-    /// excluded. Logical TFA clocks (`my_cl`, `local_cl`, `owner_clock`)
-    /// and versions *are* protocol state and are included.
-    pub fn hash_into(&self, h: &mut Fnv64) {
-        h.write_bytes(self.tag().as_bytes());
-        match self {
-            Msg::ObjReq(req) => req.hash_into(h),
-            Msg::ObjResp {
-                oid,
-                tx,
-                attempt,
-                result,
-            } => {
-                h.write_u64(oid.0);
-                tx_into(h, tx, *attempt);
-                match result {
-                    FetchResult::Granted {
-                        payload,
-                        version,
-                        local_cl,
-                        owner,
-                        owner_clock,
-                    } => {
-                        h.write_u8(1);
-                        payload.hash_into(h);
-                        h.write_u64(*version);
-                        h.write_u64(u64::from(*local_cl));
-                        h.write_u64(u64::from(*owner));
-                        h.write_u64(*owner_clock);
-                    }
-                    FetchResult::Conflict {
-                        backoff: _,
-                        enqueued,
-                        owner,
-                        aggressor,
-                    } => {
-                        h.write_u8(2);
-                        h.write_u8(u8::from(*enqueued));
-                        h.write_u64(u64::from(*owner));
-                        match aggressor {
-                            Some(a) => tx_into(h, a, 0),
-                            None => h.write_u8(0),
-                        }
-                    }
-                }
-            }
-            Msg::ObjectDecline { oid, tx } => {
-                h.write_u64(oid.0);
-                tx_into(h, tx, 0);
-            }
-            Msg::VersionReq {
-                oid,
-                tx,
-                attempt,
-                mode,
-                ets: _,
-                my_cl,
-                nested,
-                version,
-            } => {
-                h.write_u64(oid.0);
-                tx_into(h, tx, *attempt);
-                h.write_u8(matches!(mode, AccessMode::Write) as u8);
-                h.write_u64(u64::from(*my_cl));
-                h.write_u8(u8::from(*nested));
-                h.write_u64(*version);
-            }
-            Msg::VersionAck {
-                oid,
-                tx,
-                attempt,
-                version,
-                local_cl,
-                owner,
-                owner_clock,
-            } => {
-                h.write_u64(oid.0);
-                tx_into(h, tx, *attempt);
-                h.write_u64(*version);
-                h.write_u64(u64::from(*local_cl));
-                h.write_u64(u64::from(*owner));
-                h.write_u64(*owner_clock);
-            }
-            Msg::LockReq {
-                oid,
-                tx,
-                attempt,
-                expect_version,
-            } => {
-                h.write_u64(oid.0);
-                tx_into(h, tx, *attempt);
-                h.write_u64(*expect_version);
-            }
-            Msg::LockResp {
-                oid,
-                tx,
-                attempt,
-                granted,
-            } => {
-                h.write_u64(oid.0);
-                tx_into(h, tx, *attempt);
-                h.write_u8(u8::from(*granted));
-            }
-            Msg::Unlock { oid, tx } => {
-                h.write_u64(oid.0);
-                tx_into(h, tx, 0);
-            }
-            Msg::Publish {
-                oid,
-                tx,
-                payload,
-                new_version,
-                new_owner,
-            } => {
-                h.write_u64(oid.0);
-                tx_into(h, tx, 0);
-                payload.hash_into(h);
-                h.write_u64(*new_version);
-                h.write_u64(u64::from(*new_owner));
-            }
-            Msg::PublishAck { oid, tx, queue } => {
-                h.write_u64(oid.0);
-                tx_into(h, tx, 0);
-                h.write_u64(queue.len() as u64);
-                for r in queue {
-                    h.write_u64(u64::from(r.node));
-                    tx_into(h, &r.tx, r.attempt);
-                    h.write_u8(u8::from(r.read_only));
-                }
-            }
-            Msg::VersionCheck {
-                oid,
-                tx,
-                attempt,
-                expect_version,
-            } => {
-                h.write_u64(oid.0);
-                tx_into(h, tx, *attempt);
-                h.write_u64(*expect_version);
-            }
-            Msg::VersionResp {
-                oid,
-                tx,
-                attempt,
-                ok,
-            } => {
-                h.write_u64(oid.0);
-                tx_into(h, tx, *attempt);
-                h.write_u8(u8::from(*ok));
-            }
-            Msg::StartWorkload => {}
-            Msg::Batch(msgs) => {
-                h.write_u64(msgs.len() as u64);
-                for m in msgs {
-                    m.hash_into(h);
-                }
-            }
-        }
-    }
-}
-
-impl Timer {
-    /// Time-abstract fingerprint companion to [`Msg::hash_into`].
-    pub fn hash_into(&self, h: &mut Fnv64) {
-        let (tag, tx, attempt, oid) = match self {
-            Timer::ComputeDone { tx, attempt } => (1u8, tx, *attempt, None),
-            Timer::QueueDeadline { tx, attempt, oid } => (2, tx, *attempt, Some(*oid)),
-            Timer::RetryBackoff { tx, attempt } => (3, tx, *attempt, None),
-        };
-        h.write_u8(tag);
-        h.write_u64(u64::from(tx.node));
-        h.write_u64(tx.seq);
-        h.write_u64(u64::from(attempt));
-        if let Some(oid) = oid {
-            h.write_u64(oid.0);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::small::Fnv64;
 
     /// Every simulated message is moved into the kernel's payload slab, out
     /// of it again and into its handler: a fatter `Msg` is memmove traffic
@@ -481,13 +308,13 @@ mod tests {
 
     fn fp(m: &Msg) -> u64 {
         let mut h = Fnv64::new();
-        m.hash_into(&mut h);
+        m.hash(&mut h);
         h.finish()
     }
 
     fn fp_timer(t: &Timer) -> u64 {
         let mut h = Fnv64::new();
-        t.hash_into(&mut h);
+        t.hash(&mut h);
         h.finish()
     }
 

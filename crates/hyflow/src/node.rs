@@ -20,6 +20,7 @@ use crate::message::{FetchReq, FetchResult, Msg, Timer};
 use crate::metrics::{AbortCause, NestedAbortCause, NodeCounters, RunHistograms};
 use crate::object::{CachedCopy, OwnedObject, Payload};
 use crate::program::{AccessMode, BoxedProgram, ProgramSnapshot, StepInput, StepOutput};
+use crate::small::Fnv64;
 use crate::telemetry::{Telemetry, TelemetryReport, EPOCH};
 use crate::trace::{ProtoEvent, ProtoTrace, Verdict};
 use crate::tx::{TxPhase, TxRuntime, ValidationResume};
@@ -30,6 +31,7 @@ use rts_core::{
     Requester, SchedulingTable, StatsTable, TxId,
 };
 use std::collections::VecDeque;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// Minimum local hop latency, so that node-local protocol messages always
@@ -316,49 +318,26 @@ impl ObjTable {
     }
 
     /// Fold every object this node has touched into a fingerprint, in oid
-    /// order (insertion-order independent); `extra` appends the bytes the
-    /// node keeps about an object outside this table.
-    fn hash_into(
-        &self,
-        h: &mut crate::small::Fnv64,
-        mut extra: impl FnMut(ObjectId, &mut crate::small::Fnv64),
-    ) {
-        let mut entries: Vec<(ObjectId, &ObjEntry)> =
-            self.index.iter().map(|(&oid, e)| (oid, e)).collect();
-        entries.sort_by_key(|&(oid, _)| oid);
-        h.write_u64(entries.len() as u64);
-        for (oid, e) in entries {
+    /// order (insertion-order independent); `extra` appends what the node
+    /// keeps about an object outside this table. An entry hashes as
+    /// `(oid, owned, tombstone, cached_owner, cache)`, never as a whole
+    /// [`ObjEntry`]: which slot an object sits in is a layout detail.
+    fn hash_into(&self, h: &mut Fnv64, mut extra: impl FnMut(ObjectId, &mut Fnv64)) {
+        let mut entries: Vec<_> = self.index.iter().collect();
+        entries.sort_by_key(|&(oid, _)| *oid);
+        entries.len().hash(h);
+        for (&oid, e) in entries {
             let slot = present(e.slot).map(|i| &self.slots[i as usize]);
-            h.write_u64(oid.0);
-            match slot.and_then(|s| s.owned.as_ref()) {
-                Some(o) => {
-                    h.write_u8(1);
-                    o.payload.hash_into(h);
-                    h.write_u64(o.version);
-                    match o.lock {
-                        Some(tx) => {
-                            h.write_u8(1);
-                            h.write_u64(u64::from(tx.node));
-                            h.write_u64(tx.seq);
-                        }
-                        None => h.write_u8(0),
-                    }
-                }
-                None => h.write_u8(0),
-            }
-            h.write_u64(present(e.tombstone).map_or(u64::MAX, u64::from));
-            h.write_u64(present(e.cached_owner).map_or(u64::MAX, u64::from));
-            match slot.and_then(|s| s.cache.as_ref()) {
-                Some(c) => {
-                    h.write_u8(1);
-                    c.payload.hash_into(h);
-                    h.write_u64(c.version);
-                    h.write_u64(c.owner_clock);
-                    h.write_u64(u64::from(c.local_cl));
-                    h.write_u64(u64::from(c.owner));
-                }
-                None => h.write_u8(0),
-            }
+            let owned = slot.and_then(|s| s.owned.as_ref());
+            let cache = slot.and_then(|s| s.cache.as_ref());
+            (
+                oid,
+                owned,
+                present(e.tombstone),
+                present(e.cached_owner),
+                cache,
+            )
+                .hash(h);
             extra(oid, h);
         }
     }
@@ -630,119 +609,69 @@ impl Node {
     /// fingerprints purely to prune its search, so the abstraction can
     /// merge states but never fabricates a violation.
     pub fn protocol_fingerprint(&self) -> u64 {
-        let mut h = crate::small::Fnv64::new();
-        h.write_u64(u64::from(self.me));
-        h.write_u64(self.clock);
-        h.write_u64(self.completed as u64);
-        h.write_u64(self.active as u64);
-        h.write_u64(self.pending.len() as u64);
+        let mut h = Fnv64::new();
+        (
+            self.me,
+            self.clock,
+            self.completed,
+            self.active,
+            self.pending.len(),
+        )
+            .hash(&mut h);
 
-        // Objects, each followed by its owner-side requester queue.
+        // Objects, each followed by its owner-side requester queue; an
+        // absent queue hashes like an empty one.
         self.objs.hash_into(&mut h, |oid, h| {
-            if let Some(list) = self.sched.list(oid) {
-                h.write_u64(list.len() as u64);
-                for r in list.iter() {
-                    h.write_u64(u64::from(r.node));
-                    h.write_u64(u64::from(r.tx.node));
-                    h.write_u64(r.tx.seq);
-                    h.write_u64(u64::from(r.attempt));
-                    h.write_u8(u8::from(r.read_only));
-                }
-            } else {
-                h.write_u64(0);
+            let list = self.sched.list(oid);
+            list.map_or(0, |l| l.len()).hash(h);
+            for r in list.into_iter().flat_map(|l| l.iter()) {
+                r.hash(h);
             }
         });
 
         // Live transactions, sorted by id.
         let mut txs: Vec<&TxRuntime> = self.txs.iter().flatten().map(|tx| &**tx).collect();
         txs.sort_by_key(|t| t.id);
-        h.write_u64(txs.len() as u64);
+        txs.len().hash(&mut h);
         for tx in txs {
-            h.write_u64(u64::from(tx.id.node));
-            h.write_u64(tx.id.seq);
-            h.write_u64(u64::from(tx.kind.0));
-            h.write_u64(u64::from(tx.attempt));
-            h.write_u64(tx.wv);
-            h.write_u64(tx.nested_committed);
+            (tx.id, tx.kind, tx.attempt, tx.wv, tx.nested_committed).hash(&mut h);
             Self::phase_into(tx, &mut h);
-            h.write_u64(tx.levels().len() as u64);
+            tx.levels().len().hash(&mut h);
             for (depth, level) in tx.levels().iter().enumerate() {
-                h.write_u64(u64::from(level.kind.0));
-                h.write_u64(level.committed_children);
                 let mut copies = tx.level_copies(depth);
                 copies.sort_by_key(|(oid, _)| *oid);
-                h.write_u64(copies.len() as u64);
-                for (oid, c) in copies {
-                    h.write_u64(oid.0);
-                    c.payload.hash_into(&mut h);
-                    h.write_u64(c.version);
-                    h.write_u8(matches!(c.mode, AccessMode::Write) as u8);
-                    h.write_u64(u64::from(c.owner));
-                    h.write_u8(u8::from(c.dirty));
-                    h.write_u8(u8::from(c.shadow));
-                }
+                (level.kind, level.committed_children, copies).hash(&mut h);
             }
         }
         h.finish()
     }
 
     /// Fold a transaction's phase into a fingerprint: discriminant plus the
-    /// object identities it is parked on (not timers or durations).
-    fn phase_into(tx: &TxRuntime, h: &mut crate::small::Fnv64) {
-        let pending = &tx.pending;
+    /// objects it waits on, each round set sorted. What a validation round
+    /// resumes with and the queue-wait timer are left out.
+    fn phase_into(tx: &TxRuntime, h: &mut Fnv64) {
+        fn sorted<'a>(oids: impl IntoIterator<Item = &'a ObjectId>) -> Vec<ObjectId> {
+            let mut v: Vec<ObjectId> = oids.into_iter().copied().collect();
+            v.sort_unstable();
+            v
+        }
+        let pending = || sorted(tx.pending.iter());
+        std::mem::discriminant(&tx.phase).hash(h);
         match &tx.phase {
-            TxPhase::Running => h.write_u8(1),
-            TxPhase::Computing => h.write_u8(2),
-            TxPhase::AwaitObject { oid, mode } => {
-                h.write_u8(3);
-                h.write_u64(oid.0);
-                h.write_u8(matches!(mode, AccessMode::Write) as u8);
-            }
-            TxPhase::AwaitQueuedObject { oid, mode, .. } => {
-                h.write_u8(4);
-                h.write_u64(oid.0);
-                h.write_u8(matches!(mode, AccessMode::Write) as u8);
-            }
-            TxPhase::AwaitValidation { stale, .. } => {
-                h.write_u8(5);
-                let mut oids: Vec<ObjectId> = pending.iter().copied().collect();
-                oids.sort();
-                for oid in oids {
-                    h.write_u64(oid.0);
-                }
-                h.write_u64(u64::MAX); // separator
-                let mut stale: Vec<ObjectId> = stale.clone();
-                stale.sort();
-                for oid in stale {
-                    h.write_u64(oid.0);
-                }
-            }
-            TxPhase::AwaitLocks { granted, failed } => {
-                h.write_u8(6);
-                let mut oids: Vec<ObjectId> = pending.iter().copied().collect();
-                oids.sort();
-                for oid in oids {
-                    h.write_u64(oid.0);
-                }
-                h.write_u64(u64::MAX);
-                let mut granted: Vec<ObjectId> = granted.clone();
-                granted.sort();
-                for oid in granted {
-                    h.write_u64(oid.0);
-                }
-                h.write_u64(failed.map_or(u64::MAX, |o| o.0));
-            }
-            TxPhase::AwaitPublish => {
-                h.write_u8(7);
-                let mut oids: Vec<ObjectId> = pending.iter().copied().collect();
-                oids.sort();
-                for oid in oids {
-                    h.write_u64(oid.0);
-                }
-            }
-            TxPhase::BackedOff => h.write_u8(8),
-            TxPhase::ChildBackedOff => h.write_u8(9),
-            TxPhase::Done => h.write_u8(10),
+            TxPhase::AwaitObject { oid, mode }
+            | TxPhase::AwaitQueuedObject {
+                oid,
+                mode,
+                timer: _,
+            } => (oid, mode).hash(h),
+            TxPhase::AwaitValidation { stale, resume: _ } => (pending(), sorted(stale)).hash(h),
+            TxPhase::AwaitLocks { granted, failed } => (pending(), sorted(granted), failed).hash(h),
+            TxPhase::AwaitPublish => pending().hash(h),
+            TxPhase::Running
+            | TxPhase::Computing
+            | TxPhase::BackedOff
+            | TxPhase::ChildBackedOff
+            | TxPhase::Done => {}
         }
     }
 
@@ -2625,41 +2554,33 @@ mod tests {
             )
         }
 
-        /// The fingerprint bytes the table must write for `model`.
+        /// The fingerprint the table must give `model`.
         fn model_fingerprint(model: &BTreeMap<ObjectId, Known>) -> u64 {
             let mut h = Fnv64::new();
-            h.write_u64(model.len() as u64);
-            for (oid, k) in model {
-                h.write_u64(oid.0);
-                match k.owned {
-                    Some((v, version, lock)) => {
-                        h.write_u8(1);
-                        Payload::Scalar(v).hash_into(&mut h);
-                        h.write_u64(version);
-                        match lock {
-                            Some(tx) => {
-                                h.write_u8(1);
-                                h.write_u64(u64::from(tx.node));
-                                h.write_u64(tx.seq);
-                            }
-                            None => h.write_u8(0),
-                        }
-                    }
-                    None => h.write_u8(0),
-                }
-                h.write_u64(k.tombstone.map_or(u64::MAX, u64::from));
-                h.write_u64(k.cached_owner.map_or(u64::MAX, u64::from));
-                match k.cache {
-                    Some((v, version, owner_clock, local_cl, owner)) => {
-                        h.write_u8(1);
-                        Payload::Scalar(v).hash_into(&mut h);
-                        h.write_u64(version);
-                        h.write_u64(owner_clock);
-                        h.write_u64(u64::from(local_cl));
-                        h.write_u64(u64::from(owner));
-                    }
-                    None => h.write_u8(0),
-                }
+            model.len().hash(&mut h);
+            for (&oid, k) in model {
+                let owned = k.owned.map(|(v, version, lock)| OwnedObject {
+                    payload: Arc::new(Payload::Scalar(v)),
+                    version,
+                    lock,
+                });
+                let cache = k
+                    .cache
+                    .map(|(v, version, owner_clock, local_cl, owner)| CachedCopy {
+                        payload: Arc::new(Payload::Scalar(v)),
+                        version,
+                        owner_clock,
+                        local_cl,
+                        owner,
+                    });
+                (
+                    oid,
+                    owned.as_ref(),
+                    k.tombstone,
+                    k.cached_owner,
+                    cache.as_ref(),
+                )
+                    .hash(&mut h);
                 h.write_u64(oid.0 ^ EXTRA);
             }
             h.finish()

@@ -8,6 +8,7 @@
 //! writer.
 
 use rts_core::{ObjectId, TxId};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// The application-visible contents of an object. The benchmarks of §IV
@@ -51,9 +52,11 @@ impl Payload {
     }
 
     /// Fold the payload's full contents into a structural fingerprint
-    /// (see [`crate::small::Fnv64`]); used by the verification harness.
-    pub fn hash_into(&self, h: &mut crate::small::Fnv64) {
-        fn opt_oid(h: &mut crate::small::Fnv64, o: &Option<ObjectId>) {
+    /// (see [`crate::small::Fnv64`]). These are the bytes of its [`Hash`]
+    /// impl, written with `write_u8` / `write_u64` only, so a digest kept
+    /// across versions does not depend on how `derive(Hash)` lays out enums.
+    pub fn hash_into<H: Hasher>(&self, h: &mut H) {
+        fn opt_oid<H: Hasher>(h: &mut H, o: &Option<ObjectId>) {
             match o {
                 Some(oid) => {
                     h.write_u8(1);
@@ -100,12 +103,18 @@ impl Payload {
     }
 }
 
+impl Hash for Payload {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.hash_into(h);
+    }
+}
+
 /// A read copy retained after a grant (`DstmConfig::cache`). Reuse is a
 /// freshness heuristic, never a correctness mechanism: a cached copy that
 /// turns out stale is caught by the same commit-time validation (lock
 /// `expect_version` for writes, `VersionCheck` for clean reads) that guards
 /// every ordinary fetch.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct CachedCopy {
     pub payload: Arc<Payload>,
     /// Version of the copy at grant time.
@@ -126,7 +135,7 @@ pub struct CachedCopy {
 /// ownership, and installing fetched copies are all pointer bumps
 /// (copy-on-write — a writer builds a *new* payload and swaps the pointer,
 /// it never mutates through the `Arc`).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct OwnedObject {
     pub payload: Arc<Payload>,
     /// TFA commit clock of the last writer.

@@ -34,7 +34,7 @@ use std::sync::Arc;
 /// Read or write intent for an object acquisition. In TFA both return a
 /// copy optimistically; write intent additionally puts the object in the
 /// commit-time lock/publish set.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AccessMode {
     Read,
     Write,

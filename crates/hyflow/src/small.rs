@@ -13,6 +13,7 @@
 //! `crate::tx`, whose module doc records how long it gets per benchmark.
 
 use rts_core::ObjectId;
+use std::hash::Hasher;
 
 /// Insertion-ordered set of [`ObjectId`]s, vec-backed.
 #[derive(Clone, Debug, Default)]
@@ -77,9 +78,16 @@ impl ObjSet {
 ///
 /// The verification harness hashes protocol state (transaction runtimes,
 /// object tables, in-flight messages) into a single `u64` so the model
-/// checker can deduplicate explored states. FNV-1a is enough: fingerprints
-/// only prune the search — any reported violation is re-validated by replay,
-/// so a collision can at worst hide a duplicate, never invent a failure.
+/// checker can deduplicate explored states. The state types derive [`Hash`]
+/// and are fed through the [`Hasher`] impl; the few time-valued fields the
+/// checker abstracts away are left out by a hand-written `Hash` at their
+/// type. FNV-1a is enough: fingerprints only prune the search — any
+/// reported violation is re-validated by replay, so a collision can at
+/// worst hide a duplicate, never invent a failure.
+///
+/// The inherent `write_u8` / `write_u64` / `write_bytes` / `finish` are what
+/// the [`Hasher`] methods call, and write the same little-endian bytes on
+/// every host.
 #[derive(Clone, Debug)]
 pub struct Fnv64(u64);
 
@@ -113,6 +121,28 @@ impl Fnv64 {
     #[inline]
     pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+impl Hasher for Fnv64 {
+    #[inline]
+    fn finish(&self) -> u64 {
+        Fnv64::finish(self)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_bytes(bytes);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, b: u8) {
+        Fnv64::write_u8(self, b);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        Fnv64::write_u64(self, v);
     }
 }
 

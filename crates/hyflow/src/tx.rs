@@ -44,7 +44,7 @@ use std::sync::Arc;
 /// The payload is shared copy-on-write: reads hand out `Arc` clones, and a
 /// `WriteLocal` replaces the pointer with a freshly built payload, so
 /// shadowing a copy into a nested level never deep-clones object contents.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct WorkingCopy {
     pub payload: Arc<Payload>,
     /// Version observed at fetch time (validated at commit).

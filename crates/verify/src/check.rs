@@ -47,6 +47,7 @@
 //! [`protocol_fingerprint`]: hyflow_dstm::Node::protocol_fingerprint
 
 use std::collections::{HashSet, VecDeque};
+use std::hash::Hash;
 
 use dstm_harness::traceio::audit;
 use dstm_net::Topology;
@@ -221,17 +222,8 @@ fn fingerprint(system: &ModelSystem) -> u64 {
         .map(|ev| {
             let mut eh = Fnv64::new();
             match &ev.payload {
-                KernelEvent::Msg { from, to, msg } => {
-                    eh.write_u8(1);
-                    eh.write_u64(u64::from(from.0));
-                    eh.write_u64(u64::from(to.0));
-                    msg.hash_into(&mut eh);
-                }
-                KernelEvent::Timer { on, timer, .. } => {
-                    eh.write_u8(2);
-                    eh.write_u64(u64::from(on.0));
-                    timer.hash_into(&mut eh);
-                }
+                KernelEvent::Msg { from, to, msg } => (1u8, from, to, msg).hash(&mut eh),
+                KernelEvent::Timer { on, timer, .. } => (2u8, on, timer).hash(&mut eh),
             }
             eh.finish()
         })
