@@ -38,9 +38,10 @@
 //! read. An argument starting with `--` that is not one of the flags above,
 //! a flag without its value, a flag or positional value that does not parse,
 //! a count no run can use (a node count outside `1..=MAX_ACTORS`, zero
-//! transactions per node), and a positional argument the mode has no place
-//! for each end the program with one `error:` line on stderr and exit status
-//! 2, before anything runs.
+//! transactions per node, a scenario of no transactions or of more than
+//! `MAX_ACTORS` nodes), and a positional argument the mode has no place for
+//! each end the program with one `error:` line on stderr and exit status 2,
+//! before anything runs.
 
 use dstm_benchmarks::Benchmark;
 use dstm_harness::experiments::scenarios::{render, run_collision_traced};
@@ -225,6 +226,18 @@ fn scenario_mode(args: &[String], trace_path: Option<&str>) -> Result<(), String
     )?;
     let writers: usize = positional(args, 1, "writers", number, 6)?;
     let readers: usize = positional(args, 2, "readers", number, 2)?;
+    // The collision runs on `1 + writers + readers` nodes: the owner plus
+    // one node per transaction.
+    match writers.checked_add(readers) {
+        Some(0) => return Err("scenario: 0 writers and 0 readers is no collision".into()),
+        Some(txns) if txns < dstm_sim::MAX_ACTORS => {}
+        _ => {
+            return Err(format!(
+                "scenario: {writers} writers + {readers} readers need more than {} nodes",
+                dstm_sim::MAX_ACTORS
+            ))
+        }
+    }
     let (result, trace) = run_collision_traced(scheduler, writers, readers);
     assert!(result.all_done, "scenario stalled");
     let title = format!(

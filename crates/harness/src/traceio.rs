@@ -828,8 +828,9 @@ pub struct AnalyzeReport {
     pub throughput: Vec<ThroughputSeries>,
     /// Whether at least one `RunSummary` was present to reconcile against.
     pub summary_checked: bool,
-    /// Event-derived vs counter-derived discrepancies; empty means the
-    /// wasted-work ledger reconciles exactly.
+    /// Event-derived vs counter-derived discrepancies, each naming its run
+    /// when the log holds more than one; empty means every run's wasted-work
+    /// ledger reconciles exactly.
     pub mismatches: Vec<String>,
     // Event-derived totals.
     pub commits: u64,
@@ -1126,8 +1127,8 @@ fn throughput(commits_per_epoch: Vec<u64>, epoch_ns: u64) -> ThroughputSeries {
 /// aborts and queue wait they caused, rank aggressor transactions by the
 /// work they discarded, walk the victim → aggressor causal chains, bucket
 /// commits into `epoch_ns` sim-time epochs to locate the throughput knee,
-/// and reconcile the event-derived wasted-work ledger against the
-/// counter-based `RunSummary` record(s). A reconciliation mismatch makes
+/// and reconcile each run's event-derived wasted-work ledger against that
+/// run's counter-based `RunSummary` record. A reconciliation mismatch makes
 /// [`AnalyzeReport::ok`] false — `dstm-trace analyze` exits non-zero on it.
 pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
     const TOP_OBJECTS: usize = 8;
@@ -1144,7 +1145,7 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
     };
     let mut objects: FxHashMap<(usize, ObjectId), HotObject> = FxHashMap::default();
     let mut aggressors: FxHashMap<(usize, TxId), (u64, u64)> = FxHashMap::default();
-    let mut summary = (0u64, 0u64, 0u64, 0u64, 0u64); // commits, aborts, wasted_ns, msgs, attributed
+    let mut ledger_mismatches = Vec::new();
 
     // Transaction and object ids repeat from run to run and each run's
     // clock starts at 0, so the tallies below are kept per run: each run
@@ -1154,6 +1155,15 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
     for (k, run) in runs.into_iter().enumerate() {
         let mut blamed_by: FxHashMap<TxId, TxId> = FxHashMap::default();
         let mut commits_per_epoch: Vec<u64> = Vec::new();
+        // The totals before this run: its `RunSummary` is reconciled
+        // against what its own events add, as `audit` does.
+        let before = (
+            report.commits,
+            report.aborts,
+            report.wasted_ns,
+            report.wasted_msgs,
+            report.attributed,
+        );
         for r in run {
             match &r.ev {
                 ProtoEvent::TxCommit { .. } => {
@@ -1205,11 +1215,34 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
                     ..
                 } => {
                     report.summary_checked = true;
-                    summary.0 += commits;
-                    summary.1 += aborts;
-                    summary.2 += wasted_ns;
-                    summary.3 += wasted_msgs;
-                    summary.4 += attributed;
+                    let pairs = [
+                        ("commits", report.commits - before.0, *commits),
+                        ("aborts", report.aborts - before.1, *aborts),
+                        ("wasted-work ns", report.wasted_ns - before.2, *wasted_ns),
+                        (
+                            "wasted messages",
+                            report.wasted_msgs - before.3,
+                            *wasted_msgs,
+                        ),
+                        (
+                            "attributed aborts",
+                            report.attributed - before.4,
+                            *attributed,
+                        ),
+                    ];
+                    let run = if report.runs > 1 {
+                        format!("run {}: ", k + 1)
+                    } else {
+                        String::new()
+                    };
+                    for (label, from_events, from_counters) in pairs {
+                        if from_events != from_counters {
+                            ledger_mismatches.push(format!(
+                                "{run}{label}: {from_events} derived from events vs \
+                                 {from_counters} from counters"
+                            ));
+                        }
+                    }
                 }
                 _ => {}
             }
@@ -1245,23 +1278,9 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
         ));
     }
 
-    // Reconciliation: the event-derived ledger must equal the live counters.
-    if report.summary_checked {
-        let pairs = [
-            ("commits", report.commits, summary.0),
-            ("aborts", report.aborts, summary.1),
-            ("wasted-work ns", report.wasted_ns, summary.2),
-            ("wasted messages", report.wasted_msgs, summary.3),
-            ("attributed aborts", report.attributed, summary.4),
-        ];
-        for (label, from_events, from_counters) in pairs {
-            if from_events != from_counters {
-                report.mismatches.push(format!(
-                    "{label}: {from_events} derived from events vs {from_counters} from counters"
-                ));
-            }
-        }
-    }
+    // Reconciliation: each run's event-derived ledger must equal its live
+    // counters.
+    report.mismatches.append(&mut ledger_mismatches);
 
     // Hot objects: aborts caused, then wasted work, then queue wait.
     let mut hot: Vec<HotObject> = objects.into_values().collect();
@@ -1820,6 +1839,50 @@ mod tests {
             report.mismatches
         );
         assert!(report.to_json().contains("\"reconciled\":false"));
+    }
+
+    #[test]
+    fn analyze_reconciles_each_run_on_its_own() {
+        let tx = TxId::new(0, 1);
+        let summary = |at, commits| {
+            rec(
+                at,
+                0,
+                ProtoEvent::RunSummary {
+                    commits,
+                    aborts: 0,
+                    nested_own: 0,
+                    nested_parent: 0,
+                    nested_commits: 0,
+                    wasted_ns: 0,
+                    wasted_msgs: 0,
+                    attributed: 0,
+                    cache_hits: 0,
+                    cache_misses: 0,
+                    cache_invalidations: 0,
+                },
+            )
+        };
+        // One commit against a summary of 2, then two against 1: the
+        // log-wide sums agree, each run's do not.
+        let log = TraceLog {
+            records: vec![
+                commit(100, tx, vec![], vec![]),
+                summary(200, 2),
+                commit(100, tx, vec![], vec![]),
+                commit(150, tx, vec![], vec![]),
+                summary(200, 1),
+            ],
+        };
+        assert!(!audit(&log).ok());
+        let report = analyze(&log, 0);
+        assert_eq!(
+            report.mismatches,
+            [
+                "run 1: commits: 1 derived from events vs 2 from counters",
+                "run 2: commits: 2 derived from events vs 1 from counters",
+            ]
+        );
     }
 
     #[test]

@@ -110,6 +110,19 @@ fn the_default_sweep_refuses_counts_no_run_can_use() {
 }
 
 #[test]
+fn a_scenario_refuses_counts_no_run_can_use() {
+    // An empty collision printed a table of nothing and exited 0.
+    assert!(refused(&["scenario", "rts", "0", "0"]).contains("no collision"));
+    // The owner plus one node per transaction, one past what the event keys
+    // can name; and a sum that does not fit a count at all.
+    let max = dstm_sim::MAX_ACTORS.to_string();
+    assert!(refused(&["scenario", "tfa", &max, "0"]).contains("need more than"));
+    assert!(refused(&["scenario", "tfa", "1", &max]).contains("need more than"));
+    let huge = usize::MAX.to_string();
+    assert!(refused(&["scenario", "rts", &huge, "1"]).contains("need more than"));
+}
+
+#[test]
 fn large_smoke_reports_its_peak_resident_set() {
     let out = sweep(
         Path::new(env!("CARGO_TARGET_TMPDIR")),
