@@ -138,6 +138,11 @@ impl FetchReq {
 }
 
 /// Protocol messages between TM proxies.
+///
+/// The derived `Hash` is the model checker's time-abstract fingerprint of an
+/// in-flight message: every field counts, logical clocks and versions
+/// included, except the ETS and a conflict's backoff, which `Ets` and
+/// `FetchResult` leave out.
 #[derive(Clone, Debug, Hash)]
 pub enum Msg {
     /// Request an object.

@@ -330,14 +330,8 @@ impl ObjTable {
             let slot = present(e.slot).map(|i| &self.slots[i as usize]);
             let owned = slot.and_then(|s| s.owned.as_ref());
             let cache = slot.and_then(|s| s.cache.as_ref());
-            (
-                oid,
-                owned,
-                present(e.tombstone),
-                present(e.cached_owner),
-                cache,
-            )
-                .hash(h);
+            let (tombstone, cached_owner) = (present(e.tombstone), present(e.cached_owner));
+            (oid, owned, tombstone, cached_owner, cache).hash(h);
             extra(oid, h);
         }
     }
@@ -602,22 +596,19 @@ impl Node {
     /// folded in: the TFA clock, object table (payloads, versions, locks,
     /// tombstones, owner guesses, cached copies), live transaction runtimes
     /// (phase, nesting levels, working copies, write-version clock), and
-    /// the owner-side requester queues. Wall-clock-valued state (ETS
-    /// deadlines, CL windows, stats-table estimates, metrics) is excluded:
-    /// it varies across equivalent schedules and only shapes *when* things
-    /// happen, not *what* the protocol may do next. The checker uses these
-    /// fingerprints purely to prune its search, so the abstraction can
-    /// merge states but never fabricates a violation.
+    /// the owner-side requester queues, each through its derived [`Hash`].
+    /// Wall-clock-valued state is excluded: it varies across equivalent
+    /// schedules and only shapes *when* things happen, not *what* the
+    /// protocol may do next. CL windows, stats-table estimates and metrics
+    /// are simply not read; a requester's enqueue time is left out by
+    /// `Requester`'s `Hash` impl, as the ETS and a conflict's backoff are
+    /// by those of `Ets` and `FetchResult` for in-flight messages. The
+    /// checker uses these fingerprints purely to prune its search, so the
+    /// abstraction can merge states but never fabricates a violation.
     pub fn protocol_fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
-        (
-            self.me,
-            self.clock,
-            self.completed,
-            self.active,
-            self.pending.len(),
-        )
-            .hash(&mut h);
+        (self.me, self.clock, self.completed, self.active).hash(&mut h);
+        self.pending.len().hash(&mut h);
 
         // Objects, each followed by its owner-side requester queue; an
         // absent queue hashes like an empty one.

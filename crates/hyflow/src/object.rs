@@ -52,9 +52,9 @@ impl Payload {
     }
 
     /// Fold the payload's full contents into a structural fingerprint
-    /// (see [`crate::small::Fnv64`]). These are the bytes of its [`Hash`]
-    /// impl, written with `write_u8` / `write_u64` only, so a digest kept
-    /// across versions does not depend on how `derive(Hash)` lays out enums.
+    /// (see [`crate::small::Fnv64`]); also its [`Hash`] impl. Written out
+    /// by hand so that the bytes, which benchmark behaviour digests pin, do
+    /// not depend on how `derive(Hash)` lays out an enum.
     pub fn hash_into<H: Hasher>(&self, h: &mut H) {
         fn opt_oid<H: Hasher>(h: &mut H, o: &Option<ObjectId>) {
             match o {

@@ -78,16 +78,16 @@ impl ObjSet {
 ///
 /// The verification harness hashes protocol state (transaction runtimes,
 /// object tables, in-flight messages) into a single `u64` so the model
-/// checker can deduplicate explored states. The state types derive [`Hash`]
-/// and are fed through the [`Hasher`] impl; the few time-valued fields the
-/// checker abstracts away are left out by a hand-written `Hash` at their
-/// type. FNV-1a is enough: fingerprints only prune the search — any
-/// reported violation is re-validated by replay, so a collision can at
-/// worst hide a duplicate, never invent a failure.
+/// checker can deduplicate explored states: the state types derive [`Hash`]
+/// and feed it through this [`Hasher`], and each time-valued type the
+/// checker abstracts away (`Ets`, `Requester`, `FetchResult`) leaves its
+/// clock out in a hand-written `Hash`. FNV-1a is enough: fingerprints only
+/// prune the search — any reported violation is re-validated by replay, so
+/// a collision can at worst hide a duplicate, never invent a failure.
 ///
-/// The inherent `write_u8` / `write_u64` / `write_bytes` / `finish` are what
-/// the [`Hasher`] methods call, and write the same little-endian bytes on
-/// every host.
+/// The inherent methods are what the [`Hasher`] ones call; `write_u64`
+/// writes little-endian bytes on every host, so digests built from them
+/// (benchmark behaviour digests, trace digests) are portable.
 #[derive(Clone, Debug)]
 pub struct Fnv64(u64);
 
