@@ -37,22 +37,6 @@ impl Default for WorkloadParams {
 }
 
 impl WorkloadParams {
-    pub fn low_contention(nodes: usize) -> Self {
-        WorkloadParams {
-            nodes,
-            read_ratio: 0.9,
-            ..WorkloadParams::default()
-        }
-    }
-
-    pub fn high_contention(nodes: usize) -> Self {
-        WorkloadParams {
-            nodes,
-            read_ratio: 0.1,
-            ..WorkloadParams::default()
-        }
-    }
-
     /// Total shared objects in the system.
     pub fn total_objects(&self) -> usize {
         self.nodes * self.objects_per_node
@@ -80,12 +64,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets() {
-        let lo = WorkloadParams::low_contention(40);
-        let hi = WorkloadParams::high_contention(40);
-        assert_eq!(lo.nodes, 40);
-        assert!(lo.read_ratio > hi.read_ratio);
-        assert_eq!(lo.total_objects(), 40 * 8);
+    fn total_objects_counts_every_node() {
+        let p = WorkloadParams {
+            nodes: 40,
+            ..WorkloadParams::default()
+        };
+        assert_eq!(p.total_objects(), 40 * 8);
     }
 
     #[test]
@@ -112,7 +96,10 @@ mod tests {
 
     #[test]
     fn read_ratio_respected() {
-        let p = WorkloadParams::low_contention(10);
+        let p = WorkloadParams {
+            read_ratio: 0.9,
+            ..WorkloadParams::default()
+        };
         let mut rng = p.node_rng(0);
         let reads = (0..10_000).filter(|_| p.sample_read_only(&mut rng)).count();
         assert!((8_700..9_300).contains(&reads), "reads = {reads}");

@@ -14,7 +14,7 @@
 //!   release path serializes writers and fans out consecutive readers into
 //!   read intervals.
 
-use crate::policy::{ConflictCtx, ConflictPolicy, Decision, SchedulerKind};
+use crate::policy::{ConflictCtx, ConflictPolicy, Decision};
 use crate::sched::SchedulingTable;
 use dstm_sim::{SimDuration, SimTime};
 
@@ -47,10 +47,6 @@ impl AtsPolicy {
 }
 
 impl ConflictPolicy for AtsPolicy {
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::Ats
-    }
-
     fn on_conflict(&mut self, _ctx: &ConflictCtx, _table: &mut SchedulingTable) -> Decision {
         // A conflict is a contention sample of 1.
         self.intensity = self.alpha + (1.0 - self.alpha) * self.intensity;
@@ -74,10 +70,6 @@ impl ConflictPolicy for AtsPolicy {
 pub struct QueueAllPolicy;
 
 impl ConflictPolicy for QueueAllPolicy {
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::BiInterval
-    }
-
     fn on_conflict(&mut self, ctx: &ConflictCtx, table: &mut SchedulingTable) -> Decision {
         let list = table.list_mut(ctx.oid);
         list.remove_duplicate(ctx.requester.tx);

@@ -43,8 +43,8 @@ pub use extensions::{AtsPolicy, QueueAllPolicy};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{ObjectId, TxId, TxKind};
 pub use policy::{
-    build_policy, explain_decision, BackoffPolicy, ConflictCtx, ConflictPolicy, Decision,
-    DecisionExplain, RtsPolicy, SchedulerKind, TfaPolicy,
+    build_policy, BackoffPolicy, ConflictCtx, ConflictPolicy, Decision, RtsPolicy, SchedulerKind,
+    TfaPolicy,
 };
 pub use sched::{Requester, RequesterList, SchedulingTable};
 pub use stats::StatsTable;

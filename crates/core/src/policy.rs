@@ -120,44 +120,8 @@ pub enum Decision {
     Enqueue { backoff: SimDuration },
 }
 
-/// A fully explained verdict: the [`Decision`] plus the table state that
-/// produced it, assembled right after `on_conflict` so tracing/audit layers
-/// can reconstruct Algorithm 3's reasoning without re-running it.
-#[derive(Clone, Copy, Debug)]
-pub struct DecisionExplain {
-    pub decision: Decision,
-    /// Requesters parked on the object *after* the decision took effect.
-    pub queue_depth: usize,
-    /// The object's accumulated backlog `bk` after the decision.
-    pub bk: SimDuration,
-    /// The CL threshold in force (RTS only).
-    pub threshold: Option<u32>,
-}
-
-/// Assemble a [`DecisionExplain`] for a decision already made by `policy`
-/// against `table` (read-only: the decision itself already mutated the
-/// table).
-pub fn explain_decision(
-    decision: Decision,
-    policy: &dyn ConflictPolicy,
-    table: &SchedulingTable,
-    oid: ObjectId,
-) -> DecisionExplain {
-    let (queue_depth, bk) = table
-        .list(oid)
-        .map_or((0, SimDuration::ZERO), |l| (l.len(), l.bk()));
-    DecisionExplain {
-        decision,
-        queue_depth,
-        bk,
-        threshold: policy.current_threshold(),
-    }
-}
-
 /// Owner-side conflict resolution strategy.
 pub trait ConflictPolicy {
-    fn kind(&self) -> SchedulerKind;
-
     /// Decide the fate of a request that found `ctx.oid` locked. The policy
     /// may mutate the scheduling `table` (enqueueing, dedup, backlog).
     fn on_conflict(&mut self, ctx: &ConflictCtx, table: &mut SchedulingTable) -> Decision;
@@ -180,10 +144,6 @@ pub trait ConflictPolicy {
 pub struct TfaPolicy;
 
 impl ConflictPolicy for TfaPolicy {
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::Tfa
-    }
-
     fn on_conflict(&mut self, _ctx: &ConflictCtx, _table: &mut SchedulingTable) -> Decision {
         Decision::Abort
     }
@@ -214,10 +174,6 @@ impl BackoffPolicy {
 }
 
 impl ConflictPolicy for BackoffPolicy {
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::TfaBackoff
-    }
-
     fn on_conflict(&mut self, ctx: &ConflictCtx, _table: &mut SchedulingTable) -> Decision {
         let exp = ctx.attempt.min(self.max_exponent);
         Decision::AbortBackoff(self.base * (1u64 << exp))
@@ -246,10 +202,6 @@ impl RtsPolicy {
 }
 
 impl ConflictPolicy for RtsPolicy {
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::Rts
-    }
-
     /// Algorithm 3, lines 5–17, for a locked object:
     ///
     /// ```text
@@ -480,19 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn build_policy_kinds() {
-        for kind in [
-            SchedulerKind::Tfa,
-            SchedulerKind::TfaBackoff,
-            SchedulerKind::Rts,
-        ] {
-            let p = build_policy(kind, SimDuration::from_millis(10), 3);
-            assert_eq!(p.kind(), kind);
-        }
-        assert_eq!(SchedulerKind::Rts.label(), "RTS");
-    }
-
-    #[test]
     fn scheduler_labels_round_trip() {
         for kind in [
             SchedulerKind::Tfa,
@@ -503,6 +442,7 @@ mod tests {
         ] {
             assert_eq!(SchedulerKind::from_label(kind.label()), Some(kind));
         }
+        assert_eq!(SchedulerKind::Rts.label(), "RTS");
         assert_eq!(SchedulerKind::from_label("rts"), None, "labels are exact");
         assert_eq!(SchedulerKind::from_label(""), None);
     }

@@ -10,13 +10,17 @@
 //! *kind*; each entry keeps
 //!
 //! * an exponentially weighted moving average (EWMA) of successful execution
-//!   times — the numeric estimate handed out as "expected commit time", and
+//!   times (start to commit, validation included) — the numeric estimate
+//!   handed out as "expected commit time", and
 //! * a Bloom-filter sketch of recent commit times quantized to a bucket
 //!   width, answering "have transactions of this kind recently committed in
 //!   about `d`?" — used to sanity-check the EWMA against the most current
 //!   behaviour (if the EWMA's bucket is no longer in the sketch, the
 //!   workload shifted and we widen the estimate).
 //!
+//! The table keeps no separate validation estimate: a backoff is built from
+//! requesters' expected remaining execution (`ETS`, stamped from
+//! [`StatsTable::expected_commit_time`]) by `RequesterList::extend_bk`.
 //! The substitution is documented in `DESIGN.md` §4.5.
 
 use crate::bloom::BloomFilter;
@@ -37,7 +41,6 @@ const SKETCH_REFRESH: u64 = 256;
 #[derive(Clone, Debug)]
 struct KindStats {
     ewma_exec_nanos: f64,
-    ewma_validation_nanos: f64,
     commits: u64,
     sketch: BloomFilter,
 }
@@ -46,14 +49,13 @@ impl KindStats {
     fn new() -> Self {
         KindStats {
             ewma_exec_nanos: 0.0,
-            ewma_validation_nanos: 0.0,
             commits: 0,
             sketch: BloomFilter::with_capacity(SKETCH_REFRESH as usize, 0.02),
         }
     }
 }
 
-/// Per-node table of expected execution/validation times by transaction kind.
+/// Per-node table of expected execution times by transaction kind.
 #[derive(Clone, Debug)]
 pub struct StatsTable {
     entries: FxHashMap<TxKind, KindStats>,
@@ -71,18 +73,14 @@ impl StatsTable {
         }
     }
 
-    /// Record a successful commit: total execution time (start → commit) and
-    /// the validation (commit-protocol) portion.
-    pub fn record_commit(&mut self, kind: TxKind, exec: SimDuration, validation: SimDuration) {
+    /// Record a successful commit's total execution time (start → commit).
+    pub fn record_commit(&mut self, kind: TxKind, exec: SimDuration) {
         let e = self.entries.entry(kind).or_insert_with(KindStats::new);
         if e.commits == 0 {
             e.ewma_exec_nanos = exec.as_nanos() as f64;
-            e.ewma_validation_nanos = validation.as_nanos() as f64;
         } else {
             e.ewma_exec_nanos =
                 EWMA_ALPHA * exec.as_nanos() as f64 + (1.0 - EWMA_ALPHA) * e.ewma_exec_nanos;
-            e.ewma_validation_nanos = EWMA_ALPHA * validation.as_nanos() as f64
-                + (1.0 - EWMA_ALPHA) * e.ewma_validation_nanos;
         }
         e.commits += 1;
         if e.commits.is_multiple_of(SKETCH_REFRESH) {
@@ -115,14 +113,6 @@ impl StatsTable {
         }
     }
 
-    /// Expected validation (commit-protocol) time for `kind`.
-    pub fn expected_validation(&self, kind: TxKind) -> SimDuration {
-        match self.entries.get(&kind) {
-            Some(e) if e.commits > 0 => SimDuration::from_nanos(e.ewma_validation_nanos as u64),
-            _ => self.default_exec / 2,
-        }
-    }
-
     /// The expected commit *instant* for a transaction of `kind` starting
     /// now — this is `ETS.c` stamped into outgoing requests.
     pub fn expected_commit_time(&self, kind: TxKind, start: SimTime) -> SimTime {
@@ -149,16 +139,14 @@ mod tests {
     fn default_before_any_history() {
         let t = StatsTable::new(ms(20));
         assert_eq!(t.expected_exec(K), ms(20));
-        assert_eq!(t.expected_validation(K), ms(10));
         assert_eq!(t.commits(K), 0);
     }
 
     #[test]
     fn first_commit_sets_estimate() {
         let mut t = StatsTable::new(ms(20));
-        t.record_commit(K, ms(40), ms(8));
+        t.record_commit(K, ms(40));
         assert_eq!(t.expected_exec(K), ms(40));
-        assert_eq!(t.expected_validation(K), ms(8));
         assert_eq!(t.commits(K), 1);
     }
 
@@ -166,11 +154,11 @@ mod tests {
     fn ewma_tracks_shift() {
         let mut t = StatsTable::new(ms(20));
         for _ in 0..50 {
-            t.record_commit(K, ms(10), ms(2));
+            t.record_commit(K, ms(10));
         }
         let low = t.expected_exec(K);
         for _ in 0..50 {
-            t.record_commit(K, ms(100), ms(2));
+            t.record_commit(K, ms(100));
         }
         let high = t.expected_exec(K);
         assert!(
@@ -182,7 +170,7 @@ mod tests {
     #[test]
     fn expected_commit_time_offsets_start() {
         let mut t = StatsTable::new(ms(20));
-        t.record_commit(K, ms(30), ms(5));
+        t.record_commit(K, ms(30));
         let start = SimTime(1_000_000_000);
         assert_eq!(t.expected_commit_time(K, start), start + ms(30));
     }
@@ -193,13 +181,13 @@ mod tests {
         // Exactly SKETCH_REFRESH commits at 10ms: the refresh clears the
         // sketch and reinserts only the last sample...
         for _ in 0..SKETCH_REFRESH {
-            t.record_commit(K, ms(10), ms(2));
+            t.record_commit(K, ms(10));
         }
         // ... so the 10ms bucket is still fresh here.
         assert_eq!(t.expected_exec(K), ms(10));
         // Now shift the workload: new samples land at 200 ms, but the EWMA
         // lags in between, in buckets the sketch has never seen -> widened.
-        t.record_commit(K, ms(200), ms(2));
+        t.record_commit(K, ms(200));
         let est = t.expected_exec(K);
         let ewma = SimDuration::from_nanos(
             (0.25 * ms(200).as_nanos() as f64 + 0.75 * ms(10).as_nanos() as f64) as u64,
@@ -214,8 +202,8 @@ mod tests {
     #[test]
     fn kinds_are_independent() {
         let mut t = StatsTable::new(ms(20));
-        t.record_commit(TxKind(1), ms(10), ms(1));
-        t.record_commit(TxKind(2), ms(90), ms(1));
+        t.record_commit(TxKind(1), ms(10));
+        t.record_commit(TxKind(2), ms(90));
         assert_eq!(t.expected_exec(TxKind(1)), ms(10));
         assert_eq!(t.expected_exec(TxKind(2)), ms(90));
     }

@@ -42,6 +42,8 @@
 //! `MAX_ACTORS` nodes), and a positional argument the mode has no place for
 //! each end the program with one `error:` line on stderr and exit status 2,
 //! before anything runs.
+//! A `--trace` path that cannot be written ends it the same way, after the
+//! run it traces.
 
 use dstm_benchmarks::Benchmark;
 use dstm_harness::experiments::scenarios::{render, run_collision_traced};
@@ -52,11 +54,10 @@ use rts_core::SchedulerKind;
 use std::fmt::Write as _;
 
 /// Write `trace` to `path` as JSONL.
-fn write_trace(path: &str, trace: &TraceLog) {
-    match std::fs::write(path, trace.to_jsonl()) {
-        Ok(()) => println!("[trace: {} records written to {path}]", trace.records.len()),
-        Err(e) => eprintln!("could not write trace to {path}: {e}"),
-    }
+fn write_trace(path: &str, trace: &TraceLog) -> Result<(), String> {
+    std::fs::write(path, trace.to_jsonl()).map_err(|e| format!("cannot write {path}: {e}"))?;
+    println!("[trace: {} records written to {path}]", trace.records.len());
+    Ok(())
 }
 
 struct Flags {
@@ -209,7 +210,7 @@ fn large_smoke(args: &[String], flags: &Flags) -> Result<(), String> {
     }
     println!("{line}");
     if let (Some(path), Some(t)) = (&flags.trace, &trace) {
-        write_trace(path, t);
+        write_trace(path, t)?;
     }
     Ok(())
 }
@@ -254,7 +255,7 @@ fn scenario_mode(args: &[String], trace_path: Option<&str>) -> Result<(), String
         );
     }
     if let Some(path) = trace_path {
-        write_trace(path, &trace);
+        write_trace(path, &trace)?;
     }
     Ok(())
 }
@@ -311,7 +312,7 @@ fn run() -> Result<(), String> {
                 let r = match trace_path.take_if(|_| traced) {
                     Some(path) => {
                         let (r, trace) = run_cell_traced(cell);
-                        write_trace(path, &trace);
+                        write_trace(path, &trace)?;
                         r
                     }
                     None => run_cell(cell),

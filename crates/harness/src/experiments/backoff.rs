@@ -47,18 +47,16 @@ pub fn run(scale: &Scale, workers: Option<usize>) -> BackoffAblation {
     }
     let results = run_cells(cells, workers);
 
+    let (slack_runs, base_runs) = results.split_at(slack_percents.len());
     let slack = slack_percents
         .iter()
-        .enumerate()
-        .map(|(i, &pc)| {
-            let r = &results[i];
-            (pc, r.throughput(), r.metrics.merged.aborts_queue_timeout)
-        })
+        .zip(slack_runs)
+        .map(|(&pc, r)| (pc, r.throughput(), r.metrics.merged.aborts_queue_timeout))
         .collect();
     let base = bases_ms
         .iter()
-        .enumerate()
-        .map(|(i, &ms)| (ms, results[slack_percents.len() + i].throughput()))
+        .zip(base_runs)
+        .map(|(&ms, r)| (ms, r.throughput()))
         .collect();
     BackoffAblation { slack, base }
 }

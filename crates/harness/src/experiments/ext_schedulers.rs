@@ -3,7 +3,7 @@
 //! top of the paper's three evaluated systems.
 
 use super::Scale;
-use crate::runner::{run_cells, Cell};
+use crate::runner::{run_cells, Cell, CellResult};
 use crate::table::TextTable;
 use dstm_benchmarks::Benchmark;
 use rts_core::SchedulerKind;
@@ -37,26 +37,14 @@ pub fn run(scale: &Scale, benchmarks: &[Benchmark], workers: Option<usize>) -> V
         }
     }
     let results = run_cells(cells, workers);
-    let mut rows = Vec::new();
-    let mut idx = 0;
-    for &b in benchmarks {
-        for read_ratio in [0.9, 0.1] {
-            let throughput = EXT_SCHEDULERS
-                .iter()
-                .map(|_| {
-                    let t = results[idx].throughput();
-                    idx += 1;
-                    t
-                })
-                .collect();
-            rows.push(ExtRow {
-                benchmark: b,
-                read_ratio,
-                throughput,
-            });
-        }
-    }
-    rows
+    let keys = benchmarks.iter().flat_map(|&b| [(b, 0.9), (b, 0.1)]);
+    keys.zip(results.chunks_exact(EXT_SCHEDULERS.len()))
+        .map(|((benchmark, read_ratio), cells)| ExtRow {
+            benchmark,
+            read_ratio,
+            throughput: cells.iter().map(CellResult::throughput).collect(),
+        })
+        .collect()
 }
 
 pub fn render(rows: &[ExtRow]) -> String {

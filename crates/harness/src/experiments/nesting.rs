@@ -34,12 +34,15 @@ impl NestingRow {
     }
 }
 
+/// The schedulers each nesting model runs under.
+const COMPARED: [SchedulerKind; 2] = [SchedulerKind::Rts, SchedulerKind::Tfa];
+
 /// Compare nesting models at high contention.
 pub fn run(scale: &Scale, benchmarks: &[Benchmark], workers: Option<usize>) -> Vec<NestingRow> {
     let nodes = *scale.node_counts.last().unwrap_or(&20).min(&20);
     let mut cells = Vec::new();
     for &b in benchmarks {
-        for s in [SchedulerKind::Rts, SchedulerKind::Tfa] {
+        for s in COMPARED {
             for mode in [NestingMode::Closed, NestingMode::Flat] {
                 let mut c = Cell::new(b, s, nodes, 0.1).with_txns(scale.txns_per_node);
                 c.dstm.nesting = mode;
@@ -48,22 +51,15 @@ pub fn run(scale: &Scale, benchmarks: &[Benchmark], workers: Option<usize>) -> V
         }
     }
     let results = run_cells(cells, workers);
-    let mut rows = Vec::new();
-    let mut idx = 0;
-    for &b in benchmarks {
-        for s in [SchedulerKind::Rts, SchedulerKind::Tfa] {
-            let closed = results[idx].throughput();
-            let flat = results[idx + 1].throughput();
-            idx += 2;
-            rows.push(NestingRow {
-                benchmark: b,
-                scheduler: s,
-                closed_tput: closed,
-                flat_tput: flat,
-            });
-        }
-    }
-    rows
+    let keys = benchmarks.iter().flat_map(|&b| COMPARED.map(|s| (b, s)));
+    keys.zip(results.chunks_exact(2))
+        .map(|((benchmark, scheduler), pair)| NestingRow {
+            benchmark,
+            scheduler,
+            closed_tput: pair[0].throughput(),
+            flat_tput: pair[1].throughput(),
+        })
+        .collect()
 }
 
 pub fn render(rows: &[NestingRow]) -> String {

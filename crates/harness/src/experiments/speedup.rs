@@ -8,7 +8,6 @@
 //! TFA+Backoff(Low), TFA(High), TFA+Backoff(High).
 
 use super::throughput::ThroughputFigure;
-use super::Scale;
 use crate::table::TextTable;
 use dstm_benchmarks::Benchmark;
 
@@ -48,34 +47,26 @@ impl SpeedupSummary {
         t.render()
     }
 
+    /// Every speedup of every row.
+    fn speedups(&self) -> impl Iterator<Item = f64> + '_ {
+        self.rows.iter().flat_map(|r| {
+            [
+                r.vs_tfa_low,
+                r.vs_backoff_low,
+                r.vs_tfa_high,
+                r.vs_backoff_high,
+            ]
+        })
+    }
+
     /// Max speedup over any competitor/contention (the paper's headline
     /// 1.53–1.88×).
     pub fn max_speedup(&self) -> f64 {
-        self.rows
-            .iter()
-            .flat_map(|r| {
-                [
-                    r.vs_tfa_low,
-                    r.vs_backoff_low,
-                    r.vs_tfa_high,
-                    r.vs_backoff_high,
-                ]
-            })
-            .fold(0.0, f64::max)
+        self.speedups().fold(0.0, f64::max)
     }
 
     pub fn min_speedup(&self) -> f64 {
-        self.rows
-            .iter()
-            .flat_map(|r| {
-                [
-                    r.vs_tfa_low,
-                    r.vs_backoff_low,
-                    r.vs_tfa_high,
-                    r.vs_backoff_high,
-                ]
-            })
-            .fold(f64::INFINITY, f64::min)
+        self.speedups().fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -104,24 +95,16 @@ pub fn from_throughput(low: &ThroughputFigure, high: &ThroughputFigure) -> Speed
     SpeedupSummary { rows }
 }
 
-/// Convenience: run both contention levels then summarize.
-pub fn run(
-    scale: &Scale,
-    workers: Option<usize>,
-) -> (ThroughputFigure, ThroughputFigure, SpeedupSummary) {
-    let low = super::throughput::run(scale, 0.9, workers);
-    let high = super::throughput::run(scale, 0.1, workers);
-    let summary = from_throughput(&low, &high);
-    (low, high, summary)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::{throughput, Scale};
     use super::*;
 
     #[test]
     fn smoke_summary() {
-        let (_, _, s) = run(&Scale::smoke(), Some(1));
+        let low = throughput::run(&Scale::smoke(), 0.9, Some(1));
+        let high = throughput::run(&Scale::smoke(), 0.1, Some(1));
+        let s = from_throughput(&low, &high);
         assert_eq!(s.rows.len(), 6);
         assert!(s.max_speedup() > 0.0);
         assert!(s.min_speedup() > 0.0);

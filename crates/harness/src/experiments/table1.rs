@@ -100,16 +100,13 @@ pub fn run(scale: &Scale, workers: Option<usize>) -> Table1 {
     let results = run_cells(cells, workers);
     let rows = Benchmark::ALL
         .iter()
-        .enumerate()
-        .map(|(i, &benchmark)| {
-            let base = i * 4;
-            Table1Row {
-                benchmark,
-                low_rts: results[base].nested_abort_rate(),
-                low_tfa: results[base + 1].nested_abort_rate(),
-                high_rts: results[base + 2].nested_abort_rate(),
-                high_tfa: results[base + 3].nested_abort_rate(),
-            }
+        .zip(results.chunks_exact(4))
+        .map(|(&benchmark, r)| Table1Row {
+            benchmark,
+            low_rts: r[0].nested_abort_rate(),
+            low_tfa: r[1].nested_abort_rate(),
+            high_rts: r[2].nested_abort_rate(),
+            high_tfa: r[3].nested_abort_rate(),
         })
         .collect();
     Table1 { rows }

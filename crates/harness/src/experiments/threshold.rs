@@ -29,19 +29,11 @@ pub struct ThresholdSweep {
 impl ThresholdSweep {
     /// The threshold at peak throughput.
     pub fn peak(&self) -> (u32, f64) {
+        let better = |best: (u32, f64), p: (u32, f64)| if p.1 > best.1 { p } else { best };
         self.points
             .iter()
             .copied()
-            .fold(
-                (0, f64::NEG_INFINITY),
-                |best, p| {
-                    if p.1 > best.1 {
-                        p
-                    } else {
-                        best
-                    }
-                },
-            )
+            .fold((0, f64::NEG_INFINITY), better)
     }
 }
 
@@ -69,18 +61,18 @@ pub fn run(
         cells.push(adaptive);
     }
     let results = run_cells(cells, workers);
-    let stride = thresholds.len() + 1;
+    let per_benchmark = results.chunks_exact(thresholds.len() + 1);
     benchmarks
         .iter()
-        .enumerate()
-        .map(|(i, &benchmark)| ThresholdSweep {
+        .zip(per_benchmark)
+        .map(|(&benchmark, r)| ThresholdSweep {
             benchmark,
             points: thresholds
                 .iter()
-                .enumerate()
-                .map(|(j, &t)| (t, results[i * stride + j].throughput()))
+                .zip(r)
+                .map(|(&t, r)| (t, r.throughput()))
                 .collect(),
-            adaptive: results[i * stride + thresholds.len()].throughput(),
+            adaptive: r[thresholds.len()].throughput(),
         })
         .collect()
 }

@@ -64,24 +64,19 @@ pub fn run(scale: &Scale, read_ratio: f64, workers: Option<usize>) -> Throughput
     let results = run_cells(cells, workers);
 
     let contention = if read_ratio >= 0.5 { "Low" } else { "High" };
+    let mut points = results.chunks_exact(SCHEDULERS.len());
     let mut figures = Vec::new();
-    let mut idx = 0;
     for &b in &Benchmark::ALL {
         let mut fig = SeriesTable::new(
             format!("{} in {} Contention (txns/s)", b.label(), contention),
             "nodes".to_string(),
             SCHEDULERS.iter().map(|s| s.label().to_string()).collect(),
         );
-        for &nodes in &scale.node_counts {
-            let ys: Vec<f64> = SCHEDULERS
-                .iter()
-                .map(|_| {
-                    let r = &results[idx];
-                    idx += 1;
-                    r.throughput()
-                })
-                .collect();
-            fig.point(nodes as u64, ys);
+        for (&nodes, cells) in scale.node_counts.iter().zip(&mut points) {
+            fig.point(
+                nodes as u64,
+                cells.iter().map(CellResult::throughput).collect(),
+            );
         }
         figures.push((b, fig));
     }

@@ -1,19 +1,10 @@
 //! # dstm-harness — experiment sweeps for the paper reproduction
 //!
-//! Maps every table and figure of the paper's evaluation (§IV) to a
-//! regenerable experiment:
-//!
-//! | Paper artifact | Module | Bench target (`cargo bench -p dstm-bench`) |
-//! |---|---|---|
-//! | Table I (nested abort rate) | [`experiments::table1`] | `table1_abort_rate` |
-//! | Fig. 4 (throughput, low contention) | [`experiments::throughput`] | `fig4_throughput_low` |
-//! | Fig. 5 (throughput, high contention) | [`experiments::throughput`] | `fig5_throughput_high` |
-//! | Fig. 6 (speedup summary) | [`experiments::speedup`] | `fig6_speedup` |
-//! | Fig. 2 (TFA scenario) | [`experiments::scenarios`] | `fig2_tfa_scenario` |
-//! | Fig. 3 (RTS scenario) | [`experiments::scenarios`] | `fig3_rts_scenario` |
-//! | §III-D analysis | [`experiments::analysis`] | `analysis_makespan` |
-//! | CL-threshold ablation | [`experiments::threshold`] | `ablation_cl_threshold` |
-//! | Backoff/deadline ablation | [`experiments::backoff`] | `ablation_backoff` |
+//! [`experiments`] holds one module per experiment of the paper's evaluation
+//! (§IV): Table I, Figs. 2–6, the §III-D analysis, the ablations and the
+//! extension comparison. Which call produces which `paper_results/` file is
+//! listed once, in `dstm-bench`'s `ARTIFACTS` table
+//! (`cargo bench -p dstm-bench` regenerates them all).
 //!
 //! The [`runner`] executes independent simulation cells on a small
 //! scoped-thread worker pool (cells are single-threaded and deterministic, so

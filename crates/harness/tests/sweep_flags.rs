@@ -178,6 +178,29 @@ fn the_retired_executor_flags_are_refused() {
 }
 
 #[test]
+fn a_trace_that_cannot_be_written_is_an_error() {
+    // The run printed "could not write" and exited 0.
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("no-such-dir/x.jsonl");
+    let _ = std::fs::remove_dir_all(path.parent().expect("a parent"));
+    let path = path.to_str().expect("a UTF-8 path");
+    let cwd = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for args in [
+        &["scenario", "rts", "2", "0", "--trace", path][..],
+        &["large-smoke", "8", "--trace", path],
+        &["4", "2", "bank", "--trace", path],
+    ] {
+        let out = sweep(cwd, &[], args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert!(
+            matches!(lines[..], [line] if line.starts_with(&format!("error: cannot write {path}"))),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn the_default_sweep_writes_no_file() {
     let cwd = Path::new(env!("CARGO_TARGET_TMPDIR")).join("sweep-no-file");
     let _ = std::fs::remove_dir_all(&cwd);

@@ -27,8 +27,8 @@ use crate::tx::{TxPhase, TxRuntime, ValidationResume};
 use dstm_net::Topology;
 use dstm_sim::{prefetch, Actor, ActorId, Ctx, KernelEvent, SimDuration, SimTime, CACHE_LINE};
 use rts_core::{
-    explain_decision, ConflictCtx, ConflictPolicy, Decision, FxHashMap, ObjectClWindow, ObjectId,
-    Requester, SchedulingTable, StatsTable, TxId,
+    ConflictCtx, ConflictPolicy, Decision, FxHashMap, ObjectClWindow, ObjectId, Requester,
+    SchedulingTable, StatsTable, TxId,
 };
 use std::collections::VecDeque;
 use std::hash::Hash;
@@ -1140,7 +1140,6 @@ impl Node {
             "Finish inside a nested level in {:?}",
             tx.id
         );
-        tx.validation_started_at = Some(ctx.now());
         let mut summary = std::mem::take(&mut self.summary_buf);
         let mut write_back = std::mem::take(&mut self.wbs_buf);
         tx.write_back_set_into(&mut summary, &mut write_back);
@@ -1338,11 +1337,7 @@ impl Node {
     fn finalize_commit(&mut self, ctx: &mut NodeCtx<'_>, tx: &mut TxRuntime) {
         let now = ctx.now();
         let exec = now.saturating_since(tx.attempt_started_at);
-        let validation = now.saturating_since(
-            tx.validation_started_at
-                .expect("commit implies validation started"),
-        );
-        self.stats.record_commit(tx.kind, exec, validation);
+        self.stats.record_commit(tx.kind, exec);
         self.metrics.commits += 1;
         self.metrics.commit_latency.push_duration(exec);
         self.metrics
@@ -1559,7 +1554,10 @@ impl Node {
                 self.metrics.enqueued += 1;
             }
             self.ptrace.emit(now, self.me, || {
-                let explain = explain_decision(decision, self.policy.as_ref(), &self.sched, oid);
+                let (queue_depth, bk) = self
+                    .sched
+                    .list(oid)
+                    .map_or((0, SimDuration::ZERO), |l| (l.len(), l.bk()));
                 let window_requests = self.objs.slots[i]
                     .cl_window
                     .as_mut()
@@ -1573,9 +1571,9 @@ impl Node {
                     window_requests,
                     executed: req.ets.executed_so_far(),
                     remaining: req.ets.expected_remaining(),
-                    queue_depth: explain.queue_depth as u64,
-                    bk: explain.bk,
-                    threshold: explain.threshold,
+                    queue_depth: queue_depth as u64,
+                    bk,
+                    threshold: self.policy.current_threshold(),
                     verdict,
                     backoff,
                 }

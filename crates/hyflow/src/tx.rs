@@ -184,8 +184,6 @@ pub struct TxRuntime {
     /// read at abort time to count the messages an abort discards
     /// (wasted-work accounting).
     pub attempt_msgs: u64,
-    /// Set when the commit protocol starts (stats-table validation sample).
-    pub validation_started_at: Option<SimTime>,
     /// Closed-nested children merged over this transaction's lifetime
     /// (across attempts; mirrors the node-level `nested_commits` counter).
     pub nested_committed: u64,
@@ -195,9 +193,9 @@ pub struct TxRuntime {
 
 impl TxRuntime {
     /// Leading cache lines that hold everything short of the commit /
-    /// abort / retry tail (which starts at `validation_started_at`).
+    /// abort / retry tail (which starts at `nested_committed`).
     pub(crate) const HOT_LINES: usize =
-        std::mem::offset_of!(TxRuntime, validation_started_at).div_ceil(dstm_sim::CACHE_LINE);
+        std::mem::offset_of!(TxRuntime, nested_committed).div_ceil(dstm_sim::CACHE_LINE);
 
     pub fn new(
         id: TxId,
@@ -270,7 +268,6 @@ impl TxRuntime {
             expected_commit,
             wv,
             cl,
-            validation_started_at: None,
             fetch_sent_at: SimTime::ZERO,
             nested_committed: 0,
             attempt_msgs: 0,
@@ -527,7 +524,6 @@ impl TxRuntime {
         self.expected_commit = expected_commit;
         self.wv = wv;
         self.cl.clear();
-        self.validation_started_at = None;
         self.attempt_msgs = 0;
     }
 
@@ -647,6 +643,12 @@ mod tests {
         assert!(size_of::<TxRuntime>() <= 272);
         assert!(size_of::<NestingLevel>() <= 64);
         assert_eq!(size_of::<(ObjectId, WorkingCopy)>(), 32);
+    }
+
+    #[test]
+    fn the_prefetch_stops_where_the_commit_tail_starts() {
+        // Everything before `nested_committed` is prefetched: four lines.
+        assert_eq!(TxRuntime::HOT_LINES, 4);
     }
 
     /// Allocating forms of the `_into` methods, for assertions only.

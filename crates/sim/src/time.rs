@@ -55,12 +55,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked duration since `earlier`; `None` if `earlier > self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -273,11 +267,6 @@ mod tests {
         let d = t - SimTime(1_000_000);
         assert_eq!(d.as_millis(), 2);
         assert_eq!(t.saturating_since(SimTime::MAX), SimDuration::ZERO);
-        assert_eq!(t.checked_since(SimTime::MAX), None);
-        assert_eq!(
-            t.checked_since(SimTime::ZERO),
-            Some(SimDuration::from_millis(3))
-        );
     }
 
     #[test]
