@@ -13,7 +13,7 @@
 
 use dstm_benchmarks::Benchmark;
 use dstm_harness::experiments::throughput::{self, ThroughputFigure};
-use dstm_harness::experiments::{analysis, backoff, ext_schedulers, nesting, scenarios};
+use dstm_harness::experiments::{analysis, backoff, nesting, scenarios};
 use dstm_harness::experiments::{speedup, table1, threshold, Scale};
 use rts_core::SchedulerKind;
 use std::path::{Path, PathBuf};
@@ -21,8 +21,8 @@ use std::path::{Path, PathBuf};
 /// What the regeneration takes from the environment.
 #[derive(Debug)]
 pub struct Settings {
-    /// `DSTM_SCALE`: `smoke`, `quick`, `full` (the paper's 10–80 node
-    /// sweep, the default) or `large` (160–10k nodes, hashed topology).
+    /// `DSTM_SCALE`: `smoke`, `quick` or `full` (the paper's 10–80 node
+    /// sweep, the default).
     pub scale: Scale,
     /// `DSTM_WORKERS`: worker-thread budget for the sweeps, at least 1;
     /// `None` uses the parallelism the OS reports (the `run_cells` default).
@@ -41,11 +41,21 @@ pub fn settings() -> Result<Settings, String> {
 /// parses or is refused with a message naming the variable and the value.
 pub fn parse_settings(scale: Option<&str>, workers: Option<&str>) -> Result<Settings, String> {
     Ok(Settings {
-        scale: setting("DSTM_SCALE", scale, Scale::from_name)?.unwrap_or_default(),
+        scale: setting("DSTM_SCALE", scale, scale_named)?.unwrap_or_default(),
         workers: setting("DSTM_WORKERS", workers, |v| {
             v.parse().ok().filter(|&n| n > 0)
         })?,
     })
+}
+
+/// The sweep size `DSTM_SCALE` names.
+fn scale_named(name: &str) -> Option<Scale> {
+    match name {
+        "smoke" => Some(Scale::smoke()),
+        "quick" => Some(Scale::quick()),
+        "full" => Some(Scale::default()),
+        _ => None,
+    }
 }
 
 fn setting<T>(
@@ -96,7 +106,8 @@ impl Settings {
 /// One file of `paper_results/`: its name and how to produce its text.
 pub struct Artifact {
     pub name: &'static str,
-    /// Whether the file ends with a `[N s]` wall-clock line.
+    /// Whether the file ends with a `[S.mmm s]` wall-clock line: the
+    /// seconds its regeneration took, to the millisecond.
     timed: bool,
     /// The file's text, up to that line.
     render: Render,
@@ -153,8 +164,8 @@ const BANK_VACATION_DHT: [Benchmark; 3] = [Benchmark::Bank, Benchmark::Vacation,
 /// them; the only list of them in code. Besides Table I and Figs. 2–6: the
 /// §III-D makespan analysis (Lemmas 3.2–3.3, Theorem 3.4), the CL-threshold
 /// peak of §IV-A, the deadline-slack and base-backoff ablation (DESIGN AB2),
-/// closed vs flat nesting (§I), and RTS against §V's ATS and Bi-interval.
-pub const ARTIFACTS: [Artifact; 11] = [
+/// and closed vs flat nesting (§I).
+pub const ARTIFACTS: [Artifact; 10] = [
     timed("table1_abort_rate", |s, _| {
         let t = table1::run(&s.scale, s.workers);
         let mut out = format!(
@@ -229,10 +240,6 @@ pub const ARTIFACTS: [Artifact; 11] = [
     timed("ablation_nesting", |s, _| {
         nesting::render(&nesting::run(&s.scale, &BANK_VACATION_DHT, s.workers)) + "\n"
     }),
-    timed("ext_schedulers", |s, _| {
-        let rows = ext_schedulers::run(&s.scale, &BANK_VACATION_DHT, s.workers);
-        ext_schedulers::render(&rows) + "\n"
-    }),
 ];
 
 /// The artifacts `args` names, in table order; all of them when it names
@@ -265,7 +272,7 @@ pub fn regenerate(args: &[String]) -> Result<(), String> {
         let t0 = std::time::Instant::now();
         let mut out = (artifact.render)(&settings, &mut grids);
         if artifact.timed {
-            out += &format!("[{} s]\n", t0.elapsed().as_secs());
+            out += &format!("[{:.3} s]\n", t0.elapsed().as_secs_f64());
         }
         println!("{out}");
         let path = settings.emit(&dir, artifact.name, &out)?;
@@ -280,7 +287,7 @@ mod tests {
 
     #[test]
     fn every_scale_name_and_worker_count_is_accepted() {
-        for (name, table1_nodes) in [("smoke", 8), ("quick", 20), ("full", 80), ("large", 160)] {
+        for (name, table1_nodes) in [("smoke", 8), ("quick", 20), ("full", 80)] {
             let s = parse_settings(Some(name), None).expect(name);
             assert_eq!(s.scale.table1_nodes, table1_nodes, "{name}");
         }
@@ -313,6 +320,8 @@ mod tests {
             parse_settings(Some("Quick"), None).is_err(),
             "names are exact"
         );
+        // `large` named a 160–10k-node preset that no table used.
+        assert!(parse_settings(Some("large"), None).is_err());
     }
 
     fn args(list: &[&str]) -> Vec<String> {

@@ -8,7 +8,7 @@
 //! stake: the situation RTS's enqueue-instead-of-abort protects.
 //!
 //! [`OpLoop`] is that shape, written once; an [`OpMachine`] is what one
-//! structure does inside one operation's child. [`Pool`] and [`WritePlan`]
+//! structure does inside one operation's child. `Pool` and `WritePlan`
 //! are the two step sequences more than one machine needs.
 
 use crate::params::WorkloadParams;

@@ -5,7 +5,7 @@ use std::fmt;
 /// A distributed transaction identifier: the invoking node plus a node-local
 /// sequence number. Unique system-wide, totally ordered (node, seq), and
 /// stable across retries of the *same* logical transaction — a retry keeps
-/// its `TxId` but bumps [`TxId::attempt`]-tracking in the executor, matching
+/// its `TxId` while the executor bumps its attempt count, matching
 /// the paper's duplicate elimination ("the duplicated transaction will be
 /// removed from a queue").
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -10,7 +10,7 @@
 //!   request: start, request, and expected-commit timestamps (§III-B);
 //! * [`stats`] — the **transaction stats table** mapping transaction kinds to
 //!   expected execution/commit times, used to pick backoffs, over a private
-//!   Bloom-filter sketch of recent commit times (the paper cites Bloom [5]);
+//!   Bloom-filter sketch of recent commit times (the paper cites Bloom \[5\]);
 //! * [`cl`] — **contention level** (CL) accounting: local CL (requests per
 //!   object over a recent window) and remote CL (carried as `myCL`);
 //! * [`sched`] — the **scheduling table** of Algorithm 1: per-object
@@ -29,7 +29,6 @@ pub mod analysis;
 mod bloom;
 pub mod cl;
 pub mod ets;
-pub mod extensions;
 pub mod fx;
 pub mod ids;
 pub mod policy;
@@ -39,7 +38,6 @@ pub mod threshold;
 
 pub use cl::{ClAccounting, ObjectClWindow};
 pub use ets::Ets;
-pub use extensions::{AtsPolicy, QueueAllPolicy};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{ObjectId, TxId, TxKind};
 pub use policy::{

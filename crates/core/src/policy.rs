@@ -32,10 +32,6 @@ pub enum SchedulerKind {
     TfaBackoff,
     /// The reactive transactional scheduler.
     Rts,
-    /// Extension (§V): Yoo & Lee's adaptive transaction scheduling.
-    Ats,
-    /// Extension (§V): Bi-interval-flavored queue-everything scheduling.
-    BiInterval,
 }
 
 impl SchedulerKind {
@@ -44,8 +40,6 @@ impl SchedulerKind {
             SchedulerKind::Tfa => "TFA",
             SchedulerKind::TfaBackoff => "TFA+Backoff",
             SchedulerKind::Rts => "RTS",
-            SchedulerKind::Ats => "ATS",
-            SchedulerKind::BiInterval => "Bi-interval",
         }
     }
 
@@ -55,21 +49,17 @@ impl SchedulerKind {
             SchedulerKind::Tfa => "tfa",
             SchedulerKind::TfaBackoff => "backoff",
             SchedulerKind::Rts => "rts",
-            SchedulerKind::Ats => "ats",
-            SchedulerKind::BiInterval => "bi-interval",
         }
     }
 
     /// A scheduler named on a command line or in a reproducer, in any case:
     /// its [`name`](Self::name), its [`label`](Self::label), or one of the
-    /// short forms `tfa-backoff`, `tfab` and `biinterval`.
+    /// short forms `tfa-backoff` and `tfab`.
     pub fn from_name(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "tfa" => Some(SchedulerKind::Tfa),
             "backoff" | "tfa+backoff" | "tfa-backoff" | "tfab" => Some(SchedulerKind::TfaBackoff),
             "rts" => Some(SchedulerKind::Rts),
-            "ats" => Some(SchedulerKind::Ats),
-            "bi-interval" | "biinterval" => Some(SchedulerKind::BiInterval),
             _ => None,
         }
     }
@@ -81,8 +71,6 @@ impl SchedulerKind {
             "TFA" => Some(SchedulerKind::Tfa),
             "TFA+Backoff" => Some(SchedulerKind::TfaBackoff),
             "RTS" => Some(SchedulerKind::Rts),
-            "ATS" => Some(SchedulerKind::Ats),
-            "Bi-interval" => Some(SchedulerKind::BiInterval),
             _ => None,
         }
     }
@@ -253,8 +241,6 @@ pub fn build_policy(
         SchedulerKind::Tfa => Box::new(TfaPolicy),
         SchedulerKind::TfaBackoff => Box::new(BackoffPolicy::new(backoff_base)),
         SchedulerKind::Rts => Box::new(RtsPolicy::with_fixed_threshold(cl_threshold)),
-        SchedulerKind::Ats => Box::new(crate::extensions::AtsPolicy::new(backoff_base)),
-        SchedulerKind::BiInterval => Box::new(crate::extensions::QueueAllPolicy),
     }
 }
 
@@ -275,21 +261,24 @@ mod tests {
             ("tfab", TfaBackoff),
             ("backoff", TfaBackoff),
             ("tfa+backoff", TfaBackoff),
-            ("ats", Ats),
-            ("bi-interval", BiInterval),
-            ("biinterval", BiInterval),
         ];
         for (spelling, kind) in table {
             for s in [spelling.to_string(), spelling.to_ascii_uppercase()] {
                 assert_eq!(SchedulerKind::from_name(&s), Some(kind), "{s}");
             }
         }
-        for kind in [Tfa, TfaBackoff, Rts, Ats, BiInterval] {
+        for kind in [Tfa, TfaBackoff, Rts] {
             assert_eq!(SchedulerKind::from_name(kind.name()), Some(kind));
             assert_eq!(SchedulerKind::from_name(kind.label()), Some(kind));
             assert_eq!(SchedulerKind::from_label(kind.label()), Some(kind));
         }
-        assert_eq!(SchedulerKind::from_name("bogus"), None);
+        // `ats` and `bi-interval` named the retired §V schedulers.
+        for gone in ["bogus", "ats", "bi-interval", "biinterval"] {
+            assert_eq!(SchedulerKind::from_name(gone), None, "{gone}");
+        }
+        for gone in ["ATS", "Bi-interval"] {
+            assert_eq!(SchedulerKind::from_label(gone), None, "{gone}");
+        }
         assert_eq!(
             SchedulerKind::from_label("rts"),
             None,
@@ -437,8 +426,6 @@ mod tests {
             SchedulerKind::Tfa,
             SchedulerKind::TfaBackoff,
             SchedulerKind::Rts,
-            SchedulerKind::Ats,
-            SchedulerKind::BiInterval,
         ] {
             assert_eq!(SchedulerKind::from_label(kind.label()), Some(kind));
         }

@@ -1,7 +1,7 @@
 //! Heap-allocation counting for the allocation guard tests.
 //!
 //! Behind the `bench-alloc` feature this module installs a counting
-//! [`GlobalAlloc`] that wraps the system allocator with three relaxed
+//! [`GlobalAlloc`](std::alloc::GlobalAlloc) that wraps the system allocator with three relaxed
 //! atomics: total allocation count, current live bytes, and peak live
 //! bytes. The guard tests (`tests/hotpath_alloc.rs`, `generate_alloc.rs`,
 //! `trace_codec_alloc.rs`) reset the counters around a fixed run and pin

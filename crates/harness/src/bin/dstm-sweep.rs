@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dstm-sweep [nodes] [txns_per_node] [benchmark] [--cache]
-//! dstm-sweep scenario [rts|tfa|backoff|ats|bi-interval] [writers] [readers]
+//! dstm-sweep scenario [rts|tfa|backoff] [writers] [readers]
 //! dstm-sweep large-smoke [nodes] [--cache]
 //! ```
 //!
@@ -47,7 +47,6 @@
 
 use dstm_benchmarks::Benchmark;
 use dstm_harness::experiments::scenarios::{render, run_collision_traced};
-use dstm_harness::experiments::Scale;
 use dstm_harness::runner::{run_cell, run_cell_traced, Cell, TopologySpec};
 use hyflow_dstm::TraceLog;
 use rts_core::SchedulerKind;
@@ -159,6 +158,9 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
+/// Transactions per node of the `large-smoke` cell.
+const LARGE_SMOKE_TXNS_PER_NODE: usize = 10;
+
 /// One large-scale cell, for CI smoke + `dstm-trace audit`. With `--trace`
 /// the run records protocol events and writes them out; without it the cell
 /// runs untraced, which is what lets the 10k-node smoke cell fit CI time
@@ -167,7 +169,7 @@ fn large_smoke(args: &[String], flags: &Flags) -> Result<(), String> {
     at_most(args, 1)?;
     let nodes: usize = positional(args, 0, &nodes_name(), node_count, 160)?;
     let cell = Cell::new(Benchmark::Bank, SchedulerKind::Rts, nodes, 0.9)
-        .with_txns(Scale::large().txns_per_node)
+        .with_txns(LARGE_SMOKE_TXNS_PER_NODE)
         .with_topology(TopologySpec::HashedRandom {
             min_ms: 1,
             max_ms: 50,
@@ -221,7 +223,7 @@ fn scenario_mode(args: &[String], trace_path: Option<&str>) -> Result<(), String
     let scheduler = positional(
         args,
         0,
-        "scheduler (rts|tfa|backoff|ats|bi-interval)",
+        "scheduler (rts|tfa|backoff)",
         SchedulerKind::from_name,
         SchedulerKind::Rts,
     )?;

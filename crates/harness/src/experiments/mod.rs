@@ -4,7 +4,6 @@
 
 pub mod analysis;
 pub mod backoff;
-pub mod ext_schedulers;
 pub mod nesting;
 pub mod scenarios;
 pub mod speedup;
@@ -61,29 +60,6 @@ impl Scale {
             node_counts: vec![10, 20, 40],
             table1_nodes: 20,
             txns_per_node: 10,
-        }
-    }
-
-    /// Production-scale sweeps *past* the paper's 80-node ceiling, up to
-    /// 10k nodes. These rows extend (never replace) the 10–80-node
-    /// figures; they pair with the O(1)-memory hashed topology in the
-    /// runner (a dense 10k-node delay matrix would be 10⁸ entries).
-    pub fn large() -> Self {
-        Scale {
-            node_counts: vec![160, 1000, 10_000],
-            table1_nodes: 160,
-            txns_per_node: 10,
-        }
-    }
-
-    /// Parse a scale name (`smoke`, `quick`, `full`, `large`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "smoke" => Some(Scale::smoke()),
-            "quick" => Some(Scale::quick()),
-            "full" => Some(Scale::default()),
-            "large" => Some(Scale::large()),
-            _ => None,
         }
     }
 }

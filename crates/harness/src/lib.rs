@@ -1,10 +1,10 @@
 //! # dstm-harness — experiment sweeps for the paper reproduction
 //!
 //! [`experiments`] holds one module per experiment of the paper's evaluation
-//! (§IV): Table I, Figs. 2–6, the §III-D analysis, the ablations and the
-//! extension comparison. Which call produces which `paper_results/` file is
-//! listed once, in `dstm-bench`'s `ARTIFACTS` table
-//! (`cargo bench -p dstm-bench` regenerates them all).
+//! (§IV): Table I, Figs. 2–6, the §III-D analysis and the ablations. Which
+//! call produces which `paper_results/` file is listed once, in
+//! `dstm-bench`'s `ARTIFACTS` table (`cargo bench -p dstm-bench`
+//! regenerates them all).
 //!
 //! The [`runner`] executes independent simulation cells on a small
 //! scoped-thread worker pool (cells are single-threaded and deterministic, so

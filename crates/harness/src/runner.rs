@@ -21,7 +21,7 @@ pub enum TopologySpec {
     /// delays. O(n²) memory; byte-identical to every historical run.
     UniformRandom { min_ms: u64, max_ms: u64 },
     /// Hash-derived uniform delays computed on demand: O(1) memory, for
-    /// `--scale large` sweeps past the paper's 80 nodes.
+    /// `dstm-sweep large-smoke` cells past the paper's 80 nodes.
     HashedRandom { min_ms: u64, max_ms: u64 },
 }
 

@@ -47,6 +47,12 @@ fn a_value_that_does_not_parse_is_refused() {
         line.contains("txns_per_node") && line.contains("three"),
         "{line}"
     );
+    // A retired scheduler (§V's ATS) is refused, and its trace not written.
+    let trace = Path::new(env!("CARGO_TARGET_TMPDIR")).join("retired-ats.jsonl");
+    let _ = std::fs::remove_file(&trace);
+    let path = trace.to_str().expect("a UTF-8 path");
+    assert!(refused(&["scenario", "ats", "--trace", path]).contains("\"ats\""));
+    assert!(!trace.exists(), "a refused run wrote its trace");
 }
 
 #[test]

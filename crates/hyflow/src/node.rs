@@ -9,7 +9,7 @@
 //!   [`ConflictPolicy`]; hands queued requesters the object on release
 //!   (Algorithm 4, `Retrieve_Response`); participates in TFA commits
 //!   (lock → validate → publish).
-//! * **Requester side** — drives its transactions' [`TxProgram`]s
+//! * **Requester side** — drives its transactions' [`TxProgram`](crate::TxProgram)s
 //!   (Algorithm 2, `Open_Object`), performs TFA transactional forwarding
 //!   with early validation, runs the commit protocol, and retries aborted
 //!   transactions (immediately, after a backoff, or from an RTS queue
@@ -398,7 +398,7 @@ enum CacheOpen {
 /// transaction lookup should be a few adjacent lines — the ones
 /// [`Actor::hint_soon`] requests — not one line per field scattered between
 /// cold state. Line-aligned for the same reason. The unit tests at the
-/// bottom of this file pin which fields lie in [`Node::HOT_BYTES`].
+/// bottom of this file pin which fields lie in `Node::HOT_BYTES`.
 #[repr(C, align(64))]
 pub struct Node {
     me: u32,

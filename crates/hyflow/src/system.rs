@@ -1,5 +1,5 @@
 //! System assembly: topology + configuration + objects + workload → a
-//! runnable [`World`] of [`Node`]s, plus end-of-run aggregation.
+//! runnable [`GenericWorld`] of [`Node`]s, plus end-of-run aggregation.
 
 use crate::config::DstmConfig;
 use crate::message::{Msg, Timer};
@@ -168,7 +168,7 @@ impl<Q: EventQueue<NodeEvent>> System<Q> {
     /// state and the trace are complete, which is what the golden
     /// digests and the offline audit compare. The makespan reported in the
     /// metrics still ends at the last commit, not at the drain: see
-    /// [`collect`](Self::collect).
+    /// `collect`.
     pub fn run(&mut self, event_budget: u64) -> RunMetrics {
         let started_at = self.world.now();
         self.world.run_budget(event_budget);

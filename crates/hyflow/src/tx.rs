@@ -391,7 +391,7 @@ impl TxRuntime {
     /// Install a cached read copy (`DstmConfig::cache`) into the current
     /// level. Identical to [`TxRuntime::install_fetched`] — a reused copy is
     /// a working copy like any other and goes through the same commit-time
-    /// validation — but takes the retained [`CachedCopy`] directly.
+    /// validation — but takes the retained [`CachedCopy`](crate::CachedCopy) directly.
     pub fn reuse_cached(
         &mut self,
         oid: ObjectId,

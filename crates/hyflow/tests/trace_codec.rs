@@ -3,6 +3,8 @@
 //! * one record of every kind — optional fields present and absent, empty
 //!   and non-empty tuple arrays, every scheduler label — is written as a
 //!   pinned line, which each reader alone reads back to that record;
+//! * a `run_info` line naming a retired scheduler is an error of both
+//!   readers, not a panic;
 //! * every `ProtoEvent` variant, with field values biased towards the edges
 //!   of their types, survives `write_jsonl` → `parse` unchanged;
 //! * the layout reader and the keyed reader each read that line back to
@@ -129,9 +131,7 @@ fn record_from(variant: usize, w: &[u64]) -> TraceRecord {
                 SchedulerKind::Rts,
                 SchedulerKind::Tfa,
                 SchedulerKind::TfaBackoff,
-                SchedulerKind::Ats,
-                SchedulerKind::BiInterval,
-            ][(w[4] % 5) as usize],
+            ][(w[4] % 3) as usize],
             nodes: n(5),
         },
         _ => {
@@ -630,14 +630,6 @@ fn pinned() -> Vec<(TraceRecord, &'static str)> {
             SchedulerKind::TfaBackoff,
             r#"{"at":0,"node":0,"ev":"run_info","scheduler":"TFA+Backoff","nodes":10}"#,
         ),
-        (
-            SchedulerKind::Ats,
-            r#"{"at":0,"node":0,"ev":"run_info","scheduler":"ATS","nodes":11}"#,
-        ),
-        (
-            SchedulerKind::BiInterval,
-            r#"{"at":0,"node":0,"ev":"run_info","scheduler":"Bi-interval","nodes":12}"#,
-        ),
     ]) {
         out.push((rec(0, 0, ProtoEvent::RunInfo { scheduler, nodes }), line));
     }
@@ -651,5 +643,24 @@ fn every_kind_writes_its_pinned_line_and_both_readers_read_it_back() {
         assert_eq!(line, format!("{want}\n"));
         assert_eq!(TraceRecord::parse_layout(want), Some(rec.clone()), "{want}");
         assert_eq!(TraceRecord::parse_keyed(want), Ok(rec), "{want}");
+    }
+}
+
+#[test]
+fn a_retired_scheduler_label_is_refused_by_both_readers() {
+    // Traces from builds that still had §V's ATS and Bi-interval schedulers.
+    for line in [
+        r#"{"at":0,"node":0,"ev":"run_info","scheduler":"ATS","nodes":11}"#,
+        r#"{"at":0,"node":0,"ev":"run_info","scheduler":"Bi-interval","nodes":12}"#,
+    ] {
+        assert_eq!(TraceRecord::parse_layout(line), None, "{line}");
+        for read in [TraceRecord::parse, TraceRecord::parse_keyed] {
+            let e = read(line).expect_err(line);
+            assert!(e.contains("unknown scheduler"), "{line}: {e}");
+        }
+        assert!(
+            TraceLog::parse_jsonl(&format!("{line}\n")).is_err(),
+            "{line}"
+        );
     }
 }

@@ -251,7 +251,7 @@ impl Topology {
     }
 
     /// Greedy nearest-neighbour tour over all nodes starting at `start`.
-    /// Rosenkrantz et al. (cited by the paper as [21]) bound NN tours within
+    /// Rosenkrantz et al. (cited by the paper as \[21\]) bound NN tours within
     /// `O(log N)` of optimal on metric spaces; the analysis reproduction
     /// checks the paper's use of that bound.
     pub fn nearest_neighbour_tour(&self, start: ActorId) -> Vec<ActorId> {

@@ -26,7 +26,7 @@
 //! # Per-actor kernel state
 //!
 //! Everything the kernel tracks per actor — RNG stream, issue-sequence
-//! counter, timer slab — lives in one [`ActorState`], indexed by the actor's
+//! counter, timer slab — lives in one `ActorState`, indexed by the actor's
 //! id. Nothing an actor draws, stamps or arms depends on what any other
 //! actor did in between, so an event's key and a timer's token are functions
 //! of the issuing actor's own history alone — the order in which handlers of

@@ -240,7 +240,7 @@ fn lane_of<M, T>(ev: &KernelEvent<M, T>) -> Lane {
 }
 
 /// Pending-event set whose delivery order is chosen by an external driver,
-/// one *lane head* at a time (see [`Lane`]'s realizability contract in the
+/// one *lane head* at a time (see `Lane`'s realizability contract in the
 /// module docs). The driver enumerates [`ChoiceQueue::num_choices`],
 /// [`choose`](ChoiceQueue::choose)s one, and steps the world; without a
 /// pending choice, pops fall back to the baseline minimal-key order, so the

@@ -74,7 +74,7 @@ fn unpack(key: u128) -> EventKey {
 /// Three data-layout decisions, all from profiles where heap push/pop was
 /// the single largest kernel cost:
 ///
-/// * The heap stores only [`Entry`]s while payloads sit in a slab with a
+/// * The heap stores only `Entry`s while payloads sit in a slab with a
 ///   free list. Sifting moves small POD entries instead of full
 ///   `Sequenced<E>` values (80 bytes of payload for the kernel's
 ///   `NodeEvent`), cutting memmove traffic. Slots are recycled, so steady
@@ -85,7 +85,7 @@ fn unpack(key: u128) -> EventKey {
 /// * Which child is smallest is data-dependent and close to uniformly
 ///   random, so a compare-and-branch scan mispredicts about once per level.
 ///   The packed key makes each comparison a `cmp`/`sbb` pair whose carry
-///   flag can be consumed as data: [`min_of_four`] plays a two-round
+///   flag can be consumed as data: `min_of_four` plays a two-round
 ///   tournament with no branch at all.
 ///
 /// Keys are unique (engine-assigned sequence numbers), so pop order — hence

@@ -9,7 +9,7 @@
 //!
 //! * **liveness** — the run quiesces and every issued top-level
 //!   transaction commits exactly once;
-//! * **single writable copy** — [`System::try_object_state`] finds each
+//! * **single writable copy** — [`System::try_object_state`](hyflow_dstm::System::try_object_state) finds each
 //!   object owned by exactly one node;
 //! * **cache freshness** — no retained read copy is *newer* than the
 //!   owner's authoritative version (the cache may lag, never lead);

@@ -3,7 +3,7 @@
 //! Two complementary verification prongs over the same simulator and
 //! protocol stack the experiments run on (nothing is mocked):
 //!
-//! * [`episode`] + [`fuzz`] — **DST fuzzing**. Each episode is a full
+//! * [`episode`] + [`fuzz`](mod@fuzz) — **DST fuzzing**. Each episode is a full
 //!   harness cell executed on a [`dstm_sim::PerturbQueue`], which bends
 //!   message delays and delivery tiebreaks *within the space of
 //!   realizable executions* according to an explicit, replayable

@@ -79,6 +79,8 @@ fn a_value_that_does_not_parse_is_refused() {
     let line = refused(&["check", "--nodes", "three"]);
     assert!(line.contains("--nodes") && line.contains("three"), "{line}");
     assert!(refused(&["check", "--scheduler", "tfaa"]).contains("tfaa"));
+    // A retired scheduler (§V's Bi-interval) is refused, not model-checked.
+    assert!(refused(&["check", "--scheduler", "bi-interval"]).contains("bi-interval"));
     assert!(refused(&["fuzz", "--benchmark", "bnak"]).contains("bnak"));
 }
 

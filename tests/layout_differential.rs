@@ -191,7 +191,7 @@ proptest! {
     /// Whole runs on the hashed O(1)-memory topology: deterministic, and
     /// bit-identical on the heap and on a queue that shares no code with it
     /// (the same proof the goldens give the dense-matrix path, extended to
-    /// `--scale large`'s network model).
+    /// `dstm-sweep large-smoke`'s network model).
     #[test]
     fn hashed_topology_runs_bit_identical_across_backends(
         seed in 1u64..10_000, sched in 0usize..3,
