@@ -106,20 +106,42 @@ impl Settings {
 /// One file of `paper_results/`: its name and how to produce its text.
 pub struct Artifact {
     pub name: &'static str,
-    /// Whether the file ends with a `[S.mmm s]` wall-clock line: the
-    /// seconds its regeneration took, to the millisecond.
-    timed: bool,
+    /// What the file's `[S.mmm s]` wall-clock line, if any, counts.
+    clock: Clock,
     /// The file's text, up to that line.
     render: Render,
 }
 
 type Render = fn(&Settings, &mut Grids) -> String;
 
+/// What an artifact's wall-clock line counts, to the millisecond.
+#[derive(Clone, Copy, PartialEq)]
+enum Clock {
+    /// The file has no wall-clock line.
+    None,
+    /// The seconds its regeneration took.
+    Own,
+    /// The seconds its regeneration took plus those of simulating the Fig.
+    /// 4/5 grids it summarizes, whether they were simulated for it or for
+    /// an artifact before it.
+    WithGrids,
+}
+
 /// An artifact whose file ends with its wall-clock line.
 const fn timed(name: &'static str, render: Render) -> Artifact {
     Artifact {
         name,
-        timed: true,
+        clock: Clock::Own,
+        render,
+    }
+}
+
+/// An artifact that summarizes the Fig. 4/5 grids; its wall-clock line
+/// counts their simulation.
+const fn summary_of_grids(name: &'static str, render: Render) -> Artifact {
+    Artifact {
+        name,
+        clock: Clock::WithGrids,
         render,
     }
 }
@@ -128,7 +150,7 @@ const fn timed(name: &'static str, render: Render) -> Artifact {
 const fn untimed(name: &'static str, render: Render) -> Artifact {
     Artifact {
         name,
-        timed: false,
+        clock: Clock::None,
         render,
     }
 }
@@ -137,16 +159,38 @@ const fn untimed(name: &'static str, render: Render) -> Artifact {
 /// since Fig. 6 summarizes both.
 #[derive(Default)]
 struct Grids {
-    low: Option<ThroughputFigure>,
-    high: Option<ThroughputFigure>,
+    low: Option<Grid>,
+    high: Option<Grid>,
 }
 
-fn grid<'a>(
-    slot: &'a mut Option<ThroughputFigure>,
-    s: &Settings,
-    reads: f64,
-) -> &'a ThroughputFigure {
-    slot.get_or_insert_with(|| throughput::run(&s.scale, reads, s.workers))
+/// One simulated grid and the seconds simulating it took.
+struct Grid {
+    figure: ThroughputFigure,
+    secs: f64,
+}
+
+impl Grids {
+    /// Seconds spent simulating the grids held so far.
+    fn secs(&self) -> f64 {
+        [&self.low, &self.high]
+            .into_iter()
+            .flatten()
+            .map(|g| g.secs)
+            .sum()
+    }
+}
+
+fn grid<'a>(slot: &'a mut Option<Grid>, s: &Settings, reads: f64) -> &'a ThroughputFigure {
+    &slot
+        .get_or_insert_with(|| {
+            let t0 = std::time::Instant::now();
+            let figure = throughput::run(&s.scale, reads, s.workers);
+            Grid {
+                figure,
+                secs: t0.elapsed().as_secs_f64(),
+            }
+        })
+        .figure
 }
 
 fn throughput_text(title: &str, fig: &ThroughputFigure) -> String {
@@ -210,7 +254,7 @@ pub const ARTIFACTS: [Artifact; 10] = [
         let title = "Figure 5 — Transactional throughput on HIGH contention (10% reads)";
         throughput_text(title, grid(&mut g.high, s, 0.1))
     }),
-    timed("fig6_speedup", |s, g| {
+    summary_of_grids("fig6_speedup", |s, g| {
         let low = grid(&mut g.low, s, 0.9);
         let summary = speedup::from_throughput(low, grid(&mut g.high, s, 0.1));
         format!(
@@ -269,16 +313,29 @@ pub fn regenerate(args: &[String]) -> Result<(), String> {
     let selected = select(args)?;
     let (dir, mut grids) = (results_dir(), Grids::default());
     for artifact in selected {
-        let t0 = std::time::Instant::now();
-        let mut out = (artifact.render)(&settings, &mut grids);
-        if artifact.timed {
-            out += &format!("[{:.3} s]\n", t0.elapsed().as_secs_f64());
-        }
+        let (out, _) = render(artifact, &settings, &mut grids);
         println!("{out}");
         let path = settings.emit(&dir, artifact.name, &out)?;
         println!("[written to {}]", path.display());
     }
     Ok(())
+}
+
+/// `artifact`'s text, ending with its wall-clock line if it has one, and
+/// the seconds that line reports.
+fn render(artifact: &Artifact, settings: &Settings, grids: &mut Grids) -> (String, Option<f64>) {
+    let simulated_before = grids.secs();
+    let t0 = std::time::Instant::now();
+    let mut out = (artifact.render)(settings, grids);
+    let secs = match artifact.clock {
+        Clock::None => return (out, None),
+        Clock::Own => t0.elapsed().as_secs_f64(),
+        // A grid simulated during this render is in the elapsed time
+        // already; one simulated for an earlier artifact is added.
+        Clock::WithGrids => t0.elapsed().as_secs_f64() + simulated_before,
+    };
+    out += &format!("[{secs:.3} s]\n");
+    (out, Some(secs))
 }
 
 #[cfg(test)]
@@ -353,6 +410,47 @@ mod tests {
             );
             assert!(ARTIFACTS.iter().all(|a| e.contains(a.name)), "{e}");
         }
+    }
+
+    fn named(name: &str) -> &'static Artifact {
+        ARTIFACTS
+            .iter()
+            .find(|a| a.name == name)
+            .expect("an artifact")
+    }
+
+    /// Fig. 6's wall-clock line counts the simulation of both grids it
+    /// summarizes, whether Figs. 4 and 5 simulated them earlier in the
+    /// invocation (it read `[0.000 s]` then) or it simulated them itself.
+    #[test]
+    fn figure_6_counts_the_grids_it_summarizes() {
+        let settings = parse_settings(Some("smoke"), Some("1")).unwrap();
+        let fig6_secs = |grids: &mut Grids| {
+            let (text, secs) = render(named("fig6_speedup"), &settings, grids);
+            let secs = secs.expect("Fig. 6 is timed");
+            assert!(text.ends_with(&format!("[{secs:.3} s]\n")), "{text}");
+            secs
+        };
+
+        // A full run, in table order: Figs. 4 and 5 come first.
+        let (mut grids, mut checked) = (Grids::default(), false);
+        for artifact in select(&[]).unwrap() {
+            if artifact.name == "fig6_speedup" {
+                let both = grids.secs();
+                assert!(grids.low.is_some() && grids.high.is_some() && both > 0.0);
+                assert!(fig6_secs(&mut grids) >= both);
+                assert_eq!(grids.secs(), both, "Fig. 6 reused the grids");
+                checked = true;
+            } else {
+                render(artifact, &settings, &mut grids);
+            }
+        }
+        assert!(checked);
+
+        let mut alone = Grids::default();
+        let secs = fig6_secs(&mut alone);
+        assert!(alone.low.is_some() && alone.high.is_some());
+        assert!(secs >= alone.secs());
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! [`GlobalAlloc`](std::alloc::GlobalAlloc) that wraps the system allocator with three relaxed
 //! atomics: total allocation count, current live bytes, and peak live
 //! bytes. The guard tests (`tests/hotpath_alloc.rs`, `generate_alloc.rs`,
-//! `trace_codec_alloc.rs`) reset the counters around a fixed run and pin
-//! the allocator calls it makes (and, for generated workloads, the bytes
-//! they keep), turning "steady-state event handling allocates (almost)
-//! nothing" from a claim into a checked number.
+//! `metrics_alloc.rs`, `trace_codec_alloc.rs`) reset the counters around a
+//! fixed run and pin the allocator calls it makes (and, for generated
+//! workloads and finished runs' metrics, the bytes they keep), turning
+//! "steady-state event handling allocates (almost) nothing" from a claim
+//! into a checked number.
 //!
 //! With the feature off every probe compiles to zeros and no allocator is
 //! installed, so the default build's timings are untouched.

@@ -27,13 +27,16 @@
 //! against the live counters.
 //!
 //! An argument starting with `--` that the subcommand does not take, a flag
-//! value that does not parse, and a positional argument the subcommand has
-//! no place for each print the usage text on stderr and exit with status 2
-//! before any file is read or written. `chrome` and `jsonl` likewise refuse,
-//! with one line on stderr and status 2, an output path that resolves to the
-//! input trace: writing it would destroy the trace it was converted from.
+//! value that does not parse or is 0, and a positional argument the
+//! subcommand has no place for each print the usage text on stderr and exit
+//! with status 2 before any file is read or written. `chrome` and `jsonl`
+//! likewise refuse, with one line on stderr and status 2, an output path
+//! that resolves to the input trace: writing it would destroy the trace it
+//! was converted from.
 
-use dstm_harness::traceio::{analyze, audit, to_chrome_trace, trace_stats};
+use dstm_harness::traceio::{
+    analyze, audit, to_chrome_trace, trace_stats, DEFAULT_ANALYZE_EPOCH_NS,
+};
 use hyflow_dstm::TraceLog;
 use std::process::ExitCode;
 
@@ -100,14 +103,14 @@ fn main() -> ExitCode {
     // `analyze` is the one subcommand with flags; everything else that
     // starts with `--` is a mistake, not a file name.
     let mut json = false;
-    let mut epoch_ns = 0u64; // 0 = analyzer default (50 ms)
+    let mut epoch_ns = DEFAULT_ANALYZE_EPOCH_NS;
     let mut positional: Vec<&str> = Vec::new();
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" if cmd == "analyze" => json = true,
             "--epoch-ns" if cmd == "analyze" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) => epoch_ns = n,
+                Some(Ok(n)) if n > 0 => epoch_ns = n,
                 _ => return usage(),
             },
             flag if flag.starts_with("--") => return usage(),

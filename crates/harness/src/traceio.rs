@@ -756,8 +756,8 @@ fn census(run: &[TraceRecord]) -> StatsSegment {
 // Contention analytics
 // ---------------------------------------------------------------------------
 
-/// Epoch used to bucket commits for knee detection when the caller does not
-/// override it — the epoch sampler's own width.
+/// Epoch `dstm-trace analyze` buckets commits into for knee detection unless
+/// `--epoch-ns` says otherwise — the epoch sampler's own width.
 pub const DEFAULT_ANALYZE_EPOCH_NS: u64 = hyflow_dstm::telemetry::EPOCH.as_nanos();
 
 /// Most epochs [`analyze`] buckets commits into (8 MiB of counters). A real
@@ -1130,14 +1130,14 @@ fn throughput(commits_per_epoch: Vec<u64>, epoch_ns: u64) -> ThroughputSeries {
 /// and reconcile each run's event-derived wasted-work ledger against that
 /// run's counter-based `RunSummary` record. A reconciliation mismatch makes
 /// [`AnalyzeReport::ok`] false — `dstm-trace analyze` exits non-zero on it.
+///
+/// # Panics
+///
+/// If `epoch_ns` is 0.
 pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
     const TOP_OBJECTS: usize = 8;
     const TOP_AGGRESSORS: usize = 5;
-    let epoch_ns = if epoch_ns == 0 {
-        DEFAULT_ANALYZE_EPOCH_NS
-    } else {
-        epoch_ns
-    };
+    assert!(epoch_ns > 0, "analyze: an epoch of 0 ns holds no commit");
 
     let mut report = AnalyzeReport {
         records: log.records.len(),
@@ -1761,7 +1761,7 @@ mod tests {
                 ),
             ],
         };
-        let report = analyze(&log, 0);
+        let report = analyze(&log, DEFAULT_ANALYZE_EPOCH_NS);
         assert!(report.ok(), "{:?}", report.mismatches);
         assert!(report.summary_checked);
         assert_eq!(report.runs, 1);
@@ -1831,7 +1831,7 @@ mod tests {
                 ),
             ],
         };
-        let report = analyze(&log, 0);
+        let report = analyze(&log, DEFAULT_ANALYZE_EPOCH_NS);
         assert!(!report.ok());
         assert!(
             report.mismatches[0].contains("wasted-work ns"),
@@ -1875,7 +1875,7 @@ mod tests {
             ],
         };
         assert!(!audit(&log).ok());
-        let report = analyze(&log, 0);
+        let report = analyze(&log, DEFAULT_ANALYZE_EPOCH_NS);
         assert_eq!(
             report.mismatches,
             [

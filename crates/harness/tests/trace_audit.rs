@@ -4,7 +4,7 @@
 
 use dstm_benchmarks::Benchmark;
 use dstm_harness::experiments::scenarios::run_collision_traced;
-use dstm_harness::traceio::{analyze, audit, trace_stats};
+use dstm_harness::traceio::{analyze, audit, trace_stats, DEFAULT_ANALYZE_EPOCH_NS};
 use dstm_harness::{run_cell_traced, Cell};
 use hyflow_dstm::{ProtoEvent, TraceLog};
 use rts_core::{SchedulerKind, TxId};
@@ -87,7 +87,7 @@ fn concatenated_runs_are_audited_one_by_one() {
     // their transactions from scratch, so a chain that crossed from one run
     // into the other would join strangers: every link of the longest chain
     // must be an abort of one and the same run.
-    let both = analyze(&concatenated(&second), 0);
+    let both = analyze(&concatenated(&second), DEFAULT_ANALYZE_EPOCH_NS);
     assert!(both.ok(), "mismatches: {:?}", both.mismatches);
     assert_eq!(both.runs, 2);
     assert!(both.render().contains("(2 runs)"), "{}", both.render());

@@ -68,6 +68,8 @@ fn analyze_refuses_a_stray_argument_and_a_bad_epoch() {
     let good = recorded("analyze.jsonl");
     refused(&["analyze", &good, "bogus"], &[]);
     refused(&["analyze", &good, "--epoch-ns", "soon"], &[]);
+    // 0 meant the 50 ms default.
+    refused(&["analyze", &good, "--epoch-ns", "0"], &[]);
 }
 
 #[test]

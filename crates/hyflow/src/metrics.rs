@@ -5,7 +5,7 @@
 //! nested-abort cause split (Table I: *"nested transaction aborts due to
 //! parent transaction's abort / total nested transaction aborts"*).
 
-use dstm_sim::{Histogram, OnlineStats, SimDuration, SimTime};
+use dstm_sim::{Histogram, HistogramRecorder, OnlineStats, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
@@ -156,40 +156,57 @@ impl DerefMut for NodeMetrics {
     }
 }
 
-/// Handle on the run's one set of latency histograms (always on; a record
-/// is two array increments). `SystemBuilder` clones one handle into every
-/// node, as it does the trace log, so 2 KiB of buckets cost one block per
-/// run rather than one per node. A run lives on one thread, hence
-/// `Rc<RefCell<_>>`. Bucket counts and sums add exactly, so the set holds
-/// what merging per-node histograms would; the two `OnlineStats` stay in
-/// [`NodeCounters`] because a Welford merge is order-dependent in floating
-/// point.
+/// Handle on the run's one set of latency histograms (always on).
+/// `SystemBuilder` clones one handle into every node, as it does the trace
+/// log, so the recorders cost one block per run rather than one per node.
+/// A run lives on one thread, hence `Rc<RefCell<_>>`. Bucket counts and
+/// sums add exactly, so the set holds what merging per-node histograms
+/// would; the two `OnlineStats` stay in [`NodeCounters`] because a Welford
+/// merge is order-dependent in floating point.
 #[derive(Clone, Debug, Default)]
-pub struct RunHistograms(Rc<RefCell<NodeMetrics>>);
+pub struct RunHistograms(Rc<RefCell<Recorders>>);
+
+/// The dense recorders behind [`RunHistograms`]: a record is two array
+/// increments and allocates nothing. [`RunHistograms::snapshot`] compacts
+/// them into the [`Histogram`]s a [`NodeMetrics`] holds.
+#[derive(Debug, Default)]
+struct Recorders {
+    commit_latency: HistogramRecorder,
+    queue_wait: HistogramRecorder,
+    fetch_rtt: HistogramRecorder,
+    retries_per_commit: HistogramRecorder,
+}
 
 impl RunHistograms {
     /// A successful attempt: its latency and the aborted attempts before
     /// it.
     pub fn record_commit(&self, exec: SimDuration, retries: u64) {
-        let mut h = self.0.borrow_mut();
-        h.commit_latency_hist.record_duration(exec);
-        h.retries_per_commit.record(retries);
+        let mut r = self.0.borrow_mut();
+        r.commit_latency.record_duration(exec);
+        r.retries_per_commit.record(retries);
     }
 
     /// How long a served requester waited in an owner's queue.
     pub fn record_queue_wait(&self, wait: SimDuration) {
-        self.0.borrow_mut().queue_wait_hist.record_duration(wait);
+        self.0.borrow_mut().queue_wait.record_duration(wait);
     }
 
     /// Round trip of a fetch that brought an object.
     pub fn record_fetch_rtt(&self, rtt: SimDuration) {
-        self.0.borrow_mut().fetch_rtt_hist.record_duration(rtt);
+        self.0.borrow_mut().fetch_rtt.record_duration(rtt);
     }
 
     /// What has been recorded so far, with every counter zero: the start of
     /// `System::collect`'s merge of the node counters.
     pub fn snapshot(&self) -> NodeMetrics {
-        self.0.borrow().clone()
+        let r = self.0.borrow();
+        NodeMetrics {
+            counters: NodeCounters::default(),
+            commit_latency_hist: r.commit_latency.compact(),
+            queue_wait_hist: r.queue_wait.compact(),
+            fetch_rtt_hist: r.fetch_rtt.compact(),
+            retries_per_commit: r.retries_per_commit.compact(),
+        }
     }
 }
 

@@ -59,5 +59,5 @@ pub use event::{EventKey, Sequenced, MAX_ACTORS};
 pub use perturb::{ChoiceQueue, Perturb, PerturbQueue, Schedule};
 pub use queue::{BinaryHeapQueue, EventQueue};
 pub use rng::{mix64, SimRng};
-pub use stats::{Histogram, OnlineStats};
+pub use stats::{Histogram, HistogramRecorder, OnlineStats};
 pub use time::{SimDuration, SimTime};

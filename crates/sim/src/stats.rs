@@ -98,11 +98,42 @@ impl OnlineStats {
     }
 }
 
-/// Log-2-bucketed histogram of nanosecond durations; cheap to update, good
-/// enough for latency-shape reporting (p50/p99 within a factor of 2).
+/// Log2 buckets a histogram distinguishes: bucket 0 holds 0, bucket `i`
+/// holds `2^(i-1) ..= 2^i - 1`, and bucket 63 everything from `2^62` up.
+const BUCKETS: usize = 64;
+
+const OVERFLOW: &str = "Histogram: a bucket count overflows u32";
+
+#[inline]
+fn bucket_of(v: u64) -> usize {
+    // 0 -> 0, 1 -> 1, 2..3 -> 2, ...
+    ((64 - v.leading_zeros()) as usize).min(BUCKETS - 1)
+}
+
+/// The largest value bucket `i` holds.
+fn bucket_ceiling(i: usize) -> u64 {
+    if i >= BUCKETS - 1 {
+        u64::MAX
+    } else {
+        (1u64 << i) - 1
+    }
+}
+
+/// Log-2-bucketed histogram of nanosecond durations; good enough for
+/// latency-shape reporting (p50/p99 within a factor of 2).
+///
+/// Exact and compact: `u32` counts for the occupied range of buckets only,
+/// from the first non-empty bucket to the last, plus the count and the sum.
+/// An empty histogram allocates nothing, and equal contents have equal
+/// representation, so `==` compares what was recorded. Recording a value
+/// outside the range reallocates it; a hot path records into a
+/// [`HistogramRecorder`] and compacts once. A bucket count that would pass
+/// `u32::MAX` panics.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
-    buckets: [u64; 64],
+    /// Bucket index of `counts[0]`; 0 while empty.
+    first: u8,
+    counts: Box<[u32]>,
     count: u64,
     sum: u128,
 }
@@ -116,22 +147,19 @@ impl Default for Histogram {
 impl Histogram {
     pub fn new() -> Self {
         Histogram {
-            buckets: [0; 64],
+            first: 0,
+            counts: Box::default(),
             count: 0,
             sum: 0,
         }
     }
 
-    #[inline]
-    fn bucket_index(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize // 0 -> 0, 1 -> 1, 2..3 -> 2, ...
-    }
-
     pub fn record(&mut self, v: u64) {
-        let idx = Self::bucket_index(v).min(63);
-        self.buckets[idx] += 1;
+        let i = bucket_of(v);
+        self.cover(i, i);
+        self.add(i, 1);
         self.count += 1;
-        self.sum += v as u128;
+        self.sum += u128::from(v);
     }
 
     pub fn record_duration(&mut self, d: SimDuration) {
@@ -157,21 +185,107 @@ impl Histogram {
         }
         let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
         let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
+        for (k, &c) in self.counts.iter().enumerate() {
+            seen += u64::from(c);
             if seen >= target {
-                return if i >= 63 { u64::MAX } else { (1u64 << i) - 1 };
+                return bucket_ceiling(usize::from(self.first) + k);
             }
         }
         u64::MAX
     }
 
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
+        let Some(last) = other.last() else {
+            return;
+        };
+        let first = usize::from(other.first);
+        self.cover(first, last);
+        for (k, &c) in other.counts.iter().enumerate() {
+            self.add(first + k, c);
         }
         self.count += other.count;
         self.sum += other.sum;
+    }
+
+    /// Index of the last occupied bucket; `None` while empty.
+    fn last(&self) -> Option<usize> {
+        (!self.counts.is_empty()).then(|| usize::from(self.first) + self.counts.len() - 1)
+    }
+
+    /// Widen the stored range to take in buckets `lo..=hi`.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        let (first, last) = match self.last() {
+            Some(last) => (usize::from(self.first).min(lo), last.max(hi)),
+            None => (lo, hi),
+        };
+        if first == usize::from(self.first) && last + 1 - first == self.counts.len() {
+            return;
+        }
+        let mut counts = vec![0; last + 1 - first].into_boxed_slice();
+        if !self.counts.is_empty() {
+            let at = usize::from(self.first) - first;
+            counts[at..at + self.counts.len()].copy_from_slice(&self.counts);
+        }
+        self.first = first as u8;
+        self.counts = counts;
+    }
+
+    /// Add `n` to bucket `i`, which the stored range covers.
+    fn add(&mut self, i: usize, n: u32) {
+        let slot = &mut self.counts[i - usize::from(self.first)];
+        *slot = slot.checked_add(n).expect(OVERFLOW);
+    }
+}
+
+/// The recorder a run's hot path writes into: 64 dense `u64` buckets and
+/// the sum, so a record is two additions and never allocates.
+/// [`HistogramRecorder::compact`] yields the [`Histogram`] the run reports.
+#[derive(Clone, Debug)]
+pub struct HistogramRecorder {
+    buckets: [u64; BUCKETS],
+    sum: u128,
+}
+
+impl Default for HistogramRecorder {
+    fn default() -> Self {
+        HistogramRecorder {
+            buckets: [0; BUCKETS],
+            sum: 0,
+        }
+    }
+}
+
+impl HistogramRecorder {
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_of(v)] += 1;
+        self.sum += u128::from(v);
+    }
+
+    #[inline]
+    pub fn record_duration(&mut self, d: SimDuration) {
+        self.record(d.as_nanos());
+    }
+
+    /// What has been recorded, trimmed to the occupied buckets. Panics if a
+    /// bucket holds more than `u32::MAX` records.
+    pub fn compact(&self) -> Histogram {
+        let occupied = |c: &u64| *c > 0;
+        let (Some(first), Some(last)) = (
+            self.buckets.iter().position(occupied),
+            self.buckets.iter().rposition(occupied),
+        ) else {
+            return Histogram::new();
+        };
+        Histogram {
+            first: first as u8,
+            counts: self.buckets[first..=last]
+                .iter()
+                .map(|&c| u32::try_from(c).expect(OVERFLOW))
+                .collect(),
+            count: self.buckets.iter().sum(),
+            sum: self.sum,
+        }
     }
 }
 

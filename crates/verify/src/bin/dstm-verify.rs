@@ -14,11 +14,11 @@
 //! Exit status: 0 clean, 1 violation found (fuzz also writes the shrunk
 //! reproducer to `--out`, default `verify-reproducer.txt`), 2 usage error —
 //! an unknown flag, a stray argument, a missing or unparsable value, a count
-//! no run can use (`check` needs 2 nodes and an object, `fuzz` and `replay`
-//! 1..=`dstm_sim::MAX_ACTORS` nodes and a transaction): one `dstm-verify:`
-//! line and the usage on stderr, and nothing is run. A flag
-//! that is dropped instead selects a different model (`--parent-scop` the
-//! child-scope one) whose clean run exits 0.
+//! no run can use (`check` needs 2 nodes, an object and a state to expand,
+//! `fuzz` an episode, `fuzz` and `replay` 1..=`dstm_sim::MAX_ACTORS` nodes
+//! and a transaction): one `dstm-verify:` line and the usage on stderr, and
+//! nothing is run. A flag that is dropped instead selects a different model
+//! (`--parent-scop` the child-scope one) whose clean run exits 0.
 
 use std::process::ExitCode;
 
@@ -221,6 +221,9 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
             }
         }
         spec.validate().map_err(|e| format!("--{e}"))?;
+        if cfg.episodes == 0 {
+            return Err("--episodes 0: a campaign runs at least 1".to_string());
+        }
         Ok((spec, cfg, out))
     })();
     let (spec, cfg, out) = match parsed {

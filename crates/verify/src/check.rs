@@ -97,8 +97,9 @@ impl Default for ModelCfg {
 }
 
 impl ModelCfg {
-    /// Whether the model can be built: two nodes for a conflict, and an
-    /// object to conflict on. The error names the offending count.
+    /// Whether the model can be built and checked: two nodes for a
+    /// conflict, an object to conflict on, and a state to expand. The error
+    /// names the offending count.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes < 2 {
             return Err(format!("nodes {}: the model needs at least 2", self.nodes));
@@ -107,6 +108,12 @@ impl ModelCfg {
             return Err(format!(
                 "objects {}: the model needs at least 1",
                 self.objects
+            ));
+        }
+        if self.max_states < 1 {
+            return Err(format!(
+                "max-states {}: the check expands at least 1",
+                self.max_states
             ));
         }
         Ok(())

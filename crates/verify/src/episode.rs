@@ -28,7 +28,7 @@
 
 use dstm_benchmarks::Benchmark;
 use dstm_harness::runner::{build_system_with_queue, Cell};
-use dstm_harness::traceio::{analyze, audit};
+use dstm_harness::traceio::{analyze, audit, DEFAULT_ANALYZE_EPOCH_NS};
 use dstm_sim::{PerturbQueue, Schedule};
 use hyflow_dstm::{Fnv64, TraceLog};
 use rts_core::SchedulerKind;
@@ -234,7 +234,7 @@ pub fn run_episode_mutated(
             for v in report.violations {
                 violations.push(format!("audit: {v}"));
             }
-            let an = analyze(&parsed, 0);
+            let an = analyze(&parsed, DEFAULT_ANALYZE_EPOCH_NS);
             for v in an.mismatches {
                 violations.push(format!("analyze: {v}"));
             }

@@ -94,6 +94,9 @@ fn a_count_no_run_can_use_is_refused() {
     assert!(refused(&["fuzz", "--nodes", "0"]).contains("--nodes 0"));
     assert!(refused(&["fuzz", "--nodes", "16777217"]).contains("--nodes 16777217"));
     assert!(refused(&["fuzz", "--txns", "0"]).contains("--txns 0"));
+    // These ran nothing and reported a clean run.
+    assert!(refused(&["fuzz", "--episodes", "0"]).contains("--episodes 0"));
+    assert!(refused(&["check", "--max-states", "0"]).contains("--max-states 0"));
     // A reproducer is held to the same counts as the flags.
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     for (name, count) in [

@@ -17,7 +17,7 @@
 //!   owner healing) no more tombstone forwards than the cache-off run.
 
 use closed_nesting_dstm::harness::runner::{run_cell, run_cell_telemetry, run_cell_traced, Cell};
-use closed_nesting_dstm::harness::{analyze, audit};
+use closed_nesting_dstm::harness::{analyze, audit, DEFAULT_ANALYZE_EPOCH_NS};
 use closed_nesting_dstm::hyflow::{merge_epoch_series, EpochSample};
 use closed_nesting_dstm::prelude::*;
 use rts_core::SchedulerKind;
@@ -82,7 +82,7 @@ fn cache_on_passes_audit_and_ledger_reconciliation() {
                 report.violations
             );
             assert!(report.summary_checked);
-            let ledger = analyze(&trace, 0);
+            let ledger = analyze(&trace, DEFAULT_ANALYZE_EPOCH_NS);
             assert!(
                 ledger.ok(),
                 "{}/{} with cache failed ledger reconciliation: {:?}",
@@ -299,6 +299,6 @@ fn a_zombie_tree_walk_is_aborted_instead_of_spinning_forever() {
     let report = audit(&trace);
     assert!(report.ok(), "audit failed: {:?}", report.violations);
     assert!(report.summary_checked);
-    let ledger = analyze(&trace, 0);
+    let ledger = analyze(&trace, DEFAULT_ANALYZE_EPOCH_NS);
     assert!(ledger.ok(), "ledger mismatches: {:?}", ledger.mismatches);
 }
