@@ -119,18 +119,11 @@ impl RequesterList {
         r
     }
 
-    /// Pop the maximal prefix of requesters to serve next: either one writer,
-    /// or *all* consecutive readers at the head (*"o1 updated by T2 will
-    /// simultaneously be sent to T4, T5 and T6, increasing the concurrency of
-    /// the read transactions"*).
-    pub fn pop_servable(&mut self) -> Vec<Requester> {
-        let mut out = Vec::new();
-        self.pop_servable_into(&mut out);
-        out
-    }
-
-    /// Allocation-free form of [`RequesterList::pop_servable`]: appends the
-    /// servable prefix to `out` (callers keep a reusable scratch buffer).
+    /// Pop the maximal prefix of requesters to serve next — either one
+    /// writer, or *all* consecutive readers at the head (*"o1 updated by T2
+    /// will simultaneously be sent to T4, T5 and T6, increasing the
+    /// concurrency of the read transactions"*) — appending it to `out`
+    /// (callers keep a reusable scratch buffer).
     pub fn pop_servable_into(&mut self, out: &mut Vec<Requester>) {
         match self.front() {
             None => {}
@@ -269,7 +262,8 @@ mod tests {
         let mut l = RequesterList::new();
         l.add_requester(1, req(1, false));
         l.add_requester(2, req(2, false));
-        let served = l.pop_servable();
+        let mut served = Vec::new();
+        l.pop_servable_into(&mut served);
         assert_eq!(served.len(), 1);
         assert_eq!(l.len(), 1);
     }
@@ -281,7 +275,8 @@ mod tests {
         l.add_requester(2, req(2, true));
         l.add_requester(3, req(3, true));
         l.add_requester(4, req(4, false));
-        let served = l.pop_servable();
+        let mut served = Vec::new();
+        l.pop_servable_into(&mut served);
         assert_eq!(served.len(), 3, "all consecutive readers served together");
         assert!(served.iter().all(|r| r.read_only));
         assert_eq!(l.len(), 1);
@@ -290,7 +285,9 @@ mod tests {
     #[test]
     fn pop_servable_empty() {
         let mut l = RequesterList::new();
-        assert!(l.pop_servable().is_empty());
+        let mut served = Vec::new();
+        l.pop_servable_into(&mut served);
+        assert!(served.is_empty());
     }
 
     #[test]
@@ -315,8 +312,12 @@ mod tests {
         assert!(t.list(ObjectId(2)).is_some());
         assert_eq!(t.with_list(ObjectId(1), |l| l.len()), Some(0));
         assert!(t.list(ObjectId(1)).is_none());
-        let served = t.with_list(ObjectId(2), |l| l.pop_servable());
-        assert_eq!(served.map(|s| s.len()), Some(1));
+        let mut served = Vec::new();
+        assert_eq!(
+            t.with_list(ObjectId(2), |l| l.pop_servable_into(&mut served)),
+            Some(())
+        );
+        assert_eq!(served.len(), 1);
         assert!(t.list(ObjectId(2)).is_none());
     }
 }

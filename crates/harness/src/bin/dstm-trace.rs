@@ -1,12 +1,12 @@
-//! `dstm-trace` — offline audit and conversion of protocol-event traces.
+//! `dstm-trace` — offline audit, analysis and conversion of protocol-event
+//! traces.
 //!
 //! ```text
 //! dstm-trace audit   <trace.jsonl>            # check invariants; exit 1 on violation
-//! dstm-trace stats   <trace.jsonl>            # record census (split per traced run)
-//! dstm-trace analyze <trace.jsonl> [--json] [--epoch-ns N]
+//! dstm-trace analyze <trace.jsonl> [--epoch-ns N]
 //!                                             # contention analytics: hot objects,
-//!                                             # abort chains, throughput knee;
-//!                                             # exit 1 on ledger mismatch
+//!                                             # abort chains, throughput knee, and
+//!                                             # a record census per traced run
 //! dstm-trace chrome  <trace.jsonl> [out.json] # convert to Chrome trace_event JSON
 //! dstm-trace jsonl   <trace.jsonl> [out.jsonl]
 //!                                             # parse and re-export: the canonical form
@@ -18,13 +18,14 @@
 //! caller of `TraceLog::to_jsonl`). `audit` replays the trace and checks
 //! what the live counters cannot: every commit's read/write footprint is
 //! consistent with a serial order, every queue-timeout abort was actually
-//! enqueued, the Table-I nested-abort split recomputed from spans
-//! matches the counter-based `RunSummary` exactly, and time never goes
-//! backwards within a run. `analyze` builds the
+//! enqueued, the Table-I nested-abort split and the wasted-work ledger
+//! recomputed from spans match the counter-based `RunSummary` exactly, and
+//! time never goes backwards within a run. `analyze` builds the
 //! object-conflict picture from abort attribution — which objects caused
 //! the aborts, which transactions discarded whose work, where throughput
-//! knees over — and reconciles the event-derived wasted-work ledger
-//! against the live counters.
+//! knees over — and counts each run's records by kind, with its
+//! queue-timeout, enqueue and cache totals. It exits 1 only on a commit
+//! stamped too far out to bucket.
 //!
 //! An argument starting with `--` that the subcommand does not take, a flag
 //! value that does not parse or is 0, and a positional argument the
@@ -34,15 +35,33 @@
 //! that resolves to the input trace: writing it would destroy the trace it
 //! was converted from.
 
-use dstm_harness::traceio::{
-    analyze, audit, to_chrome_trace, trace_stats, DEFAULT_ANALYZE_EPOCH_NS,
-};
+use dstm_harness::traceio::{analyze, audit, to_chrome_trace, DEFAULT_ANALYZE_EPOCH_NS};
 use hyflow_dstm::TraceLog;
 use std::process::ExitCode;
 
 fn load(path: &str) -> Result<TraceLog, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     TraceLog::parse_jsonl(&text)
+}
+
+/// Load `path` and print the report `check` renders of it: exit status 1
+/// if the report is not ok, 2 if the trace cannot be read.
+fn print_report(path: &str, check: impl FnOnce(&TraceLog) -> (String, bool)) -> ExitCode {
+    match load(path) {
+        Ok(log) => {
+            let (text, ok) = check(&log);
+            print!("{text}");
+            if ok {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            }
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::from(2)
+        }
+    }
 }
 
 /// Load `path`, render it, and write the result to `out` (default: `path`
@@ -87,8 +106,8 @@ fn same_file(a: &str, b: &str) -> bool {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  dstm-trace audit   <trace.jsonl>\n  dstm-trace stats   <trace.jsonl>\n  \
-         dstm-trace analyze <trace.jsonl> [--json] [--epoch-ns N]\n  \
+        "usage:\n  dstm-trace audit   <trace.jsonl>\n  \
+         dstm-trace analyze <trace.jsonl> [--epoch-ns N]\n  \
          dstm-trace chrome  <trace.jsonl> [out.json]\n  \
          dstm-trace jsonl   <trace.jsonl> [out.jsonl]"
     );
@@ -100,15 +119,13 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
-    // `analyze` is the one subcommand with flags; everything else that
-    // starts with `--` is a mistake, not a file name.
-    let mut json = false;
+    // `analyze --epoch-ns` is the one flag; everything else that starts
+    // with `--` is a mistake, not a file name.
     let mut epoch_ns = DEFAULT_ANALYZE_EPOCH_NS;
     let mut positional: Vec<&str> = Vec::new();
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--json" if cmd == "analyze" => json = true,
             "--epoch-ns" if cmd == "analyze" => match it.next().map(|v| v.parse::<u64>()) {
                 Some(Ok(n)) if n > 0 => epoch_ns = n,
                 _ => return usage(),
@@ -118,50 +135,14 @@ fn main() -> ExitCode {
         }
     }
     match (cmd.as_str(), positional.as_slice()) {
-        ("audit", [path]) => match load(path) {
-            Ok(log) => {
-                let report = audit(&log);
-                print!("{}", report.render());
-                if report.ok() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::from(2)
-            }
-        },
-        ("stats", [path]) => match load(path) {
-            Ok(log) => {
-                print!("{}", trace_stats(&log));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::from(2)
-            }
-        },
-        ("analyze", [path]) => match load(path) {
-            Ok(log) => {
-                let report = analyze(&log, epoch_ns);
-                if json {
-                    print!("{}", report.to_json());
-                } else {
-                    print!("{}", report.render());
-                }
-                if report.ok() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::from(2)
-            }
-        },
+        ("audit", [path]) => print_report(path, |log| {
+            let report = audit(log);
+            (report.render(), report.ok())
+        }),
+        ("analyze", [path]) => print_report(path, |log| {
+            let report = analyze(log, epoch_ns);
+            (report.render(), report.ok())
+        }),
         ("chrome", [path, out @ ..]) if out.len() <= 1 => convert(
             path,
             out.first().copied(),

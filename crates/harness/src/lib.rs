@@ -26,6 +26,5 @@ pub use runner::{
 };
 pub use table::{SeriesTable, TextTable};
 pub use traceio::{
-    analyze, audit, to_chrome_trace, trace_stats, AnalyzeReport, AuditReport,
-    DEFAULT_ANALYZE_EPOCH_NS,
+    analyze, audit, to_chrome_trace, AnalyzeReport, AuditReport, DEFAULT_ANALYZE_EPOCH_NS,
 };

@@ -276,19 +276,10 @@ pub fn run_cell_telemetry(mut cell: Cell) -> (CellResult, Vec<hyflow_dstm::Telem
 
 /// Run many cells on `workers` threads (defaults to the parallelism the OS
 /// reports). Results come back in input order. A panicking cell aborts the
-/// sweep with a clean panic naming that cell (see [`try_run_cells`]).
+/// sweep with a clean panic naming that cell: every worker is caught
+/// individually, so one bad cell can neither poison the shared claim index
+/// nor strand the collector.
 pub fn run_cells(cells: Vec<Cell>, workers: Option<usize>) -> Vec<CellResult> {
-    match try_run_cells(cells, workers) {
-        Ok(results) => results,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`run_cells`]: a cell that panics surfaces as a clean
-/// `Err` naming the failing cell instead of unwinding through the pool —
-/// every worker is caught individually, so one bad cell can neither poison
-/// the shared claim index nor strand the collector.
-pub fn try_run_cells(cells: Vec<Cell>, workers: Option<usize>) -> Result<Vec<CellResult>, String> {
     let workers = workers.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|p| p.get())
@@ -308,6 +299,7 @@ pub fn try_run_cells(cells: Vec<Cell>, workers: Option<usize>) -> Result<Vec<Cel
         },
         &|c| run_cell(c.clone()),
     )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Render a caught panic payload (the `&str`/`String` forms `panic!` and

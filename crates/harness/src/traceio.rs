@@ -1,24 +1,24 @@
-//! Trace export and offline auditing for protocol-event logs.
+//! Trace export and offline analysis of protocol-event logs.
 //!
 //! Three consumers of a [`TraceLog`]:
 //!
 //! * [`audit`] — replays a trace and checks protocol invariants that the
 //!   live counters cannot express: commit-footprint consistency (a
 //!   necessary condition for serializability), write version chains,
-//!   enqueue/queue-timeout pairing, the Table-I nested-abort split
-//!   recomputed from spans against the counter-based `RunSummary` record,
-//!   and time order within each run;
+//!   enqueue/queue-timeout pairing, the Table-I nested-abort split and the
+//!   wasted-work ledger recomputed from spans against the counter-based
+//!   `RunSummary` record, and time order within each run;
+//! * [`analyze`] — the object-conflict picture (hot objects, aggressors,
+//!   abort chains, throughput knee) and a per-run census of the records;
 //! * [`to_chrome_trace`] — renders the log in Chrome `trace_event` JSON
 //!   (open in `chrome://tracing` or Perfetto): one process per node, one
 //!   thread lane per transaction, complete-event spans per attempt and
 //!   nested child, instants for scheduler decisions / queue service /
-//!   migrations;
-//! * [`trace_stats`] — a quick textual census of the log.
+//!   migrations.
 
 use hyflow_dstm::trace::{push_u64, size_class};
 use hyflow_dstm::{ProtoEvent, TraceLog, TraceRecord, Verdict};
-use rts_core::{FxHashMap, FxHashSet, ObjectId, TxId};
-use std::collections::HashMap;
+use rts_core::{FxHashMap, FxHashSet, ObjectId, SchedulerKind, TxId};
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
@@ -608,151 +608,6 @@ pub fn to_chrome_trace(log: &TraceLog) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Stats
-// ---------------------------------------------------------------------------
-
-/// One census segment: the records of one run (see [`runs`]).
-#[derive(Default)]
-struct StatsSegment {
-    label: Option<String>,
-    records: u64,
-    by_kind: HashMap<&'static str, u64>,
-    commits: u64,
-    aborts: u64,
-    timeouts: u64,
-    enq: u64,
-    /// Remote-read cache totals from the segment's `RunSummary` records.
-    /// All zero (and unrendered) unless the run had `--cache` on.
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_inval: u64,
-}
-
-impl StatsSegment {
-    fn render(&self, out: &mut String) {
-        match &self.label {
-            Some(l) => {
-                let _ = writeln!(out, "[{l}] {} records", self.records);
-            }
-            None => {
-                let _ = writeln!(out, "{} records", self.records);
-            }
-        }
-        let mut kinds: Vec<(&str, u64)> = self.by_kind.iter().map(|(&k, &c)| (k, c)).collect();
-        kinds.sort();
-        for (k, c) in kinds {
-            let _ = writeln!(out, "  {k:<16} {c}");
-        }
-        let _ = writeln!(
-            out,
-            "commits {}, aborts {} ({} queue timeouts), enqueues {}",
-            self.commits, self.aborts, self.timeouts, self.enq
-        );
-        if self.cache_hits != 0 || self.cache_misses != 0 || self.cache_inval != 0 {
-            let lookups = self.cache_hits + self.cache_misses;
-            let rate = if lookups == 0 {
-                0.0
-            } else {
-                self.cache_hits as f64 / lookups as f64
-            };
-            let _ = writeln!(
-                out,
-                "cache hits {}, misses {} ({:.1}% hit rate), invalidations {}",
-                self.cache_hits,
-                self.cache_misses,
-                rate * 100.0,
-                self.cache_inval
-            );
-        }
-    }
-}
-
-/// A quick textual census of the log: record counts per kind plus outcome
-/// totals, one block per run (split as [`audit`] splits them). A run that
-/// starts with a `RunInfo` marker (the harness prepends one per traced
-/// cell) is labeled with its `(scheduler, node-count)` cell.
-pub fn trace_stats(log: &TraceLog) -> String {
-    let segments: Vec<StatsSegment> = runs(&log.records).into_iter().map(census).collect();
-    let mut out = String::new();
-    if segments.is_empty() {
-        let _ = writeln!(out, "0 records");
-        return out;
-    }
-    for (i, seg) in segments.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        seg.render(&mut out);
-    }
-    if segments.len() > 1 {
-        let total: u64 = segments.iter().map(|s| s.records).sum();
-        let _ = writeln!(
-            out,
-            "\ntotal: {} records across {} runs",
-            total,
-            segments.len()
-        );
-    }
-    out
-}
-
-/// [`trace_stats`]'s block for one run.
-fn census(run: &[TraceRecord]) -> StatsSegment {
-    let mut seg = StatsSegment {
-        label: match run.first().map(|r| &r.ev) {
-            Some(ProtoEvent::RunInfo { scheduler, nodes }) => {
-                Some(format!("{} @ {} nodes", scheduler.label(), nodes))
-            }
-            _ => None,
-        },
-        ..StatsSegment::default()
-    };
-    for r in run {
-        seg.records += 1;
-        let kind = match &r.ev {
-            ProtoEvent::TxStart { .. } => "tx_start",
-            ProtoEvent::TxForward { .. } => "tx_forward",
-            ProtoEvent::TxCommit { .. } => {
-                seg.commits += 1;
-                "tx_commit"
-            }
-            ProtoEvent::TxAbort { cause, .. } => {
-                seg.aborts += 1;
-                if *cause == hyflow_dstm::AbortCause::QueueTimeout {
-                    seg.timeouts += 1;
-                }
-                "tx_abort"
-            }
-            ProtoEvent::NestedOpen { .. } => "nested_open",
-            ProtoEvent::NestedCommit { .. } => "nested_commit",
-            ProtoEvent::NestedAbort { .. } => "nested_abort",
-            ProtoEvent::SchedDecision { verdict, .. } => {
-                if *verdict == Verdict::Enqueue {
-                    seg.enq += 1;
-                }
-                "sched_decision"
-            }
-            ProtoEvent::QueueServed { .. } => "queue_served",
-            ProtoEvent::Migrate { .. } => "migrate",
-            ProtoEvent::RunInfo { .. } => "run_info",
-            ProtoEvent::RunSummary {
-                cache_hits,
-                cache_misses,
-                cache_invalidations,
-                ..
-            } => {
-                seg.cache_hits += cache_hits;
-                seg.cache_misses += cache_misses;
-                seg.cache_inval += cache_invalidations;
-                "run_summary"
-            }
-        };
-        *seg.by_kind.entry(kind).or_default() += 1;
-    }
-    seg
-}
-
-// ---------------------------------------------------------------------------
 // Contention analytics
 // ---------------------------------------------------------------------------
 
@@ -810,13 +665,32 @@ pub struct ThroughputSeries {
     pub knee_epoch: Option<usize>,
 }
 
-/// Result of [`analyze`]: hot objects, abort causal chains, throughput
-/// knee, and the event-vs-counter wasted-work reconciliation.
+/// One run of an analyzed log: its record census and its commit series.
+#[derive(Clone, Debug, Default)]
+pub struct RunProfile {
+    /// The cell the run's leading `RunInfo` record names, if it has one.
+    pub info: Option<(SchedulerKind, u64)>,
+    /// Records of each kind, indexed by [`ProtoEvent::kind_index`].
+    pub by_kind: [u64; ProtoEvent::KINDS],
+    /// Aborts whose cause is a queue timeout.
+    pub queue_timeouts: u64,
+    /// Scheduler decisions that enqueued the requester.
+    pub enqueues: u64,
+    /// Remote-read cache totals from the run's `RunSummary` record; all
+    /// zero unless the run had the cache on.
+    pub cache_hits: u64,
+    pub cache_misses: u64,
+    pub cache_invalidations: u64,
+    pub throughput: ThroughputSeries,
+}
+
+/// Result of [`analyze`]: hot objects, abort causal chains, and per run a
+/// record census and the throughput knee.
 #[derive(Clone, Debug, Default)]
 pub struct AnalyzeReport {
     pub records: usize,
-    /// Runs in the log, split as [`audit`] splits them.
-    pub runs: usize,
+    /// One profile per run in the log, split as [`audit`] splits them.
+    pub runs: Vec<RunProfile>,
     pub hot_objects: Vec<HotObject>,
     pub aggressors: Vec<Aggressor>,
     /// Longest victim → aggressor → … causal chain found within one run
@@ -824,13 +698,8 @@ pub struct AnalyzeReport {
     pub longest_chain: Vec<TxId>,
     /// The run that chain belongs to, counted from 1.
     pub longest_chain_run: usize,
-    /// One series per run: each run's sim time starts at 0.
-    pub throughput: Vec<ThroughputSeries>,
-    /// Whether at least one `RunSummary` was present to reconcile against.
-    pub summary_checked: bool,
-    /// Event-derived vs counter-derived discrepancies, each naming its run
-    /// when the log holds more than one; empty means every run's wasted-work
-    /// ledger reconciles exactly.
+    /// What the report could not cover: a commit stamped past the last
+    /// epoch a series holds. Empty on every log whose commits fit.
     pub mismatches: Vec<String>,
     // Event-derived totals.
     pub commits: u64,
@@ -850,24 +719,17 @@ impl AnalyzeReport {
         let ms = |ns: u64| ns as f64 / 1e6;
         // Names a row's run when the log holds more than one.
         let run = |k: usize| {
-            if self.runs > 1 {
+            if self.runs.len() > 1 {
                 format!("run {k} ")
             } else {
                 String::new()
             }
         };
         let mut out = format!(
-            "analyzed {} records ({} run{}); counter reconciliation: {}\n",
+            "analyzed {} records ({} run{})\n",
             self.records,
-            self.runs.max(1),
-            if self.runs.max(1) == 1 { "" } else { "s" },
-            if !self.summary_checked {
-                "no summary record".to_string()
-            } else if self.ok() {
-                "OK".to_string()
-            } else {
-                format!("{} mismatch(es)", self.mismatches.len())
-            },
+            self.runs.len(),
+            if self.runs.len() == 1 { "" } else { "s" },
         );
         let _ = writeln!(
             out,
@@ -879,6 +741,35 @@ impl AnalyzeReport {
             ms(self.wasted_ns),
             self.wasted_msgs
         );
+        for (k, p) in self.runs.iter().enumerate() {
+            let _ = write!(out, "{}census", run(k + 1));
+            if let Some((scheduler, nodes)) = p.info {
+                let _ = write!(out, " [{} @ {nodes} nodes]", scheduler.label());
+            }
+            let _ = writeln!(
+                out,
+                ": {} records, {} queue timeouts, {} enqueues",
+                p.by_kind.iter().sum::<u64>(),
+                p.queue_timeouts,
+                p.enqueues
+            );
+            for (label, &n) in ProtoEvent::LABELS.iter().zip(&p.by_kind) {
+                if n > 0 {
+                    let _ = writeln!(out, "  {label:<16} {n}");
+                }
+            }
+            let lookups = p.cache_hits + p.cache_misses;
+            if lookups > 0 || p.cache_invalidations > 0 {
+                let _ = writeln!(
+                    out,
+                    "  cache hits {}, misses {} ({:.1}% hit rate), invalidations {}",
+                    p.cache_hits,
+                    p.cache_misses,
+                    p.cache_hits as f64 * 100.0 / lookups.max(1) as f64,
+                    p.cache_invalidations
+                );
+            }
+        }
         if !self.hot_objects.is_empty() {
             let _ = writeln!(
                 out,
@@ -924,7 +815,7 @@ impl AnalyzeReport {
                 chain.join(" <- ")
             );
         }
-        for (k, t) in self.throughput.iter().enumerate() {
+        for (k, t) in self.runs.iter().map(|p| &p.throughput).enumerate() {
             if t.commits_per_epoch.is_empty() {
                 continue;
             }
@@ -945,95 +836,6 @@ impl AnalyzeReport {
         for m in &self.mismatches {
             let _ = writeln!(out, "MISMATCH: {m}");
         }
-        out
-    }
-
-    /// Machine-readable JSON rendering (hand-rolled; no serde in-tree).
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut out = format!(
-            "{{\"records\":{},\"runs\":{},\"reconciled\":{},\"summary_checked\":{},\
-             \"commits\":{},\"aborts\":{},\"attributed\":{},\"wasted_ns\":{},\"wasted_msgs\":{}",
-            self.records,
-            self.runs,
-            self.ok(),
-            self.summary_checked,
-            self.commits,
-            self.aborts,
-            self.attributed,
-            self.wasted_ns,
-            self.wasted_msgs
-        );
-        out.push_str(",\"hot_objects\":[");
-        for (i, h) in self.hot_objects.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"run\":{},\"oid\":{},\"aborts\":{},\"wasted_ns\":{},\"serves\":{},\
-                 \"wait_ns\":{},\"migrations\":{}}}",
-                h.run,
-                h.oid.0,
-                h.aborts_caused,
-                h.wasted_ns,
-                h.serves,
-                h.wait_induced_ns,
-                h.migrations
-            );
-        }
-        out.push_str("],\"aggressors\":[");
-        for (i, a) in self.aggressors.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"run\":{},\"tx\":[{},{}],\"victims\":{},\"wasted_ns\":{}}}",
-                a.run, a.tx.node, a.tx.seq, a.victim_aborts, a.wasted_ns
-            );
-        }
-        let _ = write!(
-            out,
-            "],\"longest_chain_run\":{},\"longest_chain\":[",
-            self.longest_chain_run
-        );
-        for (i, t) in self.longest_chain.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{},{}]", t.node, t.seq);
-        }
-        out.push_str("],\"throughput\":[");
-        for (i, t) in self.throughput.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"epoch_ns\":{},\"commits_per_epoch\":[", t.epoch_ns);
-            for (i, c) in t.commits_per_epoch.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{c}");
-            }
-            let _ = write!(out, "],\"peak_epoch\":{}", t.peak_epoch);
-            match t.knee_epoch {
-                Some(k) => {
-                    let _ = write!(out, ",\"knee_epoch\":{k}}}");
-                }
-                None => out.push_str(",\"knee_epoch\":null}"),
-            }
-        }
-        out.push_str("],\"mismatches\":[");
-        for (i, m) in self.mismatches.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", esc(m));
-        }
-        out.push_str("]}\n");
         out
     }
 }
@@ -1127,9 +929,10 @@ fn throughput(commits_per_epoch: Vec<u64>, epoch_ns: u64) -> ThroughputSeries {
 /// aborts and queue wait they caused, rank aggressor transactions by the
 /// work they discarded, walk the victim → aggressor causal chains, bucket
 /// commits into `epoch_ns` sim-time epochs to locate the throughput knee,
-/// and reconcile each run's event-derived wasted-work ledger against that
-/// run's counter-based `RunSummary` record. A reconciliation mismatch makes
-/// [`AnalyzeReport::ok`] false — `dstm-trace analyze` exits non-zero on it.
+/// and count each run's records by kind. It checks nothing against the
+/// `RunSummary` counters — that is [`audit`]'s work. [`AnalyzeReport::ok`]
+/// is false only when a commit lies past the last epoch a series can hold;
+/// `dstm-trace analyze` exits non-zero on it.
 ///
 /// # Panics
 ///
@@ -1145,26 +948,22 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
     };
     let mut objects: FxHashMap<(usize, ObjectId), HotObject> = FxHashMap::default();
     let mut aggressors: FxHashMap<(usize, TxId), (u64, u64)> = FxHashMap::default();
-    let mut ledger_mismatches = Vec::new();
 
     // Transaction and object ids repeat from run to run and each run's
     // clock starts at 0, so the tallies below are kept per run: each run
     // walks its own victim → aggressor map and buckets its own commits.
-    let runs = runs(&log.records);
-    report.runs = runs.len();
-    for (k, run) in runs.into_iter().enumerate() {
+    for (k, run) in runs(&log.records).into_iter().enumerate() {
+        let mut profile = RunProfile {
+            info: match run.first().map(|r| &r.ev) {
+                Some(ProtoEvent::RunInfo { scheduler, nodes }) => Some((*scheduler, *nodes)),
+                _ => None,
+            },
+            ..RunProfile::default()
+        };
         let mut blamed_by: FxHashMap<TxId, TxId> = FxHashMap::default();
         let mut commits_per_epoch: Vec<u64> = Vec::new();
-        // The totals before this run: its `RunSummary` is reconciled
-        // against what its own events add, as `audit` does.
-        let before = (
-            report.commits,
-            report.aborts,
-            report.wasted_ns,
-            report.wasted_msgs,
-            report.attributed,
-        );
         for r in run {
+            profile.by_kind[r.ev.kind_index()] += 1;
             match &r.ev {
                 ProtoEvent::TxCommit { .. } => {
                     report.commits += 1;
@@ -1176,6 +975,7 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
                 }
                 ProtoEvent::TxAbort {
                     tx,
+                    cause,
                     wasted_ns,
                     msgs,
                     oid,
@@ -1185,6 +985,8 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
                     report.aborts += 1;
                     report.wasted_ns += wasted_ns;
                     report.wasted_msgs += msgs;
+                    profile.queue_timeouts +=
+                        u64::from(*cause == hyflow_dstm::AbortCause::QueueTimeout);
                     if let Some(blamed) = oid {
                         let h = hot_entry(&mut objects, k + 1, *blamed);
                         h.aborts_caused += 1;
@@ -1198,6 +1000,9 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
                         blamed_by.insert(*tx, *agg);
                     }
                 }
+                ProtoEvent::SchedDecision { verdict, .. } => {
+                    profile.enqueues += u64::from(*verdict == Verdict::Enqueue);
+                }
                 ProtoEvent::QueueServed { oid, wait, .. } => {
                     let h = hot_entry(&mut objects, k + 1, *oid);
                     h.serves += 1;
@@ -1207,42 +1012,14 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
                     hot_entry(&mut objects, k + 1, *oid).migrations += 1;
                 }
                 ProtoEvent::RunSummary {
-                    commits,
-                    aborts,
-                    wasted_ns,
-                    wasted_msgs,
-                    attributed,
+                    cache_hits,
+                    cache_misses,
+                    cache_invalidations,
                     ..
                 } => {
-                    report.summary_checked = true;
-                    let pairs = [
-                        ("commits", report.commits - before.0, *commits),
-                        ("aborts", report.aborts - before.1, *aborts),
-                        ("wasted-work ns", report.wasted_ns - before.2, *wasted_ns),
-                        (
-                            "wasted messages",
-                            report.wasted_msgs - before.3,
-                            *wasted_msgs,
-                        ),
-                        (
-                            "attributed aborts",
-                            report.attributed - before.4,
-                            *attributed,
-                        ),
-                    ];
-                    let run = if report.runs > 1 {
-                        format!("run {}: ", k + 1)
-                    } else {
-                        String::new()
-                    };
-                    for (label, from_events, from_counters) in pairs {
-                        if from_events != from_counters {
-                            ledger_mismatches.push(format!(
-                                "{run}{label}: {from_events} derived from events vs \
-                                 {from_counters} from counters"
-                            ));
-                        }
-                    }
+                    profile.cache_hits += cache_hits;
+                    profile.cache_misses += cache_misses;
+                    profile.cache_invalidations += cache_invalidations;
                 }
                 _ => {}
             }
@@ -1252,15 +1029,14 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
             report.longest_chain = chain;
             report.longest_chain_run = k + 1;
         }
-        report
-            .throughput
-            .push(throughput(commits_per_epoch, epoch_ns));
+        profile.throughput = throughput(commits_per_epoch, epoch_ns);
+        report.runs.push(profile);
     }
 
     let bucketed: u64 = report
-        .throughput
+        .runs
         .iter()
-        .map(|t| t.commits_per_epoch.iter().sum::<u64>())
+        .map(|p| p.throughput.commits_per_epoch.iter().sum::<u64>())
         .sum();
     if bucketed < report.commits {
         // Only a refused commit gets here; find the furthest one.
@@ -1277,10 +1053,6 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
             span / MAX_ANALYZE_EPOCHS + 1
         ));
     }
-
-    // Reconciliation: each run's event-derived ledger must equal its live
-    // counters.
-    report.mismatches.append(&mut ledger_mismatches);
 
     // Hot objects: aborts caused, then wasted work, then queue wait.
     let mut hot: Vec<HotObject> = objects.into_values().collect();
@@ -1493,36 +1265,96 @@ mod tests {
 
     #[test]
     fn summary_mismatch_is_flagged() {
-        let tx = TxId::new(0, 1);
-        let log = TraceLog {
-            records: vec![
-                commit(100, tx, vec![], vec![]),
-                rec(
-                    200,
-                    0,
-                    ProtoEvent::RunSummary {
-                        commits: 2, // spans saw 1
-                        aborts: 0,
-                        nested_own: 0,
-                        nested_parent: 0,
-                        nested_commits: 0,
-                        wasted_ns: 0,
-                        wasted_msgs: 0,
-                        attributed: 0,
-                        cache_hits: 0,
-                        cache_misses: 0,
-                        cache_invalidations: 0,
-                    },
-                ),
-            ],
+        // A commit with a committed child, and an abort that blames the
+        // committer and takes a child with it after another child rolled
+        // back on its own: every counter the summary carries is nonzero.
+        let (tx, victim) = (TxId::new(0, 1), TxId::new(1, 1));
+        let spans = [
+            rec(
+                100,
+                0,
+                ProtoEvent::NestedCommit {
+                    tx,
+                    attempt: 0,
+                    level: 1,
+                },
+            ),
+            commit(150, tx, vec![], vec![]),
+            rec(
+                200,
+                1,
+                ProtoEvent::NestedAbort {
+                    tx: victim,
+                    attempt: 0,
+                    level: 1,
+                    own: 1,
+                    parent: 0,
+                },
+            ),
+            rec(
+                300,
+                1,
+                ProtoEvent::TxAbort {
+                    tx: victim,
+                    attempt: 0,
+                    cause: AbortCause::SchedulerAbort,
+                    nested_parent: 1,
+                    backoff: SimDuration::ZERO,
+                    wasted_ns: 500,
+                    msgs: 2,
+                    oid: Some(ObjectId(1)),
+                    aggressor: Some(tx),
+                },
+            ),
+        ];
+        let audited = |c: [u64; 8]| {
+            let mut records = spans.to_vec();
+            records.push(rec(
+                400,
+                0,
+                ProtoEvent::RunSummary {
+                    commits: c[0],
+                    aborts: c[1],
+                    nested_own: c[2],
+                    nested_parent: c[3],
+                    nested_commits: c[4],
+                    wasted_ns: c[5],
+                    wasted_msgs: c[6],
+                    attributed: c[7],
+                    cache_hits: 0,
+                    cache_misses: 0,
+                    cache_invalidations: 0,
+                },
+            ));
+            audit(&TraceLog { records })
         };
-        let report = audit(&log);
+        let counters = [1, 1, 1, 1, 1, 500, 2, 1];
+        let report = audited(counters);
         assert!(report.summary_checked);
-        assert!(!report.ok());
-        assert!(
-            report.violations[0].contains("Table-I cross-check failed"),
-            "{report:?}"
-        );
+        assert!(report.ok(), "{:?}", report.violations);
+        // Each counter one off is caught on its own, and named.
+        let labels = [
+            "commits",
+            "aborts",
+            "nested-own aborts",
+            "nested-parent aborts",
+            "nested commits",
+            "wasted-work ns",
+            "wasted messages",
+            "attributed aborts",
+        ];
+        for (i, label) in labels.into_iter().enumerate() {
+            let mut corrupt = counters;
+            corrupt[i] += 1;
+            assert_eq!(
+                audited(corrupt).violations,
+                [format!(
+                    "Table-I cross-check failed for {label}: {} recomputed from spans \
+                     vs {} from counters",
+                    counters[i], corrupt[i]
+                )]
+            );
+        }
     }
 
     #[test]
@@ -1623,8 +1455,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_census_counts_kinds() {
+    fn analyze_counts_each_run_by_kind() {
         let tx = TxId::new(0, 1);
+        let o = ObjectId(1);
         let log = TraceLog {
             records: vec![
                 rec(
@@ -1636,17 +1469,89 @@ mod tests {
                         attempt: 0,
                     },
                 ),
+                rec(
+                    100,
+                    0,
+                    ProtoEvent::SchedDecision {
+                        oid: o,
+                        tx,
+                        attempt: 0,
+                        local_cl: 1,
+                        requester_cl: 0,
+                        window_requests: 1,
+                        executed: SimDuration::ZERO,
+                        remaining: SimDuration::ZERO,
+                        queue_depth: 1,
+                        bk: SimDuration::ZERO,
+                        threshold: None,
+                        verdict: Verdict::Enqueue,
+                        backoff: SimDuration::ZERO,
+                    },
+                ),
+                rec(
+                    200,
+                    0,
+                    ProtoEvent::TxAbort {
+                        tx,
+                        attempt: 0,
+                        cause: AbortCause::QueueTimeout,
+                        nested_parent: 0,
+                        backoff: SimDuration::ZERO,
+                        wasted_ns: 0,
+                        msgs: 0,
+                        oid: Some(o),
+                        aggressor: None,
+                    },
+                ),
                 commit(1_000, tx, vec![], vec![]),
+                rec(
+                    2_000,
+                    0,
+                    ProtoEvent::RunSummary {
+                        commits: 1,
+                        aborts: 1,
+                        nested_own: 0,
+                        nested_parent: 0,
+                        nested_commits: 0,
+                        wasted_ns: 0,
+                        wasted_msgs: 0,
+                        attributed: 0,
+                        cache_hits: 3,
+                        cache_misses: 1,
+                        cache_invalidations: 2,
+                    },
+                ),
             ],
         };
-        let s = trace_stats(&log);
-        assert!(s.contains("2 records"));
-        assert!(s.contains("tx_start"));
-        assert!(s.contains("commits 1"));
+        let report = analyze(&log, DEFAULT_ANALYZE_EPOCH_NS);
+        let [run] = &report.runs[..] else {
+            panic!("{} runs", report.runs.len());
+        };
+        let kind = |ev: &ProtoEvent| run.by_kind[ev.kind_index()];
+        for r in &log.records {
+            assert_eq!(kind(&r.ev), 1, "{:?}", r.ev);
+        }
+        assert_eq!(run.by_kind.iter().sum::<u64>(), 5);
+        assert_eq!((run.queue_timeouts, run.enqueues), (1, 1));
+        assert_eq!(
+            (run.cache_hits, run.cache_misses, run.cache_invalidations),
+            (3, 1, 2)
+        );
+        let text = report.render();
+        assert!(
+            text.contains("census: 5 records, 1 queue timeouts, 1 enqueues\n"),
+            "{text}"
+        );
+        assert!(text.contains("\n  tx_start         1\n"), "{text}");
+        assert!(text.contains("\n  tx_commit        1\n"), "{text}");
+        assert!(
+            text.contains("cache hits 3, misses 1 (75.0% hit rate), invalidations 2"),
+            "{text}"
+        );
     }
 
     #[test]
-    fn stats_split_per_scheduler_and_node_count() {
+    fn analyze_labels_each_run_with_its_cell() {
         let tx = TxId::new(0, 1);
         let log = TraceLog {
             records: vec![
@@ -1671,10 +1576,29 @@ mod tests {
                 commit(4_000, tx, vec![], vec![]),
             ],
         };
-        let s = trace_stats(&log);
-        assert!(s.contains("[RTS @ 8 nodes] 2 records"), "{s}");
-        assert!(s.contains("[TFA @ 16 nodes] 3 records"), "{s}");
-        assert!(s.contains("total: 5 records across 2 runs"), "{s}");
+        let report = analyze(&log, DEFAULT_ANALYZE_EPOCH_NS);
+        let cells: Vec<_> = report
+            .runs
+            .iter()
+            .map(|p| (p.info, p.by_kind.iter().sum::<u64>()))
+            .collect();
+        assert_eq!(
+            cells,
+            [
+                (Some((SchedulerKind::Rts, 8)), 2),
+                (Some((SchedulerKind::Tfa, 16)), 3)
+            ]
+        );
+        let text = report.render();
+        assert!(text.starts_with("analyzed 5 records (2 runs)\n"), "{text}");
+        assert!(
+            text.contains("run 1 census [RTS @ 8 nodes]: 2 records"),
+            "{text}"
+        );
+        assert!(
+            text.contains("run 2 census [TFA @ 16 nodes]: 3 records"),
+            "{text}"
+        );
     }
 
     fn abort_blaming(
@@ -1703,7 +1627,7 @@ mod tests {
     }
 
     #[test]
-    fn analyze_ranks_hot_objects_chains_aggressors_and_reconciles() {
+    fn analyze_ranks_hot_objects_chains_and_aggressors() {
         let (t0, t1, t2) = (TxId::new(0, 1), TxId::new(1, 1), TxId::new(2, 1));
         let (a, b) = (ObjectId(1), ObjectId(2));
         let log = TraceLog {
@@ -1763,8 +1687,7 @@ mod tests {
         };
         let report = analyze(&log, DEFAULT_ANALYZE_EPOCH_NS);
         assert!(report.ok(), "{:?}", report.mismatches);
-        assert!(report.summary_checked);
-        assert_eq!(report.runs, 1);
+        assert_eq!(report.runs.len(), 1);
         assert_eq!(
             (report.commits, report.aborts, report.attributed),
             (1, 3, 3)
@@ -1794,12 +1717,6 @@ mod tests {
         );
         // Causal chain t1 <- t0 <- t2.
         assert_eq!(report.longest_chain, vec![t1, t0, t2]);
-        // JSON is well formed (cheap balance check) and carries the verdict.
-        let json = report.to_json();
-        assert!(json.contains("\"reconciled\":true"), "{json}");
-        let balance =
-            |open: char, close: char| json.matches(open).count() == json.matches(close).count();
-        assert!(balance('{', '}') && balance('[', ']'));
         // Human rendering names the hot object and the chain.
         let text = report.render();
         assert!(text.contains("hot objects"), "{text}");
@@ -1807,7 +1724,7 @@ mod tests {
     }
 
     #[test]
-    fn analyze_flags_wasted_work_mismatch() {
+    fn audit_flags_wasted_work_mismatch() {
         let t1 = TxId::new(1, 1);
         let log = TraceLog {
             records: vec![
@@ -1831,18 +1748,17 @@ mod tests {
                 ),
             ],
         };
-        let report = analyze(&log, DEFAULT_ANALYZE_EPOCH_NS);
-        assert!(!report.ok());
-        assert!(
-            report.mismatches[0].contains("wasted-work ns"),
-            "{:?}",
-            report.mismatches
+        assert_eq!(
+            audit(&log).violations,
+            [
+                "Table-I cross-check failed for wasted-work ns: 500 recomputed from spans \
+              vs 499 from counters"
+            ]
         );
-        assert!(report.to_json().contains("\"reconciled\":false"));
     }
 
     #[test]
-    fn analyze_reconciles_each_run_on_its_own() {
+    fn audit_reconciles_each_run_on_its_own() {
         let tx = TxId::new(0, 1);
         let summary = |at, commits| {
             rec(
@@ -1874,13 +1790,13 @@ mod tests {
                 summary(200, 1),
             ],
         };
-        assert!(!audit(&log).ok());
-        let report = analyze(&log, DEFAULT_ANALYZE_EPOCH_NS);
         assert_eq!(
-            report.mismatches,
+            audit(&log).violations,
             [
-                "run 1: commits: 1 derived from events vs 2 from counters",
-                "run 2: commits: 2 derived from events vs 1 from counters",
+                "run 1: Table-I cross-check failed for commits: 1 recomputed from spans \
+                 vs 2 from counters",
+                "run 2: Table-I cross-check failed for commits: 2 recomputed from spans \
+                 vs 1 from counters",
             ]
         );
     }
@@ -1897,17 +1813,17 @@ mod tests {
             }
         }
         let log = TraceLog { records };
-        let report = analyze(&log, epoch);
-        assert_eq!(report.throughput[0].commits_per_epoch, vec![4, 4, 1, 1]);
-        assert_eq!(report.throughput[0].peak_epoch, 0);
-        assert_eq!(report.throughput[0].knee_epoch, Some(2));
+        let series = analyze(&log, epoch).runs[0].throughput.clone();
+        assert_eq!(series.commits_per_epoch, vec![4, 4, 1, 1]);
+        assert_eq!(series.peak_epoch, 0);
+        assert_eq!(series.knee_epoch, Some(2));
         // A flat series has no knee.
         let flat = TraceLog {
             records: (0..4)
                 .map(|e| commit(e * epoch, tx, vec![], vec![]))
                 .collect(),
         };
-        assert_eq!(analyze(&flat, epoch).throughput[0].knee_epoch, None);
+        assert_eq!(analyze(&flat, epoch).runs[0].throughput.knee_epoch, None);
     }
 
     #[test]
@@ -1946,7 +1862,7 @@ mod tests {
             ],
         };
         let report = analyze(&log, epoch);
-        assert_eq!(report.runs, 2);
+        assert_eq!(report.runs.len(), 2);
         assert_eq!(report.longest_chain, vec![t0, t3], "run 1's, the earliest");
         assert_eq!(report.longest_chain_run, 1);
         // Two entries for T3.1, not one summed across runs.
@@ -1966,9 +1882,9 @@ mod tests {
         assert_eq!(a_tolls, vec![(1, a, 2, 700), (2, a, 1, 700)]);
         // Each run's commits are bucketed from its own time 0.
         let series: Vec<_> = report
-            .throughput
+            .runs
             .iter()
-            .map(|t| t.commits_per_epoch.clone())
+            .map(|p| p.throughput.commits_per_epoch.clone())
             .collect();
         assert_eq!(series, vec![vec![2], vec![0, 0, 1]]);
         let text = report.render();

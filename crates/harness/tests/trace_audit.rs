@@ -4,7 +4,7 @@
 
 use dstm_benchmarks::Benchmark;
 use dstm_harness::experiments::scenarios::run_collision_traced;
-use dstm_harness::traceio::{analyze, audit, trace_stats, DEFAULT_ANALYZE_EPOCH_NS};
+use dstm_harness::traceio::{analyze, audit, DEFAULT_ANALYZE_EPOCH_NS};
 use dstm_harness::{run_cell_traced, Cell};
 use hyflow_dstm::{ProtoEvent, TraceLog};
 use rts_core::{SchedulerKind, TxId};
@@ -83,14 +83,31 @@ fn concatenated_runs_are_audited_one_by_one() {
         fig2.metrics.merged.commits + fig3.metrics.merged.commits
     );
 
-    // `analyze` and `stats` split the log the same way. Both runs number
-    // their transactions from scratch, so a chain that crossed from one run
-    // into the other would join strangers: every link of the longest chain
-    // must be an abort of one and the same run.
+    // `analyze` splits the log the same way, and counts each run's records
+    // by kind on their own. Both runs number their transactions from
+    // scratch, so a chain that crossed from one run into the other would
+    // join strangers: every link of the longest chain must be an abort of
+    // one and the same run.
     let both = analyze(&concatenated(&second), DEFAULT_ANALYZE_EPOCH_NS);
     assert!(both.ok(), "mismatches: {:?}", both.mismatches);
-    assert_eq!(both.runs, 2);
-    assert!(both.render().contains("(2 runs)"), "{}", both.render());
+    let by_kind = |run: &TraceLog| {
+        let mut counts = [0u64; ProtoEvent::KINDS];
+        for r in &run.records {
+            counts[r.ev.kind_index()] += 1;
+        }
+        counts
+    };
+    let census: Vec<_> = both.runs.iter().map(|p| p.by_kind).collect();
+    assert_eq!(census, [by_kind(&first), by_kind(&second)]);
+    let text = both.render();
+    assert!(
+        text.starts_with(&format!("analyzed {} records (2 runs)\n", both.records)),
+        "{text}"
+    );
+    for (k, run) in [&first, &second].into_iter().enumerate() {
+        let header = format!("run {} census: {} records, ", k + 1, run.records.len());
+        assert!(text.contains(&header), "{text}");
+    }
     let links = |run: &TraceLog| -> HashSet<(TxId, TxId)> {
         run.records
             .iter()
@@ -112,9 +129,6 @@ fn concatenated_runs_are_audited_one_by_one() {
             .any(|run| chain.windows(2).all(|l| run.contains(&(l[0], l[1])))),
         "chain {chain:?} is not one run's"
     );
-    let census = trace_stats(&concatenated(&second));
-    assert_eq!(census.matches(" records\n").count(), 2, "{census}");
-    assert!(census.ends_with("across 2 runs\n"), "{census}");
 
     // A lost update in the second run is still found, and named by its run.
     let mut planted = second.clone();

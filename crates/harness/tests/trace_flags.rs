@@ -3,9 +3,10 @@
 //!
 //! Every subcommand used to read the arguments it had a place for and drop
 //! the rest: `audit a.jsonl b.jsonl` audited `a.jsonl` alone and exited 0,
-//! and a stray word after `stats`, `chrome` or `jsonl` was ignored the same
-//! way. Each is now the usage text on stderr and exit status 2
-//! before any file is read or written; checked through the binary.
+//! and a stray word after `chrome` or `jsonl` was ignored the same way.
+//! Each is now the usage text on stderr and exit status 2 before any file
+//! is read or written, as are a subcommand and a flag the tool does not
+//! have; checked through the binary.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -57,9 +58,11 @@ fn audit_refuses_a_second_trace_and_an_unknown_flag() {
     refused(&["audit", &good, "--strict"], &[]);
 }
 
+/// `stats` printed a record census that `analyze` now prints per run.
 #[test]
-fn stats_refuses_a_stray_argument() {
+fn stats_is_not_a_subcommand() {
     let good = recorded("stats.jsonl");
+    refused(&["stats", &good], &[]);
     refused(&["stats", &good, "bogus"], &[]);
 }
 
@@ -70,6 +73,8 @@ fn analyze_refuses_a_stray_argument_and_a_bad_epoch() {
     refused(&["analyze", &good, "--epoch-ns", "soon"], &[]);
     // 0 meant the 50 ms default.
     refused(&["analyze", &good, "--epoch-ns", "0"], &[]);
+    // The JSON rendering of the report is gone.
+    refused(&["analyze", &good, "--json"], &[]);
 }
 
 #[test]
@@ -124,7 +129,7 @@ fn demo_is_not_a_subcommand() {
 #[test]
 fn the_invocations_ci_makes_still_succeed() {
     let good = recorded("ci.jsonl");
-    for cmd in ["audit", "stats", "analyze"] {
+    for cmd in ["audit", "analyze"] {
         let out = trace_tool(&[cmd, &good]);
         assert!(out.status.success(), "{cmd}: {out:?}");
         assert!(!out.stdout.is_empty(), "{cmd} printed nothing");

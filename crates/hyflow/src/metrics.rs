@@ -116,8 +116,9 @@ pub struct NodeCounters {
     pub aborts_attributed: u64,
     /// Nested levels discarded, tallied by the wasted-work path at the
     /// abort sites — must reconcile exactly with Table I's
-    /// `nested_aborts_own` / `nested_aborts_parent` (asserted in tests and
-    /// by `dstm-trace analyze`).
+    /// `nested_aborts_own` / `nested_aborts_parent`
+    /// ([`NodeCounters::wasted_work_reconciles`], asserted in tests and by
+    /// the benchmark).
     pub wasted_nested_own: u64,
     pub wasted_nested_parent: u64,
     /// Commit latency of successful attempts (start of attempt → commit).

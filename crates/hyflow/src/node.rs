@@ -1459,7 +1459,7 @@ impl Node {
         self.metrics
             .record_nested_aborts(NestedAbortCause::ParentAbort, acc.nested_parent);
         // Wasted-work ledger's view of the same rollback (reconciled against
-        // the Table-I counters above by tests and `dstm-trace analyze`).
+        // the Table-I counters above by `NodeCounters::wasted_work_reconciles`).
         self.metrics.wasted_nested_own += acc.nested_own;
         self.metrics.wasted_nested_parent += acc.nested_parent;
         self.ptrace.emit(now, self.me, || ProtoEvent::NestedAbort {

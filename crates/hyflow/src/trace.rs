@@ -96,7 +96,24 @@ macro_rules! events {
             $kind {$($(#[$field_doc])* $field: $ty,)*},
         )*}
 
+        /// Each kind's position in the table, for [`ProtoEvent::kind_index`].
+        enum KindIndex {$($kind,)*}
+
         impl ProtoEvent {
+            /// Every kind's label, in table order.
+            pub const LABELS: &'static [&'static str] = &[$($label),*];
+
+            /// How many kinds the table declares.
+            pub const KINDS: usize = ProtoEvent::LABELS.len();
+
+            /// This event's kind's position in the table: its label is
+            /// `ProtoEvent::LABELS[self.kind_index()]`.
+            pub fn kind_index(&self) -> usize {
+                match self {$(
+                    ProtoEvent::$kind { .. } => KindIndex::$kind as usize,
+                )*}
+            }
+
             /// Append `,"ev":"<label>"` and every field the line carries.
             fn write_fields(&self, out: &mut String) {
                 match self {$(
@@ -308,9 +325,8 @@ events! {
             nodes: u64 = "nodes" required,
         },
         /// End-of-run counter snapshot appended by the harness so an offline
-        /// audit can compare span-derived totals against the live counters.
-        /// The wasted-work totals let `dstm-trace analyze` reconcile its
-        /// event-derived ledger against the live counters.
+        /// audit can compare span-derived totals — the Table-I split and the
+        /// wasted-work ledger — against the live counters.
         RunSummary = "run_summary" {
             commits: u64 = "commits" required,
             aborts: u64 = "aborts" required,
@@ -1261,13 +1277,22 @@ mod tests {
                 cache_invalidations: 2,
             },
         ];
+        // Every kind has a sample, and each writes the label its index names.
+        let mut sampled = [false; ProtoEvent::KINDS];
         for (i, ev) in variants.into_iter().enumerate() {
-            roundtrip(TraceRecord {
+            sampled[ev.kind_index()] = true;
+            let rec = TraceRecord {
                 at: SimTime(1_000 + i as u64),
                 node: i as u32 % 4,
                 ev,
-            });
+            };
+            let mut line = String::new();
+            rec.write_jsonl(&mut line);
+            let label = ProtoEvent::LABELS[rec.ev.kind_index()];
+            assert!(line.contains(&format!(",\"ev\":\"{label}\"")), "{line}");
+            roundtrip(rec);
         }
+        assert_eq!(sampled, [true; ProtoEvent::KINDS]);
     }
 
     #[test]

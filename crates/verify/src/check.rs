@@ -98,8 +98,8 @@ impl Default for ModelCfg {
 
 impl ModelCfg {
     /// Whether the model can be built and checked: two nodes for a
-    /// conflict, an object to conflict on, and a state to expand. The error
-    /// names the offending count.
+    /// conflict, an object to conflict on, a state to expand and a
+    /// transition to follow from it. The error names the offending count.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes < 2 {
             return Err(format!("nodes {}: the model needs at least 2", self.nodes));
@@ -114,6 +114,12 @@ impl ModelCfg {
             return Err(format!(
                 "max-states {}: the check expands at least 1",
                 self.max_states
+            ));
+        }
+        if self.max_depth < 1 {
+            return Err(format!(
+                "max-depth {}: the check follows at least 1 transition",
+                self.max_depth
             ));
         }
         Ok(())

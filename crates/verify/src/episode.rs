@@ -18,9 +18,9 @@
 //! * **telemetry reconciliation** — per-epoch counter deltas sum exactly
 //!   to the final merged counters (no sample lost or double-counted);
 //! * **offline trace oracles** — `dstm-trace`'s [`audit`] (span pairing,
-//!   commit serializability, counter cross-checks) and [`analyze`]
-//!   (wasted-work ledger reconciliation) both pass on the JSONL-round-
-//!   tripped trace.
+//!   commit serializability, the Table-I split and wasted-work ledger
+//!   against the counters) and [`analyze`] (every commit bucketed into its
+//!   throughput series) both pass on the JSONL-round-tripped trace.
 //!
 //! The outcome carries a behavior **digest** (FNV-64 over the headline
 //! counters and the full trace encoding) so replays can be asserted

@@ -10,7 +10,8 @@
 //!   [`dstm_sim::Schedule`]. After the run, the whole oracle battery is
 //!   applied: liveness, single-writable-copy, cache freshness, node-local
 //!   structural invariants, telemetry reconciliation, and the offline
-//!   trace `audit`/`analyze` checks. Failing schedules shrink (ddmin-lite)
+//!   trace checks (`audit`'s invariants and counter cross-check, and an
+//!   `analyze` that covers every commit). Failing schedules shrink (ddmin-lite)
 //!   to a minimal reproducer blob that `dstm-verify replay` re-executes
 //!   bit-identically.
 //!

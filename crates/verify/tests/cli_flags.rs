@@ -97,6 +97,7 @@ fn a_count_no_run_can_use_is_refused() {
     // These ran nothing and reported a clean run.
     assert!(refused(&["fuzz", "--episodes", "0"]).contains("--episodes 0"));
     assert!(refused(&["check", "--max-states", "0"]).contains("--max-states 0"));
+    assert!(refused(&["check", "--max-depth", "0"]).contains("--max-depth 0"));
     // A reproducer is held to the same counts as the flags.
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     for (name, count) in [

@@ -71,7 +71,7 @@ fn digest(cell: Cell) -> String {
 ///
 /// Migrated a SECOND time for the trace-format additions of the telemetry
 /// layer: `run_cell_traced` now prepends a `RunInfo` header record
-/// (scheduler + node count, for per-run `dstm-trace stats` segmentation)
+/// (scheduler + node count, so `dstm-trace` can split and label runs)
 /// and `RunSummary`/`TxAbort` records carry the wasted-work ledger fields.
 /// Every metric, message count, and timestamp was again unchanged; every
 /// cell's record count moved by exactly +1 (the header).
