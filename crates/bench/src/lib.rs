@@ -74,9 +74,15 @@ fn setting<T>(
 /// Where regenerated artifacts are written: `paper_results/` at the
 /// workspace root (override with `DSTM_RESULTS_DIR`).
 pub fn results_dir() -> PathBuf {
-    match std::env::var("DSTM_RESULTS_DIR") {
-        Ok(dir) => PathBuf::from(dir),
-        Err(_) => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../paper_results"),
+    results_dir_named(std::env::var("DSTM_RESULTS_DIR").ok().as_deref())
+}
+
+/// The directory a `DSTM_RESULTS_DIR` value names. An empty value counts
+/// as unset, as it does for the other two variables.
+fn results_dir_named(value: Option<&str>) -> PathBuf {
+    match value {
+        None | Some("") => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../paper_results"),
+        Some(dir) => PathBuf::from(dir),
     }
 }
 
@@ -379,6 +385,14 @@ mod tests {
         );
         // `large` named a 160–10k-node preset that no table used.
         assert!(parse_settings(Some("large"), None).is_err());
+    }
+
+    #[test]
+    fn an_empty_results_dir_means_paper_results() {
+        let default = results_dir_named(None);
+        assert!(default.ends_with("paper_results"), "{}", default.display());
+        assert_eq!(results_dir_named(Some("")), default);
+        assert_eq!(results_dir_named(Some("regen")), PathBuf::from("regen"));
     }
 
     fn args(list: &[&str]) -> Vec<String> {

@@ -7,7 +7,7 @@
 //! audits a few accounts. The invariant checked by the integration tests:
 //! total balance is conserved by any interleaving.
 
-use crate::params::WorkloadParams;
+use crate::params::{WorkloadParams, COMPUTE};
 use hyflow_dstm::program::{ScriptOp, ScriptProgram};
 use hyflow_dstm::{BoxedProgram, Payload, WorkloadSource};
 use rts_core::{ObjectId, TxKind};
@@ -65,7 +65,7 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
                     ops.push(ScriptOp::OpenNested(KIND_READ));
                     ops.push(ScriptOp::Read(a));
                     ops.push(ScriptOp::CloseNested);
-                    ops.push(ScriptOp::Compute(p.compute));
+                    ops.push(ScriptOp::Compute(COMPUTE));
                 }
                 // Parent-level read of the branch log at the end.
                 ops.push(ScriptOp::Read(log_oid(rng.below(log_count(p)))));
@@ -82,12 +82,12 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
                     ops.push(ScriptOp::Write(account_oid(a)));
                     ops.push(ScriptOp::AddScalar(account_oid(a), -amount));
                     ops.push(ScriptOp::CloseNested);
-                    ops.push(ScriptOp::Compute(p.compute));
+                    ops.push(ScriptOp::Compute(COMPUTE));
                     ops.push(ScriptOp::OpenNested(KIND_DEPOSIT));
                     ops.push(ScriptOp::Write(account_oid(b)));
                     ops.push(ScriptOp::AddScalar(account_oid(b), amount));
                     ops.push(ScriptOp::CloseNested);
-                    ops.push(ScriptOp::Compute(p.compute));
+                    ops.push(ScriptOp::Compute(COMPUTE));
                 }
                 // Parent-level audit-log update after the nested transfers.
                 let log = log_oid(rng.below(log_count(p)));
@@ -171,15 +171,5 @@ mod tests {
         let ka: Vec<_> = a.programs.iter().flatten().map(|x| x.kind()).collect();
         let kb: Vec<_> = b.programs.iter().flatten().map(|x| x.kind()).collect();
         assert_eq!(ka, kb);
-    }
-
-    #[test]
-    fn compute_steps_use_param() {
-        let p = WorkloadParams {
-            compute: dstm_sim::SimDuration::from_micros(123),
-            ..params()
-        };
-        let w = generate(&p);
-        assert!(!w.programs[0].is_empty());
     }
 }

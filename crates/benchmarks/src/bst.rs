@@ -8,8 +8,7 @@
 //! local plan drained through instant acquires.
 
 use crate::op_loop::{generate_programs, pool_objects, Alloc, OpLoop, OpMachine, Pool, WritePlan};
-use crate::params::WorkloadParams;
-use dstm_sim::SimDuration;
+use crate::params::{WorkloadParams, MAX_NESTED_OPS};
 use hyflow_dstm::program::{AccessMode, StepInput, StepOutput};
 use hyflow_dstm::{Payload, WorkloadSource};
 use rts_core::{ObjectId, TxKind};
@@ -98,12 +97,11 @@ impl BstProgram {
         ops: impl Into<Arc<[BstOp]>>,
         invoking_node: usize,
         pool_size: u64,
-        compute: SimDuration,
         summary: ObjectId,
         delta: Option<i64>,
     ) -> Self {
         let walk = BstWalk::new(invoking_node, pool_size);
-        OpLoop::with_machine(kind, ops, compute, summary, delta, walk)
+        OpLoop::with_machine(kind, ops, summary, delta, walk)
     }
 }
 
@@ -299,7 +297,7 @@ fn build_balanced(
 pub fn generate(p: &WorkloadParams) -> WorkloadSource {
     let size = p.total_objects().min(256);
     let values: Vec<i64> = (1..=size as i64).map(|i| 2 * i).collect();
-    let pool_size = (p.txns_per_node * p.max_nested_ops) as u64;
+    let pool_size = (p.txns_per_node * MAX_NESTED_OPS) as u64;
 
     let mut objects: Vec<(ObjectId, Payload)> = Vec::new();
     let mut next_oid = NODE_BASE;
@@ -439,7 +437,6 @@ mod tests {
             vec![BstOp::Insert(5)],
             0,
             16,
-            SimDuration::from_micros(1),
             SUMMARY,
             Some(1),
         );
@@ -461,7 +458,6 @@ mod tests {
             vec![BstOp::Remove(target)],
             0,
             16,
-            SimDuration::from_micros(1),
             SUMMARY,
             Some(1),
         );
@@ -486,7 +482,6 @@ mod tests {
                 vec![BstOp::Remove(v)],
                 0,
                 64,
-                SimDuration::from_micros(1),
                 SUMMARY,
                 Some(1),
             );
@@ -508,7 +503,6 @@ mod tests {
             vec![BstOp::Contains(3), BstOp::Contains(4)],
             0,
             16,
-            SimDuration::from_micros(1),
             SUMMARY,
             None,
         );
@@ -527,7 +521,6 @@ mod tests {
             vec![BstOp::Insert(existing)],
             0,
             16,
-            SimDuration::from_micros(1),
             SUMMARY,
             Some(1),
         );
@@ -550,7 +543,6 @@ mod tests {
             ],
             0,
             16,
-            SimDuration::from_micros(1),
             SUMMARY,
             Some(1),
         );

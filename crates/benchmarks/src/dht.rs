@@ -7,7 +7,6 @@
 
 use crate::op_loop::{generate_programs, OpLoop, OpMachine};
 use crate::params::WorkloadParams;
-use dstm_sim::SimDuration;
 use hyflow_dstm::program::{AccessMode, StepInput, StepOutput};
 use hyflow_dstm::{Payload, WorkloadSource};
 use rts_core::{ObjectId, TxKind};
@@ -47,11 +46,10 @@ impl DhtProgram {
         kind: TxKind,
         ops: impl Into<Arc<[DhtOp]>>,
         buckets: u64,
-        compute: SimDuration,
         summary: ObjectId,
         delta: Option<i64>,
     ) -> Self {
-        OpLoop::with_machine(kind, ops, compute, summary, delta, DhtBucket { buckets })
+        OpLoop::with_machine(kind, ops, summary, delta, DhtBucket { buckets })
     }
 }
 
@@ -188,7 +186,6 @@ mod tests {
             KIND_DHT_WRITER,
             vec![DhtOp::Put(9, 1), DhtOp::Put(9, 2), DhtOp::Put(13, 3)],
             buckets,
-            SimDuration::from_micros(1),
             SUMMARY,
             Some(1),
         );
@@ -213,7 +210,6 @@ mod tests {
             KIND_DHT_READER,
             vec![DhtOp::Get(0), DhtOp::Get(5)],
             buckets,
-            SimDuration::from_micros(1),
             SUMMARY,
             None,
         );

@@ -10,8 +10,7 @@
 //! targets.
 
 use crate::op_loop::{generate_programs, pool_objects, Alloc, OpLoop, OpMachine, Pool};
-use crate::params::WorkloadParams;
-use dstm_sim::SimDuration;
+use crate::params::{WorkloadParams, MAX_NESTED_OPS};
 use hyflow_dstm::program::{AccessMode, StepInput, StepOutput};
 use hyflow_dstm::{Payload, WorkloadSource};
 use rts_core::{ObjectId, TxKind};
@@ -107,12 +106,11 @@ impl ListProgram {
         ops: impl Into<Arc<[ListOp]>>,
         invoking_node: usize,
         pool_size: u64,
-        compute: SimDuration,
         summary: ObjectId,
         delta: Option<i64>,
     ) -> Self {
         let walk = ListWalk::new(invoking_node, pool_size);
-        OpLoop::with_machine(kind, ops, compute, summary, delta, walk)
+        OpLoop::with_machine(kind, ops, summary, delta, walk)
     }
 }
 
@@ -241,7 +239,7 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
     // fetch): the paper groups LL with the *short*-execution-time
     // microbenchmarks (§IV-C), which implies a short chain.
     let len = p.total_objects().min(12) as u64;
-    let pool_size = (p.txns_per_node * p.max_nested_ops) as u64;
+    let pool_size = (p.txns_per_node * MAX_NESTED_OPS) as u64;
 
     // Chain: values 2, 4, ..., 2*len; node i links to node i+1.
     let mut objects: Vec<(ObjectId, Payload)> = (0..len)
@@ -400,7 +398,6 @@ mod tests {
             vec![ListOp::Insert(3)],
             0,
             4,
-            SimDuration::from_micros(1),
             SUMMARY,
             Some(1),
         );
@@ -416,7 +413,6 @@ mod tests {
             vec![ListOp::Insert(1), ListOp::Insert(9)],
             0,
             4,
-            SimDuration::from_micros(1),
             SUMMARY,
             Some(1),
         );
@@ -432,7 +428,6 @@ mod tests {
             vec![ListOp::Insert(4)],
             0,
             4,
-            SimDuration::from_micros(1),
             SUMMARY,
             Some(1),
         );
@@ -448,7 +443,6 @@ mod tests {
             vec![ListOp::Remove(4), ListOp::Remove(42)],
             0,
             4,
-            SimDuration::from_micros(1),
             SUMMARY,
             Some(1),
         );
@@ -464,7 +458,6 @@ mod tests {
             vec![ListOp::Remove(2)],
             0,
             4,
-            SimDuration::from_micros(1),
             SUMMARY,
             Some(1),
         );
@@ -481,7 +474,6 @@ mod tests {
             vec![ListOp::Contains(4), ListOp::Contains(5)],
             0,
             4,
-            SimDuration::from_micros(1),
             SUMMARY,
             None,
         );
@@ -498,7 +490,6 @@ mod tests {
             vec![ListOp::Insert(3)],
             0,
             4,
-            SimDuration::from_micros(1),
             SUMMARY,
             Some(1),
         );

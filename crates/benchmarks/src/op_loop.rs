@@ -11,8 +11,8 @@
 //! structure does inside one operation's child. `Pool` and `WritePlan`
 //! are the two step sequences more than one machine needs.
 
-use crate::params::WorkloadParams;
-use dstm_sim::{SimDuration, SimRng};
+use crate::params::{WorkloadParams, COMPUTE};
+use dstm_sim::SimRng;
 use hyflow_dstm::program::{AccessMode, ProgramCheckpoint, StepInput, StepOutput, TxProgram};
 use hyflow_dstm::{BoxedProgram, Payload};
 use rts_core::{ObjectId, TxKind};
@@ -80,7 +80,6 @@ pub struct OpLoop<M: OpMachine> {
     kind: TxKind,
     /// Immutable and shared, so a `clone_box` copies a pointer.
     ops: Arc<[M::Op]>,
-    compute: SimDuration,
     summary: ObjectId,
     /// `Some(delta)` increments the summary scalar (write access); `None`
     /// reads it.
@@ -94,7 +93,6 @@ impl<M: OpMachine> OpLoop<M> {
     pub(crate) fn with_machine(
         kind: TxKind,
         ops: impl Into<Arc<[M::Op]>>,
-        compute: SimDuration,
         summary: ObjectId,
         delta: Option<i64>,
         machine: M,
@@ -102,7 +100,6 @@ impl<M: OpMachine> OpLoop<M> {
         OpLoop {
             kind,
             ops: ops.into(),
-            compute,
             summary,
             delta,
             op_idx: 0,
@@ -177,7 +174,7 @@ impl<M: OpMachine> TxProgram for OpLoop<M> {
             }
             At::Closed => {
                 self.at = At::Gap;
-                StepOutput::Compute(self.compute)
+                StepOutput::Compute(COMPUTE)
             }
             At::Gap => {
                 self.op_idx += 1;
@@ -229,8 +226,7 @@ pub(crate) fn generate_programs<M: OpMachine>(
                     } else {
                         (writer, Some(1))
                     };
-                    let program =
-                        OpLoop::with_machine(kind, ops, p.compute, summary, delta, machine(node));
+                    let program = OpLoop::with_machine(kind, ops, summary, delta, machine(node));
                     Box::new(program)
                 })
                 .collect()
@@ -376,8 +372,7 @@ mod tests {
 
     #[test]
     fn a_writer_runs_its_operations_then_increments_the_summary() {
-        let gap = SimDuration::from_micros(7);
-        let mut p = DhtProgram::new(TxKind(1), vec![DhtOp::Put(3, 9)], 4, gap, SUMMARY, Some(2));
+        let mut p = DhtProgram::new(TxKind(1), vec![DhtOp::Put(3, 9)], 4, SUMMARY, Some(2));
         let bucket = bucket_of(3, 4);
         assert_eq!(p.step(StepInput::Begin), StepOutput::OpenNested(KIND_PUT));
         assert_eq!(
@@ -390,7 +385,7 @@ mod tests {
             StepOutput::WriteLocal(bucket, Payload::Bucket(vec![(3, 9)]))
         );
         assert_eq!(p.step(StepInput::Ack), StepOutput::CloseNested);
-        assert_eq!(p.step(StepInput::Ack), StepOutput::Compute(gap));
+        assert_eq!(p.step(StepInput::Ack), StepOutput::Compute(COMPUTE));
         // The last child committed: the parent-level trailer.
         assert_eq!(
             p.step(StepInput::Ack),
@@ -411,8 +406,7 @@ mod tests {
 
     #[test]
     fn a_reader_without_operations_only_reads_the_summary() {
-        let gap = SimDuration::from_micros(7);
-        let mut p = DhtProgram::new(TxKind(1), vec![], 4, gap, SUMMARY, None);
+        let mut p = DhtProgram::new(TxKind(1), vec![], 4, SUMMARY, None);
         assert_eq!(
             p.step(StepInput::Begin),
             StepOutput::Acquire(SUMMARY, AccessMode::Read)

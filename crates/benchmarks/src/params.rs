@@ -2,6 +2,14 @@
 
 use dstm_sim::{SimDuration, SimRng};
 
+/// Each parent runs `1..=MAX_NESTED_OPS` closed-nested children (§IV-A:
+/// "the number of nested transactions per transaction are randomly
+/// decided").
+pub const MAX_NESTED_OPS: usize = 3;
+
+/// Local computation after each child operation (the analysis' γ).
+pub const COMPUTE: SimDuration = SimDuration::from_micros(500);
+
 /// Knobs of a benchmark workload (§IV-A defaults).
 #[derive(Clone, Debug)]
 pub struct WorkloadParams {
@@ -14,10 +22,6 @@ pub struct WorkloadParams {
     pub read_ratio: f64,
     /// Top-level transactions issued per node.
     pub txns_per_node: usize,
-    /// Each parent runs `1..=max_nested_ops` closed-nested children.
-    pub max_nested_ops: usize,
-    /// Local computation per child operation (the analysis' γ).
-    pub compute: SimDuration,
     /// Workload-generation seed (independent from the simulation seed).
     pub seed: u64,
 }
@@ -29,8 +33,6 @@ impl Default for WorkloadParams {
             objects_per_node: 8,
             read_ratio: 0.9,
             txns_per_node: 30,
-            max_nested_ops: 3,
-            compute: SimDuration::from_micros(500),
             seed: 0xBEEF,
         }
     }
@@ -50,7 +52,7 @@ impl WorkloadParams {
 
     /// Sample the number of nested children for one parent.
     pub fn sample_nested_ops(&self, rng: &mut SimRng) -> usize {
-        rng.range_inclusive(1, self.max_nested_ops.max(1) as u64) as usize
+        rng.range_inclusive(1, MAX_NESTED_OPS as u64) as usize
     }
 
     /// Sample whether a parent transaction is read-only.
@@ -90,7 +92,7 @@ mod tests {
         let mut rng = p.node_rng(3);
         for _ in 0..1000 {
             let k = p.sample_nested_ops(&mut rng);
-            assert!((1..=p.max_nested_ops).contains(&k));
+            assert!((1..=MAX_NESTED_OPS).contains(&k));
         }
     }
 

@@ -15,8 +15,7 @@
 //! mix.
 
 use crate::op_loop::{generate_programs, pool_objects, Alloc, OpLoop, OpMachine, Pool, WritePlan};
-use crate::params::WorkloadParams;
-use dstm_sim::SimDuration;
+use crate::params::{WorkloadParams, MAX_NESTED_OPS};
 use hyflow_dstm::program::{AccessMode, StepInput, StepOutput};
 use hyflow_dstm::{Payload, WorkloadSource};
 use rts_core::{FxHashMap, ObjectId, TxKind};
@@ -137,12 +136,11 @@ impl RbProgram {
         ops: impl Into<Arc<[RbOp]>>,
         invoking_node: usize,
         pool_size: u64,
-        compute: SimDuration,
         summary: ObjectId,
         delta: Option<i64>,
     ) -> Self {
         let walk = RbWalk::new(invoking_node, pool_size);
-        OpLoop::with_machine(kind, ops, compute, summary, delta, walk)
+        OpLoop::with_machine(kind, ops, summary, delta, walk)
     }
 }
 
@@ -472,7 +470,7 @@ fn build_balanced(
 pub fn generate(p: &WorkloadParams) -> WorkloadSource {
     let size = p.total_objects().min(256);
     let values: Vec<i64> = (1..=size as i64).map(|i| 2 * i).collect();
-    let pool_size = (p.txns_per_node * p.max_nested_ops) as u64;
+    let pool_size = (p.txns_per_node * MAX_NESTED_OPS) as u64;
     let max_depth = (usize::BITS - (size.max(1)).leading_zeros()) as usize - 1;
 
     let mut objects: Vec<(ObjectId, Payload)> = Vec::new();
@@ -669,7 +667,6 @@ mod tests {
             vec![RbOp::Insert(5)],
             0,
             8,
-            SimDuration::from_micros(1),
             SUMMARY,
             Some(1),
         );
@@ -709,7 +706,6 @@ mod tests {
                 vec![RbOp::Insert(v)],
                 0,
                 n,
-                SimDuration::from_micros(1),
                 SUMMARY,
                 Some(1),
             );
@@ -745,8 +741,7 @@ mod tests {
                 KIND_RB_WRITER,
                 vec![RbOp::Insert(v)],
                 0,
-                (p.txns_per_node * p.max_nested_ops) as u64,
-                SimDuration::from_micros(1),
+                (p.txns_per_node * MAX_NESTED_OPS) as u64,
                 SUMMARY,
                 Some(1),
             );
@@ -766,7 +761,6 @@ mod tests {
             vec![RbOp::Contains(4), RbOp::Contains(5), RbOp::Contains(99)],
             0,
             8,
-            SimDuration::from_micros(1),
             SUMMARY,
             None,
         );

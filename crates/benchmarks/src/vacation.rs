@@ -8,7 +8,7 @@
 //! why the paper observes Vacation (and Bank) gaining the least from RTS
 //! (§IV-C). A **read** transaction queries item availability.
 
-use crate::params::WorkloadParams;
+use crate::params::{WorkloadParams, COMPUTE};
 use hyflow_dstm::program::{ScriptOp, ScriptProgram};
 use hyflow_dstm::{BoxedProgram, Payload, WorkloadSource};
 use rts_core::{ObjectId, TxKind};
@@ -87,7 +87,7 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
                     ops.push(ScriptOp::OpenNested(KIND_QUERY_ITEM));
                     ops.push(ScriptOp::Read(item));
                     ops.push(ScriptOp::CloseNested);
-                    ops.push(ScriptOp::Compute(p.compute));
+                    ops.push(ScriptOp::Compute(COMPUTE));
                 }
                 // Parent-level read of the customer's record at the end.
                 let cust = layout.customer_oid(rng.below(layout.customers));
@@ -109,7 +109,7 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
                     ops.push(ScriptOp::Write(item));
                     ops.push(ScriptOp::AddScalar(item, delta));
                     ops.push(ScriptOp::CloseNested);
-                    ops.push(ScriptOp::Compute(p.compute));
+                    ops.push(ScriptOp::Compute(COMPUTE));
                     booked += 1;
                 }
                 // Bill (or refund) the customer at PARENT level after the
@@ -118,7 +118,7 @@ pub fn generate(p: &WorkloadParams) -> WorkloadSource {
                 let cust = layout.customer_oid(rng.below(layout.customers));
                 ops.push(ScriptOp::Write(cust));
                 ops.push(ScriptOp::AddScalar(cust, -delta * booked * ITEM_PRICE));
-                ops.push(ScriptOp::Compute(p.compute));
+                ops.push(ScriptOp::Compute(COMPUTE));
                 queue.push(Box::new(ScriptProgram::new(kind, &ops[..])));
             }
         }

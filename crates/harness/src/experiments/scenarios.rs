@@ -8,6 +8,7 @@
 //!   pattern, conflicting parents are enqueued (kept live) and receive the
 //!   object on release; read requesters are served simultaneously.
 
+use crate::runner::take_framed_trace;
 use dstm_net::Topology;
 use dstm_sim::SimDuration;
 use hyflow_dstm::program::{ScriptOp, ScriptProgram};
@@ -42,7 +43,7 @@ pub fn run_collision(scheduler: SchedulerKind, writers: usize, readers: usize) -
 
 /// [`run_collision`] with protocol tracing on; the returned [`TraceLog`]
 /// carries every lifecycle span and scheduler decision of the scenario,
-/// terminated by a `RunSummary` record for offline counter cross-checks.
+/// framed like a sweep cell's ([`take_framed_trace`]).
 pub fn run_collision_traced(
     scheduler: SchedulerKind,
     writers: usize,
@@ -126,13 +127,7 @@ fn run_collision_inner(
     let all_done = system.all_done();
     let state = system.object_state();
     let final_value = state[&oid].0.as_scalar();
-    let trace_log = if trace {
-        let mut t = system.take_trace();
-        t.push_summary(system.now(), &metrics.merged);
-        Some(t)
-    } else {
-        None
-    };
+    let trace_log = trace.then(|| take_framed_trace(&mut system, scheduler, &metrics.merged));
     (
         ScenarioResult {
             metrics,

@@ -15,7 +15,6 @@
 //! [`runner::run_cell_traced`]) are exported and audited by [`traceio`];
 //! the `dstm-trace` binary wraps those audits for the command line.
 
-pub mod alloc_counter;
 pub mod experiments;
 pub mod runner;
 pub mod table;

@@ -9,8 +9,8 @@ use dstm_benchmarks::{Benchmark, WorkloadParams};
 use dstm_net::Topology;
 use dstm_sim::{EventQueue, SimRng};
 use hyflow_dstm::{
-    DstmConfig, NodeEvent, PartitionStrategy, QueueBackend, RunMetrics, System, SystemBuilder,
-    TraceLog,
+    DstmConfig, NodeCounters, NodeEvent, PartitionStrategy, QueueBackend, RunMetrics, System,
+    SystemBuilder, TraceLog,
 };
 use rts_core::SchedulerKind;
 
@@ -23,15 +23,6 @@ pub enum TopologySpec {
     /// Hash-derived uniform delays computed on demand: O(1) memory, for
     /// `dstm-sweep large-smoke` cells past the paper's 80 nodes.
     HashedRandom { min_ms: u64, max_ms: u64 },
-}
-
-impl TopologySpec {
-    pub fn label(&self) -> &'static str {
-        match self {
-            TopologySpec::UniformRandom { .. } => "uniform",
-            TopologySpec::HashedRandom { .. } => "hashed",
-        }
-    }
 }
 
 /// One point of an experiment sweep.
@@ -247,19 +238,30 @@ pub fn run_cell(cell: Cell) -> CellResult {
     run_and_collect(cell, &mut |_, _| {})
 }
 
-/// Run a cell with protocol tracing forced on and return the merged,
-/// time-ordered trace next to the usual result. A `RunSummary` record with
-/// the counter-based totals is appended so offline audits can cross-check
-/// span-derived numbers (Table I) against the live counters.
+/// Take a finished run's trace, framed for the offline tools: a `RunInfo`
+/// record (the scheduler and node count `dstm-trace` labels the run with)
+/// first, the time-ordered protocol records, and a `RunSummary` with
+/// `merged`'s totals last, so audits can cross-check span-derived numbers
+/// (Table I) against the live counters.
+pub fn take_framed_trace<Q: EventQueue<NodeEvent>>(
+    system: &mut System<Q>,
+    scheduler: SchedulerKind,
+    merged: &NodeCounters,
+) -> TraceLog {
+    let mut trace = system.take_trace();
+    trace.push_run_info(scheduler, system.world().actors().len() as u64);
+    trace.push_summary(system.now(), merged);
+    trace
+}
+
+/// Run a cell with protocol tracing forced on and return its framed trace
+/// ([`take_framed_trace`]) next to the usual result.
 pub fn run_cell_traced(mut cell: Cell) -> (CellResult, TraceLog) {
     cell.dstm.trace_protocol = true;
     let scheduler = cell.scheduler;
-    let nodes = cell.params.nodes as u64;
     let mut trace = TraceLog::default();
     let r = run_and_collect(cell, &mut |system, metrics| {
-        trace = system.take_trace();
-        trace.push_run_info(scheduler, nodes);
-        trace.push_summary(system.now(), &metrics.merged);
+        trace = take_framed_trace(system, scheduler, &metrics.merged);
     });
     (r, trace)
 }

@@ -10,13 +10,12 @@
 //! a data-structure program that grows shows up in `scale_1k`'s RSS (a
 //! third of its programs are DHT's).
 //!
-//! Only meaningful with the counting allocator installed; without the
-//! feature the probes read zero and the test would pass vacuously, so it is
-//! compiled out entirely. One test per binary: the counters are global.
-#![cfg(feature = "bench-alloc")]
+//! Measured with the counting allocator of `common/`, which this binary
+//! installs. One test per binary: the counters are global.
+
+mod common;
 
 use dstm_benchmarks::{Benchmark, WorkloadParams};
-use dstm_harness::alloc_counter;
 
 const NODES: usize = 1000;
 const TXNS_PER_NODE: usize = 10;
@@ -57,18 +56,18 @@ fn params() -> WorkloadParams {
 
 /// `(allocator calls, bytes the programs keep)` of generating `benchmark`.
 fn generation_cost(benchmark: Benchmark) -> (u64, usize) {
-    alloc_counter::reset();
+    common::reset();
     let workload = benchmark.generate(&params());
-    let allocs = alloc_counter::snapshot().0;
+    let allocs = common::snapshot().0;
     assert_eq!(workload.programs.len(), NODES);
-    let with_programs = alloc_counter::live_bytes();
+    let with_programs = common::live_bytes();
     drop(workload.programs);
-    (allocs, with_programs - alloc_counter::live_bytes())
+    (allocs, with_programs - common::live_bytes())
 }
 
 #[test]
 fn a_generated_program_is_one_box_and_one_op_list() {
-    assert!(alloc_counter::enabled());
+    common::assert_counting();
 
     for benchmark in Benchmark::ALL {
         let (allocs, kept) = generation_cost(benchmark);

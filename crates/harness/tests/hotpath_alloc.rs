@@ -14,14 +14,14 @@
 //! cells (every pool and scratch buffer is warm by then), plus exact counts
 //! — zero — for nesting, rollback and runtime reuse on a warm `TxRuntime`.
 //!
-//! Only meaningful with the counting allocator installed; without the
-//! feature the probes read zero and the test would pass vacuously, so it is
-//! compiled out entirely. One test per binary: the counters are global.
-#![cfg(feature = "bench-alloc")]
+//! Measured with the counting allocator of `common/`, which this binary
+//! installs. One test per binary: the counters are global.
+
+mod common;
 
 use dstm_benchmarks::Benchmark;
 use dstm_harness::runner::build_system;
-use dstm_harness::{alloc_counter, Cell};
+use dstm_harness::Cell;
 use dstm_sim::SimTime;
 use hyflow_dstm::program::{ScriptOp, ScriptProgram};
 use hyflow_dstm::{AccessMode, BoxedProgram, Payload, ProgramSnapshot, TxRuntime};
@@ -29,9 +29,9 @@ use rts_core::{ObjectId, SchedulerKind, TxId, TxKind};
 use std::sync::Arc;
 
 fn allocs_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    alloc_counter::reset();
+    common::reset();
     let out = f();
-    (alloc_counter::snapshot().0, out)
+    (common::snapshot().0, out)
 }
 
 fn cell(benchmark: Benchmark) -> Cell {
@@ -135,7 +135,7 @@ const BOUNDS_PER_1000_EVENTS: [(Benchmark, u64); 3] = [
 
 #[test]
 fn the_event_path_allocates_for_protocol_content_only() {
-    assert!(alloc_counter::enabled());
+    common::assert_counting();
 
     for (benchmark, bound) in BOUNDS_PER_1000_EVENTS {
         let (allocs, events) = second_half(benchmark);

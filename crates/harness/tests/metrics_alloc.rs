@@ -9,13 +9,13 @@
 //! so a finer bucket layout cannot silently re-inflate it: at the dense
 //! layout the value was 2 496 bytes and kept no heap.
 //!
-//! Only meaningful with the counting allocator installed; without the
-//! feature the probes read zero and the test would pass vacuously, so it is
-//! compiled out entirely. One test per binary: the counters are global.
-#![cfg(feature = "bench-alloc")]
+//! Measured with the counting allocator of `common/`, which this binary
+//! installs. One test per binary: the counters are global.
+
+mod common;
 
 use dstm_benchmarks::Benchmark;
-use dstm_harness::{alloc_counter, run_cell, Cell};
+use dstm_harness::{run_cell, Cell};
 use hyflow_dstm::RunMetrics;
 use rts_core::SchedulerKind;
 
@@ -38,14 +38,14 @@ fn cell(benchmark: Benchmark) -> Cell {
 
 /// Heap bytes `metrics` keeps: what dropping it frees.
 fn kept(metrics: RunMetrics) -> usize {
-    let before = alloc_counter::live_bytes();
+    let before = common::live_bytes();
     drop(metrics);
-    before - alloc_counter::live_bytes()
+    before - common::live_bytes()
 }
 
 #[test]
 fn a_finished_run_keeps_512_bytes_and_its_occupied_buckets() {
-    assert!(alloc_counter::enabled());
+    common::assert_counting();
     assert_eq!(std::mem::size_of::<RunMetrics>(), RUN_METRICS_BYTES);
 
     for (benchmark, bytes) in KEPT {

@@ -104,8 +104,9 @@ fn concatenated_runs_are_audited_one_by_one() {
         text.starts_with(&format!("analyzed {} records (2 runs)\n", both.records)),
         "{text}"
     );
-    for (k, run) in [&first, &second].into_iter().enumerate() {
-        let header = format!("run {} census: {} records, ", k + 1, run.records.len());
+    // Each scenario's trace names its run like a sweep cell's does.
+    for (k, run, label) in [(1, &first, "TFA @ 7 nodes"), (2, &second, "RTS @ 9 nodes")] {
+        let header = format!("run {k} census [{label}]: {} records, ", run.records.len());
         assert!(text.contains(&header), "{text}");
     }
     let links = |run: &TraceLog| -> HashSet<(TxId, TxId)> {

@@ -7,15 +7,15 @@
 //! run's one log out at the same constant cost for any length. This test
 //! turns that into assertions under the counting allocator.
 //!
-//! Only meaningful with the counting allocator installed; without the
-//! feature the probes read zero and the test would pass vacuously, so it is
-//! compiled out entirely. One test per binary: the counters are global.
-#![cfg(feature = "bench-alloc")]
+//! Measured with the counting allocator of `common/`, which this binary
+//! installs. One test per binary: the counters are global.
+
+mod common;
 
 use dstm_benchmarks::Benchmark;
 use dstm_harness::runner::build_system;
 use dstm_harness::traceio::to_chrome_trace;
-use dstm_harness::{alloc_counter, run_cell_traced, Cell};
+use dstm_harness::{run_cell_traced, Cell};
 use hyflow_dstm::{ProtoEvent, TraceLog, TraceRecord};
 use rts_core::SchedulerKind;
 
@@ -28,9 +28,9 @@ fn traced_cell(scheduler: SchedulerKind) -> TraceLog {
 }
 
 fn allocs_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    alloc_counter::reset();
+    common::reset();
     let out = f();
-    (alloc_counter::snapshot().0, out)
+    (common::snapshot().0, out)
 }
 
 /// Allocator calls a `Vec` makes growing to `len` one push at a time.
@@ -46,7 +46,7 @@ fn growth_steps(len: usize) -> u64 {
 
 #[test]
 fn the_codec_allocates_per_buffer_not_per_record() {
-    assert!(alloc_counter::enabled());
+    common::assert_counting();
     let mut records = traced_cell(SchedulerKind::Rts).records;
     records.extend(traced_cell(SchedulerKind::Tfa).records);
     let kinds: std::collections::HashSet<_> = records

@@ -115,21 +115,6 @@ impl DstmConfig {
         self
     }
 
-    pub fn with_concurrency(mut self, c: usize) -> Self {
-        self.concurrency_per_node = c;
-        self
-    }
-
-    pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
-        self
-    }
-
-    pub fn with_cache(mut self, on: bool) -> Self {
-        self.cache = on;
-        self
-    }
-
     /// The deadline a requester arms when RTS enqueues it with `backoff`.
     pub fn queue_deadline(&self, backoff: SimDuration) -> SimDuration {
         backoff.mul_ratio(self.queue_deadline_percent, 100)
@@ -141,30 +126,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_chains() {
+    fn with_scheduler_keeps_the_other_fields() {
         let c = DstmConfig {
             cl_threshold: 7,
             ..DstmConfig::default()
         }
-        .with_scheduler(SchedulerKind::Tfa)
-        .with_concurrency(2);
+        .with_scheduler(SchedulerKind::Tfa);
         assert_eq!(c.scheduler, SchedulerKind::Tfa);
         assert_eq!(c.cl_threshold, 7);
-        assert_eq!(c.concurrency_per_node, 2);
     }
 
     #[test]
     fn telemetry_defaults_off() {
-        let c = DstmConfig::default();
-        assert!(!c.telemetry);
-        assert!(c.with_telemetry(true).telemetry);
+        assert!(!DstmConfig::default().telemetry);
     }
 
     #[test]
     fn cache_defaults_off() {
         let c = DstmConfig::default();
         assert!(!c.cache, "cache must be opt-in to keep golden digests");
-        assert!(c.with_cache(true).cache);
     }
 
     #[test]

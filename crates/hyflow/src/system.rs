@@ -344,9 +344,11 @@ mod tests {
         // twice; total must be 4 regardless of schedule.
         let oid = ObjectId(9);
         let topo = Topology::complete(2, 5);
-        let cfg = DstmConfig::default()
-            .with_scheduler(SchedulerKind::Tfa)
-            .with_concurrency(1);
+        let cfg = DstmConfig {
+            scheduler: SchedulerKind::Tfa,
+            concurrency_per_node: 1,
+            ..DstmConfig::default()
+        };
         let mk = || -> BoxedProgram {
             Box::new(ScriptProgram::new(
                 TxKind(1),
@@ -380,9 +382,11 @@ mod tests {
             let oid = ObjectId(1);
             let mut rng = SimRng::new(7);
             let topo = Topology::uniform_random(4, 1, 10, &mut rng);
-            let cfg = DstmConfig::default()
-                .with_scheduler(scheduler)
-                .with_concurrency(2);
+            let cfg = DstmConfig {
+                scheduler,
+                concurrency_per_node: 2,
+                ..DstmConfig::default()
+            };
             let mk = || -> BoxedProgram {
                 Box::new(ScriptProgram::new(
                     TxKind(1),
@@ -424,11 +428,11 @@ mod tests {
         let mut rng = SimRng::new(13);
         let topo = Topology::uniform_random(3, 1, 10, &mut rng);
         let cfg = DstmConfig {
+            scheduler: SchedulerKind::Rts,
+            concurrency_per_node: 2,
             trace_protocol: true,
             ..DstmConfig::default()
-        }
-        .with_scheduler(SchedulerKind::Rts)
-        .with_concurrency(2);
+        };
         let programs: Vec<Vec<BoxedProgram>> = (0..3)
             .map(|_| {
                 (0..4)
@@ -487,10 +491,12 @@ mod tests {
             let oid = ObjectId(1);
             let mut rng = SimRng::new(29);
             let topo = Topology::uniform_random(4, 1, 20, &mut rng);
-            let cfg = DstmConfig::default()
-                .with_scheduler(SchedulerKind::Rts)
-                .with_concurrency(2)
-                .with_telemetry(telemetry);
+            let cfg = DstmConfig {
+                scheduler: SchedulerKind::Rts,
+                concurrency_per_node: 2,
+                telemetry,
+                ..DstmConfig::default()
+            };
             let programs: Vec<Vec<BoxedProgram>> = (0..4)
                 .map(|_| {
                     (0..4)

@@ -8,10 +8,11 @@
 //!
 //! This crate provides that substrate:
 //!
-//! * [`Topology`] — an `n × n` static delay matrix with several generators:
-//!   uniform random delays in a range (the experimental setup), points in a
-//!   2-D plane (a true metric space, used by the analysis reproduction),
-//!   rings, and clustered networks;
+//! * [`Topology`] — an `n × n` static delay function with four generators:
+//!   uniform random delays in a range (the experimental setup), its hashed
+//!   O(1)-memory twin for large node counts, points in a 2-D plane (a true
+//!   metric space, used by the analysis reproduction), and a constant-delay
+//!   complete graph (the Fig. 2/3 scenarios);
 //! * metric-space utilities used by the §III-D makespan analysis
 //!   (nearest-neighbour tours, sums of distances, metricity checks).
 //!
@@ -20,4 +21,4 @@
 
 pub mod topology;
 
-pub use topology::{Topology, TopologyKind};
+pub use topology::Topology;

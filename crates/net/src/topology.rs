@@ -9,9 +9,9 @@
 //!   are drawn from a *sequential* rejection-sampling RNG stream and
 //!   therefore cannot be recomputed pair-by-pair. Kept byte-identical to the
 //!   original generator so every existing seed reproduces the same network.
-//! * **On-demand** — every other kind stores O(n) coordinates (plane) or
-//!   O(1) parameters (ring / clustered / complete) and computes `delay(a,b)`
-//!   when asked, producing exactly the values the old matrices held.
+//! * **On-demand** — the plane stores O(n) coordinates and the complete
+//!   graph one delay, and each computes `delay(a,b)` when asked, producing
+//!   exactly the values the old matrices held.
 //! * **Hashed** — a new O(1)-memory uniform-random kind for large-scale
 //!   sweeps: each pair's delay is a stateless [`mix64`] of
 //!   `(seed, a, b)`, so a 100k-node topology costs nothing to "build".
@@ -19,25 +19,6 @@
 //!   use it for new large-scale experiments, not to reproduce old runs.
 
 use dstm_sim::{mix64, ActorId, SimDuration, SimRng};
-
-/// How a topology was generated (kept for reporting).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TopologyKind {
-    /// Symmetric i.i.d. delays in a range — the paper's experimental setup.
-    UniformRandom,
-    /// Points placed uniformly in a square; delay ∝ Euclidean distance.
-    /// A true metric space (triangle inequality holds).
-    MetricPlane,
-    /// Nodes on a ring; delay ∝ hop distance.
-    Ring,
-    /// Dense clusters with cheap intra-cluster and expensive inter-cluster links.
-    Clustered,
-    /// Constant delay between every distinct pair.
-    Complete,
-    /// Symmetric i.i.d. delays computed on demand by hashing the pair —
-    /// O(1) memory, for production-scale node counts.
-    HashedRandom,
-}
 
 /// Per-kind delay storage (see the module docs).
 #[derive(Clone, Debug)]
@@ -48,14 +29,6 @@ enum Repr {
     Plane {
         pts: Vec<(f64, f64)>,
         min_ms: u64,
-    },
-    Ring {
-        hop_ms: u64,
-    },
-    Clustered {
-        clusters: usize,
-        intra_ms: u64,
-        inter_ms: u64,
     },
     Complete {
         d: SimDuration,
@@ -72,16 +45,14 @@ enum Repr {
 pub struct Topology {
     n: usize,
     repr: Repr,
-    kind: TopologyKind,
 }
 
 impl Topology {
-    fn from_matrix(n: usize, delays: Vec<SimDuration>, kind: TopologyKind) -> Self {
+    fn from_matrix(n: usize, delays: Vec<SimDuration>) -> Self {
         debug_assert_eq!(delays.len(), n * n);
         Topology {
             n,
             repr: Repr::Dense(delays),
-            kind,
         }
     }
 
@@ -100,7 +71,7 @@ impl Topology {
                 delays[b * n + a] = d;
             }
         }
-        Topology::from_matrix(n, delays, TopologyKind::UniformRandom)
+        Topology::from_matrix(n, delays)
     }
 
     /// Like [`Topology::uniform_random`] but with O(1) memory: each pair's
@@ -115,7 +86,6 @@ impl Topology {
                 min_ms,
                 max_ms,
             },
-            kind: TopologyKind::HashedRandom,
         }
     }
 
@@ -133,37 +103,6 @@ impl Topology {
         Topology {
             n,
             repr: Repr::Plane { pts, min_ms },
-            kind: TopologyKind::MetricPlane,
-        }
-    }
-
-    /// Ring of `n` nodes; delay between `a` and `b` is `hop_ms` times the
-    /// shorter hop count around the ring. Also a metric. O(1) storage.
-    pub fn ring(n: usize, hop_ms: u64) -> Self {
-        assert!(n > 0);
-        Topology {
-            n,
-            repr: Repr::Ring { hop_ms },
-            kind: TopologyKind::Ring,
-        }
-    }
-
-    /// `clusters` equal groups; `intra_ms` within a group, `inter_ms`
-    /// between groups (inter > intra keeps it metric). O(1) storage.
-    pub fn clustered(n: usize, clusters: usize, intra_ms: u64, inter_ms: u64) -> Self {
-        assert!(n > 0 && clusters > 0);
-        assert!(
-            inter_ms >= intra_ms,
-            "inter-cluster delay must dominate for metricity"
-        );
-        Topology {
-            n,
-            repr: Repr::Clustered {
-                clusters,
-                intra_ms,
-                inter_ms,
-            },
-            kind: TopologyKind::Clustered,
         }
     }
 
@@ -175,12 +114,10 @@ impl Topology {
             repr: Repr::Complete {
                 d: SimDuration::from_millis(d_ms),
             },
-            kind: TopologyKind::Complete,
         }
     }
 
-    /// Materialize this topology into a dense matrix (same kind, same
-    /// delays). Differential tests compare on-demand representations
+    /// Materialize this topology into a dense matrix (same delays). Differential tests compare on-demand representations
     /// against their materialized form; not useful in production paths.
     pub fn to_dense(&self) -> Topology {
         let mut delays = vec![SimDuration::ZERO; self.n * self.n];
@@ -189,17 +126,13 @@ impl Topology {
                 delays[a * self.n + b] = self.d(a, b);
             }
         }
-        Topology::from_matrix(self.n, delays, self.kind)
+        Topology::from_matrix(self.n, delays)
     }
 
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    pub fn kind(&self) -> TopologyKind {
-        self.kind
     }
 
     /// Index-based delay lookup (internal form of [`Topology::delay`]).
@@ -213,19 +146,6 @@ impl Topology {
                 let dy = pts[a].1 - pts[b].1;
                 let ms = (dx * dx + dy * dy).sqrt();
                 SimDuration::from_nanos((ms * 1e6) as u64 + min_ms * 1_000_000)
-            }
-            Repr::Ring { hop_ms } => {
-                let fwd = (b + self.n - a) % self.n;
-                let hops = fwd.min(self.n - fwd) as u64;
-                SimDuration::from_millis(hops * hop_ms)
-            }
-            Repr::Clustered {
-                clusters,
-                intra_ms,
-                inter_ms,
-            } => {
-                let same = (a % clusters) == (b % clusters);
-                SimDuration::from_millis(if same { *intra_ms } else { *inter_ms })
             }
             Repr::Complete { d } => *d,
             Repr::Hashed {
@@ -279,8 +199,8 @@ impl Topology {
     }
 
     /// Does the topology satisfy the triangle inequality (within exact
-    /// integer arithmetic)? `UniformRandom`/`HashedRandom` topologies
-    /// generally do not; plane/ring/clustered/complete ones do.
+    /// integer arithmetic)? Uniform and hashed random topologies generally
+    /// do not; plane and complete ones do.
     pub fn is_metric(&self) -> bool {
         for a in 0..self.n {
             for b in 0..self.n {
@@ -338,7 +258,6 @@ mod tests {
     #[test]
     fn hashed_random_in_range_and_well_formed() {
         let t = Topology::hashed_random(64, 1, 50, 99);
-        assert_eq!(t.kind(), TopologyKind::HashedRandom);
         assert!(t.is_well_formed());
         let mut seen = std::collections::BTreeSet::new();
         for a in 0..64 {
@@ -383,22 +302,18 @@ mod tests {
         // Every on-demand representation must agree with its own dense
         // materialization at every pair (and stay well-formed).
         let tops = [
-            Topology::metric_plane(17, 40.0, 2, &mut rng()),
-            Topology::ring(17, 7),
-            Topology::clustered(17, 4, 2, 20),
-            Topology::complete(17, 9),
-            Topology::hashed_random(17, 1, 50, 77),
+            ("plane", Topology::metric_plane(17, 40.0, 2, &mut rng())),
+            ("complete", Topology::complete(17, 9)),
+            ("hashed", Topology::hashed_random(17, 1, 50, 77)),
         ];
-        for t in tops {
+        for (name, t) in tops {
             let dense = t.to_dense();
-            assert_eq!(dense.kind(), t.kind());
             for a in 0..17 {
                 for b in 0..17 {
                     assert_eq!(
                         t.delay(ActorId(a), ActorId(b)),
                         dense.delay(ActorId(a), ActorId(b)),
-                        "{:?} diverges from its dense form at ({a},{b})",
-                        t.kind()
+                        "{name} diverges from its dense form at ({a},{b})"
                     );
                     // The generators' floor: distinct nodes are never
                     // closer than 1 ms.
@@ -411,35 +326,36 @@ mod tests {
     }
 
     #[test]
-    fn ring_distances() {
-        let t = Topology::ring(6, 10);
-        assert_eq!(t.delay(ActorId(0), ActorId(1)).as_millis(), 10);
-        assert_eq!(t.delay(ActorId(0), ActorId(3)).as_millis(), 30);
-        assert_eq!(t.delay(ActorId(0), ActorId(5)).as_millis(), 10); // wraps
-        assert!(t.is_metric());
-    }
-
-    #[test]
-    fn clustered_delays() {
-        let t = Topology::clustered(8, 2, 2, 20);
-        // nodes 0 and 2 share cluster (0 % 2 == 2 % 2)
-        assert_eq!(t.delay(ActorId(0), ActorId(2)).as_millis(), 2);
-        assert_eq!(t.delay(ActorId(0), ActorId(1)).as_millis(), 20);
-        assert!(t.is_well_formed());
-    }
-
-    #[test]
     fn complete_constant() {
         let t = Topology::complete(5, 7);
         assert_eq!(t.delay(ActorId(0), ActorId(4)).as_millis(), 7);
         assert!(t.is_metric());
     }
 
+    /// The tour takes the nearest unvisited node at every step, not the
+    /// next index: checked against a brute-force greedy walk over `delay`
+    /// on a plane, where index order and distance order disagree.
     #[test]
-    fn nn_tour_walks_a_ring_in_order() {
-        let t = Topology::ring(4, 10);
-        let tour = t.nearest_neighbour_tour(ActorId(0));
-        assert_eq!(tour, [0, 1, 2, 3].map(ActorId));
+    fn nn_tour_steps_to_the_nearest_unvisited_node() {
+        let n = 12;
+        let t = Topology::metric_plane(n, 50.0, 1, &mut rng());
+        let tour = t.nearest_neighbour_tour(ActorId(3));
+        let mut expected = vec![ActorId(3)];
+        while expected.len() < n {
+            let cur = *expected.last().expect("the walk starts somewhere");
+            let next = (0..n as u32)
+                .map(ActorId)
+                .filter(|b| !expected.contains(b))
+                .min_by_key(|&b| (t.delay(cur, b), b.0))
+                .expect("an unvisited node is left");
+            expected.push(next);
+        }
+        assert_eq!(tour, expected);
+        assert_ne!(
+            tour,
+            (0..n as u32).map(ActorId).collect::<Vec<_>>(),
+            "index order would pass too"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!                    [--max-states N] [--max-depth N]
 //! dstm-verify fuzz   [--episodes N] [--seed S] [--benchmark NAME]
 //!                    [--scheduler NAME] [--nodes N] [--txns N]
-//!                    [--no-cache] [--no-telemetry] [--out FILE]
+//!                    [--no-cache] [--out FILE]
 //! dstm-verify replay FILE
 //! ```
 //!
@@ -50,7 +50,7 @@ usage:
   dstm-verify check  [--scheduler tfa|backoff|rts|all] [--nodes N] [--objects K]
                      [--no-cache] [--parent-scope] [--max-states N] [--max-depth N]
   dstm-verify fuzz   [--episodes N] [--seed S] [--benchmark NAME] [--scheduler NAME]
-                     [--nodes N] [--txns N] [--no-cache] [--no-telemetry] [--out FILE]
+                     [--nodes N] [--txns N] [--no-cache] [--out FILE]
   dstm-verify replay FILE
 ";
 
@@ -216,7 +216,6 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 "--seed" => cfg.base_seed = parsed(flag, &mut it, number)?,
                 "--out" => out = value(flag, &mut it)?.to_string(),
                 "--no-cache" => spec.cache = false,
-                "--no-telemetry" => spec.telemetry = false,
                 other => return Err(unknown(other)),
             }
         }

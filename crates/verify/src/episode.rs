@@ -27,7 +27,7 @@
 //! bit-identical: same [`Schedule`] ⇒ same digest.
 
 use dstm_benchmarks::Benchmark;
-use dstm_harness::runner::{build_system_with_queue, Cell};
+use dstm_harness::runner::{build_system_with_queue, take_framed_trace, Cell};
 use dstm_harness::traceio::{analyze, audit, DEFAULT_ANALYZE_EPOCH_NS};
 use dstm_sim::{PerturbQueue, Schedule};
 use hyflow_dstm::{Fnv64, TraceLog};
@@ -44,8 +44,6 @@ pub struct EpisodeSpec {
     /// Run the clock-validated remote-read cache (exercises the freshness
     /// oracle and the cache counters).
     pub cache: bool,
-    /// Run the epoch sampler (exercises the reconciliation oracle).
-    pub telemetry: bool,
 }
 
 impl Default for EpisodeSpec {
@@ -59,7 +57,6 @@ impl Default for EpisodeSpec {
             nodes: 4,
             txns: 3,
             cache: true,
-            telemetry: true,
         }
     }
 }
@@ -83,15 +80,14 @@ impl EpisodeSpec {
         Ok(())
     }
 
-    /// The harness cell this spec runs, under `seed`.
+    /// The harness cell this spec runs, under `seed`, with the epoch
+    /// sampler on (it feeds the reconciliation oracle).
     pub fn cell(&self, seed: u64) -> Cell {
         let mut cell = Cell::new(self.benchmark, self.scheduler, self.nodes, 0.5)
             .with_txns(self.txns)
             .with_seed(seed)
-            .with_cache(self.cache);
-        if self.telemetry {
-            cell = cell.with_telemetry();
-        }
+            .with_cache(self.cache)
+            .with_telemetry();
         cell.params.objects_per_node = 2;
         cell.dstm.trace_protocol = true;
         cell
@@ -193,39 +189,35 @@ pub fn run_episode_mutated(
 
     // Telemetry reconciliation: epoch deltas must sum to the final merged
     // counters. Only exact when no node's ring dropped epochs.
-    if spec.telemetry {
-        let reports = system.take_telemetry();
-        if reports.iter().all(|r| r.dropped_epochs == 0) {
-            let sum = |f: fn(&hyflow_dstm::EpochSample) -> u64| -> u64 {
-                reports.iter().flat_map(|r| r.epochs.iter()).map(f).sum()
-            };
-            let m = &metrics.merged;
-            let checks: [(&str, u64, u64); 5] = [
-                ("commits", sum(|e| e.commits), m.commits),
-                ("aborts", sum(|e| e.aborts), m.total_aborts()),
-                ("cache_hits", sum(|e| e.cache_hits), m.cache_hits),
-                ("cache_misses", sum(|e| e.cache_misses), m.cache_misses),
-                (
-                    "cache_invalidations",
-                    sum(|e| e.cache_invalidations),
-                    m.cache_invalidations,
-                ),
-            ];
-            for (name, epochs, counter) in checks {
-                if epochs != counter {
-                    violations.push(format!(
-                        "telemetry does not reconcile: epoch-sum {name} = {epochs}, counter = {counter}"
-                    ));
-                }
+    let reports = system.take_telemetry();
+    if reports.iter().all(|r| r.dropped_epochs == 0) {
+        let sum = |f: fn(&hyflow_dstm::EpochSample) -> u64| -> u64 {
+            reports.iter().flat_map(|r| r.epochs.iter()).map(f).sum()
+        };
+        let m = &metrics.merged;
+        let checks: [(&str, u64, u64); 5] = [
+            ("commits", sum(|e| e.commits), m.commits),
+            ("aborts", sum(|e| e.aborts), m.total_aborts()),
+            ("cache_hits", sum(|e| e.cache_hits), m.cache_hits),
+            ("cache_misses", sum(|e| e.cache_misses), m.cache_misses),
+            (
+                "cache_invalidations",
+                sum(|e| e.cache_invalidations),
+                m.cache_invalidations,
+            ),
+        ];
+        for (name, epochs, counter) in checks {
+            if epochs != counter {
+                violations.push(format!(
+                    "telemetry does not reconcile: epoch-sum {name} = {epochs}, counter = {counter}"
+                ));
             }
         }
     }
 
     // Offline trace oracles on the JSONL round trip, with the mutation
     // hook in between (identity for real fuzzing).
-    let mut trace = system.take_trace();
-    trace.push_run_info(spec.scheduler, spec.nodes as u64);
-    trace.push_summary(system.now(), &metrics.merged);
+    let mut trace = take_framed_trace(&mut system, spec.scheduler, &metrics.merged);
     mutate(schedule, &mut trace);
     let jsonl = trace.to_jsonl();
     match TraceLog::parse_jsonl(&jsonl) {

@@ -19,15 +19,17 @@ use dstm_benchmarks::Benchmark;
 use dstm_sim::{Perturb, Schedule, SimRng};
 use rts_core::SchedulerKind;
 
+/// Upper bound on perturbations per generated schedule.
+const MAX_PERTURBATIONS: usize = 24;
+
+/// Episode re-runs the shrinker may spend per failure.
+const SHRINK_BUDGET: u64 = 400;
+
 /// Fuzz campaign parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct FuzzConfig {
     pub episodes: u64,
     pub base_seed: u64,
-    /// Upper bound on perturbations per generated schedule.
-    pub max_perturbations: usize,
-    /// Episode re-runs the shrinker may spend per failure.
-    pub shrink_budget: u64,
 }
 
 impl Default for FuzzConfig {
@@ -35,8 +37,6 @@ impl Default for FuzzConfig {
         FuzzConfig {
             episodes: 200,
             base_seed: 0xF0CC_ED51,
-            max_perturbations: 24,
-            shrink_budget: 400,
         }
     }
 }
@@ -67,7 +67,7 @@ pub struct FuzzReport {
 pub fn generate_schedule(cfg: &FuzzConfig, baseline: &EpisodeOutcome, i: u64) -> Schedule {
     let seed = dstm_sim::mix64(cfg.base_seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut rng = SimRng::new(seed);
-    let n = 1 + (rng.next() as usize) % cfg.max_perturbations.max(1);
+    let n = 1 + (rng.next() as usize) % MAX_PERTURBATIONS;
     let mut perturbations = Vec::with_capacity(n);
     for _ in 0..n {
         if rng.next().is_multiple_of(2) {
@@ -125,7 +125,7 @@ pub fn fuzz_mutated(
         progress(i, &outcome);
         if !outcome.ok() {
             let fails = |s: &Schedule| -> bool { !run_episode_mutated(spec, s, mutate).ok() };
-            let (shrunk, shrink_reruns) = shrink_schedule(&schedule, &fails, cfg.shrink_budget);
+            let (shrunk, shrink_reruns) = shrink_schedule(&schedule, &fails);
             let violations = run_episode_mutated(spec, &shrunk, mutate).violations;
             report.failure = Some(FuzzFailure {
                 original: schedule,
@@ -140,14 +140,14 @@ pub fn fuzz_mutated(
 }
 
 /// ddmin-lite: minimize `failing`'s perturbation list (then its
-/// magnitudes) while `still_fails` holds, spending at most `budget`
-/// episode re-runs. Returns the smallest still-failing schedule found and
-/// the re-runs spent.
+/// magnitudes) while `still_fails` holds, spending at most `SHRINK_BUDGET`
+/// episode re-runs. Returns the smallest still-failing
+/// schedule found and the re-runs spent.
 pub fn shrink_schedule(
     failing: &Schedule,
     still_fails: &dyn Fn(&Schedule) -> bool,
-    budget: u64,
 ) -> (Schedule, u64) {
+    let budget = SHRINK_BUDGET;
     let mut best = failing.clone();
     let mut spent = 0u64;
     let try_candidate = |cand: &Schedule, spent: &mut u64| -> bool {
@@ -245,10 +245,6 @@ pub fn reproducer_text(spec: &EpisodeSpec, schedule: &Schedule) -> String {
         "cache {}\n",
         if spec.cache { "on" } else { "off" }
     ));
-    out.push_str(&format!(
-        "telemetry {}\n",
-        if spec.telemetry { "on" } else { "off" }
-    ));
     out.push_str(&schedule.to_text());
     out
 }
@@ -278,7 +274,10 @@ pub fn parse_reproducer(text: &str) -> Result<(EpisodeSpec, Schedule), String> {
             "nodes" => spec.nodes = arg.parse().map_err(|_| bad("node count"))?,
             "txns" => spec.txns = arg.parse().map_err(|_| bad("txn count"))?,
             "cache" => spec.cache = on_off(arg).ok_or_else(|| bad("cache flag"))?,
-            "telemetry" => spec.telemetry = on_off(arg).ok_or_else(|| bad("telemetry flag"))?,
+            // Written before every episode ran the sampler; only `on`
+            // still describes an episode.
+            "telemetry" if on_off(arg) == Some(true) => {}
+            "telemetry" => return Err(bad("telemetry flag")),
             // Everything else is the schedule's business (including its
             // own unknown-directive error).
             _ => {

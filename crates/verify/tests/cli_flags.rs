@@ -55,6 +55,8 @@ fn check_takes_every_scheduler_spelling_dstm_sweep_takes() {
 fn a_mistyped_flag_is_refused() {
     assert!(refused(&["check", "--parent-scop", "--scheduler", "tfa"]).contains("--parent-scop"));
     assert!(refused(&["fuzz", "--episodes", "2", "--bogus", "1"]).contains("--bogus"));
+    // Every episode runs the epoch sampler: there is no flag to stop it.
+    assert!(refused(&["fuzz", "--episodes", "2", "--no-telemetry"]).contains("--no-telemetry"));
     // A flag of the other subcommand is not a flag of this one.
     assert!(refused(&["check", "--episodes", "2"]).contains("--episodes"));
 }

@@ -29,6 +29,7 @@ const SPLICES: &[&str] = &[
     "tieswap 0 0",
     "tieswap 7",
     "cache maybe",
+    "telemetry on",
     "telemetry off",
     "benchmark bnak",
     "scheduler rts",
@@ -52,7 +53,6 @@ fn written(picks: &[u64]) -> String {
         nodes: 1 + at(1) as usize % 8,
         txns: 1 + at(2) as usize % 5,
         cache: at(3) % 2 == 0,
-        telemetry: at(4) % 2 == 0,
         ..EpisodeSpec::default()
     };
     let schedule = Schedule {
@@ -120,6 +120,27 @@ fn parses_or_refuses(text: &str) -> Result<(), TestCaseError> {
         );
     }
     Ok(())
+}
+
+/// Reproducers written while the epoch sampler could be turned off carry a
+/// `telemetry` line. `on` describes every episode and still replays; `off`
+/// names one no episode runs any more, and is refused like any bad value.
+#[test]
+fn a_telemetry_line_is_read_as_before_or_refused() {
+    let schedule = Schedule {
+        seed: 7,
+        perturbations: Vec::new(),
+    };
+    let text = reproducer_text(&EpisodeSpec::default(), &schedule);
+    let with = |line: &str| text.replacen("cache on\n", &format!("cache on\n{line}\n"), 1);
+    assert_eq!(
+        parse_reproducer(&with("telemetry on")),
+        Ok((EpisodeSpec::default(), schedule))
+    );
+    assert_eq!(
+        parse_reproducer(&with("telemetry off")),
+        Err("line 7: bad telemetry flag: `off`".to_string())
+    );
 }
 
 proptest! {

@@ -229,7 +229,6 @@ fn reproducer_text_round_trips() {
         nodes: 6,
         txns: 5,
         cache: false,
-        telemetry: true,
     };
     let schedule = perturbed_schedule();
     let text = reproducer_text(&spec, &schedule);

@@ -251,7 +251,7 @@ fn a_zombie_tree_walk_is_aborted_instead_of_spinning_forever() {
     // over such a view closes a cycle through nodes the attempt already
     // holds: every step is served locally, no event is ever scheduled, and
     // before the step limit in `Node::drive` the handler never returned.
-    use closed_nesting_dstm::harness::runner::build_system;
+    use closed_nesting_dstm::harness::runner::{build_system, take_framed_trace};
     use closed_nesting_dstm::hyflow::{AbortCause, ProtoEvent};
 
     let mut cell = Cell::new(Benchmark::RbTree, SchedulerKind::Tfa, 10, 0.9)
@@ -267,7 +267,7 @@ fn a_zombie_tree_walk_is_aborted_instead_of_spinning_forever() {
         .try_object_state()
         .expect("single writable copy per object");
 
-    let mut trace = system.take_trace();
+    let trace = take_framed_trace(&mut system, SchedulerKind::Tfa, &metrics.merged);
     // The guard's abort is a forward-validation failure that blames no
     // object (a real one always names the stale object it found).
     let zombies = trace
@@ -286,8 +286,6 @@ fn a_zombie_tree_walk_is_aborted_instead_of_spinning_forever() {
         .count();
     assert!(zombies > 0, "the seed no longer reaches the zombie walk");
 
-    trace.push_run_info(SchedulerKind::Tfa, 10);
-    trace.push_summary(system.now(), &metrics.merged);
     let report = audit(&trace);
     assert!(report.ok(), "audit failed: {:?}", report.violations);
     assert!(report.summary_checked);

@@ -168,12 +168,10 @@ proptest! {
     #[test]
     fn on_demand_topology_matches_dense(n in 2usize..24, seed in 1u64..1_000) {
         let mut rng = SimRng::new(seed);
-        for t in [
-            Topology::ring(n, 3),
-            Topology::clustered(n, 3, 1, 9),
-            Topology::complete(n, 5),
-            Topology::metric_plane(n, 40.0, 1, &mut rng),
-            Topology::hashed_random(n, 1, 50, seed),
+        for (name, t) in [
+            ("complete", Topology::complete(n, 5)),
+            ("plane", Topology::metric_plane(n, 40.0, 1, &mut rng)),
+            ("hashed", Topology::hashed_random(n, 1, 50, seed)),
         ] {
             let dense = t.to_dense();
             for a in 0..n as u32 {
@@ -181,7 +179,7 @@ proptest! {
                     prop_assert_eq!(
                         t.delay(ActorId(a), ActorId(b)),
                         dense.delay(ActorId(a), ActorId(b)),
-                        "{:?} pair ({a},{b})", t.kind()
+                        "{} pair ({a},{b})", name
                     );
                 }
             }

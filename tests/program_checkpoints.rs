@@ -21,6 +21,7 @@
 #[path = "../examples/custom_workload.rs"]
 mod custom_workload;
 
+use closed_nesting_dstm::benchmarks::params::MAX_NESTED_OPS;
 use closed_nesting_dstm::benchmarks::{bst, dht, list, rbtree};
 use closed_nesting_dstm::hyflow::program::{ScriptOp, ScriptProgram};
 use closed_nesting_dstm::prelude::*;
@@ -177,7 +178,7 @@ fn every_benchmark_program_rewinds_like_its_clone() {
 fn hand_picked_data_structure_operations_rewind_like_their_clone() {
     let p = params();
     let (summary, delta) = (ObjectId(3_000_000), Some(1));
-    let pool = (p.txns_per_node * p.max_nested_ops) as u64;
+    let pool = (p.txns_per_node * MAX_NESTED_OPS) as u64;
     let stores: Vec<HashMap<ObjectId, Payload>> = [
         Benchmark::LinkedList,
         Benchmark::Bst,
@@ -197,9 +198,8 @@ fn hand_picked_data_structure_operations_rewind_like_their_clone() {
         ListOp::Insert(1),
         ListOp::Remove(99),
     ];
-    let program: BoxedProgram = Box::new(list::ListProgram::new(
-        kind, ops, 1, pool, p.compute, summary, delta,
-    ));
+    let program: BoxedProgram =
+        Box::new(list::ListProgram::new(kind, ops, 1, pool, summary, delta));
     check_all(&[program], &stores[0], "hand-picked list");
 
     use bst::BstOp;
@@ -210,9 +210,7 @@ fn hand_picked_data_structure_operations_rewind_like_their_clone() {
         BstOp::Remove(24),
         BstOp::Insert(33),
     ];
-    let program: BoxedProgram = Box::new(bst::BstProgram::new(
-        kind, ops, 1, pool, p.compute, summary, delta,
-    ));
+    let program: BoxedProgram = Box::new(bst::BstProgram::new(kind, ops, 1, pool, summary, delta));
     check_all(&[program], &stores[1], "hand-picked bst");
 
     use rbtree::RbOp;
@@ -223,17 +221,14 @@ fn hand_picked_data_structure_operations_rewind_like_their_clone() {
         RbOp::Insert(11),
         RbOp::Insert(13),
     ];
-    let program: BoxedProgram = Box::new(rbtree::RbProgram::new(
-        kind, ops, 1, pool, p.compute, summary, delta,
-    ));
+    let program: BoxedProgram =
+        Box::new(rbtree::RbProgram::new(kind, ops, 1, pool, summary, delta));
     check_all(&[program], &stores[2], "hand-picked rb-tree");
 
     use dht::DhtOp;
     let ops = vec![DhtOp::Put(5, 1), DhtOp::Get(5), DhtOp::Put(29, 2)];
     let buckets = p.total_objects() as u64;
-    let program: BoxedProgram = Box::new(dht::DhtProgram::new(
-        kind, ops, buckets, p.compute, summary, delta,
-    ));
+    let program: BoxedProgram = Box::new(dht::DhtProgram::new(kind, ops, buckets, summary, delta));
     check_all(&[program], &stores[3], "hand-picked dht");
 }
 
