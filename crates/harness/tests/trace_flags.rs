@@ -3,7 +3,7 @@
 //!
 //! Every subcommand used to read the arguments it had a place for and drop
 //! the rest: `audit a.jsonl b.jsonl` audited `a.jsonl` alone and exited 0,
-//! and a stray word after `chrome` or `jsonl` was ignored the same way.
+//! and a stray word after `chrome` was ignored the same way.
 //! Each is now the usage text on stderr and exit status 2 before any file
 //! is read or written, as are a subcommand and a flag the tool does not
 //! have; checked through the binary.
@@ -77,23 +77,30 @@ fn analyze_refuses_a_stray_argument_and_a_bad_epoch() {
     refused(&["analyze", &good, "--json"], &[]);
 }
 
+/// `jsonl` re-exported a trace in the writer's layout; the reader now
+/// accepts nothing else, so there is nothing left for it to rewrite.
 #[test]
-fn chrome_and_jsonl_refuse_an_argument_past_the_output_path() {
+fn jsonl_is_not_a_subcommand() {
+    let good = recorded("jsonl.jsonl");
+    let out = scratch("jsonl.re.jsonl");
+    refused(&["jsonl", &good, out.to_str().unwrap()], &[&out]);
+    refused(&["jsonl", &good], &[]);
+}
+
+#[test]
+fn chrome_refuses_an_argument_past_the_output_path() {
     let good = recorded("convert.jsonl");
-    for (cmd, name) in [("chrome", "extra.chrome.json"), ("jsonl", "extra.re.jsonl")] {
-        let out = scratch(name);
-        refused(&[cmd, &good, out.to_str().unwrap(), "extra"], &[&out]);
-        // A flag is not an output path either.
-        refused(&[cmd, &good, "--out"], &[Path::new("--out")]);
-    }
+    let out = scratch("extra.chrome.json");
+    refused(&["chrome", &good, out.to_str().unwrap(), "extra"], &[&out]);
+    // A flag is not an output path either.
+    refused(&["chrome", &good, "--out"], &[Path::new("--out")]);
 }
 
 /// Converting a trace onto itself used to replace it with the output:
-/// Chrome JSON that `audit` can no longer read, or the canonical form minus
-/// every key the reader does not know. The output path is now refused,
-/// however it is spelled, before anything is written.
+/// Chrome JSON that `audit` can no longer read. The output path is now
+/// refused, however it is spelled, before anything is written.
 #[test]
-fn chrome_and_jsonl_refuse_to_overwrite_their_input() {
+fn chrome_refuses_to_overwrite_its_input() {
     let good = recorded("self.jsonl");
     let before = std::fs::read(&good).expect("read trace");
     let path = Path::new(&good);
@@ -102,19 +109,17 @@ fn chrome_and_jsonl_refuse_to_overwrite_their_input() {
         .unwrap()
         .join(".")
         .join(path.file_name().unwrap());
-    for cmd in ["chrome", "jsonl"] {
-        for out in [good.as_str(), dotted.to_str().unwrap()] {
-            let run = trace_tool(&[cmd, &good, out]);
-            assert_eq!(run.status.code(), Some(2), "{cmd} {out}: {run:?}");
-            assert!(run.stdout.is_empty(), "{cmd} {out}: {run:?}");
-            let stderr = String::from_utf8_lossy(&run.stderr);
-            assert_eq!(stderr.lines().count(), 1, "{cmd} {out}: {stderr}");
-            assert!(stderr.contains("input"), "{cmd} {out}: {stderr}");
-            assert!(
-                std::fs::read(&good).expect("read trace") == before,
-                "{cmd} {out} changed its input"
-            );
-        }
+    for out in [good.as_str(), dotted.to_str().unwrap()] {
+        let run = trace_tool(&["chrome", &good, out]);
+        assert_eq!(run.status.code(), Some(2), "{out}: {run:?}");
+        assert!(run.stdout.is_empty(), "{out}: {run:?}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{out}: {stderr}");
+        assert!(stderr.contains("input"), "{out}: {stderr}");
+        assert!(
+            std::fs::read(&good).expect("read trace") == before,
+            "{out} changed its input"
+        );
     }
     assert!(trace_tool(&["audit", &good]).status.success());
 }
@@ -134,15 +139,13 @@ fn the_invocations_ci_makes_still_succeed() {
         assert!(out.status.success(), "{cmd}: {out:?}");
         assert!(!out.stdout.is_empty(), "{cmd} printed nothing");
     }
-    for (cmd, name) in [("chrome", "ci.chrome.json"), ("jsonl", "ci.re.jsonl")] {
-        let out_path = scratch(name);
-        let out = trace_tool(&[cmd, &good, out_path.to_str().unwrap()]);
-        assert!(out.status.success(), "{cmd}: {out:?}");
-        assert!(
-            out_path.metadata().is_ok_and(|m| m.len() > 0),
-            "{cmd} wrote nothing"
-        );
-    }
+    let out_path = scratch("ci.chrome.json");
+    let out = trace_tool(&["chrome", &good, out_path.to_str().unwrap()]);
+    assert!(out.status.success(), "chrome: {out:?}");
+    assert!(
+        out_path.metadata().is_ok_and(|m| m.len() > 0),
+        "chrome wrote nothing"
+    );
 }
 
 /// A commit stamped at the end of time used to make `analyze` size its

@@ -2,18 +2,19 @@
 //!
 //! * one record of every kind — optional fields present and absent, empty
 //!   and non-empty tuple arrays, every scheduler label — is written as a
-//!   pinned line, which each reader alone reads back to that record;
-//! * a `run_info` line naming a retired scheduler is an error of both
-//!   readers, not a panic;
+//!   pinned line, which `parse` reads back to that record;
+//! * a `run_info` line naming a retired scheduler is an error naming the
+//!   byte of its `scheduler` field, not a panic;
 //! * every `ProtoEvent` variant, with field values biased towards the edges
 //!   of their types, survives `write_jsonl` → `parse` unchanged;
-//! * the layout reader and the keyed reader each read that line back to
-//!   the same record, and on the same record's line shuffled, padded, with
-//!   unknown or repeated keys, a narrow field past its type or a 20-digit
-//!   number, `parse` answers exactly what the keyed reader alone does;
+//! * the same record's line in any form the writer never makes — shuffled,
+//!   padded, with an unknown or repeated key, a narrow field past its type,
+//!   a 20-digit or leading-zero number, a `run_summary` cache group that is
+//!   all zero or partial, a line without the abort-attribution fields — is
+//!   an error naming the byte where it leaves the writer's layout;
 //! * mangled lines (truncated, byte-flipped, spliced) make `parse` and
 //!   `parse_jsonl` return `Ok` or `Err` — never panic — and whatever they do
-//!   accept re-exports to text that parses to the same record;
+//!   accept is, byte for byte, what the writer makes of the record read;
 //! * `ProtoTrace::take` on a log that nodes appended to in dispatch order
 //!   equals the obvious reference — split by node, flatten, stable sort by
 //!   `(at, node)` — on pushes full of duplicate timestamps.
@@ -184,11 +185,17 @@ fn members(line: &str) -> Vec<&str> {
     out
 }
 
+/// Where the first digit run after `"key":` (or `"key":[`) starts; `None`
+/// if the line has no such key.
+fn digits_of(line: &str, key: &str) -> Option<usize> {
+    let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
+    Some(at + usize::from(line[at..].starts_with('[')))
+}
+
 /// `line` with the first digit run after `"key":` (or `"key":[`) replaced
 /// by `value`; `None` if the line has no such key.
 fn with_value(line: &str, key: &str, value: &str) -> Option<String> {
-    let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
-    let start = at + usize::from(line[at..].starts_with('['));
+    let start = digits_of(line, key)?;
     let len = line[start..].bytes().take_while(u8::is_ascii_digit).count();
     Some(format!("{}{value}{}", &line[..start], &line[start + len..]))
 }
@@ -209,65 +216,115 @@ const NARROW: [(&str, u64); 12] = [
     ("threshold", 1 << 32),
 ];
 
-/// `rec`'s line in layouts the writer never produces, each paired with
-/// what the keyed reader must make of it: a record, or (`None`) an error.
-fn non_canonical(rec: &TraceRecord, w: &[u64]) -> Vec<(String, Option<TraceRecord>)> {
+/// `run_summary`'s cache counters: on the line all together or not at all.
+const CACHE_KEYS: [&str; 3] = ["cache_hits", "cache_misses", "cache_inval"];
+
+/// `rec`'s line changed into lines the writer never makes.
+fn non_canonical(rec: &TraceRecord, w: &[u64]) -> Vec<String> {
     let line = line_of(rec);
     let line = line.trim_end();
     let m = members(line);
+    let object = |members: &[&str]| format!("{{{}}}", members.join(","));
     let mut out = Vec::new();
 
-    // Keys shuffled (Fisher–Yates on the entropy words).
+    // Keys shuffled (Fisher–Yates on the entropy words), and two swapped
+    // if that left them in place.
     let mut shuffled = m.clone();
     for i in (1..shuffled.len()).rev() {
         shuffled.swap(i, (w[i % w.len()] % (i as u64 + 1)) as usize);
     }
-    out.push((format!("{{{}}}", shuffled.join(",")), Some(rec.clone())));
+    if shuffled == m {
+        shuffled.swap(0, 1);
+    }
+    out.push(object(&shuffled));
 
-    // Whitespace at token boundaries, where the grammar allows it.
+    // Whitespace at token boundaries: everywhere, after one comma, and
+    // after the closing brace.
     let spaced: Vec<String> = m.iter().map(|kv| kv.replacen("\":", "\" :\t", 1)).collect();
-    out.push((
-        format!(" {{ {} }}\t", spaced.join(" , ")),
-        Some(rec.clone()),
+    out.push(format!(" {{ {} }}\t", spaced.join(" , ")));
+    let comma = 1 + (w[2] as usize) % (m.len() - 1);
+    out.push(format!(
+        "{{{}, {}}}",
+        m[..comma].join(","),
+        m[comma..].join(",")
     ));
+    out.push(format!("{line} "));
 
-    // An unknown key first or further in; a repeated key last.
-    let unknown = "\"later\":[[1,2],\"x\",[]]";
-    let mut with_unknown = m.clone();
-    with_unknown.insert(1 + (w[0] as usize) % m.len(), unknown);
-    out.push((format!("{{{}}}", with_unknown.join(",")), Some(rec.clone())));
-    out.push((format!("{{{unknown},{}}}", m.join(",")), Some(rec.clone())));
+    // An unknown key first, further in or last; a repeated key last.
+    for unknown in ["\"later\":[[1,2],\"x\",[]]", "\"zz\":[1,[2]]"] {
+        let mut with_unknown = m.clone();
+        with_unknown.insert(1 + (w[0] as usize) % m.len(), unknown);
+        out.push(object(&with_unknown));
+        out.push(format!("{{{unknown},{}}}", m.join(",")));
+    }
     let repeated = m[(w[1] as usize) % m.len()];
-    out.push((format!("{{{},{repeated}}}", m.join(",")), Some(rec.clone())));
+    out.push(format!("{{{},{repeated}}}", m.join(",")));
 
     // A narrow field one past its type.
     for (key, past) in NARROW {
         if let Some(l) = with_value(line, key, &past.to_string()) {
-            out.push((l, None));
+            out.push(l);
         }
     }
 
-    // Numbers of 20 digits, out of range and in.
-    for (digits, at) in [
-        ("18446744073709551616", None),
-        ("99999999999999999999", None),
-        ("18446744073709551615", Some(u64::MAX)),
-        ("00000000000000000007", Some(7)),
-    ] {
-        let l = with_value(line, "at", digits).expect("every line has \"at\"");
-        let want = at.map(|at| TraceRecord {
-            at: SimTime(at),
-            ..rec.clone()
-        });
-        out.push((l, want));
+    // Numbers of 20 digits past u64, and numbers with a leading zero.
+    for digits in ["18446744073709551616", "99999999999999999999"] {
+        out.push(with_value(line, "at", digits).expect("every line has \"at\""));
+    }
+    out.push(with_value(line, "at", "00000000000000000007").expect("every line has \"at\""));
+    for key in ["at", "node", "tx"] {
+        if let Some(start) = digits_of(line, key) {
+            out.push(format!("{}0{}", &line[..start], &line[start..]));
+        }
+    }
+
+    // Lines from before abort attribution: no `wasted_ns`, `msgs`,
+    // `wasted_msgs` or `attributed`.
+    let attribution = [
+        "\"wasted_ns\":",
+        "\"msgs\":",
+        "\"wasted_msgs\":",
+        "\"attributed\":",
+    ];
+    let unattributed: Vec<&str> = m
+        .iter()
+        .copied()
+        .filter(|kv| !attribution.iter().any(|key| kv.starts_with(key)))
+        .collect();
+    if unattributed.len() < m.len() {
+        out.push(object(&unattributed));
+    }
+
+    // A `run_summary` whose cache counters are all written and all zero,
+    // or only partly written.
+    if let ProtoEvent::RunSummary { .. } = rec.ev {
+        let zeroed = CACHE_KEYS
+            .iter()
+            .try_fold(line.to_string(), |l, key| with_value(&l, key, "0"));
+        out.push(zeroed.unwrap_or_else(|| {
+            format!(
+                "{},\"cache_hits\":0,\"cache_misses\":0,\"cache_inval\":0}}",
+                &line[..line.len() - 1]
+            )
+        }));
+        let partial: Vec<&str> = m
+            .iter()
+            .copied()
+            .filter(|kv| !kv.starts_with("\"cache_hits\":"))
+            .collect();
+        if partial.len() < m.len() {
+            out.push(object(&partial));
+        }
     }
     out
 }
 
-/// Whatever the parser accepts must be a fixed point of export → parse.
-fn check_accepted(rec: &TraceRecord) -> Result<(), TestCaseError> {
-    let again = TraceRecord::parse(line_of(rec).trim_end());
-    prop_assert_eq!(again.as_ref(), Ok(rec));
+/// Whatever `parse` accepts must be exactly the line the writer makes of
+/// the record it read.
+fn check_accepted(line: &str) -> Result<(), TestCaseError> {
+    if let Ok(rec) = TraceRecord::parse(line) {
+        prop_assert_eq!(line_of(&rec), format!("{line}\n"));
+    }
     Ok(())
 }
 
@@ -290,24 +347,15 @@ proptest! {
     }
 
     #[test]
-    fn the_layout_reader_agrees_with_the_keyed_reader(
+    fn every_line_the_writer_does_not_make_is_refused(
         variant in 0usize..VARIANTS,
         words in vec(0u64..=u64::MAX, 16..17),
     ) {
         let rec = record_from(variant, &words);
-        let line = line_of(&rec);
-        let line = line.trim_end();
-        // The writer's own layout: each reader alone reads `rec`.
-        prop_assert_eq!(TraceRecord::parse_layout(line), Some(rec.clone()), "line was {}", line);
-        prop_assert_eq!(TraceRecord::parse_keyed(line), Ok(rec.clone()), "line was {}", line);
-        // Any other layout: `parse` answers exactly what the keyed reader
-        // alone does — the same record, or the same error text.
-        for (other, want) in non_canonical(&rec, &words) {
-            let keyed = TraceRecord::parse_keyed(&other);
-            prop_assert_eq!(TraceRecord::parse(&other), keyed.clone(), "line was {}", other);
-            match want {
-                Some(want) => prop_assert_eq!(keyed, Ok(want), "line was {}", other),
-                None => prop_assert!(keyed.is_err(), "line was {}", other),
+        for other in non_canonical(&rec, &words) {
+            match TraceRecord::parse(&other) {
+                Ok(read) => prop_assert!(false, "accepted {} as {:?}", other, read),
+                Err(e) => prop_assert!(e.starts_with("byte "), "{}: {}", other, e),
             }
         }
     }
@@ -326,9 +374,7 @@ proptest! {
 
         // Truncation.
         let truncated = &a[..cut % (a.len() + 1)];
-        if let Ok(rec) = TraceRecord::parse(truncated) {
-            check_accepted(&rec)?;
-        }
+        check_accepted(truncated)?;
 
         // Byte flips (kept ASCII so the line stays a `&str`).
         let mut flipped = a.as_bytes().to_vec();
@@ -337,22 +383,23 @@ proptest! {
             flipped[at] = byte;
         }
         let flipped = String::from_utf8(flipped).expect("ASCII stays UTF-8");
-        if let Ok(rec) = TraceRecord::parse(&flipped) {
-            check_accepted(&rec)?;
-        }
+        check_accepted(&flipped)?;
 
         // Splice: a prefix of one line glued onto a suffix of another.
         let spliced = format!("{}{}", &a[..cut % (a.len() + 1)], &b[cut % (b.len() + 1)..]);
-        if let Ok(rec) = TraceRecord::parse(&spliced) {
-            check_accepted(&rec)?;
-        }
+        check_accepted(&spliced)?;
 
-        // The same garbage inside a multi-line text.
+        // The same garbage inside a multi-line text: what is accepted
+        // re-exports to its non-blank lines, trimmed, byte for byte.
         let text = format!("{a}\n{truncated}\n\n{flipped}\n{spliced}\n{b}\n");
         if let Ok(log) = TraceLog::parse_jsonl(&text) {
-            for rec in &log.records {
-                check_accepted(rec)?;
-            }
+            let lines: String = text
+                .lines()
+                .map(str::trim)
+                .filter(|l| !l.is_empty())
+                .map(|l| format!("{l}\n"))
+                .collect();
+            prop_assert_eq!(log.to_jsonl(), lines);
         }
     }
 
@@ -637,29 +684,27 @@ fn pinned() -> Vec<(TraceRecord, &'static str)> {
 }
 
 #[test]
-fn every_kind_writes_its_pinned_line_and_both_readers_read_it_back() {
+fn every_kind_writes_its_pinned_line_and_parse_reads_it_back() {
     for (rec, want) in pinned() {
         let line = line_of(&rec);
         assert_eq!(line, format!("{want}\n"));
-        assert_eq!(TraceRecord::parse_layout(want), Some(rec.clone()), "{want}");
-        assert_eq!(TraceRecord::parse_keyed(want), Ok(rec), "{want}");
+        assert_eq!(TraceRecord::parse(want), Ok(rec), "{want}");
     }
 }
 
 #[test]
-fn a_retired_scheduler_label_is_refused_by_both_readers() {
+fn a_retired_scheduler_label_is_refused() {
     // Traces from builds that still had §V's ATS and Bi-interval schedulers.
     for line in [
         r#"{"at":0,"node":0,"ev":"run_info","scheduler":"ATS","nodes":11}"#,
         r#"{"at":0,"node":0,"ev":"run_info","scheduler":"Bi-interval","nodes":12}"#,
     ] {
-        assert_eq!(TraceRecord::parse_layout(line), None, "{line}");
-        for read in [TraceRecord::parse, TraceRecord::parse_keyed] {
-            let e = read(line).expect_err(line);
-            assert!(e.contains("unknown scheduler"), "{line}: {e}");
-        }
-        assert!(
-            TraceLog::parse_jsonl(&format!("{line}\n")).is_err(),
+        let at = line.find(",\"scheduler\":").expect("a scheduler field");
+        let want = format!("byte {at}: not the writer's \"scheduler\" field");
+        assert_eq!(TraceRecord::parse(line), Err(want.clone()), "{line}");
+        assert_eq!(
+            TraceLog::parse_jsonl(&format!("{line}\n")).err(),
+            Some(format!("line 1: {want}")),
             "{line}"
         );
     }
