@@ -1,5 +1,5 @@
-//! `dstm-trace` — offline audit, analysis and conversion of protocol-event
-//! traces.
+//! `dstm-trace` — offline audit, analysis and Chrome export of
+//! protocol-event traces.
 //!
 //! ```text
 //! dstm-trace audit   <trace.jsonl>            # check invariants; exit 1 on violation
@@ -8,32 +8,29 @@
 //!                                             # abort chains, throughput knee, and
 //!                                             # a record census per traced run
 //! dstm-trace chrome  <trace.jsonl> [out.json] # convert to Chrome trace_event JSON
-//! dstm-trace jsonl   <trace.jsonl> [out.jsonl]
-//!                                             # parse and re-export: the canonical form
-//!                                             # (fixed field order, no whitespace,
-//!                                             # unknown keys dropped)
 //! ```
 //!
 //! Traces are the JSONL streams written by `dstm-sweep --trace` (or any
-//! caller of `TraceLog::to_jsonl`). `audit` replays the trace and checks
-//! what the live counters cannot: every commit's read/write footprint is
-//! consistent with a serial order, every queue-timeout abort was actually
-//! enqueued, the Table-I nested-abort split and the wasted-work ledger
-//! recomputed from spans match the counter-based `RunSummary` exactly, and
-//! time never goes backwards within a run. `analyze` builds the
-//! object-conflict picture from abort attribution — which objects caused
-//! the aborts, which transactions discarded whose work, where throughput
-//! knees over — and counts each run's records by kind, with its
-//! queue-timeout, enqueue and cache totals. It exits 1 only on a commit
-//! stamped too far out to bucket.
+//! caller of `TraceLog::to_jsonl`); a line in any other layout is refused
+//! with its line number and the byte where it leaves the writer's. `audit`
+//! replays the trace and checks what the live counters cannot: every
+//! commit's read/write footprint is consistent with a serial order, every
+//! queue-timeout abort was actually enqueued, the Table-I nested-abort
+//! split and the wasted-work ledger recomputed from spans match the
+//! counter-based `RunSummary` exactly, and time never goes backwards within
+//! a run. `analyze` builds the object-conflict picture from abort
+//! attribution — which objects caused the aborts, which transactions
+//! discarded whose work, where throughput knees over — and counts each
+//! run's records by kind, with its queue-timeout, enqueue and cache totals.
+//! It exits 1 only on a commit stamped too far out to bucket.
 //!
 //! An argument starting with `--` that the subcommand does not take, a flag
 //! value that does not parse or is 0, and a positional argument the
 //! subcommand has no place for each print the usage text on stderr and exit
-//! with status 2 before any file is read or written. `chrome` and `jsonl`
-//! likewise refuse, with one line on stderr and status 2, an output path
-//! that resolves to the input trace: writing it would destroy the trace it
-//! was converted from.
+//! with status 2 before any file is read or written. `chrome` likewise
+//! refuses, with one line on stderr and status 2, an output path that
+//! resolves to the input trace: writing it would destroy the trace it was
+//! converted from.
 
 use dstm_harness::traceio::{analyze, audit, to_chrome_trace, DEFAULT_ANALYZE_EPOCH_NS};
 use hyflow_dstm::TraceLog;
@@ -64,38 +61,6 @@ fn print_report(path: &str, check: impl FnOnce(&TraceLog) -> (String, bool)) -> 
     }
 }
 
-/// Load `path`, render it, and write the result to `out` (default: `path`
-/// with its `.jsonl` replaced by `default_ext`).
-fn convert(
-    path: &str,
-    out: Option<&str>,
-    default_ext: &str,
-    render: fn(&TraceLog) -> String,
-    note: &str,
-) -> ExitCode {
-    let out_path = out.map_or_else(
-        || format!("{}{default_ext}", path.trim_end_matches(".jsonl")),
-        str::to_string,
-    );
-    if same_file(path, &out_path) {
-        eprintln!("refusing to write {out_path}: it is the input trace {path}");
-        return ExitCode::from(2);
-    }
-    let written = load(path).and_then(|log| {
-        std::fs::write(&out_path, render(&log)).map_err(|e| format!("cannot write {out_path}: {e}"))
-    });
-    match written {
-        Ok(()) => {
-            println!("[written to {out_path}{note}]");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
 /// Whether `a` and `b` resolve to one existing file.
 fn same_file(a: &str, b: &str) -> bool {
     match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
@@ -108,8 +73,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  dstm-trace audit   <trace.jsonl>\n  \
          dstm-trace analyze <trace.jsonl> [--epoch-ns N]\n  \
-         dstm-trace chrome  <trace.jsonl> [out.json]\n  \
-         dstm-trace jsonl   <trace.jsonl> [out.jsonl]"
+         dstm-trace chrome  <trace.jsonl> [out.json]"
     );
     ExitCode::from(2)
 }
@@ -143,20 +107,30 @@ fn main() -> ExitCode {
             let report = analyze(log, epoch_ns);
             (report.render(), report.ok())
         }),
-        ("chrome", [path, out @ ..]) if out.len() <= 1 => convert(
-            path,
-            out.first().copied(),
-            ".chrome.json",
-            to_chrome_trace,
-            " — open in chrome://tracing or Perfetto",
-        ),
-        ("jsonl", [path, out @ ..]) if out.len() <= 1 => convert(
-            path,
-            out.first().copied(),
-            ".canonical.jsonl",
-            TraceLog::to_jsonl,
-            "",
-        ),
+        ("chrome", [path, out @ ..]) if out.len() <= 1 => {
+            let out_path = out.first().map_or_else(
+                || format!("{}.chrome.json", path.trim_end_matches(".jsonl")),
+                |out| out.to_string(),
+            );
+            if same_file(path, &out_path) {
+                eprintln!("refusing to write {out_path}: it is the input trace {path}");
+                return ExitCode::from(2);
+            }
+            let written = load(path).and_then(|log| {
+                std::fs::write(&out_path, to_chrome_trace(&log))
+                    .map_err(|e| format!("cannot write {out_path}: {e}"))
+            });
+            match written {
+                Ok(()) => {
+                    println!("[written to {out_path} — open in chrome://tracing or Perfetto]");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("{e}");
+                    ExitCode::from(2)
+                }
+            }
+        }
         _ => usage(),
     }
 }
