@@ -16,8 +16,9 @@
 //!   nested child, instants for scheduler decisions / queue service /
 //!   migrations.
 
+use dstm_sim::SimTime;
 use hyflow_dstm::trace::{push_u64, size_class};
-use hyflow_dstm::{ProtoEvent, TraceLog, TraceRecord, Verdict};
+use hyflow_dstm::{ProtoEvent, RecordReader, RecordSpan, TraceLog, TraceRecord, Verdict};
 use rts_core::{FxHashMap, FxHashSet, ObjectId, SchedulerKind, TxId};
 use std::fmt::Write as _;
 
@@ -100,35 +101,37 @@ impl AuditReport {
 /// one, each violation names its run, counting from 1.
 pub fn audit(log: &TraceLog) -> AuditReport {
     let mut report = AuditReport::default();
+    let mut protocol_records = 0;
+    // Where each run's violations start.
+    let mut runs = Vec::new();
+    let mut reader = log.records.reader();
+    loop {
+        let before = report.violations.len();
+        let Some(audited) = audit_run(&mut reader, &mut report) else {
+            break;
+        };
+        protocol_records += audited;
+        runs.push(before);
+    }
 
     // An empty or header-only trace (no protocol records, just RunInfo /
     // RunSummary metadata) means nothing was actually checked: a truncated
     // capture, a run built without `trace_protocol`, or a wrong file.
     // Vacuously passing such an audit is worse than failing it.
-    let protocol_records = log
-        .records
-        .iter()
-        .filter(|r| {
-            !matches!(
-                r.ev,
-                ProtoEvent::RunInfo { .. } | ProtoEvent::RunSummary { .. }
-            )
-        })
-        .count();
     if protocol_records == 0 {
-        report.violations.push(
-            "trace contains no protocol records (empty or header-only file): \
-             nothing to audit — was the run traced with trace_protocol?"
-                .to_string(),
-        );
-        return report;
+        return AuditReport {
+            violations: vec![
+                "trace contains no protocol records (empty or header-only file): \
+                 nothing to audit — was the run traced with trace_protocol?"
+                    .to_string(),
+            ],
+            ..AuditReport::default()
+        };
     }
-    let runs = runs(&log.records);
-    for (k, run) in runs.iter().enumerate() {
-        let before = report.violations.len();
-        audit_run(run, &mut report);
-        if runs.len() > 1 {
-            for v in &mut report.violations[before..] {
+    if runs.len() > 1 {
+        runs.push(report.violations.len());
+        for (k, w) in runs.windows(2).enumerate() {
+            for v in &mut report.violations[w[0]..w[1]] {
                 *v = format!("run {}: {v}", k + 1);
             }
         }
@@ -136,52 +139,70 @@ pub fn audit(log: &TraceLog) -> AuditReport {
     report
 }
 
-/// The runs `records` holds: each ends at its `RunSummary`, and a `RunInfo`
-/// starts a new one. A log without either is one run.
-fn runs(records: &[TraceRecord]) -> Vec<&[TraceRecord]> {
-    let mut runs = Vec::new();
-    let mut start = 0;
-    for (i, r) in records.iter().enumerate() {
-        let end = match r.ev {
-            ProtoEvent::RunInfo { .. } => i,
-            ProtoEvent::RunSummary { .. } => i + 1,
-            _ => continue,
-        };
-        if end > start {
-            runs.push(&records[start..end]);
-            start = end;
+/// Read the run `reader` is at, handing `each` its records in order: up to
+/// and including its `RunSummary`, or up to the `RunInfo` that starts the
+/// next run (a log without either is one run). The run's records, or
+/// `None` past the last run.
+fn read_run<'a>(
+    reader: &mut RecordReader<'a>,
+    mut each: impl FnMut(&TraceRecord),
+) -> Option<RecordSpan<'a>> {
+    let start = reader.rest();
+    let mut len = 0;
+    loop {
+        let here = reader.rest();
+        let Some(r) = reader.read() else { break };
+        if len > 0 && matches!(r.ev, ProtoEvent::RunInfo { .. }) {
+            // The next run's first record: it is read again from there.
+            *reader = here.reader();
+            break;
+        }
+        len += 1;
+        each(r);
+        if matches!(r.ev, ProtoEvent::RunSummary { .. }) {
+            break;
         }
     }
-    if start < records.len() {
-        runs.push(&records[start..]);
-    }
-    runs
+    (len > 0).then(|| start.prefix(len))
 }
 
-/// [`audit`] one run, adding its counts and violations to `report`.
-fn audit_run(records: &[TraceRecord], report: &mut AuditReport) {
-    if let Some(i) = records.windows(2).position(|w| w[1].at < w[0].at) {
-        report.violations.push(format!(
-            "time goes backwards at record {} of the run: t={} after t={}",
-            i + 2,
-            records[i + 1].at.0,
-            records[i].at.0
-        ));
-    }
-
+/// [`audit`] the run `reader` is at, adding its counts and violations to
+/// `report`: its protocol records (all but `RunInfo` and `RunSummary`), or
+/// `None` past the last run.
+fn audit_run(reader: &mut RecordReader<'_>, report: &mut AuditReport) -> Option<usize> {
     // Pass 1: per-object install history, in record order (the log is
-    // time-ordered), then indexed for the read windows.
+    // time-ordered), then indexed for the read windows; and the first
+    // record stamped earlier than the one before it.
+    let (mut seen, mut protocol_records) = (0, 0);
+    let mut backwards = None;
+    let mut last_at = SimTime::ZERO;
     let mut installs: FxHashMap<ObjectId, Vec<Install>> = FxHashMap::default();
-    for r in records {
-        if let ProtoEvent::TxCommit { writes, .. } = &r.ev {
-            for &(oid, _expect, new) in writes {
-                installs.entry(oid).or_default().push(Install {
-                    version: new,
-                    at: r.at.0,
-                    earliest_from_here: r.at.0,
-                });
-            }
+    let run = read_run(reader, |r| {
+        seen += 1;
+        if r.at < last_at && backwards.is_none() {
+            backwards = Some((seen, r.at, last_at));
         }
+        last_at = r.at;
+        match &r.ev {
+            ProtoEvent::TxCommit { writes, .. } => {
+                for &(oid, _expect, new) in writes {
+                    installs.entry(oid).or_default().push(Install {
+                        version: new,
+                        at: r.at.0,
+                        earliest_from_here: r.at.0,
+                    });
+                }
+            }
+            ProtoEvent::RunInfo { .. } | ProtoEvent::RunSummary { .. } => return,
+            _ => {}
+        }
+        protocol_records += 1;
+    })?;
+    if let Some((i, at, last)) = backwards {
+        report.violations.push(format!(
+            "time goes backwards at record {i} of the run: t={} after t={}",
+            at.0, last.0
+        ));
     }
     for hist in installs.values_mut() {
         index_installs(hist);
@@ -195,7 +216,8 @@ fn audit_run(records: &[TraceRecord], report: &mut AuditReport) {
     let mut enqueued: FxHashSet<(TxId, u32)> = FxHashSet::default();
     let mut spans = SpanTotals::default();
 
-    for r in records {
+    let mut replay = run.reader();
+    while let Some(r) = replay.read() {
         match &r.ev {
             ProtoEvent::TxCommit {
                 tx,
@@ -316,6 +338,7 @@ fn audit_run(records: &[TraceRecord], report: &mut AuditReport) {
             _ => {}
         }
     }
+    Some(protocol_records)
 }
 
 /// One recorded install of an object version, for [`read_window`].
@@ -481,32 +504,28 @@ impl ChromeEvents {
 /// and migration are instants on the node that observed them. Timestamps
 /// are exact: integer microseconds and three decimals of nanoseconds.
 pub fn to_chrome_trace(log: &TraceLog) -> String {
+    const HEADER: &str = "{\"traceEvents\": [";
     let mut ev = ChromeEvents {
         // ~56 bytes per record on a Bank trace; where that falls short,
         // doubling takes over.
         out: String::with_capacity(size_class(64 * log.records.len() + 64)),
-        first: true,
+        // The process metadata goes in front of the events, once the loop
+        // below has seen every node.
+        first: false,
     };
-    ev.out.push_str("{\"traceEvents\": [");
-
-    // Process metadata: one "process" per node.
-    let nodes: FxHashSet<u32> = log.records.iter().map(|r| r.node).collect();
-    let mut nodes: Vec<u32> = nodes.into_iter().collect();
-    nodes.sort_unstable();
-    for &n in &nodes {
-        ev.open("process_name\",\"ph\":\"M\",\"pid\":")
-            .num("", n)
-            .num(",\"tid\":0,\"args\":{\"name\":\"node ", n)
-            .text("\"}}");
-    }
+    ev.out.push_str(HEADER);
 
     // Open attempt spans and nested-child stacks per transaction.
     let mut open_attempt: FxHashMap<TxId, (u64, u32)> = FxHashMap::default();
     let mut open_children: FxHashMap<TxId, Vec<(u32, u64)>> = FxHashMap::default();
-    let end_of_log = log.records.last().map_or(0, |r| r.at.0);
+    let mut end_of_log = 0;
+    let mut nodes: FxHashSet<u32> = FxHashSet::default();
 
-    for r in &log.records {
+    let mut reader = log.records.reader();
+    while let Some(r) = reader.read() {
         let at = r.at.0;
+        end_of_log = at;
+        nodes.insert(r.node);
         match &r.ev {
             ProtoEvent::TxStart { tx, attempt, .. } => {
                 open_attempt.insert(*tx, (at, *attempt));
@@ -604,6 +623,21 @@ pub fn to_chrome_trace(log: &TraceLog) -> String {
     }
 
     ev.out.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
+
+    // Process metadata: one "process" per node, first in the array.
+    let mut meta = ChromeEvents {
+        out: String::new(),
+        first: true,
+    };
+    let mut nodes: Vec<u32> = nodes.into_iter().collect();
+    nodes.sort_unstable();
+    for &n in &nodes {
+        meta.open("process_name\",\"ph\":\"M\",\"pid\":")
+            .num("", n)
+            .num(",\"tid\":0,\"args\":{\"name\":\"node ", n)
+            .text("\"}}");
+    }
+    ev.out.insert_str(HEADER.len(), &meta.out);
     ev.out
 }
 
@@ -952,17 +986,12 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
     // Transaction and object ids repeat from run to run and each run's
     // clock starts at 0, so the tallies below are kept per run: each run
     // walks its own victim → aggressor map and buckets its own commits.
-    for (k, run) in runs(&log.records).into_iter().enumerate() {
-        let mut profile = RunProfile {
-            info: match run.first().map(|r| &r.ev) {
-                Some(ProtoEvent::RunInfo { scheduler, nodes }) => Some((*scheduler, *nodes)),
-                _ => None,
-            },
-            ..RunProfile::default()
-        };
+    let mut reader = log.records.reader();
+    for k in 0.. {
+        let mut profile = RunProfile::default();
         let mut blamed_by: FxHashMap<TxId, TxId> = FxHashMap::default();
         let mut commits_per_epoch: Vec<u64> = Vec::new();
-        for r in run {
+        let run = read_run(&mut reader, |r| {
             profile.by_kind[r.ev.kind_index()] += 1;
             match &r.ev {
                 ProtoEvent::TxCommit { .. } => {
@@ -1021,8 +1050,15 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
                     profile.cache_misses += cache_misses;
                     profile.cache_invalidations += cache_invalidations;
                 }
+                // Only a run's first record can be its `RunInfo`.
+                ProtoEvent::RunInfo { scheduler, nodes } => {
+                    profile.info = Some((*scheduler, *nodes));
+                }
                 _ => {}
             }
+        });
+        if run.is_none() {
+            break;
         }
         let chain = longest_chain(&blamed_by);
         if chain.len() > report.longest_chain.len() {
@@ -1040,13 +1076,13 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
         .sum();
     if bucketed < report.commits {
         // Only a refused commit gets here; find the furthest one.
-        let span = log
-            .records
-            .iter()
-            .filter(|r| matches!(r.ev, ProtoEvent::TxCommit { .. }))
-            .map(|r| r.at.0)
-            .max()
-            .unwrap_or(0);
+        let mut span = 0;
+        let mut reader = log.records.reader();
+        while let Some(r) = reader.read() {
+            if let ProtoEvent::TxCommit { .. } = r.ev {
+                span = span.max(r.at.0);
+            }
+        }
         report.mismatches.push(format!(
             "commits span {span} ns, more than {MAX_ANALYZE_EPOCHS} epochs of {epoch_ns} ns; \
              rerun with --epoch-ns {} or more",
@@ -1105,6 +1141,10 @@ mod tests {
     use hyflow_dstm::{AbortCause, TraceRecord};
     use rts_core::{SchedulerKind, TxKind};
 
+    fn log_of(records: Vec<TraceRecord>) -> TraceLog {
+        records.into_iter().collect()
+    }
+
     fn rec(at: u64, node: u32, ev: ProtoEvent) -> TraceRecord {
         TraceRecord {
             at: SimTime(at),
@@ -1137,12 +1177,10 @@ mod tests {
         let t1 = TxId::new(0, 1);
         let t2 = TxId::new(1, 1);
         let o = ObjectId(1);
-        let log = TraceLog {
-            records: vec![
-                commit(100, t1, vec![(o, 0)], vec![(o, 0, 1)]),
-                commit(200, t2, vec![(o, 1)], vec![(o, 1, 2)]),
-            ],
-        };
+        let log = log_of(vec![
+            commit(100, t1, vec![(o, 0)], vec![(o, 0, 1)]),
+            commit(200, t2, vec![(o, 1)], vec![(o, 1, 2)]),
+        ]);
         let report = audit(&log);
         assert!(report.ok(), "{:?}", report.violations);
         assert_eq!(report.commits_checked, 2);
@@ -1155,12 +1193,10 @@ mod tests {
         let o = ObjectId(1);
         // Both commits were built against version 0: the second one
         // overwrites the first's update.
-        let log = TraceLog {
-            records: vec![
-                commit(100, t1, vec![(o, 0)], vec![(o, 0, 1)]),
-                commit(200, t2, vec![(o, 0)], vec![(o, 0, 2)]),
-            ],
-        };
+        let log = log_of(vec![
+            commit(100, t1, vec![(o, 0)], vec![(o, 0, 1)]),
+            commit(200, t2, vec![(o, 0)], vec![(o, 0, 2)]),
+        ]);
         let report = audit(&log);
         assert!(!report.ok());
         assert!(report.violations[0].contains("lost update"), "{report:?}");
@@ -1172,14 +1208,12 @@ mod tests {
         let (a, b) = (ObjectId(1), ObjectId(2));
         // a@1 dies at t=200 (a@2 installed); b@5 is born at t=300. A commit
         // reading {a@1, b@5} observed two states that never coexisted.
-        let log = TraceLog {
-            records: vec![
-                commit(100, t1, vec![], vec![(a, 0, 1)]),
-                commit(200, t1, vec![], vec![(a, 1, 2)]),
-                commit(300, t2, vec![], vec![(b, 0, 5)]),
-                commit(400, t3, vec![(a, 1), (b, 5)], vec![]),
-            ],
-        };
+        let log = log_of(vec![
+            commit(100, t1, vec![], vec![(a, 0, 1)]),
+            commit(200, t1, vec![], vec![(a, 1, 2)]),
+            commit(300, t2, vec![], vec![(b, 0, 5)]),
+            commit(400, t3, vec![(a, 1), (b, 5)], vec![]),
+        ]);
         let report = audit(&log);
         assert!(!report.ok());
         assert!(
@@ -1191,23 +1225,21 @@ mod tests {
     #[test]
     fn timeout_without_enqueue_is_flagged() {
         let tx = TxId::new(1, 1);
-        let log = TraceLog {
-            records: vec![rec(
-                500,
-                1,
-                ProtoEvent::TxAbort {
-                    tx,
-                    attempt: 0,
-                    cause: AbortCause::QueueTimeout,
-                    nested_parent: 0,
-                    backoff: SimDuration::ZERO,
-                    wasted_ns: 0,
-                    msgs: 0,
-                    oid: None,
-                    aggressor: None,
-                },
-            )],
-        };
+        let log = log_of(vec![rec(
+            500,
+            1,
+            ProtoEvent::TxAbort {
+                tx,
+                attempt: 0,
+                cause: AbortCause::QueueTimeout,
+                nested_parent: 0,
+                backoff: SimDuration::ZERO,
+                wasted_ns: 0,
+                msgs: 0,
+                oid: None,
+                aggressor: None,
+            },
+        )]);
         let report = audit(&log);
         assert!(!report.ok());
         assert!(
@@ -1220,44 +1252,42 @@ mod tests {
     fn paired_timeout_passes() {
         let tx = TxId::new(1, 1);
         let o = ObjectId(1);
-        let log = TraceLog {
-            records: vec![
-                rec(
-                    100,
-                    0,
-                    ProtoEvent::SchedDecision {
-                        oid: o,
-                        tx,
-                        attempt: 0,
-                        local_cl: 1,
-                        requester_cl: 0,
-                        window_requests: 1,
-                        executed: SimDuration::from_millis(10),
-                        remaining: SimDuration::from_millis(5),
-                        queue_depth: 1,
-                        bk: SimDuration::from_millis(5),
-                        threshold: Some(16),
-                        verdict: Verdict::Enqueue,
-                        backoff: SimDuration::from_millis(5),
-                    },
-                ),
-                rec(
-                    900,
-                    1,
-                    ProtoEvent::TxAbort {
-                        tx,
-                        attempt: 0,
-                        cause: AbortCause::QueueTimeout,
-                        nested_parent: 0,
-                        backoff: SimDuration::ZERO,
-                        wasted_ns: 0,
-                        msgs: 0,
-                        oid: Some(o),
-                        aggressor: None,
-                    },
-                ),
-            ],
-        };
+        let log = log_of(vec![
+            rec(
+                100,
+                0,
+                ProtoEvent::SchedDecision {
+                    oid: o,
+                    tx,
+                    attempt: 0,
+                    local_cl: 1,
+                    requester_cl: 0,
+                    window_requests: 1,
+                    executed: SimDuration::from_millis(10),
+                    remaining: SimDuration::from_millis(5),
+                    queue_depth: 1,
+                    bk: SimDuration::from_millis(5),
+                    threshold: Some(16),
+                    verdict: Verdict::Enqueue,
+                    backoff: SimDuration::from_millis(5),
+                },
+            ),
+            rec(
+                900,
+                1,
+                ProtoEvent::TxAbort {
+                    tx,
+                    attempt: 0,
+                    cause: AbortCause::QueueTimeout,
+                    nested_parent: 0,
+                    backoff: SimDuration::ZERO,
+                    wasted_ns: 0,
+                    msgs: 0,
+                    oid: Some(o),
+                    aggressor: None,
+                },
+            ),
+        ]);
         let report = audit(&log);
         assert!(report.ok(), "{:?}", report.violations);
         assert_eq!(report.timeout_aborts_checked, 1);
@@ -1326,7 +1356,7 @@ mod tests {
                     cache_invalidations: 0,
                 },
             ));
-            audit(&TraceLog { records })
+            audit(&log_of(records))
         };
         let counters = [1, 1, 1, 1, 1, 500, 2, 1];
         let report = audited(counters);
@@ -1360,39 +1390,37 @@ mod tests {
     #[test]
     fn chrome_export_produces_valid_shape() {
         let tx = TxId::new(0, 1);
-        let log = TraceLog {
-            records: vec![
-                rec(
-                    0,
-                    0,
-                    ProtoEvent::TxStart {
-                        tx,
-                        kind: TxKind(1),
-                        attempt: 0,
-                    },
-                ),
-                rec(
-                    1_000,
-                    0,
-                    ProtoEvent::NestedOpen {
-                        tx,
-                        attempt: 0,
-                        level: 1,
-                        kind: TxKind(2),
-                    },
-                ),
-                rec(
-                    2_000,
-                    0,
-                    ProtoEvent::NestedCommit {
-                        tx,
-                        attempt: 0,
-                        level: 1,
-                    },
-                ),
-                commit(3_000, tx, vec![(ObjectId(1), 0)], vec![(ObjectId(1), 0, 1)]),
-            ],
-        };
+        let log = log_of(vec![
+            rec(
+                0,
+                0,
+                ProtoEvent::TxStart {
+                    tx,
+                    kind: TxKind(1),
+                    attempt: 0,
+                },
+            ),
+            rec(
+                1_000,
+                0,
+                ProtoEvent::NestedOpen {
+                    tx,
+                    attempt: 0,
+                    level: 1,
+                    kind: TxKind(2),
+                },
+            ),
+            rec(
+                2_000,
+                0,
+                ProtoEvent::NestedCommit {
+                    tx,
+                    attempt: 0,
+                    level: 1,
+                },
+            ),
+            commit(3_000, tx, vec![(ObjectId(1), 0)], vec![(ObjectId(1), 0, 1)]),
+        ]);
         let chrome = to_chrome_trace(&log);
         assert!(chrome.starts_with("{\"traceEvents\": ["));
         assert!(chrome.contains("\"ph\":\"M\""), "process metadata present");
@@ -1458,71 +1486,69 @@ mod tests {
     fn analyze_counts_each_run_by_kind() {
         let tx = TxId::new(0, 1);
         let o = ObjectId(1);
-        let log = TraceLog {
-            records: vec![
-                rec(
-                    0,
-                    0,
-                    ProtoEvent::TxStart {
-                        tx,
-                        kind: TxKind(1),
-                        attempt: 0,
-                    },
-                ),
-                rec(
-                    100,
-                    0,
-                    ProtoEvent::SchedDecision {
-                        oid: o,
-                        tx,
-                        attempt: 0,
-                        local_cl: 1,
-                        requester_cl: 0,
-                        window_requests: 1,
-                        executed: SimDuration::ZERO,
-                        remaining: SimDuration::ZERO,
-                        queue_depth: 1,
-                        bk: SimDuration::ZERO,
-                        threshold: None,
-                        verdict: Verdict::Enqueue,
-                        backoff: SimDuration::ZERO,
-                    },
-                ),
-                rec(
-                    200,
-                    0,
-                    ProtoEvent::TxAbort {
-                        tx,
-                        attempt: 0,
-                        cause: AbortCause::QueueTimeout,
-                        nested_parent: 0,
-                        backoff: SimDuration::ZERO,
-                        wasted_ns: 0,
-                        msgs: 0,
-                        oid: Some(o),
-                        aggressor: None,
-                    },
-                ),
-                commit(1_000, tx, vec![], vec![]),
-                rec(
-                    2_000,
-                    0,
-                    ProtoEvent::RunSummary {
-                        commits: 1,
-                        aborts: 1,
-                        nested_own: 0,
-                        nested_parent: 0,
-                        nested_commits: 0,
-                        wasted_ns: 0,
-                        wasted_msgs: 0,
-                        attributed: 0,
-                        cache_hits: 3,
-                        cache_misses: 1,
-                        cache_invalidations: 2,
-                    },
-                ),
-            ],
-        };
+        let log = log_of(vec![
+            rec(
+                0,
+                0,
+                ProtoEvent::TxStart {
+                    tx,
+                    kind: TxKind(1),
+                    attempt: 0,
+                },
+            ),
+            rec(
+                100,
+                0,
+                ProtoEvent::SchedDecision {
+                    oid: o,
+                    tx,
+                    attempt: 0,
+                    local_cl: 1,
+                    requester_cl: 0,
+                    window_requests: 1,
+                    executed: SimDuration::ZERO,
+                    remaining: SimDuration::ZERO,
+                    queue_depth: 1,
+                    bk: SimDuration::ZERO,
+                    threshold: None,
+                    verdict: Verdict::Enqueue,
+                    backoff: SimDuration::ZERO,
+                },
+            ),
+            rec(
+                200,
+                0,
+                ProtoEvent::TxAbort {
+                    tx,
+                    attempt: 0,
+                    cause: AbortCause::QueueTimeout,
+                    nested_parent: 0,
+                    backoff: SimDuration::ZERO,
+                    wasted_ns: 0,
+                    msgs: 0,
+                    oid: Some(o),
+                    aggressor: None,
+                },
+            ),
+            commit(1_000, tx, vec![], vec![]),
+            rec(
+                2_000,
+                0,
+                ProtoEvent::RunSummary {
+                    commits: 1,
+                    aborts: 1,
+                    nested_own: 0,
+                    nested_parent: 0,
+                    nested_commits: 0,
+                    wasted_ns: 0,
+                    wasted_msgs: 0,
+                    attributed: 0,
+                    cache_hits: 3,
+                    cache_misses: 1,
+                    cache_invalidations: 2,
+                },
+            ),
+        ]);
         let report = analyze(&log, DEFAULT_ANALYZE_EPOCH_NS);
         let [run] = &report.runs[..] else {
             panic!("{} runs", report.runs.len());
@@ -1553,29 +1579,27 @@ mod tests {
     #[test]
     fn analyze_labels_each_run_with_its_cell() {
         let tx = TxId::new(0, 1);
-        let log = TraceLog {
-            records: vec![
-                rec(
-                    0,
-                    0,
-                    ProtoEvent::RunInfo {
-                        scheduler: SchedulerKind::Rts,
-                        nodes: 8,
-                    },
-                ),
-                commit(1_000, tx, vec![], vec![]),
-                rec(
-                    2_000,
-                    0,
-                    ProtoEvent::RunInfo {
-                        scheduler: SchedulerKind::Tfa,
-                        nodes: 16,
-                    },
-                ),
-                commit(3_000, tx, vec![], vec![]),
-                commit(4_000, tx, vec![], vec![]),
-            ],
-        };
+        let log = log_of(vec![
+            rec(
+                0,
+                0,
+                ProtoEvent::RunInfo {
+                    scheduler: SchedulerKind::Rts,
+                    nodes: 8,
+                },
+            ),
+            commit(1_000, tx, vec![], vec![]),
+            rec(
+                2_000,
+                0,
+                ProtoEvent::RunInfo {
+                    scheduler: SchedulerKind::Tfa,
+                    nodes: 16,
+                },
+            ),
+            commit(3_000, tx, vec![], vec![]),
+            commit(4_000, tx, vec![], vec![]),
+        ]);
         let report = analyze(&log, DEFAULT_ANALYZE_EPOCH_NS);
         let cells: Vec<_> = report
             .runs
@@ -1630,61 +1654,59 @@ mod tests {
     fn analyze_ranks_hot_objects_chains_and_aggressors() {
         let (t0, t1, t2) = (TxId::new(0, 1), TxId::new(1, 1), TxId::new(2, 1));
         let (a, b) = (ObjectId(1), ObjectId(2));
-        let log = TraceLog {
-            records: vec![
-                rec(
-                    0,
-                    0,
-                    ProtoEvent::RunInfo {
-                        scheduler: SchedulerKind::Rts,
-                        nodes: 3,
-                    },
-                ),
-                // t1 aborted twice on `a` at t0's hands; t0 once on `b` at t2's.
-                abort_blaming(1_000, t1, 500, 2, Some(a), Some(t0)),
-                abort_blaming(2_000, t1, 700, 3, Some(a), Some(t0)),
-                abort_blaming(3_000, t0, 300, 1, Some(b), Some(t2)),
-                rec(
-                    4_000,
-                    0,
-                    ProtoEvent::QueueServed {
-                        oid: a,
-                        tx: t1,
-                        attempt: 2,
-                        wait: SimDuration::from_nanos(900),
-                    },
-                ),
-                rec(
-                    5_000,
-                    1,
-                    ProtoEvent::Migrate {
-                        oid: a,
-                        tx: t1,
-                        from: 0,
-                        to: 1,
-                        version: 1,
-                    },
-                ),
-                commit(6_000, t1, vec![], vec![(a, 0, 1)]),
-                rec(
-                    7_000,
-                    0,
-                    ProtoEvent::RunSummary {
-                        commits: 1,
-                        aborts: 3,
-                        nested_own: 0,
-                        nested_parent: 0,
-                        nested_commits: 0,
-                        wasted_ns: 1_500,
-                        wasted_msgs: 6,
-                        attributed: 3,
-                        cache_hits: 0,
-                        cache_misses: 0,
-                        cache_invalidations: 0,
-                    },
-                ),
-            ],
-        };
+        let log = log_of(vec![
+            rec(
+                0,
+                0,
+                ProtoEvent::RunInfo {
+                    scheduler: SchedulerKind::Rts,
+                    nodes: 3,
+                },
+            ),
+            // t1 aborted twice on `a` at t0's hands; t0 once on `b` at t2's.
+            abort_blaming(1_000, t1, 500, 2, Some(a), Some(t0)),
+            abort_blaming(2_000, t1, 700, 3, Some(a), Some(t0)),
+            abort_blaming(3_000, t0, 300, 1, Some(b), Some(t2)),
+            rec(
+                4_000,
+                0,
+                ProtoEvent::QueueServed {
+                    oid: a,
+                    tx: t1,
+                    attempt: 2,
+                    wait: SimDuration::from_nanos(900),
+                },
+            ),
+            rec(
+                5_000,
+                1,
+                ProtoEvent::Migrate {
+                    oid: a,
+                    tx: t1,
+                    from: 0,
+                    to: 1,
+                    version: 1,
+                },
+            ),
+            commit(6_000, t1, vec![], vec![(a, 0, 1)]),
+            rec(
+                7_000,
+                0,
+                ProtoEvent::RunSummary {
+                    commits: 1,
+                    aborts: 3,
+                    nested_own: 0,
+                    nested_parent: 0,
+                    nested_commits: 0,
+                    wasted_ns: 1_500,
+                    wasted_msgs: 6,
+                    attributed: 3,
+                    cache_hits: 0,
+                    cache_misses: 0,
+                    cache_invalidations: 0,
+                },
+            ),
+        ]);
         let report = analyze(&log, DEFAULT_ANALYZE_EPOCH_NS);
         assert!(report.ok(), "{:?}", report.mismatches);
         assert_eq!(report.runs.len(), 1);
@@ -1726,28 +1748,26 @@ mod tests {
     #[test]
     fn audit_flags_wasted_work_mismatch() {
         let t1 = TxId::new(1, 1);
-        let log = TraceLog {
-            records: vec![
-                abort_blaming(1_000, t1, 500, 2, Some(ObjectId(1)), None),
-                rec(
-                    2_000,
-                    0,
-                    ProtoEvent::RunSummary {
-                        commits: 0,
-                        aborts: 1,
-                        nested_own: 0,
-                        nested_parent: 0,
-                        nested_commits: 0,
-                        wasted_ns: 499, // events say 500
-                        wasted_msgs: 2,
-                        attributed: 0,
-                        cache_hits: 0,
-                        cache_misses: 0,
-                        cache_invalidations: 0,
-                    },
-                ),
-            ],
-        };
+        let log = log_of(vec![
+            abort_blaming(1_000, t1, 500, 2, Some(ObjectId(1)), None),
+            rec(
+                2_000,
+                0,
+                ProtoEvent::RunSummary {
+                    commits: 0,
+                    aborts: 1,
+                    nested_own: 0,
+                    nested_parent: 0,
+                    nested_commits: 0,
+                    wasted_ns: 499, // events say 500
+                    wasted_msgs: 2,
+                    attributed: 0,
+                    cache_hits: 0,
+                    cache_misses: 0,
+                    cache_invalidations: 0,
+                },
+            ),
+        ]);
         assert_eq!(
             audit(&log).violations,
             [
@@ -1781,15 +1801,13 @@ mod tests {
         };
         // One commit against a summary of 2, then two against 1: the
         // log-wide sums agree, each run's do not.
-        let log = TraceLog {
-            records: vec![
-                commit(100, tx, vec![], vec![]),
-                summary(200, 2),
-                commit(100, tx, vec![], vec![]),
-                commit(150, tx, vec![], vec![]),
-                summary(200, 1),
-            ],
-        };
+        let log = log_of(vec![
+            commit(100, tx, vec![], vec![]),
+            summary(200, 2),
+            commit(100, tx, vec![], vec![]),
+            commit(150, tx, vec![], vec![]),
+            summary(200, 1),
+        ]);
         assert_eq!(
             audit(&log).violations,
             [
@@ -1812,17 +1830,17 @@ mod tests {
                 records.push(commit(e * epoch + i, tx, vec![], vec![]));
             }
         }
-        let log = TraceLog { records };
+        let log = log_of(records);
         let series = analyze(&log, epoch).runs[0].throughput.clone();
         assert_eq!(series.commits_per_epoch, vec![4, 4, 1, 1]);
         assert_eq!(series.peak_epoch, 0);
         assert_eq!(series.knee_epoch, Some(2));
         // A flat series has no knee.
-        let flat = TraceLog {
-            records: (0..4)
+        let flat = log_of(
+            (0..4)
                 .map(|e| commit(e * epoch, tx, vec![], vec![]))
                 .collect(),
-        };
+        );
         assert_eq!(analyze(&flat, epoch).runs[0].throughput.knee_epoch, None);
     }
 
@@ -1849,18 +1867,16 @@ mod tests {
         // Run 1 blames T1.1 on T2.1, run 2 blames T2.1 on T3.1: no chain
         // T1.1 <- T2.1 <- T3.1, since run 2's T2.1 is another transaction.
         // T3.1 aggresses in both runs.
-        let log = TraceLog {
-            records: vec![
-                info(0),
-                abort_blaming(100, t1, 500, 1, Some(a), Some(t2)),
-                abort_blaming(150, t0, 200, 1, Some(a), Some(t3)),
-                commit(200, t1, vec![], vec![]),
-                commit(300, t0, vec![], vec![]),
-                info(0),
-                abort_blaming(100, t2, 700, 1, Some(a), Some(t3)),
-                commit(2_500, t2, vec![], vec![]),
-            ],
-        };
+        let log = log_of(vec![
+            info(0),
+            abort_blaming(100, t1, 500, 1, Some(a), Some(t2)),
+            abort_blaming(150, t0, 200, 1, Some(a), Some(t3)),
+            commit(200, t1, vec![], vec![]),
+            commit(300, t0, vec![], vec![]),
+            info(0),
+            abort_blaming(100, t2, 700, 1, Some(a), Some(t3)),
+            commit(2_500, t2, vec![], vec![]),
+        ]);
         let report = analyze(&log, epoch);
         assert_eq!(report.runs.len(), 2);
         assert_eq!(report.longest_chain, vec![t0, t3], "run 1's, the earliest");

@@ -132,9 +132,8 @@ fn concatenated_runs_are_audited_one_by_one() {
     );
 
     // A lost update in the second run is still found, and named by its run.
-    let mut planted = second.clone();
-    let last_write = planted
-        .records
+    let mut records: Vec<_> = second.records.iter().collect();
+    let last_write = records
         .iter_mut()
         .rev()
         .find_map(|r| match &mut r.ev {
@@ -143,6 +142,7 @@ fn concatenated_runs_are_audited_one_by_one() {
         })
         .expect("the Fig. 3 run commits writes");
     last_write.1 = 0;
+    let planted: TraceLog = records.into_iter().collect();
     let report = audit(&concatenated(&planted));
     assert!(
         report

@@ -138,7 +138,7 @@ fn chrome_export_of_unfinished_attempts_is_deterministic() {
             },
         });
     }
-    let log = TraceLog { records };
+    let log: TraceLog = records.into_iter().collect();
     let first = to_chrome_trace(&log);
     assert_eq!(first.matches("unfinished").count(), 32);
     assert_eq!(first.matches("child L1").count(), 32);

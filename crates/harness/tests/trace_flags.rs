@@ -199,3 +199,39 @@ fn audit_refuses_a_run_whose_time_goes_backwards() {
     let out = trace_tool(&["audit", twice.to_str().unwrap()]);
     assert!(out.status.success(), "{out:?}");
 }
+
+/// `audit` used to pass a Fig. 3 trace with one line indented and a blank
+/// line inserted: the reader trimmed the one and skipped the other. The
+/// writer makes neither, so each now stops the tool with the line and byte
+/// where the text departs from it, and exit status 2.
+#[test]
+fn audit_refuses_an_indented_line_and_a_blank_line() {
+    let good = std::fs::read_to_string(recorded("padded.jsonl")).expect("read trace");
+    let edited = |edit: &dyn Fn(usize, &str) -> String| -> String {
+        good.lines()
+            .enumerate()
+            .map(|(i, line)| edit(i + 1, line))
+            .collect()
+    };
+    let indented = edited(&|k, line| match k {
+        3 => format!("  {line}\n"),
+        _ => format!("{line}\n"),
+    });
+    let blank = edited(&|k, line| match k {
+        4 => format!("\n{line}\n"),
+        _ => format!("{line}\n"),
+    });
+    for (name, text, line) in [("indented", indented, 3), ("blank", blank, 4)] {
+        let path = scratch(&format!("{name}.jsonl"));
+        std::fs::write(&path, text).expect("write trace");
+        let out = trace_tool(&["audit", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{name}: {out:?}");
+        assert!(out.stdout.is_empty(), "{name}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr,
+            format!("line {line}: byte 0: not the writer's \"at\" field\n"),
+            "{name}"
+        );
+    }
+}

@@ -69,5 +69,8 @@ pub use program::{
 pub use small::{Fnv64, ObjSet};
 pub use system::{NodeEvent, PartitionStrategy, System, SystemBuilder, WorkloadSource};
 pub use telemetry::{merge_epoch_series, EpochSample, TelemetryReport};
-pub use trace::{ProtoEvent, ProtoTrace, SchedLabel, TraceLog, TraceRecord, Verdict};
+pub use trace::{
+    ProtoEvent, ProtoTrace, RecordReader, RecordSpan, SchedLabel, TraceLog, TraceRecord,
+    TraceRecords, Verdict,
+};
 pub use tx::TxRuntime;

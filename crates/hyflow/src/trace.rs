@@ -19,11 +19,26 @@
 //!
 //! **One field list.** The `events!` table below is the line format: each
 //! kind's label, then per field its JSON key, its type — whose `Value`
-//! impl is the value's shape on the line — and when the field is on the
-//! line (`required`: always; `optional`: an `Option` field, when it is
-//! `Some`; `nonzero`: the kind's `nonzero` fields all together, when one
-//! of them is nonzero). The enum, the writer and the reader are generated
-//! from it, so a new field is one line of the table.
+//! impl is the value's shape on the line and in memory — and when the field
+//! is on the line (`required`: always; `optional`: an `Option` field, when
+//! it is `Some`; `nonzero`: the kind's `nonzero` fields all together, when
+//! one of them is nonzero). The enum, the writer, the reader and the
+//! in-memory encoding are generated from it, so a new field is one line of
+//! the table.
+//!
+//! **One in-memory form.** A log keeps its records in one append-only byte
+//! string, [`TraceRecords`], never as a `Vec<TraceRecord>`. A record is its
+//! `at` as a LEB128 varint delta from the record before it, its `node` as a
+//! varint, its kind's table index as one byte, then every field in table
+//! order: a number as a varint, a `TxId` as two, a label as its variant's
+//! index, an `Option` as a `0`/`1` byte and the value, a tuple list as its
+//! length and then its numbers. An `observe_160` Bank record takes ~11.6
+//! bytes this way, against 112 for a `TraceRecord` (plus its commit's two
+//! vectors). Nodes append to it, [`TraceLog::parse_jsonl`] reads text
+//! straight into it, and records come back out one at a time: a
+//! [`RecordReader`] lends each and decodes into the last record of its
+//! kind, so a pass over the log allocates nothing per record, while
+//! `for rec in &log.records` yields owned ones.
 //!
 //! **One format: the writer's bytes.** [`TraceRecord::parse`] accepts
 //! exactly the lines [`TraceRecord::write_jsonl`] makes: one flat object,
@@ -34,12 +49,15 @@
 //! (`node`, `attempt`, `level`, `kind`, …) instead of truncating it. At the
 //! first byte that departs from the layout it stops; the error names that
 //! byte and the field that should have started there. Whatever it accepts,
-//! the writer writes back byte for byte.
+//! the writer writes back byte for byte, and [`TraceLog::parse_jsonl`]
+//! likewise accepts only the writer's text: each line ends in `\n`, and a
+//! blank or padded line is refused like any other.
 
 use crate::metrics::{AbortCause, NodeCounters};
 use dstm_sim::{SimDuration, SimTime};
 use rts_core::{ObjectId, SchedulerKind, TxId, TxKind};
 use std::cell::RefCell;
+use std::fmt;
 use std::rc::Rc;
 
 /// The scheduler's verdict shape, as recorded in a trace (the backoff
@@ -52,6 +70,8 @@ pub enum Verdict {
 }
 
 impl Verdict {
+    pub const ALL: [Verdict; 3] = [Verdict::Abort, Verdict::AbortBackoff, Verdict::Enqueue];
+
     pub fn label(self) -> &'static str {
         match self {
             Verdict::Abort => "abort",
@@ -61,17 +81,21 @@ impl Verdict {
     }
 
     pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "abort" => Some(Verdict::Abort),
-            "abort-backoff" => Some(Verdict::AbortBackoff),
-            "enqueue" => Some(Verdict::Enqueue),
-            _ => None,
-        }
+        Verdict::ALL.into_iter().find(|v| v.label() == s)
     }
 }
 
-/// Declares [`ProtoEvent`] from its line format and generates the writer
-/// and the reader from the same list (see the module docs).
+/// Every scheduler a `run_info` record can name, in the order its encoding
+/// numbers them.
+const SCHEDULERS: [SchedulerKind; 3] = [
+    SchedulerKind::Tfa,
+    SchedulerKind::TfaBackoff,
+    SchedulerKind::Rts,
+];
+
+/// Declares [`ProtoEvent`] from its line format and generates the writer,
+/// the reader and the in-memory encoding from the same list (see the
+/// module docs).
 macro_rules! events {
     (
         $(#[$doc:meta])*
@@ -92,6 +116,13 @@ macro_rules! events {
 
         /// Each kind's position in the table, for [`ProtoEvent::kind_index`].
         enum KindIndex {$($kind,)*}
+
+        /// Each kind's position in the table as the byte that opens its
+        /// encoding.
+        #[allow(non_upper_case_globals)]
+        mod kind_byte {
+            $(pub(super) const $kind: u8 = super::KindIndex::$kind as u8;)*
+        }
 
         impl ProtoEvent {
             /// Every kind's label, in table order.
@@ -121,21 +152,59 @@ macro_rules! events {
             }
 
             /// Read `,"ev":"<label>"` and the fields of that kind, in the
-            /// writer's order and bytes.
-            fn read(c: &mut Cursor<'_>) -> Option<ProtoEvent> {
+            /// writer's order and bytes, appending the event's encoding to
+            /// `out`.
+            fn read(c: &mut Cursor<'_>, out: &mut Vec<u8>) -> Option<()> {
                 let start = c.pos;
-                Some(match c.field::<&str>(",\"ev\":")? {
+                match c.label_field(",\"ev\":")? {
                     $($label => {
+                        out.push(kind_byte::$kind);
                         #[allow(unused_mut)]
                         let mut group = Group::Unread;
-                        let ev = ProtoEvent::$kind {$(
-                            $field: read_field!($rule, c, group, concat!(",\"", $key, "\":")),
-                        )*};
-                        group.check(c)?;
-                        ev
+                        $(read_field!($rule, $ty, c, out, group, concat!(",\"", $key, "\":"));)*
+                        group.check(c)
                     })*
-                    _ => return c.stop(start, ",\"ev\":"),
-                })
+                    _ => c.stop(start, ",\"ev\":"),
+                }
+            }
+
+            /// Append the encoding: the kind's byte, then every field in
+            /// table order.
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {$(
+                    ProtoEvent::$kind { $($field),* } => {
+                        out.push(kind_byte::$kind);
+                        $($field.encode(out);)*
+                    }
+                )*}
+            }
+
+            /// The event of kind byte `kind` whose fields `b` starts with.
+            fn decode(kind: u8, b: &mut &[u8]) -> ProtoEvent {
+                match kind {
+                    $(kind_byte::$kind => ProtoEvent::$kind {$($field: Value::decode(b),)*},)*
+                    _ => unreachable!("kind byte {kind} is not in the table"),
+                }
+            }
+
+            /// Overwrite the fields with the next ones of this kind in `b`,
+            /// keeping their buffers.
+            fn decode_into(&mut self, b: &mut &[u8]) {
+                match self {$(
+                    ProtoEvent::$kind { $($field),* } => {
+                        $(Value::decode_into($field, b);)*
+                    }
+                )*}
+            }
+
+            /// Step `b` past the fields of an event of kind byte `kind`.
+            fn skip(kind: u8, b: &mut &[u8]) {
+                match kind {
+                    $(kind_byte::$kind => {
+                        $(<$ty as Value>::skip(b);)*
+                    })*
+                    _ => unreachable!("kind byte {kind} is not in the table"),
+                }
             }
         }
     };
@@ -164,9 +233,9 @@ macro_rules! write_field {
         $v.write($out);
     };
     (optional, $out:ident, $any:ident, $v:ident, $fragment:expr) => {
-        if let Some(v) = $v {
+        if $v.is_some() {
             $out.push_str($fragment);
-            v.write($out);
+            $v.write($out);
         }
     };
     (nonzero, $out:ident, $any:ident, $v:ident, $fragment:expr) => {
@@ -178,16 +247,20 @@ macro_rules! write_field {
 }
 
 /// The reader's step for one field, whose rule says whether the line may
-/// leave it off.
+/// leave it off: the field's encoding goes to `$out` either way.
 macro_rules! read_field {
-    (required, $c:ident, $group:ident, $fragment:expr) => {
-        $c.field($fragment)?
+    (required, $ty:ty, $c:ident, $out:ident, $group:ident, $fragment:expr) => {
+        $c.field::<$ty>($fragment, $out)?
     };
-    (optional, $c:ident, $group:ident, $fragment:expr) => {
-        $c.optional($fragment)?
+    (optional, $ty:ty, $c:ident, $out:ident, $group:ident, $fragment:expr) => {
+        if $c.rest().starts_with($fragment.as_bytes()) {
+            $c.field::<$ty>($fragment, $out)?
+        } else {
+            <$ty as Value>::encode(&None, $out)
+        }
     };
-    (nonzero, $c:ident, $group:ident, $fragment:expr) => {
-        $group.field($c, $fragment)?
+    (nonzero, $ty:ty, $c:ident, $out:ident, $group:ident, $fragment:expr) => {
+        <$ty as Value>::encode(&$group.field($c, $fragment)?, $out)
     };
 }
 
@@ -374,9 +447,8 @@ pub fn push_u64(out: &mut String, mut v: u64) {
 /// Capacity for a buffer sized by a whole run: `n` rounded up to a power of
 /// two. Successive runs' buffers then fall into the same few size classes,
 /// so the allocator reuses the hole the last run's buffer left instead of
-/// growing the heap next to a hole a few percent too small (`observe_160`
-/// peak RSS: 103 MiB with exact capacities, 88 MiB with these). The
-/// rounded-up tail is never touched; it costs address space, not memory.
+/// growing the heap next to a hole a few percent too small. The rounded-up
+/// tail is never touched; it costs address space, not memory.
 pub fn size_class(n: usize) -> usize {
     n.next_power_of_two()
 }
@@ -394,30 +466,348 @@ impl TraceRecord {
 
     /// Parse one line [`TraceRecord::write_jsonl`] made (without its
     /// newline). Any other line is an error naming the byte where it
-    /// leaves the writer's layout. The only heap allocations are a
-    /// `TxCommit`'s two result vectors (and the message of an `Err`).
+    /// leaves the writer's layout. This is [`TraceLog::parse_jsonl`]'s
+    /// reader, on one line.
     pub fn parse(line: &str) -> Result<TraceRecord, String> {
+        let mut one = TraceRecords::default();
+        one.read_line(line)?;
+        Ok(one.iter().next().expect("the record just read"))
+    }
+}
+
+/// Bytes a log leaves free in front of its first record, so that
+/// [`TraceLog::push_run_info`] writes the run's header there instead of
+/// shifting the whole log: a `run_info` record at time zero is 5–14 bytes.
+const FRONT_ROOM: usize = 16;
+
+/// Bytes a log's first allocation holds for records.
+const FIRST_RECORDS_BYTES: usize = 240;
+
+/// A log's records, encoded back to back in one byte string (see the
+/// module docs): the only form a [`TraceLog`] holds them in. Iterate it
+/// with [`TraceRecords::reader`] (borrowed records, no allocation per
+/// record) or `for rec in &records` (owned ones).
+#[derive(Clone, Default)]
+pub struct TraceRecords {
+    /// The encoding. Records start at `head`; the bytes before it are
+    /// free room for one at the front.
+    bytes: Vec<u8>,
+    head: usize,
+    len: usize,
+    /// The last record's `at`, which the next one is stored relative to.
+    last_at: u64,
+}
+
+impl TraceRecords {
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// All the records, as a span to read from the first.
+    fn span(&self) -> RecordSpan<'_> {
+        RecordSpan {
+            bytes: &self.bytes[self.head..],
+            at: 0,
+            len: self.len,
+        }
+    }
+
+    /// Lend the records one at a time, allocating nothing per record.
+    pub fn reader(&self) -> RecordReader<'_> {
+        self.span().reader()
+    }
+
+    /// The records as owned values.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter { rest: self.span() }
+    }
+
+    /// Append a record; the byte it starts at.
+    #[inline]
+    fn push(&mut self, at: SimTime, node: u32, ev: &ProtoEvent) -> usize {
+        let delta = at.0.wrapping_sub(self.last_at);
+        let out = self.tail();
+        let start = out.len();
+        put_varint(out, delta);
+        put_varint(out, u64::from(node));
+        ev.encode(out);
+        self.last_at = at.0;
+        self.len += 1;
+        start
+    }
+
+    /// An empty log with its front room, and room for about `bytes` of
+    /// records behind it.
+    fn with_capacity(bytes: usize) -> Self {
+        let mut room = Vec::with_capacity(size_class(FRONT_ROOM + bytes));
+        room.resize(FRONT_ROOM, 0);
+        TraceRecords {
+            bytes: room,
+            head: FRONT_ROOM,
+            ..TraceRecords::default()
+        }
+    }
+
+    /// The encoding, to append to. A log's first record allocates it, with
+    /// [`FRONT_ROOM`] in front and room for a few records.
+    #[inline]
+    fn tail(&mut self) -> &mut Vec<u8> {
+        if self.bytes.is_empty() {
+            *self = TraceRecords::with_capacity(FIRST_RECORDS_BYTES);
+        }
+        &mut self.bytes
+    }
+
+    /// Insert a record before the first. It goes into the free room in
+    /// front of the log when it fits (a run header always does), and
+    /// shifts the log otherwise.
+    fn push_front(&mut self, at: SimTime, node: u32, ev: &ProtoEvent) {
+        if self.is_empty() {
+            self.push(at, node, ev);
+            return;
+        }
+        // The old first record's delta is rebased on `at`.
+        let mut rest = &self.bytes[self.head..];
+        let first_at = get_varint(&mut rest);
+        let end = self.bytes.len() - rest.len();
+        let mut front = Vec::with_capacity(FRONT_ROOM);
+        put_varint(&mut front, at.0);
+        put_varint(&mut front, u64::from(node));
+        ev.encode(&mut front);
+        put_varint(&mut front, first_at.wrapping_sub(at.0));
+        if front.len() <= end {
+            self.head = end - front.len();
+            self.bytes[self.head..end].copy_from_slice(&front);
+        } else {
+            self.bytes.splice(self.head..end, front);
+        }
+        self.len += 1;
+    }
+
+    /// Append the record `line` holds if it is one
+    /// [`TraceRecord::write_jsonl`] makes (without the newline), and
+    /// name the byte where it leaves that layout otherwise.
+    fn read_line(&mut self, line: &str) -> Result<(), String> {
         let mut c = Cursor {
             text: line,
             pos: 0,
             stop: (0, ""),
         };
-        TraceRecord::read(&mut c).ok_or_else(|| c.error())
+        let start = self.tail().len();
+        match self.read(&mut c) {
+            Some(at) => {
+                self.last_at = at;
+                self.len += 1;
+                Ok(())
+            }
+            None => {
+                self.bytes.truncate(start);
+                Err(c.error())
+            }
+        }
     }
 
-    fn read(c: &mut Cursor<'_>) -> Option<TraceRecord> {
-        let at = c.field("{\"at\":")?;
-        let node = c.field(",\"node\":")?;
-        let ev = ProtoEvent::read(c)?;
+    /// [`TraceRecords::read_line`]'s walk over the line: the record's `at`,
+    /// with its encoding appended.
+    fn read(&mut self, c: &mut Cursor<'_>) -> Option<u64> {
+        let at = c.number_field("{\"at\":")?;
+        put_varint(&mut self.bytes, at.wrapping_sub(self.last_at));
+        c.field::<u32>(",\"node\":", &mut self.bytes)?;
+        ProtoEvent::read(c, &mut self.bytes)?;
         if c.lit("}").is_none() {
             return c.stop(c.pos, "}");
         }
         if c.pos != c.text.len() {
             return c.stop(c.pos, "");
         }
-        Some(TraceRecord { at, node, ev })
+        Some(at)
     }
 }
+
+/// The record at byte `pos`: its time delta, its node, and the byte after it.
+fn record_at(bytes: &[u8], pos: usize) -> (u64, u32, usize) {
+    let mut b = &bytes[pos..];
+    let delta = get_varint(&mut b);
+    let node = get_varint(&mut b) as u32;
+    let kind = get_u8(&mut b);
+    ProtoEvent::skip(kind, &mut b);
+    (delta, node, bytes.len() - b.len())
+}
+
+/// Move the last record of `tie` — the records from `tie`'s start on,
+/// which share one `at` — back behind the last one whose node is not
+/// later than its `node`: one step of a stable insertion sort by node.
+/// The record starts at byte `last` and moves in front of at least one.
+fn settle_last(tie: &mut [u8], last: usize, node: u32) {
+    let mut to = 0;
+    loop {
+        let (_, n, end) = record_at(tie, to);
+        if n > node {
+            break;
+        }
+        to = end;
+    }
+    let width = tie.len() - last;
+    tie[to..].rotate_right(width);
+    if to > 0 {
+        return;
+    }
+    // The record is now the tie's first, with the one-byte zero delta of a
+    // tied record, while the old first behind it holds the tie's delta:
+    // swap them.
+    let (delta, _, _) = record_at(tie, width);
+    if delta != 0 {
+        let delta_width = varint_len(delta);
+        tie[..width + delta_width].rotate_right(delta_width);
+        tie[delta_width..width + delta_width].rotate_left(1);
+    }
+}
+
+impl PartialEq for TraceRecords {
+    fn eq(&self, other: &Self) -> bool {
+        // One sequence of records has one encoding.
+        self.len == other.len && self.bytes[self.head..] == other.bytes[other.head..]
+    }
+}
+
+impl Eq for TraceRecords {}
+
+impl PartialEq<Vec<TraceRecord>> for TraceRecords {
+    fn eq(&self, other: &Vec<TraceRecord>) -> bool {
+        let mut r = self.reader();
+        self.len == other.len() && other.iter().all(|o| r.read() == Some(o))
+    }
+}
+
+impl fmt::Debug for TraceRecords {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a TraceRecords {
+    type Item = TraceRecord;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+impl FromIterator<TraceRecord> for TraceRecords {
+    fn from_iter<I: IntoIterator<Item = TraceRecord>>(records: I) -> Self {
+        let mut out = TraceRecords::default();
+        for r in records {
+            out.push(r.at, r.node, &r.ev);
+        }
+        out
+    }
+}
+
+/// Consecutive records of a [`TraceRecords`], from its first: what a
+/// `&[TraceRecord]` is to a `Vec` of them. Copying one is free.
+#[derive(Clone, Copy)]
+pub struct RecordSpan<'a> {
+    /// The encoding from the span's first record on (to the end of the
+    /// log: `len` says where the span stops).
+    bytes: &'a [u8],
+    /// The `at` the first record is stored relative to.
+    at: u64,
+    len: usize,
+}
+
+impl<'a> RecordSpan<'a> {
+    /// The first `n` records (all of them, if there are fewer).
+    pub fn prefix(self, n: usize) -> RecordSpan<'a> {
+        RecordSpan {
+            len: self.len.min(n),
+            ..self
+        }
+    }
+
+    /// Lend the records one at a time, allocating nothing per record.
+    pub fn reader(self) -> RecordReader<'a> {
+        RecordReader {
+            rest: self,
+            last: [const { None }; ProtoEvent::KINDS],
+        }
+    }
+
+    /// Step past the next record's time and node, and return them with its
+    /// kind byte; its fields come next.
+    #[inline]
+    fn header(&mut self) -> Option<(SimTime, u32, u8)> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        self.at = self.at.wrapping_add(get_varint(&mut self.bytes));
+        let node = get_varint(&mut self.bytes) as u32;
+        Some((SimTime(self.at), node, get_u8(&mut self.bytes)))
+    }
+}
+
+/// Reads a [`RecordSpan`] a record at a time, lending each. It keeps one
+/// record of each kind it has met and decodes the next record of that
+/// kind into it, so the vectors of a `tx_commit` are reused rather than
+/// allocated for every commit.
+pub struct RecordReader<'a> {
+    rest: RecordSpan<'a>,
+    /// The last record read of each kind, by kind index.
+    last: [Option<TraceRecord>; ProtoEvent::KINDS],
+}
+
+impl<'a> RecordReader<'a> {
+    /// The next record, if there is one.
+    #[inline]
+    pub fn read(&mut self) -> Option<&TraceRecord> {
+        let (at, node, kind) = self.rest.header()?;
+        let b = &mut self.rest.bytes;
+        let last = &mut self.last[usize::from(kind)];
+        match last {
+            Some(rec) => {
+                rec.at = at;
+                rec.node = node;
+                rec.ev.decode_into(b);
+            }
+            None => {
+                let ev = ProtoEvent::decode(kind, b);
+                *last = Some(TraceRecord { at, node, ev });
+            }
+        }
+        last.as_ref()
+    }
+
+    /// The records not read yet.
+    pub fn rest(&self) -> RecordSpan<'a> {
+        self.rest
+    }
+}
+
+/// A log's records as owned values, each decoded afresh.
+pub struct Iter<'a> {
+    rest: RecordSpan<'a>,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = TraceRecord;
+
+    fn next(&mut self) -> Option<TraceRecord> {
+        let (at, node, kind) = self.rest.header()?;
+        let ev = ProtoEvent::decode(kind, &mut self.rest.bytes);
+        Some(TraceRecord { at, node, ev })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.rest.len, Some(self.rest.len))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
 
 /// A node's handle on its run's protocol-event log. Disabled by default;
 /// callers hand [`ProtoTrace::emit`] a closure that builds the event, so
@@ -429,7 +819,40 @@ impl TraceRecord {
 /// thread, hence `Rc<RefCell<_>>`: a node holding a handle is `!Send`.
 #[derive(Clone, Debug, Default)]
 pub struct ProtoTrace {
-    log: Option<Rc<RefCell<Vec<TraceRecord>>>>,
+    log: Option<Rc<RefCell<LiveLog>>>,
+}
+
+/// A run's log as its nodes append to it, kept in the order
+/// [`ProtoTrace::take`] hands it over in: by time, ties by node.
+#[derive(Debug, Default)]
+struct LiveLog {
+    records: TraceRecords,
+    /// The byte where the records stamped with the last `at` start.
+    tie: usize,
+    /// The last record's node: the latest node of that tie.
+    last_node: u32,
+}
+
+impl LiveLog {
+    /// Out of line: inlined, the encoder grew every `emit` site in the
+    /// node's handlers, which run with tracing off as well.
+    #[inline(never)]
+    fn push(&mut self, at: SimTime, node: u32, ev: &ProtoEvent) {
+        debug_assert!(
+            self.records.is_empty() || self.records.last_at <= at.0,
+            "trace time went backwards"
+        );
+        let tied = !self.records.is_empty() && self.records.last_at == at.0;
+        let start = self.records.push(at, node, ev);
+        if !tied {
+            self.tie = start;
+        } else if node < self.last_node {
+            // Dispatch order ran ahead of node order within the tie.
+            settle_last(&mut self.records.bytes[self.tie..], start - self.tie, node);
+            return;
+        }
+        self.last_node = node;
+    }
 }
 
 impl ProtoTrace {
@@ -459,35 +882,28 @@ impl ProtoTrace {
     }
 
     /// Append a record. Every caller stamps the kernel's clock, so `at`
-    /// never decreases along the log.
+    /// never decreases along the log. A record that ties on `at` with a
+    /// later node's goes in front of it (see [`ProtoTrace::take`]).
     #[inline]
     pub fn push(&self, at: SimTime, node: u32, ev: ProtoEvent) {
         if let Some(log) = &self.log {
-            let mut log = log.borrow_mut();
-            debug_assert!(
-                log.last().is_none_or(|r| r.at <= at),
-                "trace time went backwards"
-            );
-            log.push(TraceRecord { at, node, ev });
+            log.borrow_mut().push(at, node, &ev);
         }
     }
 
     /// Move the recorded log out (end-of-run collection) in the global
     /// order offline tools rely on: by time, ties by node, records with
-    /// equal `(at, node)` in the order their node pushed them. The log is
-    /// already ordered by time, so that means a stable sort of each run of
-    /// equal `at` by node — and only the few runs that are not already in
-    /// node order are touched.
+    /// equal `(at, node)` in the order their node pushed them. Records
+    /// arrive in time order, and [`ProtoTrace::push`] moves the few that
+    /// arrive ahead of a tie's later nodes back into place, so the log is
+    /// in that order already. It gives back the room it grew into and did
+    /// not fill.
     pub fn take(&self) -> TraceLog {
         let Some(log) = &self.log else {
             return TraceLog::default();
         };
-        let mut records = std::mem::take(&mut *log.borrow_mut());
-        for tie in records.chunk_by_mut(|a, b| a.at == b.at) {
-            if !tie.is_sorted_by_key(|r| r.node) {
-                tie.sort_by_key(|r| r.node);
-            }
-        }
+        let mut records = std::mem::take(&mut *log.borrow_mut()).records;
+        records.bytes.shrink_to_fit();
         TraceLog { records }
     }
 }
@@ -495,31 +911,33 @@ impl ProtoTrace {
 /// A whole run's trace, time-ordered across nodes (ties by node).
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
-    pub records: Vec<TraceRecord>,
+    pub records: TraceRecords,
+}
+
+impl FromIterator<TraceRecord> for TraceLog {
+    fn from_iter<I: IntoIterator<Item = TraceRecord>>(records: I) -> Self {
+        TraceLog {
+            records: records.into_iter().collect(),
+        }
+    }
 }
 
 impl TraceLog {
     /// Prepend the run-identity record (scheduler, node count) offline
     /// tools use to label and segment the log. Sits at time zero, before
-    /// every protocol event.
+    /// every protocol event, in the room the log keeps at its front.
     pub fn push_run_info(&mut self, scheduler: SchedulerKind, nodes: u64) {
-        self.records.insert(
-            0,
-            TraceRecord {
-                at: SimTime::ZERO,
-                node: 0,
-                ev: ProtoEvent::RunInfo { scheduler, nodes },
-            },
-        );
+        self.records
+            .push_front(SimTime::ZERO, 0, &ProtoEvent::RunInfo { scheduler, nodes });
     }
 
     /// Append the end-of-run counter snapshot the auditor cross-checks
     /// span-derived totals against.
     pub fn push_summary(&mut self, at: SimTime, merged: &NodeCounters) {
-        self.records.push(TraceRecord {
+        self.records.push(
             at,
-            node: 0,
-            ev: ProtoEvent::RunSummary {
+            0,
+            &ProtoEvent::RunSummary {
                 commits: merged.commits,
                 aborts: merged.total_aborts(),
                 nested_own: merged.nested_aborts_own,
@@ -532,150 +950,307 @@ impl TraceLog {
                 cache_misses: merged.cache_misses,
                 cache_invalidations: merged.cache_invalidations,
             },
-        });
+        );
     }
 
     pub fn to_jsonl(&self) -> String {
-        // Bytes per record vary several-fold with the workload and drift
-        // within a run (timestamps gain digits, aborts set in), so the
-        // buffer is sized from a sample strided over the whole log. An
-        // eighth of slack is five standard errors of that estimate.
+        // Bytes per line vary several-fold with the workload and drift
+        // within a run (timestamps gain digits, aborts set in); per byte of
+        // the encoding they hardly move, so the buffer is sized from the
+        // first records' lines per byte of theirs. An eighth of slack
+        // covers the digits timestamps gain.
         const SAMPLES: usize = 256;
-        let stride = self.records.len() / SAMPLES + 1;
+        let all = self.records.span();
+        let mut sample = all.reader();
         let mut out = String::new();
-        let mut sampled = 0;
-        for r in self.records.iter().step_by(stride) {
+        for _ in 0..SAMPLES {
+            let Some(r) = sample.read() else { break };
             r.write_jsonl(&mut out);
-            sampled += 1;
         }
-        let estimate = out.len() * self.records.len() / sampled.max(1);
+        let sampled = all.bytes.len() - sample.rest.bytes.len();
+        let estimate = out.len() * all.bytes.len() / sampled.max(1);
         out.clear();
         out.reserve(size_class(estimate + estimate / 8));
-        for r in &self.records {
+        let mut reader = all.reader();
+        while let Some(r) = reader.read() {
             r.write_jsonl(&mut out);
         }
         out
     }
 
+    /// Read back the text [`TraceLog::to_jsonl`] makes, and only that:
+    /// every line is one the writer makes and ends in `\n`. Anything else
+    /// is an error naming the line and the byte where it departs.
     pub fn parse_jsonl(text: &str) -> Result<TraceLog, String> {
-        // No valid line is shorter than this, which bounds what a file of
-        // bare newlines can make us reserve.
-        const MIN_LINE_BYTES: usize = 32;
-        // (Counted in u8 lanes, 255 bytes at a time, so it vectorises.)
-        let lines = 1 + text
-            .as_bytes()
-            .chunks(255)
-            .map(|c| usize::from(c.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>()))
-            .sum::<usize>();
-        let mut records = Vec::with_capacity(size_class(lines.min(text.len() / MIN_LINE_BYTES)));
-        for (i, line) in text.lines().enumerate() {
-            // Only a line that is not `{…}` already can need trimming.
-            let line = match line.as_bytes() {
-                [b'{', .., b'}'] => line,
-                _ => line.trim(),
+        // The encoding takes about an eighth of the text's bytes.
+        const TEXT_BYTES_PER_BYTE: usize = 8;
+        let mut records = match text.len() {
+            0 => TraceRecords::default(),
+            n => TraceRecords::with_capacity((n / TEXT_BYTES_PER_BYTE).max(FIRST_RECORDS_BYTES)),
+        };
+        let mut rest = text;
+        let mut line_no = 0;
+        while !rest.is_empty() {
+            line_no += 1;
+            let end = rest.find('\n');
+            let line = &rest[..end.unwrap_or(rest.len())];
+            records
+                .read_line(line)
+                .map_err(|e| format!("line {line_no}: {e}"))?;
+            let Some(end) = end else {
+                return Err(format!(
+                    "line {line_no}: byte {}: no newline after the closing '}}'",
+                    line.len()
+                ));
             };
-            if line.is_empty() {
-                continue;
-            }
-            records.push(TraceRecord::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?);
+            rest = &rest[end + 1..];
         }
         Ok(TraceLog { records })
     }
 }
 
-/// A field value of the line format: how the writer puts it after its
-/// `"key":`, and how the reader takes it back. The impl for a field's type
-/// is that field's shape on the line.
-trait Value<'a>: Sized {
-    fn write(&self, out: &mut String);
+/// Longest LEB128 varint: a `u64`'s 64 bits in 7-bit groups.
+const MAX_VARINT: usize = 10;
 
-    /// The value at the cursor, if it is one the writer could have put
-    /// there (the cursor is then past it, and otherwise anywhere).
-    fn read(c: &mut Cursor<'a>) -> Option<Self>;
+/// Write `v` as a LEB128 varint to the front of `buf`; its length.
+#[inline]
+fn varint_bytes(buf: &mut [u8; MAX_VARINT], mut v: u64) -> usize {
+    let mut i = 0;
+    while v >= 0x80 {
+        buf[i] = v as u8 | 0x80;
+        v >>= 7;
+        i += 1;
+    }
+    buf[i] = v as u8;
+    i + 1
 }
 
-/// Numbers: range-checked into their type, never truncated.
+/// The bytes of `v` as a varint.
+fn varint_len(v: u64) -> usize {
+    varint_bytes(&mut [0; MAX_VARINT], v)
+}
+
+/// Append `v` as a LEB128 varint.
+#[inline]
+fn put_varint(out: &mut Vec<u8>, v: u64) {
+    if v < 0x80 {
+        out.push(v as u8);
+    } else {
+        let mut buf = [0; MAX_VARINT];
+        let n = varint_bytes(&mut buf, v);
+        out.extend_from_slice(&buf[..n]);
+    }
+}
+
+/// The varint `b` starts with; `b` steps past it. The encoding is only
+/// ever what the encoder wrote, so a cut-off varint is a bug.
+#[inline]
+fn get_varint(b: &mut &[u8]) -> u64 {
+    let mut byte = get_u8(b);
+    let mut v = u64::from(byte & 0x7f);
+    let mut shift = 0;
+    while byte >= 0x80 {
+        byte = get_u8(b);
+        shift += 7;
+        v |= u64::from(byte & 0x7f) << shift;
+    }
+    v
+}
+
+/// The byte `b` starts with; `b` steps past it.
+#[inline]
+fn get_u8(b: &mut &[u8]) -> u8 {
+    let (&v, rest) = b.split_first().expect("a byte the encoder wrote");
+    *b = rest;
+    v
+}
+
+/// A field value: how the writer puts it after its `"key":`, how the
+/// reader takes it back, and how the in-memory log encodes it. The impl
+/// for a field's type is that field's shape on the line and in memory.
+trait Value: Sized {
+    fn write(&self, out: &mut String);
+
+    /// Read the value at the cursor, if it is one the writer could have
+    /// put there, and append its encoding to `out` (the cursor is then past
+    /// it, and otherwise anywhere).
+    fn read(c: &mut Cursor<'_>, out: &mut Vec<u8>) -> Option<()>;
+
+    /// Append the value's encoding.
+    fn encode(&self, out: &mut Vec<u8>);
+
+    /// The value whose encoding `b` starts with; `b` steps past it.
+    fn decode(b: &mut &[u8]) -> Self;
+
+    /// [`Value::decode`] into `self`, keeping the buffers it holds.
+    #[inline]
+    fn decode_into(&mut self, b: &mut &[u8]) {
+        *self = Self::decode(b);
+    }
+
+    /// Step past the value's encoding.
+    #[inline]
+    fn skip(b: &mut &[u8]) {
+        Self::decode(b);
+    }
+}
+
+/// Numbers: range-checked into their type, never truncated; a varint in
+/// memory.
 macro_rules! numbers {
     ($($t:ty),*) => {$(
-        impl<'a> Value<'a> for $t {
+        impl Value for $t {
             #[inline]
             fn write(&self, out: &mut String) {
                 push_u64(out, u64::from(*self));
             }
 
             #[inline(always)]
-            fn read(c: &mut Cursor<'a>) -> Option<Self> {
-                Self::try_from(c.number()?).ok()
+            fn read(c: &mut Cursor<'_>, out: &mut Vec<u8>) -> Option<()> {
+                Self::try_from(c.number()?).ok()?.encode(out);
+                Some(())
+            }
+
+            #[inline]
+            fn encode(&self, out: &mut Vec<u8>) {
+                put_varint(out, u64::from(*self));
+            }
+
+            #[inline]
+            fn decode(b: &mut &[u8]) -> Self {
+                // The encoder wrote a value of this type.
+                get_varint(b) as $t
             }
         }
     )*};
 }
 numbers!(u64, u32, u16);
 
-/// Newtypes, written as the number they wrap.
+/// Newtypes, written and encoded as the number they wrap.
 macro_rules! wrapped {
     ($($t:ident($inner:ty)),*) => {$(
-        impl<'a> Value<'a> for $t {
+        impl Value for $t {
             #[inline]
             fn write(&self, out: &mut String) {
                 self.0.write(out);
             }
 
             #[inline(always)]
-            fn read(c: &mut Cursor<'a>) -> Option<Self> {
-                <$inner>::read(c).map($t)
+            fn read(c: &mut Cursor<'_>, out: &mut Vec<u8>) -> Option<()> {
+                <$inner>::read(c, out)
+            }
+
+            #[inline]
+            fn encode(&self, out: &mut Vec<u8>) {
+                self.0.encode(out);
+            }
+
+            #[inline]
+            fn decode(b: &mut &[u8]) -> Self {
+                $t(<$inner>::decode(b))
             }
         }
     )*};
 }
 wrapped!(SimTime(u64), SimDuration(u64), ObjectId(u64), TxKind(u16));
 
-impl<'a> Value<'a> for TxId {
+impl Value for TxId {
     #[inline]
     fn write(&self, out: &mut String) {
         write_tuples(out, [[u64::from(self.node), self.seq]]);
     }
 
     #[inline(always)]
-    fn read(c: &mut Cursor<'a>) -> Option<Self> {
+    fn read(c: &mut Cursor<'_>, out: &mut Vec<u8>) -> Option<()> {
         let [node, seq] = c.tuple()?;
-        Some(TxId::new(u32::try_from(node).ok()?, seq))
+        TxId::new(u32::try_from(node).ok()?, seq).encode(out);
+        Some(())
+    }
+
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.node.encode(out);
+        self.seq.encode(out);
+    }
+
+    #[inline]
+    fn decode(b: &mut &[u8]) -> Self {
+        let node = u32::decode(b);
+        TxId::new(node, u64::decode(b))
     }
 }
 
-/// Enums written as their label.
+/// Enums written as their label and encoded as their position in `$all`.
 macro_rules! labels {
-    ($($t:ty),*) => {$(
-        impl<'a> Value<'a> for $t {
+    ($($t:ty = $all:expr),*) => {$(
+        impl Value for $t {
             #[inline]
             fn write(&self, out: &mut String) {
-                self.label().write(out);
+                out.push('"');
+                out.push_str(self.label());
+                out.push('"');
             }
 
             #[inline(always)]
-            fn read(c: &mut Cursor<'a>) -> Option<Self> {
-                <$t>::from_label(c.label()?)
+            fn read(c: &mut Cursor<'_>, out: &mut Vec<u8>) -> Option<()> {
+                <$t>::from_label(c.label()?)?.encode(out);
+                Some(())
+            }
+
+            #[inline]
+            fn encode(&self, out: &mut Vec<u8>) {
+                let i = $all.iter().position(|v| v == self).expect("every variant is listed");
+                out.push(i as u8);
+            }
+
+            #[inline]
+            fn decode(b: &mut &[u8]) -> Self {
+                $all[usize::from(get_u8(b))]
             }
         }
     )*};
 }
-labels!(AbortCause, Verdict, SchedulerKind);
+labels!(
+    AbortCause = AbortCause::ALL,
+    Verdict = Verdict::ALL,
+    SchedulerKind = SCHEDULERS
+);
 
-impl<'a> Value<'a> for &'a str {
+/// An `optional` field: on the line, the value itself when there is one
+/// (the field's rule leaves the key off for `None`); in memory, a `0` or
+/// `1` byte and then the value.
+impl<T: Value> Value for Option<T> {
     #[inline]
     fn write(&self, out: &mut String) {
-        out.push('"');
-        out.push_str(self);
-        out.push('"');
+        if let Some(v) = self {
+            v.write(out);
+        }
     }
 
     #[inline(always)]
-    fn read(c: &mut Cursor<'a>) -> Option<Self> {
-        c.label()
+    fn read(c: &mut Cursor<'_>, out: &mut Vec<u8>) -> Option<()> {
+        out.push(1);
+        T::read(c, out)
+    }
+
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.encode(out);
+            }
+        }
+    }
+
+    #[inline]
+    fn decode(b: &mut &[u8]) -> Self {
+        (get_u8(b) != 0).then(|| T::decode(b))
     }
 }
 
-impl<'a> Value<'a> for Vec<(ObjectId, u64)> {
+impl Value for Vec<(ObjectId, u64)> {
     #[inline]
     fn write(&self, out: &mut String) {
         out.push('[');
@@ -684,12 +1259,34 @@ impl<'a> Value<'a> for Vec<(ObjectId, u64)> {
     }
 
     #[inline(always)]
-    fn read(c: &mut Cursor<'a>) -> Option<Self> {
-        c.tuples(|[oid, v]| (ObjectId(oid), v))
+    fn read(c: &mut Cursor<'_>, out: &mut Vec<u8>) -> Option<()> {
+        c.tuples::<2>(out)
+    }
+
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_tuples(out, self.len(), self.iter().map(|&(oid, v)| [oid.0, v]));
+    }
+
+    #[inline]
+    fn decode(b: &mut &[u8]) -> Self {
+        let mut v = Vec::new();
+        v.decode_into(b);
+        v
+    }
+
+    #[inline]
+    fn decode_into(&mut self, b: &mut &[u8]) {
+        decode_tuples(b, self, |[oid, v]| (ObjectId(oid), v));
+    }
+
+    #[inline]
+    fn skip(b: &mut &[u8]) {
+        skip_tuples::<2>(b);
     }
 }
 
-impl<'a> Value<'a> for Vec<(ObjectId, u64, u64)> {
+impl Value for Vec<(ObjectId, u64, u64)> {
     #[inline]
     fn write(&self, out: &mut String) {
         out.push('[');
@@ -698,8 +1295,34 @@ impl<'a> Value<'a> for Vec<(ObjectId, u64, u64)> {
     }
 
     #[inline(always)]
-    fn read(c: &mut Cursor<'a>) -> Option<Self> {
-        c.tuples(|[oid, e, n]| (ObjectId(oid), e, n))
+    fn read(c: &mut Cursor<'_>, out: &mut Vec<u8>) -> Option<()> {
+        c.tuples::<3>(out)
+    }
+
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_tuples(
+            out,
+            self.len(),
+            self.iter().map(|&(oid, e, n)| [oid.0, e, n]),
+        );
+    }
+
+    #[inline]
+    fn decode(b: &mut &[u8]) -> Self {
+        let mut v = Vec::new();
+        v.decode_into(b);
+        v
+    }
+
+    #[inline]
+    fn decode_into(&mut self, b: &mut &[u8]) {
+        decode_tuples(b, self, |[oid, e, n]| (ObjectId(oid), e, n));
+    }
+
+    #[inline]
+    fn skip(b: &mut &[u8]) {
+        skip_tuples::<3>(b);
     }
 }
 
@@ -714,6 +1337,40 @@ fn write_tuples<const N: usize>(out: &mut String, tuples: impl IntoIterator<Item
             push_u64(out, v);
         }
         out.push(']');
+    }
+}
+
+/// Append a list of `len` tuples: its length, then their numbers.
+fn encode_tuples<const N: usize>(
+    out: &mut Vec<u8>,
+    len: usize,
+    tuples: impl Iterator<Item = [u64; N]>,
+) {
+    put_varint(out, len as u64);
+    for v in tuples.flatten() {
+        put_varint(out, v);
+    }
+}
+
+/// Replace `list` with the list of `N`-tuples `b` starts with, each made
+/// into an element by `make`.
+fn decode_tuples<const N: usize, T>(
+    b: &mut &[u8],
+    list: &mut Vec<T>,
+    make: impl Fn([u64; N]) -> T,
+) {
+    let len = get_varint(b) as usize;
+    list.clear();
+    list.reserve(len);
+    for _ in 0..len {
+        list.push(make(std::array::from_fn(|_| get_varint(b))));
+    }
+}
+
+/// Step past a list of `N`-tuples.
+fn skip_tuples<const N: usize>(b: &mut &[u8]) {
+    for _ in 0..get_varint(b) as usize * N {
+        get_varint(b);
     }
 }
 
@@ -740,19 +1397,18 @@ impl Group {
     fn field(&mut self, c: &mut Cursor<'_>, fragment: &'static str) -> Option<u64> {
         let v = match *self {
             Group::Absent => return Some(0),
-            Group::Present { .. } => c.field(fragment)?,
+            Group::Present { .. } => c.number_field(fragment)?,
             Group::Unread => {
-                let at = c.pos;
-                let Some(v) = c.optional(fragment)? else {
+                if !c.rest().starts_with(fragment.as_bytes()) {
                     *self = Group::Absent;
                     return Some(0);
-                };
+                }
                 *self = Group::Present {
-                    at,
+                    at: c.pos,
                     fragment,
                     nonzero: false,
                 };
-                v
+                c.number_field(fragment)?
             }
         };
         if let Group::Present { nonzero, .. } = self {
@@ -827,24 +1483,32 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// `fragment`, then a value of `T`: one step of the reader.
+    /// `fragment`, then a value of `T`, whose encoding goes to `out`: one
+    /// step of the reader.
     #[inline(never)]
-    fn field<T: Value<'a>>(&mut self, fragment: &'static str) -> Option<T> {
+    fn field<T: Value>(&mut self, fragment: &'static str, out: &mut Vec<u8>) -> Option<()> {
         let start = self.pos;
-        match self.lit(fragment).and_then(|()| T::read(self)) {
+        match self.lit(fragment).and_then(|()| T::read(self, out)) {
+            Some(()) => Some(()),
+            None => self.stop(start, fragment),
+        }
+    }
+
+    /// `fragment`, then a number, returned rather than encoded.
+    fn number_field(&mut self, fragment: &'static str) -> Option<u64> {
+        let start = self.pos;
+        match self.lit(fragment).and_then(|()| self.number()) {
             Some(v) => Some(v),
             None => self.stop(start, fragment),
         }
     }
 
-    /// [`Cursor::field`] for a field the writer may leave off: `None`
-    /// inside if the line does not carry `fragment` here.
-    #[inline(always)]
-    fn optional<T: Value<'a>>(&mut self, fragment: &'static str) -> Option<Option<T>> {
-        if self.rest().starts_with(fragment.as_bytes()) {
-            self.field(fragment).map(Some)
-        } else {
-            Some(None)
+    /// `fragment`, then a label, returned rather than encoded.
+    fn label_field(&mut self, fragment: &'static str) -> Option<&'a str> {
+        let start = self.pos;
+        match self.lit(fragment).and_then(|()| self.label()) {
+            Some(v) => Some(v),
+            None => self.stop(start, fragment),
         }
     }
 
@@ -914,29 +1578,38 @@ impl<'a> Cursor<'a> {
         Some(t)
     }
 
-    /// `[]` or `[[…],[…],…]` of `N`-tuples, each turned into an element by
-    /// `make`; `None` on any other shape (cursor anywhere).
-    fn tuples<const N: usize, T>(&mut self, make: impl Fn([u64; N]) -> T) -> Option<Vec<T>> {
+    /// `[]` or `[[…],[…],…]` of `N`-tuples, appended to `out` as a list
+    /// ([`encode_tuples`]); `None` on any other shape (cursor anywhere).
+    fn tuples<const N: usize>(&mut self, out: &mut Vec<u8>) -> Option<()> {
         if self.byte() != Some(b'[') {
             return None;
         }
         self.pos += 1;
-        let mut out = Vec::new();
+        let start = out.len();
+        let mut len = 0;
         if self.byte() == Some(b']') {
             self.pos += 1;
-            return Some(out);
-        }
-        loop {
-            out.push(make(self.tuple()?));
-            match self.byte() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Some(out);
+        } else {
+            loop {
+                for v in self.tuple::<N>()? {
+                    put_varint(out, v);
                 }
-                _ => return None,
+                len += 1;
+                match self.byte() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return None,
+                }
             }
         }
+        // The length goes in front of the numbers, now that it is known.
+        let mut buf = [0; MAX_VARINT];
+        let n = varint_bytes(&mut buf, len);
+        out.splice(start..start, buf[..n].iter().copied());
+        Some(())
     }
 }
 
@@ -1174,18 +1847,18 @@ mod tests {
 
     #[test]
     fn jsonl_text_roundtrip_with_summary() {
-        let mut log = TraceLog {
-            records: vec![TraceRecord {
-                at: SimTime(3),
-                node: 2,
-                ev: ProtoEvent::QueueServed {
-                    oid: ObjectId(1),
-                    tx: TxId::new(2, 4),
-                    attempt: 0,
-                    wait: SimDuration::from_millis(3),
-                },
-            }],
-        };
+        let mut log: TraceLog = [TraceRecord {
+            at: SimTime(3),
+            node: 2,
+            ev: ProtoEvent::QueueServed {
+                oid: ObjectId(1),
+                tx: TxId::new(2, 4),
+                attempt: 0,
+                wait: SimDuration::from_millis(3),
+            },
+        }]
+        .into_iter()
+        .collect();
         let metrics = NodeCounters {
             commits: 6,
             nested_commits: 8,
@@ -1196,7 +1869,8 @@ mod tests {
         };
         log.push_run_info(SchedulerKind::Rts, 8);
         log.push_summary(SimTime(10), &metrics);
-        assert!(matches!(log.records[0].ev, ProtoEvent::RunInfo { .. }));
+        let first = log.records.iter().next().map(|r| r.ev);
+        assert!(matches!(first, Some(ProtoEvent::RunInfo { .. })));
         let text = log.to_jsonl();
         let back = TraceLog::parse_jsonl(&text).unwrap();
         assert_eq!(log.records, back.records);
@@ -1394,6 +2068,67 @@ mod tests {
         // ... even in a field this version does not know.
         let unknown = line("1").replace("\"level\"", "\"later\":[18446744073709551616],\"level\"");
         assert!(TraceRecord::parse(&unknown).is_err());
+    }
+
+    #[test]
+    fn run_info_goes_in_front_of_any_log() {
+        let info = |scheduler, nodes| TraceRecord {
+            at: SimTime::ZERO,
+            node: 0,
+            ev: ProtoEvent::RunInfo { scheduler, nodes },
+        };
+        for first_at in [0, 5, u64::MAX] {
+            let first = TraceRecord {
+                at: SimTime(first_at),
+                node: 3,
+                ev: ProtoEvent::NestedCommit {
+                    tx: TxId::new(3, 1),
+                    attempt: 0,
+                    level: 1,
+                },
+            };
+            let mut log: TraceLog = [first.clone()].into_iter().collect();
+            log.push_run_info(SchedulerKind::Rts, 8);
+            // The first header used up the room in front: this one shifts.
+            log.push_run_info(SchedulerKind::Tfa, u64::MAX);
+            let want = vec![
+                info(SchedulerKind::Tfa, u64::MAX),
+                info(SchedulerKind::Rts, 8),
+                first,
+            ];
+            assert_eq!(log.records, want);
+            // One sequence of records has one encoding, however it was built.
+            assert_eq!(log.records, want.into_iter().collect::<TraceRecords>());
+        }
+    }
+
+    #[test]
+    fn parse_jsonl_accepts_only_the_writers_text() {
+        let line = "{\"at\":7,\"node\":2,\"ev\":\"queue_served\",\"oid\":9,\
+                    \"tx\":[2,4],\"attempt\":1,\"wait\":300}";
+        let parsed = |text: String| TraceLog::parse_jsonl(&text).map(|log| log.to_jsonl());
+        let text = format!("{line}\n{line}\n");
+        assert_eq!(parsed(text.clone()), Ok(text));
+        assert_eq!(parsed(String::new()), Ok(String::new()));
+        let not_at = "byte 0: not the writer's \"at\" field";
+        for (text, want) in [
+            (format!("{line}\n\n{line}\n"), format!("line 2: {not_at}")),
+            (format!("{line}\n  {line}\n"), format!("line 2: {not_at}")),
+            (format!("\n{line}\n"), format!("line 1: {not_at}")),
+            (
+                format!("{line}\r\n"),
+                format!("line 1: byte {}: text after the closing '}}'", line.len()),
+            ),
+            (
+                format!("{line}\n{line}"),
+                format!(
+                    "line 2: byte {}: no newline after the closing '}}'",
+                    line.len()
+                ),
+            ),
+        ] {
+            assert_eq!(parsed(text), Err(want));
+        }
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! * mangled lines (truncated, byte-flipped, spliced) make `parse` and
 //!   `parse_jsonl` return `Ok` or `Err` — never panic — and whatever they do
 //!   accept is, byte for byte, what the writer makes of the record read;
+//!   a text is accepted only as the writer makes it, so never with a blank,
+//!   padded or unterminated line;
+//! * records of every kind — every number 0 and at its type's maximum,
+//!   every `Option` `None` and `Some`, tuple lists empty, short and longer
+//!   than one length byte holds — collected into a `TraceLog` read back
+//!   equal from its in-memory encoding, and export to the concatenation of
+//!   their own lines;
 //! * `ProtoTrace::take` on a log that nodes appended to in dispatch order
 //!   equals the obvious reference — split by node, flatten, stable sort by
 //!   `(at, node)` — on pushes full of duplicate timestamps.
@@ -389,18 +396,24 @@ proptest! {
         let spliced = format!("{}{}", &a[..cut % (a.len() + 1)], &b[cut % (b.len() + 1)..]);
         check_accepted(&spliced)?;
 
-        // The same garbage inside a multi-line text: what is accepted
-        // re-exports to its non-blank lines, trimmed, byte for byte.
-        let text = format!("{a}\n{truncated}\n\n{flipped}\n{spliced}\n{b}\n");
+        // The same garbage inside a multi-line text: what is accepted is
+        // the writer's text, byte for byte — so never a text with a blank
+        // line in it.
+        let text = format!("{a}\n{truncated}\n{flipped}\n{spliced}\n{b}\n");
         if let Ok(log) = TraceLog::parse_jsonl(&text) {
-            let lines: String = text
-                .lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty())
-                .map(|l| format!("{l}\n"))
-                .collect();
-            prop_assert_eq!(log.to_jsonl(), lines);
+            prop_assert_eq!(log.to_jsonl(), text);
         }
+        let blank = format!("{a}\n{truncated}\n\n{flipped}\n{spliced}\n{b}\n");
+        prop_assert!(TraceLog::parse_jsonl(&blank).is_err());
+    }
+
+    #[test]
+    fn any_records_round_trip_through_the_encoding(
+        picks in vec((0usize..VARIANTS, vec(0u64..=u64::MAX, 16..17)), 0..24),
+    ) {
+        let records: Vec<TraceRecord> =
+            picks.iter().map(|(variant, words)| record_from(*variant, words)).collect();
+        assert_round_trips(&records)?;
     }
 
     #[test]
@@ -436,6 +449,54 @@ proptest! {
 
         prop_assert_eq!(log.take().records, reference);
     }
+}
+
+/// `records` collected into a log read back equal — owned, lent, and
+/// through its JSONL — and export to the concatenation of their lines.
+fn assert_round_trips(records: &[TraceRecord]) -> Result<(), TestCaseError> {
+    let log: TraceLog = records.iter().cloned().collect();
+    prop_assert_eq!(log.records.len(), records.len());
+    prop_assert_eq!(log.records.iter().collect::<Vec<_>>(), records);
+    let mut lent = log.records.reader();
+    for want in records {
+        prop_assert_eq!(lent.read(), Some(want));
+    }
+    prop_assert_eq!(lent.read(), None);
+    let text = log.to_jsonl();
+    prop_assert_eq!(&text, &records.iter().map(line_of).collect::<String>());
+    let parsed = TraceLog::parse_jsonl(&text).map_err(TestCaseError::fail)?;
+    prop_assert_eq!(parsed.records, log.records);
+    Ok(())
+}
+
+#[test]
+fn every_kind_round_trips_through_the_encoding_at_its_edges() {
+    // Entropy words that `record_from` turns into: 0 everywhere, every
+    // `Option` `Some`, lists empty (0); every number at its type's maximum,
+    // `Some` (2); `u32::MAX` for wide and narrow numbers alike, `None`, one
+    // element per list (1); small values, `None`, three elements (3).
+    let mut records: Vec<TraceRecord> = (0..VARIANTS)
+        .flat_map(|variant| [0, 2, 1, 3].map(|fill| record_from(variant, &[fill; 16])))
+        .collect();
+    // Lists longer than one length byte holds.
+    let long = |n: u64| 0..n;
+    records.push(TraceRecord {
+        at: SimTime(u64::MAX),
+        node: u32::MAX,
+        ev: ProtoEvent::TxCommit {
+            tx: TxId::new(u32::MAX, u64::MAX),
+            attempt: u32::MAX,
+            nested_committed: u64::MAX,
+            reads: long(300).map(|i| (ObjectId(u64::MAX - i), i)).collect(),
+            writes: long(200)
+                .map(|i| (ObjectId(i), u64::MAX - i, i << 40))
+                .collect(),
+        },
+    });
+    let covered: std::collections::HashSet<usize> =
+        records.iter().map(|r| r.ev.kind_index()).collect();
+    assert_eq!(covered.len(), ProtoEvent::KINDS);
+    assert_round_trips(&records).unwrap();
 }
 
 /// One record of every kind, covering the branches a whole-run digest can

@@ -11,7 +11,7 @@ use dstm_verify::{
     check_model, fuzz_mutated, parse_reproducer, reproducer_text, run_episode, CheckReport,
     EpisodeSpec, FuzzConfig, ModelCfg,
 };
-use hyflow_dstm::ProtoEvent;
+use hyflow_dstm::{ProtoEvent, TraceLog, TraceRecord};
 use rts_core::SchedulerKind;
 
 // -- prong 2: small-model checker ----------------------------------------
@@ -152,6 +152,23 @@ fn perturbations_change_the_episode_digest() {
     );
 }
 
+/// The planted "bug", which triggers under any perturbed schedule:
+/// duplicate the first commit record, which breaks both the audit span
+/// pairing and the summary cross-check.
+fn duplicate_first_commit(schedule: &Schedule, trace: &mut TraceLog) {
+    if schedule.perturbations.is_empty() {
+        return;
+    }
+    let mut records: Vec<TraceRecord> = trace.records.iter().collect();
+    if let Some(pos) = records
+        .iter()
+        .position(|r| matches!(r.ev, ProtoEvent::TxCommit { .. }))
+    {
+        records.insert(pos, records[pos].clone());
+        *trace = records.into_iter().collect();
+    }
+}
+
 /// Mutation test: plant a fault that only fires under perturbed schedules
 /// (a duplicated commit record in the trace) and assert the fuzz loop
 /// catches it via the offline oracles and shrinks the triggering schedule
@@ -163,26 +180,7 @@ fn fuzz_catches_and_shrinks_a_planted_fault() {
         episodes: 50,
         ..FuzzConfig::default()
     };
-    let report = fuzz_mutated(
-        &spec,
-        &cfg,
-        &|schedule, trace| {
-            // The "bug" triggers under any perturbed schedule: duplicate
-            // the first commit record, which breaks both the audit span
-            // pairing and the summary cross-check.
-            if !schedule.perturbations.is_empty() {
-                if let Some(pos) = trace
-                    .records
-                    .iter()
-                    .position(|r| matches!(r.ev, ProtoEvent::TxCommit { .. }))
-                {
-                    let dup = trace.records[pos].clone();
-                    trace.records.insert(pos, dup);
-                }
-            }
-        },
-        &mut |_, _| {},
-    );
+    let report = fuzz_mutated(&spec, &cfg, &duplicate_first_commit, &mut |_, _| {});
     let failure = report
         .failure
         .expect("fuzz never caught the planted duplicate-commit fault");
@@ -205,18 +203,7 @@ fn fuzz_catches_and_shrinks_a_planted_fault() {
         failure.shrunk.perturbations
     );
     // The shrunk schedule still reproduces standalone (what `replay` runs).
-    let outcome = dstm_verify::run_episode_mutated(&spec, &failure.shrunk, &|schedule, trace| {
-        if !schedule.perturbations.is_empty() {
-            if let Some(pos) = trace
-                .records
-                .iter()
-                .position(|r| matches!(r.ev, ProtoEvent::TxCommit { .. }))
-            {
-                let dup = trace.records[pos].clone();
-                trace.records.insert(pos, dup);
-            }
-        }
-    });
+    let outcome = dstm_verify::run_episode_mutated(&spec, &failure.shrunk, &duplicate_first_commit);
     assert!(!outcome.ok(), "shrunk schedule no longer reproduces");
 }
 
