@@ -1,6 +1,9 @@
 //! Trace export and offline analysis of protocol-event logs.
 //!
-//! Three consumers of a [`TraceLog`]:
+//! Three consumers of a [`TraceLog`], each of which reads the log once,
+//! record by record, and splits it into runs the same way (a log may hold
+//! several, one file after another): a run ends at its `RunSummary`, or
+//! just before the `RunInfo` that starts the next one.
 //!
 //! * [`audit`] — replays a trace and checks protocol invariants that the
 //!   live counters cannot express: commit-footprint consistency (a
@@ -18,7 +21,7 @@
 
 use dstm_sim::SimTime;
 use hyflow_dstm::trace::{push_u64, size_class};
-use hyflow_dstm::{ProtoEvent, RecordReader, RecordSpan, TraceLog, TraceRecord, Verdict};
+use hyflow_dstm::{ProtoEvent, RecordReader, TraceLog, TraceRecord, Verdict};
 use rts_core::{FxHashMap, FxHashSet, ObjectId, SchedulerKind, TxId};
 use std::fmt::Write as _;
 
@@ -79,7 +82,9 @@ impl AuditReport {
 /// version. An empty intersection means the commit observed two states that
 /// never coexisted — a serializability violation. Under TFA this can never
 /// happen (every read is re-validated after the last fetch), so any hit is
-/// a protocol bug, not workload noise.
+/// a protocol bug, not workload noise. A later version may be recorded
+/// after the commit that read an earlier one, so the read sets are checked
+/// once the run has ended, against all of its installs.
 ///
 /// **Write chains.** Per object, committed writes must form a linear
 /// version history: each write's expected (locked) version equals the
@@ -95,23 +100,26 @@ impl AuditReport {
 /// the first record of a run stamped earlier than the one before it is
 /// reported: a log out of time order cannot be replayed.
 ///
-/// A log may hold several runs, one after another (concatenated traces):
-/// each is audited on its own and the counts summed. A run ends at its
-/// `RunSummary`, and a `RunInfo` starts a new one; when there is more than
-/// one, each violation names its run, counting from 1.
+/// A log may hold several runs, one after another (concatenated traces). A
+/// run ends at its `RunSummary`, or just before the `RunInfo` that starts
+/// the next one; each is audited on its own, in one pass over its records,
+/// and the counts summed. A run without a protocol record is a violation;
+/// when there is more than one run, each violation names its run, counting
+/// from 1.
 pub fn audit(log: &TraceLog) -> AuditReport {
     let mut report = AuditReport::default();
     let mut protocol_records = 0;
     // Where each run's violations start.
-    let mut runs = Vec::new();
-    let mut reader = log.records.reader();
+    let mut starts = Vec::new();
+    let mut run = RunAudit::default();
+    let mut runs = Runs::new(log);
     loop {
-        let before = report.violations.len();
-        let Some(audited) = audit_run(&mut reader, &mut report) else {
+        let first = report.violations.len();
+        if !runs.read(|r| run.record(r, &mut report)) {
             break;
-        };
-        protocol_records += audited;
-        runs.push(before);
+        }
+        protocol_records += run.finish(&mut report, first);
+        starts.push(first);
     }
 
     // An empty or header-only trace (no protocol records, just RunInfo /
@@ -128,9 +136,9 @@ pub fn audit(log: &TraceLog) -> AuditReport {
             ..AuditReport::default()
         };
     }
-    if runs.len() > 1 {
-        runs.push(report.violations.len());
-        for (k, w) in runs.windows(2).enumerate() {
+    if starts.len() > 1 {
+        starts.push(report.violations.len());
+        for (k, w) in starts.windows(2).enumerate() {
             for v in &mut report.violations[w[0]..w[1]] {
                 *v = format!("run {}: {v}", k + 1);
             }
@@ -139,85 +147,78 @@ pub fn audit(log: &TraceLog) -> AuditReport {
     report
 }
 
-/// Read the run `reader` is at, handing `each` its records in order: up to
-/// and including its `RunSummary`, or up to the `RunInfo` that starts the
-/// next run (a log without either is one run). The run's records, or
-/// `None` past the last run.
-fn read_run<'a>(
-    reader: &mut RecordReader<'a>,
-    mut each: impl FnMut(&TraceRecord),
-) -> Option<RecordSpan<'a>> {
-    let start = reader.rest();
-    let mut len = 0;
-    loop {
-        let here = reader.rest();
-        let Some(r) = reader.read() else { break };
-        if len > 0 && matches!(r.ev, ProtoEvent::RunInfo { .. }) {
-            // The next run's first record: it is read again from there.
-            *reader = here.reader();
-            break;
-        }
-        len += 1;
-        each(r);
-        if matches!(r.ev, ProtoEvent::RunSummary { .. }) {
-            break;
-        }
-    }
-    (len > 0).then(|| start.prefix(len))
+/// Splits a log into its runs in one pass over its records. A run ends at
+/// its `RunSummary`, or just before the `RunInfo` that starts the next run;
+/// a log with neither is one run. [`audit`], [`analyze`] and
+/// [`to_chrome_trace`] all split a log this way.
+struct Runs<'a> {
+    reader: RecordReader<'a>,
+    /// The `RunInfo` that ended the last run: the next run's first record.
+    next_info: Option<TraceRecord>,
 }
 
-/// [`audit`] the run `reader` is at, adding its counts and violations to
-/// `report`: its protocol records (all but `RunInfo` and `RunSummary`), or
-/// `None` past the last run.
-fn audit_run(reader: &mut RecordReader<'_>, report: &mut AuditReport) -> Option<usize> {
-    // Pass 1: per-object install history, in record order (the log is
-    // time-ordered), then indexed for the read windows; and the first
-    // record stamped earlier than the one before it.
-    let (mut seen, mut protocol_records) = (0, 0);
-    let mut backwards = None;
-    let mut last_at = SimTime::ZERO;
-    let mut installs: FxHashMap<ObjectId, Vec<Install>> = FxHashMap::default();
-    let run = read_run(reader, |r| {
-        seen += 1;
-        if r.at < last_at && backwards.is_none() {
-            backwards = Some((seen, r.at, last_at));
+impl<'a> Runs<'a> {
+    fn new(log: &'a TraceLog) -> Self {
+        Runs {
+            reader: log.records.reader(),
+            next_info: None,
         }
-        last_at = r.at;
-        match &r.ev {
-            ProtoEvent::TxCommit { writes, .. } => {
-                for &(oid, _expect, new) in writes {
-                    installs.entry(oid).or_default().push(Install {
-                        version: new,
-                        at: r.at.0,
-                        earliest_from_here: r.at.0,
-                    });
-                }
+    }
+
+    /// Hand `each` the next run's records in order; `false` past the last
+    /// run.
+    fn read(&mut self, mut each: impl FnMut(&TraceRecord)) -> bool {
+        let mut started = self.next_info.take().inspect(|info| each(info)).is_some();
+        while let Some(r) = self.reader.read() {
+            if started && matches!(r.ev, ProtoEvent::RunInfo { .. }) {
+                self.next_info = Some(r.clone());
+                break;
             }
-            ProtoEvent::RunInfo { .. } | ProtoEvent::RunSummary { .. } => return,
-            _ => {}
+            started = true;
+            each(r);
+            if matches!(r.ev, ProtoEvent::RunSummary { .. }) {
+                break;
+            }
         }
-        protocol_records += 1;
-    })?;
-    if let Some((i, at, last)) = backwards {
-        report.violations.push(format!(
-            "time goes backwards at record {i} of the run: t={} after t={}",
-            at.0, last.0
-        ));
+        started
     }
-    for hist in installs.values_mut() {
-        index_installs(hist);
-    }
-    let window = |oid: ObjectId, version: u64| {
-        read_window(installs.get(&oid).map_or(&[], Vec::as_slice), version)
-    };
+}
 
-    // Pass 2: sequential replay.
-    let mut cur_version: FxHashMap<ObjectId, u64> = FxHashMap::default();
-    let mut enqueued: FxHashSet<(TxId, u32)> = FxHashSet::default();
-    let mut spans = SpanTotals::default();
+/// What [`audit`] keeps of the run it is reading. [`RunAudit::finish`]
+/// clears it for the next run, keeping its buffers' room.
+#[derive(Default)]
+struct RunAudit {
+    /// The run's records so far, and its protocol records among them (all
+    /// but `RunInfo` and `RunSummary`).
+    records: usize,
+    protocol_records: usize,
+    last_at: SimTime,
+    /// The first record stamped earlier than the one before it: its
+    /// position in the run, its `at` and the one before.
+    backwards: Option<(usize, SimTime, SimTime)>,
+    /// Every install, in record order until [`index_installs`].
+    installs: Vec<Install>,
+    /// The version last installed of each object.
+    installed: FxHashMap<ObjectId, u64>,
+    enqueued: FxHashSet<(TxId, u32)>,
+    spans: SpanTotals,
+    /// Every commit's read set, back to back.
+    reads: Vec<(ObjectId, u64)>,
+    /// Each commit: its transaction, attempt and time, and where its read
+    /// set ends in `reads`.
+    commits: Vec<(TxId, u32, SimTime, usize)>,
+}
 
-    let mut replay = run.reader();
-    while let Some(r) = replay.read() {
+impl RunAudit {
+    /// Check the run's next record, adding its counts and violations to
+    /// `report`; a commit's read set waits for [`RunAudit::finish`].
+    fn record(&mut self, r: &TraceRecord, report: &mut AuditReport) {
+        self.records += 1;
+        if r.at < self.last_at && self.backwards.is_none() {
+            self.backwards = Some((self.records, r.at, self.last_at));
+        }
+        self.last_at = r.at;
+        let spans = &mut self.spans;
         match &r.ev {
             ProtoEvent::TxCommit {
                 tx,
@@ -227,24 +228,10 @@ fn audit_run(reader: &mut RecordReader<'_>, report: &mut AuditReport) -> Option<
                 ..
             } => {
                 report.commits_checked += 1;
+                report.reads_checked += reads.len();
                 spans.commits += 1;
-
-                let mut lo_max = 0u64;
-                let mut hi_min = u64::MAX;
-                for &(oid, version) in reads {
-                    report.reads_checked += 1;
-                    let (lo, hi) = window(oid, version);
-                    lo_max = lo_max.max(lo);
-                    hi_min = hi_min.min(hi);
-                }
-                if lo_max >= hi_min {
-                    report.violations.push(format!(
-                        "commit of {tx} (attempt {attempt}) at t={} has an inconsistent \
-                         read footprint: no instant at which all {} read versions coexisted",
-                        r.at.0,
-                        reads.len()
-                    ));
-                }
+                self.reads.extend_from_slice(reads);
+                self.commits.push((*tx, *attempt, r.at, self.reads.len()));
 
                 for &(oid, expect, new) in writes {
                     report.writes_checked += 1;
@@ -254,7 +241,7 @@ fn audit_run(reader: &mut RecordReader<'_>, report: &mut AuditReport) -> Option<
                              ({expect} -> {new})"
                         ));
                     }
-                    if let Some(&prev) = cur_version.get(&oid) {
+                    if let Some(prev) = self.installed.insert(oid, new) {
                         if expect != prev {
                             report.violations.push(format!(
                                 "lost update on {oid}: {tx} committed against version \
@@ -262,7 +249,12 @@ fn audit_run(reader: &mut RecordReader<'_>, report: &mut AuditReport) -> Option<
                             ));
                         }
                     }
-                    cur_version.insert(oid, new);
+                    self.installs.push(Install {
+                        oid,
+                        version: new,
+                        at: r.at.0,
+                        earliest_from_here: r.at.0,
+                    });
                 }
             }
             ProtoEvent::SchedDecision {
@@ -271,7 +263,7 @@ fn audit_run(reader: &mut RecordReader<'_>, report: &mut AuditReport) -> Option<
                 verdict: Verdict::Enqueue,
                 ..
             } => {
-                enqueued.insert((*tx, *attempt));
+                self.enqueued.insert((*tx, *attempt));
             }
             ProtoEvent::TxAbort {
                 tx,
@@ -290,7 +282,7 @@ fn audit_run(reader: &mut RecordReader<'_>, report: &mut AuditReport) -> Option<
                 spans.attributed += u64::from(aggressor.is_some());
                 if *cause == hyflow_dstm::AbortCause::QueueTimeout {
                     report.timeout_aborts_checked += 1;
-                    if !enqueued.contains(&(*tx, *attempt)) {
+                    if !self.enqueued.contains(&(*tx, *attempt)) {
                         report.violations.push(format!(
                             "queue-timeout abort of {tx} (attempt {attempt}) at t={} has \
                              no preceding enqueue decision",
@@ -334,48 +326,106 @@ fn audit_run(reader: &mut RecordReader<'_>, report: &mut AuditReport) -> Option<
                         ));
                     }
                 }
+                return;
             }
+            ProtoEvent::RunInfo { .. } => return,
             _ => {}
         }
+        self.protocol_records += 1;
     }
-    Some(protocol_records)
+
+    /// End the run whose violations start at `first` in `report`: report
+    /// its time-order break first, check every read set against all of the
+    /// run's installs, and clear for the next run. The run's protocol
+    /// records.
+    fn finish(&mut self, report: &mut AuditReport, first: usize) -> usize {
+        if let Some((i, at, last)) = self.backwards {
+            report.violations.insert(
+                first,
+                format!(
+                    "time goes backwards at record {i} of the run: t={} after t={}",
+                    at.0, last.0
+                ),
+            );
+        }
+        index_installs(&mut self.installs);
+        let mut start = 0;
+        for &(tx, attempt, at, end) in &self.commits {
+            let reads = &self.reads[start..end];
+            start = end;
+            let mut lo_max = 0u64;
+            let mut hi_min = u64::MAX;
+            for &(oid, version) in reads {
+                let (lo, hi) = read_window(&self.installs, oid, version);
+                lo_max = lo_max.max(lo);
+                hi_min = hi_min.min(hi);
+            }
+            if lo_max >= hi_min {
+                report.violations.push(format!(
+                    "commit of {tx} (attempt {attempt}) at t={} has an inconsistent \
+                     read footprint: no instant at which all {} read versions coexisted",
+                    at.0,
+                    reads.len()
+                ));
+            }
+        }
+        if self.protocol_records == 0 {
+            report
+                .violations
+                .push("no protocol records (a header-only run): nothing to audit".to_string());
+        }
+        let protocol_records = self.protocol_records;
+        (self.records, self.protocol_records) = (0, 0);
+        (self.last_at, self.backwards) = (SimTime::ZERO, None);
+        self.spans = SpanTotals::default();
+        self.installs.clear();
+        self.installed.clear();
+        self.enqueued.clear();
+        self.reads.clear();
+        self.commits.clear();
+        protocol_records
+    }
 }
 
 /// One recorded install of an object version, for [`read_window`].
 #[derive(Clone, Copy, Debug)]
 struct Install {
+    oid: ObjectId,
     version: u64,
     at: u64,
     /// After [`index_installs`]: the earliest `at` from this entry to the
-    /// end of the history.
+    /// end of its object's history.
     earliest_from_here: u64,
 }
 
-/// Index one object's install history: sort it by version — stably, so
+/// Index a run's installs: sort them by object and version — stably, so
 /// installs of one version keep their record order — and fill in each
 /// entry's `earliest_from_here`. Install times need not rise with versions
 /// (a corrupt trace), hence the suffix minimum.
-fn index_installs(hist: &mut [Install]) {
-    hist.sort_by_key(|i| i.version);
-    let mut earliest = u64::MAX;
-    for i in hist.iter_mut().rev() {
-        earliest = earliest.min(i.at);
-        i.earliest_from_here = earliest;
+fn index_installs(installs: &mut [Install]) {
+    installs.sort_by_key(|i| (i.oid, i.version));
+    for hist in installs.chunk_by_mut(|a, b| a.oid == b.oid) {
+        let mut earliest = u64::MAX;
+        for i in hist.iter_mut().rev() {
+            earliest = earliest.min(i.at);
+            i.earliest_from_here = earliest;
+        }
     }
 }
 
-/// Window of validity of `version` in an indexed history: from its first
-/// recorded install to the earliest install of any higher version.
+/// Window of validity of `version` of `oid` in indexed installs: from its
+/// first recorded install to the earliest install of any higher version.
 /// Unknown installs (seed versions) open at 0; no successor leaves the
 /// window open-ended. Two binary searches.
-fn read_window(hist: &[Install], version: u64) -> (u64, u64) {
-    let first = hist.partition_point(|i| i.version < version);
-    let lo = match hist.get(first) {
-        Some(i) if i.version == version => i.at,
-        _ => 0,
-    };
-    let later = first + hist[first..].partition_point(|i| i.version == version);
-    let hi = hist.get(later).map_or(u64::MAX, |i| i.earliest_from_here);
+fn read_window(installs: &[Install], oid: ObjectId, version: u64) -> (u64, u64) {
+    let first = installs.partition_point(|i| (i.oid, i.version) < (oid, version));
+    let this = |i: &&Install| i.oid == oid && i.version == version;
+    let lo = installs.get(first).filter(this).map_or(0, |i| i.at);
+    let later = first + installs[first..].partition_point(|i| this(&i));
+    let hi = installs
+        .get(later)
+        .filter(|i| i.oid == oid)
+        .map_or(u64::MAX, |i| i.earliest_from_here);
     (lo, hi)
 }
 
@@ -502,7 +552,10 @@ impl ChromeEvents {
 /// its origin node; each attempt is an `X` complete event and nested child
 /// levels stack beneath it; scheduler decisions, queue service, forwarding
 /// and migration are instants on the node that observed them. Timestamps
-/// are exact: integer microseconds and three decimals of nanoseconds.
+/// are exact: integer microseconds and three decimals of nanoseconds. An
+/// attempt or child still open at the end of its run is closed at the
+/// run's last record, so the spans of a concatenated log are those of its
+/// runs exported one by one.
 pub fn to_chrome_trace(log: &TraceLog) -> String {
     const HEADER: &str = "{\"traceEvents\": [";
     let mut ev = ChromeEvents {
@@ -515,111 +568,127 @@ pub fn to_chrome_trace(log: &TraceLog) -> String {
     };
     ev.out.push_str(HEADER);
 
-    // Open attempt spans and nested-child stacks per transaction.
+    // Open attempt spans and nested-child stacks per transaction of the run
+    // being read (an emptied stack stays in the map, for the next run's
+    // transaction of that id), and, at the run's end, what is still open.
     let mut open_attempt: FxHashMap<TxId, (u64, u32)> = FxHashMap::default();
     let mut open_children: FxHashMap<TxId, Vec<(u32, u64)>> = FxHashMap::default();
-    let mut end_of_log = 0;
+    let mut unfinished: Vec<(TxId, (u64, u32))> = Vec::new();
+    let mut with_children: Vec<TxId> = Vec::new();
+    let mut end_of_run = 0;
     let mut nodes: FxHashSet<u32> = FxHashSet::default();
 
-    let mut reader = log.records.reader();
-    while let Some(r) = reader.read() {
-        let at = r.at.0;
-        end_of_log = at;
-        nodes.insert(r.node);
-        match &r.ev {
-            ProtoEvent::TxStart { tx, attempt, .. } => {
-                open_attempt.insert(*tx, (at, *attempt));
-            }
-            ProtoEvent::TxCommit { tx, attempt, .. } => {
-                if let Some(stack) = open_children.get_mut(tx) {
-                    ev.close_children(*tx, 1, at, stack);
+    let mut runs = Runs::new(log);
+    loop {
+        let read = runs.read(|r| {
+            let at = r.at.0;
+            end_of_run = at;
+            nodes.insert(r.node);
+            match &r.ev {
+                ProtoEvent::TxStart { tx, attempt, .. } => {
+                    open_attempt.insert(*tx, (at, *attempt));
                 }
-                let (started, a) = open_attempt.remove(tx).unwrap_or((at, *attempt));
-                ev.attempt(*tx, a, " commit", started, at)
-                    .text(",\"args\":{\"outcome\":\"commit\"}}");
-            }
-            ProtoEvent::TxAbort {
-                tx, attempt, cause, ..
-            } => {
-                if let Some(stack) = open_children.get_mut(tx) {
-                    ev.close_children(*tx, 1, at, stack);
+                ProtoEvent::TxCommit { tx, attempt, .. } => {
+                    if let Some(stack) = open_children.get_mut(tx) {
+                        ev.close_children(*tx, 1, at, stack);
+                    }
+                    let (started, a) = open_attempt.remove(tx).unwrap_or((at, *attempt));
+                    ev.attempt(*tx, a, " commit", started, at)
+                        .text(",\"args\":{\"outcome\":\"commit\"}}");
                 }
-                let (started, a) = open_attempt.remove(tx).unwrap_or((at, *attempt));
-                ev.attempt(*tx, a, " abort", started, at)
-                    .text(",\"args\":{\"outcome\":\"abort\",\"cause\":\"")
-                    .text(cause.label())
-                    .text("\"}}");
-            }
-            ProtoEvent::NestedOpen { tx, level, .. } => {
-                open_children.entry(*tx).or_default().push((*level, at));
-            }
-            ProtoEvent::NestedCommit { tx, level, .. }
-            | ProtoEvent::NestedAbort { tx, level, .. } => {
-                if let Some(stack) = open_children.get_mut(tx) {
-                    ev.close_children(*tx, *level, at, stack);
+                ProtoEvent::TxAbort {
+                    tx, attempt, cause, ..
+                } => {
+                    if let Some(stack) = open_children.get_mut(tx) {
+                        ev.close_children(*tx, 1, at, stack);
+                    }
+                    let (started, a) = open_attempt.remove(tx).unwrap_or((at, *attempt));
+                    ev.attempt(*tx, a, " abort", started, at)
+                        .text(",\"args\":{\"outcome\":\"abort\",\"cause\":\"")
+                        .text(cause.label())
+                        .text("\"}}");
                 }
+                ProtoEvent::NestedOpen { tx, level, .. } => {
+                    open_children.entry(*tx).or_default().push((*level, at));
+                }
+                ProtoEvent::NestedCommit { tx, level, .. }
+                | ProtoEvent::NestedAbort { tx, level, .. } => {
+                    if let Some(stack) = open_children.get_mut(tx) {
+                        ev.close_children(*tx, *level, at, stack);
+                    }
+                }
+                ProtoEvent::TxForward { tx, oid, .. } => {
+                    ev.open("forward o")
+                        .num("", oid.0)
+                        .num(
+                            "\",\"cat\":\"tfa\",\"ph\":\"i\",\"s\":\"t\",\"pid\":",
+                            tx.node,
+                        )
+                        .num(",\"tid\":", tx.seq)
+                        .us(",\"ts\":", at)
+                        .text("}");
+                }
+                ProtoEvent::SchedDecision {
+                    oid, tx, verdict, ..
+                } => {
+                    ev.open(verdict.label())
+                        .num(" o", oid.0)
+                        .tx(" for ", *tx)
+                        .num(
+                            "\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"p\",\"pid\":",
+                            r.node,
+                        )
+                        .us(",\"tid\":0,\"ts\":", at)
+                        .text("}");
+                }
+                ProtoEvent::QueueServed { oid, tx, .. } => {
+                    ev.open("serve o")
+                        .num("", oid.0)
+                        .tx(" to ", *tx)
+                        .num(
+                            "\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"p\",\"pid\":",
+                            r.node,
+                        )
+                        .us(",\"tid\":0,\"ts\":", at)
+                        .text("}");
+                }
+                ProtoEvent::Migrate { oid, from, to, .. } => {
+                    ev.open("migrate o")
+                        .num("", oid.0)
+                        .num(": ", *from)
+                        .num("->", *to)
+                        .num("\",\"cat\":\"cc\",\"ph\":\"i\",\"s\":\"g\",\"pid\":", *to)
+                        .us(",\"tid\":0,\"ts\":", at)
+                        .text("}");
+                }
+                ProtoEvent::RunInfo { .. } | ProtoEvent::RunSummary { .. } => {}
             }
-            ProtoEvent::TxForward { tx, oid, .. } => {
-                ev.open("forward o")
-                    .num("", oid.0)
-                    .num(
-                        "\",\"cat\":\"tfa\",\"ph\":\"i\",\"s\":\"t\",\"pid\":",
-                        tx.node,
-                    )
-                    .num(",\"tid\":", tx.seq)
-                    .us(",\"ts\":", at)
-                    .text("}");
-            }
-            ProtoEvent::SchedDecision {
-                oid, tx, verdict, ..
-            } => {
-                ev.open(verdict.label())
-                    .num(" o", oid.0)
-                    .tx(" for ", *tx)
-                    .num(
-                        "\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"p\",\"pid\":",
-                        r.node,
-                    )
-                    .us(",\"tid\":0,\"ts\":", at)
-                    .text("}");
-            }
-            ProtoEvent::QueueServed { oid, tx, .. } => {
-                ev.open("serve o")
-                    .num("", oid.0)
-                    .tx(" to ", *tx)
-                    .num(
-                        "\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"p\",\"pid\":",
-                        r.node,
-                    )
-                    .us(",\"tid\":0,\"ts\":", at)
-                    .text("}");
-            }
-            ProtoEvent::Migrate { oid, from, to, .. } => {
-                ev.open("migrate o")
-                    .num("", oid.0)
-                    .num(": ", *from)
-                    .num("->", *to)
-                    .num("\",\"cat\":\"cc\",\"ph\":\"i\",\"s\":\"g\",\"pid\":", *to)
-                    .us(",\"tid\":0,\"ts\":", at)
-                    .text("}");
-            }
-            ProtoEvent::RunInfo { .. } | ProtoEvent::RunSummary { .. } => {}
+        });
+        if !read {
+            break;
         }
-    }
-
-    // Close anything still open at the end of the log (stalled or
-    // budget-cut transactions) — in `TxId` order, not the maps' order, so
-    // the same log always exports to the same bytes.
-    let mut children: Vec<(TxId, Vec<(u32, u64)>)> = open_children.into_iter().collect();
-    children.sort_unstable_by_key(|&(tx, _)| tx);
-    for (tx, mut stack) in children {
-        ev.close_children(tx, 1, end_of_log, &mut stack);
-    }
-    let mut attempts: Vec<(TxId, (u64, u32))> = open_attempt.into_iter().collect();
-    attempts.sort_unstable_by_key(|&(tx, _)| tx);
-    for (tx, (started, a)) in attempts {
-        ev.attempt(tx, a, " unfinished", started, end_of_log)
-            .text("}");
+        // Close anything still open at the run's last record (stalled or
+        // budget-cut transactions) — in `TxId` order, not the maps' order,
+        // so the same log always exports to the same bytes.
+        with_children.extend(
+            open_children
+                .iter()
+                .filter(|(_, stack)| !stack.is_empty())
+                .map(|(&tx, _)| tx),
+        );
+        with_children.sort_unstable();
+        for tx in with_children.drain(..) {
+            let stack = open_children
+                .get_mut(&tx)
+                .expect("a transaction with children");
+            ev.close_children(tx, 1, end_of_run, stack);
+        }
+        unfinished.extend(open_attempt.drain());
+        unfinished.sort_unstable_by_key(|&(tx, _)| tx);
+        for (tx, (started, a)) in unfinished.drain(..) {
+            ev.attempt(tx, a, " unfinished", started, end_of_run)
+                .text("}");
+        }
     }
 
     ev.out.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
@@ -986,16 +1055,19 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
     // Transaction and object ids repeat from run to run and each run's
     // clock starts at 0, so the tallies below are kept per run: each run
     // walks its own victim → aggressor map and buckets its own commits.
-    let mut reader = log.records.reader();
+    // The furthest commit, for a mismatch naming an epoch that fits.
+    let mut span = 0;
+    let mut runs = Runs::new(log);
     for k in 0.. {
         let mut profile = RunProfile::default();
         let mut blamed_by: FxHashMap<TxId, TxId> = FxHashMap::default();
         let mut commits_per_epoch: Vec<u64> = Vec::new();
-        let run = read_run(&mut reader, |r| {
+        let read = runs.read(|r| {
             profile.by_kind[r.ev.kind_index()] += 1;
             match &r.ev {
                 ProtoEvent::TxCommit { .. } => {
                     report.commits += 1;
+                    span = span.max(r.at.0);
                     let e = r.at.0 / epoch_ns;
                     match commits_per_epoch.get_mut(e as usize) {
                         Some(n) => *n += 1,
@@ -1057,7 +1129,7 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
                 _ => {}
             }
         });
-        if run.is_none() {
+        if !read {
             break;
         }
         let chain = longest_chain(&blamed_by);
@@ -1075,14 +1147,6 @@ pub fn analyze(log: &TraceLog, epoch_ns: u64) -> AnalyzeReport {
         .map(|p| p.throughput.commits_per_epoch.iter().sum::<u64>())
         .sum();
     if bucketed < report.commits {
-        // Only a refused commit gets here; find the furthest one.
-        let mut span = 0;
-        let mut reader = log.records.reader();
-        while let Some(r) = reader.read() {
-            if let ProtoEvent::TxCommit { .. } = r.ev {
-                span = span.max(r.at.0);
-            }
-        }
         report.mismatches.push(format!(
             "commits span {span} ns, more than {MAX_ANALYZE_EPOCHS} epochs of {epoch_ns} ns; \
              rerun with --epoch-ns {} or more",
@@ -1172,6 +1236,33 @@ mod tests {
         )
     }
 
+    fn run_info(at: u64, scheduler: SchedulerKind, nodes: u64) -> TraceRecord {
+        rec(at, 0, ProtoEvent::RunInfo { scheduler, nodes })
+    }
+
+    /// A `RunSummary` of counters `c`, in field order, the cache's zero.
+    fn summary(at: u64, c: [u64; 8]) -> TraceRecord {
+        let [commits, aborts, nested_own, nested_parent, nested_commits, wasted_ns, wasted_msgs, attributed] =
+            c;
+        rec(
+            at,
+            0,
+            ProtoEvent::RunSummary {
+                commits,
+                aborts,
+                nested_own,
+                nested_parent,
+                nested_commits,
+                wasted_ns,
+                wasted_msgs,
+                attributed,
+                cache_hits: 0,
+                cache_misses: 0,
+                cache_invalidations: 0,
+            },
+        )
+    }
+
     #[test]
     fn clean_history_passes() {
         let t1 = TxId::new(0, 1);
@@ -1207,19 +1298,24 @@ mod tests {
         let (t1, t2, t3) = (TxId::new(0, 1), TxId::new(1, 1), TxId::new(2, 1));
         let (a, b) = (ObjectId(1), ObjectId(2));
         // a@1 dies at t=200 (a@2 installed); b@5 is born at t=300. A commit
-        // reading {a@1, b@5} observed two states that never coexisted.
-        let log = log_of(vec![
-            commit(100, t1, vec![], vec![(a, 0, 1)]),
-            commit(200, t1, vec![], vec![(a, 1, 2)]),
-            commit(300, t2, vec![], vec![(b, 0, 5)]),
-            commit(400, t3, vec![(a, 1), (b, 5)], vec![]),
-        ]);
-        let report = audit(&log);
-        assert!(!report.ok());
-        assert!(
-            report.violations[0].contains("inconsistent read footprint"),
-            "{report:?}"
-        );
+        // reading {a@1, b@5} observed two states that never coexisted, also
+        // when it is recorded before b@5's install.
+        for at in [400, 250] {
+            let mut records = vec![
+                commit(100, t1, vec![], vec![(a, 0, 1)]),
+                commit(200, t1, vec![], vec![(a, 1, 2)]),
+                commit(300, t2, vec![], vec![(b, 0, 5)]),
+                commit(at, t3, vec![(a, 1), (b, 5)], vec![]),
+            ];
+            records.sort_by_key(|r| r.at);
+            assert_eq!(
+                audit(&log_of(records)).violations,
+                [format!(
+                    "commit of {t3} (attempt 0) at t={at} has an inconsistent read \
+                     footprint: no instant at which all 2 read versions coexisted"
+                )]
+            );
+        }
     }
 
     #[test]
@@ -1339,23 +1435,7 @@ mod tests {
         ];
         let audited = |c: [u64; 8]| {
             let mut records = spans.to_vec();
-            records.push(rec(
-                400,
-                0,
-                ProtoEvent::RunSummary {
-                    commits: c[0],
-                    aborts: c[1],
-                    nested_own: c[2],
-                    nested_parent: c[3],
-                    nested_commits: c[4],
-                    wasted_ns: c[5],
-                    wasted_msgs: c[6],
-                    attributed: c[7],
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    cache_invalidations: 0,
-                },
-            ));
+            records.push(summary(400, c));
             audit(&log_of(records))
         };
         let counters = [1, 1, 1, 1, 1, 500, 2, 1];
@@ -1471,13 +1551,16 @@ mod tests {
                     .unwrap_or(u64::MAX);
                 (lo, hi)
             };
+            // Installs of other objects on either side stay out of the window.
+            let other = |oid, version| Install { oid: ObjectId(oid), version, at: 0, earliest_from_here: 0 };
             let mut indexed: Vec<Install> = hist
                 .iter()
-                .map(|&(version, at)| Install { version, at, earliest_from_here: at })
+                .map(|&(version, at)| Install { oid: ObjectId(1), version, at, earliest_from_here: at })
+                .chain([other(0, 9), other(2, 0)])
                 .collect();
             index_installs(&mut indexed);
             for version in 0..10 {
-                proptest::prop_assert_eq!(read_window(&indexed, version), linear(version));
+                proptest::prop_assert_eq!(read_window(&indexed, ObjectId(1), version), linear(version));
             }
         }
     }
@@ -1580,23 +1663,9 @@ mod tests {
     fn analyze_labels_each_run_with_its_cell() {
         let tx = TxId::new(0, 1);
         let log = log_of(vec![
-            rec(
-                0,
-                0,
-                ProtoEvent::RunInfo {
-                    scheduler: SchedulerKind::Rts,
-                    nodes: 8,
-                },
-            ),
+            run_info(0, SchedulerKind::Rts, 8),
             commit(1_000, tx, vec![], vec![]),
-            rec(
-                2_000,
-                0,
-                ProtoEvent::RunInfo {
-                    scheduler: SchedulerKind::Tfa,
-                    nodes: 16,
-                },
-            ),
+            run_info(2_000, SchedulerKind::Tfa, 16),
             commit(3_000, tx, vec![], vec![]),
             commit(4_000, tx, vec![], vec![]),
         ]);
@@ -1655,14 +1724,7 @@ mod tests {
         let (t0, t1, t2) = (TxId::new(0, 1), TxId::new(1, 1), TxId::new(2, 1));
         let (a, b) = (ObjectId(1), ObjectId(2));
         let log = log_of(vec![
-            rec(
-                0,
-                0,
-                ProtoEvent::RunInfo {
-                    scheduler: SchedulerKind::Rts,
-                    nodes: 3,
-                },
-            ),
+            run_info(0, SchedulerKind::Rts, 3),
             // t1 aborted twice on `a` at t0's hands; t0 once on `b` at t2's.
             abort_blaming(1_000, t1, 500, 2, Some(a), Some(t0)),
             abort_blaming(2_000, t1, 700, 3, Some(a), Some(t0)),
@@ -1689,23 +1751,7 @@ mod tests {
                 },
             ),
             commit(6_000, t1, vec![], vec![(a, 0, 1)]),
-            rec(
-                7_000,
-                0,
-                ProtoEvent::RunSummary {
-                    commits: 1,
-                    aborts: 3,
-                    nested_own: 0,
-                    nested_parent: 0,
-                    nested_commits: 0,
-                    wasted_ns: 1_500,
-                    wasted_msgs: 6,
-                    attributed: 3,
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    cache_invalidations: 0,
-                },
-            ),
+            summary(7_000, [1, 3, 0, 0, 0, 1_500, 6, 3]),
         ]);
         let report = analyze(&log, DEFAULT_ANALYZE_EPOCH_NS);
         assert!(report.ok(), "{:?}", report.mismatches);
@@ -1750,23 +1796,8 @@ mod tests {
         let t1 = TxId::new(1, 1);
         let log = log_of(vec![
             abort_blaming(1_000, t1, 500, 2, Some(ObjectId(1)), None),
-            rec(
-                2_000,
-                0,
-                ProtoEvent::RunSummary {
-                    commits: 0,
-                    aborts: 1,
-                    nested_own: 0,
-                    nested_parent: 0,
-                    nested_commits: 0,
-                    wasted_ns: 499, // events say 500
-                    wasted_msgs: 2,
-                    attributed: 0,
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    cache_invalidations: 0,
-                },
-            ),
+            // The events say 500 ns wasted.
+            summary(2_000, [0, 1, 0, 0, 0, 499, 2, 0]),
         ]);
         assert_eq!(
             audit(&log).violations,
@@ -1780,25 +1811,7 @@ mod tests {
     #[test]
     fn audit_reconciles_each_run_on_its_own() {
         let tx = TxId::new(0, 1);
-        let summary = |at, commits| {
-            rec(
-                at,
-                0,
-                ProtoEvent::RunSummary {
-                    commits,
-                    aborts: 0,
-                    nested_own: 0,
-                    nested_parent: 0,
-                    nested_commits: 0,
-                    wasted_ns: 0,
-                    wasted_msgs: 0,
-                    attributed: 0,
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    cache_invalidations: 0,
-                },
-            )
-        };
+        let summary = |at, commits| summary(at, [commits, 0, 0, 0, 0, 0, 0, 0]);
         // One commit against a summary of 2, then two against 1: the
         // log-wide sums agree, each run's do not.
         let log = log_of(vec![
@@ -1853,16 +1866,7 @@ mod tests {
             TxId::new(3, 1),
         );
         let a = ObjectId(1);
-        let info = |at| {
-            rec(
-                at,
-                0,
-                ProtoEvent::RunInfo {
-                    scheduler: SchedulerKind::Rts,
-                    nodes: 4,
-                },
-            )
-        };
+        let info = |at| run_info(at, SchedulerKind::Rts, 4);
         let epoch = 1_000u64;
         // Run 1 blames T1.1 on T2.1, run 2 blames T2.1 on T3.1: no chain
         // T1.1 <- T2.1 <- T3.1, since run 2's T2.1 is another transaction.

@@ -179,6 +179,15 @@ fn header_only_trace_fails_audit() {
     let report = audit(&parsed);
     assert!(!report.ok(), "header-only trace passed the audit");
     assert!(report.violations[0].contains("no protocol records"));
+
+    // Nor does such a run behind a good one, though its all-zero summary
+    // agrees with the nothing it holds.
+    let (_, good) = run_collision_traced(SchedulerKind::Rts, 6, 2);
+    let both = TraceLog::parse_jsonl(&(good.to_jsonl() + &trace.to_jsonl())).expect("parse");
+    assert_eq!(
+        audit(&both).violations,
+        ["run 2: no protocol records (a header-only run): nothing to audit"]
+    );
 }
 
 #[test]

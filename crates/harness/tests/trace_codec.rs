@@ -1,8 +1,8 @@
 //! The trace text formats are artefacts other tools consume, so they are
 //! pinned byte for byte: FNV-64 digests of the JSONL and the Chrome
 //! `trace_event` JSON of four fixed traced cells, a lossless
-//! parse → re-export round trip on the same cells, and a determinism guard
-//! for the Chrome exporter's end-of-log flush.
+//! parse → re-export round trip on the same cells, and guards for the
+//! Chrome exporter's end-of-run flush: deterministic, and run by run.
 //!
 //! The digests were taken from the pre-rewrite codec (the `write!`-based
 //! writer, DOM parser and `{:.3}` float timestamps of PR 2); the
@@ -155,4 +155,72 @@ fn chrome_export_of_unfinished_attempts_is_deterministic() {
         })
         .collect();
     assert!(order.windows(2).all(|w| w[0] < w[1]), "not in TxId order");
+}
+
+#[test]
+fn chrome_export_closes_each_runs_spans_at_that_runs_end() {
+    let tx = TxId::new(0, 1);
+    let rec = |at, ev| TraceRecord {
+        at: SimTime(at),
+        node: 0,
+        ev,
+    };
+    let info = || {
+        rec(
+            0,
+            ProtoEvent::RunInfo {
+                scheduler: SchedulerKind::Rts,
+                nodes: 1,
+            },
+        )
+    };
+    let start = |at| {
+        rec(
+            at,
+            ProtoEvent::TxStart {
+                tx,
+                kind: TxKind(1),
+                attempt: 0,
+            },
+        )
+    };
+    let mut summary = TraceLog::default();
+    summary.push_summary(SimTime(9_000), &Default::default());
+    // Run 1 leaves T0.1 open, with a child, at its summary; run 2 starts
+    // and commits a T0.1 of its own.
+    let open = ProtoEvent::NestedOpen {
+        tx,
+        attempt: 0,
+        level: 1,
+        kind: TxKind(2),
+    };
+    let mut first = vec![info(), start(5_000), rec(6_000, open)];
+    first.extend(&summary.records);
+    let commit = ProtoEvent::TxCommit {
+        tx,
+        attempt: 0,
+        nested_committed: 0,
+        reads: vec![],
+        writes: vec![],
+    };
+    let second = vec![info(), start(1_000), rec(3_000, commit)];
+    let spans = |records: &[TraceRecord]| -> Vec<String> {
+        to_chrome_trace(&records.iter().cloned().collect())
+            .lines()
+            .filter(|l| l.contains("\"ph\":\"X\""))
+            .map(|l| l.trim().trim_end_matches(',').to_string())
+            .collect()
+    };
+    let alone = spans(&first);
+    assert_eq!(
+        alone,
+        [
+            "{\"name\":\"child L1\",\"cat\":\"nested\",\"ph\":\"X\",\"pid\":0,\"tid\":1,\
+             \"ts\":6.000,\"dur\":3.000}",
+            "{\"name\":\"T0.1#a0 unfinished\",\"cat\":\"tx\",\"ph\":\"X\",\"pid\":0,\"tid\":1,\
+             \"ts\":5.000,\"dur\":4.000}",
+        ]
+    );
+    let both = [first, second.clone()].concat();
+    assert_eq!(spans(&both), [alone, spans(&second)].concat());
 }

@@ -38,7 +38,10 @@
 //! straight into it, and records come back out one at a time: a
 //! [`RecordReader`] lends each and decodes into the last record of its
 //! kind, so a pass over the log allocates nothing per record, while
-//! `for rec in &log.records` yields owned ones.
+//! `for rec in &log.records` yields owned ones. That walk is the only one:
+//! a record's length is known only by decoding it, so nothing steps over
+//! or back across records, and the live log remembers where each record
+//! of its latest equal-`at` tie starts instead.
 //!
 //! **One format: the writer's bytes.** [`TraceRecord::parse`] accepts
 //! exactly the lines [`TraceRecord::write_jsonl`] makes: one flat object,
@@ -195,16 +198,6 @@ macro_rules! events {
                         $(Value::decode_into($field, b);)*
                     }
                 )*}
-            }
-
-            /// Step `b` past the fields of an event of kind byte `kind`.
-            fn skip(kind: u8, b: &mut &[u8]) {
-                match kind {
-                    $(kind_byte::$kind => {
-                        $(<$ty as Value>::skip(b);)*
-                    })*
-                    _ => unreachable!("kind byte {kind} is not in the table"),
-                }
             }
         }
     };
@@ -507,23 +500,23 @@ impl TraceRecords {
         self.len == 0
     }
 
-    /// All the records, as a span to read from the first.
-    fn span(&self) -> RecordSpan<'_> {
-        RecordSpan {
-            bytes: &self.bytes[self.head..],
-            at: 0,
-            len: self.len,
-        }
+    /// The encoding of the records, from the first.
+    fn encoded(&self) -> &[u8] {
+        &self.bytes[self.head..]
     }
 
     /// Lend the records one at a time, allocating nothing per record.
     pub fn reader(&self) -> RecordReader<'_> {
-        self.span().reader()
+        RecordReader {
+            rest: self.encoded(),
+            at: 0,
+            last: [const { None }; ProtoEvent::KINDS],
+        }
     }
 
     /// The records as owned values.
     pub fn iter(&self) -> Iter<'_> {
-        Iter { rest: self.span() }
+        Iter(self.reader())
     }
 
     /// Append a record; the byte it starts at.
@@ -628,49 +621,10 @@ impl TraceRecords {
     }
 }
 
-/// The record at byte `pos`: its time delta, its node, and the byte after it.
-fn record_at(bytes: &[u8], pos: usize) -> (u64, u32, usize) {
-    let mut b = &bytes[pos..];
-    let delta = get_varint(&mut b);
-    let node = get_varint(&mut b) as u32;
-    let kind = get_u8(&mut b);
-    ProtoEvent::skip(kind, &mut b);
-    (delta, node, bytes.len() - b.len())
-}
-
-/// Move the last record of `tie` — the records from `tie`'s start on,
-/// which share one `at` — back behind the last one whose node is not
-/// later than its `node`: one step of a stable insertion sort by node.
-/// The record starts at byte `last` and moves in front of at least one.
-fn settle_last(tie: &mut [u8], last: usize, node: u32) {
-    let mut to = 0;
-    loop {
-        let (_, n, end) = record_at(tie, to);
-        if n > node {
-            break;
-        }
-        to = end;
-    }
-    let width = tie.len() - last;
-    tie[to..].rotate_right(width);
-    if to > 0 {
-        return;
-    }
-    // The record is now the tie's first, with the one-byte zero delta of a
-    // tied record, while the old first behind it holds the tie's delta:
-    // swap them.
-    let (delta, _, _) = record_at(tie, width);
-    if delta != 0 {
-        let delta_width = varint_len(delta);
-        tie[..width + delta_width].rotate_right(delta_width);
-        tie[delta_width..width + delta_width].rotate_left(1);
-    }
-}
-
 impl PartialEq for TraceRecords {
     fn eq(&self, other: &Self) -> bool {
         // One sequence of records has one encoding.
-        self.len == other.len && self.bytes[self.head..] == other.bytes[other.head..]
+        self.len == other.len && self.encoded() == other.encoded()
     }
 }
 
@@ -708,65 +662,30 @@ impl FromIterator<TraceRecord> for TraceRecords {
     }
 }
 
-/// Consecutive records of a [`TraceRecords`], from its first: what a
-/// `&[TraceRecord]` is to a `Vec` of them. Copying one is free.
-#[derive(Clone, Copy)]
-pub struct RecordSpan<'a> {
-    /// The encoding from the span's first record on (to the end of the
-    /// log: `len` says where the span stops).
-    bytes: &'a [u8],
-    /// The `at` the first record is stored relative to.
-    at: u64,
-    len: usize,
-}
-
-impl<'a> RecordSpan<'a> {
-    /// The first `n` records (all of them, if there are fewer).
-    pub fn prefix(self, n: usize) -> RecordSpan<'a> {
-        RecordSpan {
-            len: self.len.min(n),
-            ..self
-        }
-    }
-
-    /// Lend the records one at a time, allocating nothing per record.
-    pub fn reader(self) -> RecordReader<'a> {
-        RecordReader {
-            rest: self,
-            last: [const { None }; ProtoEvent::KINDS],
-        }
-    }
-
-    /// Step past the next record's time and node, and return them with its
-    /// kind byte; its fields come next.
-    #[inline]
-    fn header(&mut self) -> Option<(SimTime, u32, u8)> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        self.at = self.at.wrapping_add(get_varint(&mut self.bytes));
-        let node = get_varint(&mut self.bytes) as u32;
-        Some((SimTime(self.at), node, get_u8(&mut self.bytes)))
-    }
-}
-
-/// Reads a [`RecordSpan`] a record at a time, lending each. It keeps one
-/// record of each kind it has met and decodes the next record of that
-/// kind into it, so the vectors of a `tx_commit` are reused rather than
-/// allocated for every commit.
+/// Reads a [`TraceRecords`] a record at a time, from the first, lending
+/// each. It keeps one record of each kind it has met and decodes the next
+/// record of that kind into it, so the vectors of a `tx_commit` are reused
+/// rather than allocated for every commit.
 pub struct RecordReader<'a> {
-    rest: RecordSpan<'a>,
+    /// The encoding of the records not read yet.
+    rest: &'a [u8],
+    /// The `at` the next record is stored relative to.
+    at: u64,
     /// The last record read of each kind, by kind index.
     last: [Option<TraceRecord>; ProtoEvent::KINDS],
 }
 
-impl<'a> RecordReader<'a> {
+impl RecordReader<'_> {
     /// The next record, if there is one.
     #[inline]
     pub fn read(&mut self) -> Option<&TraceRecord> {
-        let (at, node, kind) = self.rest.header()?;
-        let b = &mut self.rest.bytes;
+        if self.rest.is_empty() {
+            return None;
+        }
+        let b = &mut self.rest;
+        self.at = self.at.wrapping_add(get_varint(b));
+        let (at, node) = (SimTime(self.at), get_varint(b) as u32);
+        let kind = get_u8(b);
         let last = &mut self.last[usize::from(kind)];
         match last {
             Some(rec) => {
@@ -781,33 +700,18 @@ impl<'a> RecordReader<'a> {
         }
         last.as_ref()
     }
-
-    /// The records not read yet.
-    pub fn rest(&self) -> RecordSpan<'a> {
-        self.rest
-    }
 }
 
-/// A log's records as owned values, each decoded afresh.
-pub struct Iter<'a> {
-    rest: RecordSpan<'a>,
-}
+/// A log's records as owned values.
+pub struct Iter<'a>(RecordReader<'a>);
 
 impl Iterator for Iter<'_> {
     type Item = TraceRecord;
 
     fn next(&mut self) -> Option<TraceRecord> {
-        let (at, node, kind) = self.rest.header()?;
-        let ev = ProtoEvent::decode(kind, &mut self.rest.bytes);
-        Some(TraceRecord { at, node, ev })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.rest.len, Some(self.rest.len))
+        self.0.read().cloned()
     }
 }
-
-impl ExactSizeIterator for Iter<'_> {}
 
 /// A node's handle on its run's protocol-event log. Disabled by default;
 /// callers hand [`ProtoTrace::emit`] a closure that builds the event, so
@@ -827,11 +731,15 @@ pub struct ProtoTrace {
 #[derive(Debug, Default)]
 struct LiveLog {
     records: TraceRecords,
-    /// The byte where the records stamped with the last `at` start.
-    tie: usize,
-    /// The last record's node: the latest node of that tie.
-    last_node: u32,
+    /// The tie: each record stamped with the last `at`, as its node and
+    /// the byte it starts at, in log order (which is node order).
+    tie: Vec<(u32, usize)>,
 }
+
+/// Records the tie has room for before its list grows. Every node starts
+/// at time zero, so a run's first tie holds a record or more per node
+/// (1 281 in a 160-node smoke cell); later ties hold a few.
+const TIE_ROOM: usize = 1024;
 
 impl LiveLog {
     /// Out of line: inlined, the encoder grew every `emit` site in the
@@ -842,16 +750,36 @@ impl LiveLog {
             self.records.is_empty() || self.records.last_at <= at.0,
             "trace time went backwards"
         );
-        let tied = !self.records.is_empty() && self.records.last_at == at.0;
-        let start = self.records.push(at, node, ev);
-        if !tied {
-            self.tie = start;
-        } else if node < self.last_node {
-            // Dispatch order ran ahead of node order within the tie.
-            settle_last(&mut self.records.bytes[self.tie..], start - self.tie, node);
-            return;
+        if self.records.is_empty() || self.records.last_at != at.0 {
+            self.tie.clear();
         }
-        self.last_node = node;
+        let mut start = self.records.push(at, node, ev);
+        // The record goes behind the tie's last one whose node is not
+        // later than its own: one step of a stable insertion sort by node.
+        let i = self.tie.partition_point(|&(n, _)| n <= node);
+        if let Some(&(_, to)) = self.tie.get(i) {
+            // Dispatch order ran ahead of node order within the tie.
+            let moved = &mut self.records.bytes[to..];
+            let width = moved.len() - (start - to);
+            moved.rotate_right(width);
+            for (_, later) in &mut self.tie[i..] {
+                *later += width;
+            }
+            if i == 0 {
+                // The record is now the tie's first, with the one-byte
+                // zero delta of a tied record, while the old first behind
+                // it holds the tie's delta: swap them.
+                let delta_width = 1 + moved[width..]
+                    .iter()
+                    .position(|&b| b < 0x80)
+                    .expect("a varint the encoder wrote");
+                moved[..width + delta_width].rotate_right(delta_width);
+                moved[delta_width..width + delta_width].rotate_left(1);
+                self.tie[0].1 += delta_width - 1;
+            }
+            start = to;
+        }
+        self.tie.insert(i, (node, start));
     }
 }
 
@@ -862,8 +790,12 @@ impl ProtoTrace {
 
     /// A fresh, empty run-wide log.
     pub fn enabled() -> Self {
+        let log = LiveLog {
+            tie: Vec::with_capacity(TIE_ROOM),
+            ..LiveLog::default()
+        };
         ProtoTrace {
-            log: Some(Rc::default()),
+            log: Some(Rc::new(RefCell::new(log))),
         }
     }
 
@@ -902,7 +834,7 @@ impl ProtoTrace {
         let Some(log) = &self.log else {
             return TraceLog::default();
         };
-        let mut records = std::mem::take(&mut *log.borrow_mut()).records;
+        let mut records = std::mem::take(&mut log.borrow_mut().records);
         records.bytes.shrink_to_fit();
         TraceLog { records }
     }
@@ -960,18 +892,18 @@ impl TraceLog {
         // first records' lines per byte of theirs. An eighth of slack
         // covers the digits timestamps gain.
         const SAMPLES: usize = 256;
-        let all = self.records.span();
-        let mut sample = all.reader();
+        let all = self.records.encoded().len();
+        let mut sample = self.records.reader();
         let mut out = String::new();
         for _ in 0..SAMPLES {
             let Some(r) = sample.read() else { break };
             r.write_jsonl(&mut out);
         }
-        let sampled = all.bytes.len() - sample.rest.bytes.len();
-        let estimate = out.len() * all.bytes.len() / sampled.max(1);
+        let sampled = all - sample.rest.len();
+        let estimate = out.len() * all / sampled.max(1);
         out.clear();
         out.reserve(size_class(estimate + estimate / 8));
-        let mut reader = all.reader();
+        let mut reader = self.records.reader();
         while let Some(r) = reader.read() {
             r.write_jsonl(&mut out);
         }
@@ -1023,11 +955,6 @@ fn varint_bytes(buf: &mut [u8; MAX_VARINT], mut v: u64) -> usize {
     }
     buf[i] = v as u8;
     i + 1
-}
-
-/// The bytes of `v` as a varint.
-fn varint_len(v: u64) -> usize {
-    varint_bytes(&mut [0; MAX_VARINT], v)
 }
 
 /// Append `v` as a LEB128 varint.
@@ -1086,12 +1013,6 @@ trait Value: Sized {
     #[inline]
     fn decode_into(&mut self, b: &mut &[u8]) {
         *self = Self::decode(b);
-    }
-
-    /// Step past the value's encoding.
-    #[inline]
-    fn skip(b: &mut &[u8]) {
-        Self::decode(b);
     }
 }
 
@@ -1279,11 +1200,6 @@ impl Value for Vec<(ObjectId, u64)> {
     fn decode_into(&mut self, b: &mut &[u8]) {
         decode_tuples(b, self, |[oid, v]| (ObjectId(oid), v));
     }
-
-    #[inline]
-    fn skip(b: &mut &[u8]) {
-        skip_tuples::<2>(b);
-    }
 }
 
 impl Value for Vec<(ObjectId, u64, u64)> {
@@ -1318,11 +1234,6 @@ impl Value for Vec<(ObjectId, u64, u64)> {
     #[inline]
     fn decode_into(&mut self, b: &mut &[u8]) {
         decode_tuples(b, self, |[oid, e, n]| (ObjectId(oid), e, n));
-    }
-
-    #[inline]
-    fn skip(b: &mut &[u8]) {
-        skip_tuples::<3>(b);
     }
 }
 
@@ -1364,13 +1275,6 @@ fn decode_tuples<const N: usize, T>(
     list.reserve(len);
     for _ in 0..len {
         list.push(make(std::array::from_fn(|_| get_varint(b))));
-    }
-}
-
-/// Step past a list of `N`-tuples.
-fn skip_tuples<const N: usize>(b: &mut &[u8]) {
-    for _ in 0..get_varint(b) as usize * N {
-        get_varint(b);
     }
 }
 
